@@ -18,7 +18,6 @@ from bbt import (
     parse_domain,
     plan_request_from_domain,
     refine_tree,
-    reset_latches,
     run_classic,
     simulate,
 )
@@ -44,7 +43,6 @@ def main() -> None:
     for seed in range(args.seeds):
         hits = 0
         for run_index in range(args.runs):
-            reset_latches(tree)
             state = dict(domain.initial_assignment)
             status, _ = run_classic(tree, state, CounterRng(seed, run_index))
             hits += status is Status.S

@@ -48,7 +48,6 @@ from .tree import (
     Fallback,
     Sequence,
     Skipper,
-    reset_latches,
     structurally_equal,
 )
 from .treefile import dumps_tree, load_tree, save_tree, tree_from_doc, tree_to_doc
@@ -89,7 +88,6 @@ __all__ = [
     "parse_domain",
     "plan_request_from_domain",
     "refine_tree",
-    "reset_latches",
     "resolve_by_insert",
     "resolve_threat",
     "run_classic",

@@ -1,7 +1,8 @@
 """Belief states: finite discrete distributions over physical condition states.
 
-Every operation here is functional: belief states and physical states are
-immutable values, safe to share between threads and across simulations.
+Belief states and physical states are immutable values, safe to share
+between threads and across simulations.  :meth:`Outcome.apply` is the one
+place postconditions are written; it updates a caller-owned assignment.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ class Outcome:
     probability: float
     postconditions: tuple[tuple[str, Status], ...]
     report: Status
+
+    def apply(self, assignment: dict[str, Status]) -> None:
+        """Write the postconditions into ``assignment``, which must hold each literal."""
+        for literal, status in self.postconditions:
+            if literal not in assignment:
+                raise UnknownLiteral(literal)
+            assignment[literal] = status
 
 
 @dataclass(frozen=True)
@@ -99,21 +107,10 @@ class PhysicalState:
     def resolved(self, node_id: int, outcome: Outcome) -> "PhysicalState":
         """Copy with ``outcome`` applied, its latch set, and pending cleared."""
         assignment = dict(self.assignment)
-        for literal, status in outcome.postconditions:
-            if literal not in assignment:
-                raise UnknownLiteral(literal)
-            assignment[literal] = status
+        outcome.apply(assignment)
         latches = dict(self.latches)
         latches[node_id] = outcome.report
         return PhysicalState(assignment, self.r, None, latches)
-
-    def assign(self, updates: Iterable[tuple[str, Status]]) -> "PhysicalState":
-        assignment = dict(self.assignment)
-        for literal, status in updates:
-            if literal not in assignment:
-                raise UnknownLiteral(literal)
-            assignment[literal] = status
-        return PhysicalState(assignment, self.r, self.pending, self.latches)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhysicalState):
@@ -166,20 +163,6 @@ class BeliefState:
     def eval_condition(self, literal: str) -> "BeliefState":
         """Set each entry's return status to its stored value of ``literal``."""
         return BeliefState((p, s.with_r(s.value(literal))) for p, s in self.entries)
-
-    def apply_outcomes(self, action: ActionInstance) -> "BeliefState":
-        """Expand every entry over the action's outcomes and coalesce.
-
-        Return statuses are left untouched; scheduling and latching are the
-        caller's business (the delayed pipeline in :mod:`bbt.engine`).
-        """
-        expanded = []
-        for p, s in self.entries:
-            for outcome in action.outcomes:
-                if outcome.probability <= 0.0:
-                    continue
-                expanded.append((p * outcome.probability, s.assign(outcome.postconditions)))
-        return BeliefState(expanded).coalesce()
 
     def split_by(
         self, predicate: Callable[[PhysicalState], bool]

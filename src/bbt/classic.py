@@ -3,7 +3,8 @@
 This is the runtime counterpart of the belief-space engine and the basis of
 the Monte Carlo cross-check.  The state is a plain ``dict`` mapping every
 grounded literal to a :class:`~bbt.status.Status`; ticks mutate only that
-dict and the action latches.
+dict and the run's :class:`ExecutionTrace`, which holds the action latches.
+The tree is never written, so one tree can serve any number of runs.
 """
 
 from __future__ import annotations
@@ -22,9 +23,13 @@ class RandomSource(Protocol):
 
 @dataclass
 class ExecutionTrace:
-    """Node returns per tick plus the realized outcome of each started action."""
+    """Per-run executor state: action latches plus each realized outcome.
 
-    events: list[tuple[int, int, Status]] = field(default_factory=list)
+    ``latches`` maps the node id of every finished action to its report
+    status; ``outcomes`` lists ``(action id, outcome index)`` in start order.
+    """
+
+    latches: dict[int, Status] = field(default_factory=dict)
     outcomes: list[tuple[str, int]] = field(default_factory=list)
 
 
@@ -39,69 +44,51 @@ def sample_outcome_index(action, u: float) -> int:
 
 
 def classic_tick(
-    node: BTNode,
-    state: dict[str, Status],
-    rng: RandomSource,
-    *,
-    trace: ExecutionTrace | None = None,
-    tick_index: int = 0,
+    node: BTNode, state: dict[str, Status], rng: RandomSource, run: ExecutionTrace
 ) -> Status:
-    """Run one root tick of ``node`` on ``state``.
+    """Run one root tick of ``node`` on ``state`` within ``run``.
 
     At most one fresh action starts per tick; it returns R where it is
-    reached and its sampled outcome is applied to ``state`` (latching the
-    node done) after the walk finishes, i.e. before the next root tick.
+    reached and its sampled outcome is applied to ``state`` (latching it
+    done in ``run``) after the walk finishes, i.e. before the next root tick.
     Later fresh actions reached in the same tick return R without starting.
     """
     started: list[ActionNode] = []
-    status = _tick(node, state, started, trace, tick_index)
+    status = _tick(node, state, run.latches, started)
     if started:
         action_node = started[0]
         index = sample_outcome_index(action_node.action, rng.random())
         outcome = action_node.action.outcomes[index]
-        for literal, value in outcome.postconditions:
-            if literal not in state:
-                raise UnknownLiteral(literal)
-            state[literal] = value
-        action_node.latch = outcome.report
-        action_node.started = False
-        if trace is not None:
-            trace.outcomes.append((action_node.action.id, index))
+        outcome.apply(state)
+        run.latches[action_node.node_id] = outcome.report
+        run.outcomes.append((action_node.action.id, index))
     return status
 
 
 def _tick(
     node: BTNode,
     state: dict[str, Status],
+    latches: dict[int, Status],
     started: list[ActionNode],
-    trace: ExecutionTrace | None,
-    tick_index: int,
 ) -> Status:
     if isinstance(node, Condition):
         try:
-            status = state[node.literal]
+            return state[node.literal]
         except KeyError:
             raise UnknownLiteral(node.literal) from None
-    elif isinstance(node, ActionNode):
-        if node.latch is not None:
-            status = node.latch
-        elif started:
-            # one action per root tick: a second fresh action waits
-            status = Status.R
-        else:
-            node.started = True
+    if isinstance(node, ActionNode):
+        done = latches.get(node.node_id)
+        if done is not None:
+            return done
+        # one action per root tick: a second fresh action waits
+        if not started:
             started.append(node)
-            status = Status.R
-    else:
-        status = node.continue_status
-        for child in node.children:
-            child_status = _tick(child, state, started, trace, tick_index)
-            if child_status is not node.continue_status:
-                status = child_status
-                break
-    if trace is not None:
-        trace.events.append((tick_index, node.node_id, status))
-    return status
+        return Status.R
+    for child in node.children:
+        status = _tick(child, state, latches, started)
+        if status is not node.continue_status:
+            return status
+    return node.continue_status
 
 
 def run_classic(
@@ -111,10 +98,10 @@ def run_classic(
     max_ticks: int = 10000,
 ) -> tuple[Status, ExecutionTrace]:
     """Tick until a root tick starts no action; that tick's status is final."""
-    trace = ExecutionTrace()
-    for tick_index in range(max_ticks):
-        before = len(trace.outcomes)
-        status = classic_tick(tree, state, rng, trace=trace, tick_index=tick_index)
-        if len(trace.outcomes) == before:
-            return status, trace
+    run = ExecutionTrace()
+    for _ in range(max_ticks):
+        before = len(run.outcomes)
+        status = classic_tick(tree, state, rng, run)
+        if len(run.outcomes) == before:
+            return status, run
     raise TickLimitExceeded(max_ticks)

@@ -32,7 +32,6 @@ from .errors import (
 from .planner import plan_request_from_domain, refine_tree
 from .rng import CounterRng
 from .status import Status
-from .tree import reset_latches
 from .treefile import load_tree, save_tree
 
 log = logging.getLogger(__name__)
@@ -61,6 +60,8 @@ def _limits(args) -> SimulationLimits:
 
 
 def cmd_plan(args) -> int:
+    if args.prob is not None and not 0.0 < args.prob <= 1.0:
+        raise BbtError(f"--prob must be in (0, 1], got {args.prob!r}")
     domain = _load_domain(args)
     request = plan_request_from_domain(domain, target_probability=args.prob, limits=_limits(args))
     result = refine_tree(request)
@@ -89,12 +90,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_exec(args) -> int:
+    if args.runs < 1:
+        raise BbtError(f"--runs must be at least 1, got {args.runs}")
     domain = _load_domain(args)
     tree = load_tree(args.tree, domain)
     analytical = simulate(tree, domain.initial_belief(), _limits(args))
     successes = 0
     for run_index in range(args.runs):
-        reset_latches(tree)
         state = dict(domain.initial_assignment)
         rng = CounterRng(args.seed, run_index)
         status, _ = run_classic(tree, state, rng, max_ticks=args.max_ticks)

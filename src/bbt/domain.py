@@ -733,7 +733,7 @@ class TemplateInstance:
     domain: "GroundedDomain" = field(compare=False, repr=False)
 
     def instantiate(self) -> BTNode:
-        """Build a fresh subtree; repeated calls share structure, not latches."""
+        """Build a new subtree; repeated calls share structure, not node ids."""
         return _expand_body(self.domain, self.schema, dict(self.bindings))
 
 

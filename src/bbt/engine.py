@@ -81,18 +81,18 @@ def apply_delayed(mem: BeliefState) -> BeliefState:
 def belief_tick(
     node: BTNode,
     mem: BeliefState,
-    from_child: int = 0,
     *,
     max_entries: int | None = None,
     on_condition: ConditionHook | None = None,
 ) -> BeliefState:
     """Propagate ``mem`` through ``node`` for one tick.
 
-    Control nodes recurse both down the tree and rightward over children:
-    after ticking child ``from_child``, entries returning the node's
-    continue status flow to the next child while the rest are returned to
-    the parent.  ``on_condition`` observes every condition evaluation, in
-    tick order, with the post-evaluation belief.
+    Control nodes scan their children left to right: entries returning the
+    node's continue status flow on to the next child, the rest are returned
+    to the parent.  The result lists every child's stopped entries in scan
+    order, then whatever continued past the last child.  ``on_condition``
+    observes every condition evaluation, in tick order, with the
+    post-evaluation belief.
     """
     if isinstance(node, Condition):
         out = mem.eval_condition(node.literal)
@@ -101,19 +101,16 @@ def belief_tick(
         return out
     if isinstance(node, ActionNode):
         return schedule_delayed(node, mem)
-    if from_child >= len(node.children):
-        return mem
-    if not len(mem):
-        return mem
-    result = belief_tick(
-        node.children[from_child], mem, max_entries=max_entries, on_condition=on_condition
-    )
-    if max_entries is not None and len(result) > max_entries:
-        raise EntryLimitExceeded(len(result), max_entries)
-    continuing, stopped = result.split_by(lambda s: s.r is node.continue_status)
-    return stopped + belief_tick(
-        node, continuing, from_child + 1, max_entries=max_entries, on_condition=on_condition
-    )
+    stopped: list[tuple[float, PhysicalState]] = []
+    for child in node.children:
+        if not len(mem):
+            break
+        result = belief_tick(child, mem, max_entries=max_entries, on_condition=on_condition)
+        if max_entries is not None and len(result) > max_entries:
+            raise EntryLimitExceeded(len(result), max_entries)
+        mem, child_stopped = result.split_by(lambda s: s.r is node.continue_status)
+        stopped.extend(child_stopped.entries)
+    return BeliefState(stopped + list(mem.entries))
 
 
 def simulate(

@@ -1,4 +1,10 @@
-"""Behavior tree structure: control nodes, leaves, latches, and tree walks."""
+"""Behavior tree structure: control nodes, leaves, and tree walks.
+
+A tree is a value: it holds no execution state.  Action latches belong to
+one run and live with the executor (a per-run dict in :mod:`bbt.classic`,
+per-branch views in :class:`~bbt.belief.PhysicalState`), so the same tree
+can be executed or simulated any number of times without a reset.
+"""
 
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ class BTNode:
             yield from child.iter_nodes()
 
     def signature(self):
-        """Structural identity, independent of node ids and latches."""
+        """Structural identity, independent of node ids."""
         return (self.kind, tuple(c.signature() for c in self.children))
 
     def __repr__(self) -> str:
@@ -84,23 +90,20 @@ class Condition(BTNode):
 
 
 class ActionNode(BTNode):
-    """Leaf wrapping a grounded action, with a latch.
+    """Leaf wrapping a grounded action.
 
-    The latch runs fresh -> pending -> done and done is absorbing: a finished
-    action never executes again and replays its report status.  ``latch``
-    holds the done status (None while fresh or pending); ``started`` marks
-    the pending stage during classic execution.  Belief-space simulation
-    keeps its own per-branch latch views and ignores these fields.
+    Within one run an action latches: fresh -> pending -> done, and done is
+    absorbing, so a finished action never executes again and replays its
+    report status.  The latch is executor state keyed by ``node_id``; the
+    node itself carries only the action.
     """
 
     kind = "action"
-    __slots__ = ("action", "latch", "started")
+    __slots__ = ("action",)
 
     def __init__(self, action: ActionInstance):
         super().__init__()
         self.action = action
-        self.latch: Status | None = None
-        self.started = False
 
     def signature(self):
         return (self.kind, self.action.id)
@@ -110,15 +113,6 @@ class ActionNode(BTNode):
 
 
 CONTROL_KINDS = {cls.kind: cls for cls in (Sequence, Fallback, Skipper)}
-
-
-def reset_latches(tree: BTNode) -> BTNode:
-    """Return ``tree`` with every action latch back to fresh."""
-    for node in tree.iter_nodes():
-        if isinstance(node, ActionNode):
-            node.latch = None
-            node.started = False
-    return tree
 
 
 def node_depths(tree: BTNode) -> dict[int, int]:

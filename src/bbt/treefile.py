@@ -7,8 +7,9 @@ node is one of::
     {"kind": "condition", "literal": "<grounded literal>"}
     {"kind": "action", "action": "<grounded action id>"}
 
-Output is byte-stable for identical trees.  Latches are runtime state and
-are not serialized; loaded trees start fresh.
+Output is byte-stable for identical trees.  A tree file holds structure
+only: latches are per-run executor state, never part of a tree, so a loaded
+tree can be simulated or executed any number of times as it is.
 """
 
 from __future__ import annotations
@@ -43,24 +44,31 @@ def save_tree(tree: BTNode, path: str | Path) -> None:
 
 
 def tree_from_doc(doc: dict, domain: GroundedDomain) -> BTNode:
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_VERSION:
+    """Decode a tree document, raising :class:`SemanticError` on any schema violation."""
+    if not isinstance(doc, dict):
+        raise SemanticError("tree file is not a JSON object")
+    if doc.get("format") != FORMAT_VERSION:
         raise SemanticError(f"unsupported tree file format {doc.get('format')!r}")
 
-    def decode(node: dict) -> BTNode:
+    def decode(node) -> BTNode:
+        if not isinstance(node, dict):
+            raise SemanticError(f"tree node is not a JSON object: {node!r}")
         kind = node.get("kind")
         if kind == "condition":
             literal = node.get("literal")
-            if literal not in domain.allowed_values:
+            if not isinstance(literal, str) or literal not in domain.allowed_values:
                 raise SemanticError(f"tree references unknown literal {literal!r}")
             return Condition(literal)
         if kind == "action":
             action_id = node.get("action")
-            action = domain.actions_by_id.get(action_id)
+            action = domain.actions_by_id.get(action_id) if isinstance(action_id, str) else None
             if action is None:
                 raise SemanticError(f"tree references unknown action {action_id!r}")
             return ActionNode(action)
-        if kind in CONTROL_KINDS:
+        if isinstance(kind, str) and kind in CONTROL_KINDS:
             children = node.get("children") or []
+            if not isinstance(children, list):
+                raise SemanticError(f"{kind} node children are not a JSON list: {children!r}")
             if not children:
                 raise SemanticError(f"{kind} node in tree file has no children")
             return CONTROL_KINDS[kind]([decode(c) for c in children])

@@ -14,7 +14,7 @@ from bbt.engine import belief_tick, simulate
 from bbt.planner import plan_request_from_domain, refine_tree
 from bbt.rng import CounterRng
 from bbt.status import Status
-from bbt.tree import ActionNode, node_depths, reset_latches
+from bbt.tree import ActionNode, node_depths
 from bbt.treefile import dumps_tree
 
 import oracle
@@ -140,7 +140,6 @@ def test_criterion_5_singleton_equivalence():
         assignment = randgen.random_assignment(rng, literals)
         result = simulate(tree, BeliefState.point(PhysicalState(assignment)))
         ((_, terminal),) = result.terminal.entries
-        reset_latches(tree)
         status, _ = run_classic(tree, dict(assignment), CounterRng(0))
         if terminal.r is not status:
             mismatches += 1

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
+from bbt.engine import apply_delayed
 from bbt.errors import UnknownLiteral
 from bbt.status import Status
 
@@ -50,7 +51,14 @@ class TestPhysicalState:
         with pytest.raises(UnknownLiteral):
             state(a="S").value("b")
         with pytest.raises(UnknownLiteral):
-            state(a="S").assign([("b", S)])
+            state(a="S").resolved(0, Outcome(1.0, (("b", S),), S))
+
+    def test_outcome_apply_writes_in_place(self):
+        assignment = {"a": F, "b": R}
+        Outcome(1.0, (("a", S),), S).apply(assignment)
+        assert assignment == {"a": S, "b": R}
+        with pytest.raises(UnknownLiteral):
+            Outcome(1.0, (("ghost", S),), S).apply(assignment)
 
 
 class TestEvalCondition:
@@ -73,6 +81,11 @@ class TestEvalCondition:
         assert [(p, s) for p, s in once] == [(p, s) for p, s in twice]
 
 
+def expand(m, action, node_id=0):
+    """Schedule ``action`` at ``node_id`` in every entry, then expand its outcomes."""
+    return apply_delayed(BeliefState((p, s.scheduled(node_id, action)) for p, s in m))
+
+
 class TestApplyOutcomes:
     def test_goto_outcomes(self):
         goto = ActionInstance(
@@ -80,7 +93,7 @@ class TestApplyOutcomes:
             (),
             (Outcome(0.95, (("at", S),), S), Outcome(0.05, (), F)),
         )
-        m = BeliefState.point(state(at="F")).apply_outcomes(goto)
+        m = expand(BeliefState.point(state(at="F")), goto)
         by_value = {s.assignment["at"]: p for p, s in m.entries}
         assert by_value[S] == pytest.approx(0.95, abs=MASS_TOL)
         assert by_value[F] == pytest.approx(0.05, abs=MASS_TOL)
@@ -88,7 +101,7 @@ class TestApplyOutcomes:
     def test_deterministic_outcome_keeps_entry_count(self):
         light_on = ActionInstance("light_on", (), (Outcome(1.0, (("lum", S),), S),))
         m = BeliefState([(0.6, state(lum="F", x="S")), (0.4, state(lum="F", x="F"))])
-        out = m.apply_outcomes(light_on)
+        out = expand(m, light_on)
         assert len(out) == 2
         assert all(s.assignment["lum"] is S for _, s in out)
         assert out.mass == pytest.approx(1.0, abs=MASS_TOL)
@@ -99,18 +112,20 @@ class TestApplyOutcomes:
             (),
             (Outcome(0.5, (("seen", S),), S), Outcome(0.5, (("seen", F),), F)),
         )
-        once = BeliefState.point(state(seen="R")).apply_outcomes(detect)
+        once = expand(BeliefState.point(state(seen="R")), detect)
         assert len(once) == 2
-        twice = once.apply_outcomes(detect)
+        # same node id: the second outcome overwrites both seen and the latch
+        twice = expand(once, detect)
         # SS/SF/FS/FF quarters collapse to halves once seen is overwritten
         by_value = {s.assignment["seen"]: p for p, s in twice.entries}
+        assert len(twice) == 2
         assert by_value[S] == pytest.approx(0.5, abs=MASS_TOL)
         assert by_value[F] == pytest.approx(0.5, abs=MASS_TOL)
 
     def test_unknown_postcondition_literal(self):
         bad = ActionInstance("bad", (), (Outcome(1.0, (("ghost", S),), S),))
         with pytest.raises(UnknownLiteral):
-            BeliefState.point(state(a="S")).apply_outcomes(bad)
+            expand(BeliefState.point(state(a="S")), bad)
 
     def test_matches_pairwise_enumeration(self):
         # brute force over every (entry, outcome) pair, independently
@@ -124,10 +139,12 @@ class TestApplyOutcomes:
                 for outcome in action.outcomes:
                     updated = dict(s.assignment)
                     updated.update(outcome.postconditions)
-                    expected[(frozenset(updated.items()), s.r)] += p * outcome.probability
+                    key = (frozenset(updated.items()), R, None, ((7, outcome.report),))
+                    expected[key] += p * outcome.probability
             actual = defaultdict(float)
-            for p, s in m.apply_outcomes(action).entries:
-                actual[(frozenset(s.assignment.items()), s.r)] += p
+            for p, s in expand(m, action, node_id=7).entries:
+                key = (frozenset(s.assignment.items()), s.r, s.pending, tuple(s.latches.items()))
+                actual[key] += p
             assert set(expected) == set(actual)
             for key, p in expected.items():
                 assert actual[key] == pytest.approx(p, abs=MASS_TOL)

@@ -5,7 +5,8 @@ import pytest
 from bbt.cli import main
 from bbt.domain import ground, parse_domain
 from bbt.dot import to_dot
-from bbt.tree import ActionNode, Condition, Sequence
+from bbt.errors import SemanticError
+from bbt.tree import ActionNode, Condition, Sequence, Skipper
 from bbt.treefile import dumps_tree, load_tree, save_tree, tree_from_doc, tree_to_doc
 
 
@@ -68,6 +69,15 @@ class TestPlan:
         err = capsys.readouterr().err
         assert "2:" in err
 
+    @pytest.mark.parametrize("prob", ["0", "-0.5", "1.5", "nan"])
+    def test_prob_outside_unit_interval_exits_1(self, tmp_path, soda_det_path, capsys, prob):
+        out = tmp_path / "tree.json"
+        code = main(["plan", "--domain", str(soda_det_path), "--out", str(out), "--prob", prob])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: --prob") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(
             ["plan", "--domain", str(tmp_path / "nope.bbt"), "--out", str(tmp_path / "t")]
@@ -124,6 +134,15 @@ class TestSimulate:
             ]
         )
         assert code == 3
+
+    def test_wide_skipper_does_not_recurse_per_sibling(self, tmp_path, soda_path, capsys):
+        # 3000 siblings: far past Python's default recursion limit of 1000
+        tree = Skipper([Condition("seen(soda)") for _ in range(3000)])
+        path = tmp_path / "wide.json"
+        save_tree(tree, path)
+        code = main(["simulate", "--domain", str(soda_path), "--tree", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "success_probability 0.000000"
 
     def test_round_trip_reproduces_planned_probability(
         self, planned_paths, soda_path, capsys, planned_stochastic
@@ -195,6 +214,18 @@ class TestExec:
         assert rates[0] != rates[1]
 
 
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_runs_below_one_exits_1(self, planned_paths, soda_path, capsys, runs):
+        tree, _ = planned_paths
+        code = main(
+            ["exec", "--domain", str(soda_path), "--tree", str(tree), "--seed", "1", "--runs", runs]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --runs") and captured.err.count("\n") == 1
+
+
 class TestExportDot:
     def test_counts_match_tree(self, planned_paths, soda_path, capsys, planned_stochastic):
         tree_path, dot_path = planned_paths
@@ -229,18 +260,31 @@ class TestTreeFile:
         loaded = tree_from_doc(doc, soda_domain)
         assert dumps_tree(loaded) == dumps_tree(planned_stochastic.tree)
 
-    def test_unknown_action_rejected(self, soda_domain, tmp_path):
-        doc = {"format": 1, "root": {"kind": "action", "action": "teleport"}}
+    def test_unknown_action_rejected(self, soda_domain, soda_path, tmp_path, capsys):
+        cond = {"kind": "condition", "literal": "at(table1)"}
+        bad_docs = [
+            {"format": 1, "root": {"kind": "action", "action": "teleport"}},
+            [1],
+            "tree",
+            {"format": 1, "root": {"kind": "sequence", "children": [cond, 7]}},
+            {"format": 1, "root": {"kind": "sequence", "children": "ab"}},
+            {"format": 1, "root": {"kind": "fallback", "children": {"a": cond}}},
+            {"format": 1, "root": {"kind": "condition", "literal": ["x"]}},
+            {"format": 1, "root": {"kind": "action", "action": {"id": "light_on"}}},
+            {"format": 1, "root": {"kind": ["sequence"], "children": [cond]}},
+        ]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        from bbt.errors import SemanticError
-
-        with pytest.raises(SemanticError):
-            load_tree(path, soda_domain)
+        for doc in bad_docs:
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(SemanticError):
+                load_tree(path, soda_domain)
+            code = main(["simulate", "--domain", str(soda_path), "--tree", str(path)])
+            err = capsys.readouterr().err
+            assert code == 1, doc
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_latches_not_serialized(self, soda_domain):
         action = ActionNode(soda_domain.actions_by_id["light_on"])
-        action.latch = None
         tree = Sequence([action])
         doc = tree_to_doc(tree)
         assert "latch" not in json.dumps(doc)

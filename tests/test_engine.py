@@ -14,7 +14,7 @@ from bbt.engine import (
 from bbt.errors import EntryLimitExceeded, NoPending, TickLimitExceeded
 from bbt.rng import CounterRng
 from bbt.status import Status
-from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper, reset_latches
+from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper
 
 import oracle
 import randgen
@@ -220,7 +220,6 @@ class TestSimulate:
             assignment = randgen.random_assignment(rng, literals)
             result = simulate(tree, BeliefState.point(PhysicalState(assignment)))
             ((_, terminal),) = result.terminal.entries
-            reset_latches(tree)
             status, _ = run_classic(tree, dict(assignment), CounterRng(1))
             assert terminal.r is status
 
@@ -241,7 +240,6 @@ class TestSimulate:
         n = 20000
         hits = 0
         for i in range(n):
-            reset_latches(tree)
             status, _ = run_classic(tree, dict(assignment), CounterRng(99, i))
             hits += status is S
         rate = hits / n

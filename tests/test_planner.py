@@ -1,6 +1,7 @@
 import pytest
 
 from bbt.belief import BeliefState, PhysicalState
+from bbt.classic import run_classic
 from bbt.domain import ground, parse_domain
 from bbt.engine import simulate
 from bbt.errors import EmptyGoal, IterationLimit, NoResolver
@@ -15,6 +16,7 @@ from bbt.planner import (
     resolve_threat,
     select_resolver,
 )
+from bbt.rng import CounterRng
 from bbt.status import Status
 from bbt.tree import (
     ActionNode,
@@ -160,7 +162,8 @@ class TestSelectResolver:
         assert resolver.id == "light_on"
 
     def test_false_seen_resolved_by_find(self, soda_domain):
-        failing = soda_domain.initial_belief().entries[0][1].assign([("seen(soda)", F)])
+        initial = soda_domain.initial_belief().entries[0][1]
+        failing = PhysicalState({**initial.assignment, "seen(soda)": F})
         resolver = select_resolver(
             self._report("seen(soda)", F), soda_domain, {}, [(1.0, failing)]
         )
@@ -408,10 +411,15 @@ class TestPlannedTreeShape:
         assert guard_wrapper.children[0].literal == "luminousity_ok"
         assert detect_node.action.id == "detect(soda)"
 
-    def test_all_inserted_actions_are_latchable(self, planned_det):
+    def test_all_inserted_actions_are_latchable(self, planned_det, soda_det_domain):
         action_nodes = [
             n for n in planned_det.tree.iter_nodes() if isinstance(n, ActionNode)
         ]
         # detect + light_on + 2 finds x (2 gotos + 2 detects)
         assert len(action_nodes) == 10
-        assert all(n.latch is None for n in action_nodes)
+        # latches live in each run's record, keyed by these nodes' ids
+        assert ActionNode.__slots__ == ("action",)
+        _, run = run_classic(
+            planned_det.tree, dict(soda_det_domain.initial_assignment), CounterRng(0)
+        )
+        assert set(run.latches) <= {n.node_id for n in action_nodes}

@@ -1,0 +1,47 @@
+"""Smoke tests: the scripts under ``scripts/`` run end to end as subprocesses."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_run_soda(tmp_path):
+    proc = run_script("run_soda.py", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    achieved = [line for line in proc.stdout.splitlines() if line.startswith("achieved")]
+    assert achieved == [
+        "achieved 0.968750 (replay 0.968750, 11 root ticks)",
+        "achieved 0.962015 (replay 0.962015, 11 root ticks)",
+    ]
+    for name in ("soda", "soda_deterministic"):
+        assert (tmp_path / f"{name}.tree.json").stat().st_size > 0
+        assert (tmp_path / f"{name}.dot").read_text(encoding="utf-8").startswith("digraph")
+
+
+def test_cross_validate():
+    proc = run_script("cross_validate.py", "--runs", "500", "--seeds", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "analytical success probability 0.962015"
+    assert lines[2] == "seed\tempirical\tdeviation/se"
+    seed, rate, sigmas = lines[3].split("\t")
+    assert seed == "0"
+    assert 0.0 <= float(rate) <= 1.0
+    assert abs(float(sigmas)) <= 5.0
