@@ -8,10 +8,13 @@ place postconditions are written; it updates a caller-owned assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from .errors import UnknownLiteral
 from .status import Status
+
+if TYPE_CHECKING:
+    from .tree import TreeTables
 
 #: Comparison tolerance for probability mass under double arithmetic.
 PROB_TOL = 1e-12
@@ -57,9 +60,12 @@ class PhysicalState:
     ``r`` is the status last propagated to the root for this state.
     ``pending`` holds the single delayed action scheduled during the current
     root tick, as a ``(node id, ActionInstance)`` pair.  ``latches`` is this
-    belief branch's view of which action nodes have finished and with what
-    report status; branches forked by different outcomes legitimately
-    diverge here, so latches take part in state identity.
+    belief branch's canonical latch view: the latches that can still change
+    its behaviour, keyed by node id.  It holds finished actions with their
+    report status and control nodes whose return latches alone have fixed;
+    :meth:`resolved` folds a settled subtree into its control node's latch,
+    and nodes that can never be ticked again hold none.  Branches whose
+    histories differ but whose futures agree thus share one state.
     """
 
     __slots__ = ("assignment", "r", "pending", "latches", "_key", "_hash")
@@ -104,12 +110,22 @@ class PhysicalState:
         """Copy with ``action`` recorded as this tick's delayed action."""
         return PhysicalState(self.assignment, Status.R, (node_id, action), self.latches)
 
-    def resolved(self, node_id: int, outcome: Outcome) -> "PhysicalState":
-        """Copy with ``outcome`` applied, its latch set, and pending cleared."""
+    def resolved(
+        self, node_id: int, outcome: Outcome, tables: "TreeTables | None" = None
+    ) -> "PhysicalState":
+        """Copy with ``outcome`` applied, its latch set, and pending cleared.
+
+        This is the one place a latch is set.  ``tables`` are those of the
+        tree the action node sits in; with them the latch view is
+        canonicalized (:meth:`TreeTables.settle`).  Without them the node is
+        taken on its own, with no ancestors to fold or scan.
+        """
         assignment = dict(self.assignment)
         outcome.apply(assignment)
         latches = dict(self.latches)
         latches[node_id] = outcome.report
+        if tables is not None:
+            tables.settle(latches, node_id)
         return PhysicalState(assignment, self.r, None, latches)
 
     def __eq__(self, other) -> bool:

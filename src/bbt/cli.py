@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -49,6 +50,15 @@ _LIMIT_ERRORS = (TickLimitExceeded, EntryLimitExceeded)
 def _load_domain(args) -> GroundedDomain:
     text = Path(args.domain).read_text(encoding="utf-8")
     return ground(parse_domain(text))
+
+
+def _check_common(args) -> None:
+    """Reject simulation budgets that cannot mean anything."""
+    for flag, value in (("--max-ticks", args.max_ticks), ("--max-entries", args.max_entries)):
+        if value < 1:
+            raise BbtError(f"{flag} must be at least 1, got {value}")
+    if not (math.isfinite(args.prune_epsilon) and 0.0 <= args.prune_epsilon < 1.0):
+        raise BbtError(f"--prune-epsilon must be finite and in [0, 1), got {args.prune_epsilon!r}")
 
 
 def _limits(args) -> SimulationLimits:
@@ -178,6 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
     try:
+        _check_common(args)
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,10 @@ incoming distribution on the child's return status, conditions rewrite the
 return status, and actions schedule a delayed outcome that is expanded into
 all its branches between root ticks.  Iterating root ticks until every
 branch settles yields the exact distribution of execution results.
+
+Each branch carries a canonical latch view (see
+:class:`~bbt.belief.PhysicalState`), so branches whose histories differ but
+whose futures agree merge when the belief is coalesced.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable
 from .belief import BeliefState, PhysicalState
 from .errors import EntryLimitExceeded, NoPending, TickLimitExceeded
 from .status import Status
-from .tree import ActionNode, BTNode, Condition
+from .tree import ActionNode, BTNode, Condition, TreeTables
 
 ConditionHook = Callable[[Condition, BeliefState], None]
 
@@ -64,8 +68,12 @@ def schedule_delayed(node: ActionNode, mem: BeliefState) -> BeliefState:
     return BeliefState(out)
 
 
-def apply_delayed(mem: BeliefState) -> BeliefState:
-    """Expand every entry over its pending action's outcomes and coalesce."""
+def apply_delayed(mem: BeliefState, tables: TreeTables | None = None) -> BeliefState:
+    """Expand every entry over its pending action's outcomes and coalesce.
+
+    ``tables`` are those of the tree being simulated; each new latch is
+    canonicalized with them (see :meth:`PhysicalState.resolved`).
+    """
     out = []
     for p, s in mem:
         if s.pending is None:
@@ -74,7 +82,7 @@ def apply_delayed(mem: BeliefState) -> BeliefState:
         for outcome in action.outcomes:
             if outcome.probability <= 0.0:
                 continue
-            out.append((p * outcome.probability, s.resolved(node_id, outcome)))
+            out.append((p * outcome.probability, s.resolved(node_id, outcome, tables)))
     return BeliefState(out).coalesce()
 
 
@@ -84,16 +92,33 @@ def belief_tick(
     *,
     max_entries: int | None = None,
     on_condition: ConditionHook | None = None,
+    tables: TreeTables | None = None,
 ) -> BeliefState:
     """Propagate ``mem`` through ``node`` for one tick.
 
     Control nodes scan their children left to right: entries returning the
     node's continue status flow on to the next child, the rest are returned
-    to the parent.  The result lists every child's stopped entries in scan
-    order, then whatever continued past the last child.  ``on_condition``
-    observes every condition evaluation, in tick order, with the
-    post-evaluation belief.
+    to the parent.  Entries whose latch view has a foldable control node
+    latched return that status without a scan.  The result lists those
+    entries, then every child's stopped entries in scan order, then whatever
+    continued past the last child.  ``on_condition`` observes every
+    condition evaluation, in tick order, with the post-evaluation belief.
+    ``tables`` are those of ``node``'s tree; they are built here when not
+    given.
     """
+    if tables is None:
+        tables = TreeTables(node)
+    return _tick(node, mem, max_entries, on_condition, tables.foldable)
+
+
+def _tick(
+    node: BTNode,
+    mem: BeliefState,
+    max_entries: int | None,
+    on_condition: ConditionHook | None,
+    foldable: set[int],
+) -> BeliefState:
+    """The recursion behind :func:`belief_tick`, with positional arguments."""
     if isinstance(node, Condition):
         out = mem.eval_condition(node.literal)
         if on_condition is not None:
@@ -102,10 +127,20 @@ def belief_tick(
     if isinstance(node, ActionNode):
         return schedule_delayed(node, mem)
     stopped: list[tuple[float, PhysicalState]] = []
+    if node.node_id in foldable:
+        rest = []
+        for p, s in mem.entries:
+            done = s.latches.get(node.node_id)
+            if done is None:
+                rest.append((p, s))
+            else:
+                stopped.append((p, s.with_r(done)))
+        if stopped:
+            mem = BeliefState(rest)
     for child in node.children:
         if not len(mem):
             break
-        result = belief_tick(child, mem, max_entries=max_entries, on_condition=on_condition)
+        result = _tick(child, mem, max_entries, on_condition, foldable)
         if max_entries is not None and len(result) > max_entries:
             raise EntryLimitExceeded(len(result), max_entries)
         mem, child_stopped = result.split_by(lambda s: s.r is node.continue_status)
@@ -124,9 +159,11 @@ def simulate(
 
     Entries that finish a root tick without a pending action cannot change
     under further ticks and move to the result; the rest expand their
-    delayed outcomes and go around again.
+    delayed outcomes and go around again.  The tree's tables are built once
+    here, as the tree stands.
     """
     limits = limits or SimulationLimits()
+    tables = TreeTables(tree)
     mem = initial.coalesce()
     finished: list[tuple[float, PhysicalState]] = []
     pruned = 0.0
@@ -135,14 +172,14 @@ def simulate(
     while len(mem):
         if ticks >= limits.max_root_ticks:
             raise TickLimitExceeded(limits.max_root_ticks)
-        mem = belief_tick(tree, mem, max_entries=limits.max_entries)
+        mem = belief_tick(tree, mem, max_entries=limits.max_entries, tables=tables)
         ticks += 1
         ended, mem = mem.split_by(lambda s: s.pending is None)
         finished.extend(ended.entries)
         if flow is not None:
             flow.append(f"tick {ticks} ended {ended.mass:.6f} pending {mem.mass:.6f}")
         if len(mem):
-            mem = apply_delayed(mem)
+            mem = apply_delayed(mem, tables)
             if limits.prune_epsilon > 0.0:
                 mem, dropped = mem.prune(limits.prune_epsilon)
                 pruned += dropped

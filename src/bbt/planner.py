@@ -31,6 +31,7 @@ from .tree import (
     Fallback,
     Sequence,
     Skipper,
+    TreeTables,
     node_by_id,
     node_depths,
     parent_map,
@@ -98,11 +99,15 @@ def initial_tree(goal_literals: list[str]) -> Sequence:
     return Sequence([Condition(lit) for lit in goal_literals])
 
 
-def _conditions_of_final_tick(tree: BTNode, state: PhysicalState) -> list[tuple[Condition, Status]]:
+def _conditions_of_final_tick(
+    tree: BTNode, state: PhysicalState, tables: TreeTables
+) -> list[tuple[Condition, Status]]:
     """Replay one root tick of a settled entry, recording condition returns.
 
     Settled entries are fixpoints, so the replay reproduces their final root
-    tick exactly; it can never reach a fresh action.
+    tick exactly; it can never reach a fresh action.  Control latches in the
+    entry's view replay their fixed return; a folded subtree scans no
+    condition, so folding hides none from the replay.
     """
     seen: list[tuple[Condition, Status]] = []
 
@@ -110,7 +115,7 @@ def _conditions_of_final_tick(tree: BTNode, state: PhysicalState) -> list[tuple[
         (_, s), = after.entries
         seen.append((node, s.r))
 
-    out = belief_tick(tree, BeliefState.point(state), on_condition=record)
+    out = belief_tick(tree, BeliefState.point(state), on_condition=record, tables=tables)
     (_, result), = out.entries
     if result.pending is not None:
         raise AssertionError("settled entry scheduled an action on replay")
@@ -125,8 +130,11 @@ def find_failed_condition(tree: BTNode, terminal: BeliefState) -> FailedConditio
     observed status) pair with the highest cumulative mass wins.  Ties break
     toward greater depth, then leftmost position, then literal.
     """
+    if not len(terminal):
+        raise NothingFailed("no terminal entries")
     depths = node_depths(tree)
     order = preorder_index(tree)
+    tables = TreeTables(tree)
     table: list[tuple[int, int, Status]] = []
     masses: dict[tuple[int, Status], float] = {}
     nodes: dict[int, Condition] = {}
@@ -137,7 +145,7 @@ def find_failed_condition(tree: BTNode, terminal: BeliefState) -> FailedConditio
         failed_entries += 1
         candidates = [
             (node, status)
-            for node, status in _conditions_of_final_tick(tree, state)
+            for node, status in _conditions_of_final_tick(tree, state, tables)
             if status is not Status.S
         ]
         if not candidates:
@@ -371,7 +379,14 @@ def refine_tree(request: PlanRequest) -> PlanResult:
         iteration += 1
         if iteration > request.max_iterations:
             raise IterationLimit(request.max_iterations, probability)
-        report = find_failed_condition(tree, result.terminal)
+        try:
+            report = find_failed_condition(tree, result.terminal)
+        except NothingFailed as exc:
+            if result.pruned_mass > 0.0:
+                raise NothingFailed(
+                    f"{exc}; mass {result.pruned_mass:.6f} was pruned unresolved"
+                ) from None
+            raise
         target_node = node_by_id(tree, report.node_id)
         assert isinstance(target_node, Condition)
         conflict = find_threat(tree, target_node, report.literal)

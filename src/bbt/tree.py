@@ -4,6 +4,8 @@ A tree is a value: it holds no execution state.  Action latches belong to
 one run and live with the executor (a per-run dict in :mod:`bbt.classic`,
 per-branch views in :class:`~bbt.belief.PhysicalState`), so the same tree
 can be executed or simulated any number of times without a reset.
+:class:`TreeTables` holds the per-tree lookups that keep those per-branch
+views canonical.
 """
 
 from __future__ import annotations
@@ -113,6 +115,74 @@ class ActionNode(BTNode):
 
 
 CONTROL_KINDS = {cls.kind: cls for cls in (Sequence, Fallback, Skipper)}
+
+
+class TreeTables:
+    """Per-tree lookup tables behind canonical latch views.
+
+    ``parent`` maps a node id to its parent node.  ``foldable`` holds the ids
+    of the control nodes that can ever carry a latch: those whose leftmost
+    leaf is an action, since a condition is never settled by latches.
+
+    The planner edits trees in place, so tables are built per use (once per
+    simulation or failure attribution) and never cached on the tree.
+    """
+
+    __slots__ = ("parent", "foldable")
+
+    def __init__(self, tree: BTNode):
+        # one explicit-stack walk: planning builds tables every round, and a
+        # recursive generator walk costs about three times as much
+        self.parent: dict[int, BTNode] = {}
+        self.foldable: set[int] = set()
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            for child in node.children:
+                self.parent[child.node_id] = node
+            stack.extend(node.children)
+            if isinstance(node, ActionNode):
+                # parents come off the stack first, so the chain is known
+                child, parent = node, self.parent.get(node.node_id)
+                while parent is not None and parent.children[0] is child:
+                    self.foldable.add(parent.node_id)
+                    child, parent = parent, self.parent.get(parent.node_id)
+
+    def settle(self, latches: dict[int, Status], node_id: int) -> None:
+        """Canonicalize ``latches`` in place after ``node_id`` latched.
+
+        Walks up the ancestors of ``node_id`` while each one's scan is
+        settled by its children's latches alone, folding its subtree into
+        one latch on the ancestor that carries its fixed return.
+
+        Clearing the children's latches clears the whole subtree.  A subtree
+        that returned some status in a tick with no action pending can only
+        ever settle at that status (by induction on its height), and an
+        action later in tick order starts only in such a tick.  So the later
+        siblings of a child settled at a status that stops the scan never
+        hold latches, and nodes that can never be ticked again need no
+        separate dropping.
+        """
+        parent = self.parent.get(node_id)
+        while parent is not None:
+            folded = _fixed_return(parent, latches)
+            if folded is None:
+                return
+            for child in parent.children:
+                latches.pop(child.node_id, None)
+            latches[parent.node_id] = folded
+            parent = self.parent.get(parent.node_id)
+
+
+def _fixed_return(node: BTNode, latches: dict[int, Status]) -> Status | None:
+    """The return of ``node`` if latches alone settle its scan, else None."""
+    for child in node.children:
+        status = latches.get(child.node_id)
+        if status is None:
+            return None
+        if status is not node.continue_status:
+            return status
+    return node.continue_status
 
 
 def node_depths(tree: BTNode) -> dict[int, int]:

@@ -4,6 +4,11 @@ Enumerates every outcome sequence of a tree explicitly: run one tick with a
 plain recursive walk (each control kind spelled out separately), branch over
 all outcomes of the action that started, and recurse until a tick starts
 nothing.  Shares only the data model with the engine, none of its logic.
+
+The oracle still tracks full latch histories, but terminals are compared on
+(assignment, root status) only: the engine keeps canonical latch views, in
+which latches that can no longer change behaviour are folded or dropped, so
+latches are not observable state.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from collections import defaultdict
 from bbt.status import Status
 from bbt.tree import ActionNode, BTNode, Condition, Fallback, Sequence, Skipper
 
-TerminalKey = tuple[frozenset, Status, frozenset]
+TerminalKey = tuple[frozenset, Status]
 
 
 def tick_once(
@@ -54,7 +59,7 @@ def tick_once(
 def enumerate_terminals(
     tree: BTNode, assignment: dict[str, Status], max_ticks: int = 200
 ) -> dict[TerminalKey, float]:
-    """Exact terminal distribution keyed by (assignment, status, latches)."""
+    """Exact terminal distribution keyed by (assignment, status)."""
     results: dict[TerminalKey, float] = defaultdict(float)
 
     def run(state: dict[str, Status], latches: dict[int, Status], prob: float, ticks: int):
@@ -63,8 +68,7 @@ def enumerate_terminals(
         started: list[ActionNode] = []
         status = tick_once(tree, state, latches, started)
         if not started:
-            key = (frozenset(state.items()), status, frozenset(latches.items()))
-            results[key] += prob
+            results[(frozenset(state.items()), status)] += prob
             return
         node = started[0]
         for outcome in node.action.outcomes:
@@ -81,7 +85,7 @@ def enumerate_terminals(
 
 
 def success_probability(terminals: dict[TerminalKey, float]) -> float:
-    return sum(p for (_, status, _), p in terminals.items() if status is Status.S)
+    return sum(p for (_, status), p in terminals.items() if status is Status.S)
 
 
 def simulation_to_terminals(result) -> dict[TerminalKey, float]:
@@ -89,12 +93,7 @@ def simulation_to_terminals(result) -> dict[TerminalKey, float]:
     out: dict[TerminalKey, float] = defaultdict(float)
     for p, state in result.terminal.entries:
         assert state.pending is None
-        key = (
-            frozenset(state.assignment.items()),
-            state.r,
-            frozenset(state.latches.items()),
-        )
-        out[key] += p
+        out[(frozenset(state.assignment.items()), state.r)] += p
     return dict(out)
 
 

@@ -226,6 +226,52 @@ class TestExec:
         assert captured.err.startswith("error: --runs") and captured.err.count("\n") == 1
 
 
+class TestLimitFlags:
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--max-ticks", "-5"),
+            ("--max-ticks", "0"),
+            ("--max-entries", "0"),
+            ("--prune-epsilon", "nan"),
+            ("--prune-epsilon", "inf"),
+            ("--prune-epsilon", "-0.1"),
+            ("--prune-epsilon", "1"),
+            ("--prune-epsilon", "2"),
+        ],
+    )
+    def test_bad_limit_exits_1(self, tmp_path, soda_path, capsys, flag, value):
+        out = tmp_path / "tree.json"
+        code = main(["plan", "--domain", str(soda_path), "--out", str(out), flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "exec"])
+    def test_negative_max_ticks_is_not_a_limit_hit(self, planned_paths, soda_path, capsys, verb):
+        tree, _ = planned_paths
+        argv = [verb, "--domain", str(soda_path), "--tree", str(tree), "--max-ticks", "-5"]
+        if verb == "exec":
+            argv += ["--seed", "1", "--runs", "1"]
+        code = main(argv)
+        assert code == 1
+        assert capsys.readouterr().err == "error: --max-ticks must be at least 1, got -5\n"
+
+    def test_pruned_mass_named_when_planning_stalls(self, tmp_path, soda_path, capsys):
+        # what is left after pruning all succeeds; the failure is the pruned mass
+        out = tmp_path / "tree.json"
+        code = main(
+            ["plan", "--domain", str(soda_path), "--out", str(out), "--prune-epsilon", "0.5"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "planning failed: every terminal entry already succeeds;"
+            " mass 0.500000 was pruned unresolved\n"
+        )
+
+
 class TestExportDot:
     def test_counts_match_tree(self, planned_paths, soda_path, capsys, planned_stochastic):
         tree_path, dot_path = planned_paths

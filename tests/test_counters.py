@@ -12,10 +12,12 @@ import pytest
 from bbt import plan_request_from_domain, refine_tree, simulate
 
 PINS = [
-    ("soda_domain", None, (4, 26, 32, 11)),
-    ("soda_domain", 0.99, (6, 42, 512, 19)),
-    ("soda_det_domain", None, (4, 26, 6, 11)),
-    ("soda_det_domain", 0.99, (5, 34, 8, 15)),
+    ("soda_domain", None, (4, 26, 11, 11)),
+    ("soda_domain", 0.99, (6, 42, 17, 19)),
+    ("soda_det_domain", None, (4, 26, 5, 11)),
+    ("soda_det_domain", 0.99, (5, 34, 6, 15)),
+    ("soda_domain", 0.999, (7, 50, 20, 23)),
+    ("soda_det_domain", 0.999, (7, 50, 8, 23)),
 ]
 
 

@@ -14,7 +14,7 @@ from bbt.engine import (
 from bbt.errors import EntryLimitExceeded, NoPending, TickLimitExceeded
 from bbt.rng import CounterRng
 from bbt.status import Status
-from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper
+from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper, TreeTables
 
 import oracle
 import randgen
@@ -289,3 +289,84 @@ class TestSimulate:
         result = simulate(tree, BeliefState.point(state(seen="R")), record_flow=True)
         assert result.mass_flow
         assert result.mass_flow[0].startswith("tick 1 ")
+
+
+def coin(name):
+    return ActionInstance(name, (), (Outcome(0.5, (), S), Outcome(0.5, (), F)))
+
+
+class TestCanonicalLatchViews:
+    def test_settled_subtree_folds_into_one_latch(self):
+        post = (("y", S),)
+        inner = Sequence([ActionNode(sure("a1", post)), ActionNode(sure("a2", post))])
+        tree = Sequence([inner, Condition("x")])
+        result = simulate(tree, BeliefState.point(state(x="F", y="F")))
+        ((p, s),) = result.terminal.entries
+        assert s.latches == {inner.node_id: S}
+        assert s.r is F
+
+    def test_histories_with_one_future_merge(self):
+        # heads on the first coin, or tails then heads, both settle the
+        # fallback at S: two histories, one state; two tails settle the root
+        inner = Fallback([ActionNode(coin("c1")), ActionNode(coin("c2"))])
+        tree = Sequence([inner, Condition("z")])
+        result = simulate(tree, BeliefState.point(state(z="S")))
+        masses = {(s.r, tuple(s.latches.items())): p for p, s in result.terminal.entries}
+        assert masses == {
+            (S, ((inner.node_id, S),)): pytest.approx(0.75, abs=MASS_TOL),
+            (F, ((tree.node_id, F),)): pytest.approx(0.25, abs=MASS_TOL),
+        }
+
+    def test_unsettled_scan_keeps_child_latches(self):
+        action = ActionNode(sure("a"))
+        tree = Sequence([Condition("x"), action])
+        result = simulate(tree, BeliefState.point(state(x="S")))
+        ((_, s),) = result.terminal.entries
+        assert s.latches == {action.node_id: S}
+
+    def test_foldable_nodes(self):
+        leaf = ActionNode(sure("a"))
+        nested = Sequence([leaf, Condition("x")])
+        outer = Fallback([nested])
+        guarded = Skipper([Condition("x"), ActionNode(sure("b"))])
+        root = Sequence([guarded, outer])
+        tables = TreeTables(root)
+        assert tables.foldable == {nested.node_id, outer.node_id}
+
+    def test_latch_views_stay_canonical(self):
+        # the invariants that make folding a child's latches enough: no latch
+        # below a latched node, none after a sibling that settled at a
+        # stopping status, and every control node settled by latches folded
+        rng = random.Random(71)
+        for _ in range(200):
+            literals = randgen.random_literals(rng)
+            actions = randgen.random_actions(rng, literals)
+            tree = randgen.random_tree(rng, literals, actions, max_nodes=16)
+            result = simulate(tree, randgen.random_belief(rng, literals))
+            for _, s in result.terminal.entries:
+                assert_canonical(tree, s.latches)
+
+
+def assert_canonical(node, latches, covered=False):
+    """Check ``latches`` is a canonical view of the subtree under ``node``."""
+    if covered:
+        assert node.node_id not in latches
+    covered = covered or node.node_id in latches
+    children = node.children
+    if children and not covered:
+        scanned_settled = True
+        for child in children:
+            status = latches.get(child.node_id)
+            if status is None:
+                scanned_settled = False
+                break
+            if status is not node.continue_status:
+                break
+        assert not scanned_settled, f"{node!r} is settled but not folded"
+    stopped = False
+    for child in children:
+        if stopped:
+            assert not any(n.node_id in latches for n in child.iter_nodes())
+        assert_canonical(child, latches, covered)
+        status = latches.get(child.node_id)
+        stopped = stopped or (status is not None and status is not node.continue_status)

@@ -1,10 +1,10 @@
 import pytest
 
-from bbt.belief import BeliefState, PhysicalState
+from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
 from bbt.classic import run_classic
 from bbt.domain import ground, parse_domain
 from bbt.engine import simulate
-from bbt.errors import EmptyGoal, IterationLimit, NoResolver
+from bbt.errors import EmptyGoal, IterationLimit, NoResolver, NothingFailed
 from bbt.planner import (
     FailedConditionReport,
     find_failed_condition,
@@ -37,6 +37,17 @@ def state(r=R, **values):
 def terminal_of(tree, **values):
     return simulate(tree, BeliefState.point(state(**values))).terminal
 
+
+# soda planned to 0.999; planning to 0.99 stops after the first six rounds
+SODA_LOG_0999 = [
+    "1\tinsert\tseen(soda)\t0.000000",
+    "2\tinsert\tluminousity_ok\t0.500000",
+    "3\tinsert\tseen(soda)\t0.862187",
+    "4\tinsert\tseen(soda)\t0.962015",
+    "5\tinsert\tseen(soda)\t0.989531",
+    "6\tinsert\tseen(soda)\t0.997114",
+    "7\tinsert\tseen(soda)\t0.999205",
+]
 
 CONFLICT_DOMAIN = """
 condition a values { S F }
@@ -141,6 +152,30 @@ class TestFindFailedCondition:
         assert report.node_id == guard.node_id
         assert report.observed is F
         assert report.mass == pytest.approx(1.0)
+
+
+    def test_no_terminal_entries(self):
+        with pytest.raises(NothingFailed, match="^no terminal entries$"):
+            find_failed_condition(Sequence([Condition("a")]), BeliefState())
+
+    def test_folded_control_latch_replays(self):
+        # `attempt` latches F, which fixes the inner sequence: its subtree
+        # folds into one latch and the unscanned `hidden` is never charged
+        attempt = ActionNode(
+            ActionInstance("attempt", (), (Outcome(1.0, (("y", S),), F),))
+        )
+        inner = Sequence([attempt, Condition("hidden")])
+        goal = Condition("goal")
+        tree = Fallback([inner, goal])
+        terminal = terminal_of(tree, y="F", hidden="F", goal="F")
+        ((p, entry),) = terminal.entries
+        assert entry.latches == {inner.node_id: F}
+        assert entry.r is F
+        report = find_failed_condition(tree, terminal)
+        assert report.node_id == goal.node_id
+        assert report.observed is F
+        assert report.mass == pytest.approx(1.0)
+        assert report.table == ((0, goal.node_id, F),)
 
 
 class TestSelectResolver:
@@ -389,6 +424,15 @@ goal { c = S } prob 0.999999
         second = refine_tree(plan_request_from_domain(soda_domain))
         assert structurally_equal(first.tree, second.tree)
         assert first.log_lines() == second.log_lines()
+
+    @pytest.mark.parametrize("prob,iterations", [(0.99, 6), (0.999, 7)])
+    def test_soda_deep_log_pinned(self, soda_domain, prob, iterations):
+        result = refine_tree(plan_request_from_domain(soda_domain, target_probability=prob))
+        assert result.log_lines() == SODA_LOG_0999[:iterations]
+
+    def test_soda_0999_achieved(self, soda_domain):
+        result = refine_tree(plan_request_from_domain(soda_domain, target_probability=0.999))
+        assert result.achieved == pytest.approx(0.9992046412955161, abs=1e-9)
 
     def test_log_line_format(self, planned_det):
         assert planned_det.log_lines()[1] == "2\tinsert\tluminousity_ok\t0.500000"

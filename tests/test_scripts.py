@@ -45,3 +45,16 @@ def test_cross_validate():
     assert seed == "0"
     assert 0.0 <= float(rate) <= 1.0
     assert abs(float(sigmas)) <= 5.0
+
+
+def test_cross_validate_deep_soda():
+    # canonical latch views keep soda at 0.999 to 20 terminal belief
+    # entries, small enough to plan and simulate in a smoke test
+    proc = run_script("cross_validate.py", "--prob", "0.999", "--runs", "5000", "--seeds", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "analytical success probability 0.999205"
+    assert lines[2] == "seed\tempirical\tdeviation/se"
+    assert [line.split("\t")[0] for line in lines[3:]] == ["0", "1"]
+    for line in lines[3:]:
+        assert abs(float(line.split("\t")[2])) <= 5.0
