@@ -5,7 +5,7 @@ Plans a domain, then runs batches of sampled executions under several seeds
 and prints the deviation of each batch from the analytical value in units of
 the binomial standard error.
 
-Usage: python scripts/cross_validate.py [--domain PATH] [--prob P] [--runs N] [--seeds K]
+Usage: python scripts/cross_validate.py [--domain PATH] [--runs N] [--seeds K]
 """
 
 import argparse
@@ -28,13 +28,12 @@ REPO = Path(__file__).resolve().parent.parent
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--domain", type=Path, default=REPO / "domains" / "soda.bbt")
-    parser.add_argument("--prob", type=float, help="override the domain's goal probability")
     parser.add_argument("--runs", type=int, default=20000)
     parser.add_argument("--seeds", type=int, default=5)
     args = parser.parse_args()
 
     domain = ground(parse_domain(args.domain.read_text(encoding="utf-8")))
-    result = refine_tree(plan_request_from_domain(domain, target_probability=args.prob))
+    result = refine_tree(plan_request_from_domain(domain))
     tree = result.tree
     analytical = simulate(tree, domain.initial_belief()).terminal.success_probability()
     stderr = (analytical * (1 - analytical) / args.runs) ** 0.5

@@ -110,22 +110,18 @@ class PhysicalState:
         """Copy with ``action`` recorded as this tick's delayed action."""
         return PhysicalState(self.assignment, Status.R, (node_id, action), self.latches)
 
-    def resolved(
-        self, node_id: int, outcome: Outcome, tables: "TreeTables | None" = None
-    ) -> "PhysicalState":
+    def resolved(self, node_id: int, outcome: Outcome, tables: "TreeTables") -> "PhysicalState":
         """Copy with ``outcome`` applied, its latch set, and pending cleared.
 
         This is the one place a latch is set.  ``tables`` are those of the
-        tree the action node sits in; with them the latch view is
-        canonicalized (:meth:`TreeTables.settle`).  Without them the node is
-        taken on its own, with no ancestors to fold or scan.
+        tree the action node sits in; the latch view is canonicalized with
+        them (:meth:`TreeTables.settle`).
         """
         assignment = dict(self.assignment)
         outcome.apply(assignment)
         latches = dict(self.latches)
         latches[node_id] = outcome.report
-        if tables is not None:
-            tables.settle(latches, node_id)
+        tables.settle(latches, node_id)
         return PhysicalState(assignment, self.r, None, latches)
 
     def __eq__(self, other) -> bool:

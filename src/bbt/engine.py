@@ -39,10 +39,12 @@ class SimulationResult:
 
     ``pruned_mass`` is reported, never renormalized away; ``mass_flow``
     carries one text line per root tick when flow recording was requested.
+    ``tables`` are those of the tree as simulated, stale once it is edited.
     """
 
     terminal: BeliefState
     ticks_used: int
+    tables: TreeTables
     pruned_mass: float = 0.0
     mass_flow: list[str] | None = None
 
@@ -68,7 +70,7 @@ def schedule_delayed(node: ActionNode, mem: BeliefState) -> BeliefState:
     return BeliefState(out)
 
 
-def apply_delayed(mem: BeliefState, tables: TreeTables | None = None) -> BeliefState:
+def apply_delayed(mem: BeliefState, tables: TreeTables) -> BeliefState:
     """Expand every entry over its pending action's outcomes and coalesce.
 
     ``tables`` are those of the tree being simulated; each new latch is
@@ -186,4 +188,4 @@ def simulate(
             if len(mem) > limits.max_entries:
                 raise EntryLimitExceeded(len(mem), limits.max_entries)
     terminal = BeliefState(finished).coalesce()
-    return SimulationResult(terminal, ticks, pruned, flow)
+    return SimulationResult(terminal, ticks, tables, pruned, flow)

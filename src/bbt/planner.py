@@ -122,19 +122,21 @@ def _conditions_of_final_tick(
     return seen
 
 
-def find_failed_condition(tree: BTNode, terminal: BeliefState) -> FailedConditionReport:
+def find_failed_condition(
+    tree: BTNode, terminal: BeliefState, tables: TreeTables
+) -> FailedConditionReport:
     """Pick the most probable deepest failed condition over non-S entries.
 
     Per entry, the deepest condition returning F or R during its final root
     tick is charged with the failure; across entries the (condition,
     observed status) pair with the highest cumulative mass wins.  Ties break
-    toward greater depth, then leftmost position, then literal.
+    toward greater depth, then leftmost position, then literal.  ``tables``
+    are those the terminal was simulated with.
     """
     if not len(terminal):
         raise NothingFailed("no terminal entries")
     depths = node_depths(tree)
     order = preorder_index(tree)
-    tables = TreeTables(tree)
     table: list[tuple[int, int, Status]] = []
     masses: dict[tuple[int, Status], float] = {}
     nodes: dict[int, Condition] = {}
@@ -380,7 +382,7 @@ def refine_tree(request: PlanRequest) -> PlanResult:
         if iteration > request.max_iterations:
             raise IterationLimit(request.max_iterations, probability)
         try:
-            report = find_failed_condition(tree, result.terminal)
+            report = find_failed_condition(tree, result.terminal, result.tables)
         except NothingFailed as exc:
             if result.pruned_mass > 0.0:
                 raise NothingFailed(

@@ -124,29 +124,24 @@ class TreeTables:
     of the control nodes that can ever carry a latch: those whose leftmost
     leaf is an action, since a condition is never settled by latches.
 
-    The planner edits trees in place, so tables are built per use (once per
-    simulation or failure attribution) and never cached on the tree.
+    The planner edits trees in place, so tables are built once per
+    simulation, handed on with its result to the failure attribution of
+    the same round, and never cached on the tree.
     """
 
     __slots__ = ("parent", "foldable")
 
     def __init__(self, tree: BTNode):
-        # one explicit-stack walk: planning builds tables every round, and a
-        # recursive generator walk costs about three times as much
-        self.parent: dict[int, BTNode] = {}
+        self.parent = parent_map(tree)
         self.foldable: set[int] = set()
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            for child in node.children:
-                self.parent[child.node_id] = node
-            stack.extend(node.children)
-            if isinstance(node, ActionNode):
-                # parents come off the stack first, so the chain is known
-                child, parent = node, self.parent.get(node.node_id)
-                while parent is not None and parent.children[0] is child:
-                    self.foldable.add(parent.node_id)
-                    child, parent = parent, self.parent.get(parent.node_id)
+        for parent in self.parent.values():
+            child = parent.children[0]
+            if parent.node_id in self.foldable or not isinstance(child, ActionNode):
+                continue
+            # climb from a first-child action while each node is a first child
+            while parent is not None and parent.children[0] is child:
+                self.foldable.add(parent.node_id)
+                child, parent = parent, self.parent.get(parent.node_id)
 
     def settle(self, latches: dict[int, Status], node_id: int) -> None:
         """Canonicalize ``latches`` in place after ``node_id`` latched.
@@ -205,10 +200,15 @@ def preorder_index(tree: BTNode) -> dict[int, int]:
 
 def parent_map(tree: BTNode) -> dict[int, BTNode]:
     """Parent of every non-root node, keyed by child node id."""
+    # an explicit stack: the planner and every simulation build this map, and
+    # a recursive generator walk costs about three times as much
     parents: dict[int, BTNode] = {}
-    for node in tree.iter_nodes():
+    stack = [tree]
+    while stack:
+        node = stack.pop()
         for child in node.children:
             parents[child.node_id] = node
+        stack.extend(node.children)
     return parents
 
 

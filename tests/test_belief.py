@@ -9,6 +9,7 @@ from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
 from bbt.engine import apply_delayed
 from bbt.errors import UnknownLiteral
 from bbt.status import Status
+from bbt.tree import ActionNode, Condition, TreeTables
 
 import randgen
 
@@ -51,7 +52,8 @@ class TestPhysicalState:
         with pytest.raises(UnknownLiteral):
             state(a="S").value("b")
         with pytest.raises(UnknownLiteral):
-            state(a="S").resolved(0, Outcome(1.0, (("b", S),), S))
+            outcome = Outcome(1.0, (("b", S),), S)
+            state(a="S").resolved(0, outcome, TreeTables(Condition("a")))
 
     def test_outcome_apply_writes_in_place(self):
         assignment = {"a": F, "b": R}
@@ -82,8 +84,13 @@ class TestEvalCondition:
 
 
 def expand(m, action, node_id=0):
-    """Schedule ``action`` at ``node_id`` in every entry, then expand its outcomes."""
-    return apply_delayed(BeliefState((p, s.scheduled(node_id, action)) for p, s in m))
+    """Schedule ``action`` at ``node_id`` in every entry, then expand its outcomes.
+
+    ``node_id`` stands for a lone action node: the tables are those of a
+    one-node tree, so no latch has an ancestor to fold into.
+    """
+    scheduled = BeliefState((p, s.scheduled(node_id, action)) for p, s in m)
+    return apply_delayed(scheduled, TreeTables(ActionNode(action)))
 
 
 class TestApplyOutcomes:

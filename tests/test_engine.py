@@ -104,7 +104,7 @@ class TestApplyDelayed:
     def test_detect_splits_and_latches(self):
         node = ActionNode(detect("detect(soda)"))
         m = schedule_delayed(node, BeliefState.point(state(seen="R")))
-        out = apply_delayed(m)
+        out = apply_delayed(m, TreeTables(node))
         assert len(out) == 2
         for p, s in out.entries:
             assert p == pytest.approx(0.5, abs=MASS_TOL)
@@ -114,7 +114,7 @@ class TestApplyDelayed:
     def test_deterministic_outcome_single_entry(self):
         node = ActionNode(sure("light_on", (("lum", S),)))
         m = schedule_delayed(node, BeliefState.point(state(lum="F")))
-        out = apply_delayed(m)
+        out = apply_delayed(m, TreeTables(node))
         ((p, s),) = out.entries
         assert p == pytest.approx(1.0, abs=MASS_TOL)
         assert s.assignment["lum"] is S
@@ -129,14 +129,14 @@ class TestApplyDelayed:
                 (0.5, state(x="R", y="F", pending=(node_b.node_id, node_b.action))),
             ]
         )
-        out = apply_delayed(m)
+        out = apply_delayed(m, TreeTables(Sequence([node_a, node_b])))
         masses = sorted(p for p, _ in out.entries)
         assert masses == [pytest.approx(0.25), pytest.approx(0.25), pytest.approx(0.5)]
         assert out.mass == pytest.approx(1.0, abs=MASS_TOL)
 
     def test_no_pending_raises(self):
         with pytest.raises(NoPending):
-            apply_delayed(BeliefState.point(state(a="S")))
+            apply_delayed(BeliefState.point(state(a="S")), TreeTables(Condition("a")))
 
 
 class TestSimulate:

@@ -24,6 +24,7 @@ from bbt.tree import (
     Fallback,
     Sequence,
     Skipper,
+    TreeTables,
     structurally_equal,
 )
 
@@ -86,7 +87,7 @@ class TestFindFailedCondition:
         terminal = BeliefState(
             [(0.6, state(r=F, a="F", b="S")), (0.4, state(r=F, a="S", b="F"))]
         )
-        report = find_failed_condition(tree, terminal)
+        report = find_failed_condition(tree, terminal, TreeTables(tree))
         assert report.literal == "a"
         assert report.observed is F
         assert report.mass == pytest.approx(0.6)
@@ -104,12 +105,12 @@ class TestFindFailedCondition:
                 (0.5, state(r=F, p="F", q="S", rr="S", t="F")),  # deepest failed: t
             ]
         )
-        report = find_failed_condition(tree, terminal)
+        report = find_failed_condition(tree, terminal, TreeTables(tree))
         assert report.node_id == deep.node_id
 
     def test_running_condition_counts_as_failed(self):
         tree = Sequence([Condition("seen")])
-        report = find_failed_condition(tree, terminal_of(tree, seen="R"))
+        report = find_failed_condition(tree, terminal_of(tree, seen="R"), TreeTables(tree))
         assert report.observed is R
         assert report.mass == pytest.approx(1.0)
 
@@ -118,7 +119,7 @@ class TestFindFailedCondition:
         from bbt.errors import NothingFailed
 
         with pytest.raises(NothingFailed):
-            find_failed_condition(tree, terminal_of(tree, a="S"))
+            find_failed_condition(tree, terminal_of(tree, a="S"), TreeTables(tree))
 
     def test_mass_matches_indicator_table(self):
         tree = Sequence([Condition("a"), Condition("b")])
@@ -129,7 +130,7 @@ class TestFindFailedCondition:
                 (0.4, state(r=F, a="S", b="F")),
             ]
         )
-        report = find_failed_condition(tree, terminal)
+        report = find_failed_condition(tree, terminal, TreeTables(tree))
         from_table = sum(
             terminal.entries[index][0]
             for index, node_id, observed in report.table
@@ -148,15 +149,15 @@ class TestFindFailedCondition:
             [Skipper([Condition("seen(soda)"), Sequence([guard, ActionNode(detect)])])]
         )
         terminal = simulate(tree, soda_det_domain.initial_belief()).terminal
-        report = find_failed_condition(tree, terminal)
+        report = find_failed_condition(tree, terminal, TreeTables(tree))
         assert report.node_id == guard.node_id
         assert report.observed is F
         assert report.mass == pytest.approx(1.0)
 
-
     def test_no_terminal_entries(self):
+        tree = Sequence([Condition("a")])
         with pytest.raises(NothingFailed, match="^no terminal entries$"):
-            find_failed_condition(Sequence([Condition("a")]), BeliefState())
+            find_failed_condition(tree, BeliefState(), TreeTables(tree))
 
     def test_folded_control_latch_replays(self):
         # `attempt` latches F, which fixes the inner sequence: its subtree
@@ -171,7 +172,7 @@ class TestFindFailedCondition:
         ((p, entry),) = terminal.entries
         assert entry.latches == {inner.node_id: F}
         assert entry.r is F
-        report = find_failed_condition(tree, terminal)
+        report = find_failed_condition(tree, terminal, TreeTables(tree))
         assert report.node_id == goal.node_id
         assert report.observed is F
         assert report.mass == pytest.approx(1.0)

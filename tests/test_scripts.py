@@ -47,10 +47,16 @@ def test_cross_validate():
     assert abs(float(sigmas)) <= 5.0
 
 
-def test_cross_validate_deep_soda():
+def test_cross_validate_deep_soda(tmp_path):
     # canonical latch views keep soda at 0.999 to 20 terminal belief
     # entries, small enough to plan and simulate in a smoke test
-    proc = run_script("cross_validate.py", "--prob", "0.999", "--runs", "5000", "--seeds", "2")
+    text = (REPO / "domains" / "soda.bbt").read_text(encoding="utf-8")
+    assert text.count("} prob 0.9\n") == 1
+    domain = tmp_path / "soda_deep.bbt"
+    domain.write_text(text.replace("} prob 0.9\n", "} prob 0.999\n"), encoding="utf-8")
+    proc = run_script(
+        "cross_validate.py", "--domain", str(domain), "--runs", "5000", "--seeds", "2"
+    )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "analytical success probability 0.999205"
