@@ -3,6 +3,10 @@
 Belief states and physical states are immutable values, safe to share
 between threads and across simulations.  :meth:`Outcome.apply` is the one
 place postconditions are written; it updates a caller-owned assignment.
+:meth:`PhysicalState.resolved` is the one place a state's assignment is
+copied and written; the copies a tick makes (a new return status or
+pending action) share the assignment, the latch view and their sorted key
+parts with the state they come from.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ class PhysicalState:
             pending_key,
             tuple(sorted(self.latches.items())),
         )
-        self._hash = hash(self._key)
+        self._hash = None
 
     @property
     def key(self):
@@ -104,11 +108,33 @@ class PhysicalState:
     def with_r(self, r: Status) -> "PhysicalState":
         if r is self.r:
             return self
-        return PhysicalState(self.assignment, r, self.pending, self.latches)
+        return self._copy(r, self.pending, self._key[2])
 
     def scheduled(self, node_id: int, action: ActionInstance) -> "PhysicalState":
         """Copy with ``action`` recorded as this tick's delayed action."""
-        return PhysicalState(self.assignment, Status.R, (node_id, action), self.latches)
+        return self._copy(Status.R, (node_id, action), (node_id, action.id))
+
+    def _copy(
+        self,
+        r: Status,
+        pending: tuple[int, ActionInstance] | None,
+        pending_key: tuple[int, str] | None,
+    ) -> "PhysicalState":
+        """Copy with a new ``r`` and ``pending``, sharing the key parts.
+
+        The assignment and latch dicts are never written after construction,
+        so the copy shares them and their sorted key tuples: no dict copy and
+        no ``sorted()``.
+        """
+        copy = object.__new__(PhysicalState)
+        copy.assignment = self.assignment
+        copy.r = r
+        copy.pending = pending
+        copy.latches = self.latches
+        assignment_key, _, _, latch_key = self._key
+        copy._key = (assignment_key, r, pending_key, latch_key)
+        copy._hash = None
+        return copy
 
     def resolved(self, node_id: int, outcome: Outcome, tables: "TreeTables") -> "PhysicalState":
         """Copy with ``outcome`` applied, its latch set, and pending cleared.
@@ -130,6 +156,10 @@ class PhysicalState:
         return self._key == other._key
 
     def __hash__(self) -> int:
+        # computed on first use: most copies a tick makes are never hashed,
+        # and hashing the key calls Status.__hash__ once per literal
+        if self._hash is None:
+            self._hash = hash(self._key)
         return self._hash
 
     def __repr__(self) -> str:
@@ -172,10 +202,6 @@ class BeliefState:
     def __add__(self, other: "BeliefState") -> "BeliefState":
         return BeliefState(self.entries + other.entries)
 
-    def eval_condition(self, literal: str) -> "BeliefState":
-        """Set each entry's return status to its stored value of ``literal``."""
-        return BeliefState((p, s.with_r(s.value(literal))) for p, s in self.entries)
-
     def split_by(
         self, predicate: Callable[[PhysicalState], bool]
     ) -> tuple["BeliefState", "BeliefState"]:
@@ -211,13 +237,24 @@ class BeliefState:
     def success_probability(self) -> float:
         return sum(p for p, s in self.entries if s.r is Status.S)
 
-    def debug_lines(self) -> list[str]:
-        """Canonical text dump, one ``p | literals | r | pending`` line per entry."""
+    def debug_lines(self, tables: "TreeTables") -> list[str]:
+        """Canonical text dump, one ``p | literals | r | pending`` line per entry.
+
+        An entry whose latch view is not empty gets a fifth field,
+        ``latches=n<i>:<status>,...``, so distinct entries print distinct
+        lines.  ``n<i>`` names a latched node by its index in tick order
+        in ``tables`` (the name the DOT rendering gives it), so the text
+        does not depend on node ids.
+        """
         lines = []
         for p, s in self.coalesce().entries:
             body = ",".join(f"{k}={v}" for k, v in sorted(s.assignment.items()))
             pend = "-" if s.pending is None else s.pending[1].id
-            lines.append(f"{p!r} | {body} | r={s.r} | pending={pend}")
+            line = f"{p!r} | {body} | r={s.r} | pending={pend}"
+            if s.latches:
+                view = sorted((tables.rank[k], v) for k, v in s.latches.items())
+                line += " | latches=" + ",".join(f"n{i}:{v}" for i, v in view)
+            lines.append(line)
         return lines
 
     def __repr__(self) -> str:

@@ -91,7 +91,7 @@ def cmd_simulate(args) -> int:
     result = simulate(tree, domain.initial_belief(), _limits(args), record_flow=record_flow)
     for flow_line in result.mass_flow or ():
         log.debug(flow_line)
-    for line in result.terminal.debug_lines():
+    for line in result.terminal.debug_lines(result.tables):
         print(line)
     if result.pruned_mass > 0.0:
         print(f"unresolved_mass {result.pruned_mass:.6f}")

@@ -9,12 +9,17 @@ branch settles yields the exact distribution of execution results.
 Each branch carries a canonical latch view (see
 :class:`~bbt.belief.PhysicalState`), so branches whose histories differ but
 whose futures agree merge when the belief is coalesced.
+
+Within a tick, nodes pass plain ``(p, state)`` lists; each root tick's
+result, each expansion and each coalesce is validated as one
+:class:`~bbt.belief.BeliefState`.  The tree's :class:`~bbt.tree.TreeTables`
+are built once per :func:`simulate` and returned with its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Collection, Iterable
 
 from .belief import BeliefState, PhysicalState
 from .errors import EntryLimitExceeded, NoPending, TickLimitExceeded
@@ -22,6 +27,7 @@ from .status import Status
 from .tree import ActionNode, BTNode, Condition, TreeTables
 
 ConditionHook = Callable[[Condition, BeliefState], None]
+Entry = tuple[float, PhysicalState]
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,7 @@ class SimulationResult:
     mass_flow: list[str] | None = None
 
 
-def schedule_delayed(node: ActionNode, mem: BeliefState) -> BeliefState:
+def schedule_delayed(node: ActionNode, entries: Iterable[Entry]) -> list[Entry]:
     """Tick an action leaf: latch replay, one-per-tick guard, or schedule.
 
     Entries whose latch view has this node done replay the report status.
@@ -58,26 +64,27 @@ def schedule_delayed(node: ActionNode, mem: BeliefState) -> BeliefState:
     return R; the outcome lands in :func:`apply_delayed` before the next
     root tick.
     """
+    node_id = node.node_id
     out = []
-    for p, s in mem:
-        done = s.latches.get(node.node_id)
+    for p, s in entries:
+        done = s.latches.get(node_id)
         if done is not None:
             out.append((p, s.with_r(done)))
         elif s.pending is not None:
             out.append((p, s.with_r(Status.R)))
         else:
-            out.append((p, s.scheduled(node.node_id, node.action)))
-    return BeliefState(out)
+            out.append((p, s.scheduled(node_id, node.action)))
+    return out
 
 
-def apply_delayed(mem: BeliefState, tables: TreeTables) -> BeliefState:
+def apply_delayed(entries: Iterable[Entry], tables: TreeTables) -> BeliefState:
     """Expand every entry over its pending action's outcomes and coalesce.
 
     ``tables`` are those of the tree being simulated; each new latch is
     canonicalized with them (see :meth:`PhysicalState.resolved`).
     """
     out = []
-    for p, s in mem:
+    for p, s in entries:
         if s.pending is None:
             raise NoPending(f"entry {s!r} has no pending action")
         node_id, action = s.pending
@@ -107,47 +114,60 @@ def belief_tick(
     condition evaluation, in tick order, with the post-evaluation belief.
     ``tables`` are those of ``node``'s tree; they are built here when not
     given.
+
+    Between nodes the tick passes plain ``(p, state)`` lists; the result is
+    validated as one :class:`BeliefState`.
     """
     if tables is None:
         tables = TreeTables(node)
-    return _tick(node, mem, max_entries, on_condition, tables.foldable)
+    hook = None
+    if on_condition is not None:
+        def hook(condition: Condition, entries: list[Entry]) -> None:
+            on_condition(condition, BeliefState(entries))
+    return BeliefState(_tick(node, mem.entries, max_entries, hook, tables.foldable))
 
 
 def _tick(
     node: BTNode,
-    mem: BeliefState,
+    entries: Collection[Entry],
     max_entries: int | None,
-    on_condition: ConditionHook | None,
+    on_condition: Callable[[Condition, list[Entry]], None] | None,
     foldable: set[int],
-) -> BeliefState:
-    """The recursion behind :func:`belief_tick`, with positional arguments."""
+) -> list[Entry]:
+    """The recursion behind :func:`belief_tick`, on plain entry lists."""
     if isinstance(node, Condition):
-        out = mem.eval_condition(node.literal)
+        literal = node.literal
+        out = [(p, s.with_r(s.value(literal))) for p, s in entries]
         if on_condition is not None:
             on_condition(node, out)
         return out
     if isinstance(node, ActionNode):
-        return schedule_delayed(node, mem)
-    stopped: list[tuple[float, PhysicalState]] = []
+        return schedule_delayed(node, entries)
+    stopped: list[Entry] = []
     if node.node_id in foldable:
         rest = []
-        for p, s in mem.entries:
+        for p, s in entries:
             done = s.latches.get(node.node_id)
             if done is None:
                 rest.append((p, s))
             else:
                 stopped.append((p, s.with_r(done)))
-        if stopped:
-            mem = BeliefState(rest)
+        entries = rest
+    go_on = node.continue_status
     for child in node.children:
-        if not len(mem):
+        if not entries:
             break
-        result = _tick(child, mem, max_entries, on_condition, foldable)
+        result = _tick(child, entries, max_entries, on_condition, foldable)
         if max_entries is not None and len(result) > max_entries:
             raise EntryLimitExceeded(len(result), max_entries)
-        mem, child_stopped = result.split_by(lambda s: s.r is node.continue_status)
-        stopped.extend(child_stopped.entries)
-    return BeliefState(stopped + list(mem.entries))
+        entries = []
+        for entry in result:
+            if entry[1].r is go_on:
+                entries.append(entry)
+            else:
+                stopped.append(entry)
+    stopped.extend(entries)
+    return stopped
 
 
 def simulate(

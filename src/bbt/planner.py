@@ -32,10 +32,6 @@ from .tree import (
     Sequence,
     Skipper,
     TreeTables,
-    node_by_id,
-    node_depths,
-    parent_map,
-    preorder_index,
 )
 
 Resolver = Union[ActionInstance, TemplateInstance]
@@ -135,8 +131,7 @@ def find_failed_condition(
     """
     if not len(terminal):
         raise NothingFailed("no terminal entries")
-    depths = node_depths(tree)
-    order = preorder_index(tree)
+    depths, order = tables.depth, tables.rank
     table: list[tuple[int, int, Status]] = []
     masses: dict[tuple[int, Status], float] = {}
     nodes: dict[int, Condition] = {}
@@ -280,8 +275,7 @@ def resolve_by_insert(
     subtree = _resolver_subtree(resolver)
     if wrappers is None:
         wrappers = {}
-    parents = parent_map(tree)
-    parent = parents.get(target_node.node_id)
+    parent = TreeTables(tree).parent.get(target_node.node_id)
     if (
         parent is not None
         and isinstance(parent, wrapper_kind)
@@ -297,16 +291,15 @@ def resolve_by_insert(
     return tree
 
 
-def find_threat(tree: BTNode, target_node: Condition, literal: str) -> ActionNode | None:
+def find_threat(tables: TreeTables, target_node: Condition, literal: str) -> ActionNode | None:
     """First action in tick order, before the target, that can break ``literal``.
 
     An action threatens the target when one of its outcomes assigns the
-    literal anything other than S.
+    literal anything other than S.  ``tables`` are those of the target's
+    tree.
     """
-    order = preorder_index(tree)
-    limit = order[target_node.node_id]
-    for node in tree.iter_nodes():
-        if not isinstance(node, ActionNode) or order[node.node_id] >= limit:
+    for node in tables.order[: tables.rank[target_node.node_id]]:
+        if not isinstance(node, ActionNode):
             continue
         clobbers = any(
             lit == literal and value is not Status.S
@@ -325,7 +318,7 @@ def resolve_threat(tree: BTNode, target_node: Condition, conflict: ActionNode) -
     holding the target moves to just before the child holding the conflict;
     every other relative order is preserved.
     """
-    parents = parent_map(tree)
+    parents = TreeTables(tree).parent
 
     def ancestors(node: BTNode) -> list[BTNode]:
         chain = [node]
@@ -355,6 +348,15 @@ def resolve_threat(tree: BTNode, target_node: Condition, conflict: ActionNode) -
     children.remove(target_child)
     children.insert(children.index(conflict_child), target_child)
     return tree
+
+
+def node_by_id(tables: TreeTables, node_id: int) -> BTNode:
+    """The node with ``node_id`` in the tree ``tables`` were built from.
+
+    A table lookup, not a walk; ``perfbench/tracer.py`` times it with the
+    planner's edits under this name.
+    """
+    return tables.order[tables.rank[node_id]]
 
 
 def refine_tree(request: PlanRequest) -> PlanResult:
@@ -389,9 +391,9 @@ def refine_tree(request: PlanRequest) -> PlanResult:
                     f"{exc}; mass {result.pruned_mass:.6f} was pruned unresolved"
                 ) from None
             raise
-        target_node = node_by_id(tree, report.node_id)
+        target_node = node_by_id(result.tables, report.node_id)
         assert isinstance(target_node, Condition)
-        conflict = find_threat(tree, target_node, report.literal)
+        conflict = find_threat(result.tables, target_node, report.literal)
         if conflict is not None:
             tree = resolve_threat(tree, target_node, conflict)
             kind = "threat-reorder"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_UNIT = 1.0 / (1 << 53)
 
 
 def _mix(x: int) -> int:
@@ -21,20 +22,26 @@ def _mix(x: int) -> int:
 def draw(seed: int, stream: int, index: int) -> float:
     """Uniform double in [0, 1) for draw ``index`` of ``stream`` under ``seed``."""
     word = _mix(_mix(_mix(seed & _MASK64) ^ (stream & _MASK64)) ^ (index & _MASK64))
-    return (word >> 11) * (1.0 / (1 << 53))
+    return (word >> 11) * _UNIT
 
 
 class CounterRng:
-    """``random()``-compatible source over one (seed, stream) pair."""
+    """``random()``-compatible source over one (seed, stream) pair.
 
-    __slots__ = ("seed", "stream", "index")
+    The first two mixing rounds of :func:`draw` depend on the seed and the
+    stream only, so they are computed once here; every value equals
+    ``draw(seed, stream, index)`` bit for bit.
+    """
+
+    __slots__ = ("seed", "stream", "index", "_base")
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = seed
         self.stream = stream
         self.index = 0
+        self._base = _mix(_mix(seed & _MASK64) ^ (stream & _MASK64))
 
     def random(self) -> float:
-        value = draw(self.seed, self.stream, self.index)
+        word = _mix(self._base ^ (self.index & _MASK64))
         self.index += 1
-        return value
+        return (word >> 11) * _UNIT

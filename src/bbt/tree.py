@@ -4,8 +4,9 @@ A tree is a value: it holds no execution state.  Action latches belong to
 one run and live with the executor (a per-run dict in :mod:`bbt.classic`,
 per-branch views in :class:`~bbt.belief.PhysicalState`), so the same tree
 can be executed or simulated any number of times without a reset.
-:class:`TreeTables` holds the per-tree lookups that keep those per-branch
-views canonical.
+:class:`TreeTables` holds the tables of one pre-order walk: tick order,
+parents, depths and the nodes whose latches keep those per-branch views
+canonical.
 """
 
 from __future__ import annotations
@@ -30,10 +31,16 @@ class BTNode:
         self.children = list(children)
 
     def iter_nodes(self) -> Iterator["BTNode"]:
-        """Pre-order traversal, which is also tick order."""
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
+        """Pre-order traversal, which is also tick order.
+
+        An explicit stack, so the depth of a tree is not bounded by Python's
+        recursion limit.
+        """
+        stack: list[BTNode] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def signature(self):
         """Structural identity, independent of node ids."""
@@ -118,30 +125,41 @@ CONTROL_KINDS = {cls.kind: cls for cls in (Sequence, Fallback, Skipper)}
 
 
 class TreeTables:
-    """Per-tree lookup tables behind canonical latch views.
+    """Per-tree lookup tables from one pre-order walk.
 
-    ``parent`` maps a node id to its parent node.  ``foldable`` holds the ids
-    of the control nodes that can ever carry a latch: those whose leftmost
-    leaf is an action, since a condition is never settled by latches.
+    ``order`` lists the nodes in tick order and ``rank`` maps a node id to
+    its index there.  ``parent`` maps a node id to its parent node and
+    ``depth`` to its edge distance from the root.  ``foldable`` holds the
+    ids of the control nodes that can ever carry a latch in a canonical
+    latch view: those whose leftmost leaf is an action, since a condition is
+    never settled by latches.
 
     The planner edits trees in place, so tables are built once per
-    simulation, handed on with its result to the failure attribution of
-    the same round, and never cached on the tree.
+    simulation, handed on with its result to the failure attribution, threat
+    search and target lookup of the same round, and never cached on the
+    tree.
     """
 
-    __slots__ = ("parent", "foldable")
+    __slots__ = ("order", "rank", "parent", "depth", "foldable")
 
     def __init__(self, tree: BTNode):
-        self.parent = parent_map(tree)
+        self.order = list(tree.iter_nodes())
+        self.rank = {node.node_id: i for i, node in enumerate(self.order)}
+        self.parent: dict[int, BTNode] = {}
+        self.depth = {tree.node_id: 0}
+        # pre-order visits every parent before its children
+        for node in self.order:
+            below = self.depth[node.node_id] + 1
+            for child in node.children:
+                self.parent[child.node_id] = node
+                self.depth[child.node_id] = below
+        # reversed pre-order visits every child before its parent
         self.foldable: set[int] = set()
-        for parent in self.parent.values():
-            child = parent.children[0]
-            if parent.node_id in self.foldable or not isinstance(child, ActionNode):
-                continue
-            # climb from a first-child action while each node is a first child
-            while parent is not None and parent.children[0] is child:
-                self.foldable.add(parent.node_id)
-                child, parent = parent, self.parent.get(parent.node_id)
+        for node in reversed(self.order):
+            if node.children:
+                first = node.children[0]
+                if isinstance(first, ActionNode) or first.node_id in self.foldable:
+                    self.foldable.add(node.node_id)
 
     def settle(self, latches: dict[int, Status], node_id: int) -> None:
         """Canonicalize ``latches`` in place after ``node_id`` latched.
@@ -178,45 +196,6 @@ def _fixed_return(node: BTNode, latches: dict[int, Status]) -> Status | None:
         if status is not node.continue_status:
             return status
     return node.continue_status
-
-
-def node_depths(tree: BTNode) -> dict[int, int]:
-    """Edge distance from the root, keyed by node id."""
-    depths: dict[int, int] = {}
-
-    def walk(node: BTNode, depth: int) -> None:
-        depths[node.node_id] = depth
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(tree, 0)
-    return depths
-
-
-def preorder_index(tree: BTNode) -> dict[int, int]:
-    """Tick-order rank of every node, keyed by node id."""
-    return {node.node_id: i for i, node in enumerate(tree.iter_nodes())}
-
-
-def parent_map(tree: BTNode) -> dict[int, BTNode]:
-    """Parent of every non-root node, keyed by child node id."""
-    # an explicit stack: the planner and every simulation build this map, and
-    # a recursive generator walk costs about three times as much
-    parents: dict[int, BTNode] = {}
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        for child in node.children:
-            parents[child.node_id] = node
-        stack.extend(node.children)
-    return parents
-
-
-def node_by_id(tree: BTNode, node_id: int) -> BTNode:
-    for node in tree.iter_nodes():
-        if node.node_id == node_id:
-            return node
-    raise KeyError(f"no node with id {node_id}")
 
 
 def validate_tree(tree: BTNode) -> None:

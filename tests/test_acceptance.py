@@ -14,7 +14,7 @@ from bbt.engine import belief_tick, simulate
 from bbt.planner import plan_request_from_domain, refine_tree
 from bbt.rng import CounterRng
 from bbt.status import Status
-from bbt.tree import ActionNode, node_depths
+from bbt.tree import ActionNode, TreeTables
 from bbt.treefile import dumps_tree
 
 import oracle
@@ -62,7 +62,7 @@ def test_criterion_1_reference_trace(soda_det_domain):
 def test_criterion_2_stochastic_goto_oracle(soda_domain, planned_stochastic):
     start = time.perf_counter()
     tree = planned_stochastic.tree
-    depth = max(node_depths(tree).values())
+    depth = max(TreeTables(tree).depth.values())
     goto = soda_domain.actions_by_id["goto(table1)"]
     prob_ok = goto.outcomes[0].probability == 0.95
     expected = oracle.enumerate_terminals(tree, soda_domain.initial_assignment)

@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
-from bbt.engine import apply_delayed
+from bbt.engine import apply_delayed, belief_tick, simulate
+from bbt.planner import plan_request_from_domain, refine_tree
 from bbt.errors import UnknownLiteral
 from bbt.status import Status
-from bbt.tree import ActionNode, Condition, TreeTables
+from bbt.tree import ActionNode, Condition, Sequence, TreeTables
 
 import randgen
 
@@ -64,22 +65,25 @@ class TestPhysicalState:
 
 
 class TestEvalCondition:
+    """A condition leaf ticked on its own sets each entry's r to its stored value."""
+
     def test_sets_r_to_stored_value(self):
-        m = BeliefState.point(state(a="R")).eval_condition("a")
+        m = belief_tick(Condition("a"), BeliefState.point(state(a="R")))
         ((_, s),) = m.entries
         assert s.r is R
         assert s.assignment["a"] is R
 
     def test_mixed_entries(self):
-        m = BeliefState([(0.6, state(a="S")), (0.4, state(a="F"))]).eval_condition("a")
+        m = BeliefState([(0.6, state(a="S")), (0.4, state(a="F"))])
+        m = belief_tick(Condition("a"), m)
         assert [s.r for _, s in m.entries] == [S, F]
         assert m.mass == pytest.approx(1.0, abs=MASS_TOL)
 
     @given(beliefs())
     def test_idempotent(self, m):
-        literal = next(iter(m.entries[0][1].assignment))
-        once = m.eval_condition(literal)
-        twice = once.eval_condition(literal)
+        condition = Condition(next(iter(m.entries[0][1].assignment)))
+        once = belief_tick(condition, m)
+        twice = belief_tick(condition, once)
         assert [(p, s) for p, s in once] == [(p, s) for p, s in twice]
 
 
@@ -211,8 +215,8 @@ class TestSplitCoalesce:
 
     @given(beliefs())
     def test_mass_conserved_by_ops(self, m):
-        literal = next(iter(m.entries[0][1].assignment))
-        assert m.eval_condition(literal).mass == pytest.approx(m.mass, abs=MASS_TOL)
+        condition = Condition(next(iter(m.entries[0][1].assignment)))
+        assert belief_tick(condition, m).mass == pytest.approx(m.mass, abs=MASS_TOL)
         assert m.coalesce().mass == pytest.approx(m.mass, abs=MASS_TOL)
         a, b = m.split_by(lambda s: s.r is F)
         assert a.mass + b.mass == pytest.approx(m.mass, abs=MASS_TOL)
@@ -241,8 +245,27 @@ class TestPruneAndDebug:
 
     def test_debug_lines_format(self):
         m = BeliefState([(0.5, state(r=F, b="F", a="S"))])
-        (line,) = m.debug_lines()
+        (line,) = m.debug_lines(TreeTables(Condition("a")))
         assert line == "0.5 | a=S,b=F | r=F | pending=-"
+
+    def test_debug_lines_show_latch_view(self):
+        sure = ActionInstance("sure", (), (Outcome(1.0, (("a", S),), S),))
+        first, second = ActionNode(sure), ActionNode(sure)
+        tables = TreeTables(Sequence([first, Condition("a"), second]))
+        latches = {second.node_id: F, first.node_id: S}
+        m = BeliefState([(0.5, PhysicalState({"a": S}, F, latches=latches))])
+        (line,) = m.debug_lines(tables)
+        assert line == "0.5 | a=S | r=F | pending=- | latches=n1:S,n3:F"
+
+    def test_debug_lines_distinct_on_deep_soda(self, soda_domain):
+        # soda at 0.999 ends in 20 entries over only 8 (assignment, r) pairs;
+        # the latch field tells the entries that share one apart
+        planned = refine_tree(plan_request_from_domain(soda_domain, target_probability=0.999))
+        result = simulate(planned.tree, soda_domain.initial_belief())
+        lines = result.terminal.debug_lines(result.tables)
+        assert len(lines) == 20
+        assert len(set(lines)) == 20
+        assert len({line.split(" | latches=")[0].split(" | ", 1)[1] for line in lines}) == 8
 
     def test_rejects_non_positive_probability(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,20 @@ ticks used by the final simulation).  These are deterministic, so they are
 gated exactly.  A change may only tighten them (for example a latch-view
 canonicalization that merges more belief entries lowers the terminal count);
 never loosen a pin to make a change pass.
+
+The wide row plans the 24-item domain of ``perfbench/widegen.py`` (seed 0):
+many goals over a large tree with few belief entries, so it guards the
+scan and merge order of the tick rather than latch-view merging.
 """
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
-from bbt import plan_request_from_domain, refine_tree, simulate
+from bbt import ground, parse_domain, plan_request_from_domain, refine_tree, simulate
+
+WIDEGEN = Path(__file__).resolve().parent.parent / "perfbench" / "widegen.py"
 
 PINS = [
     ("soda_domain", None, (4, 26, 11, 11)),
@@ -18,7 +27,16 @@ PINS = [
     ("soda_det_domain", 0.99, (5, 34, 6, 15)),
     ("soda_domain", 0.999, (7, 50, 20, 23)),
     ("soda_det_domain", 0.999, (7, 50, 8, 23)),
+    ("wide_domain", None, (53, 232, 7, 54)),
 ]
+
+
+@pytest.fixture(scope="module")
+def wide_domain():
+    spec = importlib.util.spec_from_file_location("widegen", WIDEGEN)
+    widegen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(widegen)
+    return ground(parse_domain(widegen.generate(24, seed=0)))
 
 
 @pytest.mark.parametrize("domain_fixture,prob,pinned", PINS)

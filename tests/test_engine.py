@@ -78,24 +78,22 @@ class TestBeliefTick:
 class TestScheduleDelayed:
     def test_fresh_entry_schedules(self):
         node = ActionNode(sure("goto(table1)", (("at", S),)))
-        out = schedule_delayed(node, BeliefState.point(state(at="F")))
-        ((_, s),) = out.entries
+        ((_, s),) = schedule_delayed(node, [(1.0, state(at="F"))])
         assert s.r is R
         assert s.pending == (node.node_id, node.action)
 
     def test_latched_entry_replays(self):
         node = ActionNode(sure("goto"))
-        m = BeliefState.point(state(at="F", latches={node.node_id: S}))
-        ((_, s),) = schedule_delayed(node, m).entries
+        m = [(1.0, state(at="F", latches={node.node_id: S}))]
+        ((_, s),) = schedule_delayed(node, m)
         assert s.r is S
         assert s.pending is None
 
     def test_second_action_same_tick_not_scheduled(self):
         first = ActionNode(detect())
         second = ActionNode(sure("other"))
-        m = schedule_delayed(first, BeliefState.point(state(seen="R", x="F")))
-        out = schedule_delayed(second, m)
-        ((_, s),) = out.entries
+        m = schedule_delayed(first, [(1.0, state(seen="R", x="F"))])
+        ((_, s),) = schedule_delayed(second, m)
         assert s.r is R
         assert s.pending[1].id == "detect"
 
@@ -103,7 +101,7 @@ class TestScheduleDelayed:
 class TestApplyDelayed:
     def test_detect_splits_and_latches(self):
         node = ActionNode(detect("detect(soda)"))
-        m = schedule_delayed(node, BeliefState.point(state(seen="R")))
+        m = schedule_delayed(node, [(1.0, state(seen="R"))])
         out = apply_delayed(m, TreeTables(node))
         assert len(out) == 2
         for p, s in out.entries:
@@ -113,7 +111,7 @@ class TestApplyDelayed:
 
     def test_deterministic_outcome_single_entry(self):
         node = ActionNode(sure("light_on", (("lum", S),)))
-        m = schedule_delayed(node, BeliefState.point(state(lum="F")))
+        m = schedule_delayed(node, [(1.0, state(lum="F"))])
         out = apply_delayed(m, TreeTables(node))
         ((p, s),) = out.entries
         assert p == pytest.approx(1.0, abs=MASS_TOL)

@@ -301,7 +301,7 @@ class TestThreats:
         make_a = ActionNode(domain.actions_by_id["make_a"])
         target = Condition("b")
         tree = Sequence([Fallback([Condition("a"), Sequence([make_a])]), target])
-        conflict = find_threat(tree, target, "b")
+        conflict = find_threat(TreeTables(tree), target, "b")
         assert conflict is make_a
         resolve_threat(tree, target, conflict)
         assert tree.children[0] is target
@@ -311,7 +311,7 @@ class TestThreats:
         make_b = ActionNode(domain.actions_by_id["make_b"])
         target = Condition("a")
         tree = Sequence([Sequence([make_b]), target])
-        assert find_threat(tree, target, "a") is None
+        assert find_threat(TreeTables(tree), target, "a") is None
 
     def test_unresolvable_threat_reported(self):
         from bbt.errors import UnresolvableThreat

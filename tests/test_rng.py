@@ -1,3 +1,5 @@
+import pytest
+
 from bbt.rng import CounterRng, draw
 
 
@@ -17,6 +19,12 @@ def test_range():
 def test_counter_rng_matches_draw():
     rng = CounterRng(9, stream=2)
     assert [rng.random() for _ in range(5)] == [draw(9, 2, i) for i in range(5)]
+
+
+@pytest.mark.parametrize("seed,stream", [(0, 0), (123456789, 7), (42, 1 << 40), ((1 << 64) + 5, 3)])
+def test_counter_rng_is_bit_identical_to_draw(seed, stream):
+    rng = CounterRng(seed, stream)
+    assert [rng.random() for _ in range(1000)] == [draw(seed, stream, i) for i in range(1000)]
 
 
 def test_rough_uniformity():

@@ -2,6 +2,7 @@ import pytest
 
 from bbt.belief import ActionInstance, Outcome
 from bbt.classic import ExecutionTrace, classic_tick, run_classic
+from bbt.dot import to_dot
 from bbt.errors import UnknownLiteral
 from bbt.rng import CounterRng
 from bbt.status import Status
@@ -11,8 +12,7 @@ from bbt.tree import (
     Fallback,
     Sequence,
     Skipper,
-    node_depths,
-    preorder_index,
+    TreeTables,
     structurally_equal,
     validate_tree,
 )
@@ -162,12 +162,28 @@ class TestStructure:
     def test_depth_and_order(self):
         inner = Sequence([Condition("b")])
         tree = Sequence([Condition("a"), inner])
-        depths = node_depths(tree)
-        order = preorder_index(tree)
+        tables = TreeTables(tree)
+        depths, order = tables.depth, tables.rank
         assert depths[tree.node_id] == 0
         assert depths[inner.children[0].node_id] == 2
         assert order[tree.node_id] == 0
         assert order[tree.children[0].node_id] < order[inner.children[0].node_id]
+        assert tables.order == [tree, tree.children[0], inner, inner.children[0]]
+
+    def test_deep_chain_walks_without_recursion(self):
+        leaf = Condition("a")
+        tree = leaf
+        for _ in range(3000):
+            tree = Sequence([tree])
+        nodes = list(tree.iter_nodes())
+        assert len(nodes) == 3001 and nodes[0] is tree and nodes[-1] is leaf
+        tables = TreeTables(tree)
+        assert tables.order == nodes
+        assert tables.depth[leaf.node_id] == 3000
+        assert tables.parent[leaf.node_id].children == [leaf]
+        assert not tables.foldable
+        validate_tree(tree)
+        assert to_dot(tree).count("->") == 3000
 
     def test_structural_equality_ignores_ids(self):
         a = Sequence([Condition("a"), ActionNode(sure())])
