@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
 from bbt.engine import apply_delayed, belief_tick, simulate
-from bbt.planner import plan_request_from_domain, refine_tree
 from bbt.errors import UnknownLiteral
+from bbt.planner import plan_request_from_domain, refine_tree
 from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Sequence, TreeTables
 
