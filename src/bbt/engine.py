@@ -14,6 +14,12 @@ Within a tick, nodes pass plain ``(p, state)`` lists; each root tick's
 result, each expansion and each coalesce is validated as one
 :class:`~bbt.belief.BeliefState`.  The tree's :class:`~bbt.tree.TreeTables`
 are built once per :func:`simulate` and returned with its result.
+
+A tick visits nodes in tick order, so the last node it visits is the
+furthest it reaches.  A tick that reaches no node at or after an edit runs
+the same in the edited tree, so a :class:`Trail` lets the planner resume
+each round's simulation at the first tick that reaches its edit instead of
+replaying the whole run.
 """
 
 from __future__ import annotations
@@ -53,6 +59,42 @@ class SimulationResult:
     tables: TreeTables
     pruned_mass: float = 0.0
     mass_flow: list[str] | None = None
+
+
+class Trail:
+    """Resume points of one tree's simulations while the planner edits it.
+
+    A :func:`simulate` given a trail records a point before each root tick
+    that reaches further in tick order than every earlier tick: that reach
+    (a rank in the tree's :class:`~bbt.tree.TreeTables`), the tick count,
+    the live belief, how many entries had finished and the mass pruned so
+    far.  The first tick to reach a given rank always sets such a record,
+    so it always has a point.  The trail also keeps the run's finished
+    entries.
+
+    An edit changes no node, parent or rank before its own rank, and a tick
+    that does not reach that rank scans only nodes before it.  Such ticks
+    run the same in the edited tree, and the latch views they leave are
+    canonical under its tables too (each fold stops at a child before the
+    edit).  :meth:`cut` at the edit's rank therefore leaves, as the last
+    point, one from which the next :func:`simulate` of the edited tree,
+    given this trail, resumes with a result bit-identical to a fresh run's.
+    That run ignores its ``initial`` belief, so a trail serves the
+    simulations of one initial belief and one set of limits.
+    """
+
+    __slots__ = ("points", "finished")
+
+    def __init__(self) -> None:
+        self.points: list[tuple[int, int, BeliefState, int, float]] = []
+        self.finished: list[Entry] = []
+
+    def cut(self, rank: int) -> None:
+        """Drop the points after that of the first tick reaching ``rank``."""
+        for index, point in enumerate(self.points):
+            if point[0] >= rank:
+                del self.points[index + 1 :]
+                return
 
 
 def schedule_delayed(node: ActionNode, entries: Iterable[Entry]) -> list[Entry]:
@@ -102,6 +144,7 @@ def belief_tick(
     max_entries: int | None = None,
     on_condition: ConditionHook | None = None,
     tables: TreeTables | None = None,
+    reached: list[BTNode] | None = None,
 ) -> BeliefState:
     """Propagate ``mem`` through ``node`` for one tick.
 
@@ -113,7 +156,8 @@ def belief_tick(
     continued past the last child.  ``on_condition`` observes every
     condition evaluation, in tick order, with the post-evaluation belief.
     ``tables`` are those of ``node``'s tree; they are built here when not
-    given.
+    given.  ``reached``, when given, is a one-item list that ends up holding
+    the last node the tick visits, which is the furthest in tick order.
 
     Between nodes the tick passes plain ``(p, state)`` lists; the result is
     validated as one :class:`BeliefState`.
@@ -124,7 +168,9 @@ def belief_tick(
     if on_condition is not None:
         def hook(condition: Condition, entries: list[Entry]) -> None:
             on_condition(condition, BeliefState(entries))
-    return BeliefState(_tick(node, mem.entries, max_entries, hook, tables.foldable))
+    if reached is None:
+        reached = [node]
+    return BeliefState(_tick(node, mem.entries, max_entries, hook, tables.foldable, reached))
 
 
 def _tick(
@@ -133,8 +179,10 @@ def _tick(
     max_entries: int | None,
     on_condition: Callable[[Condition, list[Entry]], None] | None,
     foldable: set[int],
+    reached: list[BTNode],
 ) -> list[Entry]:
     """The recursion behind :func:`belief_tick`, on plain entry lists."""
+    reached[0] = node
     if isinstance(node, Condition):
         literal = node.literal
         out = [(p, s.with_r(s.value(literal))) for p, s in entries]
@@ -157,7 +205,7 @@ def _tick(
     for child in node.children:
         if not entries:
             break
-        result = _tick(child, entries, max_entries, on_condition, foldable)
+        result = _tick(child, entries, max_entries, on_condition, foldable, reached)
         if max_entries is not None and len(result) > max_entries:
             raise EntryLimitExceeded(len(result), max_entries)
         entries = []
@@ -176,6 +224,7 @@ def simulate(
     limits: SimulationLimits | None = None,
     *,
     record_flow: bool = False,
+    trail: Trail | None = None,
 ) -> SimulationResult:
     """Run root ticks until every branch is a fixpoint.
 
@@ -183,18 +232,40 @@ def simulate(
     under further ticks and move to the result; the rest expand their
     delayed outcomes and go around again.  The tree's tables are built once
     here, as the tree stands.
+
+    With a ``trail`` (see :class:`Trail`), the run resumes from the trail's
+    last point, if it has one, reusing the ticks, finished entries and
+    pruned mass before it, and records its own points.  The result,
+    ``ticks_used`` included, is the same as without one, and every limit
+    fires at the same tick.  Flow is not recorded with a trail.
     """
     limits = limits or SimulationLimits()
+    if record_flow and trail is not None:
+        raise ValueError("a simulation resumed from a trail records no flow")
     tables = TreeTables(tree)
-    mem = initial.coalesce()
-    finished: list[tuple[float, PhysicalState]] = []
-    pruned = 0.0
+    if trail is not None and trail.points:
+        _, ticks, mem, done, pruned = trail.points.pop()
+        finished = trail.finished
+        del finished[done:]
+    else:
+        ticks, mem, finished, pruned = 0, initial.coalesce(), [], 0.0
+        if trail is not None:
+            trail.finished = finished
+    furthest = trail.points[-1][0] if trail is not None and trail.points else -1
     flow: list[str] | None = [] if record_flow else None
-    ticks = 0
+    reached = [tree]
     while len(mem):
         if ticks >= limits.max_root_ticks:
             raise TickLimitExceeded(limits.max_root_ticks)
-        mem = belief_tick(tree, mem, max_entries=limits.max_entries, tables=tables)
+        start = mem
+        mem = belief_tick(
+            tree, mem, max_entries=limits.max_entries, tables=tables, reached=reached
+        )
+        if trail is not None:
+            reach = tables.rank[reached[0].node_id]
+            if reach > furthest:
+                furthest = reach
+                trail.points.append((reach, ticks, start, len(finished), pruned))
         ticks += 1
         ended, mem = mem.split_by(lambda s: s.pending is None)
         finished.extend(ended.entries)

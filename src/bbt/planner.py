@@ -5,6 +5,13 @@ condition that returned F or R on the terminal branches, and either reorders
 siblings (when an earlier action clobbers the target literal) or inserts a
 latched resolver under a Skipper (unknown value) or Fallback (false value).
 The loop stops once the success probability reaches the request's target.
+
+Every edit leaves the tree as it was before the edit's rank in tick order,
+and the edit sits at the goal frontier, so most of each round's run is the
+same as the last round's.  The rounds' simulations share one
+:class:`~bbt.engine.Trail`, cut at each edit's rank, and each resumes at the
+first root tick that reaches its edit instead of replaying the run from the
+initial belief.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Mapping, Union
 
 from .belief import ActionInstance, BeliefState, PhysicalState
 from .domain import GroundedDomain, TemplateInstance, resolver_outcomes
-from .engine import SimulationLimits, belief_tick, simulate
+from .engine import SimulationLimits, Trail, belief_tick, simulate
 from .errors import (
     EmptyGoal,
     IterationLimit,
@@ -262,33 +269,38 @@ def resolve_by_insert(
     target_node: Condition,
     observed: Status,
     resolver: Resolver,
+    tables: TreeTables,
     wrappers: dict[int, str] | None = None,
-) -> BTNode:
+) -> tuple[BTNode, int]:
     """Attach a latched resolver at the target condition.
 
     Unknown conditions get a Skipper wrapper, false ones a Fallback.  When
     the target already sits under a wrapper created for the same literal and
     kind, the new resolver is appended as its next child instead of nesting
-    another wrapper.
+    another wrapper.  ``tables`` are those of ``tree`` before the edit.
+
+    Returns the root and the edit's rank: the target's rank in ``tables``.
+    Every tick that reaches the new resolver first visits the target.
     """
     wrapper_kind = Skipper if observed is Status.R else Fallback
     subtree = _resolver_subtree(resolver)
     if wrappers is None:
         wrappers = {}
-    parent = TreeTables(tree).parent.get(target_node.node_id)
+    rank = tables.rank[target_node.node_id]
+    parent = tables.parent.get(target_node.node_id)
     if (
         parent is not None
         and isinstance(parent, wrapper_kind)
         and wrappers.get(parent.node_id) == target_node.literal
     ):
         parent.children.append(subtree)
-        return tree
+        return tree, rank
     wrapper = wrapper_kind([target_node, subtree])
     wrappers[wrapper.node_id] = target_node.literal
     if parent is None:
-        return wrapper
+        return wrapper, rank
     parent.children[parent.children.index(target_node)] = wrapper
-    return tree
+    return tree, rank
 
 
 def find_threat(tables: TreeTables, target_node: Condition, literal: str) -> ActionNode | None:
@@ -311,14 +323,21 @@ def find_threat(tables: TreeTables, target_node: Condition, literal: str) -> Act
     return None
 
 
-def resolve_threat(tree: BTNode, target_node: Condition, conflict: ActionNode) -> BTNode:
+def resolve_threat(
+    tree: BTNode, target_node: Condition, conflict: ActionNode, tables: TreeTables
+) -> tuple[BTNode, int]:
     """Reorder siblings so the target precedes the conflicting action.
 
     Within the lowest common ancestor of the two nodes, the child subtree
     holding the target moves to just before the child holding the conflict;
-    every other relative order is preserved.
+    every other relative order is preserved.  ``tables`` are those of
+    ``tree`` before the edit.
+
+    Returns the root and the edit's rank: the rank in ``tables`` of the
+    earlier of the two moved children (the conflict's, when the conflict
+    comes first in tick order, as :func:`find_threat` finds it).
     """
-    parents = TreeTables(tree).parent
+    parents = tables.parent
 
     def ancestors(node: BTNode) -> list[BTNode]:
         chain = [node]
@@ -347,7 +366,8 @@ def resolve_threat(tree: BTNode, target_node: Condition, conflict: ActionNode) -
     children = lca.children
     children.remove(target_child)
     children.insert(children.index(conflict_child), target_child)
-    return tree
+    rank = tables.rank
+    return tree, min(rank[target_child.node_id], rank[conflict_child.node_id])
 
 
 def node_by_id(tables: TreeTables, node_id: int) -> BTNode:
@@ -376,7 +396,8 @@ def refine_tree(request: PlanRequest) -> PlanResult:
     wrappers: dict[int, str] = {}
     history: dict[str, int] = {}
     log: list[IterationRecord] = []
-    result = simulate(tree, request.initial, request.limits)
+    trail = Trail()
+    result = simulate(tree, request.initial, request.limits, trail=trail)
     probability = result.terminal.success_probability()
     iteration = 0
     while probability < request.target_probability - PROB_MARGIN:
@@ -391,11 +412,12 @@ def refine_tree(request: PlanRequest) -> PlanResult:
                     f"{exc}; mass {result.pruned_mass:.6f} was pruned unresolved"
                 ) from None
             raise
-        target_node = node_by_id(result.tables, report.node_id)
+        tables = result.tables
+        target_node = node_by_id(tables, report.node_id)
         assert isinstance(target_node, Condition)
-        conflict = find_threat(result.tables, target_node, report.literal)
+        conflict = find_threat(tables, target_node, report.literal)
         if conflict is not None:
-            tree = resolve_threat(tree, target_node, conflict)
+            tree, edit_rank = resolve_threat(tree, target_node, conflict, tables)
             kind = "threat-reorder"
         else:
             supporting = [
@@ -404,10 +426,13 @@ def refine_tree(request: PlanRequest) -> PlanResult:
                 if node_id == report.node_id and observed is report.observed
             ]
             resolver = select_resolver(report, domain, history, supporting)
-            tree = resolve_by_insert(tree, target_node, report.observed, resolver, wrappers)
+            tree, edit_rank = resolve_by_insert(
+                tree, target_node, report.observed, resolver, tables, wrappers
+            )
             history[resolver.id] = history.get(resolver.id, 0) + 1
             kind = "insert"
-        result = simulate(tree, request.initial, request.limits)
+        trail.cut(edit_rank)
+        result = simulate(tree, request.initial, request.limits, trail=trail)
         probability = result.terminal.success_probability()
         log.append(IterationRecord(iteration, kind, report.literal, probability))
     return PlanResult(tree=tree, achieved=probability, log=tuple(log))

@@ -81,8 +81,15 @@ def tree_from_doc(doc: dict, domain: GroundedDomain) -> BTNode:
 
 
 def load_tree(path: str | Path, domain: GroundedDomain) -> BTNode:
+    """Read and decode a tree file; every bad file raises :class:`SemanticError`.
+
+    The JSON decoder and :func:`tree_from_doc` recurse once per level, so a
+    file nested past Python's recursion limit is rejected as too deep.
+    """
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return tree_from_doc(json.loads(text), domain)
     except json.JSONDecodeError as exc:
         raise SemanticError(f"{path}: not valid JSON ({exc})") from exc
-    return tree_from_doc(doc, domain)
+    except RecursionError:
+        raise SemanticError(f"{path}: tree file nested too deeply") from None

@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ settings.load_profile("suite")
 
 REPO = Path(__file__).resolve().parent.parent
 DOMAINS = REPO / "domains"
+WIDEGEN = REPO / "perfbench" / "widegen.py"
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +42,12 @@ def planned_det(soda_det_domain):
 @pytest.fixture(scope="session")
 def planned_stochastic(soda_domain):
     return refine_tree(plan_request_from_domain(soda_domain))
+
+
+@pytest.fixture(scope="session")
+def wide_domain():
+    """The 24-item domain of ``perfbench/widegen.py``, seed 0."""
+    spec = importlib.util.spec_from_file_location("widegen", WIDEGEN)
+    widegen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(widegen)
+    return ground(parse_domain(widegen.generate(24, seed=0)))

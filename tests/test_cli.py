@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +332,25 @@ class TestTreeFile:
             err = capsys.readouterr().err
             assert code == 1, doc
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_deep_tree_file_exits_1(self, soda_path, tmp_path):
+        # 1100 levels: past the JSON decoder's recursion limit
+        depth = 1100
+        leaf = '{"kind": "condition", "literal": "seen(soda)"}'
+        text = '{"kind": "sequence", "children": [' * depth + leaf + "]}" * depth
+        path = tmp_path / "deep.json"
+        path.write_text('{"format": 1, "root": ' + text + "}", encoding="utf-8")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bbt", "simulate", "--domain", str(soda_path),
+             "--tree", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {path}: tree file nested too deeply\n"
+        assert "Traceback" not in proc.stderr
 
     def test_latches_not_serialized(self, soda_domain):
         action = ActionNode(soda_domain.actions_by_id["light_on"])

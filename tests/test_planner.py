@@ -261,7 +261,7 @@ class TestResolveByInsert:
         target = Condition("seen(soda)")
         tree = Sequence([target])
         detect = soda_domain.actions_by_id["detect(soda)"]
-        resolve_by_insert(tree, target, R, detect)
+        resolve_by_insert(tree, target, R, detect, TreeTables(tree))
         wrapper = tree.children[0]
         assert isinstance(wrapper, Skipper)
         assert wrapper.children[0] is target
@@ -275,7 +275,7 @@ class TestResolveByInsert:
         target = Condition("luminousity_ok")
         tree = Sequence([target])
         light_on = soda_domain.actions_by_id["light_on"]
-        resolve_by_insert(tree, target, F, light_on)
+        resolve_by_insert(tree, target, F, light_on, TreeTables(tree))
         wrapper = tree.children[0]
         assert isinstance(wrapper, Fallback)
         assert structurally_equal(
@@ -287,8 +287,8 @@ class TestResolveByInsert:
         tree = Sequence([target])
         find = soda_domain.templates_by_id["find(soda)"]
         wrappers = {}
-        resolve_by_insert(tree, target, F, find, wrappers)
-        resolve_by_insert(tree, target, F, find, wrappers)
+        resolve_by_insert(tree, target, F, find, TreeTables(tree), wrappers)
+        resolve_by_insert(tree, target, F, find, TreeTables(tree), wrappers)
         wrapper = tree.children[0]
         assert isinstance(wrapper, Fallback)
         assert len(wrapper.children) == 3  # condition + two resolver subtrees
@@ -303,7 +303,7 @@ class TestThreats:
         tree = Sequence([Fallback([Condition("a"), Sequence([make_a])]), target])
         conflict = find_threat(TreeTables(tree), target, "b")
         assert conflict is make_a
-        resolve_threat(tree, target, conflict)
+        resolve_threat(tree, target, conflict, TreeTables(tree))
         assert tree.children[0] is target
 
     def test_no_conflict_means_no_threat(self):
@@ -321,7 +321,7 @@ class TestThreats:
         target = Condition("b")
         tree = Sequence([target, Condition("a")])
         with pytest.raises(UnresolvableThreat):
-            resolve_threat(tree, target, make_a)
+            resolve_threat(tree, target, make_a, TreeTables(tree))
 
     def test_three_child_reorder_preserves_bystander(self):
         domain = ground(parse_domain(CONFLICT_DOMAIN))
@@ -331,7 +331,7 @@ class TestThreats:
         target = Condition("b")
         target_child = Fallback([target, Sequence([Condition("a")])])
         tree = Sequence([conflict_child, bystander, target_child])
-        resolve_threat(tree, target, make_a)
+        resolve_threat(tree, target, make_a, TreeTables(tree))
         assert tree.children == [target_child, conflict_child, bystander]
 
 

@@ -1,0 +1,141 @@
+"""Resumed simulations equal fresh ones, bit for bit.
+
+A simulation given a :class:`~bbt.engine.Trail` cut at an edit's rank
+resumes at the first root tick that reaches the edit.  Its terminal entries
+(probabilities and keys), ``ticks_used`` and ``pruned_mass`` must equal
+those of a fresh :func:`~bbt.engine.simulate` of the edited tree exactly,
+and its limits must fire where the fresh run's do.
+"""
+
+import random
+
+import pytest
+
+from bbt import engine, ground, parse_domain, plan_request_from_domain, refine_tree
+from bbt.belief import ActionInstance
+from bbt.engine import SimulationLimits, Trail, simulate
+from bbt.errors import TickLimitExceeded
+from bbt.planner import resolve_by_insert, resolve_threat
+from bbt.status import Status
+from bbt.tree import ActionNode, Condition
+
+import randgen
+from test_planner import CONFLICT_DOMAIN
+
+
+def keys(entries):
+    return [(p, s.key) for p, s in entries]
+
+
+def fingerprint(result):
+    return keys(result.terminal.entries), result.ticks_used, result.pruned_mass
+
+
+def trail_fingerprint(trail):
+    points = [(reach, ticks, keys(mem.entries), done, pruned)
+              for reach, ticks, mem, done, pruned in trail.points]
+    return points, keys(trail.finished)
+
+
+def random_edit(rng, tree, tables, literals, actions, wrappers):
+    """One random planner edit of ``tree``: an insert or a sibling reorder.
+
+    Returns the new root and the edit's rank, or None when the tree has no
+    place for the edit drawn.
+    """
+    conditions = [n for n in tables.order if isinstance(n, Condition)]
+    if not conditions:
+        return None
+    target = rng.choice(conditions)
+    if rng.random() < 0.3:
+        in_tree = [n for n in tables.order if isinstance(n, ActionNode)]
+        if not in_tree:
+            return None
+        return resolve_threat(tree, target, rng.choice(in_tree), tables)
+    action = rng.choice(actions)
+    if rng.random() < 0.5:
+        guard = (rng.choice(literals), Status.S)
+        action = ActionInstance(action.id, (guard,), action.outcomes)
+    observed = rng.choice((Status.F, Status.R))
+    return resolve_by_insert(tree, target, observed, action, tables, wrappers)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_random_edits_resume_exactly(epsilon):
+    rng = random.Random(9090)
+    limits = SimulationLimits(prune_epsilon=epsilon)
+    resumed_ticks, pruned = 0, 0.0
+    for _ in range(300):
+        literals = randgen.random_literals(rng)
+        actions = randgen.random_actions(rng, literals)
+        tree = randgen.random_tree(rng, literals, actions, max_nodes=12)
+        belief = randgen.random_belief(rng, literals, max_entries=4)
+        trail = Trail()
+        result = simulate(tree, belief, limits, trail=trail)
+        assert fingerprint(result) == fingerprint(simulate(tree, belief, limits))
+        wrappers: dict[int, str] = {}
+        for _ in range(rng.randint(1, 4)):
+            edit = random_edit(rng, tree, result.tables, literals, actions, wrappers)
+            if edit is None:
+                break
+            tree, rank = edit
+            trail.cut(rank)
+            if trail.points:
+                resumed_ticks += trail.points[-1][1]
+            fresh_trail = Trail()
+            fresh = simulate(tree, belief, limits, trail=fresh_trail)
+            if fresh.ticks_used > 1 and rng.random() < 0.3:
+                # the limit fires on the resumed run as on the fresh one
+                tight = SimulationLimits(fresh.ticks_used - 1, prune_epsilon=epsilon)
+                with pytest.raises(TickLimitExceeded):
+                    simulate(tree, belief, tight)
+                with pytest.raises(TickLimitExceeded):
+                    simulate(tree, belief, tight, trail=trail)
+            result = simulate(tree, belief, limits, trail=trail)
+            assert fingerprint(result) == fingerprint(fresh)
+            # every tick's belief, not only the terminal one, is the fresh run's
+            assert trail_fingerprint(trail) == trail_fingerprint(fresh_trail)
+            pruned += fresh.pruned_mass
+    assert resumed_ticks > 0  # some edits left a prefix to reuse
+    assert (pruned > 0.0) == (epsilon > 0.0)
+
+
+def plan_checked(monkeypatch, domain, prob=None):
+    """Plan with every round's simulation checked against a fresh one."""
+    rounds = []
+
+    def checked(tree, initial, limits=None, **kwargs):
+        trail = kwargs.get("trail")
+        start = trail.points[-1][1] if trail is not None and trail.points else 0
+        result = engine.simulate(tree, initial, limits, **kwargs)
+        assert fingerprint(result) == fingerprint(engine.simulate(tree, initial, limits))
+        rounds.append(start)
+        return result
+
+    monkeypatch.setattr("bbt.planner.simulate", checked)
+    plan = refine_tree(plan_request_from_domain(domain, target_probability=prob))
+    assert len(rounds) == len(plan.log) + 1
+    return plan, rounds
+
+
+@pytest.mark.parametrize("domain_fixture", ["soda_domain", "soda_det_domain"])
+@pytest.mark.parametrize("prob", [None, 0.99, 0.999])
+def test_soda_rounds_resume_exactly(request, monkeypatch, domain_fixture, prob):
+    plan_checked(monkeypatch, request.getfixturevalue(domain_fixture), prob)
+
+
+def test_wide_rounds_resume_exactly(monkeypatch, wide_domain):
+    _, rounds = plan_checked(monkeypatch, wide_domain)
+    assert sum(rounds) > 0  # the wide rounds skip a replayed prefix
+
+
+def test_threat_rounds_resume_exactly(monkeypatch):
+    plan, _ = plan_checked(monkeypatch, ground(parse_domain(CONFLICT_DOMAIN)))
+    assert "threat-reorder" in [record.kind for record in plan.log]
+
+
+def test_trail_records_no_flow():
+    tree = Condition("c0")
+    belief = randgen.random_belief(random.Random(1), ["c0"])
+    with pytest.raises(ValueError):
+        simulate(tree, belief, record_flow=True, trail=Trail())
