@@ -13,7 +13,6 @@ from .domain import (
     GroundedDomain,
     TemplateInstance,
     ground,
-    instantiate_template,
     parse_domain,
     serialize_domain,
 )
@@ -48,7 +47,6 @@ from .tree import (
     Fallback,
     Sequence,
     Skipper,
-    structurally_equal,
 )
 from .treefile import dumps_tree, load_tree, save_tree, tree_from_doc, tree_to_doc
 
@@ -83,7 +81,6 @@ __all__ = [
     "find_failed_condition",
     "ground",
     "initial_tree",
-    "instantiate_template",
     "load_tree",
     "parse_domain",
     "plan_request_from_domain",
@@ -96,7 +93,6 @@ __all__ = [
     "select_resolver",
     "serialize_domain",
     "simulate",
-    "structurally_equal",
     "to_dot",
     "tree_from_doc",
     "tree_to_doc",

@@ -70,9 +70,16 @@ class PhysicalState:
     :meth:`resolved` folds a settled subtree into its control node's latch,
     and nodes that can never be ticked again hold none.  Branches whose
     histories differ but whose futures agree thus share one state.
+
+    ``blame`` is the node id of the condition charged with this branch's
+    failure: of the conditions that returned F or R since the branch's last
+    outcome, the deepest, and the leftmost among equally deep ones.  The
+    tick sets it (see :func:`~bbt.engine.belief_tick`), so on a terminal
+    entry it names the condition the planner resolves.  It is not part of
+    the key: two terminal entries with equal keys ran the same final tick.
     """
 
-    __slots__ = ("assignment", "r", "pending", "latches", "_key", "_hash")
+    __slots__ = ("assignment", "r", "pending", "latches", "blame", "_key", "_hash")
 
     def __init__(
         self,
@@ -85,6 +92,7 @@ class PhysicalState:
         self.r = r
         self.pending = pending
         self.latches = dict(latches) if latches else {}
+        self.blame: int | None = None
         pending_key = None if pending is None else (pending[0], pending[1].id)
         self._key = (
             tuple(sorted(self.assignment.items())),
@@ -114,13 +122,19 @@ class PhysicalState:
         """Copy with ``action`` recorded as this tick's delayed action."""
         return self._copy(Status.R, (node_id, action), (node_id, action.id))
 
+    def charged(self, r: Status, node_id: int) -> "PhysicalState":
+        """Copy returning ``r`` with the condition ``node_id`` as its ``blame``."""
+        copy = self._copy(r, self.pending, self._key[2])
+        copy.blame = node_id
+        return copy
+
     def _copy(
         self,
         r: Status,
         pending: tuple[int, ActionInstance] | None,
         pending_key: tuple[int, str] | None,
     ) -> "PhysicalState":
-        """Copy with a new ``r`` and ``pending``, sharing the key parts.
+        """Copy with a new ``r`` and ``pending``, sharing the key parts and ``blame``.
 
         The assignment and latch dicts are never written after construction,
         so the copy shares them and their sorted key tuples: no dict copy and
@@ -131,13 +145,14 @@ class PhysicalState:
         copy.r = r
         copy.pending = pending
         copy.latches = self.latches
+        copy.blame = self.blame
         assignment_key, _, _, latch_key = self._key
         copy._key = (assignment_key, r, pending_key, latch_key)
         copy._hash = None
         return copy
 
     def resolved(self, node_id: int, outcome: Outcome, tables: "TreeTables") -> "PhysicalState":
-        """Copy with ``outcome`` applied, its latch set, and pending cleared.
+        """Copy with ``outcome`` applied, its latch set, pending and blame cleared.
 
         This is the one place a latch is set.  ``tables`` are those of the
         tree the action node sits in; the latch view is canonicalized with
@@ -198,9 +213,6 @@ class BeliefState:
 
     def __iter__(self) -> Iterator[tuple[float, PhysicalState]]:
         return iter(self.entries)
-
-    def __add__(self, other: "BeliefState") -> "BeliefState":
-        return BeliefState(self.entries + other.entries)
 
     def split_by(
         self, predicate: Callable[[PhysicalState], bool]

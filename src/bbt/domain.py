@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
 from .belief import ActionInstance, BeliefState, Outcome, PhysicalState
-from .errors import ParseError, SemanticError, UnboundParameter
+from .errors import ParseError, SemanticError
 from .status import Status
 from .tree import ActionNode, BTNode, Condition, CONTROL_KINDS
 
@@ -912,19 +912,3 @@ def _expand_body(
 
     return walk(schema.body)
 
-
-def instantiate_template(
-    domain: GroundedDomain, template_name: str, bindings: Mapping[str, str]
-) -> BTNode:
-    """Instantiate a template schema under explicit parameter bindings."""
-    schema = domain._template_schemas.get(template_name)
-    if schema is None:
-        raise SemanticError(f"unknown template {template_name!r}")
-    for param in schema.params:
-        if param not in bindings:
-            raise UnboundParameter(template_name, param)
-        if bindings[param] not in domain._spaces[param]:
-            raise SemanticError(
-                f"{bindings[param]!r} is not an instance of space {param!r}"
-            )
-    return _expand_body(domain, schema, {p: bindings[p] for p in schema.params})

@@ -8,7 +8,10 @@ branch settles yields the exact distribution of execution results.
 
 Each branch carries a canonical latch view (see
 :class:`~bbt.belief.PhysicalState`), so branches whose histories differ but
-whose futures agree merge when the belief is coalesced.
+whose futures agree merge when the belief is coalesced.  Each branch also
+records, as its ``blame``, the condition charged with its failure in the
+tick that is running, so the planner reads its targets off the terminal
+entries without ticking the tree again.
 
 Within a tick, nodes pass plain ``(p, state)`` lists; each root tick's
 result, each expansion and each coalesce is validated as one
@@ -25,14 +28,13 @@ replaying the whole run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable
+from typing import Collection, Iterable
 
 from .belief import BeliefState, PhysicalState
 from .errors import EntryLimitExceeded, NoPending, TickLimitExceeded
 from .status import Status
 from .tree import ActionNode, BTNode, Condition, TreeTables
 
-ConditionHook = Callable[[Condition, BeliefState], None]
 Entry = tuple[float, PhysicalState]
 
 
@@ -142,7 +144,6 @@ def belief_tick(
     mem: BeliefState,
     *,
     max_entries: int | None = None,
-    on_condition: ConditionHook | None = None,
     tables: TreeTables | None = None,
     reached: list[BTNode] | None = None,
 ) -> BeliefState:
@@ -153,8 +154,13 @@ def belief_tick(
     to the parent.  Entries whose latch view has a foldable control node
     latched return that status without a scan.  The result lists those
     entries, then every child's stopped entries in scan order, then whatever
-    continued past the last child.  ``on_condition`` observes every
-    condition evaluation, in tick order, with the post-evaluation belief.
+    continued past the last child.
+
+    A condition returning F or R charges itself with an entry's failure
+    (``PhysicalState.blame``) when it is deeper than the condition already
+    charged, if any in this tree.  Nodes are visited in tick order, so the
+    leftmost of the deepest such conditions keeps the charge.
+
     ``tables`` are those of ``node``'s tree; they are built here when not
     given.  ``reached``, when given, is a one-item list that ends up holding
     the last node the tick visits, which is the furthest in tick order.
@@ -164,30 +170,33 @@ def belief_tick(
     """
     if tables is None:
         tables = TreeTables(node)
-    hook = None
-    if on_condition is not None:
-        def hook(condition: Condition, entries: list[Entry]) -> None:
-            on_condition(condition, BeliefState(entries))
     if reached is None:
         reached = [node]
-    return BeliefState(_tick(node, mem.entries, max_entries, hook, tables.foldable, reached))
+    return BeliefState(
+        _tick(node, mem.entries, max_entries, tables.foldable, tables.depth, reached)
+    )
 
 
 def _tick(
     node: BTNode,
     entries: Collection[Entry],
     max_entries: int | None,
-    on_condition: Callable[[Condition, list[Entry]], None] | None,
     foldable: set[int],
+    depth: dict[int, int],
     reached: list[BTNode],
 ) -> list[Entry]:
     """The recursion behind :func:`belief_tick`, on plain entry lists."""
     reached[0] = node
     if isinstance(node, Condition):
-        literal = node.literal
-        out = [(p, s.with_r(s.value(literal))) for p, s in entries]
-        if on_condition is not None:
-            on_condition(node, out)
+        literal, node_id = node.literal, node.node_id
+        level = depth[node_id]
+        out = []
+        for p, s in entries:
+            status = s.value(literal)
+            if status is not Status.S and depth.get(s.blame, -1) < level:
+                out.append((p, s.charged(status, node_id)))
+            else:
+                out.append((p, s.with_r(status)))
         return out
     if isinstance(node, ActionNode):
         return schedule_delayed(node, entries)
@@ -205,7 +214,7 @@ def _tick(
     for child in node.children:
         if not entries:
             break
-        result = _tick(child, entries, max_entries, on_condition, foldable, reached)
+        result = _tick(child, entries, max_entries, foldable, depth, reached)
         if max_entries is not None and len(result) > max_entries:
             raise EntryLimitExceeded(len(result), max_entries)
         entries = []

@@ -91,11 +91,3 @@ class SemanticError(BbtError):
         self.line = line
         self.col = col
 
-
-class UnboundParameter(BbtError):
-    """Template instantiation is missing a binding for a parameter."""
-
-    def __init__(self, template: str, parameter: str):
-        super().__init__(f"template {template!r} has no binding for parameter {parameter!r}")
-        self.template = template
-        self.parameter = parameter

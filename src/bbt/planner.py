@@ -5,6 +5,8 @@ condition that returned F or R on the terminal branches, and either reorders
 siblings (when an earlier action clobbers the target literal) or inserts a
 latched resolver under a Skipper (unknown value) or Fallback (false value).
 The loop stops once the success probability reaches the request's target.
+Each branch's simulation already charged its failure to one condition (the
+entry's ``blame``), so the pick reads the terminal entries and ticks nothing.
 
 Every edit leaves the tree as it was before the edit's rank in tick order,
 and the edit sits at the goal frontier, so most of each round's run is the
@@ -21,7 +23,7 @@ from typing import Mapping, Union
 
 from .belief import ActionInstance, BeliefState, PhysicalState
 from .domain import GroundedDomain, TemplateInstance, resolver_outcomes
-from .engine import SimulationLimits, Trail, belief_tick, simulate
+from .engine import SimulationLimits, Trail, simulate
 from .errors import (
     EmptyGoal,
     IterationLimit,
@@ -62,10 +64,12 @@ class PlanRequest:
 class FailedConditionReport:
     """The condition chosen for resolution, with its supporting evidence.
 
-    ``table`` lists, for every non-success terminal entry, the entry index
-    and the deepest condition (node id, observed status) that returned non-S
-    during that entry's final root tick; ``mass`` is the cumulative
-    probability of the entries that picked this target.
+    ``table`` lists, for every non-success terminal entry charged with a
+    condition, the entry index and that condition (node id, observed
+    status): the deepest, then leftmost, condition that returned non-S
+    during the entry's final root tick, as the tick recorded it in the
+    entry's ``blame``.  ``mass`` is the cumulative probability of the
+    entries that picked this target.
     """
 
     node_id: int
@@ -102,39 +106,16 @@ def initial_tree(goal_literals: list[str]) -> Sequence:
     return Sequence([Condition(lit) for lit in goal_literals])
 
 
-def _conditions_of_final_tick(
-    tree: BTNode, state: PhysicalState, tables: TreeTables
-) -> list[tuple[Condition, Status]]:
-    """Replay one root tick of a settled entry, recording condition returns.
-
-    Settled entries are fixpoints, so the replay reproduces their final root
-    tick exactly; it can never reach a fresh action.  Control latches in the
-    entry's view replay their fixed return; a folded subtree scans no
-    condition, so folding hides none from the replay.
-    """
-    seen: list[tuple[Condition, Status]] = []
-
-    def record(node: Condition, after: BeliefState) -> None:
-        (_, s), = after.entries
-        seen.append((node, s.r))
-
-    out = belief_tick(tree, BeliefState.point(state), on_condition=record, tables=tables)
-    (_, result), = out.entries
-    if result.pending is not None:
-        raise AssertionError("settled entry scheduled an action on replay")
-    return seen
-
-
-def find_failed_condition(
-    tree: BTNode, terminal: BeliefState, tables: TreeTables
-) -> FailedConditionReport:
+def find_failed_condition(terminal: BeliefState, tables: TreeTables) -> FailedConditionReport:
     """Pick the most probable deepest failed condition over non-S entries.
 
-    Per entry, the deepest condition returning F or R during its final root
-    tick is charged with the failure; across entries the (condition,
-    observed status) pair with the highest cumulative mass wins.  Ties break
-    toward greater depth, then leftmost position, then literal.  ``tables``
-    are those the terminal was simulated with.
+    Per entry, the condition the tick charged with the failure
+    (``PhysicalState.blame``: the deepest, then leftmost, condition returning
+    F or R during the entry's final root tick) is read off the entry, with
+    the status it observed.  Across entries the (condition, observed status)
+    pair with the highest cumulative mass wins.  Ties break toward greater
+    depth, then leftmost position, then literal.  ``tables`` are those the
+    terminal was simulated with.
     """
     if not len(terminal):
         raise NothingFailed("no terminal entries")
@@ -147,19 +128,13 @@ def find_failed_condition(
         if state.r is Status.S:
             continue
         failed_entries += 1
-        candidates = [
-            (node, status)
-            for node, status in _conditions_of_final_tick(tree, state, tables)
-            if status is not Status.S
-        ]
-        if not candidates:
+        node_id = state.blame
+        if node_id is None:
             continue
-        node, observed = max(
-            candidates, key=lambda c: (depths[c[0].node_id], -order[c[0].node_id])
-        )
-        table.append((index, node.node_id, observed))
-        masses[(node.node_id, observed)] = masses.get((node.node_id, observed), 0.0) + p
-        nodes[node.node_id] = node
+        node = nodes[node_id] = tables.order[order[node_id]]
+        observed = state.value(node.literal)
+        table.append((index, node_id, observed))
+        masses[(node_id, observed)] = masses.get((node_id, observed), 0.0) + p
     if not masses:
         raise NothingFailed(
             "no failed condition to resolve"
@@ -405,7 +380,7 @@ def refine_tree(request: PlanRequest) -> PlanResult:
         if iteration > request.max_iterations:
             raise IterationLimit(request.max_iterations, probability)
         try:
-            report = find_failed_condition(tree, result.terminal, result.tables)
+            report = find_failed_condition(result.terminal, result.tables)
         except NothingFailed as exc:
             if result.pruned_mass > 0.0:
                 raise NothingFailed(

@@ -42,10 +42,6 @@ class BTNode:
             yield node
             stack.extend(reversed(node.children))
 
-    def signature(self):
-        """Structural identity, independent of node ids."""
-        return (self.kind, tuple(c.signature() for c in self.children))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(id={self.node_id}, {len(self.children)} children)"
 
@@ -91,9 +87,6 @@ class Condition(BTNode):
         super().__init__()
         self.literal = literal
 
-    def signature(self):
-        return (self.kind, self.literal)
-
     def __repr__(self) -> str:
         return f"Condition({self.literal!r}, id={self.node_id})"
 
@@ -113,9 +106,6 @@ class ActionNode(BTNode):
     def __init__(self, action: ActionInstance):
         super().__init__()
         self.action = action
-
-    def signature(self):
-        return (self.kind, self.action.id)
 
     def __repr__(self) -> str:
         return f"ActionNode({self.action.id!r}, id={self.node_id})"
@@ -211,6 +201,3 @@ def validate_tree(tree: BTNode) -> None:
         elif not node.children:
             raise ValueError(f"control node {node!r} has no children")
 
-
-def structurally_equal(a: BTNode, b: BTNode) -> bool:
-    return a.signature() == b.signature()

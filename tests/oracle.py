@@ -6,9 +6,11 @@ all outcomes of the action that started, and recurse until a tick starts
 nothing.  Shares only the data model with the engine, none of its logic.
 
 The oracle still tracks full latch histories, but terminals are compared on
-(assignment, root status) only: the engine keeps canonical latch views, in
-which latches that can no longer change behaviour are folded or dropped, so
-latches are not observable state.
+(assignment, root status, blame) only: the engine keeps canonical latch
+views, in which latches that can no longer change behaviour are folded or
+dropped, so latches are not observable state.  The blame is the node id of
+the condition charged in the final tick: the deepest condition returning F
+or R, the leftmost among equally deep ones, or None.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import defaultdict
 from bbt.status import Status
 from bbt.tree import ActionNode, BTNode, Condition, Fallback, Sequence, Skipper
 
-TerminalKey = tuple[frozenset, Status]
+TerminalKey = tuple[frozenset, Status, "int | None"]
 
 
 def tick_once(
@@ -26,9 +28,19 @@ def tick_once(
     assignment: dict[str, Status],
     latches: dict[int, Status],
     started: list[ActionNode],
+    charge: list,
+    depth: int = 0,
 ) -> Status:
+    """One tick of ``node`` at ``depth``.
+
+    ``charge`` is a ``[depth, node id]`` pair, replaced by each non-S
+    condition strictly deeper than the one it holds.
+    """
     if isinstance(node, Condition):
-        return assignment[node.literal]
+        status = assignment[node.literal]
+        if status is not Status.S and depth > charge[0]:
+            charge[:] = [depth, node.node_id]
+        return status
     if isinstance(node, ActionNode):
         if node.node_id in latches:
             return latches[node.node_id]
@@ -37,19 +49,19 @@ def tick_once(
         return Status.R
     if isinstance(node, Sequence):
         for child in node.children:
-            status = tick_once(child, assignment, latches, started)
+            status = tick_once(child, assignment, latches, started, charge, depth + 1)
             if status is not Status.S:
                 return status
         return Status.S
     if isinstance(node, Fallback):
         for child in node.children:
-            status = tick_once(child, assignment, latches, started)
+            status = tick_once(child, assignment, latches, started, charge, depth + 1)
             if status is not Status.F:
                 return status
         return Status.F
     if isinstance(node, Skipper):
         for child in node.children:
-            status = tick_once(child, assignment, latches, started)
+            status = tick_once(child, assignment, latches, started, charge, depth + 1)
             if status is not Status.R:
                 return status
         return Status.R
@@ -59,16 +71,17 @@ def tick_once(
 def enumerate_terminals(
     tree: BTNode, assignment: dict[str, Status], max_ticks: int = 200
 ) -> dict[TerminalKey, float]:
-    """Exact terminal distribution keyed by (assignment, status)."""
+    """Exact terminal distribution keyed by (assignment, status, blame)."""
     results: dict[TerminalKey, float] = defaultdict(float)
 
     def run(state: dict[str, Status], latches: dict[int, Status], prob: float, ticks: int):
         if ticks > max_ticks:
             raise RuntimeError("oracle exceeded tick budget")
         started: list[ActionNode] = []
-        status = tick_once(tree, state, latches, started)
+        charge = [-1, None]
+        status = tick_once(tree, state, latches, started, charge)
         if not started:
-            results[(frozenset(state.items()), status)] += prob
+            results[(frozenset(state.items()), status, charge[1])] += prob
             return
         node = started[0]
         for outcome in node.action.outcomes:
@@ -85,7 +98,7 @@ def enumerate_terminals(
 
 
 def success_probability(terminals: dict[TerminalKey, float]) -> float:
-    return sum(p for (_, status), p in terminals.items() if status is Status.S)
+    return sum(p for (_, status, _), p in terminals.items() if status is Status.S)
 
 
 def simulation_to_terminals(result) -> dict[TerminalKey, float]:
@@ -93,7 +106,7 @@ def simulation_to_terminals(result) -> dict[TerminalKey, float]:
     out: dict[TerminalKey, float] = defaultdict(float)
     for p, state in result.terminal.entries:
         assert state.pending is None
-        out[(frozenset(state.assignment.items()), state.r)] += p
+        out[(frozenset(state.assignment.items()), state.r, state.blame)] += p
     return dict(out)
 
 

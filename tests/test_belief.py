@@ -183,7 +183,7 @@ class TestSplitCoalesce:
     @given(beliefs())
     def test_split_parts_recombine(self, m):
         a, b = m.split_by(lambda s: s.r is S)
-        combined = sorted((p, s.key) for p, s in (a + b))
+        combined = sorted((p, s.key) for p, s in a.entries + b.entries)
         original = sorted((p, s.key) for p, s in m)
         assert combined == original
 

@@ -170,6 +170,17 @@ class TestSimulate:
                 assert again.latches == s.latches
                 assert again.r is s.r
 
+    def test_terminal_of_another_tree_starts_a_run(self):
+        first = Condition("a")
+        tree = Sequence([Fallback([first, Condition("b")])])
+        result = simulate(tree, BeliefState.point(state(a="F", b="F")))
+        ((_, done),) = result.terminal.entries
+        assert done.blame == first.node_id  # leftmost of the two at depth 2
+        # a blame naming a node of another tree counts as none
+        goal = Condition("b")
+        ((_, again),) = simulate(Sequence([goal]), BeliefState.point(done)).terminal.entries
+        assert again.blame == goal.node_id
+
     def test_termination_bound_all_latched(self):
         rng = random.Random(23)
         for _ in range(50):
@@ -208,6 +219,23 @@ class TestSimulate:
             oracle.assert_distributions_match(
                 expected, oracle.simulation_to_terminals(result)
             )
+
+    def test_blame_matches_oracle_on_random_trees(self):
+        # the charged condition of every terminal entry, mass by mass
+        rng = random.Random(53)
+        charged = 0
+        for _ in range(1000):
+            literals = randgen.random_literals(rng)
+            actions = randgen.random_actions(rng, literals)
+            tree = randgen.random_tree(rng, literals, actions, max_nodes=14)
+            assignment = randgen.random_assignment(rng, literals)
+            expected = oracle.enumerate_terminals(tree, assignment)
+            result = simulate(tree, BeliefState.point(PhysicalState(assignment)))
+            oracle.assert_distributions_match(
+                expected, oracle.simulation_to_terminals(result)
+            )
+            charged += sum(1 for _, _, blame in expected if blame is not None)
+        assert charged > 400
 
     def test_singleton_deterministic_equals_classic(self):
         rng = random.Random(59)

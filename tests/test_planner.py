@@ -25,8 +25,8 @@ from bbt.tree import (
     Sequence,
     Skipper,
     TreeTables,
-    structurally_equal,
 )
+from bbt.treefile import dumps_tree
 
 S, F, R = Status.S, Status.F, Status.R
 
@@ -84,10 +84,11 @@ class TestInitialTree:
 class TestFindFailedCondition:
     def test_argmax_by_mass(self):
         tree = Sequence([Condition("a"), Condition("b")])
-        terminal = BeliefState(
-            [(0.6, state(r=F, a="F", b="S")), (0.4, state(r=F, a="S", b="F"))]
+        result = simulate(
+            tree,
+            BeliefState([(0.6, state(r=F, a="F", b="S")), (0.4, state(r=F, a="S", b="F"))]),
         )
-        report = find_failed_condition(tree, terminal, TreeTables(tree))
+        report = find_failed_condition(result.terminal, result.tables)
         assert report.literal == "a"
         assert report.observed is F
         assert report.mass == pytest.approx(0.6)
@@ -99,38 +100,39 @@ class TestFindFailedCondition:
         tree = Sequence(
             [Fallback([Condition("p"), Sequence([deep, Condition("rr")])]), shallow]
         )
-        terminal = BeliefState(
+        initial = BeliefState(
             [
                 (0.5, state(r=F, p="F", q="F", rr="S", t="S")),  # deepest failed: q
-                (0.5, state(r=F, p="F", q="S", rr="S", t="F")),  # deepest failed: t
+                (0.5, state(r=F, p="F", q="S", rr="S", t="F")),  # deepest failed: p
             ]
         )
-        report = find_failed_condition(tree, terminal, TreeTables(tree))
+        result = simulate(tree, initial)
+        report = find_failed_condition(result.terminal, result.tables)
         assert report.node_id == deep.node_id
 
     def test_running_condition_counts_as_failed(self):
         tree = Sequence([Condition("seen")])
-        report = find_failed_condition(tree, terminal_of(tree, seen="R"), TreeTables(tree))
+        report = find_failed_condition(terminal_of(tree, seen="R"), TreeTables(tree))
         assert report.observed is R
         assert report.mass == pytest.approx(1.0)
 
     def test_nothing_failed_when_all_succeed(self):
         tree = Sequence([Condition("a")])
-        from bbt.errors import NothingFailed
-
         with pytest.raises(NothingFailed):
-            find_failed_condition(tree, terminal_of(tree, a="S"), TreeTables(tree))
+            find_failed_condition(terminal_of(tree, a="S"), TreeTables(tree))
 
     def test_mass_matches_indicator_table(self):
         tree = Sequence([Condition("a"), Condition("b")])
-        terminal = BeliefState(
+        initial = BeliefState(
             [
                 (0.25, state(r=F, a="F", b="S")),
                 (0.35, state(r=F, a="F", b="F")),
                 (0.4, state(r=F, a="S", b="F")),
             ]
         )
-        report = find_failed_condition(tree, terminal, TreeTables(tree))
+        result = simulate(tree, initial)
+        terminal = result.terminal
+        report = find_failed_condition(terminal, result.tables)
         from_table = sum(
             terminal.entries[index][0]
             for index, node_id, observed in report.table
@@ -149,7 +151,7 @@ class TestFindFailedCondition:
             [Skipper([Condition("seen(soda)"), Sequence([guard, ActionNode(detect)])])]
         )
         terminal = simulate(tree, soda_det_domain.initial_belief()).terminal
-        report = find_failed_condition(tree, terminal, TreeTables(tree))
+        report = find_failed_condition(terminal, TreeTables(tree))
         assert report.node_id == guard.node_id
         assert report.observed is F
         assert report.mass == pytest.approx(1.0)
@@ -157,7 +159,7 @@ class TestFindFailedCondition:
     def test_no_terminal_entries(self):
         tree = Sequence([Condition("a")])
         with pytest.raises(NothingFailed, match="^no terminal entries$"):
-            find_failed_condition(tree, BeliefState(), TreeTables(tree))
+            find_failed_condition(BeliefState(), TreeTables(tree))
 
     def test_folded_control_latch_replays(self):
         # `attempt` latches F, which fixes the inner sequence: its subtree
@@ -172,7 +174,7 @@ class TestFindFailedCondition:
         ((p, entry),) = terminal.entries
         assert entry.latches == {inner.node_id: F}
         assert entry.r is F
-        report = find_failed_condition(tree, terminal, TreeTables(tree))
+        report = find_failed_condition(terminal, TreeTables(tree))
         assert report.node_id == goal.node_id
         assert report.observed is F
         assert report.mass == pytest.approx(1.0)
@@ -278,9 +280,7 @@ class TestResolveByInsert:
         resolve_by_insert(tree, target, F, light_on, TreeTables(tree))
         wrapper = tree.children[0]
         assert isinstance(wrapper, Fallback)
-        assert structurally_equal(
-            wrapper.children[1], Sequence([ActionNode(light_on)])
-        )
+        assert dumps_tree(wrapper.children[1]) == dumps_tree(Sequence([ActionNode(light_on)]))
 
     def test_repeat_insert_appends_to_existing_wrapper(self, soda_domain):
         target = Condition("seen(soda)")
@@ -292,7 +292,7 @@ class TestResolveByInsert:
         wrapper = tree.children[0]
         assert isinstance(wrapper, Fallback)
         assert len(wrapper.children) == 3  # condition + two resolver subtrees
-        assert structurally_equal(wrapper.children[1], wrapper.children[2])
+        assert dumps_tree(wrapper.children[1]) == dumps_tree(wrapper.children[2])
 
 
 class TestThreats:
@@ -379,7 +379,7 @@ class TestRefineTree:
         )
         result = refine_tree(request)
         assert result.log == ()
-        assert structurally_equal(result.tree, Sequence([Condition("seen(soda)")]))
+        assert dumps_tree(result.tree) == dumps_tree(Sequence([Condition("seen(soda)")]))
         assert result.achieved == pytest.approx(1.0)
 
     def test_unreachable_goal_reports_literal(self):
@@ -423,7 +423,7 @@ goal { c = S } prob 0.999999
     def test_deterministic_across_runs(self, soda_domain):
         first = refine_tree(plan_request_from_domain(soda_domain))
         second = refine_tree(plan_request_from_domain(soda_domain))
-        assert structurally_equal(first.tree, second.tree)
+        assert dumps_tree(first.tree) == dumps_tree(second.tree)
         assert first.log_lines() == second.log_lines()
 
     @pytest.mark.parametrize("prob,iterations", [(0.99, 6), (0.999, 7)])

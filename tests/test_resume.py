@@ -2,7 +2,7 @@
 
 A simulation given a :class:`~bbt.engine.Trail` cut at an edit's rank
 resumes at the first root tick that reaches the edit.  Its terminal entries
-(probabilities and keys), ``ticks_used`` and ``pruned_mass`` must equal
+(probabilities, keys and blame), ``ticks_used`` and ``pruned_mass`` must equal
 those of a fresh :func:`~bbt.engine.simulate` of the edited tree exactly,
 and its limits must fire where the fresh run's do.
 """
@@ -24,7 +24,7 @@ from test_planner import CONFLICT_DOMAIN
 
 
 def keys(entries):
-    return [(p, s.key) for p, s in entries]
+    return [(p, s.key, s.blame) for p, s in entries]
 
 
 def fingerprint(result):
