@@ -7,15 +7,8 @@ until a goal holds with a target probability.
 """
 
 from .belief import ActionInstance, BeliefState, Outcome, PhysicalState
-from .classic import ExecutionTrace, classic_tick, run_classic
-from .domain import (
-    DomainSpec,
-    GroundedDomain,
-    TemplateInstance,
-    ground,
-    parse_domain,
-    serialize_domain,
-)
+from .classic import ExecutionTrace, LeafProgram, classic_tick, run_classic
+from .domain import DomainSpec, GroundedDomain, TemplateInstance, ground, parse_domain
 from .dot import to_dot
 from .engine import (
     SimulationLimits,
@@ -63,6 +56,7 @@ __all__ = [
     "FailedConditionReport",
     "Fallback",
     "GroundedDomain",
+    "LeafProgram",
     "Outcome",
     "PhysicalState",
     "PlanRequest",
@@ -91,7 +85,6 @@ __all__ = [
     "save_tree",
     "schedule_delayed",
     "select_resolver",
-    "serialize_domain",
     "simulate",
     "to_dot",
     "tree_from_doc",

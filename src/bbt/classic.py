@@ -4,7 +4,15 @@ This is the runtime counterpart of the belief-space engine and the basis of
 the Monte Carlo cross-check.  The state is a plain ``dict`` mapping every
 grounded literal to a :class:`~bbt.status.Status`; ticks mutate only that
 dict and the run's :class:`ExecutionTrace`, which holds the action latches.
-The tree is never written, so one tree can serve any number of runs.
+
+A tick visits leaves only.  A control node returns the status of the last
+child it scans, so a status passes up the tree unchanged, and where a tick
+goes after a leaf returns a status is fixed by the tree's shape.
+:class:`LeafProgram` compiles those jumps once per tree; a root tick is then
+one loop that reads a leaf and jumps by its status.  The program is built
+from the tree's :class:`~bbt.tree.TreeTables`, is read-only during runs
+(so one program serves any number of runs) and is stale once the tree is
+edited.
 """
 
 from __future__ import annotations
@@ -14,7 +22,12 @@ from typing import Protocol
 
 from .errors import TickLimitExceeded, UnknownLiteral
 from .status import Status
-from .tree import ActionNode, BTNode, Condition
+from .tree import ActionNode, TreeTables
+
+_S, _F, _R = Status.S, Status.F, Status.R
+_SLOT = {_S: 0, _F: 1, _R: 2}
+# jump target meaning "the root returns the status just read"
+RETURN = -1
 
 
 class RandomSource(Protocol):
@@ -33,6 +46,51 @@ class ExecutionTrace:
     outcomes: list[tuple[str, int]] = field(default_factory=list)
 
 
+class LeafProgram:
+    """A tree compiled into jumps between its leaves, for classic ticks.
+
+    ``steps`` is indexed by tick-order rank and is ``None`` at control
+    nodes.  A leaf's step is ``(literal, action node, on S, on F, on R)``:
+    a condition holds its literal and ``None`` for the action node, an
+    action node holds ``None`` for the literal.  Each jump is the rank of
+    the next leaf to read after the leaf returns that status, or
+    :data:`RETURN`.  ``entry`` is the rank of the root's leftmost leaf.
+
+    After node *i* returns *s*: if *s* is the parent's continue status and
+    *i* has a next sibling, the tick goes to that sibling's leftmost leaf;
+    otherwise it goes wherever the parent goes after returning *s*; the
+    root returns *s*.
+    """
+
+    __slots__ = ("steps", "entry")
+
+    def __init__(self, tables: TreeTables):
+        order, rank = tables.order, tables.rank
+        # reversed pre-order: a control node's first child is the next rank
+        leftmost = [0] * len(order)
+        for k in reversed(range(len(order))):
+            leftmost[k] = leftmost[k + 1] if order[k].children else k
+        jumps: list[tuple[int, int, int]] = [(RETURN, RETURN, RETURN)] * len(order)
+        self.steps: list[tuple | None] = [None] * len(order)
+        # pre-order: a parent's jumps are set before its children read them
+        for k, node in enumerate(order):
+            on = jumps[k]
+            children = node.children
+            if not children:
+                if isinstance(node, ActionNode):
+                    self.steps[k] = (None, node, *on)
+                else:
+                    self.steps[k] = (node.literal, None, *on)
+                continue
+            slot = _SLOT[node.continue_status]
+            for child, sibling in zip(children, children[1:]):
+                cont = list(on)
+                cont[slot] = leftmost[rank[sibling.node_id]]
+                jumps[rank[child.node_id]] = tuple(cont)
+            jumps[rank[children[-1].node_id]] = on
+        self.entry = leftmost[0]
+
+
 def sample_outcome_index(action, u: float) -> int:
     """Map a uniform draw in [0, 1) to an outcome index by cumulative mass."""
     acc = 0.0
@@ -44,55 +102,44 @@ def sample_outcome_index(action, u: float) -> int:
 
 
 def classic_tick(
-    node: BTNode, state: dict[str, Status], rng: RandomSource, run: ExecutionTrace
+    program: LeafProgram, state: dict[str, Status], rng: RandomSource, run: ExecutionTrace
 ) -> Status:
-    """Run one root tick of ``node`` on ``state`` within ``run``.
+    """Run one root tick of ``program`` on ``state`` within ``run``.
 
     At most one fresh action starts per tick; it returns R where it is
     reached and its sampled outcome is applied to ``state`` (latching it
     done in ``run``) after the walk finishes, i.e. before the next root tick.
     Later fresh actions reached in the same tick return R without starting.
     """
-    started: list[ActionNode] = []
-    status = _tick(node, state, run.latches, started)
-    if started:
-        action_node = started[0]
-        index = sample_outcome_index(action_node.action, rng.random())
-        outcome = action_node.action.outcomes[index]
+    steps, latches = program.steps, run.latches
+    started = None
+    at = program.entry
+    while at >= 0:
+        literal, action_node, on_s, on_f, on_r = steps[at]
+        if literal is not None:
+            try:
+                status = state[literal]
+            except KeyError:
+                raise UnknownLiteral(literal) from None
+        else:
+            status = latches.get(action_node.node_id)
+            if status is None:
+                # one action per root tick: a second fresh action waits
+                if started is None:
+                    started = action_node
+                status = _R
+        at = on_s if status is _S else on_f if status is _F else on_r
+    if started is not None:
+        index = sample_outcome_index(started.action, rng.random())
+        outcome = started.action.outcomes[index]
         outcome.apply(state)
-        run.latches[action_node.node_id] = outcome.report
-        run.outcomes.append((action_node.action.id, index))
+        latches[started.node_id] = outcome.report
+        run.outcomes.append((started.action.id, index))
     return status
 
 
-def _tick(
-    node: BTNode,
-    state: dict[str, Status],
-    latches: dict[int, Status],
-    started: list[ActionNode],
-) -> Status:
-    if isinstance(node, Condition):
-        try:
-            return state[node.literal]
-        except KeyError:
-            raise UnknownLiteral(node.literal) from None
-    if isinstance(node, ActionNode):
-        done = latches.get(node.node_id)
-        if done is not None:
-            return done
-        # one action per root tick: a second fresh action waits
-        if not started:
-            started.append(node)
-        return Status.R
-    for child in node.children:
-        status = _tick(child, state, latches, started)
-        if status is not node.continue_status:
-            return status
-    return node.continue_status
-
-
 def run_classic(
-    tree: BTNode,
+    program: LeafProgram,
     state: dict[str, Status],
     rng: RandomSource,
     max_ticks: int = 10000,
@@ -101,7 +148,7 @@ def run_classic(
     run = ExecutionTrace()
     for _ in range(max_ticks):
         before = len(run.outcomes)
-        status = classic_tick(tree, state, rng, run)
+        status = classic_tick(program, state, rng, run)
         if len(run.outcomes) == before:
             return status, run
     raise TickLimitExceeded(max_ticks)

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .classic import run_classic
+from .classic import LeafProgram, run_classic
 from .domain import GroundedDomain, ground, parse_domain
 from .dot import to_dot
 from .engine import SimulationLimits, simulate
@@ -105,11 +105,12 @@ def cmd_exec(args) -> int:
     domain = _load_domain(args)
     tree = load_tree(args.tree, domain)
     analytical = simulate(tree, domain.initial_belief(), _limits(args))
+    program = LeafProgram(analytical.tables)
     successes = 0
     for run_index in range(args.runs):
         state = dict(domain.initial_assignment)
         rng = CounterRng(args.seed, run_index)
-        status, _ = run_classic(tree, state, rng, max_ticks=args.max_ticks)
+        status, _ = run_classic(program, state, rng, max_ticks=args.max_ticks)
         if status is Status.S:
             successes += 1
     rate = successes / args.runs

@@ -126,8 +126,8 @@ class TreeTables:
 
     The planner edits trees in place, so tables are built once per
     simulation, handed on with its result to the failure attribution, threat
-    search and target lookup of the same round, and never cached on the
-    tree.
+    search and target lookup of the same round (and to the leaf program of
+    ``bbt exec``), and never cached on the tree.
     """
 
     __slots__ = ("order", "rank", "parent", "depth", "foldable")
@@ -186,18 +186,3 @@ def _fixed_return(node: BTNode, latches: dict[int, Status]) -> Status | None:
         if status is not node.continue_status:
             return status
     return node.continue_status
-
-
-def validate_tree(tree: BTNode) -> None:
-    """Check the structural invariants: leaf/control arity and unique ids."""
-    seen: set[int] = set()
-    for node in tree.iter_nodes():
-        if node.node_id in seen:
-            raise ValueError(f"duplicate node id {node.node_id}")
-        seen.add(node.node_id)
-        if isinstance(node, (Condition, ActionNode)):
-            if node.children:
-                raise ValueError(f"leaf {node!r} has children")
-        elif not node.children:
-            raise ValueError(f"control node {node!r} has no children")
-

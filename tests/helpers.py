@@ -1,0 +1,97 @@
+"""Test-only helpers: canonical domain text and tree structure checks.
+
+``serialize_domain`` renders a parsed spec back to canonical domain text, so
+that parse -> serialize -> parse is the identity; the round-trip tests use
+it.  ``validate_tree`` checks the structural invariants of a tree.
+"""
+
+from __future__ import annotations
+
+from bbt.domain import Assignment, BodyExpr, BodyLeaf, DomainSpec, format_literal
+from bbt.tree import ActionNode, BTNode, Condition
+
+
+def _fmt_number(x: float) -> str:
+    return repr(float(x))
+
+
+def _fmt_asgn(asgn: Assignment) -> str:
+    return f"{format_literal(asgn.name, asgn.args)} = {asgn.value}"
+
+
+def _fmt_asgnset(assignments: tuple[Assignment, ...]) -> str:
+    if not assignments:
+        return "{ }"
+    return "{ " + " ; ".join(_fmt_asgn(a) for a in assignments) + " }"
+
+
+def _fmt_body(expr: BodyExpr, indent: int) -> list[str]:
+    pad = "  " * indent
+    if isinstance(expr, BodyLeaf):
+        return [f"{pad}{expr.ref} {expr.name}({', '.join(expr.args)})"]
+    lines = [f"{pad}{expr.op} {{"]
+    for child in expr.children:
+        lines.extend(_fmt_body(child, indent + 1))
+    lines.append(f"{pad}}}")
+    return lines
+
+
+def serialize_domain(spec: DomainSpec) -> str:
+    """Render a spec back to canonical domain text."""
+    out: list[str] = []
+    for space in spec.params:
+        out.append(f"param {space.name} {{ {' '.join(space.instances)} }}")
+    if spec.params:
+        out.append("")
+    for cond in spec.conditions:
+        sig = f"({', '.join(cond.params)})" if cond.params else ""
+        values = " ".join(str(v) for v in cond.values)
+        out.append(f"condition {cond.name}{sig} values {{ {values} }}")
+    if spec.conditions:
+        out.append("")
+    for action in spec.actions:
+        sig = f"({', '.join(action.params)})" if action.params else ""
+        out.append(f"action {action.name}{sig} {{")
+        out.append(f"  pre {_fmt_asgnset(action.preconditions)}")
+        for outcome in action.outcomes:
+            report = f" -> {outcome.report}" if outcome.report is not None else ""
+            out.append(
+                f"  outcome {_fmt_number(outcome.probability)}{report} "
+                f"{_fmt_asgnset(outcome.assignments)}"
+            )
+        out.append("}")
+        out.append("")
+    for template in spec.templates:
+        out.append(f"template {template.name}({', '.join(template.params)}) {{")
+        out.append(f"  pre {_fmt_asgnset(template.preconditions)}")
+        for outcome in template.declared:
+            out.append(
+                f"  declared {_fmt_number(outcome.probability)} "
+                f"{_fmt_asgnset(outcome.assignments)}"
+            )
+        body_lines = _fmt_body(template.body, 1)
+        out.append("  body " + body_lines[0].strip())
+        out.extend(body_lines[1:])
+        out.append("}")
+        out.append("")
+    if spec.initial:
+        out.append(f"initial {_fmt_asgnset(spec.initial)}")
+    if spec.goal or spec.goal_probability is not None:
+        out.append(
+            f"goal {_fmt_asgnset(spec.goal)} prob {_fmt_number(spec.goal_probability or 1.0)}"
+        )
+    return "\n".join(out).rstrip("\n") + "\n"
+
+
+def validate_tree(tree: BTNode) -> None:
+    """Check the structural invariants: leaf/control arity and unique ids."""
+    seen: set[int] = set()
+    for node in tree.iter_nodes():
+        if node.node_id in seen:
+            raise ValueError(f"duplicate node id {node.node_id}")
+        seen.add(node.node_id)
+        if isinstance(node, (Condition, ActionNode)):
+            if node.children:
+                raise ValueError(f"leaf {node!r} has children")
+        elif not node.children:
+            raise ValueError(f"control node {node!r} has no children")

@@ -11,12 +11,19 @@ views, in which latches that can no longer change behaviour are folded or
 dropped, so latches are not observable state.  The blame is the node id of
 the condition charged in the final tick: the deepest condition returning F
 or R, the leftmost among equally deep ones, or None.
+
+It also holds the reference for classic execution, :func:`classic_tick`: a
+recursive walk over every node of the tree, against which the compiled
+:class:`~bbt.classic.LeafProgram` of :mod:`bbt.classic` is checked.  It
+shares outcome sampling with :mod:`bbt.classic`, not the walk.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
+from bbt.classic import ExecutionTrace, RandomSource, sample_outcome_index
+from bbt.errors import UnknownLiteral
 from bbt.status import Status
 from bbt.tree import ActionNode, BTNode, Condition, Fallback, Sequence, Skipper
 
@@ -66,6 +73,52 @@ def tick_once(
                 return status
         return Status.R
     raise TypeError(f"unknown node {node!r}")
+
+
+def classic_tick(
+    node: BTNode, state: dict[str, Status], rng: RandomSource, run: ExecutionTrace
+) -> Status:
+    """Reference classic root tick of the tree ``node``, visiting every node.
+
+    At most one fresh action starts per tick; its sampled outcome is applied
+    to ``state`` and latched in ``run`` after the walk.
+    """
+    started: list[ActionNode] = []
+    status = _classic_walk(node, state, run.latches, started)
+    if started:
+        action_node = started[0]
+        index = sample_outcome_index(action_node.action, rng.random())
+        outcome = action_node.action.outcomes[index]
+        outcome.apply(state)
+        run.latches[action_node.node_id] = outcome.report
+        run.outcomes.append((action_node.action.id, index))
+    return status
+
+
+def _classic_walk(
+    node: BTNode,
+    state: dict[str, Status],
+    latches: dict[int, Status],
+    started: list[ActionNode],
+) -> Status:
+    if isinstance(node, Condition):
+        try:
+            return state[node.literal]
+        except KeyError:
+            raise UnknownLiteral(node.literal) from None
+    if isinstance(node, ActionNode):
+        done = latches.get(node.node_id)
+        if done is not None:
+            return done
+        # one action per root tick: a second fresh action waits
+        if not started:
+            started.append(node)
+        return Status.R
+    for child in node.children:
+        status = _classic_walk(child, state, latches, started)
+        if status is not node.continue_status:
+            return status
+    return node.continue_status
 
 
 def enumerate_terminals(

@@ -7,9 +7,9 @@ import random
 import time
 
 from bbt.belief import BeliefState, PhysicalState
-from bbt.classic import run_classic
+from bbt.classic import LeafProgram, run_classic
 from bbt.cli import main
-from bbt.domain import ground, parse_domain, serialize_domain
+from bbt.domain import ground, parse_domain
 from bbt.engine import belief_tick, simulate
 from bbt.planner import plan_request_from_domain, refine_tree
 from bbt.rng import CounterRng
@@ -19,6 +19,7 @@ from bbt.treefile import dumps_tree
 
 import oracle
 import randgen
+from helpers import serialize_domain
 
 MASS_TOL = 1e-12
 
@@ -140,7 +141,7 @@ def test_criterion_5_singleton_equivalence():
         assignment = randgen.random_assignment(rng, literals)
         result = simulate(tree, BeliefState.point(PhysicalState(assignment)))
         ((_, terminal),) = result.terminal.entries
-        status, _ = run_classic(tree, dict(assignment), CounterRng(0))
+        status, _ = run_classic(LeafProgram(result.tables), dict(assignment), CounterRng(0))
         if terminal.r is not status:
             mismatches += 1
     report(5, "singleton equivalence x1000", mismatches == 0, f"{mismatches} mismatches")

@@ -217,6 +217,33 @@ class TestExec:
             rates.append(capsys.readouterr().out.splitlines()[1])
         assert rates[0] != rates[1]
 
+    @pytest.mark.parametrize(
+        "prob,runs,expected",
+        [
+            (
+                [],
+                "20000",
+                "runs 20000\n"
+                "empirical_success_rate 0.961200\n"
+                "analytical_success_probability 0.962015\n",
+            ),
+            (
+                ["--prob", "0.999"],
+                "2000",
+                "runs 2000\n"
+                "empirical_success_rate 0.998500\n"
+                "analytical_success_probability 0.999205\n",
+            ),
+        ],
+    )
+    def test_pinned_output(self, tmp_path, soda_path, capsys, prob, runs, expected):
+        # the sampled runs of a seed are part of the output contract
+        tree = tmp_path / "tree.json"
+        assert main(["plan", "--domain", str(soda_path), "--out", str(tree), *prob]) == 0
+        capsys.readouterr()
+        argv = ["exec", "--domain", str(soda_path), "--tree", str(tree), "--seed", "42"]
+        assert main([*argv, "--runs", runs]) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("runs", ["0", "-3"])
     def test_runs_below_one_exits_1(self, planned_paths, soda_path, capsys, runs):

@@ -8,7 +8,6 @@ from bbt.domain import (
     DomainSpec,
     ground,
     parse_domain,
-    serialize_domain,
 )
 from bbt.errors import ParseError, SemanticError
 from bbt.status import Status
@@ -16,6 +15,7 @@ from bbt.tree import ActionNode, Fallback, Sequence
 from bbt.treefile import dumps_tree
 
 import randgen
+from helpers import serialize_domain
 
 S, F, R = Status.S, Status.F, Status.R
 

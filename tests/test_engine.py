@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
-from bbt.classic import run_classic
+from bbt.classic import LeafProgram, run_classic
 from bbt.engine import (
     SimulationLimits,
     apply_delayed,
@@ -246,7 +246,7 @@ class TestSimulate:
             assignment = randgen.random_assignment(rng, literals)
             result = simulate(tree, BeliefState.point(PhysicalState(assignment)))
             ((_, terminal),) = result.terminal.entries
-            status, _ = run_classic(tree, dict(assignment), CounterRng(1))
+            status, _ = run_classic(LeafProgram(result.tables), dict(assignment), CounterRng(1))
             assert terminal.r is status
 
     def test_monte_carlo_agreement_on_stochastic_tree(self):
@@ -263,10 +263,11 @@ class TestSimulate:
         analytical = simulate(
             tree, BeliefState.point(PhysicalState(assignment))
         ).terminal.success_probability()
+        program = LeafProgram(TreeTables(tree))
         n = 20000
         hits = 0
         for i in range(n):
-            status, _ = run_classic(tree, dict(assignment), CounterRng(99, i))
+            status, _ = run_classic(program, dict(assignment), CounterRng(99, i))
             hits += status is S
         rate = hits / n
         bound = 3 * (max(analytical * (1 - analytical), 1e-9) / n) ** 0.5

@@ -1,7 +1,7 @@
 import pytest
 
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
-from bbt.classic import run_classic
+from bbt.classic import LeafProgram, run_classic
 from bbt.domain import ground, parse_domain
 from bbt.engine import simulate
 from bbt.errors import EmptyGoal, IterationLimit, NoResolver, NothingFailed
@@ -465,6 +465,8 @@ class TestPlannedTreeShape:
         # latches live in each run's record, keyed by these nodes' ids
         assert ActionNode.__slots__ == ("action",)
         _, run = run_classic(
-            planned_det.tree, dict(soda_det_domain.initial_assignment), CounterRng(0)
+            LeafProgram(TreeTables(planned_det.tree)),
+            dict(soda_det_domain.initial_assignment),
+            CounterRng(0),
         )
         assert set(run.latches) <= {n.node_id for n in action_nodes}

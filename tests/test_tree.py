@@ -1,7 +1,7 @@
 import pytest
 
 from bbt.belief import ActionInstance, Outcome
-from bbt.classic import ExecutionTrace, classic_tick, run_classic
+from bbt.classic import ExecutionTrace, LeafProgram, classic_tick, run_classic
 from bbt.dot import to_dot
 from bbt.errors import UnknownLiteral
 from bbt.rng import CounterRng
@@ -13,9 +13,10 @@ from bbt.tree import (
     Sequence,
     Skipper,
     TreeTables,
-    validate_tree,
 )
 from bbt.treefile import dumps_tree, tree_to_doc
+
+from helpers import validate_tree
 
 S, F, R = Status.S, Status.F, Status.R
 
@@ -35,9 +36,13 @@ def sure(name="sure", post=(("x", S),), report=S):
     return ActionInstance(name, (), (Outcome(1.0, tuple(post), report),))
 
 
+def compiled(tree):
+    return LeafProgram(TreeTables(tree))
+
+
 def tick(tree, state):
     """One root tick with fresh latches."""
-    return classic_tick(tree, state, CounterRng(0), ExecutionTrace())
+    return classic_tick(compiled(tree), state, CounterRng(0), ExecutionTrace())
 
 
 class TestControlSemantics:
@@ -80,32 +85,33 @@ class TestActionsAndLatches:
     def test_action_returns_running_then_outcome_applies(self):
         node = ActionNode(sure())
         state, run = {"x": F}, ExecutionTrace()
-        assert classic_tick(node, state, CounterRng(0), run) is R
+        assert classic_tick(compiled(node), state, CounterRng(0), run) is R
         # outcome landed between ticks
         assert state["x"] is S
         assert run.latches == {node.node_id: S}
 
     def test_latched_action_replays_status(self):
         node = ActionNode(sure(report=F))
+        program = compiled(node)
         state, run = {"x": F}, ExecutionTrace()
-        classic_tick(node, state, CounterRng(0), run)
+        classic_tick(program, state, CounterRng(0), run)
         assert run.latches[node.node_id] is F
         state["x"] = F
-        assert classic_tick(node, state, CounterRng(0), run) is F
+        assert classic_tick(program, state, CounterRng(0), run) is F
         assert state["x"] is F  # not re-executed
 
     def test_one_action_per_tick(self):
         first, second = ActionNode(sure("a1")), ActionNode(sure("a2", post=(("y", S),)))
         tree = Skipper([first, second])
         state, run = {"x": F, "y": F}, ExecutionTrace()
-        classic_tick(tree, state, CounterRng(0), run)
+        classic_tick(compiled(tree), state, CounterRng(0), run)
         assert run.latches == {first.node_id: S}
         assert state["y"] is F
 
     def test_actions_execute_at_most_once_per_lifetime(self):
         action = ActionNode(coin())
         tree = Sequence([action, Condition("x")])
-        status, run = run_classic(tree, {"x": R}, CounterRng(9))
+        status, run = run_classic(compiled(tree), {"x": R}, CounterRng(9))
         assert [aid for aid, _ in run.outcomes] == ["coin"]
         assert status is run.latches[action.node_id]
 
@@ -115,18 +121,19 @@ class TestActionsAndLatches:
         node = ActionNode(sure())
         tree = Sequence([node, Condition("x")])
         before = tree_to_doc(tree)
-        run_classic(tree, {"x": F}, CounterRng(0))
+        run_classic(compiled(tree), {"x": F}, CounterRng(0))
         assert tree_to_doc(tree) == before
         assert not hasattr(node, "__dict__")
 
     def test_new_run_starts_fresh(self):
         node = ActionNode(sure())
+        program = compiled(node)
         first = ExecutionTrace()
-        classic_tick(node, {"x": F}, CounterRng(0), first)
+        classic_tick(program, {"x": F}, CounterRng(0), first)
         assert first.latches == {node.node_id: S}
-        # the same node, no reset: a new run executes the action again
+        # the same program, no reset: a new run executes the action again
         state, second = {"x": F}, ExecutionTrace()
-        assert classic_tick(node, state, CounterRng(0), second) is R
+        assert classic_tick(program, state, CounterRng(0), second) is R
         assert state["x"] is S
         assert second.outcomes == [("sure", 0)]
 
@@ -140,10 +147,11 @@ class TestDeterminism:
                 Sequence([ActionNode(actions[1]), Condition("y")]),
             ]
         )
-        # the same tree object twice, with no reset in between
+        # the same program twice, with no reset in between
+        program = compiled(tree)
         runs = []
         for _ in range(2):
-            status, run = run_classic(tree, {"x": F, "y": R}, CounterRng(123))
+            status, run = run_classic(program, {"x": F, "y": R}, CounterRng(123))
             runs.append((status, run.outcomes))
         assert runs[0] == runs[1]
         assert runs[0][1]  # an action actually ran
