@@ -4,9 +4,10 @@ Belief states and physical states are immutable values, safe to share
 between threads and across simulations.  :meth:`Outcome.apply` is the one
 place postconditions are written; it updates a caller-owned assignment.
 :meth:`PhysicalState.resolved` is the one place a state's assignment is
-copied and written; the copies a tick makes (a new return status or
-pending action) share the assignment, the latch view and their sorted key
-parts with the state they come from.
+copied and written, and it updates the sorted key by position instead of
+sorting again; the copies a tick makes (a new return status or pending
+action) share the assignment, the latch view and their sorted key parts
+with the state they come from.
 """
 
 from __future__ import annotations
@@ -77,9 +78,18 @@ class PhysicalState:
     tick sets it (see :func:`~bbt.engine.belief_tick`), so on a terminal
     entry it names the condition the planner resolves.  It is not part of
     the key: two terminal entries with equal keys ran the same final tick.
+
+    The constructor sorts the assignment once into the key and maps each
+    literal to its position there.  An outcome writes only literals the
+    assignment already holds, so every state derived from a constructed one
+    holds the same literals and shares that map: :meth:`resolved` rewrites
+    the written positions of its parent's key and never sorts the
+    assignment again.
     """
 
-    __slots__ = ("assignment", "r", "pending", "latches", "blame", "_key", "_hash")
+    __slots__ = (
+        "assignment", "r", "pending", "latches", "blame", "_key", "_hash", "_positions"
+    )
 
     def __init__(
         self,
@@ -94,13 +104,15 @@ class PhysicalState:
         self.latches = dict(latches) if latches else {}
         self.blame: int | None = None
         pending_key = None if pending is None else (pending[0], pending[1].id)
+        assignment_key = tuple(sorted(self.assignment.items()))
         self._key = (
-            tuple(sorted(self.assignment.items())),
+            assignment_key,
             self.r,
             pending_key,
             tuple(sorted(self.latches.items())),
         )
         self._hash = None
+        self._positions = {literal: i for i, (literal, _) in enumerate(assignment_key)}
 
     @property
     def key(self):
@@ -149,6 +161,7 @@ class PhysicalState:
         assignment_key, _, _, latch_key = self._key
         copy._key = (assignment_key, r, pending_key, latch_key)
         copy._hash = None
+        copy._positions = self._positions
         return copy
 
     def resolved(self, node_id: int, outcome: Outcome, tables: "TreeTables") -> "PhysicalState":
@@ -157,13 +170,31 @@ class PhysicalState:
         This is the one place a latch is set.  ``tables`` are those of the
         tree the action node sits in; the latch view is canonicalized with
         them (:meth:`TreeTables.settle`).
+
+        The assignment and latches are copied once each.  The assignment
+        part of the key is the parent's with the outcome's literals
+        rewritten at their positions, equal to a fresh sort of the new
+        assignment; only the latch view, a handful of entries, is sorted.
         """
         assignment = dict(self.assignment)
         outcome.apply(assignment)
+        positions = self._positions
+        assignment_key = list(self._key[0])
+        for literal, _ in outcome.postconditions:
+            assignment_key[positions[literal]] = (literal, assignment[literal])
         latches = dict(self.latches)
         latches[node_id] = outcome.report
         tables.settle(latches, node_id)
-        return PhysicalState(assignment, self.r, None, latches)
+        state = object.__new__(PhysicalState)
+        state.assignment = assignment
+        state.r = self.r
+        state.pending = None
+        state.latches = latches
+        state.blame = None
+        state._key = (tuple(assignment_key), self.r, None, tuple(sorted(latches.items())))
+        state._hash = None
+        state._positions = positions
+        return state
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhysicalState):

@@ -48,7 +48,10 @@ _LIMIT_ERRORS = (TickLimitExceeded, EntryLimitExceeded)
 
 
 def _load_domain(args) -> GroundedDomain:
-    text = Path(args.domain).read_text(encoding="utf-8")
+    try:
+        text = Path(args.domain).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise BbtError(f"{args.domain}: not UTF-8 text") from None
     return ground(parse_domain(text))
 
 

@@ -389,7 +389,11 @@ class _Parser:
             assignments = self.parse_asgnset()
             declared.append(OutcomeSpec(probability, None, assignments, (decl.line, decl.col)))
         self.expect("body")
-        body = self.parse_btexpr()
+        try:
+            body = self.parse_btexpr()
+        except RecursionError:
+            # parse_btexpr recurses once per level of the body
+            raise ParseError("template body nested too deeply", start.line, start.col) from None
         self.expect("}")
         return TemplateSchema(
             name.text,
@@ -661,6 +665,9 @@ class TemplateInstance:
         return _expand_body(self.domain, self.schema, dict(self.bindings))
 
 
+Resolver = Union[ActionInstance, TemplateInstance]
+
+
 class GroundedDomain:
     """Literal-level view of a validated spec.
 
@@ -699,12 +706,24 @@ class GroundedDomain:
         )
         self.templates_by_id = {t.id: t for t in self.templates}
 
-        self._assignable = {
-            (literal, status)
-            for resolver in itertools.chain(self.actions, self.templates)
-            for outcome in resolver_outcomes(resolver)
-            for literal, status in outcome.postconditions
-        }
+        # per literal, the resolvers with an outcome setting it to S and the
+        # outcome mass that does, in resolvers() order
+        self._assignable: set[tuple[str, Status]] = set()
+        self._establishing: dict[str, list[tuple[Resolver, float]]] = {}
+        for resolver in self.resolvers():
+            outcomes = resolver_outcomes(resolver)
+            established = set()
+            for outcome in outcomes:
+                self._assignable.update(outcome.postconditions)
+                established.update(
+                    literal for literal, value in outcome.postconditions if value is Status.S
+                )
+            for literal in established:
+                gain = sum(
+                    o.probability for o in outcomes if (literal, Status.S) in o.postconditions
+                )
+                if gain > 0.0:
+                    self._establishing.setdefault(literal, []).append((resolver, gain))
 
         self.goal: tuple[tuple[str, Status], ...] = tuple(
             (self._ground_asgn(a, {})[0], a.value) for a in spec.goal
@@ -796,15 +815,23 @@ class GroundedDomain:
         """The declared initial state as a point distribution."""
         return BeliefState.point(PhysicalState(self.initial_assignment))
 
-    def resolvers(self) -> tuple[ActionInstance | TemplateInstance, ...]:
+    def resolvers(self) -> tuple[Resolver, ...]:
         return self.actions + self.templates
 
     def assignable(self, literal: str, value: Status) -> bool:
         """True if some action or template outcome sets ``literal`` to ``value``."""
         return (literal, value) in self._assignable
 
+    def establishing(self, literal: str) -> list[tuple[Resolver, float]]:
+        """The resolvers that can set ``literal`` to S, each with its gain.
 
-def resolver_outcomes(resolver: ActionInstance | TemplateInstance) -> tuple[Outcome, ...]:
+        The gain is the outcome mass that sets it; resolvers are listed in
+        :meth:`resolvers` order, and those with no such outcome are left out.
+        """
+        return self._establishing.get(literal, [])
+
+
+def resolver_outcomes(resolver: Resolver) -> tuple[Outcome, ...]:
     if isinstance(resolver, ActionInstance):
         return resolver.outcomes
     return resolver.declared

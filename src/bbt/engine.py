@@ -16,7 +16,8 @@ entries without ticking the tree again.
 Within a tick, nodes pass plain ``(p, state)`` lists; each root tick's
 result, each expansion and each coalesce is validated as one
 :class:`~bbt.belief.BeliefState`.  The tree's :class:`~bbt.tree.TreeTables`
-are built once per :func:`simulate` and returned with its result.
+are built once per :func:`simulate`, or once per :class:`Trail`, and
+returned with its result.
 
 A tick visits nodes in tick order, so the last node it visits is the
 furthest it reaches.  A tick that reaches no node at or after an edit runs
@@ -53,7 +54,9 @@ class SimulationResult:
 
     ``pruned_mass`` is reported, never renormalized away; ``mass_flow``
     carries one text line per root tick when flow recording was requested.
-    ``tables`` are those of the tree as simulated, stale once it is edited.
+    ``tables`` are those of the tree as simulated: with a trail, the
+    trail's own, which the planner's edits keep current; without one, a set
+    of this run's, stale once the tree is edited.
     """
 
     terminal: BeliefState
@@ -83,13 +86,19 @@ class Trail:
     given this trail, resumes with a result bit-identical to a fresh run's.
     That run ignores its ``initial`` belief, so a trail serves the
     simulations of one initial belief and one set of limits.
+
+    The trail also holds ``tables``, the :class:`~bbt.tree.TreeTables` of
+    the tree it serves.  The first :func:`simulate` given the trail builds
+    them and later ones reuse them, so whoever edits the tree keeps them
+    current (:meth:`TreeTables.splice`; the planner's edits do).
     """
 
-    __slots__ = ("points", "finished")
+    __slots__ = ("points", "finished", "tables")
 
     def __init__(self) -> None:
         self.points: list[tuple[int, int, BeliefState, int, float]] = []
         self.finished: list[Entry] = []
+        self.tables: TreeTables | None = None
 
     def cut(self, rank: int) -> None:
         """Drop the points after that of the first tick reaching ``rank``."""
@@ -239,19 +248,28 @@ def simulate(
 
     Entries that finish a root tick without a pending action cannot change
     under further ticks and move to the result; the rest expand their
-    delayed outcomes and go around again.  The tree's tables are built once
-    here, as the tree stands.
+    delayed outcomes and go around again.  Without a trail the tree's
+    tables are built here, as the tree stands.
 
     With a ``trail`` (see :class:`Trail`), the run resumes from the trail's
     last point, if it has one, reusing the ticks, finished entries and
-    pruned mass before it, and records its own points.  The result,
-    ``ticks_used`` included, is the same as without one, and every limit
-    fires at the same tick.  Flow is not recorded with a trail.
+    pruned mass before it, and records its own points.  It runs on the
+    trail's tables, built here on the trail's first run; a ``ValueError``
+    says they are not those of ``tree``.  The result, ``ticks_used``
+    included, is the same as without one, and every limit fires at the
+    same tick.  Flow is not recorded with a trail.
     """
     limits = limits or SimulationLimits()
     if record_flow and trail is not None:
         raise ValueError("a simulation resumed from a trail records no flow")
-    tables = TreeTables(tree)
+    if trail is None:
+        tables = TreeTables(tree)
+    elif trail.tables is None:
+        tables = trail.tables = TreeTables(tree)
+    elif trail.tables.order[0] is tree:
+        tables = trail.tables
+    else:
+        raise ValueError("the trail's tables are not those of this tree")
     if trail is not None and trail.points:
         _, ticks, mem, done, pruned = trail.points.pop()
         finished = trail.finished

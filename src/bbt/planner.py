@@ -13,16 +13,19 @@ and the edit sits at the goal frontier, so most of each round's run is the
 same as the last round's.  The rounds' simulations share one
 :class:`~bbt.engine.Trail`, cut at each edit's rank, and each resumes at the
 first root tick that reaches its edit instead of replaying the run from the
-initial belief.
+initial belief.  The trail's tree tables are built once; each edit updates
+them in place, and the resolver search reads the domain's per-literal
+resolver index, so a round's overhead follows its edit, not the whole tree
+or domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 from .belief import ActionInstance, BeliefState, PhysicalState
-from .domain import GroundedDomain, TemplateInstance, resolver_outcomes
+from .domain import GroundedDomain, Resolver
 from .engine import SimulationLimits, Trail, simulate
 from .errors import (
     EmptyGoal,
@@ -42,8 +45,6 @@ from .tree import (
     Skipper,
     TreeTables,
 )
-
-Resolver = Union[ActionInstance, TemplateInstance]
 
 PROB_MARGIN = 1e-12
 
@@ -186,18 +187,12 @@ def select_resolver(
     preconditions require the literal to be R) qualify.  The score is the
     outcome mass establishing the literal, times the fraction of the target's
     failing mass where all candidate preconditions hold or can be made to
-    hold, decayed by 0.9 per previous use.
+    hold, decayed by 0.9 per previous use.  Only the literal's entry in the
+    domain's resolver index is scanned.
     """
     total = sum(p for p, _ in supporting)
     scored: list[tuple[float, str, Resolver]] = []
-    for candidate in domain.resolvers():
-        gain = sum(
-            o.probability
-            for o in resolver_outcomes(candidate)
-            if (target.literal, Status.S) in o.postconditions
-        )
-        if gain <= 0.0:
-            continue
+    for candidate, gain in domain.establishing(target.literal):
         if target.observed is Status.R and (
             (target.literal, Status.R) not in candidate.preconditions
         ):
@@ -252,10 +247,12 @@ def resolve_by_insert(
     Unknown conditions get a Skipper wrapper, false ones a Fallback.  When
     the target already sits under a wrapper created for the same literal and
     kind, the new resolver is appended as its next child instead of nesting
-    another wrapper.  ``tables`` are those of ``tree`` before the edit.
+    another wrapper.  ``tables`` are those of ``tree``; the edit updates them
+    to describe the edited tree (:meth:`TreeTables.splice` of the wrapper).
 
-    Returns the root and the edit's rank: the target's rank in ``tables``.
-    Every tick that reaches the new resolver first visits the target.
+    Returns the root and the edit's rank: the target's rank in ``tables``
+    before the edit.  Every tick that reaches the new resolver first visits
+    the target.
     """
     wrapper_kind = Skipper if observed is Status.R else Fallback
     subtree = _resolver_subtree(resolver)
@@ -269,12 +266,15 @@ def resolve_by_insert(
         and wrappers.get(parent.node_id) == target_node.literal
     ):
         parent.children.append(subtree)
+        tables.splice(parent, parent)
         return tree, rank
     wrapper = wrapper_kind([target_node, subtree])
     wrappers[wrapper.node_id] = target_node.literal
     if parent is None:
-        return wrapper, rank
-    parent.children[parent.children.index(target_node)] = wrapper
+        tree = wrapper
+    else:
+        parent.children[parent.children.index(target_node)] = wrapper
+    tables.splice(target_node, wrapper)
     return tree, rank
 
 
@@ -306,11 +306,13 @@ def resolve_threat(
     Within the lowest common ancestor of the two nodes, the child subtree
     holding the target moves to just before the child holding the conflict;
     every other relative order is preserved.  ``tables`` are those of
-    ``tree`` before the edit.
+    ``tree``; the edit updates them to describe the edited tree
+    (:meth:`TreeTables.splice` of the common ancestor).
 
-    Returns the root and the edit's rank: the rank in ``tables`` of the
-    earlier of the two moved children (the conflict's, when the conflict
-    comes first in tick order, as :func:`find_threat` finds it).
+    Returns the root and the edit's rank: the rank in ``tables``, before
+    the edit, of the earlier of the two moved children (the conflict's, when
+    the conflict comes first in tick order, as :func:`find_threat` finds
+    it).
     """
     parents = tables.parent
 
@@ -338,11 +340,13 @@ def resolve_threat(
         raise UnresolvableThreat(
             f"cannot reorder {conflict.action.id!r} behind {target_node.literal!r}"
         )
+    rank = tables.rank
+    edit_rank = min(rank[target_child.node_id], rank[conflict_child.node_id])
     children = lca.children
     children.remove(target_child)
     children.insert(children.index(conflict_child), target_child)
-    rank = tables.rank
-    return tree, min(rank[target_child.node_id], rank[conflict_child.node_id])
+    tables.splice(lca, lca)
+    return tree, edit_rank
 
 
 def node_by_id(tables: TreeTables, node_id: int) -> BTNode:

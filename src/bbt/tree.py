@@ -6,7 +6,7 @@ per-branch views in :class:`~bbt.belief.PhysicalState`), so the same tree
 can be executed or simulated any number of times without a reset.
 :class:`TreeTables` holds the tables of one pre-order walk: tick order,
 parents, depths and the nodes whose latches keep those per-branch views
-canonical.
+canonical.  A planner edit updates them in place instead of a new walk.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ CONTROL_KINDS = {cls.kind: cls for cls in (Sequence, Fallback, Skipper)}
 
 
 class TreeTables:
-    """Per-tree lookup tables from one pre-order walk.
+    """Per-tree lookup tables of one pre-order walk.
 
     ``order`` lists the nodes in tick order and ``rank`` maps a node id to
     its index there.  ``parent`` maps a node id to its parent node and
@@ -124,32 +124,82 @@ class TreeTables:
     latch view: those whose leftmost leaf is an action, since a condition is
     never settled by latches.
 
-    The planner edits trees in place, so tables are built once per
-    simulation, handed on with its result to the failure attribution, threat
-    search and target lookup of the same round (and to the leaf program of
-    ``bbt exec``), and never cached on the tree.
+    Tables are never cached on the tree.  A plain :func:`~bbt.engine.simulate`
+    builds them and hands them on with its result (to the leaf program of
+    ``bbt exec``, for one).  The planner's rounds share one set, kept by
+    their :class:`~bbt.engine.Trail`: each edit updates it with
+    :meth:`splice`, at a cost in proportion to the edited subtree and the
+    nodes after it in tick order, instead of a walk of the whole tree.
     """
 
     __slots__ = ("order", "rank", "parent", "depth", "foldable")
 
     def __init__(self, tree: BTNode):
-        self.order = list(tree.iter_nodes())
-        self.rank = {node.node_id: i for i, node in enumerate(self.order)}
         self.parent: dict[int, BTNode] = {}
-        self.depth = {tree.node_id: 0}
-        # pre-order visits every parent before its children
-        for node in self.order:
-            below = self.depth[node.node_id] + 1
-            for child in node.children:
-                self.parent[child.node_id] = node
-                self.depth[child.node_id] = below
-        # reversed pre-order visits every child before its parent
+        self.depth: dict[int, int] = {}
         self.foldable: set[int] = set()
-        for node in reversed(self.order):
+        self.order = self._walk(tree, None, 0)
+        self.rank = {node.node_id: i for i, node in enumerate(self.order)}
+
+    def splice(self, old: BTNode, new: BTNode) -> None:
+        """Describe the tree after the subtree ``old`` was replaced by ``new``.
+
+        ``old`` is a node of these tables; ``new`` now stands in its place
+        and holds every node of the old subtree: it is ``old`` itself with
+        its children added to or reordered, or a new node above ``old``, as
+        the planner's edits leave them.  The block of ``old`` in ``order``
+        becomes a pre-order walk of ``new``, which sets ``parent``,
+        ``depth`` and ``foldable`` for the walked nodes; ``rank`` is
+        renumbered from the block to the end, and ``foldable`` is recomputed
+        for the ancestors.
+        """
+        order, depth = self.order, self.depth
+        start = self.rank[old.node_id]
+        level = depth[old.node_id]
+        end = start + 1
+        while end < len(order) and depth[order[end].node_id] > level:
+            end += 1
+        above = self.parent.get(old.node_id)
+        order[start:end] = self._walk(new, above, level)
+        rank = self.rank
+        for i in range(start, len(order)):
+            rank[order[i].node_id] = i
+        while above is not None:
+            self._refold(above)
+            above = self.parent.get(above.node_id)
+
+    def _walk(self, root: BTNode, parent: BTNode | None, level: int) -> list[BTNode]:
+        """Pre-order walk of ``root``, placed under ``parent`` at depth ``level``.
+
+        Sets ``parent``, ``depth`` and ``foldable`` for every walked node and
+        returns the walk.
+        """
+        parents, depth = self.parent, self.depth
+        if parent is None:
+            parents.pop(root.node_id, None)
+        else:
+            parents[root.node_id] = parent
+        depth[root.node_id] = level
+        block = list(root.iter_nodes())
+        # pre-order visits every parent before its children
+        for node in block:
+            below = depth[node.node_id] + 1
+            for child in node.children:
+                parents[child.node_id] = node
+                depth[child.node_id] = below
+        # reversed pre-order visits every child before its parent
+        for node in reversed(block):
             if node.children:
-                first = node.children[0]
-                if isinstance(first, ActionNode) or first.node_id in self.foldable:
-                    self.foldable.add(node.node_id)
+                self._refold(node)
+        return block
+
+    def _refold(self, node: BTNode) -> None:
+        """Recompute whether the control ``node`` is foldable from its first child."""
+        first = node.children[0]
+        if isinstance(first, ActionNode) or first.node_id in self.foldable:
+            self.foldable.add(node.node_id)
+        else:
+            self.foldable.discard(node.node_id)
 
     def settle(self, latches: dict[int, Status], node_id: int) -> None:
         """Canonicalize ``latches`` in place after ``node_id`` latched.

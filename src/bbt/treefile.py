@@ -83,10 +83,14 @@ def tree_from_doc(doc: dict, domain: GroundedDomain) -> BTNode:
 def load_tree(path: str | Path, domain: GroundedDomain) -> BTNode:
     """Read and decode a tree file; every bad file raises :class:`SemanticError`.
 
-    The JSON decoder and :func:`tree_from_doc` recurse once per level, so a
-    file nested past Python's recursion limit is rejected as too deep.
+    A file that is not UTF-8 text is rejected as such.  The JSON decoder and
+    :func:`tree_from_doc` recurse once per level, so a file nested past
+    Python's recursion limit is rejected as too deep.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise SemanticError(f"{path}: not UTF-8 text") from None
     try:
         return tree_from_doc(json.loads(text), domain)
     except json.JSONDecodeError as exc:

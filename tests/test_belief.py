@@ -56,6 +56,29 @@ class TestPhysicalState:
             outcome = Outcome(1.0, (("b", S),), S)
             state(a="S").resolved(0, outcome, TreeTables(Condition("a")))
 
+    def test_resolved_key_equals_fresh_state(self):
+        rng = random.Random(6161)
+        checked = 0
+        for _ in range(300):
+            literals = randgen.random_literals(rng, max_literals=12)
+            actions = randgen.random_actions(rng, literals)
+            tables = TreeTables(randgen.random_tree(rng, literals, actions))
+            nodes = [n for n in tables.order if isinstance(n, ActionNode)]
+            if not nodes:
+                continue
+            for _, s in randgen.random_belief(rng, literals, max_entries=3):
+                # resolve in a chain, so derived states are resolved in turn
+                for _ in range(4):
+                    node = rng.choice(nodes)
+                    outcome = rng.choice(node.action.outcomes)
+                    s = s.with_r(rng.choice(randgen.STATUSES))
+                    s = s.resolved(node.node_id, outcome, tables)
+                    fresh = PhysicalState(s.assignment, s.r, None, s.latches)
+                    assert s.key == fresh.key
+                    assert s == fresh and hash(s) == hash(fresh)
+                    checked += 1
+        assert checked > 1000
+
     def test_outcome_apply_writes_in_place(self):
         assignment = {"a": F, "b": R}
         Outcome(1.0, (("a", S),), S).apply(assignment)

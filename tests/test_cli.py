@@ -14,6 +14,17 @@ from bbt.tree import ActionNode, Condition, Sequence, Skipper
 from bbt.treefile import dumps_tree, load_tree, save_tree, tree_from_doc, tree_to_doc
 
 
+def run_bbt(*args):
+    """Run ``python -m bbt`` in a fresh interpreter, capturing its output."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "bbt", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 @pytest.fixture()
 def planned_paths(tmp_path, soda_path):
     tree = tmp_path / "tree.json"
@@ -367,16 +378,44 @@ class TestTreeFile:
         text = '{"kind": "sequence", "children": [' * depth + leaf + "]}" * depth
         path = tmp_path / "deep.json"
         path.write_text('{"format": 1, "root": ' + text + "}", encoding="utf-8")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "bbt", "simulate", "--domain", str(soda_path),
-             "--tree", str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_bbt("simulate", "--domain", str(soda_path), "--tree", str(path))
         assert proc.returncode == 1
         assert proc.stderr == f"error: {path}: tree file nested too deeply\n"
+        assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_tree_file_exits_1(self, soda_path, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        proc = run_bbt("simulate", "--domain", str(soda_path), "--tree", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {path}: not UTF-8 text\n"
+        assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_domain_file_exits_1(self, tmp_path):
+        path = tmp_path / "bad.bbt"
+        path.write_bytes(b"\xff\xfe")
+        out = tmp_path / "tree.json"
+        proc = run_bbt("plan", "--domain", str(path), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {path}: not UTF-8 text\n"
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_deep_template_body_exits_1(self, tmp_path):
+        # 1200 levels: past the parser's recursion limit
+        depth = 1200
+        body = "seq { " * depth + "act go()" + " }" * depth
+        path = tmp_path / "deep.bbt"
+        path.write_text(
+            "param p { a }\n"
+            "condition c values { S F }\n"
+            "action go { pre { } outcome 1.0 -> S { c = S } }\n"
+            f"template t(p) {{ pre {{ }} body {body} }}\n",
+            encoding="utf-8",
+        )
+        proc = run_bbt("plan", "--domain", str(path), "--out", str(tmp_path / "tree.json"))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: 4:1: template body nested too deeply\n"
         assert "Traceback" not in proc.stderr
 
     def test_latches_not_serialized(self, soda_domain):

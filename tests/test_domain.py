@@ -8,6 +8,7 @@ from bbt.domain import (
     DomainSpec,
     ground,
     parse_domain,
+    resolver_outcomes,
 )
 from bbt.errors import ParseError, SemanticError
 from bbt.status import Status
@@ -147,6 +148,27 @@ class TestGrounding:
             "find(soda)",
             "find(sprayer)",
         ]
+
+    @pytest.mark.parametrize("domain_fixture", ["soda_domain", "wide_domain"])
+    def test_resolver_index_matches_full_scan(self, request, domain_fixture):
+        domain = request.getfixturevalue(domain_fixture)
+        indexed = 0
+        for literal in domain.literals:
+            scan = []
+            for candidate in domain.resolvers():
+                gain = sum(
+                    o.probability
+                    for o in resolver_outcomes(candidate)
+                    if (literal, S) in o.postconditions
+                )
+                if gain > 0.0:
+                    scan.append((candidate, gain))
+            index = domain.establishing(literal)
+            assert len(index) == len(scan)
+            assert all(a is b for (a, _), (b, _) in zip(index, scan))
+            assert [gain for _, gain in index] == [gain for _, gain in scan]
+            indexed += len(index)
+        assert indexed >= len(domain.resolvers())
 
     def test_grounding_deterministic(self, soda_path):
         text = soda_path.read_text(encoding="utf-8")

@@ -4,7 +4,9 @@ A simulation given a :class:`~bbt.engine.Trail` cut at an edit's rank
 resumes at the first root tick that reaches the edit.  Its terminal entries
 (probabilities, keys and blame), ``ticks_used`` and ``pruned_mass`` must equal
 those of a fresh :func:`~bbt.engine.simulate` of the edited tree exactly,
-and its limits must fire where the fresh run's do.
+and its limits must fire where the fresh run's do.  The trail's tables,
+which every edit updates in place, must equal a fresh walk of the edited
+tree.
 """
 
 import random
@@ -17,7 +19,7 @@ from bbt.engine import SimulationLimits, Trail, simulate
 from bbt.errors import TickLimitExceeded
 from bbt.planner import resolve_by_insert, resolve_threat
 from bbt.status import Status
-from bbt.tree import ActionNode, Condition
+from bbt.tree import ActionNode, Condition, TreeTables
 
 import randgen
 from test_planner import CONFLICT_DOMAIN
@@ -35,6 +37,18 @@ def trail_fingerprint(trail):
     points = [(reach, ticks, keys(mem.entries), done, pruned)
               for reach, ticks, mem, done, pruned in trail.points]
     return points, keys(trail.finished)
+
+
+def assert_tables_current(tables, tree):
+    """``tables`` equal a fresh walk of ``tree``: nodes by identity, the rest by value."""
+    fresh = TreeTables(tree)
+    assert len(tables.order) == len(fresh.order)
+    assert all(a is b for a, b in zip(tables.order, fresh.order))
+    assert tables.parent.keys() == fresh.parent.keys()
+    assert all(tables.parent[k] is node for k, node in fresh.parent.items())
+    assert tables.rank == fresh.rank
+    assert tables.depth == fresh.depth
+    assert tables.foldable == fresh.foldable
 
 
 def random_edit(rng, tree, tables, literals, actions, wrappers):
@@ -79,6 +93,8 @@ def test_random_edits_resume_exactly(epsilon):
             if edit is None:
                 break
             tree, rank = edit
+            assert trail.tables is result.tables
+            assert_tables_current(trail.tables, tree)
             trail.cut(rank)
             if trail.points:
                 resumed_ticks += trail.points[-1][1]
@@ -106,6 +122,9 @@ def plan_checked(monkeypatch, domain, prob=None):
 
     def checked(tree, initial, limits=None, **kwargs):
         trail = kwargs.get("trail")
+        if rounds:
+            # the last round's edit left the trail's tables current
+            assert_tables_current(trail.tables, tree)
         start = trail.points[-1][1] if trail is not None and trail.points else 0
         result = engine.simulate(tree, initial, limits, **kwargs)
         assert fingerprint(result) == fingerprint(engine.simulate(tree, initial, limits))
@@ -139,3 +158,25 @@ def test_trail_records_no_flow():
     belief = randgen.random_belief(random.Random(1), ["c0"])
     with pytest.raises(ValueError):
         simulate(tree, belief, record_flow=True, trail=Trail())
+
+
+def test_planner_builds_tables_once(monkeypatch, wide_domain):
+    built = []
+    build = TreeTables.__init__
+
+    def counted(self, tree):
+        built.append(tree)
+        build(self, tree)
+
+    monkeypatch.setattr(TreeTables, "__init__", counted)
+    plan = refine_tree(plan_request_from_domain(wide_domain))
+    assert len(plan.log) > 50
+    assert len(built) == 1
+
+
+def test_trail_rejects_another_tree():
+    belief = randgen.random_belief(random.Random(1), ["c0"])
+    trail = Trail()
+    simulate(Condition("c0"), belief, trail=trail)
+    with pytest.raises(ValueError):
+        simulate(Condition("c0"), belief, trail=trail)
