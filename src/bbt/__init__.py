@@ -7,7 +7,7 @@ until a goal holds with a target probability.
 """
 
 from .belief import ActionInstance, BeliefState, Outcome, PhysicalState
-from .classic import ExecutionTrace, LeafProgram, classic_tick, run_classic
+from .classic import ClassicRuns, ExecutionTrace, LeafProgram, classic_tick
 from .domain import DomainSpec, GroundedDomain, TemplateInstance, ground, parse_domain
 from .dot import to_dot
 from .engine import (
@@ -48,6 +48,7 @@ __all__ = [
     "ActionNode",
     "BTNode",
     "BeliefState",
+    "ClassicRuns",
     "Condition",
     "ControlNode",
     "CounterRng",
@@ -81,7 +82,6 @@ __all__ = [
     "refine_tree",
     "resolve_by_insert",
     "resolve_threat",
-    "run_classic",
     "save_tree",
     "schedule_delayed",
     "select_resolver",

@@ -13,14 +13,22 @@ one loop that reads a leaf and jumps by its status.  The program is built
 from the tree's :class:`~bbt.tree.TreeTables`, is read-only during runs
 (so one program serves any number of runs) and is stale once the tree is
 edited.
+
+:func:`classic_tick` runs one tick of one run.  ``bbt exec`` runs many from
+one initial assignment through :class:`ClassicRuns`, which memoises root
+ticks in a trie keyed by outcome history: only a history no earlier run
+reached costs a leaf walk, and every draw matches a tick-by-tick run.  Both
+read leaves with the same walker.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Protocol
 
 from .errors import TickLimitExceeded, UnknownLiteral
+from .rng import CounterRng
 from .status import Status
 from .tree import ActionNode, TreeTables
 
@@ -101,17 +109,16 @@ def sample_outcome_index(action, u: float) -> int:
     return len(action.outcomes) - 1
 
 
-def classic_tick(
-    program: LeafProgram, state: dict[str, Status], rng: RandomSource, run: ExecutionTrace
-) -> Status:
-    """Run one root tick of ``program`` on ``state`` within ``run``.
+def _walk_leaves(
+    program: LeafProgram, state: dict[str, Status], latches: dict[int, Status]
+) -> tuple[Status, ActionNode | None]:
+    """Read leaves from the entry until the root returns; the leaf walk of a tick.
 
-    At most one fresh action starts per tick; it returns R where it is
-    reached and its sampled outcome is applied to ``state`` (latching it
-    done in ``run``) after the walk finishes, i.e. before the next root tick.
-    Later fresh actions reached in the same tick return R without starting.
+    Returns the root status and the first fresh action reached, or ``None``
+    when every action reached has latched.  Reads ``state`` and ``latches``
+    only.
     """
-    steps, latches = program.steps, run.latches
+    steps = program.steps
     started = None
     at = program.entry
     while at >= 0:
@@ -129,26 +136,187 @@ def classic_tick(
                     started = action_node
                 status = _R
         at = on_s if status is _S else on_f if status is _F else on_r
+    return status, started
+
+
+def classic_tick(
+    program: LeafProgram, state: dict[str, Status], rng: RandomSource, run: ExecutionTrace
+) -> Status:
+    """Run one root tick of ``program`` on ``state`` within ``run``.
+
+    At most one fresh action starts per tick; it returns R where it is
+    reached and its sampled outcome is applied to ``state`` (latching it
+    done in ``run``) after the walk finishes, i.e. before the next root tick.
+    Later fresh actions reached in the same tick return R without starting.
+    """
+    status, started = _walk_leaves(program, state, run.latches)
     if started is not None:
         index = sample_outcome_index(started.action, rng.random())
         outcome = started.action.outcomes[index]
         outcome.apply(state)
-        latches[started.node_id] = outcome.report
+        run.latches[started.node_id] = outcome.report
         run.outcomes.append((started.action.id, index))
     return status
 
 
-def run_classic(
-    program: LeafProgram,
-    state: dict[str, Status],
-    rng: RandomSource,
-    max_ticks: int = 10000,
-) -> tuple[Status, ExecutionTrace]:
-    """Tick until a root tick starts no action; that tick's status is final."""
-    run = ExecutionTrace()
-    for _ in range(max_ticks):
-        before = len(run.outcomes)
-        status = classic_tick(program, state, rng, run)
-        if len(run.outcomes) == before:
-            return status, run
-    raise TickLimitExceeded(max_ticks)
+# Child slots one ClassicRuns memoises at most: a few MB.  Runs that leave a
+# full trie walk every tick, as tick-by-tick runs do.
+MEMO_SLOTS = 1 << 16
+
+
+class _Step:
+    """A memoised root tick that started an action.
+
+    ``children[i]`` memoises the next root tick after outcome ``i``: a
+    :class:`_Step`, the root's final :class:`Status`, ``None`` while no run
+    has walked it, or an :class:`_ApplyFails` if outcome ``i`` cannot apply.
+    ``thresholds`` are the cumulative outcome masses that
+    :func:`sample_outcome_index` compares a draw with, last one left out, or
+    ``None`` for a single outcome.  ``parent`` and ``slot`` locate the step
+    in the trie, so its history can be replayed.
+    """
+
+    __slots__ = ("action_node", "thresholds", "children", "parent", "slot")
+
+    def __init__(self, action_node, thresholds, children, parent, slot):
+        self.action_node = action_node
+        self.thresholds = thresholds
+        self.children = children
+        self.parent = parent
+        self.slot = slot
+
+
+class _ApplyFails:
+    """An outcome whose postconditions write ``literal``, which runs lack."""
+
+    __slots__ = ("literal",)
+
+    def __init__(self, literal: str):
+        self.literal = literal
+
+
+class ClassicRuns:
+    """Classic runs of one program from one initial assignment, memoised.
+
+    Every run starts from ``initial`` with no latches, so each of its root
+    ticks depends only on the outcome indices drawn so far.  The runs share
+    a trie keyed by that outcome history.  A node holds the result of one
+    leaf walk: the root's final status, or the action the tick started with
+    one child slot per outcome.  A run follows the trie and draws as
+    :func:`classic_tick` does, one draw per started action in the same
+    order, so a run returns the status, raises the same error and leaves
+    ``rng.index`` where a tick-by-tick run would.  Only a history no earlier
+    run reached pays for a leaf walk; its state is replayed from ``initial``
+    along the history once, then kept up to date while the run explores.
+
+    An outcome drawn in tick *i* is applied before tick *i + 1*, and a slot
+    is walked only when a run reaches it with a tick to spare, so a run that
+    hits ``max_ticks`` walks no more than a tick-by-tick run.  The program
+    is read-only, so the memo is valid for as long as the program is.  The
+    trie takes at most :data:`MEMO_SLOTS` child slots; a run that leaves a
+    full trie walks every tick on, memoising nothing.
+
+    A step of one outcome advances ``rng.index`` instead of drawing: a
+    :class:`~bbt.rng.CounterRng` draw depends only on its index, so every
+    later draw is unchanged.
+    """
+
+    def __init__(self, program: LeafProgram, initial: dict[str, Status]):
+        self.program = program
+        self.initial = dict(initial)
+        self._root: _Step | Status | None = None
+        self._fresh: dict[int, _Step] = {}
+        # child slots the trie may still take
+        self._room = MEMO_SLOTS
+
+    def run(self, rng: CounterRng, max_ticks: int = 10000) -> Status:
+        """Tick until a root tick starts no action; that tick's status is final."""
+        node, step, index = self._root, None, 0
+        state = latches = None
+        for _ in range(max_ticks):
+            if node.__class__ is not _Step:
+                if node is None:
+                    if state is None:
+                        state, latches = self._replay(step)
+                    if step is not None:
+                        _apply(step, index, state, latches)
+                    node = self._walk(step, index, state, latches)
+                elif node.__class__ is _ApplyFails:
+                    raise UnknownLiteral(node.literal)
+                if node.__class__ is not _Step:
+                    return node
+            step = node
+            thresholds = step.thresholds
+            if thresholds is None:
+                # one outcome: skip the draw nothing reads
+                rng.index += 1
+                index = 0
+            else:
+                index = bisect_right(thresholds, rng.random())
+            node = step.children[index]
+        if node.__class__ is _ApplyFails:
+            # the last tick's outcome fails to apply within that tick
+            raise UnknownLiteral(node.literal)
+        raise TickLimitExceeded(max_ticks)
+
+    def _replay(self, step: _Step | None) -> tuple[dict[str, Status], dict[int, Status]]:
+        """The state and latches of the root tick that ``step`` memoises."""
+        path = []
+        while step is not None and step.parent is not None:
+            path.append((step.parent, step.slot))
+            step = step.parent
+        state: dict[str, Status] = dict(self.initial)
+        latches: dict[int, Status] = {}
+        for parent, index in reversed(path):
+            _apply(parent, index, state, latches)
+        return state, latches
+
+    def _walk(self, step, index, state, latches) -> _Step | Status:
+        """Walk the tick after outcome ``index`` of ``step``; memoise it there while room lasts."""
+        status, started = _walk_leaves(self.program, state, latches)
+        node = status if started is None else self._fresh_step(started)
+        if self._room > 0:
+            if node.__class__ is _Step:
+                node = _Step(node.action_node, node.thresholds, list(node.children), step, index)
+                self._room -= len(node.children)
+            if step is None:
+                self._root = node
+            else:
+                step.children[index] = node
+        return node
+
+    def _fresh_step(self, action_node: ActionNode) -> _Step:
+        """The unlinked step of ``action_node`` whose outcomes no run has walked.
+
+        Its children are a tuple, so nothing can be memoised under it; a run
+        that has left a full trie goes on through these shared steps.
+        """
+        fresh = self._fresh.get(action_node.node_id)
+        if fresh is None:
+            outcomes = action_node.action.outcomes
+            thresholds = None
+            if len(outcomes) > 1:
+                # the sums of sample_outcome_index; their running maximum
+                # from 0 is sorted for bisect and, as draws are in [0, 1),
+                # exceeds a draw first where the sums do
+                acc, top, thresholds = 0.0, 0.0, []
+                for outcome in outcomes[:-1]:
+                    acc += outcome.probability
+                    top = max(top, acc)
+                    thresholds.append(top)
+            # applying an outcome fails on the first literal the run lacks,
+            # and a run's state always holds exactly the initial literals
+            children = tuple(
+                next((_ApplyFails(lit) for lit, _ in o.postconditions if lit not in self.initial), None)
+                for o in outcomes
+            )
+            fresh = self._fresh[action_node.node_id] = _Step(
+                action_node, thresholds, children, None, 0
+            )
+        return fresh
+
+
+def _apply(step: _Step, index: int, state: dict[str, Status], latches: dict[int, Status]) -> None:
+    outcome = step.action_node.action.outcomes[index]
+    outcome.apply(state)
+    latches[step.action_node.node_id] = outcome.report

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .classic import LeafProgram, run_classic
+from .classic import ClassicRuns, LeafProgram
 from .domain import GroundedDomain, ground, parse_domain
 from .dot import to_dot
 from .engine import SimulationLimits, simulate
@@ -108,13 +108,10 @@ def cmd_exec(args) -> int:
     domain = _load_domain(args)
     tree = load_tree(args.tree, domain)
     analytical = simulate(tree, domain.initial_belief(), _limits(args))
-    program = LeafProgram(analytical.tables)
+    runs = ClassicRuns(LeafProgram(analytical.tables), domain.initial_assignment)
     successes = 0
     for run_index in range(args.runs):
-        state = dict(domain.initial_assignment)
-        rng = CounterRng(args.seed, run_index)
-        status, _ = run_classic(program, state, rng, max_ticks=args.max_ticks)
-        if status is Status.S:
+        if runs.run(CounterRng(args.seed, run_index), args.max_ticks) is Status.S:
             successes += 1
     rate = successes / args.runs
     print(f"runs {args.runs}")

@@ -662,7 +662,11 @@ class TemplateInstance:
 
     def instantiate(self) -> BTNode:
         """Build a new subtree; repeated calls share structure, not node ids."""
-        return _expand_body(self.domain, self.schema, dict(self.bindings))
+        try:
+            return _expand_body(self.domain, self.schema, dict(self.bindings))
+        except RecursionError:
+            # _expand_body recurses once or twice per level of the body
+            raise SemanticError("template body nested too deeply", *self.schema.loc) from None
 
 
 Resolver = Union[ActionInstance, TemplateInstance]

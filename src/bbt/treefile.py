@@ -40,7 +40,12 @@ def dumps_tree(tree: BTNode) -> str:
 
 
 def save_tree(tree: BTNode, path: str | Path) -> None:
-    Path(path).write_text(dumps_tree(tree), encoding="utf-8")
+    """Write the tree file; the encoders recurse once or twice per level."""
+    try:
+        text = dumps_tree(tree)
+    except RecursionError:
+        raise SemanticError(f"{path}: tree nested too deeply to write") from None
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def tree_from_doc(doc: dict, domain: GroundedDomain) -> BTNode:

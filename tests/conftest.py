@@ -45,9 +45,21 @@ def planned_stochastic(soda_domain):
 
 
 @pytest.fixture(scope="session")
-def wide_domain():
+def wide_text() -> str:
     """The 24-item domain of ``perfbench/widegen.py``, seed 0."""
     spec = importlib.util.spec_from_file_location("widegen", WIDEGEN)
     widegen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(widegen)
-    return ground(parse_domain(widegen.generate(24, seed=0)))
+    return widegen.generate(24, seed=0)
+
+
+@pytest.fixture(scope="session")
+def wide_path(tmp_path_factory, wide_text) -> Path:
+    path = tmp_path_factory.mktemp("wide") / "wide.bbt"
+    path.write_text(wide_text, encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="session")
+def wide_domain(wide_text):
+    return ground(parse_domain(wide_text))

@@ -12,18 +12,22 @@ dropped, so latches are not observable state.  The blame is the node id of
 the condition charged in the final tick: the deepest condition returning F
 or R, the leftmost among equally deep ones, or None.
 
-It also holds the reference for classic execution, :func:`classic_tick`: a
-recursive walk over every node of the tree, against which the compiled
-:class:`~bbt.classic.LeafProgram` of :mod:`bbt.classic` is checked.  It
+It also holds the references for classic execution.  :func:`classic_tick` is
+a recursive walk over every node of the tree, against which the compiled
+:class:`~bbt.classic.LeafProgram` of :mod:`bbt.classic` is checked; it
 shares outcome sampling with :mod:`bbt.classic`, not the walk.
+:func:`run_classic` ticks one run at a time with :func:`bbt.classic.classic_tick`,
+walking every tick, against which the memoised
+:class:`~bbt.classic.ClassicRuns` is checked.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from bbt.classic import ExecutionTrace, RandomSource, sample_outcome_index
-from bbt.errors import UnknownLiteral
+from bbt import classic
+from bbt.classic import ExecutionTrace, LeafProgram, RandomSource, sample_outcome_index
+from bbt.errors import TickLimitExceeded, UnknownLiteral
 from bbt.status import Status
 from bbt.tree import ActionNode, BTNode, Condition, Fallback, Sequence, Skipper
 
@@ -119,6 +123,22 @@ def _classic_walk(
         if status is not node.continue_status:
             return status
     return node.continue_status
+
+
+def run_classic(
+    program: LeafProgram,
+    state: dict[str, Status],
+    rng: RandomSource,
+    max_ticks: int = 10000,
+) -> tuple[Status, ExecutionTrace]:
+    """Tick until a root tick starts no action; that tick's status is final."""
+    run = ExecutionTrace()
+    for _ in range(max_ticks):
+        before = len(run.outcomes)
+        status = classic.classic_tick(program, state, rng, run)
+        if len(run.outcomes) == before:
+            return status, run
+    raise TickLimitExceeded(max_ticks)
 
 
 def enumerate_terminals(

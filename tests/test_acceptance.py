@@ -7,7 +7,7 @@ import random
 import time
 
 from bbt.belief import BeliefState, PhysicalState
-from bbt.classic import LeafProgram, run_classic
+from bbt.classic import LeafProgram
 from bbt.cli import main
 from bbt.domain import ground, parse_domain
 from bbt.engine import belief_tick, simulate
@@ -20,6 +20,7 @@ from bbt.treefile import dumps_tree
 import oracle
 import randgen
 from helpers import serialize_domain
+from oracle import run_classic
 
 MASS_TOL = 1e-12
 

@@ -1,10 +1,12 @@
-"""The compiled leaf program of bbt.classic against the recursive reference."""
+"""bbt.classic against its references: the compiled leaf program against the
+recursive walk, and the memoised runs against tick-by-tick runs."""
 
 import random
 
+from bbt import classic
 from bbt.belief import ActionInstance, Outcome
-from bbt.classic import ExecutionTrace, LeafProgram, classic_tick, run_classic
-from bbt.errors import UnknownLiteral
+from bbt.classic import ClassicRuns, ExecutionTrace, LeafProgram, classic_tick
+from bbt.errors import TickLimitExceeded, UnknownLiteral
 from bbt.rng import CounterRng
 from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Sequence, Skipper, TreeTables
@@ -65,6 +67,72 @@ def test_program_matches_reference_walk():
     assert ticks > 2500 and started > 800 and unknown > 200
 
 
+def _run_or_raise(run):
+    try:
+        return run()
+    except (UnknownLiteral, TickLimitExceeded) as exc:
+        return (type(exc), str(exc))
+
+
+def test_memoised_runs_match_reference_runs(monkeypatch):
+    walks = applies = 0
+    walk_leaves, apply, memo_slots = classic._walk_leaves, Outcome.apply, classic.MEMO_SLOTS
+
+    def counted_walk(*args):
+        nonlocal walks
+        walks += 1
+        return walk_leaves(*args)
+
+    def counted_apply(*args):
+        nonlocal applies
+        applies += 1
+        return apply(*args)
+
+    monkeypatch.setattr(classic, "_walk_leaves", counted_walk)
+    monkeypatch.setattr(Outcome, "apply", counted_apply)
+    rng = random.Random(9090)
+    ended = {Status: 0, UnknownLiteral: 0, TickLimitExceeded: 0}
+    ticks = total_walks = memo_only = 0
+    for case in range(2000):
+        literals = randgen.random_literals(rng)
+        actions = randgen.random_actions(rng, literals)
+        subtrees = [
+            randgen.random_tree(rng, literals, actions, max_nodes=10)
+            for _ in range(rng.randint(1, 4))
+        ]
+        tree = rng.choice(randgen.CONTROLS)(subtrees)
+        assignment = randgen.random_assignment(rng, literals)
+        if rng.random() < 0.2:
+            del assignment[rng.choice(literals)]
+        program = LeafProgram(TreeTables(tree))
+        # a quarter of the tries fill up, so runs also go on past a full one
+        room = rng.choice((0, 2, 5)) if rng.random() < 0.25 else memo_slots
+        monkeypatch.setattr(classic, "MEMO_SLOTS", room)
+        # one executor for every run of the case, so later runs hit the trie
+        runs = ClassicRuns(program, assignment)
+        for run_index in range(20):
+            max_ticks = rng.randint(1, 6)
+            got_rng, want_rng = CounterRng(case, run_index), CounterRng(case, run_index)
+            walks = applies = 0
+            got = _run_or_raise(lambda: runs.run(got_rng, max_ticks))
+            got_walks, got_applies = walks, applies
+            walks = applies = 0
+            want = _run_or_raise(
+                lambda: oracle.run_classic(program, dict(assignment), want_rng, max_ticks)[0]
+            )
+            assert got == want, (case, run_index, got, want)
+            assert got_rng.index == want_rng.index, (case, run_index)
+            # a memoised run walks and applies no more than a tick-by-tick run
+            assert got_walks <= walks and got_applies <= applies, (case, run_index)
+            ticks += walks
+            total_walks += got_walks
+            ended[want[0] if isinstance(want, tuple) else Status] += 1
+            memo_only += got_walks == 0
+    # every ending is exercised, and most runs never leave the trie
+    assert min(ended.values()) > 1000, ended
+    assert memo_only > 20000 and total_walks < ticks / 4
+
+
 def test_deep_chain_executes_without_recursion():
     action = ActionNode(sure((("x", S),)))
     tree = action
@@ -72,11 +140,12 @@ def test_deep_chain_executes_without_recursion():
         tree = Sequence([tree])
     program = LeafProgram(TreeTables(tree))
     state = {"x": F}
-    status, run = run_classic(program, state, CounterRng(0))
+    status, run = oracle.run_classic(program, state, CounterRng(0))
     assert status is S
     assert run.outcomes == [("sure", 0)]
     assert run.latches == {action.node_id: S}
     assert state == {"x": S}
+    assert ClassicRuns(program, {"x": F}).run(CounterRng(0)) is S
 
 
 def test_wide_skipper_scans_every_child():
@@ -88,5 +157,5 @@ def test_wide_skipper_scans_every_child():
     run = ExecutionTrace()
     assert classic_tick(program, state, CounterRng(0), run) is R
     assert run.outcomes == [("sure", 0)] and state == {"r": S}
-    status, run = run_classic(program, {"r": R}, CounterRng(0))
+    status, run = oracle.run_classic(program, {"r": R}, CounterRng(0))
     assert status is S and len(run.outcomes) == 1

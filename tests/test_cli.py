@@ -14,6 +14,18 @@ from bbt.tree import ActionNode, Condition, Sequence, Skipper
 from bbt.treefile import dumps_tree, load_tree, save_tree, tree_from_doc, tree_to_doc
 
 
+SODA_GOAL_20000 = (
+    "runs 20000\n"
+    "empirical_success_rate 0.961200\n"
+    "analytical_success_probability 0.962015\n"
+)
+SODA_999_2000 = (
+    "runs 2000\n"
+    "empirical_success_rate 0.998500\n"
+    "analytical_success_probability 0.999205\n"
+)
+
+
 def run_bbt(*args):
     """Run ``python -m bbt`` in a fresh interpreter, capturing its output."""
     env = dict(os.environ)
@@ -229,32 +241,43 @@ class TestExec:
         assert rates[0] != rates[1]
 
     @pytest.mark.parametrize(
-        "prob,runs,expected",
+        "domain,plan_args,exec_args,code,out,err",
         [
-            (
-                [],
-                "20000",
-                "runs 20000\n"
-                "empirical_success_rate 0.961200\n"
-                "analytical_success_probability 0.962015\n",
+            # the first two rows keep the ids they had as (prob, runs, expected)
+            pytest.param(
+                "soda", [], ["--runs", "20000"], 0, SODA_GOAL_20000, "",
+                id=f"prob0-20000-{SODA_GOAL_20000}",
             ),
-            (
-                ["--prob", "0.999"],
-                "2000",
+            pytest.param(
+                "soda", ["--prob", "0.999"], ["--runs", "2000"], 0, SODA_999_2000, "",
+                id=f"prob1-2000-{SODA_999_2000}",
+            ),
+            pytest.param(
+                "wide", [], ["--runs", "2000"], 0,
                 "runs 2000\n"
-                "empirical_success_rate 0.998500\n"
-                "analytical_success_probability 0.999205\n",
+                "empirical_success_rate 0.919500\n"
+                "analytical_success_probability 0.921600\n",
+                "",
+                id="wide-2000",
+            ),
+            pytest.param(
+                "soda", [], ["--runs", "2000", "--max-ticks", "3"], 3,
+                "", "simulation limit: exceeded the limit of 3 root ticks\n",
+                id="max-ticks-3",
             ),
         ],
     )
-    def test_pinned_output(self, tmp_path, soda_path, capsys, prob, runs, expected):
+    def test_pinned_output(
+        self, request, tmp_path, capsys, domain, plan_args, exec_args, code, out, err
+    ):
         # the sampled runs of a seed are part of the output contract
+        path = request.getfixturevalue(f"{domain}_path")
         tree = tmp_path / "tree.json"
-        assert main(["plan", "--domain", str(soda_path), "--out", str(tree), *prob]) == 0
+        assert main(["plan", "--domain", str(path), "--out", str(tree), *plan_args]) == 0
         capsys.readouterr()
-        argv = ["exec", "--domain", str(soda_path), "--tree", str(tree), "--seed", "42"]
-        assert main([*argv, "--runs", runs]) == 0
-        assert capsys.readouterr().out == expected
+        argv = ["exec", "--domain", str(path), "--tree", str(tree), "--seed", "42"]
+        assert main([*argv, *exec_args]) == code
+        assert capsys.readouterr() == (out, err)
 
     @pytest.mark.parametrize("runs", ["0", "-3"])
     def test_runs_below_one_exits_1(self, planned_paths, soda_path, capsys, runs):
@@ -417,6 +440,29 @@ class TestTreeFile:
         assert proc.returncode == 1
         assert proc.stderr == "error: 4:1: template body nested too deeply\n"
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("depth", [450, 600, 900, 990])
+    def test_deep_template_expansion_exits_0_or_1(self, tmp_path, depth):
+        # parses, but the planner instantiates the body only the template can
+        # establish the goal with; expansion and tree writing both recurse
+        body = "seq { " * depth + "act light_on()" + " }" * depth
+        path = tmp_path / "deep.bbt"
+        path.write_text(
+            "param p { a }\n"
+            "condition lit values { S F }\n"
+            "condition done values { S F }\n"
+            "action light_on { pre { } outcome 1.0 -> S { lit = S } }\n"
+            f"template t(p) {{ pre {{ }} declared 1.0 {{ done = S }} body {body} }}\n"
+            "initial { lit = F ; done = F }\n"
+            "goal { done = S } prob 0.9\n",
+            encoding="utf-8",
+        )
+        proc = run_bbt("plan", "--domain", str(path), "--out", str(tmp_path / "tree.json"))
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode in (0, 1)
+        if proc.returncode == 1:
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+            assert "nested too deeply" in proc.stderr
 
     def test_latches_not_serialized(self, soda_domain):
         action = ActionNode(soda_domain.actions_by_id["light_on"])

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
-from bbt.classic import LeafProgram, run_classic
+from bbt.classic import LeafProgram
 from bbt.engine import (
     SimulationLimits,
     apply_delayed,
@@ -18,6 +18,7 @@ from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper, TreeTab
 
 import oracle
 import randgen
+from oracle import run_classic
 
 S, F, R = Status.S, Status.F, Status.R
 MASS_TOL = 1e-12

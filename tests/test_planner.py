@@ -1,7 +1,7 @@
 import pytest
 
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
-from bbt.classic import LeafProgram, run_classic
+from bbt.classic import LeafProgram
 from bbt.domain import ground, parse_domain
 from bbt.engine import simulate
 from bbt.errors import EmptyGoal, IterationLimit, NoResolver, NothingFailed
@@ -27,6 +27,8 @@ from bbt.tree import (
     TreeTables,
 )
 from bbt.treefile import dumps_tree
+
+from oracle import run_classic
 
 S, F, R = Status.S, Status.F, Status.R
 

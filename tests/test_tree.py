@@ -1,7 +1,7 @@
 import pytest
 
 from bbt.belief import ActionInstance, Outcome
-from bbt.classic import ExecutionTrace, LeafProgram, classic_tick, run_classic
+from bbt.classic import ExecutionTrace, LeafProgram, classic_tick
 from bbt.dot import to_dot
 from bbt.errors import UnknownLiteral
 from bbt.rng import CounterRng
@@ -17,6 +17,7 @@ from bbt.tree import (
 from bbt.treefile import dumps_tree, tree_to_doc
 
 from helpers import validate_tree
+from oracle import run_classic
 
 S, F, R = Status.S, Status.F, Status.R
 
