@@ -13,7 +13,6 @@ from pathlib import Path
 
 from bbt import (
     ClassicRuns,
-    CounterRng,
     LeafProgram,
     Status,
     ground,
@@ -44,9 +43,7 @@ def main() -> None:
     print(f"binomial standard error at n={args.runs}: {stderr:.6f}")
     print("seed\tempirical\tdeviation/se")
     for seed in range(args.seeds):
-        hits = 0
-        for run_index in range(args.runs):
-            hits += runs.run(CounterRng(seed, run_index)) is Status.S
+        hits = sum(status is Status.S for status in runs.statuses(seed, range(args.runs)))
         rate = hits / args.runs
         sigmas = (rate - analytical) / stderr if stderr else 0.0
         print(f"{seed}\t{rate:.6f}\t{sigmas:+.2f}")

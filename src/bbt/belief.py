@@ -12,7 +12,7 @@ with the state they come from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from .errors import UnknownLiteral
@@ -47,16 +47,29 @@ class Outcome:
 
 @dataclass(frozen=True)
 class ActionInstance:
-    """A grounded action: preconditions plus a distribution over outcomes."""
+    """A grounded action: preconditions plus a distribution over outcomes.
+
+    ``clobbers`` holds the literals some outcome sets to anything other than
+    S.  It is derived from the outcomes, so it is left out of the
+    constructor, equality, hashing and ``repr``.
+    """
 
     id: str
     preconditions: tuple[tuple[str, Status], ...]
     outcomes: tuple[Outcome, ...]
+    clobbers: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         total = sum(o.probability for o in self.outcomes)
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"outcome probabilities of {self.id!r} sum to {total!r}, not 1")
+        clobbers = frozenset(
+            lit
+            for outcome in self.outcomes
+            for lit, value in outcome.postconditions
+            if value is not Status.S
+        )
+        object.__setattr__(self, "clobbers", clobbers)
 
 
 class PhysicalState:

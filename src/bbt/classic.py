@@ -17,18 +17,20 @@ edited.
 :func:`classic_tick` runs one tick of one run.  ``bbt exec`` runs many from
 one initial assignment through :class:`ClassicRuns`, which memoises root
 ticks in a trie keyed by outcome history: only a history no earlier run
-reached costs a leaf walk, and every draw matches a tick-by-tick run.  Both
-read leaves with the same walker.
+reached costs a leaf walk.  One loop, :meth:`ClassicRuns.statuses`, runs
+every run of an exec with the splitmix64 draw inlined; run *r*'s draw at
+tick *t* is ``bbt.rng.draw(seed, r, t)``, the draw a tick-by-tick run with
+``CounterRng(seed, r)`` makes there.  Both read leaves with the same walker.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Iterable, Iterator, Protocol
 
 from .errors import TickLimitExceeded, UnknownLiteral
-from .rng import CounterRng
+from .rng import _GOLDEN, _MASK64, _MUL1, _MUL2, _UNIT, _mix
 from .status import Status
 from .tree import ActionNode, TreeTables
 
@@ -203,11 +205,12 @@ class ClassicRuns:
     a trie keyed by that outcome history.  A node holds the result of one
     leaf walk: the root's final status, or the action the tick started with
     one child slot per outcome.  A run follows the trie and draws as
-    :func:`classic_tick` does, one draw per started action in the same
-    order, so a run returns the status, raises the same error and leaves
-    ``rng.index`` where a tick-by-tick run would.  Only a history no earlier
-    run reached pays for a leaf walk; its state is replayed from ``initial``
-    along the history once, then kept up to date while the run explores.
+    :func:`classic_tick` does with a :class:`~bbt.rng.CounterRng` of its
+    own, one draw per started action in the same order, so a run returns
+    the status and raises the same error as a tick-by-tick run.  Only a
+    history no earlier run reached pays for a leaf walk; its state is
+    replayed from ``initial`` along the history once, then kept up to date
+    while the run explores.
 
     An outcome drawn in tick *i* is applied before tick *i + 1*, and a slot
     is walked only when a run reaches it with a tick to spare, so a run that
@@ -215,10 +218,6 @@ class ClassicRuns:
     is read-only, so the memo is valid for as long as the program is.  The
     trie takes at most :data:`MEMO_SLOTS` child slots; a run that leaves a
     full trie walks every tick on, memoising nothing.
-
-    A step of one outcome advances ``rng.index`` instead of drawing: a
-    :class:`~bbt.rng.CounterRng` draw depends only on its index, so every
-    later draw is unchanged.
     """
 
     def __init__(self, program: LeafProgram, initial: dict[str, Status]):
@@ -229,35 +228,67 @@ class ClassicRuns:
         # child slots the trie may still take
         self._room = MEMO_SLOTS
 
-    def run(self, rng: CounterRng, max_ticks: int = 10000) -> Status:
-        """Tick until a root tick starts no action; that tick's status is final."""
-        node, step, index = self._root, None, 0
-        state = latches = None
-        for _ in range(max_ticks):
-            if node.__class__ is not _Step:
-                if node is None:
-                    if state is None:
-                        state, latches = self._replay(step)
-                    if step is not None:
-                        _apply(step, index, state, latches)
-                    node = self._walk(step, index, state, latches)
-                elif node.__class__ is _ApplyFails:
-                    raise UnknownLiteral(node.literal)
+    def statuses(
+        self, seed: int, streams: Iterable[int], max_ticks: int = 10000
+    ) -> Iterator[Status]:
+        """The final status of one run per stream, in stream order.
+
+        A run ticks until a root tick starts no action; that tick's status
+        is final.  One loop runs every run: run ``r``'s draw at tick ``t`` is
+        ``bbt.rng.draw(seed, r, t)`` bit for bit.  The seed is mixed once per
+        call and the stream once per run, and each draw is one inlined
+        splitmix64 finalizer, so no run builds a :class:`~bbt.rng.CounterRng`
+        and no draw is a call.  A step of one outcome draws nothing, but its
+        tick still takes its index, as :func:`classic_tick` would draw there.
+
+        A run that reaches an outcome it cannot apply raises
+        :class:`~bbt.errors.UnknownLiteral`, and one still running after
+        ``max_ticks`` root ticks raises
+        :class:`~bbt.errors.TickLimitExceeded`; either ends the iteration.
+        ``bbt exec`` does not reach this budget in practice: it first runs
+        ``simulate`` under the same budget, and without pruning that
+        simulation ticks at least as long as any run, so it fails first.
+        The budget stays for library callers, whose runs have no such guard.
+        """
+        golden, mask, mul1, mul2, unit = _GOLDEN, _MASK64, _MUL1, _MUL2, _UNIT
+        mixed_seed = _mix(seed & mask)
+        for stream in streams:
+            # base = _mix(mixed_seed ^ stream), inlined
+            x = ((mixed_seed ^ (stream & mask)) + golden) & mask
+            x = ((x ^ (x >> 30)) * mul1) & mask
+            x = ((x ^ (x >> 27)) * mul2) & mask
+            base = x ^ (x >> 31)
+            node, step, index = self._root, None, 0
+            state = latches = None
+            for tick in range(max_ticks):
                 if node.__class__ is not _Step:
-                    return node
-            step = node
-            thresholds = step.thresholds
-            if thresholds is None:
-                # one outcome: skip the draw nothing reads
-                rng.index += 1
-                index = 0
+                    if node is None:
+                        if state is None:
+                            state, latches = self._replay(step)
+                        if step is not None:
+                            _apply(step, index, state, latches)
+                        node = self._walk(step, index, state, latches)
+                    elif node.__class__ is _ApplyFails:
+                        raise UnknownLiteral(node.literal)
+                    if node.__class__ is not _Step:
+                        break
+                step = node
+                thresholds = step.thresholds
+                if thresholds is None:
+                    index = 0
+                else:
+                    # draw(seed, stream, tick) = _mix(base ^ tick), inlined
+                    x = ((base ^ tick) + golden) & mask
+                    x = ((x ^ (x >> 30)) * mul1) & mask
+                    x = ((x ^ (x >> 27)) * mul2) & mask
+                    index = bisect_right(thresholds, ((x ^ (x >> 31)) >> 11) * unit)
+                node = step.children[index]
             else:
-                index = bisect_right(thresholds, rng.random())
-            node = step.children[index]
-        if node.__class__ is _ApplyFails:
-            # the last tick's outcome fails to apply within that tick
-            raise UnknownLiteral(node.literal)
-        raise TickLimitExceeded(max_ticks)
+                if node.__class__ is _ApplyFails:
+                    # the last tick's outcome fails to apply within that tick
+                    raise UnknownLiteral(node.literal)
+                raise TickLimitExceeded(max_ticks)
+            yield node
 
     def _replay(self, step: _Step | None) -> tuple[dict[str, Status], dict[int, Status]]:
         """The state and latches of the root tick that ``step`` memoises."""

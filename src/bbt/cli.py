@@ -31,7 +31,6 @@ from .errors import (
     UnresolvableThreat,
 )
 from .planner import plan_request_from_domain, refine_tree
-from .rng import CounterRng
 from .status import Status
 from .treefile import load_tree, save_tree
 
@@ -110,9 +109,8 @@ def cmd_exec(args) -> int:
     analytical = simulate(tree, domain.initial_belief(), _limits(args))
     runs = ClassicRuns(LeafProgram(analytical.tables), domain.initial_assignment)
     successes = 0
-    for run_index in range(args.runs):
-        if runs.run(CounterRng(args.seed, run_index), args.max_ticks) is Status.S:
-            successes += 1
+    for status in runs.statuses(args.seed, range(args.runs), args.max_ticks):
+        successes += status is Status.S
     rate = successes / args.runs
     print(f"runs {args.runs}")
     print(f"empirical_success_rate {rate:.6f}")

@@ -286,14 +286,7 @@ def find_threat(tables: TreeTables, target_node: Condition, literal: str) -> Act
     tree.
     """
     for node in tables.order[: tables.rank[target_node.node_id]]:
-        if not isinstance(node, ActionNode):
-            continue
-        clobbers = any(
-            lit == literal and value is not Status.S
-            for outcome in node.action.outcomes
-            for lit, value in outcome.postconditions
-        )
-        if clobbers:
+        if isinstance(node, ActionNode) and literal in node.action.clobbers:
             return node
     return None
 

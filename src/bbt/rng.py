@@ -2,20 +2,28 @@
 
 Every draw is a pure function of ``(seed, stream, index)``, so independent
 runs (and, if needed, workers) can compute draws without sharing state.
-Mixing is the splitmix64 finalizer.
+Mixing is the splitmix64 finalizer (Steele, Lea & Flood, "Fast splittable
+pseudorandom number generators", OOPSLA 2014).
+
+:func:`draw` and :class:`CounterRng` are the reference definition.
+``bbt exec`` computes the same words inline, one loop for every run
+(:meth:`bbt.classic.ClassicRuns.statuses`): run *r*'s draw at tick *t* is
+``draw(seed, r, t)``.
 """
 
 from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 _UNIT = 1.0 / (1 << 53)
 
 
 def _mix(x: int) -> int:
     x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = ((x ^ (x >> 30)) * _MUL1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MUL2) & _MASK64
     return x ^ (x >> 31)
 
 

@@ -1,13 +1,14 @@
 """bbt.classic against its references: the compiled leaf program against the
 recursive walk, and the memoised runs against tick-by-tick runs."""
 
+import bisect
 import random
 
 from bbt import classic
 from bbt.belief import ActionInstance, Outcome
 from bbt.classic import ClassicRuns, ExecutionTrace, LeafProgram, classic_tick
 from bbt.errors import TickLimitExceeded, UnknownLiteral
-from bbt.rng import CounterRng
+from bbt.rng import CounterRng, draw
 from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Sequence, Skipper, TreeTables
 
@@ -112,16 +113,15 @@ def test_memoised_runs_match_reference_runs(monkeypatch):
         runs = ClassicRuns(program, assignment)
         for run_index in range(20):
             max_ticks = rng.randint(1, 6)
-            got_rng, want_rng = CounterRng(case, run_index), CounterRng(case, run_index)
             walks = applies = 0
-            got = _run_or_raise(lambda: runs.run(got_rng, max_ticks))
+            got = _run_or_raise(lambda: next(runs.statuses(case, [run_index], max_ticks)))
             got_walks, got_applies = walks, applies
             walks = applies = 0
+            want_rng = CounterRng(case, run_index)
             want = _run_or_raise(
                 lambda: oracle.run_classic(program, dict(assignment), want_rng, max_ticks)[0]
             )
             assert got == want, (case, run_index, got, want)
-            assert got_rng.index == want_rng.index, (case, run_index)
             # a memoised run walks and applies no more than a tick-by-tick run
             assert got_walks <= walks and got_applies <= applies, (case, run_index)
             ticks += walks
@@ -131,6 +131,52 @@ def test_memoised_runs_match_reference_runs(monkeypatch):
     # every ending is exercised, and most runs never leave the trie
     assert min(ended.values()) > 1000, ended
     assert memo_only > 20000 and total_walks < ticks / 4
+
+
+def test_each_draw_is_the_counter_draw_of_its_run_and_tick(monkeypatch):
+    # every comparison a run makes: (thresholds it compares against, draw)
+    compared = []
+
+    def recorded_bisect(thresholds, u):
+        compared.append((len(thresholds), u))
+        return bisect.bisect_right(thresholds, u)
+
+    monkeypatch.setattr(classic, "bisect_right", recorded_bisect)
+    rng = random.Random(5151)
+    # seeds outside [0, 2**64) are masked to 64 bits, as draw() does
+    seeds = (0, 1, 415, -1, -5, -(2**70), 2**64, 2**64 + 5, 2**70)
+    draws = skipped = 0
+    for case in range(400):
+        literals = randgen.random_literals(rng)
+        actions = randgen.random_actions(rng, literals)
+        by_id = {action.id: action for action in actions}
+        subtrees = [
+            randgen.random_tree(rng, literals, actions, max_nodes=10)
+            for _ in range(rng.randint(1, 4))
+        ]
+        tree = rng.choice(randgen.CONTROLS)(subtrees)
+        assignment = randgen.random_assignment(rng, literals)
+        program = LeafProgram(TreeTables(tree))
+        seed = seeds[case % len(seeds)]
+        compared.clear()
+        got = list(ClassicRuns(program, assignment).statuses(seed, range(8)))
+        want, want_compared = [], []
+        for run_index in range(8):
+            status, trace = oracle.run_classic(
+                program, dict(assignment), CounterRng(seed, run_index)
+            )
+            want.append(status)
+            # tick t starts the run's t-th action; one outcome draws nothing
+            for tick, (action_id, _) in enumerate(trace.outcomes):
+                n_outcomes = len(by_id[action_id].outcomes)
+                if n_outcomes > 1:
+                    want_compared.append((n_outcomes - 1, draw(seed, run_index, tick)))
+                else:
+                    skipped += 1
+        assert got == want, case
+        assert compared == want_compared, case
+        draws += len(compared)
+    assert draws > 1000 and skipped > 400, (draws, skipped)
 
 
 def test_deep_chain_executes_without_recursion():
@@ -145,7 +191,7 @@ def test_deep_chain_executes_without_recursion():
     assert run.outcomes == [("sure", 0)]
     assert run.latches == {action.node_id: S}
     assert state == {"x": S}
-    assert ClassicRuns(program, {"x": F}).run(CounterRng(0)) is S
+    assert list(ClassicRuns(program, {"x": F}).statuses(0, [0])) == [S]
 
 
 def test_wide_skipper_scans_every_child():

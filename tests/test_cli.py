@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,11 @@ from bbt.cli import main
 from bbt.domain import ground, parse_domain
 from bbt.dot import to_dot
 from bbt.errors import SemanticError
-from bbt.tree import ActionNode, Condition, Sequence, Skipper
+from bbt.planner import plan_request_from_domain, refine_tree
+from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper
 from bbt.treefile import dumps_tree, load_tree, save_tree, tree_from_doc, tree_to_doc
+
+import randgen
 
 
 SODA_GOAL_20000 = (
@@ -265,6 +269,23 @@ class TestExec:
                 "", "simulation limit: exceeded the limit of 3 root ticks\n",
                 id="max-ticks-3",
             ),
+            # seeds outside [0, 2**64) are masked to 64 bits before mixing
+            pytest.param(
+                "soda", [], ["--runs", "2000", "--seed", "-1"], 0,
+                "runs 2000\n"
+                "empirical_success_rate 0.956500\n"
+                "analytical_success_probability 0.962015\n",
+                "",
+                id="seed-minus-1",
+            ),
+            pytest.param(
+                "soda", [], ["--runs", "2000", "--seed", str(2**64 + 5)], 0,
+                "runs 2000\n"
+                "empirical_success_rate 0.965000\n"
+                "analytical_success_probability 0.962015\n",
+                "",
+                id="seed-2**64+5",
+            ),
         ],
     )
     def test_pinned_output(
@@ -371,6 +392,44 @@ class TestTreeFile:
         loaded = tree_from_doc(doc, soda_domain)
         assert dumps_tree(loaded) == dumps_tree(planned_stochastic.tree)
 
+    def test_dumps_matches_json_dumps(self, soda_domain, wide_domain):
+        def check(tree):
+            assert dumps_tree(tree) == json.dumps(tree_to_doc(tree), indent=2) + "\n"
+
+        rng = random.Random(3131)
+        for _ in range(500):
+            literals = randgen.random_literals(rng)
+            actions = randgen.random_actions(rng, literals)
+            check(randgen.random_tree(rng, literals, actions, max_nodes=20))
+        # strings that json.dumps escapes
+        check(Sequence([Condition('q"b\\s\u00fc\n'), Skipper([Condition("\u2192")])]))
+        for domain, prob in ((soda_domain, None), (soda_domain, 0.999), (wide_domain, None)):
+            check(refine_tree(plan_request_from_domain(domain, prob)).tree)
+
+    def test_deep_chain_saves_without_recursion(self, soda_domain, tmp_path):
+        def chain(depth):
+            tree = Condition("seen(soda)")
+            for level in range(depth):
+                tree = (Sequence, Fallback, Skipper)[level % 3]([tree])
+            return tree
+
+        # shallow enough for json's own indenting encoder, which recurses
+        shallow = chain(300)
+        assert dumps_tree(shallow) == json.dumps(tree_to_doc(shallow), indent=2) + "\n"
+        tree = chain(3000)
+        kinds = [node.kind for node in tree.iter_nodes()]
+        loaded = tree_from_doc(tree_to_doc(tree), soda_domain)
+        assert [node.kind for node in loaded.iter_nodes()] == kinds
+        # the indent alone makes the file about 90 MB; check its ends
+        path = tmp_path / "deep.json"
+        save_tree(tree, path)
+        with path.open("rb") as f:
+            head = f.read(64)
+            f.seek(-64, 2)
+            tail = f.read()
+        assert head.startswith(b'{\n  "format": 1,\n  "root": {\n    "kind": "skipper",\n')
+        assert tail.endswith(b"\n        ]\n      }\n    ]\n  }\n}\n")
+
     def test_unknown_action_rejected(self, soda_domain, soda_path, tmp_path, capsys):
         cond = {"kind": "condition", "literal": "at(table1)"}
         bad_docs = [
@@ -444,7 +503,7 @@ class TestTreeFile:
     @pytest.mark.parametrize("depth", [450, 600, 900, 990])
     def test_deep_template_expansion_exits_0_or_1(self, tmp_path, depth):
         # parses, but the planner instantiates the body only the template can
-        # establish the goal with; expansion and tree writing both recurse
+        # establish the goal with, and expansion recurses
         body = "seq { " * depth + "act light_on()" + " }" * depth
         path = tmp_path / "deep.bbt"
         path.write_text(

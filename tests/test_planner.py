@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
@@ -28,6 +30,7 @@ from bbt.tree import (
 )
 from bbt.treefile import dumps_tree
 
+import randgen
 from oracle import run_classic
 
 S, F, R = Status.S, Status.F, Status.R
@@ -314,6 +317,34 @@ class TestThreats:
         target = Condition("a")
         tree = Sequence([Sequence([make_b]), target])
         assert find_threat(TreeTables(tree), target, "a") is None
+
+    def test_clobbers_match_the_outcome_scan(self):
+        # the scan find_threat made before actions carried their clobbers
+        def scanned_threat(tables, target, literal):
+            for node in tables.order[: tables.rank[target.node_id]]:
+                if isinstance(node, ActionNode) and any(
+                    lit == literal and value is not S
+                    for outcome in node.action.outcomes
+                    for lit, value in outcome.postconditions
+                ):
+                    return node
+            return None
+
+        rng = random.Random(2828)
+        checks = threats = 0
+        for _ in range(2000):
+            literals = randgen.random_literals(rng)
+            actions = randgen.random_actions(rng, literals)
+            tables = TreeTables(randgen.random_tree(rng, literals, actions, max_nodes=12))
+            for target in tables.order:
+                if not isinstance(target, Condition):
+                    continue
+                for literal in literals:
+                    want = scanned_threat(tables, target, literal)
+                    assert find_threat(tables, target, literal) is want
+                    checks += 1
+                    threats += want is not None
+        assert threats > 500 and checks - threats > 2000, (checks, threats)
 
     def test_unresolvable_threat_reported(self):
         from bbt.errors import UnresolvableThreat
