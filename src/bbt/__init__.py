@@ -7,17 +7,10 @@ until a goal holds with a target probability.
 """
 
 from .belief import ActionInstance, BeliefState, Outcome, PhysicalState
-from .classic import ClassicRuns, ExecutionTrace, LeafProgram, classic_tick
+from .classic import ClassicRuns, LeafProgram
 from .domain import DomainSpec, GroundedDomain, TemplateInstance, ground, parse_domain
 from .dot import to_dot
-from .engine import (
-    SimulationLimits,
-    SimulationResult,
-    apply_delayed,
-    belief_tick,
-    schedule_delayed,
-    simulate,
-)
+from .engine import SimulationLimits, SimulationResult, simulate
 from .planner import (
     FailedConditionReport,
     PlanRequest,
@@ -41,7 +34,7 @@ from .tree import (
     Sequence,
     Skipper,
 )
-from .treefile import dumps_tree, load_tree, save_tree, tree_from_doc, tree_to_doc
+from .treefile import dumps_tree, load_tree, save_tree, tree_from_doc
 
 __all__ = [
     "ActionInstance",
@@ -53,7 +46,6 @@ __all__ = [
     "ControlNode",
     "CounterRng",
     "DomainSpec",
-    "ExecutionTrace",
     "FailedConditionReport",
     "Fallback",
     "GroundedDomain",
@@ -68,9 +60,6 @@ __all__ = [
     "Skipper",
     "Status",
     "TemplateInstance",
-    "apply_delayed",
-    "belief_tick",
-    "classic_tick",
     "draw",
     "dumps_tree",
     "find_failed_condition",
@@ -83,10 +72,8 @@ __all__ = [
     "resolve_by_insert",
     "resolve_threat",
     "save_tree",
-    "schedule_delayed",
     "select_resolver",
     "simulate",
     "to_dot",
     "tree_from_doc",
-    "tree_to_doc",
 ]

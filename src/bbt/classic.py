@@ -2,8 +2,8 @@
 
 This is the runtime counterpart of the belief-space engine and the basis of
 the Monte Carlo cross-check.  The state is a plain ``dict`` mapping every
-grounded literal to a :class:`~bbt.status.Status`; ticks mutate only that
-dict and the run's :class:`ExecutionTrace`, which holds the action latches.
+grounded literal to a :class:`~bbt.status.Status`; a run's latches map the
+node id of every action it finished to that action's report status.
 
 A tick visits leaves only.  A control node returns the status of the last
 child it scans, so a status passes up the tree unchanged, and where a tick
@@ -14,20 +14,18 @@ from the tree's :class:`~bbt.tree.TreeTables`, is read-only during runs
 (so one program serves any number of runs) and is stale once the tree is
 edited.
 
-:func:`classic_tick` runs one tick of one run.  ``bbt exec`` runs many from
-one initial assignment through :class:`ClassicRuns`, which memoises root
-ticks in a trie keyed by outcome history: only a history no earlier run
-reached costs a leaf walk.  One loop, :meth:`ClassicRuns.statuses`, runs
-every run of an exec with the splitmix64 draw inlined; run *r*'s draw at
-tick *t* is ``bbt.rng.draw(seed, r, t)``, the draw a tick-by-tick run with
-``CounterRng(seed, r)`` makes there.  Both read leaves with the same walker.
+``bbt exec`` runs many runs from one initial assignment through
+:class:`ClassicRuns`, which memoises root ticks in a trie keyed by outcome
+history: only a history no earlier run reached costs a leaf walk.  One loop,
+:meth:`ClassicRuns.statuses`, runs every run of an exec with the splitmix64
+draw inlined; run *r*'s draw at tick *t* is ``bbt.rng.draw(seed, r, t)``,
+the *t*-th draw of ``CounterRng(seed, r)``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Iterator
 
 from .errors import TickLimitExceeded, UnknownLiteral
 from .rng import _GOLDEN, _MASK64, _MUL1, _MUL2, _UNIT, _mix
@@ -38,22 +36,6 @@ _S, _F, _R = Status.S, Status.F, Status.R
 _SLOT = {_S: 0, _F: 1, _R: 2}
 # jump target meaning "the root returns the status just read"
 RETURN = -1
-
-
-class RandomSource(Protocol):
-    def random(self) -> float: ...
-
-
-@dataclass
-class ExecutionTrace:
-    """Per-run executor state: action latches plus each realized outcome.
-
-    ``latches`` maps the node id of every finished action to its report
-    status; ``outcomes`` lists ``(action id, outcome index)`` in start order.
-    """
-
-    latches: dict[int, Status] = field(default_factory=dict)
-    outcomes: list[tuple[str, int]] = field(default_factory=list)
 
 
 class LeafProgram:
@@ -101,16 +83,6 @@ class LeafProgram:
         self.entry = leftmost[0]
 
 
-def sample_outcome_index(action, u: float) -> int:
-    """Map a uniform draw in [0, 1) to an outcome index by cumulative mass."""
-    acc = 0.0
-    for i, outcome in enumerate(action.outcomes):
-        acc += outcome.probability
-        if u < acc:
-            return i
-    return len(action.outcomes) - 1
-
-
 def _walk_leaves(
     program: LeafProgram, state: dict[str, Status], latches: dict[int, Status]
 ) -> tuple[Status, ActionNode | None]:
@@ -141,28 +113,8 @@ def _walk_leaves(
     return status, started
 
 
-def classic_tick(
-    program: LeafProgram, state: dict[str, Status], rng: RandomSource, run: ExecutionTrace
-) -> Status:
-    """Run one root tick of ``program`` on ``state`` within ``run``.
-
-    At most one fresh action starts per tick; it returns R where it is
-    reached and its sampled outcome is applied to ``state`` (latching it
-    done in ``run``) after the walk finishes, i.e. before the next root tick.
-    Later fresh actions reached in the same tick return R without starting.
-    """
-    status, started = _walk_leaves(program, state, run.latches)
-    if started is not None:
-        index = sample_outcome_index(started.action, rng.random())
-        outcome = started.action.outcomes[index]
-        outcome.apply(state)
-        run.latches[started.node_id] = outcome.report
-        run.outcomes.append((started.action.id, index))
-    return status
-
-
 # Child slots one ClassicRuns memoises at most: a few MB.  Runs that leave a
-# full trie walk every tick, as tick-by-tick runs do.
+# full trie walk the leaves of every tick.
 MEMO_SLOTS = 1 << 16
 
 
@@ -172,10 +124,10 @@ class _Step:
     ``children[i]`` memoises the next root tick after outcome ``i``: a
     :class:`_Step`, the root's final :class:`Status`, ``None`` while no run
     has walked it, or an :class:`_ApplyFails` if outcome ``i`` cannot apply.
-    ``thresholds`` are the cumulative outcome masses that
-    :func:`sample_outcome_index` compares a draw with, last one left out, or
-    ``None`` for a single outcome.  ``parent`` and ``slot`` locate the step
-    in the trie, so its history can be replayed.
+    ``thresholds`` are the cumulative outcome masses, last one left out,
+    that a draw is compared with to pick an outcome, or ``None`` for a
+    single outcome.  ``parent`` and ``slot`` locate the step in the trie,
+    so its history can be replayed.
     """
 
     __slots__ = ("action_node", "thresholds", "children", "parent", "slot")
@@ -204,17 +156,17 @@ class ClassicRuns:
     ticks depends only on the outcome indices drawn so far.  The runs share
     a trie keyed by that outcome history.  A node holds the result of one
     leaf walk: the root's final status, or the action the tick started with
-    one child slot per outcome.  A run follows the trie and draws as
-    :func:`classic_tick` does with a :class:`~bbt.rng.CounterRng` of its
-    own, one draw per started action in the same order, so a run returns
-    the status and raises the same error as a tick-by-tick run.  Only a
+    one child slot per outcome.  A run follows the trie and draws once per
+    started action; the outcome drawn is the first whose cumulative mass
+    exceeds the draw, or the last.  So a run returns the status and raises
+    the error of a run that walks the leaves of every tick.  Only a
     history no earlier run reached pays for a leaf walk; its state is
     replayed from ``initial`` along the history once, then kept up to date
     while the run explores.
 
     An outcome drawn in tick *i* is applied before tick *i + 1*, and a slot
     is walked only when a run reaches it with a tick to spare, so a run that
-    hits ``max_ticks`` walks no more than a tick-by-tick run.  The program
+    hits ``max_ticks`` walks no more than once per tick.  The program
     is read-only, so the memo is valid for as long as the program is.  The
     trie takes at most :data:`MEMO_SLOTS` child slots; a run that leaves a
     full trie walks every tick on, memoising nothing.
@@ -239,7 +191,8 @@ class ClassicRuns:
         call and the stream once per run, and each draw is one inlined
         splitmix64 finalizer, so no run builds a :class:`~bbt.rng.CounterRng`
         and no draw is a call.  A step of one outcome draws nothing, but its
-        tick still takes its index, as :func:`classic_tick` would draw there.
+        tick still takes its index, so later ticks draw as they would if it
+        drew.
 
         A run that reaches an outcome it cannot apply raises
         :class:`~bbt.errors.UnknownLiteral`, and one still running after
@@ -327,9 +280,9 @@ class ClassicRuns:
             outcomes = action_node.action.outcomes
             thresholds = None
             if len(outcomes) > 1:
-                # the sums of sample_outcome_index; their running maximum
-                # from 0 is sorted for bisect and, as draws are in [0, 1),
-                # exceeds a draw first where the sums do
+                # cumulative outcome masses; their running maximum from 0
+                # is sorted for bisect and, as draws are in [0, 1), exceeds
+                # a draw first where the sums do
                 acc, top, thresholds = 0.0, 0.0, []
                 for outcome in outcomes[:-1]:
                     acc += outcome.probability

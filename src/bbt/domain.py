@@ -435,7 +435,6 @@ def _check_duplicates(names: Iterable[tuple[str, Loc]], what: str) -> None:
 
 
 def _validate_reference(
-    spec: DomainSpec,
     spaces: dict[str, ParamSpace],
     enclosing_params: tuple[str, ...],
     signature: tuple[str, ...],
@@ -461,7 +460,6 @@ def _validate_reference(
 
 
 def _validate_assignments(
-    spec: DomainSpec,
     spaces: dict[str, ParamSpace],
     conditions: dict[str, ConditionSchema],
     assignments: tuple[Assignment, ...],
@@ -473,7 +471,7 @@ def _validate_assignments(
         if schema is None:
             raise SemanticError(f"unknown condition {asgn.name!r} in {context}", *asgn.loc)
         _validate_reference(
-            spec, spaces, enclosing_params, schema.params, asgn.name, asgn.args, asgn.loc
+            spaces, enclosing_params, schema.params, asgn.name, asgn.args, asgn.loc
         )
         if asgn.value not in schema.values:
             raise SemanticError(
@@ -530,7 +528,7 @@ def validate_domain(spec: DomainSpec) -> None:
     for action in spec.actions:
         _validate_signature_spaces(spaces, action.params, f"action {action.name!r}", action.loc)
         _validate_assignments(
-            spec, spaces, conditions, action.preconditions, action.params,
+            spaces, conditions, action.preconditions, action.params,
             f"preconditions of {action.name!r}",
         )
         if not action.outcomes:
@@ -538,7 +536,7 @@ def validate_domain(spec: DomainSpec) -> None:
         _validate_outcomes(action.outcomes, f"action {action.name!r}", action.loc)
         for outcome in action.outcomes:
             _validate_assignments(
-                spec, spaces, conditions, outcome.assignments, action.params,
+                spaces, conditions, outcome.assignments, action.params,
                 f"outcome of {action.name!r}",
             )
 
@@ -547,7 +545,7 @@ def validate_domain(spec: DomainSpec) -> None:
             spaces, template.params, f"template {template.name!r}", template.loc
         )
         _validate_assignments(
-            spec, spaces, conditions, template.preconditions, template.params,
+            spaces, conditions, template.preconditions, template.params,
             f"preconditions of {template.name!r}",
         )
         _validate_outcomes(
@@ -555,21 +553,21 @@ def validate_domain(spec: DomainSpec) -> None:
         )
         for outcome in template.declared:
             _validate_assignments(
-                spec, spaces, conditions, outcome.assignments, template.params,
+                spaces, conditions, outcome.assignments, template.params,
                 f"declared outcome of {template.name!r}",
             )
     # bodies may reference templates declared later, so validate them after
     # every signature is known
     for template in spec.templates:
-        _validate_body(spec, spaces, conditions, actions, templates, template)
+        _validate_body(spaces, conditions, actions, templates, template)
 
     _check_template_cycles(templates)
 
-    _validate_assignments(spec, spaces, conditions, spec.initial, (), "initial state")
+    _validate_assignments(spaces, conditions, spec.initial, (), "initial state")
     _check_duplicates(
         ((format_literal(a.name, a.args), a.loc) for a in spec.initial), "initial assignment"
     )
-    _validate_assignments(spec, spaces, conditions, spec.goal, (), "goal")
+    _validate_assignments(spaces, conditions, spec.goal, (), "goal")
     for asgn in spec.goal:
         if asgn.value is not Status.S:
             raise SemanticError("goal conditions must require value S", *asgn.loc)
@@ -578,7 +576,6 @@ def validate_domain(spec: DomainSpec) -> None:
 
 
 def _validate_body(
-    spec: DomainSpec,
     spaces: dict[str, ParamSpace],
     conditions: dict[str, ConditionSchema],
     actions: dict[str, ActionSchema],
@@ -602,7 +599,7 @@ def _validate_body(
                 *expr.loc,
             )
         _validate_reference(
-            spec, spaces, template.params, target.params, expr.name, expr.args, expr.loc
+            spaces, template.params, target.params, expr.name, expr.args, expr.loc
         )
 
     walk(template.body)
@@ -682,8 +679,6 @@ class GroundedDomain:
     def __init__(self, spec: DomainSpec):
         self.spec = spec
         self._spaces = {p.name: p.instances for p in spec.params}
-        self._condition_schemas = {c.name: c for c in spec.conditions}
-        self._action_schemas = {a.name: a for a in spec.actions}
         self._template_schemas = {t.name: t for t in spec.templates}
 
         self.literals: tuple[str, ...] = ()

@@ -151,9 +151,7 @@ def apply_delayed(entries: Iterable[Entry], tables: TreeTables) -> BeliefState:
 def belief_tick(
     node: BTNode,
     mem: BeliefState,
-    *,
-    max_entries: int | None = None,
-    tables: TreeTables | None = None,
+    tables: TreeTables,
     reached: list[BTNode] | None = None,
 ) -> BeliefState:
     """Propagate ``mem`` through ``node`` for one tick.
@@ -170,26 +168,24 @@ def belief_tick(
     charged, if any in this tree.  Nodes are visited in tick order, so the
     leftmost of the deepest such conditions keeps the charge.
 
-    ``tables`` are those of ``node``'s tree; they are built here when not
-    given.  ``reached``, when given, is a one-item list that ends up holding
-    the last node the tick visits, which is the furthest in tick order.
+    ``tables`` are those of ``node``'s tree.  ``reached``, when given, is a
+    one-item list that ends up holding the last node the tick visits, which
+    is the furthest in tick order.
 
     Between nodes the tick passes plain ``(p, state)`` lists; the result is
-    validated as one :class:`BeliefState`.
+    validated as one :class:`BeliefState`.  A leaf returns one entry per
+    entry it receives and a control node returns the entries it receives,
+    so the result holds as many entries as ``mem``, and no node in between
+    holds more: :func:`simulate` checks the entry limit on ``mem`` alone.
     """
-    if tables is None:
-        tables = TreeTables(node)
     if reached is None:
         reached = [node]
-    return BeliefState(
-        _tick(node, mem.entries, max_entries, tables.foldable, tables.depth, reached)
-    )
+    return BeliefState(_tick(node, mem.entries, tables.foldable, tables.depth, reached))
 
 
 def _tick(
     node: BTNode,
     entries: Collection[Entry],
-    max_entries: int | None,
     foldable: set[int],
     depth: dict[int, int],
     reached: list[BTNode],
@@ -223,9 +219,7 @@ def _tick(
     for child in node.children:
         if not entries:
             break
-        result = _tick(child, entries, max_entries, foldable, depth, reached)
-        if max_entries is not None and len(result) > max_entries:
-            raise EntryLimitExceeded(len(result), max_entries)
+        result = _tick(child, entries, foldable, depth, reached)
         entries = []
         for entry in result:
             if entry[1].r is go_on:
@@ -249,7 +243,9 @@ def simulate(
     Entries that finish a root tick without a pending action cannot change
     under further ticks and move to the result; the rest expand their
     delayed outcomes and go around again.  Without a trail the tree's
-    tables are built here, as the tree stands.
+    tables are built here, as the tree stands.  The entry limit is checked
+    on the live belief before each root tick, the initial belief included;
+    a tick never holds more entries than it starts with.
 
     With a ``trail`` (see :class:`Trail`), the run resumes from the trail's
     last point, if it has one, reusing the ticks, finished entries and
@@ -282,12 +278,12 @@ def simulate(
     flow: list[str] | None = [] if record_flow else None
     reached = [tree]
     while len(mem):
+        if len(mem) > limits.max_entries:
+            raise EntryLimitExceeded(len(mem), limits.max_entries)
         if ticks >= limits.max_root_ticks:
             raise TickLimitExceeded(limits.max_root_ticks)
         start = mem
-        mem = belief_tick(
-            tree, mem, max_entries=limits.max_entries, tables=tables, reached=reached
-        )
+        mem = belief_tick(tree, mem, tables, reached)
         if trail is not None:
             reach = tables.rank[reached[0].node_id]
             if reach > furthest:
@@ -303,7 +299,5 @@ def simulate(
             if limits.prune_epsilon > 0.0:
                 mem, dropped = mem.prune(limits.prune_epsilon)
                 pruned += dropped
-            if len(mem) > limits.max_entries:
-                raise EntryLimitExceeded(len(mem), limits.max_entries)
     terminal = BeliefState(finished).coalesce()
     return SimulationResult(terminal, ticks, tables, pruned, flow)

@@ -21,10 +21,3 @@ class Status(str, Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def parse_status(text: str) -> Status:
-    try:
-        return Status(text)
-    except ValueError:
-        raise ValueError(f"not a status: {text!r} (expected S, F or R)") from None

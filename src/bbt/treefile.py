@@ -24,30 +24,13 @@ from .tree import ActionNode, BTNode, Condition, CONTROL_KINDS
 FORMAT_VERSION = 1
 
 
-def tree_to_doc(tree: BTNode) -> dict:
-    root: dict = {}
-    # (node, its document) pairs still to fill in; an explicit stack, so
-    # depth is not bounded by Python's recursion limit
-    stack = [(tree, root)]
-    while stack:
-        node, doc = stack.pop()
-        doc["kind"] = node.kind
-        if isinstance(node, Condition):
-            doc["literal"] = node.literal
-        elif isinstance(node, ActionNode):
-            doc["action"] = node.action.id
-        else:
-            children = doc["children"] = [{} for _ in node.children]
-            stack.extend(zip(node.children, children))
-    return {"format": FORMAT_VERSION, "root": root}
-
-
 def dumps_tree(tree: BTNode) -> str:
-    """The tree file text: ``json.dumps(tree_to_doc(tree), indent=2)`` plus a newline.
+    """The tree file text, byte for byte ``json.dumps(doc, indent=2)`` plus a newline.
 
-    Written in one explicit-stack pass over the tree, with no document in
-    between and no recursion; each string goes through ``json.dumps``, so
-    escaping is the same.
+    ``doc`` is the tree's format-1 document (see the module docstring).  The
+    text is written in one explicit-stack pass over the tree, with no
+    document in between and no recursion; each string goes through
+    ``json.dumps``, so escaping is the same.
     """
     out = [f'{{\n  "format": {FORMAT_VERSION},\n  "root": ']
     # (node, indent of its braces) to write, or text to write as it is

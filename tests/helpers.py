@@ -1,14 +1,17 @@
-"""Test-only helpers: canonical domain text and tree structure checks.
+"""Test-only helpers: canonical domain text, tree documents and structure checks.
 
 ``serialize_domain`` renders a parsed spec back to canonical domain text, so
 that parse -> serialize -> parse is the identity; the round-trip tests use
-it.  ``validate_tree`` checks the structural invariants of a tree.
+it.  ``tree_to_doc`` builds a tree's format-1 document, the reference that
+``bbt.treefile.dumps_tree`` is checked against.  ``validate_tree`` checks
+the structural invariants of a tree.
 """
 
 from __future__ import annotations
 
 from bbt.domain import Assignment, BodyExpr, BodyLeaf, DomainSpec, format_literal
 from bbt.tree import ActionNode, BTNode, Condition
+from bbt.treefile import FORMAT_VERSION
 
 
 def _fmt_number(x: float) -> str:
@@ -81,6 +84,25 @@ def serialize_domain(spec: DomainSpec) -> str:
             f"goal {_fmt_asgnset(spec.goal)} prob {_fmt_number(spec.goal_probability or 1.0)}"
         )
     return "\n".join(out).rstrip("\n") + "\n"
+
+
+def tree_to_doc(tree: BTNode) -> dict:
+    """The tree file document of ``tree``, as ``bbt.treefile.tree_from_doc`` reads it."""
+    root: dict = {}
+    # (node, its document) pairs still to fill in; an explicit stack, so
+    # depth is not bounded by Python's recursion limit
+    stack = [(tree, root)]
+    while stack:
+        node, doc = stack.pop()
+        doc["kind"] = node.kind
+        if isinstance(node, Condition):
+            doc["literal"] = node.literal
+        elif isinstance(node, ActionNode):
+            doc["action"] = node.action.id
+        else:
+            children = doc["children"] = [{} for _ in node.children]
+            stack.extend(zip(node.children, children))
+    return {"format": FORMAT_VERSION, "root": root}
 
 
 def validate_tree(tree: BTNode) -> None:

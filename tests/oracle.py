@@ -12,26 +12,43 @@ dropped, so latches are not observable state.  The blame is the node id of
 the condition charged in the final tick: the deepest condition returning F
 or R, the leftmost among equally deep ones, or None.
 
-It also holds the references for classic execution.  :func:`classic_tick` is
-a recursive walk over every node of the tree, against which the compiled
-:class:`~bbt.classic.LeafProgram` of :mod:`bbt.classic` is checked; it
-shares outcome sampling with :mod:`bbt.classic`, not the walk.
-:func:`run_classic` ticks one run at a time with :func:`bbt.classic.classic_tick`,
-walking every tick, against which the memoised
-:class:`~bbt.classic.ClassicRuns` is checked.
+It also holds the reference for classic execution, independent of
+:mod:`bbt.classic`.  :func:`_classic_walk` is a recursive walk over every
+node of the tree, against which the compiled leaf walk of
+:class:`~bbt.classic.LeafProgram` is checked tick by tick.
+:func:`classic_tick` adds outcome sampling by cumulative mass, and
+:func:`run_classic` ticks one run at a time with it, walking every tick and
+recording the run's latches and outcomes in a :class:`ClassicRun`; the
+memoised :class:`~bbt.classic.ClassicRuns` is checked against those runs.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass, field
+from typing import Protocol
 
-from bbt import classic
-from bbt.classic import ExecutionTrace, LeafProgram, RandomSource, sample_outcome_index
 from bbt.errors import TickLimitExceeded, UnknownLiteral
 from bbt.status import Status
 from bbt.tree import ActionNode, BTNode, Condition, Fallback, Sequence, Skipper
 
 TerminalKey = tuple[frozenset, Status, "int | None"]
+
+
+class RandomSource(Protocol):
+    def random(self) -> float: ...
+
+
+@dataclass
+class ClassicRun:
+    """One classic run's record: action latches plus each realized outcome.
+
+    ``latches`` maps the node id of every finished action to its report
+    status; ``outcomes`` lists ``(action id, outcome index)`` in start order.
+    """
+
+    latches: dict[int, Status] = field(default_factory=dict)
+    outcomes: list[tuple[str, int]] = field(default_factory=list)
 
 
 def tick_once(
@@ -79,8 +96,18 @@ def tick_once(
     raise TypeError(f"unknown node {node!r}")
 
 
+def sample_outcome_index(action, u: float) -> int:
+    """Map a uniform draw in [0, 1) to an outcome index by cumulative mass."""
+    acc = 0.0
+    for i, outcome in enumerate(action.outcomes):
+        acc += outcome.probability
+        if u < acc:
+            return i
+    return len(action.outcomes) - 1
+
+
 def classic_tick(
-    node: BTNode, state: dict[str, Status], rng: RandomSource, run: ExecutionTrace
+    node: BTNode, state: dict[str, Status], rng: RandomSource, run: ClassicRun
 ) -> Status:
     """Reference classic root tick of the tree ``node``, visiting every node.
 
@@ -126,16 +153,16 @@ def _classic_walk(
 
 
 def run_classic(
-    program: LeafProgram,
+    tree: BTNode,
     state: dict[str, Status],
     rng: RandomSource,
     max_ticks: int = 10000,
-) -> tuple[Status, ExecutionTrace]:
+) -> tuple[Status, ClassicRun]:
     """Tick until a root tick starts no action; that tick's status is final."""
-    run = ExecutionTrace()
+    run = ClassicRun()
     for _ in range(max_ticks):
         before = len(run.outcomes)
-        status = classic.classic_tick(program, state, rng, run)
+        status = classic_tick(tree, state, rng, run)
         if len(run.outcomes) == before:
             return status, run
     raise TickLimitExceeded(max_ticks)

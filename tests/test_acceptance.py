@@ -7,12 +7,11 @@ import random
 import time
 
 from bbt.belief import BeliefState, PhysicalState
-from bbt.classic import LeafProgram
+from bbt.classic import ClassicRuns, LeafProgram
 from bbt.cli import main
 from bbt.domain import ground, parse_domain
 from bbt.engine import belief_tick, simulate
 from bbt.planner import plan_request_from_domain, refine_tree
-from bbt.rng import CounterRng
 from bbt.status import Status
 from bbt.tree import ActionNode, TreeTables
 from bbt.treefile import dumps_tree
@@ -20,7 +19,6 @@ from bbt.treefile import dumps_tree
 import oracle
 import randgen
 from helpers import serialize_domain
-from oracle import run_classic
 
 MASS_TOL = 1e-12
 
@@ -123,7 +121,7 @@ def test_criterion_4_mass_conservation():
         actions = randgen.random_actions(rng, literals)
         tree = randgen.random_tree(rng, literals, actions, max_nodes=8)
         belief = randgen.random_belief(rng, literals, max_entries=6)
-        ticked = belief_tick(tree, belief)
+        ticked = belief_tick(tree, belief, TreeTables(tree))
         result = simulate(tree, belief)
         if abs(ticked.mass - belief.mass) > MASS_TOL:
             failures += 1
@@ -142,7 +140,7 @@ def test_criterion_5_singleton_equivalence():
         assignment = randgen.random_assignment(rng, literals)
         result = simulate(tree, BeliefState.point(PhysicalState(assignment)))
         ((_, terminal),) = result.terminal.entries
-        status, _ = run_classic(LeafProgram(result.tables), dict(assignment), CounterRng(0))
+        (status,) = ClassicRuns(LeafProgram(result.tables), assignment).statuses(0, [0])
         if terminal.r is not status:
             mismatches += 1
     report(5, "singleton equivalence x1000", mismatches == 0, f"{mismatches} mismatches")

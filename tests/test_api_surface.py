@@ -1,0 +1,81 @@
+"""Every function, class and method of ``bbt`` has a caller in the program.
+
+The program is ``src/bbt`` and ``scripts/``.  A definition counts as used
+when some name or attribute read there, outside the definition itself and
+outside the package's ``__init__.py``, has its name.  Names are matched
+across modules and classes, so a used name covers every definition of it.
+Dunder methods are called by the language and are not checked.  An API that
+only tests call belongs in the tests.
+"""
+
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "bbt"
+
+# top-level names kept without a caller, with the methods of such a class
+ALLOWED = {
+    "draw": "the README documents it as the reference definition of the exec draw",
+    "CounterRng": "the README documents it with draw; the benchmark tracer calibrates with it",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _definitions(module: ast.Module):
+    """Top-level functions and classes, and the methods of those classes.
+
+    Yields the top-level name, the qualified name and the definition.
+    """
+    for node in module.body:
+        if isinstance(node, _DEFS):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _DEFS) and not item.name.startswith("__"):
+                    yield node.name, f"{node.name}.{item.name}", item
+
+
+def _reads(module: ast.Module):
+    """Each name or attribute read in ``module``, with the definitions around it."""
+    stack = [(module, ())]
+    while stack:
+        node, around = stack.pop()
+        if isinstance(node, _DEFS):
+            around = around + (node,)
+        if isinstance(node, ast.Name):
+            yield node.id, around
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, around
+        stack.extend((child, around) for child in ast.iter_child_nodes(node))
+
+
+def test_no_definition_is_used_by_tests_only():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
+    modules = {path: _parse(path) for path in sources}
+    reads: dict[str, list[tuple]] = {}
+    for path, module in modules.items():
+        if path.name == "__init__.py" and path.parent == PACKAGE:
+            continue
+        for name, around in _reads(module):
+            reads.setdefault(name, []).append(around)
+    unused = []
+    for path, module in modules.items():
+        if path.parent != PACKAGE:
+            continue
+        for top, qualname, node in _definitions(module):
+            if top in ALLOWED:
+                continue
+            if not any(node not in around for around in reads.get(node.name, ())):
+                unused.append(f"{path.relative_to(REPO)}:{node.lineno} {qualname}")
+    assert not unused, "defined in src/bbt but called only by tests:\n" + "\n".join(unused)
+
+
+def test_allowlist_names_definitions():
+    names = {top for path in PACKAGE.glob("*.py") for top, _, _ in _definitions(_parse(path))}
+    assert set(ALLOWED) <= names

@@ -91,22 +91,25 @@ class TestEvalCondition:
     """A condition leaf ticked on its own sets each entry's r to its stored value."""
 
     def test_sets_r_to_stored_value(self):
-        m = belief_tick(Condition("a"), BeliefState.point(state(a="R")))
+        condition = Condition("a")
+        m = belief_tick(condition, BeliefState.point(state(a="R")), TreeTables(condition))
         ((_, s),) = m.entries
         assert s.r is R
         assert s.assignment["a"] is R
 
     def test_mixed_entries(self):
         m = BeliefState([(0.6, state(a="S")), (0.4, state(a="F"))])
-        m = belief_tick(Condition("a"), m)
+        condition = Condition("a")
+        m = belief_tick(condition, m, TreeTables(condition))
         assert [s.r for _, s in m.entries] == [S, F]
         assert m.mass == pytest.approx(1.0, abs=MASS_TOL)
 
     @given(beliefs())
     def test_idempotent(self, m):
         condition = Condition(next(iter(m.entries[0][1].assignment)))
-        once = belief_tick(condition, m)
-        twice = belief_tick(condition, once)
+        tables = TreeTables(condition)
+        once = belief_tick(condition, m, tables)
+        twice = belief_tick(condition, once, tables)
         assert [(p, s) for p, s in once] == [(p, s) for p, s in twice]
 
 
@@ -239,7 +242,8 @@ class TestSplitCoalesce:
     @given(beliefs())
     def test_mass_conserved_by_ops(self, m):
         condition = Condition(next(iter(m.entries[0][1].assignment)))
-        assert belief_tick(condition, m).mass == pytest.approx(m.mass, abs=MASS_TOL)
+        ticked = belief_tick(condition, m, TreeTables(condition))
+        assert ticked.mass == pytest.approx(m.mass, abs=MASS_TOL)
         assert m.coalesce().mass == pytest.approx(m.mass, abs=MASS_TOL)
         a, b = m.split_by(lambda s: s.r is F)
         assert a.mass + b.mass == pytest.approx(m.mass, abs=MASS_TOL)

@@ -1,12 +1,15 @@
-"""bbt.classic against its references: the compiled leaf program against the
-recursive walk, and the memoised runs against tick-by-tick runs."""
+"""bbt.classic against the oracle's references: the compiled leaf walk against
+the recursive walk, and the memoised runs against the oracle's tick-by-tick
+runs."""
 
 import bisect
 import random
 
+import pytest
+
 from bbt import classic
 from bbt.belief import ActionInstance, Outcome
-from bbt.classic import ClassicRuns, ExecutionTrace, LeafProgram, classic_tick
+from bbt.classic import ClassicRuns, LeafProgram
 from bbt.errors import TickLimitExceeded, UnknownLiteral
 from bbt.rng import CounterRng, draw
 from bbt.status import Status
@@ -22,11 +25,19 @@ def sure(post, report=S):
     return ActionInstance("sure", (), (Outcome(1.0, tuple(post), report),))
 
 
-def _tick_or_raise(tick, tree_or_program, state, rng, run):
+def _walks(program, tree, state, latches):
+    """One tick's leaf walk and the reference walk: root status, first fresh action."""
     try:
-        return tick(tree_or_program, state, rng, run)
+        got = classic._walk_leaves(program, state, latches)
     except UnknownLiteral as exc:
-        return ("unknown", exc.args)
+        got = ("unknown", exc.args)
+    started = []
+    try:
+        status = oracle._classic_walk(tree, state, latches, started)
+        want = (status, started[0] if started else None)
+    except UnknownLiteral as exc:
+        want = ("unknown", exc.args)
+    return got, want
 
 
 def test_program_matches_reference_walk():
@@ -45,27 +56,27 @@ def test_program_matches_reference_walk():
         if rng.random() < 0.2:
             del assignment[rng.choice(literals)]
         program = LeafProgram(TreeTables(tree))
-        got_state, want_state = dict(assignment), dict(assignment)
-        got_run, want_run = ExecutionTrace(), ExecutionTrace()
-        got_rng, want_rng = CounterRng(case), CounterRng(case)
+        state, run, draws = dict(assignment), oracle.ClassicRun(), CounterRng(case)
         for _ in range(50):
-            before = len(want_run.outcomes)
-            got = _tick_or_raise(classic_tick, program, got_state, got_rng, got_run)
-            want = _tick_or_raise(oracle.classic_tick, tree, want_state, want_rng, want_run)
+            # each tick of the run, walked both ways from the same state
+            got, want = _walks(program, tree, state, run.latches)
             ticks += 1
             assert got == want, (case, got, want)
-            assert got_run.latches == want_run.latches, case
-            assert got_run.outcomes == want_run.outcomes, case
-            assert got_state == want_state, case
-            if isinstance(want, tuple):
+            if want[0] == "unknown":
                 unknown += 1
                 break
-            if len(want_run.outcomes) == before:
+            if want[1] is None:
+                break
+            try:
+                oracle.classic_tick(tree, state, draws, run)
+            except UnknownLiteral:
+                # the drawn outcome writes a literal the state lacks
+                unknown += 1
                 break
             started += 1
         else:
             raise AssertionError(f"case {case} did not terminate")
-    assert ticks > 2500 and started > 800 and unknown > 200
+    assert ticks > 2500 and started > 800 and unknown > 200, (ticks, started, unknown)
 
 
 def _run_or_raise(run):
@@ -78,11 +89,17 @@ def _run_or_raise(run):
 def test_memoised_runs_match_reference_runs(monkeypatch):
     walks = applies = 0
     walk_leaves, apply, memo_slots = classic._walk_leaves, Outcome.apply, classic.MEMO_SLOTS
+    reference_tick = oracle.classic_tick
 
     def counted_walk(*args):
         nonlocal walks
         walks += 1
         return walk_leaves(*args)
+
+    def counted_tick(*args):
+        nonlocal walks
+        walks += 1
+        return reference_tick(*args)
 
     def counted_apply(*args):
         nonlocal applies
@@ -90,6 +107,7 @@ def test_memoised_runs_match_reference_runs(monkeypatch):
         return apply(*args)
 
     monkeypatch.setattr(classic, "_walk_leaves", counted_walk)
+    monkeypatch.setattr(oracle, "classic_tick", counted_tick)
     monkeypatch.setattr(Outcome, "apply", counted_apply)
     rng = random.Random(9090)
     ended = {Status: 0, UnknownLiteral: 0, TickLimitExceeded: 0}
@@ -119,7 +137,7 @@ def test_memoised_runs_match_reference_runs(monkeypatch):
             walks = applies = 0
             want_rng = CounterRng(case, run_index)
             want = _run_or_raise(
-                lambda: oracle.run_classic(program, dict(assignment), want_rng, max_ticks)[0]
+                lambda: oracle.run_classic(tree, dict(assignment), want_rng, max_ticks)[0]
             )
             assert got == want, (case, run_index, got, want)
             # a memoised run walks and applies no more than a tick-by-tick run
@@ -162,9 +180,7 @@ def test_each_draw_is_the_counter_draw_of_its_run_and_tick(monkeypatch):
         got = list(ClassicRuns(program, assignment).statuses(seed, range(8)))
         want, want_compared = [], []
         for run_index in range(8):
-            status, trace = oracle.run_classic(
-                program, dict(assignment), CounterRng(seed, run_index)
-            )
+            status, trace = oracle.run_classic(tree, dict(assignment), CounterRng(seed, run_index))
             want.append(status)
             # tick t starts the run's t-th action; one outcome draws nothing
             for tick, (action_id, _) in enumerate(trace.outcomes):
@@ -185,13 +201,13 @@ def test_deep_chain_executes_without_recursion():
     for _ in range(3000):
         tree = Sequence([tree])
     program = LeafProgram(TreeTables(tree))
-    state = {"x": F}
-    status, run = oracle.run_classic(program, state, CounterRng(0))
-    assert status is S
-    assert run.outcomes == [("sure", 0)]
-    assert run.latches == {action.node_id: S}
-    assert state == {"x": S}
-    assert list(ClassicRuns(program, {"x": F}).statuses(0, [0])) == [S]
+    assert classic._walk_leaves(program, {"x": F}, {}) == (R, action)
+    assert classic._walk_leaves(program, {"x": S}, {action.node_id: S}) == (S, None)
+    runs = ClassicRuns(program, {"x": F})
+    # the action starts in the first tick and the second returns its latch
+    with pytest.raises(TickLimitExceeded):
+        next(runs.statuses(0, [0], 1))
+    assert list(runs.statuses(0, [0], 2)) == [S]
 
 
 def test_wide_skipper_scans_every_child():
@@ -199,9 +215,11 @@ def test_wide_skipper_scans_every_child():
     action = ActionNode(sure((("r", S),)))
     tree = Skipper([*(Condition("r") for _ in range(2999)), action])
     program = LeafProgram(TreeTables(tree))
-    state = {"r": R}
-    run = ExecutionTrace()
-    assert classic_tick(program, state, CounterRng(0), run) is R
-    assert run.outcomes == [("sure", 0)] and state == {"r": S}
-    status, run = oracle.run_classic(program, {"r": R}, CounterRng(0))
-    assert status is S and len(run.outcomes) == 1
+    assert classic._walk_leaves(program, {"r": R}, {}) == (R, action)
+    assert classic._walk_leaves(program, {"r": S}, {action.node_id: S}) == (S, None)
+    runs = ClassicRuns(program, {"r": R})
+    with pytest.raises(TickLimitExceeded):
+        next(runs.statuses(0, [0], 1))
+    assert list(runs.statuses(0, [0], 2)) == [S]
+    status, run = oracle.run_classic(tree, {"r": R}, CounterRng(0))
+    assert status is S and run.outcomes == [("sure", 0)]

@@ -13,9 +13,10 @@ from bbt.dot import to_dot
 from bbt.errors import SemanticError
 from bbt.planner import plan_request_from_domain, refine_tree
 from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper
-from bbt.treefile import dumps_tree, load_tree, save_tree, tree_from_doc, tree_to_doc
+from bbt.treefile import dumps_tree, load_tree, save_tree, tree_from_doc
 
 import randgen
+from helpers import tree_to_doc
 
 
 SODA_GOAL_20000 = (
@@ -344,6 +345,33 @@ class TestLimitFlags:
         code = main(argv)
         assert code == 1
         assert capsys.readouterr().err == "error: --max-ticks must be at least 1, got -5\n"
+
+    @pytest.mark.parametrize("limit,held", [(1, 2), (2, 4), (3, 4), (20, 22)])
+    def test_entry_limit_pinned_on_simulate(self, tmp_path, soda_path, capsys, limit, held):
+        tree = tmp_path / "tree.json"
+        plan = ["plan", "--domain", str(soda_path), "--out", str(tree), "--prob", "0.999"]
+        assert main(plan) == 0
+        capsys.readouterr()
+        argv = ["simulate", "--domain", str(soda_path), "--tree", str(tree)]
+        code = main(argv + ["--max-entries", str(limit)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"simulation limit: belief state holds {held} entries, limit is {limit}\n"
+        )
+
+    def test_entry_limit_pinned_on_plan(self, tmp_path, soda_path, capsys):
+        out = tmp_path / "tree.json"
+        code = main(
+            ["plan", "--domain", str(soda_path), "--out", str(out), "--prob", "0.999",
+             "--max-entries", "3"]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "simulation limit: belief state holds 4 entries, limit is 3\n"
+        assert not out.exists()
 
     def test_pruned_mass_named_when_planning_stalls(self, tmp_path, soda_path, capsys):
         # what is left after pruning all succeeds; the failure is the pruned mass

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
-from bbt.classic import LeafProgram
+from bbt.classic import ClassicRuns, LeafProgram
 from bbt.engine import (
     SimulationLimits,
     apply_delayed,
@@ -12,13 +12,11 @@ from bbt.engine import (
     simulate,
 )
 from bbt.errors import EntryLimitExceeded, NoPending, TickLimitExceeded
-from bbt.rng import CounterRng
 from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper, TreeTables
 
 import oracle
 import randgen
-from oracle import run_classic
 
 S, F, R = Status.S, Status.F, Status.R
 MASS_TOL = 1e-12
@@ -47,7 +45,7 @@ class TestBeliefTick:
         # first entry fails at b, second at a; b never evaluated for the second
         tree = Sequence([Condition("a"), Condition("b")])
         m = BeliefState([(0.5, state(a="S", b="F")), (0.5, state(a="F", b="S"))])
-        out = belief_tick(tree, m)
+        out = belief_tick(tree, m, TreeTables(tree))
         assert all(s.r is F for _, s in out)
         assert out.mass == pytest.approx(1.0, abs=MASS_TOL)
         # the a=F entry stopped at child 0, so it is returned first
@@ -56,24 +54,27 @@ class TestBeliefTick:
     def test_fallback_first_child_success_leaves_rest_untouched(self):
         tree = Fallback([Condition("a"), Condition("missing")])
         m = BeliefState([(0.7, state(a="S", b="S")), (0.3, state(a="S", b="F"))])
-        out = belief_tick(tree, m)
+        out = belief_tick(tree, m, TreeTables(tree))
         assert all(s.r is S for _, s in out)
         assert len(out) == 2
 
     def test_skipper_schedules_behind_unknown(self):
         action = ActionNode(detect())
         tree = Skipper([Condition("seen"), Sequence([action])])
-        out = belief_tick(tree, BeliefState.point(state(seen="R")))
+        out = belief_tick(tree, BeliefState.point(state(seen="R")), TreeTables(tree))
         ((_, result),) = out.entries
         assert result.r is R
         assert result.pending is not None
         assert result.pending[1].id == "detect"
 
     def test_entry_limit(self):
+        # a tick holds no more entries than it starts with, so the limit is
+        # checked on the belief each root tick starts with
         tree = Sequence([Condition("a")])
         m = BeliefState([(0.5, state(a="S")), (0.25, state(a="F")), (0.25, state(a="R"))])
-        with pytest.raises(EntryLimitExceeded):
-            belief_tick(tree, m, max_entries=2)
+        with pytest.raises(EntryLimitExceeded, match="holds 3 entries, limit is 2"):
+            simulate(tree, m, SimulationLimits(max_entries=2))
+        assert len(simulate(tree, m, SimulationLimits(max_entries=3)).terminal) == 3
 
 
 class TestScheduleDelayed:
@@ -164,7 +165,7 @@ class TestSimulate:
             )
             result = simulate(tree, initial)
             for p, s in result.terminal.entries:
-                out = belief_tick(tree, BeliefState.point(s))
+                out = belief_tick(tree, BeliefState.point(s), result.tables)
                 ((_, again),) = out.entries
                 assert again.pending is None
                 assert again.assignment == s.assignment
@@ -202,7 +203,8 @@ class TestSimulate:
             actions = randgen.random_actions(rng, literals)
             tree = randgen.random_tree(rng, literals, actions)
             m = randgen.random_belief(rng, literals)
-            assert belief_tick(tree, m).mass == pytest.approx(m.mass, abs=MASS_TOL)
+            ticked = belief_tick(tree, m, TreeTables(tree))
+            assert ticked.mass == pytest.approx(m.mass, abs=MASS_TOL)
             result = simulate(tree, m)
             assert result.terminal.mass + result.pruned_mass == pytest.approx(
                 m.mass, abs=MASS_TOL
@@ -247,7 +249,7 @@ class TestSimulate:
             assignment = randgen.random_assignment(rng, literals)
             result = simulate(tree, BeliefState.point(PhysicalState(assignment)))
             ((_, terminal),) = result.terminal.entries
-            status, _ = run_classic(LeafProgram(result.tables), dict(assignment), CounterRng(1))
+            (status,) = ClassicRuns(LeafProgram(result.tables), assignment).statuses(1, [0])
             assert terminal.r is status
 
     def test_monte_carlo_agreement_on_stochastic_tree(self):
@@ -264,12 +266,10 @@ class TestSimulate:
         analytical = simulate(
             tree, BeliefState.point(PhysicalState(assignment))
         ).terminal.success_probability()
-        program = LeafProgram(TreeTables(tree))
+        runs = ClassicRuns(LeafProgram(TreeTables(tree)), assignment)
         n = 20000
-        hits = 0
-        for i in range(n):
-            status, _ = run_classic(program, dict(assignment), CounterRng(99, i))
-            hits += status is S
+        # run i draws as CounterRng(99, i) would
+        hits = sum(status is S for status in runs.statuses(99, range(n)))
         rate = hits / n
         bound = 3 * (max(analytical * (1 - analytical), 1e-9) / n) ** 0.5
         assert abs(rate - analytical) <= max(bound, 1e-9) + 3e-3
@@ -295,6 +295,13 @@ class TestSimulate:
                 BeliefState.point(state(a="R", b="R", c="R")),
                 SimulationLimits(max_entries=1),
             )
+
+    def test_entry_limit_on_initial_belief(self):
+        # a bare condition: the root tick has no child to check, so only the
+        # check before the tick sees the initial belief over the limit
+        m = BeliefState([(0.5, state(a="S")), (0.25, state(a="F")), (0.25, state(a="R"))])
+        with pytest.raises(EntryLimitExceeded, match="holds 3 entries, limit is 2"):
+            simulate(Condition("a"), m, SimulationLimits(max_entries=2))
 
     def test_prune_epsilon_reports_unresolved_mass(self):
         action = ActionNode(

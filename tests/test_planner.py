@@ -3,7 +3,6 @@ import random
 import pytest
 
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
-from bbt.classic import LeafProgram
 from bbt.domain import ground, parse_domain
 from bbt.engine import simulate
 from bbt.errors import EmptyGoal, IterationLimit, NoResolver, NothingFailed
@@ -30,8 +29,8 @@ from bbt.tree import (
 )
 from bbt.treefile import dumps_tree
 
+import oracle
 import randgen
-from oracle import run_classic
 
 S, F, R = Status.S, Status.F, Status.R
 
@@ -497,9 +496,7 @@ class TestPlannedTreeShape:
         assert len(action_nodes) == 10
         # latches live in each run's record, keyed by these nodes' ids
         assert ActionNode.__slots__ == ("action",)
-        _, run = run_classic(
-            LeafProgram(TreeTables(planned_det.tree)),
-            dict(soda_det_domain.initial_assignment),
-            CounterRng(0),
+        _, run = oracle.run_classic(
+            planned_det.tree, dict(soda_det_domain.initial_assignment), CounterRng(0)
         )
         assert set(run.latches) <= {n.node_id for n in action_nodes}

@@ -1,9 +1,10 @@
 import pytest
 
 from bbt.belief import ActionInstance, Outcome
-from bbt.classic import ExecutionTrace, LeafProgram, classic_tick
+from bbt import classic
+from bbt.classic import ClassicRuns, LeafProgram
 from bbt.dot import to_dot
-from bbt.errors import UnknownLiteral
+from bbt.errors import TickLimitExceeded, UnknownLiteral
 from bbt.rng import CounterRng
 from bbt.status import Status
 from bbt.tree import (
@@ -14,10 +15,10 @@ from bbt.tree import (
     Skipper,
     TreeTables,
 )
-from bbt.treefile import dumps_tree, tree_to_doc
+from bbt.treefile import dumps_tree
 
-from helpers import validate_tree
-from oracle import run_classic
+import oracle
+from helpers import tree_to_doc, validate_tree
 
 S, F, R = Status.S, Status.F, Status.R
 
@@ -41,9 +42,27 @@ def compiled(tree):
     return LeafProgram(TreeTables(tree))
 
 
+def walk(tree, state, latches=None):
+    """One root tick's leaf walk, checked against the oracle's recursive walk.
+
+    Returns the root status and the first fresh action reached, or None.
+    """
+    latches = {} if latches is None else latches
+    got = classic._walk_leaves(compiled(tree), state, latches)
+    started = []
+    status = oracle._classic_walk(tree, state, latches, started)
+    assert got == (status, started[0] if started else None)
+    return got
+
+
 def tick(tree, state):
-    """One root tick with fresh latches."""
-    return classic_tick(compiled(tree), state, CounterRng(0), ExecutionTrace())
+    """The root status of one tick with fresh latches."""
+    return walk(tree, state)[0]
+
+
+def runs(tree, initial, seed=0, streams=(0,), max_ticks=10000):
+    """The final status of each run of ``tree`` from ``initial``."""
+    return list(ClassicRuns(compiled(tree), initial).statuses(seed, streams, max_ticks))
 
 
 class TestControlSemantics:
@@ -84,59 +103,52 @@ class TestControlSemantics:
 
 class TestActionsAndLatches:
     def test_action_returns_running_then_outcome_applies(self):
-        node = ActionNode(sure())
-        state, run = {"x": F}, ExecutionTrace()
-        assert classic_tick(compiled(node), state, CounterRng(0), run) is R
-        # outcome landed between ticks
-        assert state["x"] is S
-        assert run.latches == {node.node_id: S}
+        node = ActionNode(sure(report=F))
+        tree = Fallback([Condition("x"), node])
+        assert walk(tree, {"x": F}) == (R, node)
+        # the outcome lands before the next tick, which reads x = S
+        assert runs(tree, {"x": F}) == [S]
+        with pytest.raises(TickLimitExceeded):
+            runs(tree, {"x": F}, max_ticks=1)
 
     def test_latched_action_replays_status(self):
         node = ActionNode(sure(report=F))
-        program = compiled(node)
-        state, run = {"x": F}, ExecutionTrace()
-        classic_tick(program, state, CounterRng(0), run)
-        assert run.latches[node.node_id] is F
-        state["x"] = F
-        assert classic_tick(program, state, CounterRng(0), run) is F
-        assert state["x"] is F  # not re-executed
+        # latched: the action replays F and starts nothing, whatever x is
+        assert walk(node, {"x": F}, {node.node_id: F}) == (F, None)
+        assert runs(node, {"x": F}) == [F]
 
     def test_one_action_per_tick(self):
         first, second = ActionNode(sure("a1")), ActionNode(sure("a2", post=(("y", S),)))
         tree = Skipper([first, second])
-        state, run = {"x": F, "y": F}, ExecutionTrace()
-        classic_tick(compiled(tree), state, CounterRng(0), run)
-        assert run.latches == {first.node_id: S}
-        assert state["y"] is F
+        # both are fresh; the second returns R without starting
+        assert walk(tree, {"x": F, "y": F}) == (R, first)
 
     def test_actions_execute_at_most_once_per_lifetime(self):
-        action = ActionNode(coin())
-        tree = Sequence([action, Condition("x")])
-        status, run = run_classic(compiled(tree), {"x": R}, CounterRng(9))
-        assert [aid for aid, _ in run.outcomes] == ["coin"]
-        assert status is run.latches[action.node_id]
+        tree = Sequence([ActionNode(coin()), Condition("x")])
+        # the action starts in the first tick; the second replays its latch
+        # and starts nothing, so every run ends there
+        assert set(runs(tree, {"x": R}, seed=9, streams=range(50), max_ticks=2)) == {S, F}
 
     def test_tree_holds_no_run_state(self):
-        # latches live in the run record; nodes carry structure only
+        # latches live in each run; nodes carry structure only
         assert ActionNode.__slots__ == ("action",)
         node = ActionNode(sure())
         tree = Sequence([node, Condition("x")])
         before = tree_to_doc(tree)
-        run_classic(compiled(tree), {"x": F}, CounterRng(0))
+        assert runs(tree, {"x": F}) == [S]
         assert tree_to_doc(tree) == before
         assert not hasattr(node, "__dict__")
 
     def test_new_run_starts_fresh(self):
         node = ActionNode(sure())
         program = compiled(node)
-        first = ExecutionTrace()
-        classic_tick(program, {"x": F}, CounterRng(0), first)
-        assert first.latches == {node.node_id: S}
-        # the same program, no reset: a new run executes the action again
-        state, second = {"x": F}, ExecutionTrace()
-        assert classic_tick(program, state, CounterRng(0), second) is R
-        assert state["x"] is S
-        assert second.outcomes == [("sure", 0)]
+        first = ClassicRuns(program, {"x": F})
+        assert list(first.statuses(0, [0], 2)) == [S]
+        # another run, of the same executor or of a new one on the same
+        # program, starts with no latches: its first tick starts the action
+        for executor in (first, ClassicRuns(program, {"x": F})):
+            with pytest.raises(TickLimitExceeded):
+                next(executor.statuses(0, [1], 1))
 
 
 class TestDeterminism:
@@ -150,12 +162,16 @@ class TestDeterminism:
         )
         # the same program twice, with no reset in between
         program = compiled(tree)
-        runs = []
-        for _ in range(2):
-            status, run = run_classic(program, {"x": F, "y": R}, CounterRng(123))
-            runs.append((status, run.outcomes))
-        assert runs[0] == runs[1]
-        assert runs[0][1]  # an action actually ran
+        first, second = (
+            list(ClassicRuns(program, {"x": F, "y": R}).statuses(123, range(200)))
+            for _ in range(2)
+        )
+        assert first == second
+        assert set(first) == {S, F}  # c1's outcome decides each run
+        # and so does the oracle's run with the same draws
+        for stream, status in enumerate(first[:20]):
+            want, _ = oracle.run_classic(tree, {"x": F, "y": R}, CounterRng(123, stream))
+            assert status is want
 
 
 class TestStructure:
