@@ -5,9 +5,10 @@ between threads and across simulations.  :meth:`Outcome.apply` is the one
 place postconditions are written; it updates a caller-owned assignment.
 :meth:`PhysicalState.resolved` is the one place a state's assignment is
 copied and written, and it updates the sorted key by position instead of
-sorting again; the copies a tick makes (a new return status or pending
-action) share the assignment, the latch view and their sorted key parts
-with the state they come from.
+sorting again; :meth:`PhysicalState.ticked` builds the one state a tick
+makes per entry (a new return status, pending action or blame), sharing
+the assignment, the latch view and their sorted key parts with the state
+it comes from.
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ class PhysicalState:
     assignment already holds, so every state derived from a constructed one
     holds the same literals and shares that map: :meth:`resolved` rewrites
     the written positions of its parent's key and never sorts the
-    assignment again.
+    assignment again.  A tick makes at most one state per entry, with
+    :meth:`ticked`, and none for an entry it leaves unchanged; both methods
+    build their states around a ready key, through one private constructor.
     """
 
     __slots__ = (
@@ -138,44 +141,22 @@ class PhysicalState:
         except KeyError:
             raise UnknownLiteral(literal) from None
 
-    def with_r(self, r: Status) -> "PhysicalState":
-        if r is self.r:
-            return self
-        return self._copy(r, self.pending, self._key[2])
-
-    def scheduled(self, node_id: int, action: ActionInstance) -> "PhysicalState":
-        """Copy with ``action`` recorded as this tick's delayed action."""
-        return self._copy(Status.R, (node_id, action), (node_id, action.id))
-
-    def charged(self, r: Status, node_id: int) -> "PhysicalState":
-        """Copy returning ``r`` with the condition ``node_id`` as its ``blame``."""
-        copy = self._copy(r, self.pending, self._key[2])
-        copy.blame = node_id
-        return copy
-
-    def _copy(
-        self,
-        r: Status,
-        pending: tuple[int, ActionInstance] | None,
-        pending_key: tuple[int, str] | None,
+    def ticked(
+        self, r: Status, pending: tuple[int, ActionInstance] | None, blame: int | None
     ) -> "PhysicalState":
-        """Copy with a new ``r`` and ``pending``, sharing the key parts and ``blame``.
+        """This state as a tick leaves it: returning ``r``, with ``pending`` and ``blame``.
 
-        The assignment and latch dicts are never written after construction,
-        so the copy shares them and their sorted key tuples: no dict copy and
-        no ``sorted()``.
+        Returns the state itself when none of the three changed.  Otherwise
+        the result shares the assignment, the latch view and their sorted
+        key parts, which are never written after construction.
         """
-        copy = object.__new__(PhysicalState)
-        copy.assignment = self.assignment
-        copy.r = r
-        copy.pending = pending
-        copy.latches = self.latches
-        copy.blame = self.blame
-        assignment_key, _, _, latch_key = self._key
-        copy._key = (assignment_key, r, pending_key, latch_key)
-        copy._hash = None
-        copy._positions = self._positions
-        return copy
+        if r is self.r and pending is self.pending and blame == self.blame:
+            return self
+        assignment_key, _, pending_key, latch_key = self._key
+        if pending is not self.pending:
+            pending_key = None if pending is None else (pending[0], pending[1].id)
+        key = (assignment_key, r, pending_key, latch_key)
+        return self._derived(self.assignment, self.latches, key, pending, blame)
 
     def resolved(self, node_id: int, outcome: Outcome, tables: "TreeTables") -> "PhysicalState":
         """Copy with ``outcome`` applied, its latch set, pending and blame cleared.
@@ -198,15 +179,24 @@ class PhysicalState:
         latches = dict(self.latches)
         latches[node_id] = outcome.report
         tables.settle(latches, node_id)
+        key = (tuple(assignment_key), self.r, None, tuple(sorted(latches.items())))
+        return self._derived(assignment, latches, key, None, None)
+
+    def _derived(self, assignment, latches, key, pending, blame) -> "PhysicalState":
+        """A state holding this one's literals, built around its ready ``key``.
+
+        ``key`` must be the key of ``assignment``, the key's ``r``,
+        ``pending`` and ``latches``; the literal positions are shared.
+        """
         state = object.__new__(PhysicalState)
         state.assignment = assignment
-        state.r = self.r
-        state.pending = None
+        state.r = key[1]
+        state.pending = pending
         state.latches = latches
-        state.blame = None
-        state._key = (tuple(assignment_key), self.r, None, tuple(sorted(latches.items())))
+        state.blame = blame
+        state._key = key
         state._hash = None
-        state._positions = positions
+        state._positions = self._positions
         return state
 
     def __eq__(self, other) -> bool:
@@ -215,7 +205,7 @@ class PhysicalState:
         return self._key == other._key
 
     def __hash__(self) -> int:
-        # computed on first use: most copies a tick makes are never hashed,
+        # computed on first use: most states a tick makes are never hashed,
         # and hashing the key calls Status.__hash__ once per literal
         if self._hash is None:
             self._hash = hash(self._key)

@@ -122,8 +122,9 @@ class _Step:
     """A memoised root tick that started an action.
 
     ``children[i]`` memoises the next root tick after outcome ``i``: a
-    :class:`_Step`, the root's final :class:`Status`, ``None`` while no run
-    has walked it, or an :class:`_ApplyFails` if outcome ``i`` cannot apply.
+    :class:`_Step`, the root's final :class:`Status`, or ``None`` while no
+    run has walked it.  An outcome that cannot apply leaves its slot
+    ``None`` for good.
     ``thresholds`` are the cumulative outcome masses, last one left out,
     that a draw is compared with to pick an outcome, or ``None`` for a
     single outcome.  ``parent`` and ``slot`` locate the step in the trie,
@@ -138,15 +139,6 @@ class _Step:
         self.children = children
         self.parent = parent
         self.slot = slot
-
-
-class _ApplyFails:
-    """An outcome whose postconditions write ``literal``, which runs lack."""
-
-    __slots__ = ("literal",)
-
-    def __init__(self, literal: str):
-        self.literal = literal
 
 
 class ClassicRuns:
@@ -166,7 +158,13 @@ class ClassicRuns:
 
     An outcome drawn in tick *i* is applied before tick *i + 1*, and a slot
     is walked only when a run reaches it with a tick to spare, so a run that
-    hits ``max_ticks`` walks no more than once per tick.  The program
+    hits ``max_ticks`` walks no more than once per tick.  A run applies an
+    outcome only where it reaches an unwalked slot: before walking it, or
+    before raising :class:`~bbt.errors.TickLimitExceeded` when the budget
+    ends there.  A walked slot's outcome has applied before, and one that
+    cannot apply is never walked, so it fails in
+    :meth:`~bbt.belief.Outcome.apply` in the tick that draws it, as it does
+    in a run that applies every outcome.  The program
     is read-only, so the memo is valid for as long as the program is.  The
     trie takes at most :data:`MEMO_SLOTS` child slots; a run that leaves a
     full trie walks every tick on, memoising nothing.
@@ -221,8 +219,6 @@ class ClassicRuns:
                         if step is not None:
                             _apply(step, index, state, latches)
                         node = self._walk(step, index, state, latches)
-                    elif node.__class__ is _ApplyFails:
-                        raise UnknownLiteral(node.literal)
                     if node.__class__ is not _Step:
                         break
                 step = node
@@ -237,9 +233,11 @@ class ClassicRuns:
                     index = bisect_right(thresholds, ((x ^ (x >> 31)) >> 11) * unit)
                 node = step.children[index]
             else:
-                if node.__class__ is _ApplyFails:
-                    # the last tick's outcome fails to apply within that tick
-                    raise UnknownLiteral(node.literal)
+                if node is None and step is not None:
+                    # the last tick applies its outcome too, which may fail
+                    if state is None:
+                        state, latches = self._replay(step)
+                    _apply(step, index, state, latches)
                 raise TickLimitExceeded(max_ticks)
             yield node
 
@@ -288,14 +286,8 @@ class ClassicRuns:
                     acc += outcome.probability
                     top = max(top, acc)
                     thresholds.append(top)
-            # applying an outcome fails on the first literal the run lacks,
-            # and a run's state always holds exactly the initial literals
-            children = tuple(
-                next((_ApplyFails(lit) for lit, _ in o.postconditions if lit not in self.initial), None)
-                for o in outcomes
-            )
             fresh = self._fresh[action_node.node_id] = _Step(
-                action_node, thresholds, children, None, 0
+                action_node, thresholds, (None,) * len(outcomes), None, 0
             )
         return fresh
 

@@ -613,22 +613,27 @@ def _check_template_cycles(templates: dict[str, TemplateSchema]) -> None:
         elif expr.ref == "tmpl":
             yield expr.name
 
-    visiting: set[str] = set()
+    # depth-first with an explicit stack, so a long chain of templates
+    # costs no Python recursion
     done: set[str] = set()
-
-    def visit(name: str) -> None:
-        if name in done:
-            return
-        if name in visiting:
-            raise SemanticError(f"template {name!r} expands into itself")
-        visiting.add(name)
-        for ref in refs(templates[name].body):
-            visit(ref)
-        visiting.discard(name)
-        done.add(name)
-
-    for name in templates:
-        visit(name)
+    for root in templates:
+        if root in done:
+            continue
+        # the templates on the path from ``root``, each with its unvisited references
+        visiting = {root}
+        stack = [(root, refs(templates[root].body))]
+        while stack:
+            name, pending = stack[-1]
+            ref = next(pending, None)
+            if ref is None:
+                stack.pop()
+                visiting.discard(name)
+                done.add(name)
+            elif ref in visiting:
+                raise SemanticError(f"template {ref!r} expands into itself")
+            elif ref not in done:
+                visiting.add(ref)
+                stack.append((ref, refs(templates[ref].body)))
 
 
 def parse_domain(text: str) -> DomainSpec:

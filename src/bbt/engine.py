@@ -13,9 +13,10 @@ records, as its ``blame``, the condition charged with its failure in the
 tick that is running, so the planner reads its targets off the terminal
 entries without ticking the tree again.
 
-Within a tick, nodes pass plain ``(p, state)`` lists; each root tick's
-result, each expansion and each coalesce is validated as one
-:class:`~bbt.belief.BeliefState`.  The tree's :class:`~bbt.tree.TreeTables`
+Within a tick, nodes pass ``(p, state, status, pending, blame)`` tuples
+and leave every state untouched; each entry's state is built once, at the
+end of the tick.  Each root tick's result, each expansion and each coalesce
+is validated as one :class:`~bbt.belief.BeliefState`.  The tree's :class:`~bbt.tree.TreeTables`
 are built once per :func:`simulate`, or once per :class:`Trail`, and
 returned with its result.
 
@@ -29,14 +30,16 @@ replaying the whole run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Iterable
 
-from .belief import BeliefState, PhysicalState
+from .belief import ActionInstance, BeliefState, PhysicalState
 from .errors import EntryLimitExceeded, NoPending, TickLimitExceeded
 from .status import Status
 from .tree import ActionNode, BTNode, Condition, TreeTables
 
 Entry = tuple[float, PhysicalState]
+# one entry inside a tick: (p, state at the tick's start, status, pending, blame)
+_Ticking = tuple[float, PhysicalState, Status, tuple[int, ActionInstance] | None, int | None]
 
 
 @dataclass(frozen=True)
@@ -108,28 +111,6 @@ class Trail:
                 return
 
 
-def schedule_delayed(node: ActionNode, entries: Iterable[Entry]) -> list[Entry]:
-    """Tick an action leaf: latch replay, one-per-tick guard, or schedule.
-
-    Entries whose latch view has this node done replay the report status.
-    Entries that already scheduled some action this tick return R untouched
-    (one action at a time).  Fresh entries record the action as pending and
-    return R; the outcome lands in :func:`apply_delayed` before the next
-    root tick.
-    """
-    node_id = node.node_id
-    out = []
-    for p, s in entries:
-        done = s.latches.get(node_id)
-        if done is not None:
-            out.append((p, s.with_r(done)))
-        elif s.pending is not None:
-            out.append((p, s.with_r(Status.R)))
-        else:
-            out.append((p, s.scheduled(node_id, node.action)))
-    return out
-
-
 def apply_delayed(entries: Iterable[Entry], tables: TreeTables) -> BeliefState:
     """Expand every entry over its pending action's outcomes and coalesce.
 
@@ -172,48 +153,66 @@ def belief_tick(
     one-item list that ends up holding the last node the tick visits, which
     is the furthest in tick order.
 
-    Between nodes the tick passes plain ``(p, state)`` lists; the result is
-    validated as one :class:`BeliefState`.  A leaf returns one entry per
-    entry it receives and a control node returns the entries it receives,
-    so the result holds as many entries as ``mem``, and no node in between
-    holds more: :func:`simulate` checks the entry limit on ``mem`` alone.
+    Between nodes the tick passes ``(p, state, status, pending, blame)``
+    tuples and leaves every state untouched; the result builds each entry's
+    state once (:meth:`PhysicalState.ticked`, which returns the state itself
+    when the tick changed nothing) and is validated as one
+    :class:`BeliefState`.  A leaf returns one entry per entry it receives
+    and a control node returns the entries it receives, so the result holds
+    as many entries as ``mem``, and no node in between holds more:
+    :func:`simulate` checks the entry limit on ``mem`` alone.
     """
     if reached is None:
         reached = [node]
-    return BeliefState(_tick(node, mem.entries, tables.foldable, tables.depth, reached))
+    entries = [(p, s, s.r, s.pending, s.blame) for p, s in mem.entries]
+    out = _tick(node, entries, tables.foldable, tables.depth, reached)
+    return BeliefState([(p, s.ticked(r, pending, blame)) for p, s, r, pending, blame in out])
 
 
 def _tick(
     node: BTNode,
-    entries: Collection[Entry],
+    entries: list[_Ticking],
     foldable: set[int],
     depth: dict[int, int],
     reached: list[BTNode],
-) -> list[Entry]:
-    """The recursion behind :func:`belief_tick`, on plain entry lists."""
+) -> list[_Ticking]:
+    """The recursion behind :func:`belief_tick`.
+
+    An action leaf replays its latch or returns R, and becomes the pending
+    action when none is; its outcome lands in :func:`apply_delayed` before
+    the next root tick.
+    """
     reached[0] = node
+    node_id = node.node_id
+    out: list[_Ticking] = []
     if isinstance(node, Condition):
-        literal, node_id = node.literal, node.node_id
+        literal = node.literal
         level = depth[node_id]
-        out = []
-        for p, s in entries:
+        for p, s, _, pending, blame in entries:
             status = s.value(literal)
-            if status is not Status.S and depth.get(s.blame, -1) < level:
-                out.append((p, s.charged(status, node_id)))
-            else:
-                out.append((p, s.with_r(status)))
+            if status is not Status.S and depth.get(blame, -1) < level:
+                blame = node_id
+            out.append((p, s, status, pending, blame))
         return out
     if isinstance(node, ActionNode):
-        return schedule_delayed(node, entries)
-    stopped: list[Entry] = []
-    if node.node_id in foldable:
-        rest = []
-        for p, s in entries:
-            done = s.latches.get(node.node_id)
+        scheduled = (node_id, node.action)
+        for p, s, _, pending, blame in entries:
+            done = s.latches.get(node_id)
             if done is None:
-                rest.append((p, s))
+                # one action per tick: a fresh action waits while another is pending
+                out.append((p, s, Status.R, pending or scheduled, blame))
             else:
-                stopped.append((p, s.with_r(done)))
+                out.append((p, s, done, pending, blame))
+        return out
+    if node_id in foldable:
+        rest = []
+        for entry in entries:
+            done = entry[1].latches.get(node_id)
+            if done is None:
+                rest.append(entry)
+            else:
+                p, s, _, pending, blame = entry
+                out.append((p, s, done, pending, blame))
         entries = rest
     go_on = node.continue_status
     for child in node.children:
@@ -222,12 +221,12 @@ def _tick(
         result = _tick(child, entries, foldable, depth, reached)
         entries = []
         for entry in result:
-            if entry[1].r is go_on:
+            if entry[2] is go_on:
                 entries.append(entry)
             else:
-                stopped.append(entry)
-    stopped.extend(entries)
-    return stopped
+                out.append(entry)
+    out.extend(entries)
+    return out
 
 
 def simulate(

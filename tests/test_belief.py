@@ -71,7 +71,7 @@ class TestPhysicalState:
                 for _ in range(4):
                     node = rng.choice(nodes)
                     outcome = rng.choice(node.action.outcomes)
-                    s = s.with_r(rng.choice(randgen.STATUSES))
+                    s = s.ticked(rng.choice(randgen.STATUSES), s.pending, s.blame)
                     s = s.resolved(node.node_id, outcome, tables)
                     fresh = PhysicalState(s.assignment, s.r, None, s.latches)
                     assert s.key == fresh.key
@@ -119,7 +119,9 @@ def expand(m, action, node_id=0):
     ``node_id`` stands for a lone action node: the tables are those of a
     one-node tree, so no latch has an ancestor to fold into.
     """
-    scheduled = BeliefState((p, s.scheduled(node_id, action)) for p, s in m)
+    scheduled = BeliefState(
+        (p, PhysicalState(s.assignment, R, (node_id, action), s.latches)) for p, s in m
+    )
     return apply_delayed(scheduled, TreeTables(ActionNode(action)))
 
 

@@ -551,6 +551,32 @@ class TestTreeFile:
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
             assert "nested too deeply" in proc.stderr
 
+    def test_long_template_chain_exits_0_or_1(self, tmp_path):
+        # t0 expands into t1, and so on 1500 templates deep: the cycle check
+        # must not recurse once per reference
+        depth = 1500
+        templates = [
+            f"template t{k}(p) {{ pre {{ }} body seq {{ tmpl t{k + 1}(p) }} }}\n"
+            for k in range(depth - 1)
+        ]
+        templates.append(f"template t{depth - 1}(p) {{ pre {{ }} body seq {{ act light_on() }} }}\n")
+        path = tmp_path / "chain.bbt"
+        path.write_text(
+            "param p { a }\n"
+            "condition lit values { S F }\n"
+            "condition done values { S F }\n"
+            "action light_on { pre { } outcome 1.0 -> S { lit = S } }\n"
+            "action finish { pre { lit = S } outcome 1.0 -> S { done = S } }\n"
+            + "".join(templates)
+            + "initial { lit = F ; done = F }\n"
+            "goal { done = S } prob 0.9\n",
+            encoding="utf-8",
+        )
+        proc = run_bbt("plan", "--domain", str(path), "--out", str(tmp_path / "tree.json"))
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode in (0, 1)
+        assert proc.stderr.count("\n") == (proc.returncode == 1)
+
     def test_latches_not_serialized(self, soda_domain):
         action = ActionNode(soda_domain.actions_by_id["light_on"])
         tree = Sequence([action])

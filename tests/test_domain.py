@@ -112,6 +112,19 @@ template loop(obj) {
             parse_domain(text)
         assert "loop" in str(err.value)
 
+    def test_indirect_template_cycle_names_its_first_repeat(self):
+        # a reaches the cycle b -> c -> b; the check names b, the first
+        # template it meets again on its path
+        text = """
+param obj { ball }
+condition held(obj) values { S F }
+template a(obj) { pre { } body seq { cond held(obj) tmpl b(obj) } }
+template b(obj) { pre { } body fb { tmpl c(obj) } }
+template c(obj) { pre { } body seq { tmpl b(obj) } }
+"""
+        with pytest.raises(SemanticError, match=r"^template 'b' expands into itself$"):
+            parse_domain(text)
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self, soda_path):

@@ -8,7 +8,6 @@ from bbt.engine import (
     SimulationLimits,
     apply_delayed,
     belief_tick,
-    schedule_delayed,
     simulate,
 )
 from bbt.errors import EntryLimitExceeded, NoPending, TickLimitExceeded
@@ -67,6 +66,16 @@ class TestBeliefTick:
         assert result.pending is not None
         assert result.pending[1].id == "detect"
 
+    def test_unchanged_entry_is_the_same_object(self):
+        tree = Sequence([Condition("a"), Condition("b")])
+        same, moved = state(r=S, a="S", b="S"), state(r=S, a="S", b="F")
+        # the b=F entry stops at child 1; the other runs past the last child
+        stopped, passed = tick_once(tree, same, moved)
+        assert passed is same
+        assert stopped is not moved and (stopped.r, stopped.blame) == (F, tree.children[1].node_id)
+        # a changed entry is built once, around the state's own parts
+        assert stopped.assignment is moved.assignment and stopped.latches is moved.latches
+
     def test_entry_limit(self):
         # a tick holds no more entries than it starts with, so the limit is
         # checked on the belief each root tick starts with
@@ -77,34 +86,66 @@ class TestBeliefTick:
         assert len(simulate(tree, m, SimulationLimits(max_entries=3)).terminal) == 3
 
 
+def tick_once(tree, *states):
+    """One belief tick of ``tree`` over equally weighted ``states``."""
+    m = BeliefState((1.0 / len(states), s) for s in states)
+    return [s for _, s in belief_tick(tree, m, TreeTables(tree))]
+
+
 class TestScheduleDelayed:
+    """Action leaves in a belief tick: latch replay, else R and one pending action."""
+
     def test_fresh_entry_schedules(self):
         node = ActionNode(sure("goto(table1)", (("at", S),)))
-        ((_, s),) = schedule_delayed(node, [(1.0, state(at="F"))])
+        (s,) = tick_once(node, state(at="F"))
         assert s.r is R
         assert s.pending == (node.node_id, node.action)
+        # the pending key holds the node id and the action id
+        assert s.key[2] == (node.node_id, "goto(table1)")
+        assert s == state(at="F", pending=(node.node_id, node.action))
 
     def test_latched_entry_replays(self):
         node = ActionNode(sure("goto"))
-        m = [(1.0, state(at="F", latches={node.node_id: S}))]
-        ((_, s),) = schedule_delayed(node, m)
-        assert s.r is S
-        assert s.pending is None
+        for report in (S, F):
+            (s,) = tick_once(node, state(at="F", latches={node.node_id: report}))
+            assert s.r is report
+            assert s.pending is None
+        # a replayed S passes on to the next action, which is scheduled
+        second = ActionNode(sure("other"))
+        tree = Sequence([node, second])
+        (s,) = tick_once(tree, state(at="F", latches={node.node_id: S}))
+        assert s.r is R
+        assert s.pending == (second.node_id, second.action)
+        assert s.key[2] == (second.node_id, "other")
 
     def test_second_action_same_tick_not_scheduled(self):
         first = ActionNode(detect())
         second = ActionNode(sure("other"))
-        m = schedule_delayed(first, [(1.0, state(seen="R", x="F"))])
-        ((_, s),) = schedule_delayed(second, m)
+        # a Skipper goes on past R, so the second action is ticked while the
+        # first is pending: it returns R and leaves the first pending
+        tree = Skipper([first, second])
+        (s,) = tick_once(tree, state(seen="R", x="F"))
         assert s.r is R
-        assert s.pending[1].id == "detect"
+        assert s.pending == (first.node_id, first.action)
+        assert s.key[2] == (first.node_id, "detect")
+        # so does an entry that starts the tick with an action pending, and
+        # a latched action still replays its report
+        pending = (first.node_id, first.action)
+        fresh, done = tick_once(
+            Fallback([second]),
+            state(x="F", pending=pending),
+            state(x="F", pending=pending, latches={second.node_id: F}),
+        )
+        assert (fresh.r, fresh.pending) == (R, pending)
+        assert (done.r, done.pending) == (F, pending)
 
 
 class TestApplyDelayed:
     def test_detect_splits_and_latches(self):
         node = ActionNode(detect("detect(soda)"))
-        m = schedule_delayed(node, [(1.0, state(seen="R"))])
-        out = apply_delayed(m, TreeTables(node))
+        tables = TreeTables(node)
+        m = belief_tick(node, BeliefState.point(state(seen="R")), tables)
+        out = apply_delayed(m, tables)
         assert len(out) == 2
         for p, s in out.entries:
             assert p == pytest.approx(0.5, abs=MASS_TOL)
@@ -113,8 +154,9 @@ class TestApplyDelayed:
 
     def test_deterministic_outcome_single_entry(self):
         node = ActionNode(sure("light_on", (("lum", S),)))
-        m = schedule_delayed(node, [(1.0, state(lum="F"))])
-        out = apply_delayed(m, TreeTables(node))
+        tables = TreeTables(node)
+        m = belief_tick(node, BeliefState.point(state(lum="F")), tables)
+        out = apply_delayed(m, tables)
         ((p, s),) = out.entries
         assert p == pytest.approx(1.0, abs=MASS_TOL)
         assert s.assignment["lum"] is S

@@ -1,0 +1,122 @@
+"""Golden CLI outputs: every verb's output stays byte-identical.
+
+Each case plans a domain, then simulates and executes the planned tree, all
+through ``python -m bbt`` in a fresh interpreter (so ``PYTHONHASHSEED``
+reaches it).  The pinned outputs are the plan log, the ``simulate`` output
+with its ``BBT_LOG=debug`` flow lines, the ``exec --seed 42 --runs 2000``
+output, and the sha256 of the tree file, the plan's ``--dot`` file and the
+``export-dot`` output.  ``simulate`` prints full ``repr`` masses, so a
+changed order of floating-point sums shows here.
+
+The files under ``tests/golden/`` hold one case each, as ``## <name>``
+sections.  To rewrite them after a deliberate output change, run
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+WIDEGEN = REPO / "perfbench" / "widegen.py"
+
+# case name -> (domain: a file under domains/ or ("wide", seed), --prob or None)
+CASES = {
+    f"{name}-{label}": (f"{name}.bbt", prob)
+    for name in ("soda", "soda_deterministic")
+    for label, prob in (("goal", None), ("0.99", "0.99"), ("0.999", "0.999"))
+}
+CASES.update({f"wide-seed{seed}": (("wide", seed), None) for seed in (0, 7)})
+
+
+def _bbt(*args: str, log: str = "error") -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    env["BBT_LOG"] = log
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbt", *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _domain_path(domain, workdir: Path) -> Path:
+    if not isinstance(domain, tuple):
+        return REPO / "domains" / domain
+    spec = importlib.util.spec_from_file_location("widegen", WIDEGEN)
+    widegen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(widegen)
+    path = workdir / "domain.bbt"
+    path.write_text(widegen.generate(24, seed=domain[1]), encoding="utf-8")
+    return path
+
+
+def outputs(case: str) -> dict[str, str]:
+    """Every pinned output of ``case``, by section name."""
+    domain, prob = CASES[case]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        common = ["--domain", str(_domain_path(domain, work))]
+        tree, dot, exported = work / "tree.json", work / "tree.dot", work / "export.dot"
+        plan = _bbt("plan", *common, "--out", str(tree), "--dot", str(dot),
+                    *(["--prob", prob] if prob else []))
+        simulated = _bbt("simulate", *common, "--tree", str(tree), log="debug")
+        executed = _bbt("exec", *common, "--tree", str(tree), "--seed", "42", "--runs", "2000")
+        _bbt("export-dot", *common, "--tree", str(tree), "--out", str(exported))
+        return {
+            "plan stdout": plan.stdout,
+            "simulate stdout": simulated.stdout,
+            "simulate stderr": simulated.stderr,
+            "exec stdout": executed.stdout,
+            "sha256": (
+                f"tree {_sha256(tree)}\n"
+                f"plan dot {_sha256(dot)}\n"
+                f"export-dot {_sha256(exported)}\n"
+            ),
+        }
+
+
+def render(sections: dict[str, str]) -> str:
+    return "".join(f"## {name}\n{text}" for name, text in sections.items())
+
+
+def parse(text: str) -> dict[str, str]:
+    sections: dict[str, str] = {}
+    name = None
+    for line in text.splitlines(keepends=True):
+        if line.startswith("## "):
+            name = line[3:].rstrip("\n")
+            sections[name] = ""
+        else:
+            sections[name] += line
+    return sections
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden(case):
+    expected = parse((GOLDEN / f"{case}.txt").read_text(encoding="utf-8"))
+    actual = outputs(case)
+    assert list(actual) == list(expected)
+    for name in expected:
+        assert actual[name] == expected[name], f"{case}: {name} differs"
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        (GOLDEN / f"{case}.txt").write_text(render(outputs(case)), encoding="utf-8")
+        print(f"wrote {case}")
