@@ -17,18 +17,21 @@ edited.
 ``bbt exec`` runs many runs from one initial assignment through
 :class:`ClassicRuns`, which memoises root ticks in a trie keyed by outcome
 history: only a history no earlier run reached costs a leaf walk.  One loop,
-:meth:`ClassicRuns.statuses`, runs every run of an exec with the splitmix64
-draw inlined; run *r*'s draw at tick *t* is ``bbt.rng.draw(seed, r, t)``,
-the *t*-th draw of ``CounterRng(seed, r)``.
+:meth:`ClassicRuns.statuses`, runs every run of an exec.  It reads the runs
+in blocks of :data:`bbt.rng._LANES` and takes their draws from a
+:class:`~bbt.rng.BlockDraw`, which mixes a tick's draws for the whole block
+at once; run *r*'s draw at tick *t* is ``bbt.rng.draw(seed, r, t)``, the
+*t*-th draw of ``CounterRng(seed, r)``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import TickLimitExceeded, UnknownLiteral
-from .rng import _GOLDEN, _MASK64, _MUL1, _MUL2, _UNIT, _mix
+from .rng import _LANES, _UNIT, BlockDraw
 from .status import Status
 from .tree import ActionNode, TreeTables
 
@@ -185,12 +188,13 @@ class ClassicRuns:
 
         A run ticks until a root tick starts no action; that tick's status
         is final.  One loop runs every run: run ``r``'s draw at tick ``t`` is
-        ``bbt.rng.draw(seed, r, t)`` bit for bit.  The seed is mixed once per
-        call and the stream once per run, and each draw is one inlined
-        splitmix64 finalizer, so no run builds a :class:`~bbt.rng.CounterRng`
-        and no draw is a call.  A step of one outcome draws nothing, but its
-        tick still takes its index, so later ticks draw as they would if it
-        drew.
+        ``bbt.rng.draw(seed, r, t)`` bit for bit.  ``streams`` is read
+        lazily, :data:`bbt.rng._LANES` at a time, and each block's runs are
+        run one by one in stream order.  A block's words at tick ``t`` come
+        from one :class:`~bbt.rng.BlockDraw`, computed when the first of its
+        runs draws at ``t`` and kept for the others, so no run mixes its own
+        draws.  A step of one outcome draws nothing, but its tick still
+        takes its index, so later ticks draw as they would if it drew.
 
         A run that reaches an outcome it cannot apply raises
         :class:`~bbt.errors.UnknownLiteral`, and one still running after
@@ -201,45 +205,46 @@ class ClassicRuns:
         simulation ticks at least as long as any run, so it fails first.
         The budget stays for library callers, whose runs have no such guard.
         """
-        golden, mask, mul1, mul2, unit = _GOLDEN, _MASK64, _MUL1, _MUL2, _UNIT
-        mixed_seed = _mix(seed & mask)
-        for stream in streams:
-            # base = _mix(mixed_seed ^ stream), inlined
-            x = ((mixed_seed ^ (stream & mask)) + golden) & mask
-            x = ((x ^ (x >> 30)) * mul1) & mask
-            x = ((x ^ (x >> 27)) * mul2) & mask
-            base = x ^ (x >> 31)
-            node, step, index = self._root, None, 0
-            state = latches = None
-            for tick in range(max_ticks):
-                if node.__class__ is not _Step:
-                    if node is None:
+        unit = _UNIT
+        streams = iter(streams)
+        while block := list(islice(streams, _LANES)):
+            # tick -> the block's words at that tick, once some run draws
+            # there; rebound before the next block is mixed, so the last
+            # block's words are freed first
+            drawn: dict[int, list[int]] = {}
+            draws = BlockDraw(seed, block)
+            for lane in range(len(block)):
+                node, step, index = self._root, None, 0
+                state = latches = None
+                for tick in range(max_ticks):
+                    if node.__class__ is not _Step:
+                        if node is None:
+                            if state is None:
+                                state, latches = self._replay(step)
+                            if step is not None:
+                                _apply(step, index, state, latches)
+                            node = self._walk(step, index, state, latches)
+                        if node.__class__ is not _Step:
+                            break
+                    step = node
+                    thresholds = step.thresholds
+                    if thresholds is None:
+                        index = 0
+                    else:
+                        try:
+                            words = drawn[tick]
+                        except KeyError:
+                            words = drawn[tick] = draws.words(tick)
+                        index = bisect_right(thresholds, words[lane] * unit)
+                    node = step.children[index]
+                else:
+                    if node is None and step is not None:
+                        # the last tick applies its outcome too, which may fail
                         if state is None:
                             state, latches = self._replay(step)
-                        if step is not None:
-                            _apply(step, index, state, latches)
-                        node = self._walk(step, index, state, latches)
-                    if node.__class__ is not _Step:
-                        break
-                step = node
-                thresholds = step.thresholds
-                if thresholds is None:
-                    index = 0
-                else:
-                    # draw(seed, stream, tick) = _mix(base ^ tick), inlined
-                    x = ((base ^ tick) + golden) & mask
-                    x = ((x ^ (x >> 30)) * mul1) & mask
-                    x = ((x ^ (x >> 27)) * mul2) & mask
-                    index = bisect_right(thresholds, ((x ^ (x >> 31)) >> 11) * unit)
-                node = step.children[index]
-            else:
-                if node is None and step is not None:
-                    # the last tick applies its outcome too, which may fail
-                    if state is None:
-                        state, latches = self._replay(step)
-                    _apply(step, index, state, latches)
-                raise TickLimitExceeded(max_ticks)
-            yield node
+                        _apply(step, index, state, latches)
+                    raise TickLimitExceeded(max_ticks)
+                yield node
 
     def _replay(self, step: _Step | None) -> tuple[dict[str, Status], dict[int, Status]]:
         """The state and latches of the root tick that ``step`` memoises."""

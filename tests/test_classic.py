@@ -11,7 +11,7 @@ from bbt import classic
 from bbt.belief import ActionInstance, Outcome
 from bbt.classic import ClassicRuns, LeafProgram
 from bbt.errors import TickLimitExceeded, UnknownLiteral
-from bbt.rng import CounterRng, draw
+from bbt.rng import _LANES, CounterRng, draw
 from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Sequence, Skipper, TreeTables
 
@@ -193,6 +193,143 @@ def test_each_draw_is_the_counter_draw_of_its_run_and_tick(monkeypatch):
         assert compared == want_compared, case
         draws += len(compared)
     assert draws > 1000 and skipped > 400, (draws, skipped)
+
+
+def _record_draws(monkeypatch) -> list:
+    """Every comparison runs make from now on: (thresholds compared against, draw)."""
+    compared = []
+
+    def recorded_bisect(thresholds, u):
+        compared.append((len(thresholds), u))
+        return bisect.bisect_right(thresholds, u)
+
+    monkeypatch.setattr(classic, "bisect_right", recorded_bisect)
+    return compared
+
+
+def _oracle_runs(tree, assignment, seed, streams, max_ticks=10000):
+    """The oracle run of each stream: statuses, and the comparisons of their draws."""
+    by_id = {
+        node.action.id: node.action
+        for node in TreeTables(tree).order
+        if isinstance(node, ActionNode)
+    }
+    statuses, compared = [], []
+    for stream in streams:
+        rng = CounterRng(seed, stream)
+        status, run = oracle.run_classic(tree, dict(assignment), rng, max_ticks)
+        statuses.append(status)
+        # tick t starts the run's t-th action; one outcome draws nothing
+        for tick, (action_id, _) in enumerate(run.outcomes):
+            n_outcomes = len(by_id[action_id].outcomes)
+            if n_outcomes > 1:
+                compared.append((n_outcomes - 1, draw(seed, stream, tick)))
+    return statuses, compared
+
+
+def _scattered_streams(rng, size):
+    """``size`` streams out of order: negative, past 2**64 and repeated ones."""
+    streams = []
+    for _ in range(size):
+        kind = rng.random()
+        if streams and kind < 0.15:
+            streams.append(rng.choice(streams))
+        elif kind < 0.35:
+            streams.append(-rng.randrange(1, 2**40))
+        elif kind < 0.55:
+            streams.append(2**64 + rng.randrange(2**40))
+        else:
+            streams.append(rng.randrange(2**40))
+    return streams
+
+
+def test_runs_across_blocks_match_reference_runs(monkeypatch):
+    compared = _record_draws(monkeypatch)
+    rng = random.Random(6161)
+    sizes = (1, _LANES - 1, _LANES + 1, 2 * _LANES + 3)
+    ended = {S: 0, F: 0, R: 0}
+    for case in range(16):
+        literals = randgen.random_literals(rng)
+        actions = randgen.random_actions(rng, literals)
+        subtrees = [
+            randgen.random_tree(rng, literals, actions, max_nodes=10)
+            for _ in range(rng.randint(1, 4))
+        ]
+        tree = rng.choice(randgen.CONTROLS)(subtrees)
+        assignment = randgen.random_assignment(rng, literals)
+        program = LeafProgram(TreeTables(tree))
+        seed = rng.choice((0, -1, 2**64 + 5, rng.getrandbits(70)))
+        streams = _scattered_streams(rng, sizes[case % len(sizes)])
+        # every other case reads its streams from a generator
+        source = streams if case % 2 else (stream for stream in streams)
+        compared.clear()
+        got = list(ClassicRuns(program, assignment).statuses(seed, source))
+        want, want_compared = _oracle_runs(tree, assignment, seed, streams)
+        assert got == want, case
+        assert compared == want_compared, case
+        for status in got:
+            ended[status] += 1
+    assert min(ended[S], ended[F]) > 200, ended
+
+
+# a two-outcome first action then a one-outcome second: outcome 0 ends the
+# run F in two ticks, outcome 1 needs a third tick, and outcome 2 writes a
+# literal the state lacks
+_FIRST = ActionInstance("first", (), (
+    Outcome(0.4, (("x", S),), F),
+    Outcome(0.3, (("x", S),), S),
+    Outcome(0.3, (("ghost", S),), S),
+))
+
+
+@pytest.mark.parametrize("outcome,error", [(1, TickLimitExceeded), (2, UnknownLiteral)])
+def test_failing_run_in_second_block_ends_the_runs(outcome, error):
+    tree = Sequence([ActionNode(_FIRST), ActionNode(sure((("x", S),)))])
+    program = LeafProgram(TreeTables(tree))
+    seed, thresholds = 415, [0.4, 0.7]
+    first = [s for s in range(10000) if bisect.bisect_right(thresholds, draw(seed, s, 0)) == 0]
+    failing = next(
+        s for s in range(10000) if bisect.bisect_right(thresholds, draw(seed, s, 0)) == outcome
+    )
+    before = first[: _LANES + 5]
+    streams = [*before, failing, *first[_LANES + 5 :]]
+    # the failing run fails in the oracle too; every earlier run ends F
+    with pytest.raises(error):
+        oracle.run_classic(tree, {"x": F}, CounterRng(seed, failing), 2)
+    assert _oracle_runs(tree, {"x": F}, seed, before, 2)[0] == [F] * len(before)
+    got = []
+    with pytest.raises(error):
+        for status in ClassicRuns(program, {"x": F}).statuses(seed, iter(streams), 2):
+            got.append(status)
+    assert got == [F] * len(before)
+
+
+def test_memo_miss_runs_match_reference_runs(monkeypatch):
+    # 20 items, each rolled by an 8-outcome action whose outcomes all report
+    # S: 8**20 histories, so the runs share little more than their first ticks
+    rolls = [
+        ActionNode(ActionInstance(
+            f"roll{item}", (), tuple(Outcome(0.125, ((f"rolled{item}", S),), S) for _ in range(8))
+        ))
+        for item in range(20)
+    ]
+    tree = Sequence(rolls)
+    assignment = {f"rolled{item}": F for item in range(20)}
+    walks = 0
+    walk_leaves = classic._walk_leaves
+
+    def counted_walk(*args):
+        nonlocal walks
+        walks += 1
+        return walk_leaves(*args)
+
+    monkeypatch.setattr(classic, "_walk_leaves", counted_walk)
+    compared = _record_draws(monkeypatch)
+    got = list(ClassicRuns(LeafProgram(TreeTables(tree)), assignment).statuses(7, range(300)))
+    want, want_compared = _oracle_runs(tree, assignment, 7, range(300))
+    assert got == want == [S] * 300
+    assert compared == want_compared and len(compared) == 300 * 20
+    assert walks > 300 * 15, walks
 
 
 def test_deep_chain_executes_without_recursion():

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from bbt.rng import CounterRng, draw
+from bbt.rng import _LANES, _UNIT, BlockDraw, CounterRng, draw
 
 
 def test_draw_is_pure():
@@ -31,3 +33,18 @@ def test_rough_uniformity():
     n = 20000
     mean = sum(draw(1234, 0, i) for i in range(n)) / n
     assert abs(mean - 0.5) < 0.01
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 + 5, -(2**70)])
+@pytest.mark.parametrize("size", [1, _LANES - 1, _LANES, _LANES + 1])
+def test_block_draw_lanes_are_bit_identical_to_draw(seed, size):
+    rng = random.Random(size)
+    # streams outside [0, 2**64) are masked to 64 bits, as draw() does
+    special = [0, -3, 2**64 - 1, 2**64 + 7]
+    streams = (special + [rng.getrandbits(66) for _ in range(size)])[:size]
+    block = BlockDraw(seed, streams)
+    for tick in (0, 1, 2**63 + 5, 2**64 + 3):
+        words = block.words(tick)
+        assert len(words) == size
+        got = [word * _UNIT for word in words]
+        assert got == [draw(seed, stream, tick) for stream in streams], (seed, size, tick)
