@@ -1,14 +1,15 @@
 """Belief states: finite discrete distributions over physical condition states.
 
 Belief states and physical states are immutable values, safe to share
-between threads and across simulations.  :meth:`Outcome.apply` is the one
-place postconditions are written; it updates a caller-owned assignment.
-:meth:`PhysicalState.resolved` is the one place a state's assignment is
-copied and written, and it updates the sorted key by position instead of
-sorting again; :meth:`PhysicalState.ticked` builds the one state a tick
-makes per entry (a new return status, pending action or blame), sharing
-the assignment, the latch view and their sorted key parts with the state
-it comes from.
+between threads and across simulations.  A physical state holds its
+assignment once, as a tuple of statuses in sorted-literal order that is
+also part of its key.  :meth:`Outcome.apply` is the one place
+postconditions are written, into a caller-owned list laid out by a
+literal-to-position index.  :meth:`PhysicalState.resolved` copies a
+state's statuses into such a list and applies one outcome;
+:meth:`PhysicalState.ticked` builds the one state a tick makes per entry
+(a new return status, pending action or blame), sharing the statuses and
+the latch view with the state it comes from.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ class Outcome:
     postconditions: tuple[tuple[str, Status], ...]
     report: Status
 
-    def apply(self, assignment: dict[str, Status]) -> None:
-        """Write the postconditions into ``assignment``, which must hold each literal."""
+    def apply(self, values: list[Status], index: Mapping[str, int]) -> None:
+        """Write the postconditions into ``values``; ``index`` maps a literal to its position."""
         for literal, status in self.postconditions:
-            if literal not in assignment:
+            if literal not in index:
                 raise UnknownLiteral(literal)
-            assignment[literal] = status
+            values[index[literal]] = status
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,18 @@ class ActionInstance:
 class PhysicalState:
     """An assignment of every grounded literal to a status, plus bookkeeping.
 
-    ``r`` is the status last propagated to the root for this state.
-    ``pending`` holds the single delayed action scheduled during the current
-    root tick, as a ``(node id, ActionInstance)`` pair.  ``latches`` is this
-    belief branch's canonical latch view: the latches that can still change
-    its behaviour, keyed by node id.  It holds finished actions with their
-    report status and control nodes whose return latches alone have fixed;
-    :meth:`resolved` folds a settled subtree into its control node's latch,
-    and nodes that can never be ticked again hold none.  Branches whose
-    histories differ but whose futures agree thus share one state.
+    ``literals`` holds the grounded literals in sorted order and ``values``
+    their statuses, position for position; that tuple is the state's one
+    copy of its assignment.  ``r`` is the status last propagated to the
+    root for this state.  ``pending`` holds the single delayed action
+    scheduled during the current root tick, as a ``(node id,
+    ActionInstance)`` pair.  ``latches`` is this belief branch's canonical
+    latch view: the latches that can still change its behaviour, keyed by
+    node id.  It holds finished actions with their report status and
+    control nodes whose return latches alone have fixed; :meth:`resolved`
+    folds a settled subtree into its control node's latch, and nodes that
+    can never be ticked again hold none.  Branches whose histories differ
+    but whose futures agree thus share one state.
 
     ``blame`` is the node id of the condition charged with this branch's
     failure: of the conditions that returned F or R since the branch's last
@@ -93,18 +97,19 @@ class PhysicalState:
     entry it names the condition the planner resolves.  It is not part of
     the key: two terminal entries with equal keys ran the same final tick.
 
-    The constructor sorts the assignment once into the key and maps each
-    literal to its position there.  An outcome writes only literals the
-    assignment already holds, so every state derived from a constructed one
-    holds the same literals and shares that map: :meth:`resolved` rewrites
-    the written positions of its parent's key and never sorts the
-    assignment again.  A tick makes at most one state per entry, with
+    The constructor sorts the literals once and maps each to its position.
+    An outcome writes only literals the state already holds, so every state
+    derived from a constructed one shares ``literals`` and that index.
+    ``key``, the canonical sort and equality key, is ``(literals, values,
+    r, pending, latches)``: over one literal set it orders states by their
+    statuses in literal order, and states over different literal sets never
+    compare equal.  A tick makes at most one state per entry, with
     :meth:`ticked`, and none for an entry it leaves unchanged; both methods
     build their states around a ready key, through one private constructor.
     """
 
     __slots__ = (
-        "assignment", "r", "pending", "latches", "blame", "_key", "_hash", "_positions"
+        "literals", "values", "r", "pending", "latches", "blame", "_index", "key", "_hash"
     )
 
     def __init__(
@@ -114,30 +119,26 @@ class PhysicalState:
         pending: tuple[int, ActionInstance] | None = None,
         latches: Mapping[int, Status] | None = None,
     ):
-        self.assignment = dict(assignment)
+        self.literals = tuple(sorted(assignment))
+        self.values = tuple(assignment[literal] for literal in self.literals)
         self.r = r
         self.pending = pending
         self.latches = dict(latches) if latches else {}
         self.blame: int | None = None
+        self._index = {literal: i for i, literal in enumerate(self.literals)}
         pending_key = None if pending is None else (pending[0], pending[1].id)
-        assignment_key = tuple(sorted(self.assignment.items()))
-        self._key = (
-            assignment_key,
-            self.r,
+        self.key = (
+            self.literals,
+            self.values,
+            r,
             pending_key,
             tuple(sorted(self.latches.items())),
         )
         self._hash = None
-        self._positions = {literal: i for i, (literal, _) in enumerate(assignment_key)}
-
-    @property
-    def key(self):
-        """Canonical sort/equality key (assignment, r, pending, latches)."""
-        return self._key
 
     def value(self, literal: str) -> Status:
         try:
-            return self.assignment[literal]
+            return self.values[self._index[literal]]
         except KeyError:
             raise UnknownLiteral(literal) from None
 
@@ -147,16 +148,16 @@ class PhysicalState:
         """This state as a tick leaves it: returning ``r``, with ``pending`` and ``blame``.
 
         Returns the state itself when none of the three changed.  Otherwise
-        the result shares the assignment, the latch view and their sorted
-        key parts, which are never written after construction.
+        the result shares the statuses, the latch view and its sorted key
+        part, which are never written after construction.
         """
         if r is self.r and pending is self.pending and blame == self.blame:
             return self
-        assignment_key, _, pending_key, latch_key = self._key
+        literals, values, _, pending_key, latch_key = self.key
         if pending is not self.pending:
             pending_key = None if pending is None else (pending[0], pending[1].id)
-        key = (assignment_key, r, pending_key, latch_key)
-        return self._derived(self.assignment, self.latches, key, pending, blame)
+        key = (literals, values, r, pending_key, latch_key)
+        return self._derived(self.latches, key, pending, blame)
 
     def resolved(self, node_id: int, outcome: Outcome, tables: "TreeTables") -> "PhysicalState":
         """Copy with ``outcome`` applied, its latch set, pending and blame cleared.
@@ -165,54 +166,51 @@ class PhysicalState:
         tree the action node sits in; the latch view is canonicalized with
         them (:meth:`TreeTables.settle`).
 
-        The assignment and latches are copied once each.  The assignment
-        part of the key is the parent's with the outcome's literals
-        rewritten at their positions, equal to a fresh sort of the new
-        assignment; only the latch view, a handful of entries, is sorted.
+        The statuses are copied into a list once, the outcome writes its
+        literals there through the shared index, and the list becomes the
+        new state's ``values``; only the latch view, a handful of entries,
+        is sorted.
         """
-        assignment = dict(self.assignment)
-        outcome.apply(assignment)
-        positions = self._positions
-        assignment_key = list(self._key[0])
-        for literal, _ in outcome.postconditions:
-            assignment_key[positions[literal]] = (literal, assignment[literal])
+        values = list(self.values)
+        outcome.apply(values, self._index)
         latches = dict(self.latches)
         latches[node_id] = outcome.report
         tables.settle(latches, node_id)
-        key = (tuple(assignment_key), self.r, None, tuple(sorted(latches.items())))
-        return self._derived(assignment, latches, key, None, None)
+        key = (self.literals, tuple(values), self.r, None, tuple(sorted(latches.items())))
+        return self._derived(latches, key, None, None)
 
-    def _derived(self, assignment, latches, key, pending, blame) -> "PhysicalState":
-        """A state holding this one's literals, built around its ready ``key``.
+    def _derived(self, latches, key, pending, blame) -> "PhysicalState":
+        """A state over this one's literals, built around its ready ``key``.
 
-        ``key`` must be the key of ``assignment``, the key's ``r``,
-        ``pending`` and ``latches``; the literal positions are shared.
+        ``key`` must hold this state's ``literals``, the new statuses, ``r``,
+        ``pending`` and ``latches``; the literal index is shared.
         """
         state = object.__new__(PhysicalState)
-        state.assignment = assignment
-        state.r = key[1]
+        state.literals = self.literals
+        state.values = key[1]
+        state.r = key[2]
         state.pending = pending
         state.latches = latches
         state.blame = blame
-        state._key = key
+        state._index = self._index
+        state.key = key
         state._hash = None
-        state._positions = self._positions
         return state
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhysicalState):
             return NotImplemented
-        return self._key == other._key
+        return self.key == other.key
 
     def __hash__(self) -> int:
         # computed on first use: most states a tick makes are never hashed,
         # and hashing the key calls Status.__hash__ once per literal
         if self._hash is None:
-            self._hash = hash(self._key)
+            self._hash = hash(self.key)
         return self._hash
 
     def __repr__(self) -> str:
-        body = ",".join(f"{k}={v}" for k, v in sorted(self.assignment.items()))
+        body = ",".join(f"{k}={v}" for k, v in zip(self.literals, self.values))
         pend = "-" if self.pending is None else self.pending[1].id
         return f"PhysicalState({body} | r={self.r} | pending={pend})"
 
@@ -294,7 +292,7 @@ class BeliefState:
         """
         lines = []
         for p, s in self.coalesce().entries:
-            body = ",".join(f"{k}={v}" for k, v in sorted(s.assignment.items()))
+            body = ",".join(f"{k}={v}" for k, v in zip(s.literals, s.values))
             pend = "-" if s.pending is None else s.pending[1].id
             line = f"{p!r} | {body} | r={s.r} | pending={pend}"
             if s.latches:

@@ -1,9 +1,11 @@
 """Classic execution: one physical state, sampled action outcomes.
 
 This is the runtime counterpart of the belief-space engine and the basis of
-the Monte Carlo cross-check.  The state is a plain ``dict`` mapping every
-grounded literal to a :class:`~bbt.status.Status`; a run's latches map the
-node id of every action it finished to that action's report status.
+the Monte Carlo cross-check.  A run's state is a list holding the
+:class:`~bbt.status.Status` of every grounded literal, laid out as the
+initial assignment lists them, with a literal-to-position index shared by
+every run; a run's latches map the node id of every action it finished to
+that action's report status.
 
 A tick visits leaves only.  A control node returns the status of the last
 child it scans, so a status passes up the tree unchanged, and where a tick
@@ -87,13 +89,13 @@ class LeafProgram:
 
 
 def _walk_leaves(
-    program: LeafProgram, state: dict[str, Status], latches: dict[int, Status]
+    program: LeafProgram, index: dict[str, int], state: list[Status], latches: dict[int, Status]
 ) -> tuple[Status, ActionNode | None]:
     """Read leaves from the entry until the root returns; the leaf walk of a tick.
 
     Returns the root status and the first fresh action reached, or ``None``
-    when every action reached has latched.  Reads ``state`` and ``latches``
-    only.
+    when every action reached has latched.  ``index`` maps each literal to
+    its position in ``state``.  Reads ``state`` and ``latches`` only.
     """
     steps = program.steps
     started = None
@@ -102,7 +104,7 @@ def _walk_leaves(
         literal, action_node, on_s, on_f, on_r = steps[at]
         if literal is not None:
             try:
-                status = state[literal]
+                status = state[index[literal]]
             except KeyError:
                 raise UnknownLiteral(literal) from None
         else:
@@ -175,7 +177,9 @@ class ClassicRuns:
 
     def __init__(self, program: LeafProgram, initial: dict[str, Status]):
         self.program = program
-        self.initial = dict(initial)
+        # a run's state lists the statuses of initial's literals in its order
+        self.index = {literal: i for i, literal in enumerate(initial)}
+        self.initial = list(initial.values())
         self._root: _Step | Status | None = None
         self._fresh: dict[int, _Step] = {}
         # child slots the trie may still take
@@ -222,7 +226,7 @@ class ClassicRuns:
                             if state is None:
                                 state, latches = self._replay(step)
                             if step is not None:
-                                _apply(step, index, state, latches)
+                                self._apply(step, index, state, latches)
                             node = self._walk(step, index, state, latches)
                         if node.__class__ is not _Step:
                             break
@@ -242,25 +246,31 @@ class ClassicRuns:
                         # the last tick applies its outcome too, which may fail
                         if state is None:
                             state, latches = self._replay(step)
-                        _apply(step, index, state, latches)
+                        self._apply(step, index, state, latches)
                     raise TickLimitExceeded(max_ticks)
                 yield node
 
-    def _replay(self, step: _Step | None) -> tuple[dict[str, Status], dict[int, Status]]:
+    def _replay(self, step: _Step | None) -> tuple[list[Status], dict[int, Status]]:
         """The state and latches of the root tick that ``step`` memoises."""
         path = []
         while step is not None and step.parent is not None:
             path.append((step.parent, step.slot))
             step = step.parent
-        state: dict[str, Status] = dict(self.initial)
+        state = list(self.initial)
         latches: dict[int, Status] = {}
         for parent, index in reversed(path):
-            _apply(parent, index, state, latches)
+            self._apply(parent, index, state, latches)
         return state, latches
+
+    def _apply(self, step, index, state, latches) -> None:
+        """Apply outcome ``index`` of ``step`` to a run's ``state`` and ``latches``."""
+        outcome = step.action_node.action.outcomes[index]
+        outcome.apply(state, self.index)
+        latches[step.action_node.node_id] = outcome.report
 
     def _walk(self, step, index, state, latches) -> _Step | Status:
         """Walk the tick after outcome ``index`` of ``step``; memoise it there while room lasts."""
-        status, started = _walk_leaves(self.program, state, latches)
+        status, started = _walk_leaves(self.program, self.index, state, latches)
         node = status if started is None else self._fresh_step(started)
         if self._room > 0:
             if node.__class__ is _Step:
@@ -295,9 +305,3 @@ class ClassicRuns:
                 action_node, thresholds, (None,) * len(outcomes), None, 0
             )
         return fresh
-
-
-def _apply(step: _Step, index: int, state: dict[str, Status], latches: dict[int, Status]) -> None:
-    outcome = step.action_node.action.outcomes[index]
-    outcome.apply(state)
-    latches[step.action_node.node_id] = outcome.report

@@ -1,8 +1,8 @@
 """Command-line surface: plan, simulate, exec, and export-dot subcommands.
 
-Exit codes: 0 success, 1 file/parse errors, 2 planning failures, 3
-simulation limits.  ``BBT_LOG`` (error|info|debug) controls diagnostics on
-standard error.
+Exit codes: 0 success, 1 file/parse errors and invalid arguments, 2
+planning failures, 3 simulation limits.  ``BBT_LOG`` (error|info|debug)
+controls diagnostics on standard error.
 """
 
 from __future__ import annotations
@@ -141,8 +141,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end like any other invalid input.
+
+    argparse prints a usage block and exits 2, the planning-failure code;
+    this parser raises instead, so :func:`main` prints one line and
+    returns 1.  Its subcommand parsers are of the same class.
+    """
+
+    def error(self, message: str):
+        raise BbtError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bbt",
         description="Belief behavior trees: plan, simulate, execute, export.",
     )
@@ -185,8 +197,8 @@ def _configure_logging() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_common(args)
         return args.func(args)
     except _INPUT_ERRORS as exc:

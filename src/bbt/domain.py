@@ -653,11 +653,15 @@ def format_literal(name: str, args: tuple[str, ...]) -> str:
 
 @dataclass(frozen=True)
 class TemplateInstance:
-    """A grounded template: advisory outcome distribution plus a body factory."""
+    """A grounded template: advisory outcome distribution plus a body factory.
+
+    ``outcomes`` are the template's declared outcomes, grounded; like an
+    action's, they are what the planner scores the template by.
+    """
 
     id: str
     preconditions: tuple[tuple[str, Status], ...]
-    declared: tuple[Outcome, ...]
+    outcomes: tuple[Outcome, ...]
     schema: TemplateSchema = field(compare=False, repr=False)
     bindings: tuple[tuple[str, str], ...] = field(compare=False, repr=False)
     domain: "GroundedDomain" = field(compare=False, repr=False)
@@ -715,7 +719,7 @@ class GroundedDomain:
         self._assignable: set[tuple[str, Status]] = set()
         self._establishing: dict[str, list[tuple[Resolver, float]]] = {}
         for resolver in self.resolvers():
-            outcomes = resolver_outcomes(resolver)
+            outcomes = resolver.outcomes
             established = set()
             for outcome in outcomes:
                 self._assignable.update(outcome.postconditions)
@@ -785,7 +789,7 @@ class GroundedDomain:
         self, schema: TemplateSchema, binding: dict[str, str]
     ) -> TemplateInstance:
         name = format_literal(schema.name, tuple(binding[p] for p in schema.params))
-        declared = tuple(
+        outcomes = tuple(
             Outcome(
                 o.probability,
                 tuple(self._ground_asgn(a, binding) for a in o.assignments),
@@ -796,7 +800,7 @@ class GroundedDomain:
         return TemplateInstance(
             id=name,
             preconditions=tuple(self._ground_asgn(a, binding) for a in schema.preconditions),
-            declared=declared,
+            outcomes=outcomes,
             schema=schema,
             bindings=tuple(binding.items()),
             domain=self,
@@ -833,12 +837,6 @@ class GroundedDomain:
         :meth:`resolvers` order, and those with no such outcome are left out.
         """
         return self._establishing.get(literal, [])
-
-
-def resolver_outcomes(resolver: Resolver) -> tuple[Outcome, ...]:
-    if isinstance(resolver, ActionInstance):
-        return resolver.outcomes
-    return resolver.declared
 
 
 def ground(spec: DomainSpec) -> GroundedDomain:

@@ -342,15 +342,6 @@ def resolve_threat(
     return tree, edit_rank
 
 
-def node_by_id(tables: TreeTables, node_id: int) -> BTNode:
-    """The node with ``node_id`` in the tree ``tables`` were built from.
-
-    A table lookup, not a walk; ``perfbench/tracer.py`` times it with the
-    planner's edits under this name.
-    """
-    return tables.order[tables.rank[node_id]]
-
-
 def refine_tree(request: PlanRequest) -> PlanResult:
     """Run the synthesis loop until the target probability is reached.
 
@@ -385,7 +376,7 @@ def refine_tree(request: PlanRequest) -> PlanResult:
                 ) from None
             raise
         tables = result.tables
-        target_node = node_by_id(tables, report.node_id)
+        target_node = tables.order[tables.rank[report.node_id]]
         assert isinstance(target_node, Condition)
         conflict = find_threat(tables, target_node, report.literal)
         if conflict is not None:

@@ -4,14 +4,28 @@
 that parse -> serialize -> parse is the identity; the round-trip tests use
 it.  ``tree_to_doc`` builds a tree's format-1 document, the reference that
 ``bbt.treefile.dumps_tree`` is checked against.  ``validate_tree`` checks
-the structural invariants of a tree.
+the structural invariants of a tree.  ``assignment_of`` reads a physical
+state's statuses back as a literal-to-status ``dict``, and ``walk_leaves``
+runs the classic leaf walk on a state given as such a ``dict``.
 """
 
 from __future__ import annotations
 
+from bbt import classic
 from bbt.domain import Assignment, BodyExpr, BodyLeaf, DomainSpec, format_literal
 from bbt.tree import ActionNode, BTNode, Condition
 from bbt.treefile import FORMAT_VERSION
+
+
+def assignment_of(state) -> dict:
+    """The literal -> status ``dict`` of a :class:`~bbt.belief.PhysicalState`."""
+    return dict(zip(state.literals, state.values))
+
+
+def walk_leaves(program, state: dict, latches: dict):
+    """``bbt.classic._walk_leaves`` on the literal -> status ``dict`` ``state``."""
+    index = {literal: i for i, literal in enumerate(state)}
+    return classic._walk_leaves(program, index, list(state.values()), latches)
 
 
 def _fmt_number(x: float) -> str:

@@ -120,7 +120,10 @@ def classic_tick(
         action_node = started[0]
         index = sample_outcome_index(action_node.action, rng.random())
         outcome = action_node.action.outcomes[index]
-        outcome.apply(state)
+        for literal, value in outcome.postconditions:
+            if literal not in state:
+                raise UnknownLiteral(literal)
+            state[literal] = value
         run.latches[action_node.node_id] = outcome.report
         run.outcomes.append((action_node.action.id, index))
     return status
@@ -206,7 +209,7 @@ def simulation_to_terminals(result) -> dict[TerminalKey, float]:
     out: dict[TerminalKey, float] = defaultdict(float)
     for p, state in result.terminal.entries:
         assert state.pending is None
-        out[(frozenset(state.assignment.items()), state.r, state.blame)] += p
+        out[(frozenset(zip(state.literals, state.values)), state.r, state.blame)] += p
     return dict(out)
 
 

@@ -13,6 +13,7 @@ from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Sequence, TreeTables
 
 import randgen
+from helpers import assignment_of
 
 S, F, R = Status.S, Status.F, Status.R
 
@@ -45,9 +46,16 @@ class TestPhysicalState:
     def test_equality_covers_assignment_r_pending_latches(self):
         base = state(a="S")
         assert base == state(a="S")
-        assert base != state(a="F")
-        assert base != state(r=S, a="S")
-        assert base != PhysicalState({"a": S}, R, latches={1: S})
+        # the last one holds another literal: states over different literal
+        # sets stay apart, also when coalesced
+        for other in (
+            state(a="F"),
+            state(r=S, a="S"),
+            PhysicalState({"a": S}, R, latches={1: S}),
+            state(b="S"),
+        ):
+            assert base != other
+            assert len(BeliefState([(0.5, base), (0.5, other)]).coalesce()) == 2
 
     def test_unknown_literal(self):
         with pytest.raises(UnknownLiteral):
@@ -73,18 +81,18 @@ class TestPhysicalState:
                     outcome = rng.choice(node.action.outcomes)
                     s = s.ticked(rng.choice(randgen.STATUSES), s.pending, s.blame)
                     s = s.resolved(node.node_id, outcome, tables)
-                    fresh = PhysicalState(s.assignment, s.r, None, s.latches)
+                    fresh = PhysicalState(assignment_of(s), s.r, None, s.latches)
                     assert s.key == fresh.key
                     assert s == fresh and hash(s) == hash(fresh)
                     checked += 1
         assert checked > 1000
 
     def test_outcome_apply_writes_in_place(self):
-        assignment = {"a": F, "b": R}
-        Outcome(1.0, (("a", S),), S).apply(assignment)
-        assert assignment == {"a": S, "b": R}
+        values, index = [F, R], {"a": 0, "b": 1}
+        Outcome(1.0, (("a", S),), S).apply(values, index)
+        assert values == [S, R]
         with pytest.raises(UnknownLiteral):
-            Outcome(1.0, (("ghost", S),), S).apply(assignment)
+            Outcome(1.0, (("ghost", S),), S).apply(values, index)
 
 
 class TestEvalCondition:
@@ -95,7 +103,7 @@ class TestEvalCondition:
         m = belief_tick(condition, BeliefState.point(state(a="R")), TreeTables(condition))
         ((_, s),) = m.entries
         assert s.r is R
-        assert s.assignment["a"] is R
+        assert s.value("a") is R
 
     def test_mixed_entries(self):
         m = BeliefState([(0.6, state(a="S")), (0.4, state(a="F"))])
@@ -106,7 +114,7 @@ class TestEvalCondition:
 
     @given(beliefs())
     def test_idempotent(self, m):
-        condition = Condition(next(iter(m.entries[0][1].assignment)))
+        condition = Condition(m.entries[0][1].literals[0])
         tables = TreeTables(condition)
         once = belief_tick(condition, m, tables)
         twice = belief_tick(condition, once, tables)
@@ -120,7 +128,7 @@ def expand(m, action, node_id=0):
     one-node tree, so no latch has an ancestor to fold into.
     """
     scheduled = BeliefState(
-        (p, PhysicalState(s.assignment, R, (node_id, action), s.latches)) for p, s in m
+        (p, PhysicalState(assignment_of(s), R, (node_id, action), s.latches)) for p, s in m
     )
     return apply_delayed(scheduled, TreeTables(ActionNode(action)))
 
@@ -133,7 +141,7 @@ class TestApplyOutcomes:
             (Outcome(0.95, (("at", S),), S), Outcome(0.05, (), F)),
         )
         m = expand(BeliefState.point(state(at="F")), goto)
-        by_value = {s.assignment["at"]: p for p, s in m.entries}
+        by_value = {s.value("at"): p for p, s in m.entries}
         assert by_value[S] == pytest.approx(0.95, abs=MASS_TOL)
         assert by_value[F] == pytest.approx(0.05, abs=MASS_TOL)
 
@@ -142,7 +150,7 @@ class TestApplyOutcomes:
         m = BeliefState([(0.6, state(lum="F", x="S")), (0.4, state(lum="F", x="F"))])
         out = expand(m, light_on)
         assert len(out) == 2
-        assert all(s.assignment["lum"] is S for _, s in out)
+        assert all(s.value("lum") is S for _, s in out)
         assert out.mass == pytest.approx(1.0, abs=MASS_TOL)
 
     def test_detect_twice_coalesces_on_overwrite(self):
@@ -156,7 +164,7 @@ class TestApplyOutcomes:
         # same node id: the second outcome overwrites both seen and the latch
         twice = expand(once, detect)
         # SS/SF/FS/FF quarters collapse to halves once seen is overwritten
-        by_value = {s.assignment["seen"]: p for p, s in twice.entries}
+        by_value = {s.value("seen"): p for p, s in twice.entries}
         assert len(twice) == 2
         assert by_value[S] == pytest.approx(0.5, abs=MASS_TOL)
         assert by_value[F] == pytest.approx(0.5, abs=MASS_TOL)
@@ -176,13 +184,15 @@ class TestApplyOutcomes:
             expected = defaultdict(float)
             for p, s in m.entries:
                 for outcome in action.outcomes:
-                    updated = dict(s.assignment)
+                    updated = assignment_of(s)
                     updated.update(outcome.postconditions)
                     key = (frozenset(updated.items()), R, None, ((7, outcome.report),))
                     expected[key] += p * outcome.probability
             actual = defaultdict(float)
             for p, s in expand(m, action, node_id=7).entries:
-                key = (frozenset(s.assignment.items()), s.r, s.pending, tuple(s.latches.items()))
+                key = (
+                    frozenset(assignment_of(s).items()), s.r, s.pending, tuple(s.latches.items())
+                )
                 actual[key] += p
             assert set(expected) == set(actual)
             for key, p in expected.items():
@@ -243,7 +253,7 @@ class TestSplitCoalesce:
 
     @given(beliefs())
     def test_mass_conserved_by_ops(self, m):
-        condition = Condition(next(iter(m.entries[0][1].assignment)))
+        condition = Condition(m.entries[0][1].literals[0])
         ticked = belief_tick(condition, m, TreeTables(condition))
         assert ticked.mass == pytest.approx(m.mass, abs=MASS_TOL)
         assert m.coalesce().mass == pytest.approx(m.mass, abs=MASS_TOL)

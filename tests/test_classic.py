@@ -17,6 +17,7 @@ from bbt.tree import ActionNode, Condition, Sequence, Skipper, TreeTables
 
 import oracle
 import randgen
+from helpers import walk_leaves
 
 S, F, R = Status.S, Status.F, Status.R
 
@@ -28,7 +29,7 @@ def sure(post, report=S):
 def _walks(program, tree, state, latches):
     """One tick's leaf walk and the reference walk: root status, first fresh action."""
     try:
-        got = classic._walk_leaves(program, state, latches)
+        got = walk_leaves(program, state, latches)
     except UnknownLiteral as exc:
         got = ("unknown", exc.args)
     started = []
@@ -89,7 +90,7 @@ def _run_or_raise(run):
 def test_memoised_runs_match_reference_runs(monkeypatch):
     walks = applies = 0
     walk_leaves, apply, memo_slots = classic._walk_leaves, Outcome.apply, classic.MEMO_SLOTS
-    reference_tick = oracle.classic_tick
+    reference_tick, reference_sample = oracle.classic_tick, oracle.sample_outcome_index
 
     def counted_walk(*args):
         nonlocal walks
@@ -106,9 +107,16 @@ def test_memoised_runs_match_reference_runs(monkeypatch):
         applies += 1
         return apply(*args)
 
+    def counted_sample(*args):
+        # the reference applies the one outcome it samples, in its own dict
+        nonlocal applies
+        applies += 1
+        return reference_sample(*args)
+
     monkeypatch.setattr(classic, "_walk_leaves", counted_walk)
     monkeypatch.setattr(oracle, "classic_tick", counted_tick)
     monkeypatch.setattr(Outcome, "apply", counted_apply)
+    monkeypatch.setattr(oracle, "sample_outcome_index", counted_sample)
     rng = random.Random(9090)
     ended = {Status: 0, UnknownLiteral: 0, TickLimitExceeded: 0}
     ticks = total_walks = memo_only = 0
@@ -338,8 +346,8 @@ def test_deep_chain_executes_without_recursion():
     for _ in range(3000):
         tree = Sequence([tree])
     program = LeafProgram(TreeTables(tree))
-    assert classic._walk_leaves(program, {"x": F}, {}) == (R, action)
-    assert classic._walk_leaves(program, {"x": S}, {action.node_id: S}) == (S, None)
+    assert walk_leaves(program, {"x": F}, {}) == (R, action)
+    assert walk_leaves(program, {"x": S}, {action.node_id: S}) == (S, None)
     runs = ClassicRuns(program, {"x": F})
     # the action starts in the first tick and the second returns its latch
     with pytest.raises(TickLimitExceeded):
@@ -352,8 +360,8 @@ def test_wide_skipper_scans_every_child():
     action = ActionNode(sure((("r", S),)))
     tree = Skipper([*(Condition("r") for _ in range(2999)), action])
     program = LeafProgram(TreeTables(tree))
-    assert classic._walk_leaves(program, {"r": R}, {}) == (R, action)
-    assert classic._walk_leaves(program, {"r": S}, {action.node_id: S}) == (S, None)
+    assert walk_leaves(program, {"r": R}, {}) == (R, action)
+    assert walk_leaves(program, {"r": S}, {action.node_id: S}) == (S, None)
     runs = ClassicRuns(program, {"r": R})
     with pytest.raises(TickLimitExceeded):
         next(runs.statuses(0, [0], 1))

@@ -313,6 +313,30 @@ class TestExec:
         assert captured.err.startswith("error: --runs") and captured.err.count("\n") == 1
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["simulate", "--max-ticks", "abc"], "bbt simulate: argument --max-ticks: invalid int"),
+            (["simulate", "--bogus"], "bbt: unrecognized arguments: --bogus"),
+            ([], "bbt: the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_exits_1_with_one_line(self, soda_path, args, message):
+        # argparse alone prints a usage block and exits 2, the planning-failure code
+        if args:
+            args = [*args, "--domain", str(soda_path), "--tree", "tree.json"]
+        proc = run_bbt(*args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_help_exits_0(self):
+        proc = run_bbt("simulate", "--help")
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: bbt simulate")
+
+
 class TestLimitFlags:
     @pytest.mark.parametrize(
         "flag,value",

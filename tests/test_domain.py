@@ -8,7 +8,6 @@ from bbt.domain import (
     DomainSpec,
     ground,
     parse_domain,
-    resolver_outcomes,
 )
 from bbt.errors import ParseError, SemanticError
 from bbt.status import Status
@@ -171,7 +170,7 @@ class TestGrounding:
             for candidate in domain.resolvers():
                 gain = sum(
                     o.probability
-                    for o in resolver_outcomes(candidate)
+                    for o in candidate.outcomes
                     if (literal, S) in o.postconditions
                 )
                 if gain > 0.0:

@@ -16,6 +16,7 @@ from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper, TreeTab
 
 import oracle
 import randgen
+from helpers import assignment_of
 
 S, F, R = Status.S, Status.F, Status.R
 MASS_TOL = 1e-12
@@ -48,7 +49,7 @@ class TestBeliefTick:
         assert all(s.r is F for _, s in out)
         assert out.mass == pytest.approx(1.0, abs=MASS_TOL)
         # the a=F entry stopped at child 0, so it is returned first
-        assert [s.assignment["a"] for _, s in out] == [F, S]
+        assert [s.value("a") for _, s in out] == [F, S]
 
     def test_fallback_first_child_success_leaves_rest_untouched(self):
         tree = Fallback([Condition("a"), Condition("missing")])
@@ -74,7 +75,7 @@ class TestBeliefTick:
         assert passed is same
         assert stopped is not moved and (stopped.r, stopped.blame) == (F, tree.children[1].node_id)
         # a changed entry is built once, around the state's own parts
-        assert stopped.assignment is moved.assignment and stopped.latches is moved.latches
+        assert stopped.values is moved.values and stopped.latches is moved.latches
 
     def test_entry_limit(self):
         # a tick holds no more entries than it starts with, so the limit is
@@ -101,7 +102,7 @@ class TestScheduleDelayed:
         assert s.r is R
         assert s.pending == (node.node_id, node.action)
         # the pending key holds the node id and the action id
-        assert s.key[2] == (node.node_id, "goto(table1)")
+        assert s.key[3] == (node.node_id, "goto(table1)")
         assert s == state(at="F", pending=(node.node_id, node.action))
 
     def test_latched_entry_replays(self):
@@ -116,7 +117,7 @@ class TestScheduleDelayed:
         (s,) = tick_once(tree, state(at="F", latches={node.node_id: S}))
         assert s.r is R
         assert s.pending == (second.node_id, second.action)
-        assert s.key[2] == (second.node_id, "other")
+        assert s.key[3] == (second.node_id, "other")
 
     def test_second_action_same_tick_not_scheduled(self):
         first = ActionNode(detect())
@@ -127,7 +128,7 @@ class TestScheduleDelayed:
         (s,) = tick_once(tree, state(seen="R", x="F"))
         assert s.r is R
         assert s.pending == (first.node_id, first.action)
-        assert s.key[2] == (first.node_id, "detect")
+        assert s.key[3] == (first.node_id, "detect")
         # so does an entry that starts the tick with an action pending, and
         # a latched action still replays its report
         pending = (first.node_id, first.action)
@@ -150,7 +151,7 @@ class TestApplyDelayed:
         for p, s in out.entries:
             assert p == pytest.approx(0.5, abs=MASS_TOL)
             assert s.pending is None
-            assert s.latches[node.node_id] is s.assignment["seen"]
+            assert s.latches[node.node_id] is s.value("seen")
 
     def test_deterministic_outcome_single_entry(self):
         node = ActionNode(sure("light_on", (("lum", S),)))
@@ -159,7 +160,7 @@ class TestApplyDelayed:
         out = apply_delayed(m, tables)
         ((p, s),) = out.entries
         assert p == pytest.approx(1.0, abs=MASS_TOL)
-        assert s.assignment["lum"] is S
+        assert s.value("lum") is S
         assert s.latches[node.node_id] is S
 
     def test_entries_expand_independently(self):
@@ -210,7 +211,7 @@ class TestSimulate:
                 out = belief_tick(tree, BeliefState.point(s), result.tables)
                 ((_, again),) = out.entries
                 assert again.pending is None
-                assert again.assignment == s.assignment
+                assert assignment_of(again) == assignment_of(s)
                 assert again.latches == s.latches
                 assert again.r is s.r
 

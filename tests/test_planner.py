@@ -31,6 +31,7 @@ from bbt.treefile import dumps_tree
 
 import oracle
 import randgen
+from helpers import assignment_of
 
 S, F, R = Status.S, Status.F, Status.R
 
@@ -205,7 +206,7 @@ class TestSelectResolver:
 
     def test_false_seen_resolved_by_find(self, soda_domain):
         initial = soda_domain.initial_belief().entries[0][1]
-        failing = PhysicalState({**initial.assignment, "seen(soda)": F})
+        failing = PhysicalState({**assignment_of(initial), "seen(soda)": F})
         resolver = select_resolver(
             self._report("seen(soda)", F), soda_domain, {}, [(1.0, failing)]
         )

@@ -1,7 +1,6 @@
 import pytest
 
 from bbt.belief import ActionInstance, Outcome
-from bbt import classic
 from bbt.classic import ClassicRuns, LeafProgram
 from bbt.dot import to_dot
 from bbt.errors import TickLimitExceeded, UnknownLiteral
@@ -18,7 +17,7 @@ from bbt.tree import (
 from bbt.treefile import dumps_tree
 
 import oracle
-from helpers import tree_to_doc, validate_tree
+from helpers import tree_to_doc, validate_tree, walk_leaves
 
 S, F, R = Status.S, Status.F, Status.R
 
@@ -48,7 +47,7 @@ def walk(tree, state, latches=None):
     Returns the root status and the first fresh action reached, or None.
     """
     latches = {} if latches is None else latches
-    got = classic._walk_leaves(compiled(tree), state, latches)
+    got = walk_leaves(compiled(tree), state, latches)
     started = []
     status = oracle._classic_walk(tree, state, latches, started)
     assert got == (status, started[0] if started else None)
