@@ -7,21 +7,23 @@ also part of its key.  :meth:`Outcome.apply` is the one place
 postconditions are written, into a caller-owned list laid out by a
 literal-to-position index.  :meth:`PhysicalState.resolved` copies a
 state's statuses into such a list and applies one outcome;
-:meth:`PhysicalState.ticked` builds the one state a tick makes per entry
-(a new return status, pending action or blame), sharing the statuses and
-the latch view with the state it comes from.
+:meth:`PhysicalState.ticked` builds the state an entry that ends a root
+tick settles in (a new return status or blame), sharing the statuses and
+the latch view with the state it comes from.  A state holds only what
+outlasts a root tick: the action a tick leaves pending is expanded into
+its outcomes before the next one, so no state records it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import UnknownLiteral
 from .status import Status
 
 if TYPE_CHECKING:
-    from .tree import TreeTables
+    from .tree import ActionNode, TreeTables
 
 #: Comparison tolerance for probability mass under double arithmetic.
 PROB_TOL = 1e-12
@@ -80,9 +82,7 @@ class PhysicalState:
     ``literals`` holds the grounded literals in sorted order and ``values``
     their statuses, position for position; that tuple is the state's one
     copy of its assignment.  ``r`` is the status last propagated to the
-    root for this state.  ``pending`` holds the single delayed action
-    scheduled during the current root tick, as a ``(node id,
-    ActionInstance)`` pair.  ``latches`` is this belief branch's canonical
+    root for this state.  ``latches`` is this belief branch's canonical
     latch view: the latches that can still change its behaviour, keyed by
     node id.  It holds finished actions with their report status and
     control nodes whose return latches alone have fixed; :meth:`resolved`
@@ -101,39 +101,29 @@ class PhysicalState:
     An outcome writes only literals the state already holds, so every state
     derived from a constructed one shares ``literals`` and that index.
     ``key``, the canonical sort and equality key, is ``(literals, values,
-    r, pending, latches)``: over one literal set it orders states by their
-    statuses in literal order, and states over different literal sets never
-    compare equal.  A tick makes at most one state per entry, with
-    :meth:`ticked`, and none for an entry it leaves unchanged; both methods
+    r, latches)``: over one literal set it orders states by their statuses
+    in literal order, and states over different literal sets never compare
+    equal.  A root tick makes one state per outcome of an entry's pending
+    action, with :meth:`resolved`, or one for an entry that ends, with
+    :meth:`ticked`, and none for an entry that ends unchanged; both methods
     build their states around a ready key, through one private constructor.
     """
 
-    __slots__ = (
-        "literals", "values", "r", "pending", "latches", "blame", "_index", "key", "_hash"
-    )
+    __slots__ = ("literals", "values", "r", "latches", "blame", "_index", "key", "_hash")
 
     def __init__(
         self,
         assignment: Mapping[str, Status],
         r: Status = Status.R,
-        pending: tuple[int, ActionInstance] | None = None,
         latches: Mapping[int, Status] | None = None,
     ):
         self.literals = tuple(sorted(assignment))
         self.values = tuple(assignment[literal] for literal in self.literals)
         self.r = r
-        self.pending = pending
         self.latches = dict(latches) if latches else {}
         self.blame: int | None = None
         self._index = {literal: i for i, literal in enumerate(self.literals)}
-        pending_key = None if pending is None else (pending[0], pending[1].id)
-        self.key = (
-            self.literals,
-            self.values,
-            r,
-            pending_key,
-            tuple(sorted(self.latches.items())),
-        )
+        self.key = (self.literals, self.values, r, tuple(sorted(self.latches.items())))
         self._hash = None
 
     def value(self, literal: str) -> Status:
@@ -142,29 +132,28 @@ class PhysicalState:
         except KeyError:
             raise UnknownLiteral(literal) from None
 
-    def ticked(
-        self, r: Status, pending: tuple[int, ActionInstance] | None, blame: int | None
-    ) -> "PhysicalState":
-        """This state as a tick leaves it: returning ``r``, with ``pending`` and ``blame``.
+    def ticked(self, r: Status, blame: int | None) -> "PhysicalState":
+        """This state as a root tick that ends it leaves it: returning ``r``, with ``blame``.
 
-        Returns the state itself when none of the three changed.  Otherwise
-        the result shares the statuses, the latch view and its sorted key
-        part, which are never written after construction.
+        Returns the state itself when neither changed.  Otherwise the result
+        shares the statuses, the latch view and its sorted key part, which
+        are never written after construction.
         """
-        if r is self.r and pending is self.pending and blame == self.blame:
+        if r is self.r and blame == self.blame:
             return self
-        literals, values, _, pending_key, latch_key = self.key
-        if pending is not self.pending:
-            pending_key = None if pending is None else (pending[0], pending[1].id)
-        key = (literals, values, r, pending_key, latch_key)
-        return self._derived(self.latches, key, pending, blame)
+        literals, values, _, latch_key = self.key
+        return self._derived(self.latches, (literals, values, r, latch_key), blame)
 
-    def resolved(self, node_id: int, outcome: Outcome, tables: "TreeTables") -> "PhysicalState":
-        """Copy with ``outcome`` applied, its latch set, pending and blame cleared.
+    def resolved(
+        self, r: Status, node: "ActionNode", outcome: Outcome, tables: "TreeTables"
+    ) -> "PhysicalState":
+        """The state ``outcome`` of the pending action ``node`` leads to.
 
-        This is the one place a latch is set.  ``tables`` are those of the
-        tree the action node sits in; the latch view is canonicalized with
-        them (:meth:`TreeTables.settle`).
+        ``r`` is the status the root tick that left ``node`` pending
+        returned; the result returns it too, latches ``node`` at the
+        outcome's report and has no blame.  This is the one place a latch is
+        set.  ``tables`` are those of the tree ``node`` sits in; the latch
+        view is canonicalized with them (:meth:`TreeTables.settle`).
 
         The statuses are copied into a list once, the outcome writes its
         literals there through the shared index, and the list becomes the
@@ -174,22 +163,21 @@ class PhysicalState:
         values = list(self.values)
         outcome.apply(values, self._index)
         latches = dict(self.latches)
-        latches[node_id] = outcome.report
-        tables.settle(latches, node_id)
-        key = (self.literals, tuple(values), self.r, None, tuple(sorted(latches.items())))
-        return self._derived(latches, key, None, None)
+        latches[node.node_id] = outcome.report
+        tables.settle(latches, node.node_id)
+        key = (self.literals, tuple(values), r, tuple(sorted(latches.items())))
+        return self._derived(latches, key, None)
 
-    def _derived(self, latches, key, pending, blame) -> "PhysicalState":
+    def _derived(self, latches, key, blame) -> "PhysicalState":
         """A state over this one's literals, built around its ready ``key``.
 
-        ``key`` must hold this state's ``literals``, the new statuses, ``r``,
-        ``pending`` and ``latches``; the literal index is shared.
+        ``key`` must hold this state's ``literals``, the new statuses, ``r``
+        and ``latches``; the literal index is shared.
         """
         state = object.__new__(PhysicalState)
         state.literals = self.literals
         state.values = key[1]
         state.r = key[2]
-        state.pending = pending
         state.latches = latches
         state.blame = blame
         state._index = self._index
@@ -211,8 +199,7 @@ class PhysicalState:
 
     def __repr__(self) -> str:
         body = ",".join(f"{k}={v}" for k, v in zip(self.literals, self.values))
-        pend = "-" if self.pending is None else self.pending[1].id
-        return f"PhysicalState({body} | r={self.r} | pending={pend})"
+        return f"PhysicalState({body} | r={self.r})"
 
 
 class BeliefState:
@@ -246,15 +233,6 @@ class BeliefState:
     def __iter__(self) -> Iterator[tuple[float, PhysicalState]]:
         return iter(self.entries)
 
-    def split_by(
-        self, predicate: Callable[[PhysicalState], bool]
-    ) -> tuple["BeliefState", "BeliefState"]:
-        """Partition into (entries satisfying predicate, the rest), order kept."""
-        yes, no = [], []
-        for p, s in self.entries:
-            (yes if predicate(s) else no).append((p, s))
-        return BeliefState(yes), BeliefState(no)
-
     def coalesce(self) -> "BeliefState":
         """Merge identical states, summing probability, in canonical order."""
         merged: dict[PhysicalState, float] = {}
@@ -282,9 +260,11 @@ class BeliefState:
         return sum(p for p, s in self.entries if s.r is Status.S)
 
     def debug_lines(self, tables: "TreeTables") -> list[str]:
-        """Canonical text dump, one ``p | literals | r | pending`` line per entry.
+        """Canonical text dump, one ``p | literals | r | pending=-`` line per entry.
 
-        An entry whose latch view is not empty gets a fifth field,
+        The ``pending=-`` field is constant, since no state holds a pending
+        action; it is kept so the text stays byte-stable.  An entry whose
+        latch view is not empty gets a fifth field,
         ``latches=n<i>:<status>,...``, so distinct entries print distinct
         lines.  ``n<i>`` names a latched node by its index in tick order
         in ``tables`` (the name the DOT rendering gives it), so the text
@@ -293,8 +273,7 @@ class BeliefState:
         lines = []
         for p, s in self.coalesce().entries:
             body = ",".join(f"{k}={v}" for k, v in zip(s.literals, s.values))
-            pend = "-" if s.pending is None else s.pending[1].id
-            line = f"{p!r} | {body} | r={s.r} | pending={pend}"
+            line = f"{p!r} | {body} | r={s.r} | pending=-"
             if s.latches:
                 view = sorted((tables.rank[k], v) for k, v in s.latches.items())
                 line += " | latches=" + ",".join(f"n{i}:{v}" for i, v in view)

@@ -509,6 +509,8 @@ def _validate_outcomes(
 def validate_domain(spec: DomainSpec) -> None:
     """Raise :class:`SemanticError` on the first well-formedness violation."""
     _check_duplicates(((p.name, p.loc) for p in spec.params), "parameter space")
+    for space in spec.params:
+        _check_duplicates(((i, space.loc) for i in space.instances), "instance")
     _check_duplicates(((c.name, c.loc) for c in spec.conditions), "condition")
     _check_duplicates(
         itertools.chain(

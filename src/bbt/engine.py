@@ -14,11 +14,15 @@ tick that is running, so the planner reads its targets off the terminal
 entries without ticking the tree again.
 
 Within a tick, nodes pass ``(p, state, status, pending, blame)`` tuples
-and leave every state untouched; each entry's state is built once, at the
-end of the tick.  Each root tick's result, each expansion and each coalesce
-is validated as one :class:`~bbt.belief.BeliefState`.  The tree's :class:`~bbt.tree.TreeTables`
-are built once per :func:`simulate`, or once per :class:`Trail`, and
-returned with its result.
+and leave every state untouched.  The pending action lives only in that
+tuple: :func:`simulate` reads each tuple of a root tick once, and either
+ends the entry in one state (:meth:`~bbt.belief.PhysicalState.ticked`) or
+expands it straight into one state per outcome of its pending action
+(:meth:`~bbt.belief.PhysicalState.resolved`).  Each root tick's
+expansion, with its coalesce, is validated as one
+:class:`~bbt.belief.BeliefState`.  The tree's
+:class:`~bbt.tree.TreeTables` are built once per :func:`simulate`, or once
+per :class:`Trail`, and returned with its result.
 
 A tick visits nodes in tick order, so the last node it visits is the
 furthest it reaches.  A tick that reaches no node at or after an edit runs
@@ -30,16 +34,15 @@ replaying the whole run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .belief import ActionInstance, BeliefState, PhysicalState
-from .errors import EntryLimitExceeded, NoPending, TickLimitExceeded
+from .belief import BeliefState, PhysicalState
+from .errors import EntryLimitExceeded, TickLimitExceeded
 from .status import Status
 from .tree import ActionNode, BTNode, Condition, TreeTables
 
 Entry = tuple[float, PhysicalState]
 # one entry inside a tick: (p, state at the tick's start, status, pending, blame)
-_Ticking = tuple[float, PhysicalState, Status, tuple[int, ActionInstance] | None, int | None]
+_Ticking = tuple[float, PhysicalState, Status, ActionNode | None, int | None]
 
 
 @dataclass(frozen=True)
@@ -111,30 +114,12 @@ class Trail:
                 return
 
 
-def apply_delayed(entries: Iterable[Entry], tables: TreeTables) -> BeliefState:
-    """Expand every entry over its pending action's outcomes and coalesce.
-
-    ``tables`` are those of the tree being simulated; each new latch is
-    canonicalized with them (see :meth:`PhysicalState.resolved`).
-    """
-    out = []
-    for p, s in entries:
-        if s.pending is None:
-            raise NoPending(f"entry {s!r} has no pending action")
-        node_id, action = s.pending
-        for outcome in action.outcomes:
-            if outcome.probability <= 0.0:
-                continue
-            out.append((p * outcome.probability, s.resolved(node_id, outcome, tables)))
-    return BeliefState(out).coalesce()
-
-
 def belief_tick(
     node: BTNode,
     mem: BeliefState,
     tables: TreeTables,
     reached: list[BTNode] | None = None,
-) -> BeliefState:
+) -> list[_Ticking]:
     """Propagate ``mem`` through ``node`` for one tick.
 
     Control nodes scan their children left to right: entries returning the
@@ -154,19 +139,19 @@ def belief_tick(
     is the furthest in tick order.
 
     Between nodes the tick passes ``(p, state, status, pending, blame)``
-    tuples and leaves every state untouched; the result builds each entry's
-    state once (:meth:`PhysicalState.ticked`, which returns the state itself
-    when the tick changed nothing) and is validated as one
-    :class:`BeliefState`.  A leaf returns one entry per entry it receives
+    tuples and leaves every state untouched, and it returns them as they
+    are, building no state: ``state`` is the entry's state at the tick's
+    start, ``status`` what the tick returned, ``pending`` the
+    :class:`~bbt.tree.ActionNode` it left pending or ``None``, and ``blame``
+    the condition charged.  A leaf returns one entry per entry it receives
     and a control node returns the entries it receives, so the result holds
     as many entries as ``mem``, and no node in between holds more:
     :func:`simulate` checks the entry limit on ``mem`` alone.
     """
     if reached is None:
         reached = [node]
-    entries = [(p, s, s.r, s.pending, s.blame) for p, s in mem.entries]
-    out = _tick(node, entries, tables.foldable, tables.depth, reached)
-    return BeliefState([(p, s.ticked(r, pending, blame)) for p, s, r, pending, blame in out])
+    entries = [(p, s, s.r, None, s.blame) for p, s in mem.entries]
+    return _tick(node, entries, tables.foldable, tables.depth, reached)
 
 
 def _tick(
@@ -179,8 +164,8 @@ def _tick(
     """The recursion behind :func:`belief_tick`.
 
     An action leaf replays its latch or returns R, and becomes the pending
-    action when none is; its outcome lands in :func:`apply_delayed` before
-    the next root tick.
+    action when none is; :func:`simulate` expands its outcomes before the
+    next root tick.
     """
     reached[0] = node
     node_id = node.node_id
@@ -195,12 +180,11 @@ def _tick(
             out.append((p, s, status, pending, blame))
         return out
     if isinstance(node, ActionNode):
-        scheduled = (node_id, node.action)
         for p, s, _, pending, blame in entries:
             done = s.latches.get(node_id)
             if done is None:
                 # one action per tick: a fresh action waits while another is pending
-                out.append((p, s, Status.R, pending or scheduled, blame))
+                out.append((p, s, Status.R, pending or node, blame))
             else:
                 out.append((p, s, done, pending, blame))
         return out
@@ -239,9 +223,12 @@ def simulate(
 ) -> SimulationResult:
     """Run root ticks until every branch is a fixpoint.
 
-    Entries that finish a root tick without a pending action cannot change
-    under further ticks and move to the result; the rest expand their
-    delayed outcomes and go around again.  Without a trail the tree's
+    Each root tick's entries are read once.  Those that finish it without a
+    pending action cannot change under further ticks and move to the
+    result, each in the state :meth:`PhysicalState.ticked` gives it; the
+    rest go straight to one state per outcome of their pending action
+    (:meth:`PhysicalState.resolved`), which are coalesced and go around
+    again.  Without a trail the tree's
     tables are built here, as the tree stands.  The entry limit is checked
     on the live belief before each root tick, the initial belief included;
     a tick never holds more entries than it starts with.
@@ -281,22 +268,30 @@ def simulate(
             raise EntryLimitExceeded(len(mem), limits.max_entries)
         if ticks >= limits.max_root_ticks:
             raise TickLimitExceeded(limits.max_root_ticks)
-        start = mem
-        mem = belief_tick(tree, mem, tables, reached)
+        entries = belief_tick(tree, mem, tables, reached)
         if trail is not None:
             reach = tables.rank[reached[0].node_id]
             if reach > furthest:
                 furthest = reach
-                trail.points.append((reach, ticks, start, len(finished), pruned))
+                trail.points.append((reach, ticks, mem, len(finished), pruned))
         ticks += 1
-        ended, mem = mem.split_by(lambda s: s.pending is None)
-        finished.extend(ended.entries)
+        first_ended = len(finished)
+        expanded = []
+        for p, s, r, pending, blame in entries:
+            if pending is None:
+                finished.append((p, s.ticked(r, blame)))
+                continue
+            for outcome in pending.action.outcomes:
+                if outcome.probability > 0.0:
+                    state = s.resolved(r, pending, outcome, tables)
+                    expanded.append((p * outcome.probability, state))
         if flow is not None:
-            flow.append(f"tick {ticks} ended {ended.mass:.6f} pending {mem.mass:.6f}")
-        if len(mem):
-            mem = apply_delayed(mem, tables)
-            if limits.prune_epsilon > 0.0:
-                mem, dropped = mem.prune(limits.prune_epsilon)
-                pruned += dropped
+            ended = sum(p for p, _ in finished[first_ended:])
+            waiting = sum(entry[0] for entry in entries if entry[3] is not None)
+            flow.append(f"tick {ticks} ended {ended:.6f} pending {waiting:.6f}")
+        mem = BeliefState(expanded).coalesce()
+        if limits.prune_epsilon > 0.0:
+            mem, dropped = mem.prune(limits.prune_epsilon)
+            pruned += dropped
     terminal = BeliefState(finished).coalesce()
     return SimulationResult(terminal, ticks, tables, pruned, flow)

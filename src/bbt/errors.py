@@ -19,10 +19,6 @@ class EmptyGoal(BbtError):
     """A planning request was made with no goal conditions."""
 
 
-class NoPending(BbtError):
-    """Delayed-outcome application reached an entry with nothing scheduled."""
-
-
 class TickLimitExceeded(BbtError):
     """Simulation or execution did not settle within the root-tick budget."""
 

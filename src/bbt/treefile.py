@@ -73,8 +73,10 @@ def tree_from_doc(doc: dict, domain: GroundedDomain) -> BTNode:
     """
     if not isinstance(doc, dict):
         raise SemanticError("tree file is not a JSON object")
-    if doc.get("format") != FORMAT_VERSION:
-        raise SemanticError(f"unsupported tree file format {doc.get('format')!r}")
+    version = doc.get("format")
+    # True == 1 and 1.0 == 1, so the type is checked too
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise SemanticError(f"unsupported tree file format {version!r}")
     root = doc.get("root")
     if not isinstance(root, dict):
         raise SemanticError("tree file has no root node")

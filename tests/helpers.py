@@ -7,12 +7,16 @@ it.  ``tree_to_doc`` builds a tree's format-1 document, the reference that
 the structural invariants of a tree.  ``assignment_of`` reads a physical
 state's statuses back as a literal-to-status ``dict``, and ``walk_leaves``
 runs the classic leaf walk on a state given as such a ``dict``.
+``ended`` runs one belief tick that leaves no action pending and builds
+the states its entries end in, as ``simulate`` does.
 """
 
 from __future__ import annotations
 
 from bbt import classic
+from bbt.belief import BeliefState
 from bbt.domain import Assignment, BodyExpr, BodyLeaf, DomainSpec, format_literal
+from bbt.engine import belief_tick
 from bbt.tree import ActionNode, BTNode, Condition
 from bbt.treefile import FORMAT_VERSION
 
@@ -20,6 +24,15 @@ from bbt.treefile import FORMAT_VERSION
 def assignment_of(state) -> dict:
     """The literal -> status ``dict`` of a :class:`~bbt.belief.PhysicalState`."""
     return dict(zip(state.literals, state.values))
+
+
+def ended(node: BTNode, belief: BeliefState, tables) -> BeliefState:
+    """One belief tick of ``node``, each entry in the state it ends in; none is left pending."""
+    out = []
+    for p, s, r, pending, blame in belief_tick(node, belief, tables):
+        assert pending is None
+        out.append((p, s.ticked(r, blame)))
+    return BeliefState(out)
 
 
 def walk_leaves(program, state: dict, latches: dict):

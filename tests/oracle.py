@@ -208,7 +208,6 @@ def simulation_to_terminals(result) -> dict[TerminalKey, float]:
     """Project a SimulationResult onto the oracle's key space."""
     out: dict[TerminalKey, float] = defaultdict(float)
     for p, state in result.terminal.entries:
-        assert state.pending is None
         out[(frozenset(zip(state.literals, state.values)), state.r, state.blame)] += p
     return dict(out)
 

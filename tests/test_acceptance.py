@@ -123,7 +123,7 @@ def test_criterion_4_mass_conservation():
         belief = randgen.random_belief(rng, literals, max_entries=6)
         ticked = belief_tick(tree, belief, TreeTables(tree))
         result = simulate(tree, belief)
-        if abs(ticked.mass - belief.mass) > MASS_TOL:
+        if abs(sum(p for p, *_ in ticked) - belief.mass) > MASS_TOL:
             failures += 1
         elif abs(result.terminal.mass + result.pruned_mass - belief.mass) > MASS_TOL:
             failures += 1

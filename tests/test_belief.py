@@ -6,14 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
-from bbt.engine import apply_delayed, belief_tick, simulate
+from bbt.engine import belief_tick, simulate
 from bbt.errors import UnknownLiteral
 from bbt.planner import plan_request_from_domain, refine_tree
 from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Sequence, TreeTables
 
 import randgen
-from helpers import assignment_of
+from helpers import assignment_of, ended
 
 S, F, R = Status.S, Status.F, Status.R
 
@@ -43,7 +43,7 @@ def beliefs(draw):
 
 
 class TestPhysicalState:
-    def test_equality_covers_assignment_r_pending_latches(self):
+    def test_equality_covers_assignment_r_latches(self):
         base = state(a="S")
         assert base == state(a="S")
         # the last one holds another literal: states over different literal
@@ -62,7 +62,8 @@ class TestPhysicalState:
             state(a="S").value("b")
         with pytest.raises(UnknownLiteral):
             outcome = Outcome(1.0, (("b", S),), S)
-            state(a="S").resolved(0, outcome, TreeTables(Condition("a")))
+            node = ActionNode(ActionInstance("bad", (), (outcome,)))
+            state(a="S").resolved(R, node, outcome, TreeTables(node))
 
     def test_resolved_key_equals_fresh_state(self):
         rng = random.Random(6161)
@@ -79,9 +80,9 @@ class TestPhysicalState:
                 for _ in range(4):
                     node = rng.choice(nodes)
                     outcome = rng.choice(node.action.outcomes)
-                    s = s.ticked(rng.choice(randgen.STATUSES), s.pending, s.blame)
-                    s = s.resolved(node.node_id, outcome, tables)
-                    fresh = PhysicalState(assignment_of(s), s.r, None, s.latches)
+                    s = s.ticked(rng.choice(randgen.STATUSES), s.blame)
+                    s = s.resolved(s.r, node, outcome, tables)
+                    fresh = PhysicalState(assignment_of(s), s.r, s.latches)
                     assert s.key == fresh.key
                     assert s == fresh and hash(s) == hash(fresh)
                     checked += 1
@@ -101,36 +102,40 @@ class TestEvalCondition:
     def test_sets_r_to_stored_value(self):
         condition = Condition("a")
         m = belief_tick(condition, BeliefState.point(state(a="R")), TreeTables(condition))
-        ((_, s),) = m.entries
-        assert s.r is R
+        ((_, s, r, _, _),) = m
+        assert r is R
         assert s.value("a") is R
 
     def test_mixed_entries(self):
         m = BeliefState([(0.6, state(a="S")), (0.4, state(a="F"))])
         condition = Condition("a")
-        m = belief_tick(condition, m, TreeTables(condition))
-        assert [s.r for _, s in m.entries] == [S, F]
-        assert m.mass == pytest.approx(1.0, abs=MASS_TOL)
+        out = belief_tick(condition, m, TreeTables(condition))
+        assert [r for _, _, r, _, _ in out] == [S, F]
+        assert sum(p for p, *_ in out) == pytest.approx(1.0, abs=MASS_TOL)
 
     @given(beliefs())
     def test_idempotent(self, m):
         condition = Condition(m.entries[0][1].literals[0])
         tables = TreeTables(condition)
-        once = belief_tick(condition, m, tables)
-        twice = belief_tick(condition, once, tables)
+        once = ended(condition, m, tables)
+        twice = ended(condition, once, tables)
         assert [(p, s) for p, s in once] == [(p, s) for p, s in twice]
 
 
-def expand(m, action, node_id=0):
-    """Schedule ``action`` at ``node_id`` in every entry, then expand its outcomes.
+def expand(m, node):
+    """Expand every entry of ``m`` over the outcomes of ``node``, as ``simulate`` does.
 
-    ``node_id`` stands for a lone action node: the tables are those of a
+    Each entry stands for one a root tick returned R from with ``node``
+    pending.  ``node`` is a lone action node: the tables are those of a
     one-node tree, so no latch has an ancestor to fold into.
     """
-    scheduled = BeliefState(
-        (p, PhysicalState(assignment_of(s), R, (node_id, action), s.latches)) for p, s in m
-    )
-    return apply_delayed(scheduled, TreeTables(ActionNode(action)))
+    tables = TreeTables(node)
+    return BeliefState(
+        (p * outcome.probability, s.resolved(R, node, outcome, tables))
+        for p, s in m
+        for outcome in node.action.outcomes
+        if outcome.probability > 0.0
+    ).coalesce()
 
 
 class TestApplyOutcomes:
@@ -140,7 +145,7 @@ class TestApplyOutcomes:
             (),
             (Outcome(0.95, (("at", S),), S), Outcome(0.05, (), F)),
         )
-        m = expand(BeliefState.point(state(at="F")), goto)
+        m = expand(BeliefState.point(state(at="F")), ActionNode(goto))
         by_value = {s.value("at"): p for p, s in m.entries}
         assert by_value[S] == pytest.approx(0.95, abs=MASS_TOL)
         assert by_value[F] == pytest.approx(0.05, abs=MASS_TOL)
@@ -148,7 +153,7 @@ class TestApplyOutcomes:
     def test_deterministic_outcome_keeps_entry_count(self):
         light_on = ActionInstance("light_on", (), (Outcome(1.0, (("lum", S),), S),))
         m = BeliefState([(0.6, state(lum="F", x="S")), (0.4, state(lum="F", x="F"))])
-        out = expand(m, light_on)
+        out = expand(m, ActionNode(light_on))
         assert len(out) == 2
         assert all(s.value("lum") is S for _, s in out)
         assert out.mass == pytest.approx(1.0, abs=MASS_TOL)
@@ -159,10 +164,11 @@ class TestApplyOutcomes:
             (),
             (Outcome(0.5, (("seen", S),), S), Outcome(0.5, (("seen", F),), F)),
         )
-        once = expand(BeliefState.point(state(seen="R")), detect)
+        node = ActionNode(detect)
+        once = expand(BeliefState.point(state(seen="R")), node)
         assert len(once) == 2
-        # same node id: the second outcome overwrites both seen and the latch
-        twice = expand(once, detect)
+        # same node: the second outcome overwrites both seen and the latch
+        twice = expand(once, node)
         # SS/SF/FS/FF quarters collapse to halves once seen is overwritten
         by_value = {s.value("seen"): p for p, s in twice.entries}
         assert len(twice) == 2
@@ -172,7 +178,7 @@ class TestApplyOutcomes:
     def test_unknown_postcondition_literal(self):
         bad = ActionInstance("bad", (), (Outcome(1.0, (("ghost", S),), S),))
         with pytest.raises(UnknownLiteral):
-            expand(BeliefState.point(state(a="S")), bad)
+            expand(BeliefState.point(state(a="S")), ActionNode(bad))
 
     def test_matches_pairwise_enumeration(self):
         # brute force over every (entry, outcome) pair, independently
@@ -181,47 +187,74 @@ class TestApplyOutcomes:
             literals = randgen.random_literals(rng)
             (action,) = randgen.random_actions(rng, literals, max_actions=1)
             m = randgen.random_belief(rng, literals)
+            node = ActionNode(action)
             expected = defaultdict(float)
             for p, s in m.entries:
                 for outcome in action.outcomes:
                     updated = assignment_of(s)
                     updated.update(outcome.postconditions)
-                    key = (frozenset(updated.items()), R, None, ((7, outcome.report),))
+                    key = (frozenset(updated.items()), R, ((node.node_id, outcome.report),))
                     expected[key] += p * outcome.probability
             actual = defaultdict(float)
-            for p, s in expand(m, action, node_id=7).entries:
-                key = (
-                    frozenset(assignment_of(s).items()), s.r, s.pending, tuple(s.latches.items())
-                )
+            for p, s in expand(m, node).entries:
+                key = (frozenset(assignment_of(s).items()), s.r, tuple(s.latches.items()))
                 actual[key] += p
             assert set(expected) == set(actual)
             for key, p in expected.items():
                 assert actual[key] == pytest.approx(p, abs=MASS_TOL)
 
 
+def go(literal="b"):
+    """A lone-outcome action that sets ``literal`` and reports S."""
+    return ActionNode(ActionInstance("go", (), (Outcome(1.0, ((literal, S),), S),)))
+
+
 class TestSplitCoalesce:
+    """A root tick splits its entries: those left with no action pending end, the rest expand."""
+
     def test_split_by_r(self):
-        m = BeliefState([(0.5, state(r=S, a="S")), (0.5, state(r=F, a="S"))])
-        succeeded, failed = m.split_by(lambda s: s.r is S)
-        assert [s.r for _, s in succeeded] == [S]
-        assert [s.r for _, s in failed] == [F]
-        assert succeeded.mass + failed.mass == pytest.approx(m.mass, abs=MASS_TOL)
+        # a=F returns F and ends; a=S reaches the action and returns R with it pending
+        tree = Sequence([Condition("a"), go()])
+        m = BeliefState([(0.5, state(a="S", b="F")), (0.5, state(a="F", b="F"))])
+        out = belief_tick(tree, m, TreeTables(tree))
+        assert [r for _, _, r, pending, _ in out if pending is None] == [F]
+        assert [r for _, _, r, pending, _ in out if pending is not None] == [R]
+        result = simulate(tree, m, record_flow=True)
+        assert result.mass_flow == [
+            "tick 1 ended 0.500000 pending 0.500000",
+            "tick 2 ended 0.500000 pending 0.000000",
+        ]
+        assert {s.r: p for p, s in result.terminal} == {S: 0.5, F: 0.5}
 
     def test_split_empty(self):
-        empty = BeliefState()
-        a, b = empty.split_by(lambda s: True)
-        assert len(a) == 0 and len(b) == 0
+        # an empty belief: the tick has no entry to end or expand
+        condition = Condition("a")
+        assert belief_tick(condition, BeliefState(), TreeTables(condition)) == []
+        result = simulate(condition, BeliefState())
+        assert len(result.terminal) == 0 and result.ticks_used == 0
 
     @given(beliefs())
     def test_split_always_true_is_identity(self, m):
-        a, b = m.split_by(lambda s: True)
-        assert [(p, s) for p, s in a] == [(p, s) for p, s in m]
-        assert len(b) == 0
+        # a condition leaves no action pending, so every entry ends in the
+        # first tick, in the state the tick left it in
+        condition = Condition(m.entries[0][1].literals[0])
+        result = simulate(condition, m)
+        assert result.ticks_used == 1
+        once = ended(condition, m, TreeTables(condition)).coalesce()
+        assert [s for _, s in result.terminal] == [s for _, s in once]
+        for (p, _), (q, _) in zip(result.terminal, once):
+            assert p == pytest.approx(q, abs=MASS_TOL)
 
     @given(beliefs())
     def test_split_parts_recombine(self, m):
-        a, b = m.split_by(lambda s: s.r is S)
-        combined = sorted((p, s.key) for p, s in a.entries + b.entries)
+        # the ended and the pending entries of a tick are the tick's input,
+        # each state untouched
+        literals = m.entries[0][1].literals
+        tree = Sequence([Condition(literals[0]), go(literals[-1])])
+        out = belief_tick(tree, m, TreeTables(tree))
+        ended_part = [(p, s.key) for p, s, _, pending, _ in out if pending is None]
+        pending_part = [(p, s.key) for p, s, _, pending, _ in out if pending is not None]
+        combined = sorted(ended_part + pending_part)
         original = sorted((p, s.key) for p, s in m)
         assert combined == original
 
@@ -255,10 +288,9 @@ class TestSplitCoalesce:
     def test_mass_conserved_by_ops(self, m):
         condition = Condition(m.entries[0][1].literals[0])
         ticked = belief_tick(condition, m, TreeTables(condition))
-        assert ticked.mass == pytest.approx(m.mass, abs=MASS_TOL)
+        assert sum(p for p, *_ in ticked) == pytest.approx(m.mass, abs=MASS_TOL)
         assert m.coalesce().mass == pytest.approx(m.mass, abs=MASS_TOL)
-        a, b = m.split_by(lambda s: s.r is F)
-        assert a.mass + b.mass == pytest.approx(m.mass, abs=MASS_TOL)
+        assert simulate(condition, m).terminal.mass == pytest.approx(m.mass, abs=MASS_TOL)
 
 
 class TestSuccessProbability:

@@ -494,6 +494,9 @@ class TestTreeFile:
             {"format": 1, "root": {"kind": "condition", "literal": ["x"]}},
             {"format": 1, "root": {"kind": "action", "action": {"id": "light_on"}}},
             {"format": 1, "root": {"kind": ["sequence"], "children": [cond]}},
+            # equal to 1 but not the integer 1
+            {"format": True, "root": cond},
+            {"format": 1.0, "root": cond},
         ]
         path = tmp_path / "bad.json"
         for doc in bad_docs:

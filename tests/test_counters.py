@@ -11,11 +11,15 @@ never loosen a pin to make a change pass.
 The wide row plans the 24-item domain of ``perfbench/widegen.py`` (seed 0):
 many goals over a large tree with few belief entries, so it guards the
 scan and merge order of the tick rather than latch-view merging.
+
+``STATES_BUILT`` pins the physical states the final simulation builds,
+constructed or derived from another state, on soda at 0.999 and on the
+wide row.
 """
 
 import pytest
 
-from bbt import engine, plan_request_from_domain, refine_tree, simulate
+from bbt import PhysicalState, engine, plan_request_from_domain, refine_tree, simulate
 
 PINS = [
     ("soda_domain", None, (4, 26, 11, 11, 23)),
@@ -52,3 +56,32 @@ def test_counters_pinned(request, monkeypatch, domain_fixture, prob, pinned):
         executed,
     )
     assert counters == pinned
+
+
+STATES_BUILT = [
+    ("soda_domain", 0.999, 415),
+    ("wide_domain", None, 128),
+]
+
+
+@pytest.mark.parametrize("domain_fixture,prob,pinned", STATES_BUILT)
+def test_states_built_pinned(request, monkeypatch, domain_fixture, prob, pinned):
+    domain = request.getfixturevalue(domain_fixture)
+    result = refine_tree(plan_request_from_domain(domain, target_probability=prob))
+    initial = domain.initial_belief()
+    built = 0
+
+    def counted(method):
+        def wrapper(*args, **kwargs):
+            nonlocal built
+            built += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    # every state is built by the constructor or derived by _derived
+    for name in ("__init__", "_derived"):
+        monkeypatch.setattr(PhysicalState, name, counted(getattr(PhysicalState, name)))
+    simulate(result.tree, initial)
+    monkeypatch.undo()
+    assert built == pinned

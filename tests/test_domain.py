@@ -77,6 +77,13 @@ class TestParser:
         with pytest.raises(SemanticError):
             parse_domain("param p { a }\nparam p { b }")
 
+    def test_duplicate_instances(self):
+        # grounded twice otherwise: c(x) twice in literals, a(x) in actions
+        text = "param q { y }\nparam p { x x }\ncondition c(p) values { S F }\n"
+        with pytest.raises(SemanticError, match=r"^2:1: duplicate instance 'x'$") as err:
+            parse_domain(text)
+        assert (err.value.line, err.value.col) == (2, 1)
+
     def test_value_outside_allowed_set(self):
         text = MINI.replace("initial { near = F }", "initial { near = R }")
         with pytest.raises(SemanticError) as err:

@@ -4,28 +4,21 @@ import pytest
 
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
 from bbt.classic import ClassicRuns, LeafProgram
-from bbt.engine import (
-    SimulationLimits,
-    apply_delayed,
-    belief_tick,
-    simulate,
-)
-from bbt.errors import EntryLimitExceeded, NoPending, TickLimitExceeded
+from bbt.engine import SimulationLimits, belief_tick, simulate
+from bbt.errors import EntryLimitExceeded, TickLimitExceeded
 from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper, TreeTables
 
 import oracle
 import randgen
-from helpers import assignment_of
+from helpers import assignment_of, ended
 
 S, F, R = Status.S, Status.F, Status.R
 MASS_TOL = 1e-12
 
 
-def state(r=R, latches=None, pending=None, **values):
-    return PhysicalState(
-        {k: Status(v) for k, v in values.items()}, r, pending=pending, latches=latches
-    )
+def state(r=R, latches=None, **values):
+    return PhysicalState({k: Status(v) for k, v in values.items()}, r, latches)
 
 
 def detect(name="detect", literal="seen"):
@@ -46,32 +39,33 @@ class TestBeliefTick:
         tree = Sequence([Condition("a"), Condition("b")])
         m = BeliefState([(0.5, state(a="S", b="F")), (0.5, state(a="F", b="S"))])
         out = belief_tick(tree, m, TreeTables(tree))
-        assert all(s.r is F for _, s in out)
-        assert out.mass == pytest.approx(1.0, abs=MASS_TOL)
+        assert all(r is F for _, _, r, _, _ in out)
+        assert sum(p for p, *_ in out) == pytest.approx(1.0, abs=MASS_TOL)
         # the a=F entry stopped at child 0, so it is returned first
-        assert [s.value("a") for _, s in out] == [F, S]
+        assert [s.value("a") for _, s, *_ in out] == [F, S]
 
     def test_fallback_first_child_success_leaves_rest_untouched(self):
         tree = Fallback([Condition("a"), Condition("missing")])
         m = BeliefState([(0.7, state(a="S", b="S")), (0.3, state(a="S", b="F"))])
         out = belief_tick(tree, m, TreeTables(tree))
-        assert all(s.r is S for _, s in out)
+        assert all(r is S for _, _, r, _, _ in out)
         assert len(out) == 2
 
     def test_skipper_schedules_behind_unknown(self):
         action = ActionNode(detect())
         tree = Skipper([Condition("seen"), Sequence([action])])
         out = belief_tick(tree, BeliefState.point(state(seen="R")), TreeTables(tree))
-        ((_, result),) = out.entries
-        assert result.r is R
-        assert result.pending is not None
-        assert result.pending[1].id == "detect"
+        ((_, _, r, pending, _),) = out
+        assert r is R
+        assert pending is action
+        assert pending.action.id == "detect"
 
     def test_unchanged_entry_is_the_same_object(self):
         tree = Sequence([Condition("a"), Condition("b")])
         same, moved = state(r=S, a="S", b="S"), state(r=S, a="S", b="F")
         # the b=F entry stops at child 1; the other runs past the last child
-        stopped, passed = tick_once(tree, same, moved)
+        m = BeliefState([(0.5, same), (0.5, moved)])
+        stopped, passed = (s for _, s in ended(tree, m, TreeTables(tree)))
         assert passed is same
         assert stopped is not moved and (stopped.r, stopped.blame) == (F, tree.children[1].node_id)
         # a changed entry is built once, around the state's own parts
@@ -88,9 +82,9 @@ class TestBeliefTick:
 
 
 def tick_once(tree, *states):
-    """One belief tick of ``tree`` over equally weighted ``states``."""
+    """One belief tick of ``tree`` over equally weighted ``states``, as its tuples."""
     m = BeliefState((1.0 / len(states), s) for s in states)
-    return [s for _, s in belief_tick(tree, m, TreeTables(tree))]
+    return belief_tick(tree, m, TreeTables(tree))
 
 
 class TestScheduleDelayed:
@@ -98,26 +92,29 @@ class TestScheduleDelayed:
 
     def test_fresh_entry_schedules(self):
         node = ActionNode(sure("goto(table1)", (("at", S),)))
-        (s,) = tick_once(node, state(at="F"))
-        assert s.r is R
-        assert s.pending == (node.node_id, node.action)
-        # the pending key holds the node id and the action id
-        assert s.key[3] == (node.node_id, "goto(table1)")
-        assert s == state(at="F", pending=(node.node_id, node.action))
+        start = state(at="F")
+        ((_, s, r, pending, _),) = tick_once(node, start)
+        assert r is R
+        assert pending is node
+        # the pending action is the node itself, and the state is left as it was
+        assert pending.action.id == "goto(table1)"
+        assert s is start and s == state(at="F")
 
     def test_latched_entry_replays(self):
         node = ActionNode(sure("goto"))
         for report in (S, F):
-            (s,) = tick_once(node, state(at="F", latches={node.node_id: report}))
-            assert s.r is report
-            assert s.pending is None
+            ((_, _, r, pending, _),) = tick_once(
+                node, state(at="F", latches={node.node_id: report})
+            )
+            assert r is report
+            assert pending is None
         # a replayed S passes on to the next action, which is scheduled
         second = ActionNode(sure("other"))
         tree = Sequence([node, second])
-        (s,) = tick_once(tree, state(at="F", latches={node.node_id: S}))
-        assert s.r is R
-        assert s.pending == (second.node_id, second.action)
-        assert s.key[3] == (second.node_id, "other")
+        ((_, _, r, pending, _),) = tick_once(tree, state(at="F", latches={node.node_id: S}))
+        assert r is R
+        assert pending is second
+        assert pending.action.id == "other"
 
     def test_second_action_same_tick_not_scheduled(self):
         first = ActionNode(detect())
@@ -125,61 +122,62 @@ class TestScheduleDelayed:
         # a Skipper goes on past R, so the second action is ticked while the
         # first is pending: it returns R and leaves the first pending
         tree = Skipper([first, second])
-        (s,) = tick_once(tree, state(seen="R", x="F"))
-        assert s.r is R
-        assert s.pending == (first.node_id, first.action)
-        assert s.key[3] == (first.node_id, "detect")
-        # so does an entry that starts the tick with an action pending, and
-        # a latched action still replays its report
-        pending = (first.node_id, first.action)
-        fresh, done = tick_once(
-            Fallback([second]),
-            state(x="F", pending=pending),
-            state(x="F", pending=pending, latches={second.node_id: F}),
+        ((_, _, r, pending, _),) = tick_once(tree, state(seen="R", x="F"))
+        assert r is R
+        assert pending is first
+        assert pending.action.id == "detect"
+        # so does an action deeper in the scan, and a latched action still
+        # replays its report while the first is pending; the Skipper stops
+        # the F entry and goes on past its last child with the R one
+        done, fresh = tick_once(
+            Skipper([first, Fallback([second])]),
+            state(seen="R", x="F"),
+            state(seen="R", x="F", latches={second.node_id: F}),
         )
-        assert (fresh.r, fresh.pending) == (R, pending)
-        assert (done.r, done.pending) == (F, pending)
+        assert (fresh[2], fresh[3]) == (R, first)
+        assert (done[2], done[3]) == (F, first)
 
 
 class TestApplyDelayed:
+    """A root tick's pending entries go straight to one state per outcome."""
+
     def test_detect_splits_and_latches(self):
         node = ActionNode(detect("detect(soda)"))
-        tables = TreeTables(node)
-        m = belief_tick(node, BeliefState.point(state(seen="R")), tables)
-        out = apply_delayed(m, tables)
-        assert len(out) == 2
-        for p, s in out.entries:
+        result = simulate(node, BeliefState.point(state(seen="R")))
+        assert result.ticks_used == 2
+        assert len(result.terminal) == 2
+        for p, s in result.terminal.entries:
             assert p == pytest.approx(0.5, abs=MASS_TOL)
-            assert s.pending is None
+            # the latched action replays its report in the second tick
+            assert s.r is s.value("seen")
             assert s.latches[node.node_id] is s.value("seen")
 
     def test_deterministic_outcome_single_entry(self):
         node = ActionNode(sure("light_on", (("lum", S),)))
-        tables = TreeTables(node)
-        m = belief_tick(node, BeliefState.point(state(lum="F")), tables)
-        out = apply_delayed(m, tables)
-        ((p, s),) = out.entries
+        result = simulate(node, BeliefState.point(state(lum="F")))
+        ((p, s),) = result.terminal.entries
         assert p == pytest.approx(1.0, abs=MASS_TOL)
         assert s.value("lum") is S
         assert s.latches[node.node_id] is S
 
     def test_entries_expand_independently(self):
+        # the c=S entry leaves node_a pending, the c=F entry node_b; each
+        # expands over its own action's outcomes in the same root tick
         node_a = ActionNode(detect("d1", "x"))
         node_b = ActionNode(sure("s1", (("y", S),)))
-        m = BeliefState(
-            [
-                (0.5, state(x="R", y="F", pending=(node_a.node_id, node_a.action))),
-                (0.5, state(x="R", y="F", pending=(node_b.node_id, node_b.action))),
-            ]
+        tree = Fallback(
+            [Sequence([Condition("c"), node_a]), Sequence([Condition("d"), node_b])]
         )
-        out = apply_delayed(m, TreeTables(Sequence([node_a, node_b])))
-        masses = sorted(p for p, _ in out.entries)
+        m = BeliefState(
+            [(0.5, state(c="S", d="F", x="R", y="F")), (0.5, state(c="F", d="S", x="R", y="F"))]
+        )
+        pending = [entry[3] for entry in belief_tick(tree, m, TreeTables(tree))]
+        assert pending == [node_a, node_b]
+        result = simulate(tree, m)
+        assert result.ticks_used == 2
+        masses = sorted(p for p, _ in result.terminal.entries)
         assert masses == [pytest.approx(0.25), pytest.approx(0.25), pytest.approx(0.5)]
-        assert out.mass == pytest.approx(1.0, abs=MASS_TOL)
-
-    def test_no_pending_raises(self):
-        with pytest.raises(NoPending):
-            apply_delayed(BeliefState.point(state(a="S")), TreeTables(Condition("a")))
+        assert result.terminal.mass == pytest.approx(1.0, abs=MASS_TOL)
 
 
 class TestSimulate:
@@ -208,9 +206,8 @@ class TestSimulate:
             )
             result = simulate(tree, initial)
             for p, s in result.terminal.entries:
-                out = belief_tick(tree, BeliefState.point(s), result.tables)
-                ((_, again),) = out.entries
-                assert again.pending is None
+                # ended asserts that the tick leaves no action pending
+                ((_, again),) = ended(tree, BeliefState.point(s), result.tables).entries
                 assert assignment_of(again) == assignment_of(s)
                 assert again.latches == s.latches
                 assert again.r is s.r
@@ -247,7 +244,7 @@ class TestSimulate:
             tree = randgen.random_tree(rng, literals, actions)
             m = randgen.random_belief(rng, literals)
             ticked = belief_tick(tree, m, TreeTables(tree))
-            assert ticked.mass == pytest.approx(m.mass, abs=MASS_TOL)
+            assert sum(p for p, *_ in ticked) == pytest.approx(m.mass, abs=MASS_TOL)
             result = simulate(tree, m)
             assert result.terminal.mass + result.pruned_mass == pytest.approx(
                 m.mass, abs=MASS_TOL
