@@ -97,9 +97,10 @@ class PhysicalState:
     entry it names the condition the planner resolves.  It is not part of
     the key: two terminal entries with equal keys ran the same final tick.
 
-    The constructor sorts the literals once and maps each to its position.
-    An outcome writes only literals the state already holds, so every state
-    derived from a constructed one shares ``literals`` and that index.
+    The constructor sorts the literals once and maps each to its position
+    in ``index``.  An outcome writes only literals the state already holds,
+    so every state derived from a constructed one shares ``literals`` and
+    ``index``.
     ``key``, the canonical sort and equality key, is ``(literals, values,
     r, latches)``: over one literal set it orders states by their statuses
     in literal order, and states over different literal sets never compare
@@ -109,7 +110,7 @@ class PhysicalState:
     build their states around a ready key, through one private constructor.
     """
 
-    __slots__ = ("literals", "values", "r", "latches", "blame", "_index", "key", "_hash")
+    __slots__ = ("literals", "values", "r", "latches", "blame", "index", "key", "_hash")
 
     def __init__(
         self,
@@ -122,13 +123,13 @@ class PhysicalState:
         self.r = r
         self.latches = dict(latches) if latches else {}
         self.blame: int | None = None
-        self._index = {literal: i for i, literal in enumerate(self.literals)}
+        self.index = {literal: i for i, literal in enumerate(self.literals)}
         self.key = (self.literals, self.values, r, tuple(sorted(self.latches.items())))
         self._hash = None
 
     def value(self, literal: str) -> Status:
         try:
-            return self.values[self._index[literal]]
+            return self.values[self.index[literal]]
         except KeyError:
             raise UnknownLiteral(literal) from None
 
@@ -161,7 +162,7 @@ class PhysicalState:
         is sorted.
         """
         values = list(self.values)
-        outcome.apply(values, self._index)
+        outcome.apply(values, self.index)
         latches = dict(self.latches)
         latches[node.node_id] = outcome.report
         tables.settle(latches, node.node_id)
@@ -180,7 +181,7 @@ class PhysicalState:
         state.r = key[2]
         state.latches = latches
         state.blame = blame
-        state._index = self._index
+        state.index = self.index
         state.key = key
         state._hash = None
         return state

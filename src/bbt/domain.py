@@ -526,6 +526,9 @@ def validate_domain(spec: DomainSpec) -> None:
 
     for cond in spec.conditions:
         _validate_signature_spaces(spaces, cond.params, f"condition {cond.name!r}", cond.loc)
+        for i, value in enumerate(cond.values):
+            if value in cond.values[:i]:
+                raise SemanticError(f"condition {cond.name!r} repeats value {value}", *cond.loc)
 
     for action in spec.actions:
         _validate_signature_spaces(spaces, action.params, f"action {action.name!r}", action.loc)
@@ -735,9 +738,7 @@ class GroundedDomain:
                 if gain > 0.0:
                     self._establishing.setdefault(literal, []).append((resolver, gain))
 
-        self.goal: tuple[tuple[str, Status], ...] = tuple(
-            (self._ground_asgn(a, {})[0], a.value) for a in spec.goal
-        )
+        self.goal = self._ground_clause(spec.goal, {}, "the goal", "")
         self.goal_probability = spec.goal_probability
         self.initial_assignment = self._build_initial()
 
@@ -757,6 +758,24 @@ class GroundedDomain:
         args = tuple(binding.get(a, a) for a in asgn.args)
         return format_literal(asgn.name, args), asgn.value
 
+    def _ground_clause(
+        self, clause: tuple[Assignment, ...], binding: Mapping[str, str], owner: str, name: str
+    ) -> tuple[tuple[str, Status], ...]:
+        """Ground one clause's assignments, rejecting a literal assigned twice.
+
+        Checked after grounding, so a parameter that grounds to an instance
+        named elsewhere in the clause counts as a repeat.  The error names
+        the clause as ``owner`` followed by ``name``.
+        """
+        grounded = tuple(self._ground_asgn(a, binding) for a in clause)
+        if len(grounded) > 1 and len(dict(grounded)) < len(grounded):
+            literals = [literal for literal, _ in grounded]
+            i = next(i for i, literal in enumerate(literals) if literal in literals[:i])
+            raise SemanticError(
+                f"{literals[i]!r} is assigned twice in {owner}{name}", *clause[i].loc
+            )
+        return grounded
+
     def _report_status(self, outcome: OutcomeSpec) -> Status:
         if outcome.report is not None:
             return outcome.report
@@ -769,7 +788,7 @@ class GroundedDomain:
         name = format_literal(schema.name, tuple(binding[p] for p in schema.params))
         outcomes = []
         for spec_outcome in schema.outcomes:
-            post = tuple(self._ground_asgn(a, binding) for a in spec_outcome.assignments)
+            post = self._ground_clause(spec_outcome.assignments, binding, "an outcome of ", name)
             outcomes.append(
                 Outcome(spec_outcome.probability, post, self._report_status(spec_outcome))
             )
@@ -783,7 +802,9 @@ class GroundedDomain:
             ]
         return ActionInstance(
             id=name,
-            preconditions=tuple(self._ground_asgn(a, binding) for a in schema.preconditions),
+            preconditions=self._ground_clause(
+                schema.preconditions, binding, "the preconditions of ", name
+            ),
             outcomes=tuple(outcomes),
         )
 
@@ -794,14 +815,16 @@ class GroundedDomain:
         outcomes = tuple(
             Outcome(
                 o.probability,
-                tuple(self._ground_asgn(a, binding) for a in o.assignments),
+                self._ground_clause(o.assignments, binding, "a declared outcome of ", name),
                 self._report_status(o),
             )
             for o in schema.declared
         )
         return TemplateInstance(
             id=name,
-            preconditions=tuple(self._ground_asgn(a, binding) for a in schema.preconditions),
+            preconditions=self._ground_clause(
+                schema.preconditions, binding, "the preconditions of ", name
+            ),
             outcomes=outcomes,
             schema=schema,
             bindings=tuple(binding.items()),

@@ -24,11 +24,21 @@ expansion, with its coalesce, is validated as one
 :class:`~bbt.tree.TreeTables` are built once per :func:`simulate`, or once
 per :class:`Trail`, and returned with its result.
 
-A tick visits nodes in tick order, so the last node it visits is the
-furthest it reaches.  A tick that reaches no node at or after an edit runs
-the same in the edited tree, so a :class:`Trail` lets the planner resume
-each round's simulation at the first tick that reaches its edit instead of
-replaying the whole run.
+A planned tree is a root Sequence of goal subtrees, and once a goal holds
+every later root tick returns S from its subtree.  The root's scan passes
+such a child without visiting it when every entry entering it reads S at
+the child's gate (:attr:`~bbt.tree.TreeTables.gates`): a condition reached
+from the child through Fallbacks and Skippers only, none of which continues
+on S.  The child would return each entry unchanged with S, charge no blame
+and reach no action, so passing it is exact and costs one literal lookup
+per entry.  Planning and simulation of a wide goal then visit nodes in
+proportion to the goal frontier, not to the goals already settled.
+
+A tick reads nodes in tick order, so the last node it reads, a passed
+child's gate included, is the furthest it reaches.  A tick that reaches no
+node at or after an edit runs the same in the edited tree, so a
+:class:`Trail` lets the planner resume each round's simulation at the
+first tick that reaches its edit instead of replaying the whole run.
 """
 
 from __future__ import annotations
@@ -84,12 +94,14 @@ class Trail:
     entries.
 
     An edit changes no node, parent or rank before its own rank, and a tick
-    that does not reach that rank scans only nodes before it.  Such ticks
-    run the same in the edited tree, and the latch views they leave are
-    canonical under its tables too (each fold stops at a child before the
-    edit).  :meth:`cut` at the edit's rank therefore leaves, as the last
-    point, one from which the next :func:`simulate` of the edited tree,
-    given this trail, resumes with a result bit-identical to a fresh run's.
+    that does not reach that rank reads only nodes before it; a root child
+    it passes at its gate has its whole leftmost path there, so its gate is
+    unchanged too.  Such ticks run the same in the edited tree, and the
+    latch views they leave are canonical under its tables too (each fold
+    stops at a child before the edit).  :meth:`cut` at the edit's rank
+    therefore leaves, as the last point, one from which the next
+    :func:`simulate` of the edited tree, given this trail, resumes with a
+    result bit-identical to a fresh run's.
     That run ignores its ``initial`` belief, so a trail serves the
     simulations of one initial belief and one set of limits.
 
@@ -127,7 +139,9 @@ def belief_tick(
     to the parent.  Entries whose latch view has a foldable control node
     latched return that status without a scan.  The result lists those
     entries, then every child's stopped entries in scan order, then whatever
-    continued past the last child.
+    continued past the last child.  When ``node`` is the tables' root, its
+    scan passes a child whose gate every entering entry reads at S: those
+    entries continue with S, in order, exactly as a visit would leave them.
 
     A condition returning F or R charges itself with an entry's failure
     (``PhysicalState.blame``) when it is deeper than the condition already
@@ -135,8 +149,9 @@ def belief_tick(
     leftmost of the deepest such conditions keeps the charge.
 
     ``tables`` are those of ``node``'s tree.  ``reached``, when given, is a
-    one-item list that ends up holding the last node the tick visits, which
-    is the furthest in tick order.
+    one-item list that ends up holding the furthest node the tick reads in
+    tick order: the last node it visits, or the gate of a child it passed
+    after that.
 
     Between nodes the tick passes ``(p, state, status, pending, blame)``
     tuples and leaves every state untouched, and it returns them as they
@@ -151,7 +166,8 @@ def belief_tick(
     if reached is None:
         reached = [node]
     entries = [(p, s, s.r, None, s.blame) for p, s in mem.entries]
-    return _tick(node, entries, tables.foldable, tables.depth, reached)
+    gates = tables.gates if node is tables.order[0] else None
+    return _tick(node, entries, tables.foldable, tables.depth, reached, gates)
 
 
 def _tick(
@@ -160,12 +176,14 @@ def _tick(
     foldable: set[int],
     depth: dict[int, int],
     reached: list[BTNode],
+    gates: dict[int, Condition] | None = None,
 ) -> list[_Ticking]:
     """The recursion behind :func:`belief_tick`.
 
     An action leaf replays its latch or returns R, and becomes the pending
     action when none is; :func:`simulate` expands its outcomes before the
-    next root tick.
+    next root tick.  ``gates`` are the tables' gates when ``node`` is the
+    root, else ``None``: below the root every child is visited.
     """
     reached[0] = node
     node_id = node.node_id
@@ -202,6 +220,24 @@ def _tick(
     for child in node.children:
         if not entries:
             break
+        if gates:
+            gate = gates.get(child.node_id)
+            if gate is not None:
+                literal = gate.literal
+                for entry in entries:
+                    s = entry[1]
+                    position = s.index.get(literal)
+                    if position is None or s.values[position] is not go_on:
+                        break
+                else:
+                    # every entry reads S at the gate, so the child returns each unchanged with S
+                    reached[0] = gate
+                    if child is node.children[0]:
+                        # later children only receive entries that returned S
+                        entries = [
+                            (p, s, go_on, pending, blame) for p, s, _, pending, blame in entries
+                        ]
+                    continue
         result = _tick(child, entries, foldable, depth, reached)
         entries = []
         for entry in result:

@@ -5,8 +5,9 @@ one run and live with the executor (a per-run dict in :mod:`bbt.classic`,
 per-branch views in :class:`~bbt.belief.PhysicalState`), so the same tree
 can be executed or simulated any number of times without a reset.
 :class:`TreeTables` holds the tables of one pre-order walk: tick order,
-parents, depths and the nodes whose latches keep those per-branch views
-canonical.  A planner edit updates them in place instead of a new walk.
+parents, depths, the nodes whose latches keep those per-branch views
+canonical and the gates at which a root tick passes a settled goal child.
+A planner edit updates them in place instead of a new walk.
 """
 
 from __future__ import annotations
@@ -124,6 +125,13 @@ class TreeTables:
     latch view: those whose leftmost leaf is an action, since a condition is
     never settled by latches.
 
+    ``gates`` maps the id of a child of a Sequence root to its gate: the
+    condition at the end of the child's leftmost path when every node on
+    that path is a Fallback or a Skipper.  None of those continues on S, so
+    an entry that reads S at the gate returns S from the whole child,
+    unchanged (see :func:`~bbt.engine.belief_tick`).  A child without a
+    gate, and every child of any other root, has no entry.
+
     Tables are never cached on the tree.  A plain :func:`~bbt.engine.simulate`
     builds them and hands them on with its result (to the leaf program of
     ``bbt exec``, for one).  The planner's rounds share one set, kept by
@@ -132,7 +140,7 @@ class TreeTables:
     nodes after it in tick order, instead of a walk of the whole tree.
     """
 
-    __slots__ = ("order", "rank", "parent", "depth", "foldable")
+    __slots__ = ("order", "rank", "parent", "depth", "foldable", "gates")
 
     def __init__(self, tree: BTNode):
         self.parent: dict[int, BTNode] = {}
@@ -140,6 +148,8 @@ class TreeTables:
         self.foldable: set[int] = set()
         self.order = self._walk(tree, None, 0)
         self.rank = {node.node_id: i for i, node in enumerate(self.order)}
+        self.gates: dict[int, Condition] = {}
+        self._regate_all()
 
     def splice(self, old: BTNode, new: BTNode) -> None:
         """Describe the tree after the subtree ``old`` was replaced by ``new``.
@@ -151,7 +161,9 @@ class TreeTables:
         becomes a pre-order walk of ``new``, which sets ``parent``,
         ``depth`` and ``foldable`` for the walked nodes; ``rank`` is
         renumbered from the block to the end, and ``foldable`` is recomputed
-        for the ancestors.
+        for the ancestors.  Of ``gates``, only the gate of the root child
+        that holds ``new`` is recomputed, or all of them when ``new`` is the
+        root.
         """
         order, depth = self.order, self.depth
         start = self.rank[old.node_id]
@@ -164,9 +176,18 @@ class TreeTables:
         rank = self.rank
         for i in range(start, len(order)):
             rank[order[i].node_id] = i
+        if above is None:
+            self._regate_all()
+            return
+        top = new  # ends as the root child that holds new
         while above is not None:
             self._refold(above)
+            if depth[above.node_id]:
+                top = above
             above = self.parent.get(above.node_id)
+        self.gates.pop(old.node_id, None)
+        if isinstance(order[0], Sequence):
+            self._regate(top)
 
     def _walk(self, root: BTNode, parent: BTNode | None, level: int) -> list[BTNode]:
         """Pre-order walk of ``root``, placed under ``parent`` at depth ``level``.
@@ -200,6 +221,21 @@ class TreeTables:
             self.foldable.add(node.node_id)
         else:
             self.foldable.discard(node.node_id)
+
+    def _regate(self, child: BTNode) -> None:
+        """Recompute the gate of ``child``, a child of a Sequence root."""
+        gate = _gate(child)
+        if gate is None:
+            self.gates.pop(child.node_id, None)
+        else:
+            self.gates[child.node_id] = gate
+
+    def _regate_all(self) -> None:
+        self.gates.clear()
+        root = self.order[0]
+        if isinstance(root, Sequence):
+            for child in root.children:
+                self._regate(child)
 
     def settle(self, latches: dict[int, Status], node_id: int) -> None:
         """Canonicalize ``latches`` in place after ``node_id`` latched.
@@ -236,3 +272,10 @@ def _fixed_return(node: BTNode, latches: dict[int, Status]) -> Status | None:
         if status is not node.continue_status:
             return status
     return node.continue_status
+
+
+def _gate(node: BTNode) -> Condition | None:
+    """The condition ending ``node``'s leftmost path of Fallbacks and Skippers, else None."""
+    while isinstance(node, (Fallback, Skipper)):
+        node = node.children[0]
+    return node if isinstance(node, Condition) else None

@@ -45,11 +45,17 @@ def planned_stochastic(soda_domain):
 
 
 @pytest.fixture(scope="session")
-def wide_text() -> str:
-    """The 24-item domain of ``perfbench/widegen.py``, seed 0."""
+def widegen():
+    """The seeded wide-domain generator of ``perfbench/widegen.py``."""
     spec = importlib.util.spec_from_file_location("widegen", WIDEGEN)
-    widegen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(widegen)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def wide_text(widegen) -> str:
+    """The 24-item domain of ``perfbench/widegen.py``, seed 0."""
     return widegen.generate(24, seed=0)
 
 

@@ -7,6 +7,7 @@ in doubles and mass checks stay sharp.
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
 from bbt.domain import (
@@ -135,6 +136,13 @@ def random_domain_spec(rng: random.Random) -> DomainSpec:
         values = [v for v in value_pool if v in cond.values]
         return Assignment(cond.name, args, rng.choice(values or [Status.F]))
 
+    def distinct(assignments: Iterable[Assignment]) -> tuple[Assignment, ...]:
+        """The assignments, each literal's first only: a clause assigns a literal once."""
+        kept: dict[tuple[str, tuple[str, ...]], Assignment] = {}
+        for asgn in assignments:
+            kept.setdefault((asgn.name, asgn.args), asgn)
+        return tuple(kept.values())
+
     actions = []
     for i in range(rng.randint(1, 3)):
         params = tuple(s.name for s in rng.sample(spaces, rng.randint(0, len(spaces))))
@@ -146,7 +154,7 @@ def random_domain_spec(rng: random.Random) -> DomainSpec:
             OutcomeSpec(
                 probs[j],
                 rng.choice([Status.S, Status.F, None]),
-                tuple(random_asgn(params) for _ in range(rng.randint(0, 2))),
+                distinct(random_asgn(params) for _ in range(rng.randint(0, 2))),
             )
             for j in range(n_outcomes)
         )

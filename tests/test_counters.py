@@ -15,11 +15,23 @@ scan and merge order of the tick rather than latch-view merging.
 ``STATES_BUILT`` pins the physical states the final simulation builds,
 constructed or derived from another state, on soda at 0.999 and on the
 wide row.
+
+The node-visit pins count ``engine._tick`` calls, the root scans included.
+A root tick passes a settled goal child at its gate without visiting it, so
+visits grow with the goal frontier, not with the number of settled goals.
 """
 
 import pytest
 
-from bbt import PhysicalState, engine, plan_request_from_domain, refine_tree, simulate
+from bbt import (
+    PhysicalState,
+    engine,
+    ground,
+    parse_domain,
+    plan_request_from_domain,
+    refine_tree,
+    simulate,
+)
 
 PINS = [
     ("soda_domain", None, (4, 26, 11, 11, 23)),
@@ -85,3 +97,53 @@ def test_states_built_pinned(request, monkeypatch, domain_fixture, prob, pinned)
     simulate(result.tree, initial)
     monkeypatch.undo()
     assert built == pinned
+
+
+def count_visits(monkeypatch, run):
+    """``run()`` and the node visits of its belief ticks."""
+    visits = 0
+    visit = engine._tick
+
+    def counted(*args):
+        nonlocal visits
+        visits += 1
+        return visit(*args)
+
+    # the tick recurses through this module binding
+    monkeypatch.setattr(engine, "_tick", counted)
+    try:
+        return run(), visits
+    finally:
+        monkeypatch.undo()
+
+
+def plan_visits(monkeypatch, domain, max_iterations=64):
+    request = plan_request_from_domain(domain, max_iterations=max_iterations)
+    return count_visits(monkeypatch, lambda: refine_tree(request))
+
+
+def test_wide_visits_pinned(monkeypatch, wide_domain):
+    result, planned = plan_visits(monkeypatch, wide_domain)
+    _, simulated = count_visits(
+        monkeypatch, lambda: simulate(result.tree, wide_domain.initial_belief())
+    )
+    assert (planned, simulated) == (1326, 660)
+
+
+@pytest.fixture(scope="module")
+def wide_96(widegen):
+    return ground(parse_domain(widegen.generate(96, seed=0)))
+
+
+def test_wide_96_plan_visits_pinned(monkeypatch, wide_96):
+    _, visits = plan_visits(monkeypatch, wide_96, max_iterations=1000)
+    assert visits == 4998
+
+
+def test_wide_plan_visits_grow_linearly(monkeypatch, widegen, wide_96):
+    # doubling the goals about doubles the visits; a rescan of every settled
+    # goal child at every root tick would near quadruple them
+    wide_192 = ground(parse_domain(widegen.generate(192, seed=0)))
+    _, small = plan_visits(monkeypatch, wide_96, max_iterations=1000)
+    _, large = plan_visits(monkeypatch, wide_192, max_iterations=1000)
+    assert large <= 2.2 * small

@@ -84,6 +84,52 @@ class TestParser:
             parse_domain(text)
         assert (err.value.line, err.value.col) == (2, 1)
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            (
+                "outcome 0.5 -> S { seen(object) = S }",
+                "outcome 0.5 -> S { seen(object) = S ; seen(object) = F }",
+                r"^20:41: 'seen\(soda\)' is assigned twice in an outcome of detect\(soda\)$",
+            ),
+            (
+                # object grounds to soda, so the two collide for detect(soda) only
+                "outcome 0.5 -> S { seen(object) = S }",
+                "outcome 0.5 -> S { seen(object) = S ; seen(soda) = F }",
+                r"^20:41: 'seen\(soda\)' is assigned twice in an outcome of detect\(soda\)$",
+            ),
+            (
+                "pre { luminousity_ok = S ; seen(object) = R }",
+                "pre { luminousity_ok = S ; luminousity_ok = F ; seen(object) = R }",
+                r"^19:30: 'luminousity_ok' is assigned twice"
+                r" in the preconditions of detect\(soda\)$",
+            ),
+            (
+                "declared 0.8 { seen(object) = S }",
+                "declared 0.8 { seen(object) = S ; seen(object) = F }",
+                r"^31:37: 'seen\(soda\)' is assigned twice in a declared outcome of find\(soda\)$",
+            ),
+            (
+                "goal { seen(soda) = S }",
+                "goal { seen(soda) = S ; seen(soda) = S }",
+                r"^46:25: 'seen\(soda\)' is assigned twice in the goal$",
+            ),
+            (
+                "condition seen(object) values { S F R }",
+                "condition seen(object) values { S S F }",
+                r"^10:1: condition 'seen' repeats value S$",
+            ),
+        ],
+        ids=["outcome", "outcome-parameter-collision", "pre", "declared", "goal", "values"],
+    )
+    def test_clause_assigns_each_literal_once(self, soda_det_path, old, new, message):
+        # accepted, the last write wins: a repeat in detect's first outcome
+        # planned luminousity_ok at 0.000000 instead of 0.500000
+        text = soda_det_path.read_text(encoding="utf-8")
+        assert old in text
+        with pytest.raises(SemanticError, match=message):
+            ground(parse_domain(text.replace(old, new)))
+
     def test_value_outside_allowed_set(self):
         text = MINI.replace("initial { near = F }", "initial { near = R }")
         with pytest.raises(SemanticError) as err:

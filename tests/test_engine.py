@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from bbt import engine
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
 from bbt.classic import ClassicRuns, LeafProgram
 from bbt.engine import SimulationLimits, belief_tick, simulate
-from bbt.errors import EntryLimitExceeded, TickLimitExceeded
+from bbt.errors import EntryLimitExceeded, TickLimitExceeded, UnknownLiteral
 from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper, TreeTables
 
@@ -364,6 +365,139 @@ class TestSimulate:
         result = simulate(tree, BeliefState.point(state(seen="R")), record_flow=True)
         assert result.mass_flow
         assert result.mass_flow[0].startswith("tick 1 ")
+
+
+def gated_chain(rng, literals, actions):
+    """A condition under zero to three wrappers, each with random later children.
+
+    One wrapper in five is a Sequence, which continues on S, so the
+    condition is a gate only when no Sequence lies above it.
+    """
+    node = Condition(rng.choice(literals))
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice((Fallback, Skipper, Fallback, Skipper, Sequence))
+        later = [randgen.random_tree(rng, literals, actions, 4) for _ in range(rng.randint(0, 2))]
+        node = kind([node, *later])
+    return node
+
+
+def goal_root(rng, literals, actions):
+    """A root Sequence of goal-like children, gated chains or random subtrees."""
+    children = [
+        gated_chain(rng, literals, actions)
+        if rng.random() < 0.75
+        else randgen.random_tree(rng, literals, actions, 6)
+        for _ in range(rng.randint(1, 5))
+    ]
+    return Sequence(children)
+
+
+def gate_belief(rng, literals, gate_literals):
+    """Entries whose gate literals read S in all, some or none of them, by literal."""
+    modes = {literal: rng.choice(("all", "some", "none")) for literal in gate_literals}
+    entries = []
+    for p in randgen.dyadic_parts(rng, rng.randint(1, 5)):
+        assignment = randgen.random_assignment(rng, literals)
+        for literal, mode in modes.items():
+            if mode == "all" or (mode == "some" and rng.random() < 0.5):
+                assignment[literal] = S
+            else:
+                assignment[literal] = rng.choice((F, R))
+        entries.append((p, PhysicalState(assignment, rng.choice(randgen.STATUSES))))
+    return BeliefState(entries)
+
+
+def plain_tick(root, mem, tables):
+    """A root tick that scans every child: ``_tick`` without the root's gates."""
+    reached = [root]
+    entries = [(p, s, s.r, None, s.blame) for p, s in mem.entries]
+    result = engine._tick(root, entries, tables.foldable, tables.depth, reached)
+    return result, reached[0]
+
+
+def assert_same_tick(root, mem, tables):
+    """``belief_tick`` returns the plain tick's tuples, in order, and reaches as far."""
+    reached = [root]
+    got = belief_tick(root, mem, tables, reached)
+    want, want_reached = plain_tick(root, mem, tables)
+    assert [(p, id(s), r, pending, blame) for p, s, r, pending, blame in got] == [
+        (p, id(s), r, pending, blame) for p, s, r, pending, blame in want
+    ]
+    assert reached[0] is want_reached
+
+
+class TestRootPass:
+    def test_equals_plain_tick_on_random_roots(self):
+        rng = random.Random(83)
+        every_child_passed = 0
+        for _ in range(1500):
+            literals = randgen.random_literals(rng)
+            actions = randgen.random_actions(rng, literals)
+            root = goal_root(rng, literals, actions)
+            tables = TreeTables(root)
+            gate_literals = sorted({gate.literal for gate in tables.gates.values()})
+            mem = gate_belief(rng, literals, gate_literals)
+            assert_same_tick(root, mem, tables)
+            every_child_passed += all(
+                child.node_id in tables.gates
+                and all(s.value(tables.gates[child.node_id].literal) is S for _, s in mem)
+                for child in root.children
+            )
+        assert every_child_passed > 100
+
+    def test_state_lacking_a_gate_literal_is_scanned(self):
+        # the entries that hold the literal read S at its gate; the one that
+        # lacks it fails where the plain scan fails
+        rng = random.Random(89)
+        raised = 0
+        for _ in range(300):
+            literals = randgen.random_literals(rng)
+            actions = randgen.random_actions(rng, literals)
+            root = goal_root(rng, literals, actions)
+            tables = TreeTables(root)
+            gate_literals = sorted({gate.literal for gate in tables.gates.values()})
+            if not gate_literals:
+                continue
+            mem = gate_belief(rng, literals, gate_literals)
+            missing = rng.choice(gate_literals)
+            p, s = mem.entries[-1]
+            held = {lit: v for lit, v in zip(s.literals, s.values) if lit != missing}
+            mem = BeliefState([*mem.entries[:-1], (p, PhysicalState(held, s.r))])
+            try:
+                plain_tick(root, mem, tables)
+            except UnknownLiteral as exc:
+                raised += 1
+                with pytest.raises(UnknownLiteral, match=f"^{exc}$"):
+                    belief_tick(root, mem, tables)
+            else:
+                assert_same_tick(root, mem, tables)
+        assert raised > 50
+
+    def test_simulate_matches_oracle_and_plain_ticks(self, monkeypatch):
+        # every root tick of a run, latch views included, against a plain tick
+        rng = random.Random(97)
+        root_tick = engine.belief_tick
+
+        def checked(node, mem, tables, reached=None):
+            want, want_reached = plain_tick(node, mem, tables)
+            got = root_tick(node, mem, tables, reached)
+            assert got == want
+            assert reached is None or reached[0] is want_reached
+            return got
+
+        monkeypatch.setattr(engine, "belief_tick", checked)
+        for _ in range(300):
+            literals = randgen.random_literals(rng)
+            actions = randgen.random_actions(rng, literals)
+            root = goal_root(rng, literals, actions)
+            gate_literals = sorted({g.literal for g in TreeTables(root).gates.values()})
+            assignment = randgen.random_assignment(rng, literals)
+            for literal in gate_literals:
+                if rng.random() < 0.5:
+                    assignment[literal] = S
+            expected = oracle.enumerate_terminals(root, assignment)
+            result = simulate(root, BeliefState.point(PhysicalState(assignment)))
+            oracle.assert_distributions_match(expected, oracle.simulation_to_terminals(result))
 
 
 def coin(name):

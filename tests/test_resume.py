@@ -22,6 +22,7 @@ from bbt.status import Status
 from bbt.tree import ActionNode, Condition, TreeTables
 
 import randgen
+from test_engine import goal_root
 from test_planner import CONFLICT_DOMAIN
 
 
@@ -49,6 +50,7 @@ def assert_tables_current(tables, tree):
     assert tables.rank == fresh.rank
     assert tables.depth == fresh.depth
     assert tables.foldable == fresh.foldable
+    assert tables.gates == fresh.gates  # conditions compare by identity
 
 
 def random_edit(rng, tree, tables, literals, actions, wrappers):
@@ -76,13 +78,32 @@ def random_edit(rng, tree, tables, literals, actions, wrappers):
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
 def test_random_edits_resume_exactly(epsilon):
-    rng = random.Random(9090)
+    def random_tree(rng, literals, actions):
+        return randgen.random_tree(rng, literals, actions, max_nodes=12)
+
+    resumed_ticks, pruned = edit_and_resume(random.Random(9090), epsilon, random_tree)
+    assert resumed_ticks > 0  # some edits left a prefix to reuse
+    assert (pruned > 0.0) == (epsilon > 0.0)
+
+
+def test_random_edits_of_goal_roots_resume_exactly():
+    # Sequence roots of gated children, whose gates each edit keeps current
+    resumed_ticks, _ = edit_and_resume(random.Random(9191), 0.0, goal_root)
+    assert resumed_ticks > 0
+
+
+def edit_and_resume(rng, epsilon, make_tree):
+    """Random edits of 300 trees from ``make_tree``, each resumed and checked.
+
+    Returns the root ticks the resumed runs reused and the mass the fresh
+    runs pruned.
+    """
     limits = SimulationLimits(prune_epsilon=epsilon)
     resumed_ticks, pruned = 0, 0.0
     for _ in range(300):
         literals = randgen.random_literals(rng)
         actions = randgen.random_actions(rng, literals)
-        tree = randgen.random_tree(rng, literals, actions, max_nodes=12)
+        tree = make_tree(rng, literals, actions)
         belief = randgen.random_belief(rng, literals, max_entries=4)
         trail = Trail()
         result = simulate(tree, belief, limits, trail=trail)
@@ -112,8 +133,7 @@ def test_random_edits_resume_exactly(epsilon):
             # every tick's belief, not only the terminal one, is the fresh run's
             assert trail_fingerprint(trail) == trail_fingerprint(fresh_trail)
             pruned += fresh.pruned_mass
-    assert resumed_ticks > 0  # some edits left a prefix to reuse
-    assert (pruned > 0.0) == (epsilon > 0.0)
+    return resumed_ticks, pruned
 
 
 def plan_checked(monkeypatch, domain, prob=None):

@@ -208,6 +208,40 @@ class TestStructure:
         validate_tree(tree)
         assert to_dot(tree).count("->") == 3000
 
+    def test_gates(self):
+        # a gate ends a leftmost path of Fallbacks and Skippers below a Sequence root
+        gate, last = Condition("g"), Condition("z")
+        chained = Fallback([Skipper([gate, Condition("x")]), Condition("y")])
+        sequenced = Fallback([Sequence([Condition("h"), Condition("x")])])
+        acting = Skipper([ActionNode(sure()), Condition("x")])
+        tables = TreeTables(Sequence([chained, sequenced, acting, last]))
+        assert tables.gates == {chained.node_id: gate, last.node_id: last}
+        assert TreeTables(Fallback([chained])).gates == {}
+
+    def test_splice_keeps_gates_current(self):
+        first = Condition("a")
+        tree = Sequence([first])
+        tables = TreeTables(tree)
+        # a wrapper in place of a root child takes over its gate
+        wrapper = Fallback([first, ActionNode(sure())])
+        tree.children[0] = wrapper
+        tables.splice(first, wrapper)
+        assert tables.gates == {wrapper.node_id: first}
+        # a child added to the root gets its own
+        added = Condition("b")
+        tree.children.append(added)
+        tables.splice(tree, tree)
+        assert tables.gates == {wrapper.node_id: first, added.node_id: added}
+        # an edit below a root child recomputes that child's gate
+        inner = Sequence([first, Condition("c")])
+        wrapper.children[0] = inner
+        tables.splice(first, inner)
+        assert tables.gates == {added.node_id: added}
+        # a new root above the old one
+        root = Sequence([tree, Condition("d")])
+        tables.splice(tree, root)
+        assert tables.gates == {root.children[1].node_id: root.children[1]}
+
     def test_structural_equality_ignores_ids(self):
         a = Sequence([Condition("a"), ActionNode(sure())])
         b = Sequence([Condition("a"), ActionNode(sure())])
