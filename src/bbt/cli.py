@@ -25,8 +25,6 @@ from .errors import (
     IterationLimit,
     NoResolver,
     NothingFailed,
-    ParseError,
-    SemanticError,
     TickLimitExceeded,
     UnresolvableThreat,
 )
@@ -41,7 +39,6 @@ EXIT_INPUT = 1
 EXIT_PLANNING = 2
 EXIT_LIMITS = 3
 
-_INPUT_ERRORS = (ParseError, SemanticError, OSError)
 _PLANNING_ERRORS = (EmptyGoal, NoResolver, NothingFailed, IterationLimit, UnresolvableThreat)
 _LIMIT_ERRORS = (TickLimitExceeded, EntryLimitExceeded)
 
@@ -54,16 +51,13 @@ def _load_domain(args) -> GroundedDomain:
     return ground(parse_domain(text))
 
 
-def _check_common(args) -> None:
-    """Reject simulation budgets that cannot mean anything."""
+def _limits(args) -> SimulationLimits:
+    """The simulation budgets of ``args``; rejects those that cannot mean anything."""
     for flag, value in (("--max-ticks", args.max_ticks), ("--max-entries", args.max_entries)):
         if value < 1:
             raise BbtError(f"{flag} must be at least 1, got {value}")
     if not (math.isfinite(args.prune_epsilon) and 0.0 <= args.prune_epsilon < 1.0):
         raise BbtError(f"--prune-epsilon must be finite and in [0, 1), got {args.prune_epsilon!r}")
-
-
-def _limits(args) -> SimulationLimits:
     return SimulationLimits(
         max_root_ticks=args.max_ticks,
         max_entries=args.max_entries,
@@ -72,10 +66,11 @@ def _limits(args) -> SimulationLimits:
 
 
 def cmd_plan(args) -> int:
+    limits = _limits(args)
     if args.prob is not None and not 0.0 < args.prob <= 1.0:
         raise BbtError(f"--prob must be in (0, 1], got {args.prob!r}")
     domain = _load_domain(args)
-    request = plan_request_from_domain(domain, target_probability=args.prob, limits=_limits(args))
+    request = plan_request_from_domain(domain, target_probability=args.prob, limits=limits)
     result = refine_tree(request)
     save_tree(result.tree, args.out)
     for line in result.log_lines():
@@ -87,10 +82,11 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    limits = _limits(args)
     domain = _load_domain(args)
     tree = load_tree(args.tree, domain)
     record_flow = log.isEnabledFor(logging.DEBUG)
-    result = simulate(tree, domain.initial_belief(), _limits(args), record_flow=record_flow)
+    result = simulate(tree, domain.initial_belief(), limits, record_flow=record_flow)
     for flow_line in result.mass_flow or ():
         log.debug(flow_line)
     for line in result.terminal.debug_lines(result.tables):
@@ -102,11 +98,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_exec(args) -> int:
+    limits = _limits(args)
     if args.runs < 1:
         raise BbtError(f"--runs must be at least 1, got {args.runs}")
     domain = _load_domain(args)
     tree = load_tree(args.tree, domain)
-    analytical = simulate(tree, domain.initial_belief(), _limits(args))
+    analytical = simulate(tree, domain.initial_belief(), limits)
     runs = ClassicRuns(LeafProgram(analytical.tables), domain.initial_assignment)
     successes = 0
     for status in runs.statuses(args.seed, range(args.runs), args.max_ticks):
@@ -179,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     exec_cmd.add_argument("--runs", type=int, required=True, help="number of runs")
     exec_cmd.set_defaults(func=cmd_exec)
 
+    # export-dot never simulates, so it takes no budgets
     export = sub.add_parser("export-dot", help="render a tree file as Graphviz DOT")
-    _add_common(export)
+    export.add_argument("--domain", required=True, help="domain definition file")
     export.add_argument("--tree", required=True, help="tree file to render")
     export.add_argument("--out", help="output path (stdout when omitted)")
     export.set_defaults(func=cmd_export_dot)
@@ -199,18 +197,14 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     try:
         args = build_parser().parse_args(argv)
-        _check_common(args)
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except _PLANNING_ERRORS as exc:
         print(f"planning failed: {exc}", file=sys.stderr)
         return EXIT_PLANNING
     except _LIMIT_ERRORS as exc:
         print(f"simulation limit: {exc}", file=sys.stderr)
         return EXIT_LIMITS
-    except BbtError as exc:
+    except (BbtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -36,7 +36,7 @@ import itertools
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 from .belief import ActionInstance, BeliefState, Outcome, PhysicalState
 from .errors import ParseError, SemanticError
@@ -46,6 +46,8 @@ from .tree import ActionNode, BTNode, Condition, CONTROL_KINDS
 log = logging.getLogger(__name__)
 
 PROB_SUM_TOL = 1e-9
+
+_T = TypeVar("_T")
 
 Loc = tuple[int, int]
 _NO_LOC: Loc = (0, 0)
@@ -222,12 +224,12 @@ class _Parser:
             raise self.error(f"expected {what}", "NAME")
         return self.advance()
 
-    def expect_number(self) -> tuple[float, Token]:
+    def expect_number(self) -> float:
         token = self.peek()
         if token.kind != "number":
             raise self.error("expected a number", "NUMBER")
         self.advance()
-        return float(token.text), token
+        return float(token.text)
 
     def expect_value(self) -> Status:
         token = self.peek()
@@ -239,6 +241,22 @@ class _Parser:
     def at(self, text: str) -> bool:
         token = self.peek()
         return token.kind != "eof" and token.text == text
+
+    def parse_list(
+        self, open_: str, item: Callable[[], _T], close: str, sep: str = "", empty: bool = False
+    ) -> tuple[_T, ...]:
+        """``open_``, items, ``close``: items joined by ``sep``, or up to ``close`` without one.
+
+        ``empty`` admits a list with no items.
+        """
+        self.expect(open_)
+        items = [] if empty and self.at(close) else [item()]
+        while self.at(sep) if sep else not self.at(close):
+            if sep:
+                self.advance()
+            items.append(item())
+        self.expect(close)
+        return tuple(items)
 
     # -- grammar productions
 
@@ -267,8 +285,7 @@ class _Parser:
                 self.advance()
                 goal_set = self.parse_asgnset()
                 self.expect("prob")
-                prob, _ = self.expect_number()
-                goal = (goal_set, prob)
+                goal = (goal_set, self.expect_number())
             else:
                 raise self.error("expected a declaration", *_DECL_KEYWORDS)
         return DomainSpec(
@@ -284,47 +301,24 @@ class _Parser:
     def parse_param(self) -> ParamSpace:
         start = self.expect("param")
         name = self.expect_name("a parameter space name")
-        self.expect("{")
-        instances = [self.expect_name("an instance name").text]
-        while not self.at("}"):
-            instances.append(self.expect_name("an instance name").text)
-        self.expect("}")
-        return ParamSpace(name.text, tuple(instances), (start.line, start.col))
+        instances = self.parse_list("{", lambda: self.expect_name("an instance name").text, "}")
+        return ParamSpace(name.text, instances, (start.line, start.col))
 
     def parse_signature(self) -> tuple[str, ...]:
-        if not self.at("("):
-            return ()
-        self.expect("(")
-        params = [self.expect_name("a parameter name").text]
-        while self.at(","):
-            self.advance()
-            params.append(self.expect_name("a parameter name").text)
-        self.expect(")")
-        return tuple(params)
+        return self.parse_list("(", lambda: self.expect_name("a parameter name").text, ")", ",")
 
     def parse_condition(self) -> ConditionSchema:
         start = self.expect("condition")
         name = self.expect_name("a condition name")
-        params = self.parse_signature()
+        params = self.parse_signature() if self.at("(") else ()
         self.expect("values")
-        self.expect("{")
-        values = [self.expect_value()]
-        while not self.at("}"):
-            values.append(self.expect_value())
-        self.expect("}")
-        return ConditionSchema(name.text, params, tuple(values), (start.line, start.col))
+        values = self.parse_list("{", self.expect_value, "}")
+        return ConditionSchema(name.text, params, values, (start.line, start.col))
 
     def parse_args(self) -> tuple[str, ...]:
-        self.expect("(")
-        if self.at(")"):
-            self.advance()
-            return ()
-        args = [self.expect_name("an argument").text]
-        while self.at(","):
-            self.advance()
-            args.append(self.expect_name("an argument").text)
-        self.expect(")")
-        return tuple(args)
+        return self.parse_list(
+            "(", lambda: self.expect_name("an argument").text, ")", ",", empty=True
+        )
 
     def parse_asgn(self) -> Assignment:
         name = self.expect_name("a condition name")
@@ -334,20 +328,11 @@ class _Parser:
         return Assignment(name.text, args, value, (name.line, name.col))
 
     def parse_asgnset(self) -> tuple[Assignment, ...]:
-        self.expect("{")
-        if self.at("}"):
-            self.advance()
-            return ()
-        assignments = [self.parse_asgn()]
-        while self.at(";"):
-            self.advance()
-            assignments.append(self.parse_asgn())
-        self.expect("}")
-        return tuple(assignments)
+        return self.parse_list("{", self.parse_asgn, "}", ";", empty=True)
 
     def parse_outcome(self) -> OutcomeSpec:
         start = self.expect("outcome")
-        probability, _ = self.expect_number()
+        probability = self.expect_number()
         report = None
         if self.at("->"):
             self.advance()
@@ -358,7 +343,7 @@ class _Parser:
     def parse_action(self) -> ActionSchema:
         start = self.expect("action")
         name = self.expect_name("an action name")
-        params = self.parse_signature()
+        params = self.parse_signature() if self.at("(") else ()
         self.expect("{")
         self.expect("pre")
         preconditions = self.parse_asgnset()
@@ -373,19 +358,14 @@ class _Parser:
     def parse_template(self) -> TemplateSchema:
         start = self.expect("template")
         name = self.expect_name("a template name")
-        self.expect("(")
-        params = [self.expect_name("a parameter name").text]
-        while self.at(","):
-            self.advance()
-            params.append(self.expect_name("a parameter name").text)
-        self.expect(")")
+        params = self.parse_signature()
         self.expect("{")
         self.expect("pre")
         preconditions = self.parse_asgnset()
         declared = []
         while self.at("declared"):
             decl = self.advance()
-            probability, _ = self.expect_number()
+            probability = self.expect_number()
             assignments = self.parse_asgnset()
             declared.append(OutcomeSpec(probability, None, assignments, (decl.line, decl.col)))
         self.expect("body")
@@ -397,7 +377,7 @@ class _Parser:
         self.expect("}")
         return TemplateSchema(
             name.text,
-            tuple(params),
+            params,
             preconditions,
             tuple(declared),
             body,
@@ -490,7 +470,7 @@ def _validate_signature_spaces(
 
 
 def _validate_outcomes(
-    outcomes: tuple[OutcomeSpec, ...], owner: str, loc: Loc, what: str = "outcome"
+    outcomes: tuple[OutcomeSpec, ...], owner: str, loc: Loc, what: str
 ) -> None:
     if not outcomes:
         return
@@ -530,48 +510,46 @@ def validate_domain(spec: DomainSpec) -> None:
             if value in cond.values[:i]:
                 raise SemanticError(f"condition {cond.name!r} repeats value {value}", *cond.loc)
 
-    for action in spec.actions:
-        _validate_signature_spaces(spaces, action.params, f"action {action.name!r}", action.loc)
+    # an action's outcomes and a template's declared outcomes follow one
+    # rule, but only an action must have some
+    resolvers = itertools.chain(
+        (("action", a, a.outcomes, "outcome", "outcome of") for a in spec.actions),
+        (("template", t, t.declared, "declared", "declared outcome of") for t in spec.templates),
+    )
+    for kind, schema, outcomes, what, context in resolvers:
+        owner = f"{kind} {schema.name!r}"
+        _validate_signature_spaces(spaces, schema.params, owner, schema.loc)
         _validate_assignments(
-            spaces, conditions, action.preconditions, action.params,
-            f"preconditions of {action.name!r}",
+            spaces, conditions, schema.preconditions, schema.params,
+            f"preconditions of {schema.name!r}",
         )
-        if not action.outcomes:
-            raise SemanticError(f"action {action.name!r} declares no outcomes", *action.loc)
-        _validate_outcomes(action.outcomes, f"action {action.name!r}", action.loc)
-        for outcome in action.outcomes:
+        if kind == "action" and not outcomes:
+            raise SemanticError(f"{owner} declares no outcomes", *schema.loc)
+        _validate_outcomes(outcomes, owner, schema.loc, what)
+        for outcome in outcomes:
             _validate_assignments(
-                spaces, conditions, outcome.assignments, action.params,
-                f"outcome of {action.name!r}",
+                spaces, conditions, outcome.assignments, schema.params,
+                f"{context} {schema.name!r}",
             )
 
-    for template in spec.templates:
-        _validate_signature_spaces(
-            spaces, template.params, f"template {template.name!r}", template.loc
-        )
-        _validate_assignments(
-            spaces, conditions, template.preconditions, template.params,
-            f"preconditions of {template.name!r}",
-        )
-        _validate_outcomes(
-            template.declared, f"template {template.name!r}", template.loc, "declared"
-        )
-        for outcome in template.declared:
-            _validate_assignments(
-                spaces, conditions, outcome.assignments, template.params,
-                f"declared outcome of {template.name!r}",
-            )
     # bodies may reference templates declared later, so validate them after
     # every signature is known
+    targets = {"act": actions, "cond": conditions, "tmpl": templates}
     for template in spec.templates:
-        _validate_body(spaces, conditions, actions, templates, template)
+        for leaf in _body_leaves(template.body):
+            target = targets[leaf.ref].get(leaf.name)
+            if target is None:
+                raise SemanticError(
+                    f"body of {template.name!r} references unknown {leaf.ref} {leaf.name!r}",
+                    *leaf.loc,
+                )
+            _validate_reference(
+                spaces, template.params, target.params, leaf.name, leaf.args, leaf.loc
+            )
 
     _check_template_cycles(templates)
 
     _validate_assignments(spaces, conditions, spec.initial, (), "initial state")
-    _check_duplicates(
-        ((format_literal(a.name, a.args), a.loc) for a in spec.initial), "initial assignment"
-    )
     _validate_assignments(spaces, conditions, spec.goal, (), "goal")
     for asgn in spec.goal:
         if asgn.value is not Status.S:
@@ -580,43 +558,20 @@ def validate_domain(spec: DomainSpec) -> None:
         raise SemanticError(f"goal probability {spec.goal_probability!r} not in (0, 1]")
 
 
-def _validate_body(
-    spaces: dict[str, ParamSpace],
-    conditions: dict[str, ConditionSchema],
-    actions: dict[str, ActionSchema],
-    templates: dict[str, TemplateSchema],
-    template: TemplateSchema,
-) -> None:
-    def walk(expr: BodyExpr) -> None:
+def _body_leaves(body: BodyExpr) -> Iterator[BodyLeaf]:
+    """The leaves of ``body`` from left to right, walked with an explicit stack."""
+    stack = [body]
+    while stack:
+        expr = stack.pop()
         if isinstance(expr, BodyControl):
-            for child in expr.children:
-                walk(child)
-            return
-        if expr.ref == "act":
-            target = actions.get(expr.name)
-        elif expr.ref == "cond":
-            target = conditions.get(expr.name)
+            stack.extend(reversed(expr.children))
         else:
-            target = templates.get(expr.name)
-        if target is None:
-            raise SemanticError(
-                f"body of {template.name!r} references unknown {expr.ref} {expr.name!r}",
-                *expr.loc,
-            )
-        _validate_reference(
-            spaces, template.params, target.params, expr.name, expr.args, expr.loc
-        )
-
-    walk(template.body)
+            yield expr
 
 
 def _check_template_cycles(templates: dict[str, TemplateSchema]) -> None:
-    def refs(expr: BodyExpr) -> Iterator[str]:
-        if isinstance(expr, BodyControl):
-            for child in expr.children:
-                yield from refs(child)
-        elif expr.ref == "tmpl":
-            yield expr.name
+    def refs(name: str) -> Iterator[str]:
+        return (leaf.name for leaf in _body_leaves(templates[name].body) if leaf.ref == "tmpl")
 
     # depth-first with an explicit stack, so a long chain of templates
     # costs no Python recursion
@@ -626,7 +581,7 @@ def _check_template_cycles(templates: dict[str, TemplateSchema]) -> None:
             continue
         # the templates on the path from ``root``, each with its unvisited references
         visiting = {root}
-        stack = [(root, refs(templates[root].body))]
+        stack = [(root, refs(root))]
         while stack:
             name, pending = stack[-1]
             ref = next(pending, None)
@@ -638,7 +593,7 @@ def _check_template_cycles(templates: dict[str, TemplateSchema]) -> None:
                 raise SemanticError(f"template {ref!r} expands into itself")
             elif ref not in done:
                 visiting.add(ref)
-                stack.append((ref, refs(templates[ref].body)))
+                stack.append((ref, refs(ref)))
 
 
 def parse_domain(text: str) -> DomainSpec:
@@ -754,10 +709,6 @@ class GroundedDomain:
         for combo in itertools.product(*spaces):
             yield dict(zip(params, combo))
 
-    def _ground_asgn(self, asgn: Assignment, binding: Mapping[str, str]) -> tuple[str, Status]:
-        args = tuple(binding.get(a, a) for a in asgn.args)
-        return format_literal(asgn.name, args), asgn.value
-
     def _ground_clause(
         self, clause: tuple[Assignment, ...], binding: Mapping[str, str], owner: str, name: str
     ) -> tuple[tuple[str, Status], ...]:
@@ -767,7 +718,12 @@ class GroundedDomain:
         named elsewhere in the clause counts as a repeat.  The error names
         the clause as ``owner`` followed by ``name``.
         """
-        grounded = tuple(self._ground_asgn(a, binding) for a in clause)
+        # list comprehensions: these tuples are short, and a generator costs
+        # more to start than it saves
+        grounded = tuple([
+            (format_literal(a.name, tuple([binding.get(x, x) for x in a.args])), a.value)
+            for a in clause
+        ])
         if len(grounded) > 1 and len(dict(grounded)) < len(grounded):
             literals = [literal for literal, _ in grounded]
             i = next(i for i, literal in enumerate(literals) if literal in literals[:i])
@@ -784,47 +740,52 @@ class GroundedDomain:
             return Status.S
         return Status.F
 
-    def _ground_action(self, schema: ActionSchema, binding: dict[str, str]) -> ActionInstance:
+    def _ground_resolver(
+        self,
+        schema: ActionSchema | TemplateSchema,
+        outcomes: tuple[OutcomeSpec, ...],
+        binding: dict[str, str],
+        what: str,
+    ) -> tuple[str, tuple[tuple[str, Status], ...], tuple[Outcome, ...]]:
+        """The id, preconditions and outcomes of ``schema`` under ``binding``.
+
+        ``what`` names one of ``outcomes`` in an error.
+        """
         name = format_literal(schema.name, tuple(binding[p] for p in schema.params))
-        outcomes = []
-        for spec_outcome in schema.outcomes:
-            post = self._ground_clause(spec_outcome.assignments, binding, "an outcome of ", name)
-            outcomes.append(
-                Outcome(spec_outcome.probability, post, self._report_status(spec_outcome))
+        grounded = tuple(
+            Outcome(
+                o.probability,
+                self._ground_clause(o.assignments, binding, what, name),
+                self._report_status(o),
             )
-        total = sum(o.probability for o in outcomes)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise SemanticError(f"outcome probabilities of {name} sum to {total:.6g}")
-        if abs(total - 1.0) > 1e-12:
-            # tolerated by the parser; rescale so downstream mass checks hold
-            outcomes = [
-                Outcome(o.probability / total, o.postconditions, o.report) for o in outcomes
-            ]
-        return ActionInstance(
-            id=name,
-            preconditions=self._ground_clause(
-                schema.preconditions, binding, "the preconditions of ", name
-            ),
-            outcomes=tuple(outcomes),
+            for o in outcomes
         )
+        preconditions = self._ground_clause(
+            schema.preconditions, binding, "the preconditions of ", name
+        )
+        return name, preconditions, grounded
+
+    def _ground_action(self, schema: ActionSchema, binding: dict[str, str]) -> ActionInstance:
+        name, preconditions, outcomes = self._ground_resolver(
+            schema, schema.outcomes, binding, "an outcome of "
+        )
+        total = sum(o.probability for o in outcomes)
+        if abs(total - 1.0) > 1e-12:
+            # validation allows PROB_SUM_TOL; rescale so downstream mass checks hold
+            outcomes = tuple(
+                Outcome(o.probability / total, o.postconditions, o.report) for o in outcomes
+            )
+        return ActionInstance(id=name, preconditions=preconditions, outcomes=outcomes)
 
     def _ground_template(
         self, schema: TemplateSchema, binding: dict[str, str]
     ) -> TemplateInstance:
-        name = format_literal(schema.name, tuple(binding[p] for p in schema.params))
-        outcomes = tuple(
-            Outcome(
-                o.probability,
-                self._ground_clause(o.assignments, binding, "a declared outcome of ", name),
-                self._report_status(o),
-            )
-            for o in schema.declared
+        name, preconditions, outcomes = self._ground_resolver(
+            schema, schema.declared, binding, "a declared outcome of "
         )
         return TemplateInstance(
             id=name,
-            preconditions=self._ground_clause(
-                schema.preconditions, binding, "the preconditions of ", name
-            ),
+            preconditions=preconditions,
             outcomes=outcomes,
             schema=schema,
             bindings=tuple(binding.items()),
@@ -837,9 +798,7 @@ class GroundedDomain:
         for literal in self.literals:
             values = self.allowed_values[literal]
             assignment[literal] = Status.R if Status.R in values else Status.F
-        for asgn in self.spec.initial:
-            literal, value = self._ground_asgn(asgn, {})
-            assignment[literal] = value
+        assignment.update(self._ground_clause(self.spec.initial, {}, "the initial state", ""))
         return assignment
 
     # -- public surface

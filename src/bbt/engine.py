@@ -43,7 +43,9 @@ first tick that reaches its edit instead of replaying the whole run.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .belief import BeliefState, PhysicalState
 from .errors import EntryLimitExceeded, TickLimitExceeded
@@ -120,10 +122,8 @@ class Trail:
 
     def cut(self, rank: int) -> None:
         """Drop the points after that of the first tick reaching ``rank``."""
-        for index, point in enumerate(self.points):
-            if point[0] >= rank:
-                del self.points[index + 1 :]
-                return
+        # reaches strictly increase along the trail
+        del self.points[bisect_left(self.points, rank, key=itemgetter(0)) + 1 :]
 
 
 def belief_tick(

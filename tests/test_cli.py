@@ -360,6 +360,30 @@ class TestLimitFlags:
         assert captured.err.startswith(f"error: {flag}") and captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["plan", "simulate", "exec"])
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--max-ticks", "0", "--max-ticks must be at least 1, got 0"),
+            ("--max-entries", "-2", "--max-entries must be at least 1, got -2"),
+            ("--prune-epsilon", "nan", "--prune-epsilon must be finite and in [0, 1), got nan"),
+            ("--prune-epsilon", "1", "--prune-epsilon must be finite and in [0, 1), got 1.0"),
+        ],
+    )
+    def test_budgets_checked_before_any_file_is_read(
+        self, tmp_path, capsys, verb, flag, value, message
+    ):
+        # neither file exists: the budget is rejected before either is opened
+        missing = str(tmp_path / "missing")
+        argv = [verb, "--domain", missing, flag, value]
+        argv += {
+            "plan": ["--out", missing],
+            "simulate": ["--tree", missing],
+            "exec": ["--tree", missing, "--seed", "1", "--runs", "1"],
+        }[verb]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("verb", ["simulate", "exec"])
     def test_negative_max_ticks_is_not_a_limit_hit(self, planned_paths, soda_path, capsys, verb):
         tree, _ = planned_paths
@@ -420,6 +444,16 @@ class TestExportDot:
         assert text.count("shape=") == n_nodes
         assert text.count(" -> ") == n_nodes - 1
         assert dot_path.read_text(encoding="utf-8") == text
+
+    def test_budget_flags_rejected(self, planned_paths, soda_path):
+        # export-dot never simulates, so it takes no simulation budget
+        tree_path, _ = planned_paths
+        proc = run_bbt(
+            "export-dot", "--domain", str(soda_path), "--tree", str(tree_path), "--max-ticks", "5"
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: bbt: unrecognized arguments: --max-ticks 5\n"
 
     def test_idempotent_bytes(self, planned_paths, soda_path, capsys):
         tree_path, _ = planned_paths

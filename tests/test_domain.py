@@ -14,6 +14,7 @@ from bbt.status import Status
 from bbt.tree import ActionNode, Fallback, Sequence
 from bbt.treefile import dumps_tree
 
+import frontend_corpus
 import randgen
 from helpers import serialize_domain
 
@@ -115,12 +116,20 @@ class TestParser:
                 r"^46:25: 'seen\(soda\)' is assigned twice in the goal$",
             ),
             (
+                "initial { seen(soda) = R ;",
+                "initial { seen(soda) = R ; seen(soda) = F ;",
+                r"^45:28: 'seen\(soda\)' is assigned twice in the initial state$",
+            ),
+            (
                 "condition seen(object) values { S F R }",
                 "condition seen(object) values { S S F }",
                 r"^10:1: condition 'seen' repeats value S$",
             ),
         ],
-        ids=["outcome", "outcome-parameter-collision", "pre", "declared", "goal", "values"],
+        ids=[
+            "outcome", "outcome-parameter-collision", "pre", "declared", "goal", "initial",
+            "values",
+        ],
     )
     def test_clause_assigns_each_literal_once(self, soda_det_path, old, new, message):
         # accepted, the last write wins: a repeat in detect's first outcome
@@ -379,3 +388,12 @@ class TestGeneratedRoundTrip:
             )
             for action in grounded.actions:
                 assert abs(sum(o.probability for o in action.outcomes) - 1.0) <= 1e-12
+
+
+def test_front_end_corpus_matches_golden():
+    expected = frontend_corpus.GOLDEN.read_text(encoding="utf-8").splitlines()
+    actual = frontend_corpus.render().splitlines()
+    assert len(expected) >= 300
+    assert [line.split("\t")[0] for line in actual] == [line.split("\t")[0] for line in expected]
+    for want, got in zip(expected, actual):
+        assert got == want

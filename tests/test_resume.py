@@ -173,6 +173,16 @@ def test_threat_rounds_resume_exactly(monkeypatch):
     assert "threat-reorder" in [record.kind for record in plan.log]
 
 
+@pytest.mark.parametrize(
+    "rank,kept", [(0, [3]), (3, [3]), (5, [3, 7]), (12, [3, 7, 12]), (13, [3, 7, 12])]
+)
+def test_cut_keeps_points_up_to_the_first_reaching_rank(rank, kept):
+    trail = Trail()
+    trail.points = [(reach, 0, None, 0, 0.0) for reach in (3, 7, 12)]
+    trail.cut(rank)
+    assert [point[0] for point in trail.points] == kept
+
+
 def test_trail_records_no_flow():
     tree = Condition("c0")
     belief = randgen.random_belief(random.Random(1), ["c0"])

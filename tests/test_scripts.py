@@ -64,3 +64,31 @@ def test_cross_validate_deep_soda(tmp_path):
     assert [line.split("\t")[0] for line in lines[3:]] == ["0", "1"]
     for line in lines[3:]:
         assert abs(float(line.split("\t")[2])) <= 5.0
+
+
+def test_code_lines(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""Module docstring,\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f():\n"
+        '    """Function docstring."""\n'
+        '    text = """not a docstring\n'
+        '    """\n'
+        "    return text  # counted\n"
+        "\n"
+        "class C:\n"
+        "    '''Class docstring.'''\n"
+        "    x = 1\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
+    proc = run_script("code_lines.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["     6  a.py", "     1  b.py", "     7  total"]
+    package = run_script("code_lines.py")
+    assert package.returncode == 0, package.stderr
+    lines = package.stdout.splitlines()
+    counts = [int(line.split()[0]) for line in lines]
+    assert lines[-1].split()[1] == "total" and counts[-1] == sum(counts[:-1])
+    assert any(line.endswith("  domain.py") for line in lines)
