@@ -137,6 +137,7 @@ class DomainSpec:
     initial: tuple[Assignment, ...] = ()
     goal: tuple[Assignment, ...] = ()
     goal_probability: float | None = None
+    goal_loc: Loc = field(default=_NO_LOC, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +264,15 @@ class _Parser:
     def parse_file(self) -> DomainSpec:
         params, conditions, actions, templates = [], [], [], []
         initial: tuple[Assignment, ...] | None = None
-        goal: tuple[tuple[Assignment, ...], float] | None = None
+        goal: tuple[tuple[Assignment, ...], float, Loc] | None = None
         while self.peek().kind != "eof":
             token = self.peek()
             if token.text == "param":
                 params.append(self.parse_param())
             elif token.text == "condition":
                 conditions.append(self.parse_condition())
-            elif token.text == "action":
-                actions.append(self.parse_action())
-            elif token.text == "template":
-                templates.append(self.parse_template())
+            elif token.text in ("action", "template"):
+                (actions if token.text == "action" else templates).append(self.parse_resolver())
             elif token.text == "initial":
                 if initial is not None:
                     raise SemanticError("duplicate initial section", token.line, token.col)
@@ -285,7 +284,7 @@ class _Parser:
                 self.advance()
                 goal_set = self.parse_asgnset()
                 self.expect("prob")
-                goal = (goal_set, self.expect_number())
+                goal = (goal_set, self.expect_number(), (token.line, token.col))
             else:
                 raise self.error("expected a declaration", *_DECL_KEYWORDS)
         return DomainSpec(
@@ -296,6 +295,7 @@ class _Parser:
             initial=initial or (),
             goal=goal[0] if goal else (),
             goal_probability=goal[1] if goal else None,
+            goal_loc=goal[2] if goal else _NO_LOC,
         )
 
     def parse_param(self) -> ParamSpace:
@@ -330,59 +330,47 @@ class _Parser:
     def parse_asgnset(self) -> tuple[Assignment, ...]:
         return self.parse_list("{", self.parse_asgn, "}", ";", empty=True)
 
-    def parse_outcome(self) -> OutcomeSpec:
-        start = self.expect("outcome")
+    def parse_outcome(self, keyword: str) -> OutcomeSpec:
+        """One ``keyword`` clause; only an action's ``outcome`` may name a report."""
+        start = self.expect(keyword)
         probability = self.expect_number()
         report = None
-        if self.at("->"):
+        if keyword == "outcome" and self.at("->"):
             self.advance()
             report = self.expect_value()
         assignments = self.parse_asgnset()
         return OutcomeSpec(probability, report, assignments, (start.line, start.col))
 
-    def parse_action(self) -> ActionSchema:
-        start = self.expect("action")
-        name = self.expect_name("an action name")
-        params = self.parse_signature() if self.at("(") else ()
-        self.expect("{")
-        self.expect("pre")
-        preconditions = self.parse_asgnset()
-        outcomes = []
-        while self.at("outcome"):
-            outcomes.append(self.parse_outcome())
-        self.expect("}")
-        return ActionSchema(
-            name.text, params, preconditions, tuple(outcomes), (start.line, start.col)
-        )
+    def parse_resolver(self) -> ActionSchema | TemplateSchema:
+        """An ``action`` or a ``template``: a name, a signature and a ``pre`` clause.
 
-    def parse_template(self) -> TemplateSchema:
-        start = self.expect("template")
-        name = self.expect_name("a template name")
-        params = self.parse_signature()
+        An action's signature is optional and its clauses are ``outcome``; a
+        template's signature is required, its clauses are ``declared`` and
+        it ends in a ``body``.
+        """
+        start = self.advance()
+        action = start.text == "action"
+        loc = (start.line, start.col)
+        name = self.expect_name("an action name" if action else "a template name").text
+        params = self.parse_signature() if not action or self.at("(") else ()
         self.expect("{")
         self.expect("pre")
         preconditions = self.parse_asgnset()
-        declared = []
-        while self.at("declared"):
-            decl = self.advance()
-            probability = self.expect_number()
-            assignments = self.parse_asgnset()
-            declared.append(OutcomeSpec(probability, None, assignments, (decl.line, decl.col)))
+        keyword = "outcome" if action else "declared"
+        outcomes = []
+        while self.at(keyword):
+            outcomes.append(self.parse_outcome(keyword))
+        if action:
+            self.expect("}")
+            return ActionSchema(name, params, preconditions, tuple(outcomes), loc)
         self.expect("body")
         try:
             body = self.parse_btexpr()
         except RecursionError:
             # parse_btexpr recurses once per level of the body
-            raise ParseError("template body nested too deeply", start.line, start.col) from None
+            raise ParseError("template body nested too deeply", *loc) from None
         self.expect("}")
-        return TemplateSchema(
-            name.text,
-            params,
-            preconditions,
-            tuple(declared),
-            body,
-            (start.line, start.col),
-        )
+        return TemplateSchema(name, params, preconditions, tuple(outcomes), body, loc)
 
     def parse_btexpr(self) -> BodyExpr:
         token = self.peek()
@@ -483,7 +471,7 @@ def _validate_outcomes(
             raise SemanticError(f"{what} report status of {owner} must be S or F", *outcome.loc)
     total = sum(o.probability for o in outcomes)
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise SemanticError(f"{what} probabilities of {owner} sum to {total:.6g}, not 1", *loc)
+        raise SemanticError(f"{what} probabilities of {owner} sum to {total:.12g}, not 1", *loc)
 
 
 def validate_domain(spec: DomainSpec) -> None:
@@ -555,7 +543,9 @@ def validate_domain(spec: DomainSpec) -> None:
         if asgn.value is not Status.S:
             raise SemanticError("goal conditions must require value S", *asgn.loc)
     if spec.goal_probability is not None and not 0.0 < spec.goal_probability <= 1.0:
-        raise SemanticError(f"goal probability {spec.goal_probability!r} not in (0, 1]")
+        raise SemanticError(
+            f"goal probability {spec.goal_probability!r} not in (0, 1]", *spec.goal_loc
+        )
 
 
 def _body_leaves(body: BodyExpr) -> Iterator[BodyLeaf]:
@@ -570,8 +560,8 @@ def _body_leaves(body: BodyExpr) -> Iterator[BodyLeaf]:
 
 
 def _check_template_cycles(templates: dict[str, TemplateSchema]) -> None:
-    def refs(name: str) -> Iterator[str]:
-        return (leaf.name for leaf in _body_leaves(templates[name].body) if leaf.ref == "tmpl")
+    def refs(name: str) -> Iterator[BodyLeaf]:
+        return (leaf for leaf in _body_leaves(templates[name].body) if leaf.ref == "tmpl")
 
     # depth-first with an explicit stack, so a long chain of templates
     # costs no Python recursion
@@ -584,16 +574,16 @@ def _check_template_cycles(templates: dict[str, TemplateSchema]) -> None:
         stack = [(root, refs(root))]
         while stack:
             name, pending = stack[-1]
-            ref = next(pending, None)
-            if ref is None:
+            leaf = next(pending, None)
+            if leaf is None:
                 stack.pop()
                 visiting.discard(name)
                 done.add(name)
-            elif ref in visiting:
-                raise SemanticError(f"template {ref!r} expands into itself")
-            elif ref not in done:
-                visiting.add(ref)
-                stack.append((ref, refs(ref)))
+            elif leaf.name in visiting:
+                raise SemanticError(f"template {leaf.name!r} expands into itself", *leaf.loc)
+            elif leaf.name not in done:
+                visiting.add(leaf.name)
+                stack.append((leaf.name, refs(leaf.name)))
 
 
 def parse_domain(text: str) -> DomainSpec:
@@ -650,15 +640,12 @@ class GroundedDomain:
         self._spaces = {p.name: p.instances for p in spec.params}
         self._template_schemas = {t.name: t for t in spec.templates}
 
-        self.literals: tuple[str, ...] = ()
         self.allowed_values: dict[str, tuple[Status, ...]] = {}
-        literals = []
         for cond in spec.conditions:
             for binding in self._bindings(cond.params, cond.name):
                 literal = format_literal(cond.name, tuple(binding[p] for p in cond.params))
-                literals.append(literal)
                 self.allowed_values[literal] = cond.values
-        self.literals = tuple(literals)
+        self.literals: tuple[str, ...] = tuple(self.allowed_values)
 
         self.actions: tuple[ActionInstance, ...] = tuple(
             self._ground_action(a, binding)

@@ -21,8 +21,8 @@ expands it straight into one state per outcome of its pending action
 (:meth:`~bbt.belief.PhysicalState.resolved`).  Each root tick's
 expansion, with its coalesce, is validated as one
 :class:`~bbt.belief.BeliefState`.  The tree's
-:class:`~bbt.tree.TreeTables` are built once per :func:`simulate`, or once
-per :class:`Trail`, and returned with its result.
+:class:`~bbt.tree.TreeTables` are built once per :func:`simulate` without a
+:class:`Trail`, or once when a trail is made, and returned with each result.
 
 A planned tree is a root Sequence of goal subtrees, and once a goal holds
 every later root tick returns S from its subtree.  The root's scan passes
@@ -73,8 +73,9 @@ class SimulationResult:
     ``pruned_mass`` is reported, never renormalized away; ``mass_flow``
     carries one text line per root tick when flow recording was requested.
     ``tables`` are those of the tree as simulated: with a trail, the
-    trail's own, which the planner's edits keep current; without one, a set
-    of this run's, stale once the tree is edited.
+    trail's own, built with the trail and kept current by the planner's
+    edits; without one, a set built by this run, stale once the tree is
+    edited.
     """
 
     terminal: BeliefState
@@ -107,18 +108,18 @@ class Trail:
     That run ignores its ``initial`` belief, so a trail serves the
     simulations of one initial belief and one set of limits.
 
-    The trail also holds ``tables``, the :class:`~bbt.tree.TreeTables` of
-    the tree it serves.  The first :func:`simulate` given the trail builds
-    them and later ones reuse them, so whoever edits the tree keeps them
-    current (:meth:`TreeTables.splice`; the planner's edits do).
+    A trail is made for one tree and holds ``tables``, the
+    :class:`~bbt.tree.TreeTables` of that tree, built here.  Every
+    :func:`simulate` given the trail runs on them, so whoever edits the tree
+    keeps them current (:meth:`TreeTables.splice`; the planner's edits do).
     """
 
     __slots__ = ("points", "finished", "tables")
 
-    def __init__(self) -> None:
+    def __init__(self, tree: BTNode) -> None:
         self.points: list[tuple[int, int, BeliefState, int, float]] = []
         self.finished: list[Entry] = []
-        self.tables: TreeTables | None = None
+        self.tables = TreeTables(tree)
 
     def cut(self, rank: int) -> None:
         """Drop the points after that of the first tick reaching ``rank``."""
@@ -272,18 +273,15 @@ def simulate(
     With a ``trail`` (see :class:`Trail`), the run resumes from the trail's
     last point, if it has one, reusing the ticks, finished entries and
     pruned mass before it, and records its own points.  It runs on the
-    trail's tables, built here on the trail's first run; a ``ValueError``
-    says they are not those of ``tree``.  The result, ``ticks_used``
-    included, is the same as without one, and every limit fires at the
-    same tick.  Flow is not recorded with a trail.
+    trail's tables; a ``ValueError`` says they are not those of ``tree``.
+    The result, ``ticks_used`` included, is the same as without one, and
+    every limit fires at the same tick.  Flow is not recorded with a trail.
     """
     limits = limits or SimulationLimits()
     if record_flow and trail is not None:
         raise ValueError("a simulation resumed from a trail records no flow")
     if trail is None:
         tables = TreeTables(tree)
-    elif trail.tables is None:
-        tables = trail.tables = TreeTables(tree)
     elif trail.tables.order[0] is tree:
         tables = trail.tables
     else:

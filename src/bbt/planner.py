@@ -51,11 +51,12 @@ PROB_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class PlanRequest:
-    """One planning problem over a grounded domain."""
+    """One planning problem over a grounded domain.
+
+    The goal and the initial belief are the domain's own.
+    """
 
     domain: GroundedDomain
-    initial: BeliefState
-    goal: tuple[tuple[str, Status], ...]
     target_probability: float
     limits: SimulationLimits = SimulationLimits()
     max_iterations: int = 64
@@ -307,32 +308,22 @@ def resolve_threat(
     the conflict comes first in tick order, as :func:`find_threat` finds
     it).
     """
-    parents = tables.parent
-
-    def ancestors(node: BTNode) -> list[BTNode]:
-        chain = [node]
-        while chain[-1].node_id in parents:
-            chain.append(parents[chain[-1].node_id])
-        return chain
-
-    target_chain = ancestors(target_node)
-    conflict_chain = ancestors(conflict)
-    conflict_ids = {n.node_id: i for i, n in enumerate(conflict_chain)}
-    lca = target_child = conflict_child = None
-    for i, node in enumerate(target_chain):
-        if node.node_id in conflict_ids:
-            lca = node
-            target_child = target_chain[i - 1] if i > 0 else None
-            conflict_child = (
-                conflict_chain[conflict_ids[node.node_id] - 1]
-                if conflict_ids[node.node_id] > 0
-                else None
-            )
-            break
-    if lca is None or target_child is None or conflict_child is None:
+    parents, depth = tables.parent, tables.depth
+    if target_node.node_id not in depth or conflict.node_id not in depth:
         raise UnresolvableThreat(
             f"cannot reorder {conflict.action.id!r} behind {target_node.literal!r}"
         )
+    # climb the deeper node to the other's depth, then both until they share
+    # a parent: the lowest common ancestor
+    target_child, conflict_child = target_node, conflict
+    while depth[target_child.node_id] > depth[conflict_child.node_id]:
+        target_child = parents[target_child.node_id]
+    while depth[conflict_child.node_id] > depth[target_child.node_id]:
+        conflict_child = parents[conflict_child.node_id]
+    while parents[target_child.node_id] is not parents[conflict_child.node_id]:
+        target_child = parents[target_child.node_id]
+        conflict_child = parents[conflict_child.node_id]
+    lca = parents[target_child.node_id]
     rank = tables.rank
     edit_rank = min(rank[target_child.node_id], rank[conflict_child.node_id])
     children = lca.children
@@ -352,15 +343,16 @@ def refine_tree(request: PlanRequest) -> PlanResult:
     domain = request.domain
     if not 0.0 < request.target_probability <= 1.0:
         raise ValueError(f"target probability {request.target_probability!r} not in (0, 1]")
-    for literal, _ in request.goal:
+    for literal, _ in domain.goal:
         if literal not in domain.allowed_values:
             raise UnknownLiteral(literal)
-    tree: BTNode = initial_tree([literal for literal, _ in request.goal])
+    tree: BTNode = initial_tree([literal for literal, _ in domain.goal])
     wrappers: dict[int, str] = {}
     history: dict[str, int] = {}
     log: list[IterationRecord] = []
-    trail = Trail()
-    result = simulate(tree, request.initial, request.limits, trail=trail)
+    initial = domain.initial_belief()
+    trail = Trail(tree)
+    result = simulate(tree, initial, request.limits, trail=trail)
     probability = result.terminal.success_probability()
     iteration = 0
     while probability < request.target_probability - PROB_MARGIN:
@@ -395,7 +387,7 @@ def refine_tree(request: PlanRequest) -> PlanResult:
             history[resolver.id] = history.get(resolver.id, 0) + 1
             kind = "insert"
         trail.cut(edit_rank)
-        result = simulate(tree, request.initial, request.limits, trail=trail)
+        result = simulate(tree, initial, request.limits, trail=trail)
         probability = result.terminal.success_probability()
         log.append(IterationRecord(iteration, kind, report.literal, probability))
     return PlanResult(tree=tree, achieved=probability, log=tuple(log))
@@ -415,8 +407,6 @@ def plan_request_from_domain(
         raise EmptyGoal("the domain declares no goal probability and none was given")
     return PlanRequest(
         domain=domain,
-        initial=domain.initial_belief(),
-        goal=domain.goal,
         target_probability=probability,
         limits=limits or SimulationLimits(),
         max_iterations=max_iterations,

@@ -127,6 +127,8 @@ def inputs() -> dict[str, str]:
         "no-outcomes": ("outcome 1 -> S { luminousity_ok = S }", ""),
         "empty-args": ("act detect(object)", "act light_on()"),
         "cycle": ("act goto(table2)", "tmpl find(object)"),
+        "prob-zero": ("prob 0.9", "prob 0"),
+        "prob-over-one": ("prob 0.9", "prob 1.5"),
         "pre-repeat": ("pre { seen(object) = F }", "pre { seen(object) = F ; seen(soda) = F }"),
         "no-declared": (
             "declared 0.8 { seen(object) = S }\n  declared 0.2 { seen(object) = F }", ""

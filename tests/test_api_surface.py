@@ -6,6 +6,10 @@ outside the package's ``__init__.py``, has its name.  Names are matched
 across modules and classes, so a used name covers every definition of it.
 Dunder methods are called by the language and are not checked.  An API that
 only tests call belongs in the tests.
+
+Likewise every name a program module imports is read in that module, so a
+deletion leaves no import behind.  The package's ``__init__.py`` imports to
+re-export and is not checked.
 """
 
 import ast
@@ -74,6 +78,50 @@ def test_no_definition_is_used_by_tests_only():
             if not any(node not in around for around in reads.get(node.name, ())):
                 unused.append(f"{path.relative_to(REPO)}:{node.lineno} {qualname}")
     assert not unused, "defined in src/bbt but called only by tests:\n" + "\n".join(unused)
+
+
+def _imported(module: ast.Module):
+    """Each name an import in ``module`` binds, with the import's line."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """The names ``tree`` reads, those in string annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+            continue
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        for part in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                names |= _names_read(ast.parse(part.value, mode="eval"))
+    return names
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
+    unread = []
+    for path in sources:
+        if path.name == "__init__.py" and path.parent == PACKAGE:
+            continue
+        module = _parse(path)
+        read = _names_read(module)
+        for name, line in _imported(module):
+            if name not in read:
+                unread.append(f"{path.relative_to(REPO)}:{line} {name}")
+    assert not unread, "imported but never read:\n" + "\n".join(unread)
 
 
 def test_allowlist_names_definitions():

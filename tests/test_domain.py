@@ -69,6 +69,54 @@ class TestParser:
             parse_domain(text)
         assert "0.9" in str(err.value)
 
+    def test_probability_sum_just_off_one_never_prints_as_one(self):
+        # a sum outside PROB_SUM_TOL printed with .6g read "sum to 1, not 1"
+        text = MINI.replace("outcome 0.75 -> S", "outcome 0.75000001 -> S")
+        with pytest.raises(
+            SemanticError,
+            match=r"^5:1: outcome probabilities of action 'grab' sum to 1\.00000001, not 1$",
+        ):
+            parse_domain(text)
+
+    @pytest.mark.parametrize("prob", ["0", "1.5"])
+    def test_goal_probability_error_carries_location(self, prob):
+        text = MINI.replace("prob 0.5", f"prob {prob}")
+        with pytest.raises(
+            SemanticError, match=rf"^11:1: goal probability {float(prob)!r} not in \(0, 1\]$"
+        ):
+            parse_domain(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "condition c values { S F }\ntemplate t { pre { } body cond c }\n",
+                r"^2:12: expected '\(', found '\{' \(expected \(\)$",
+            ),
+            (
+                "param p { x }\ncondition c values { S F }\n"
+                "template t(p) { pre { } declared 1 -> S { c = S } body cond c }\n",
+                r"^3:36: expected '\{', found '->' \(expected \{\)$",
+            ),
+            (
+                "condition c values { S F }\naction a { pre { } declared 1 { c = S } }\n",
+                r"^2:20: expected '\}', found 'declared' \(expected \}\)$",
+            ),
+            (
+                "param p { x }\ncondition c values { S F }\n"
+                "template t(p) { pre { } outcome 1 -> S { c = S } body cond c }\n",
+                r"^3:25: expected 'body', found 'outcome' \(expected body\)$",
+            ),
+        ],
+        ids=[
+            "template-without-signature", "report-after-declared", "declared-in-action",
+            "outcome-in-template",
+        ],
+    )
+    def test_resolver_clauses_follow_their_keyword(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_domain(text)
+
     def test_unknown_parameter_space(self):
         with pytest.raises(SemanticError) as err:
             parse_domain("condition held(thing) values { S F }")
@@ -183,7 +231,8 @@ template a(obj) { pre { } body seq { cond held(obj) tmpl b(obj) } }
 template b(obj) { pre { } body fb { tmpl c(obj) } }
 template c(obj) { pre { } body seq { tmpl b(obj) } }
 """
-        with pytest.raises(SemanticError, match=r"^template 'b' expands into itself$"):
+        # located at the reference that closes the cycle, in c's body
+        with pytest.raises(SemanticError, match=r"^6:38: template 'b' expands into itself$"):
             parse_domain(text)
 
 

@@ -5,7 +5,13 @@ import pytest
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
 from bbt.domain import ground, parse_domain
 from bbt.engine import simulate
-from bbt.errors import EmptyGoal, IterationLimit, NoResolver, NothingFailed
+from bbt.errors import (
+    EmptyGoal,
+    IterationLimit,
+    NoResolver,
+    NothingFailed,
+    UnresolvableThreat,
+)
 from bbt.planner import (
     FailedConditionReport,
     find_failed_condition,
@@ -347,14 +353,69 @@ class TestThreats:
         assert threats > 500 and checks - threats > 2000, (checks, threats)
 
     def test_unresolvable_threat_reported(self):
-        from bbt.errors import UnresolvableThreat
-
         domain = ground(parse_domain(CONFLICT_DOMAIN))
         make_a = ActionNode(domain.actions_by_id["make_a"])  # not attached to tree
         target = Condition("b")
         tree = Sequence([target, Condition("a")])
         with pytest.raises(UnresolvableThreat):
             resolve_threat(tree, target, make_a, TreeTables(tree))
+
+    def test_unresolvable_threat_when_target_not_in_tree(self):
+        domain = ground(parse_domain(CONFLICT_DOMAIN))
+        make_a = ActionNode(domain.actions_by_id["make_a"])
+        target = Condition("b")  # not attached to tree
+        tree = Sequence([Sequence([make_a]), Condition("a")])
+        with pytest.raises(UnresolvableThreat):
+            resolve_threat(tree, target, make_a, TreeTables(tree))
+
+    def test_reorder_matches_the_ancestor_chains(self):
+        # the lowest common ancestor as resolve_threat found it before it
+        # climbed the tables: both ancestor chains, matched from the target's
+        def reference(tables, target, conflict):
+            def ancestors(node):
+                chain = [node]
+                while chain[-1].node_id in tables.parent:
+                    chain.append(tables.parent[chain[-1].node_id])
+                return chain
+
+            target_chain = ancestors(target)
+            conflict_chain = ancestors(conflict)
+            conflict_ids = {n.node_id: i for i, n in enumerate(conflict_chain)}
+            for i, node in enumerate(target_chain):
+                if node.node_id in conflict_ids:
+                    target_child = target_chain[i - 1]
+                    conflict_child = conflict_chain[conflict_ids[node.node_id] - 1]
+                    children = list(node.children)
+                    children.remove(target_child)
+                    children.insert(children.index(conflict_child), target_child)
+                    rank = min(
+                        tables.rank[target_child.node_id], tables.rank[conflict_child.node_id]
+                    )
+                    return node, children, rank
+            raise AssertionError("two nodes of one tree share the root")
+
+        rng = random.Random(3131)
+        pairs = below_root = 0
+        for _ in range(2000):
+            literals = randgen.random_literals(rng)
+            actions = randgen.random_actions(rng, literals)
+            tree = randgen.random_tree(rng, literals, actions, max_nodes=16)
+            nodes = list(tree.iter_nodes())
+            for target in nodes:
+                if not isinstance(target, Condition):
+                    continue
+                for conflict in nodes:
+                    if not isinstance(conflict, ActionNode):
+                        continue
+                    tables = TreeTables(tree)
+                    lca, children, rank = reference(tables, target, conflict)
+                    before = list(lca.children)
+                    assert resolve_threat(tree, target, conflict, tables) == (tree, rank)
+                    assert lca.children == children
+                    lca.children[:] = before
+                    pairs += 1
+                    below_root += lca is not tree
+        assert pairs > 2000 and below_root > 1000, (pairs, below_root)
 
     def test_three_child_reorder_preserves_bystander(self):
         domain = ground(parse_domain(CONFLICT_DOMAIN))
@@ -399,17 +460,12 @@ class TestRefineTree:
         result = simulate(planned_det.tree, soda_det_domain.initial_belief())
         assert result.terminal.success_probability() == planned_det.achieved
 
-    def test_goal_already_satisfied(self, soda_det_domain):
-        request = plan_request_from_domain(soda_det_domain)
-        satisfied = PhysicalState(
-            dict(soda_det_domain.initial_assignment, **{"seen(soda)": S})
-        )
-        request = type(request)(
-            domain=request.domain,
-            initial=BeliefState.point(satisfied),
-            goal=request.goal,
-            target_probability=request.target_probability,
-        )
+    def test_goal_already_satisfied(self, soda_det_path):
+        text = soda_det_path.read_text(encoding="utf-8")
+        old = "initial { seen(soda) = R"
+        assert old in text
+        domain = ground(parse_domain(text.replace(old, "initial { seen(soda) = S")))
+        request = plan_request_from_domain(domain)
         result = refine_tree(request)
         assert result.log == ()
         assert dumps_tree(result.tree) == dumps_tree(Sequence([Condition("seen(soda)")]))

@@ -105,7 +105,7 @@ def edit_and_resume(rng, epsilon, make_tree):
         actions = randgen.random_actions(rng, literals)
         tree = make_tree(rng, literals, actions)
         belief = randgen.random_belief(rng, literals, max_entries=4)
-        trail = Trail()
+        trail = Trail(tree)
         result = simulate(tree, belief, limits, trail=trail)
         assert fingerprint(result) == fingerprint(simulate(tree, belief, limits))
         wrappers: dict[int, str] = {}
@@ -119,7 +119,7 @@ def edit_and_resume(rng, epsilon, make_tree):
             trail.cut(rank)
             if trail.points:
                 resumed_ticks += trail.points[-1][1]
-            fresh_trail = Trail()
+            fresh_trail = Trail(tree)
             fresh = simulate(tree, belief, limits, trail=fresh_trail)
             if fresh.ticks_used > 1 and rng.random() < 0.3:
                 # the limit fires on the resumed run as on the fresh one
@@ -177,7 +177,7 @@ def test_threat_rounds_resume_exactly(monkeypatch):
     "rank,kept", [(0, [3]), (3, [3]), (5, [3, 7]), (12, [3, 7, 12]), (13, [3, 7, 12])]
 )
 def test_cut_keeps_points_up_to_the_first_reaching_rank(rank, kept):
-    trail = Trail()
+    trail = Trail(Condition("c0"))
     trail.points = [(reach, 0, None, 0, 0.0) for reach in (3, 7, 12)]
     trail.cut(rank)
     assert [point[0] for point in trail.points] == kept
@@ -187,7 +187,7 @@ def test_trail_records_no_flow():
     tree = Condition("c0")
     belief = randgen.random_belief(random.Random(1), ["c0"])
     with pytest.raises(ValueError):
-        simulate(tree, belief, record_flow=True, trail=Trail())
+        simulate(tree, belief, record_flow=True, trail=Trail(tree))
 
 
 def test_planner_builds_tables_once(monkeypatch, wide_domain):
@@ -206,7 +206,8 @@ def test_planner_builds_tables_once(monkeypatch, wide_domain):
 
 def test_trail_rejects_another_tree():
     belief = randgen.random_belief(random.Random(1), ["c0"])
-    trail = Trail()
-    simulate(Condition("c0"), belief, trail=trail)
+    tree = Condition("c0")
+    trail = Trail(tree)
+    simulate(tree, belief, trail=trail)
     with pytest.raises(ValueError):
         simulate(Condition("c0"), belief, trail=trail)
