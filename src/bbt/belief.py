@@ -86,9 +86,10 @@ class PhysicalState:
     latch view: the latches that can still change its behaviour, keyed by
     node id.  It holds finished actions with their report status and
     control nodes whose return latches alone have fixed; :meth:`resolved`
-    folds a settled subtree into its control node's latch, and nodes that
-    can never be ticked again hold none.  Branches whose histories differ
-    but whose futures agree thus share one state.
+    folds a settled subtree into its control node's latch and drops the
+    latches of root children that a frozen literal passes for good, and
+    nodes that can never be ticked again hold none.  Branches whose
+    histories differ but whose futures agree thus share one state.
 
     ``blame`` is the node id of the condition charged with this branch's
     failure: of the conditions that returned F or R since the branch's last
@@ -156,6 +157,11 @@ class PhysicalState:
         set.  ``tables`` are those of the tree ``node`` sits in; the latch
         view is canonicalized with them (:meth:`TreeTables.settle`).
 
+        An outcome that turns a frozen literal (:attr:`TreeTables.frozen`)
+        from another status to S leaves every root child gated on it passed
+        for good, so the latches inside those children are dropped; when
+        ``node`` is inside one, it is not latched and nothing is settled.
+
         The statuses are copied into a list once, the outcome writes its
         literals there through the shared index, and the list becomes the
         new state's ``values``; only the latch view, a handful of entries,
@@ -163,9 +169,20 @@ class PhysicalState:
         """
         values = list(self.values)
         outcome.apply(values, self.index)
-        latches = dict(self.latches)
-        latches[node.node_id] = outcome.report
-        tables.settle(latches, node.node_id)
+        dead = None
+        frozen, index = tables.frozen, self.index
+        for literal, status in outcome.postconditions:
+            if literal in frozen and status is Status.S and self.values[index[literal]] is not status:
+                dead = tables.gated[literal] if dead is None else dead | tables.gated[literal]
+        node_id = node.node_id
+        if dead is None:
+            latches = dict(self.latches)
+        else:
+            top = tables.top
+            latches = {k: v for k, v in self.latches.items() if top[k] not in dead}
+        if dead is None or top[node_id] not in dead:
+            latches[node_id] = outcome.report
+            tables.settle(latches, node_id)
         key = (self.literals, tuple(values), r, tuple(sorted(latches.items())))
         return self._derived(latches, key, None)
 

@@ -108,21 +108,37 @@ class Trail:
     That run ignores its ``initial`` belief, so a trail serves the
     simulations of one initial belief and one set of limits.
 
+    The states a tick leaves also depend on which literals the tables hold
+    frozen (:attr:`~bbt.tree.TreeTables.frozen`), wherever the edit sits: an
+    outcome drops the latches of the children gated on a frozen literal it
+    sets.  So :meth:`cut` empties the trail when an edit since the last cut
+    changed the frozen literals, and the next run starts afresh.
+
     A trail is made for one tree and holds ``tables``, the
     :class:`~bbt.tree.TreeTables` of that tree, built here.  Every
     :func:`simulate` given the trail runs on them, so whoever edits the tree
     keeps them current (:meth:`TreeTables.splice`; the planner's edits do).
+    ``freezes`` is the tables' count of frozen-literal changes as of the
+    last cut.
     """
 
-    __slots__ = ("points", "finished", "tables")
+    __slots__ = ("points", "finished", "tables", "freezes")
 
     def __init__(self, tree: BTNode) -> None:
         self.points: list[tuple[int, int, BeliefState, int, float]] = []
         self.finished: list[Entry] = []
         self.tables = TreeTables(tree)
+        self.freezes = self.tables.freezes
 
     def cut(self, rank: int) -> None:
-        """Drop the points after that of the first tick reaching ``rank``."""
+        """Drop the points after that of the first tick reaching ``rank``.
+
+        Drops them all when an edit since the last cut changed the tables'
+        frozen literals.
+        """
+        if self.freezes != self.tables.freezes:
+            self.freezes = self.tables.freezes
+            self.points.clear()
         # reaches strictly increase along the trail
         del self.points[bisect_left(self.points, rank, key=itemgetter(0)) + 1 :]
 

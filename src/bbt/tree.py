@@ -119,37 +119,56 @@ class TreeTables:
     """Per-tree lookup tables of one pre-order walk.
 
     ``order`` lists the nodes in tick order and ``rank`` maps a node id to
-    its index there.  ``parent`` maps a node id to its parent node and
-    ``depth`` to its edge distance from the root.  ``foldable`` holds the
-    ids of the control nodes that can ever carry a latch in a canonical
-    latch view: those whose leftmost leaf is an action, since a condition is
-    never settled by latches.
+    its index there.  ``parent`` maps a node id to its parent node,
+    ``depth`` to its edge distance from the root and ``top`` to the child
+    of the root that holds it (the root maps to itself).  ``foldable``
+    holds the ids of the control nodes that can ever carry a latch in a
+    canonical latch view: those whose leftmost leaf is an action, since a
+    condition is never settled by latches.
 
     ``gates`` maps the id of a child of a Sequence root to its gate: the
     condition at the end of the child's leftmost path when every node on
     that path is a Fallback or a Skipper.  None of those continues on S, so
     an entry that reads S at the gate returns S from the whole child,
     unchanged (see :func:`~bbt.engine.belief_tick`).  A child without a
-    gate, and every child of any other root, has no entry.
+    gate, and every child of any other root, has no entry.  ``gated`` maps
+    a gate's literal to the root children gated on it.
+
+    A literal is ``frozen`` when some root child is gated on it and every
+    action node that clobbers it (:attr:`~bbt.belief.ActionInstance.clobbers`)
+    lies inside such a child.  A state that reads S there reads S for good:
+    every child gated on the literal returns S at its gate and runs
+    nothing, and no other action writes it.  So no node of those children
+    is ticked again, and :meth:`~bbt.belief.PhysicalState.resolved` drops
+    their latches.  ``clobbered`` maps a root child's id to the literals
+    its actions clobber, and ``loose`` a literal to the number of root
+    children that clobber it without being gated on it.  ``freezes``
+    counts the changes of ``frozen`` (see :class:`~bbt.engine.Trail`).
 
     Tables are never cached on the tree.  A plain :func:`~bbt.engine.simulate`
     builds them and hands them on with its result (to the leaf program of
     ``bbt exec``, for one).  The planner's rounds share one set, kept by
     their :class:`~bbt.engine.Trail`: each edit updates it with
-    :meth:`splice`, at a cost in proportion to the edited subtree and the
-    nodes after it in tick order, instead of a walk of the whole tree.
+    :meth:`splice`, at a cost in proportion to the root child that holds
+    the edit and the nodes after the edit in tick order, instead of a walk
+    of the whole tree.
     """
 
-    __slots__ = ("order", "rank", "parent", "depth", "foldable", "gates")
+    __slots__ = (
+        "order", "rank", "parent", "depth", "top", "foldable",
+        "gates", "gated", "clobbered", "loose", "frozen", "freezes",
+    )
 
     def __init__(self, tree: BTNode):
         self.parent: dict[int, BTNode] = {}
         self.depth: dict[int, int] = {}
+        self.top: dict[int, BTNode] = {}
         self.foldable: set[int] = set()
         self.order = self._walk(tree, None, 0)
         self.rank = {node.node_id: i for i, node in enumerate(self.order)}
-        self.gates: dict[int, Condition] = {}
-        self._regate_all()
+        self.frozen: set[str] = set()
+        self.freezes = 0
+        self._file_all()
 
     def splice(self, old: BTNode, new: BTNode) -> None:
         """Describe the tree after the subtree ``old`` was replaced by ``new``.
@@ -159,11 +178,11 @@ class TreeTables:
         its children added to or reordered, or a new node above ``old``, as
         the planner's edits leave them.  The block of ``old`` in ``order``
         becomes a pre-order walk of ``new``, which sets ``parent``,
-        ``depth`` and ``foldable`` for the walked nodes; ``rank`` is
-        renumbered from the block to the end, and ``foldable`` is recomputed
-        for the ancestors.  Of ``gates``, only the gate of the root child
-        that holds ``new`` is recomputed, or all of them when ``new`` is the
-        root.
+        ``depth``, ``top`` and ``foldable`` for the walked nodes; ``rank``
+        is renumbered from the block to the end, and ``foldable`` is
+        recomputed for the ancestors.  The gate tables are refiled for the
+        root child that holds ``new`` only, or for all of them when ``new``
+        is the root.
         """
         order, depth = self.order, self.depth
         start = self.rank[old.node_id]
@@ -172,42 +191,44 @@ class TreeTables:
         while end < len(order) and depth[order[end].node_id] > level:
             end += 1
         above = self.parent.get(old.node_id)
+        filed = above is not None and isinstance(order[0], Sequence)
+        if filed:
+            touched = self._file(self.top[old.node_id], -1)
         order[start:end] = self._walk(new, above, level)
         rank = self.rank
         for i in range(start, len(order)):
             rank[order[i].node_id] = i
         if above is None:
-            self._regate_all()
+            self._file_all()
             return
-        top = new  # ends as the root child that holds new
         while above is not None:
             self._refold(above)
-            if depth[above.node_id]:
-                top = above
             above = self.parent.get(above.node_id)
-        self.gates.pop(old.node_id, None)
-        if isinstance(order[0], Sequence):
-            self._regate(top)
+        if filed:
+            self._refreeze(touched | self._file(self.top[new.node_id], 1))
 
     def _walk(self, root: BTNode, parent: BTNode | None, level: int) -> list[BTNode]:
         """Pre-order walk of ``root``, placed under ``parent`` at depth ``level``.
 
-        Sets ``parent``, ``depth`` and ``foldable`` for every walked node and
-        returns the walk.
+        Sets ``parent``, ``depth``, ``top`` and ``foldable`` for every
+        walked node and returns the walk.
         """
-        parents, depth = self.parent, self.depth
+        parents, depth, top = self.parent, self.depth, self.top
         if parent is None:
             parents.pop(root.node_id, None)
         else:
             parents[root.node_id] = parent
         depth[root.node_id] = level
+        top[root.node_id] = root if level < 2 else top[parent.node_id]
         block = list(root.iter_nodes())
         # pre-order visits every parent before its children
         for node in block:
             below = depth[node.node_id] + 1
+            held = top[node.node_id]
             for child in node.children:
                 parents[child.node_id] = node
                 depth[child.node_id] = below
+                top[child.node_id] = child if below == 1 else held
         # reversed pre-order visits every child before its parent
         for node in reversed(block):
             if node.children:
@@ -222,20 +243,53 @@ class TreeTables:
         else:
             self.foldable.discard(node.node_id)
 
-    def _regate(self, child: BTNode) -> None:
-        """Recompute the gate of ``child``, a child of a Sequence root."""
-        gate = _gate(child)
-        if gate is None:
-            self.gates.pop(child.node_id, None)
-        else:
-            self.gates[child.node_id] = gate
+    def _file(self, child: BTNode, step: int) -> set[str]:
+        """Enter (``step`` 1) or withdraw (-1) ``child``, a Sequence root's, in the gate tables.
 
-    def _regate_all(self) -> None:
-        self.gates.clear()
+        Returns the literals whose entries changed.
+        """
+        if step > 0:
+            gate = _gate(child)
+            clobbers = {
+                literal
+                for node in child.iter_nodes()
+                if isinstance(node, ActionNode)
+                for literal in node.action.clobbers
+            }
+            self.clobbered[child.node_id] = clobbers
+            if gate is not None:
+                self.gates[child.node_id] = gate
+                self.gated.setdefault(gate.literal, set()).add(child)
+        else:
+            clobbers = self.clobbered.pop(child.node_id)
+            gate = self.gates.pop(child.node_id, None)
+            if gate is not None:
+                held = self.gated[gate.literal]
+                held.discard(child)
+                if not held:
+                    del self.gated[gate.literal]
+        own = {gate.literal} if gate is not None else set()
+        for literal in clobbers - own:
+            self.loose[literal] = self.loose.get(literal, 0) + step
+        return clobbers | own
+
+    def _file_all(self) -> None:
+        self.gates: dict[int, Condition] = {}
+        self.gated: dict[str, set[BTNode]] = {}
+        self.clobbered: dict[int, set[str]] = {}
+        self.loose: dict[str, int] = {}
         root = self.order[0]
         if isinstance(root, Sequence):
             for child in root.children:
-                self._regate(child)
+                self._file(child, 1)
+        self._refreeze(self.frozen | self.gated.keys())
+
+    def _refreeze(self, literals: set[str]) -> None:
+        """Recompute which of ``literals`` are frozen; count a change in ``freezes``."""
+        frozen = {lit for lit in literals if lit in self.gated and not self.loose.get(lit)}
+        if frozen != self.frozen & literals:
+            self.frozen = (self.frozen - literals) | frozen
+            self.freezes += 1
 
     def settle(self, latches: dict[int, Status], node_id: int) -> None:
         """Canonicalize ``latches`` in place after ``node_id`` latched.

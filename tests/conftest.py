@@ -6,6 +6,8 @@ from hypothesis import settings
 
 from bbt import ground, parse_domain, plan_request_from_domain, refine_tree
 
+import deepgen
+
 settings.register_profile("suite", max_examples=100, derandomize=True)
 settings.load_profile("suite")
 
@@ -69,3 +71,9 @@ def wide_path(tmp_path_factory, wide_text) -> Path:
 @pytest.fixture(scope="session")
 def wide_domain(wide_text):
     return ground(parse_domain(wide_text))
+
+
+@pytest.fixture(scope="session")
+def deep_domain():
+    """The deep-perception domain of ``tests/deepgen.py`` with 5 objects."""
+    return ground(parse_domain(deepgen.generate(5)))

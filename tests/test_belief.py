@@ -329,13 +329,13 @@ class TestPruneAndDebug:
         assert line == "0.5 | a=S | r=F | pending=- | latches=n1:S,n3:F"
 
     def test_debug_lines_distinct_on_deep_soda(self, soda_domain):
-        # soda at 0.999 ends in 20 entries over only 8 (assignment, r) pairs;
-        # the latch field tells the entries that share one apart
+        # soda at 0.999 ends in 8 entries over 8 (assignment, r) pairs: the
+        # goal's frozen literal drops the latches that once told 20 apart
         planned = refine_tree(plan_request_from_domain(soda_domain, target_probability=0.999))
         result = simulate(planned.tree, soda_domain.initial_belief())
         lines = result.terminal.debug_lines(result.tables)
-        assert len(lines) == 20
-        assert len(set(lines)) == 20
+        assert len(lines) == 8
+        assert len(set(lines)) == 8
         assert len({line.split(" | latches=")[0].split(" | ", 1)[1] for line in lines}) == 8
 
     def test_rejects_non_positive_probability(self):

@@ -10,7 +10,10 @@ never loosen a pin to make a change pass.
 
 The wide row plans the 24-item domain of ``perfbench/widegen.py`` (seed 0):
 many goals over a large tree with few belief entries, so it guards the
-scan and merge order of the tick rather than latch-view merging.
+scan and merge order of the tick rather than latch-view merging.  The deep
+row plans ``tests/deepgen.py`` with 5 objects, whose belief splits three
+ways per detect: there the latches dropped under frozen goal literals take
+the final simulation from 620 terminal entries to 11.
 
 ``STATES_BUILT`` pins the physical states the final simulation builds,
 constructed or derived from another state, on soda at 0.999 and on the
@@ -34,13 +37,14 @@ from bbt import (
 )
 
 PINS = [
-    ("soda_domain", None, (4, 26, 11, 11, 23)),
-    ("soda_domain", 0.99, (6, 42, 17, 19, 57)),
-    ("soda_det_domain", None, (4, 26, 5, 11, 23)),
-    ("soda_det_domain", 0.99, (5, 34, 6, 15, 38)),
-    ("soda_domain", 0.999, (7, 50, 20, 23, 80)),
-    ("soda_det_domain", 0.999, (7, 50, 8, 23, 80)),
-    ("wide_domain", None, (53, 232, 7, 54, 156)),
+    ("soda_domain", None, (4, 26, 8, 11, 23)),
+    ("soda_domain", 0.99, (6, 42, 8, 19, 57)),
+    ("soda_det_domain", None, (4, 26, 4, 11, 23)),
+    ("soda_det_domain", 0.99, (5, 34, 4, 15, 38)),
+    ("soda_domain", 0.999, (7, 50, 8, 23, 80)),
+    ("soda_det_domain", 0.999, (7, 50, 4, 23, 80)),
+    ("wide_domain", None, (53, 232, 3, 54, 156)),
+    ("deep_domain", None, (21, 74, 11, 17, 142)),
 ]
 
 
@@ -71,8 +75,8 @@ def test_counters_pinned(request, monkeypatch, domain_fixture, prob, pinned):
 
 
 STATES_BUILT = [
-    ("soda_domain", 0.999, 415),
-    ("wide_domain", None, 128),
+    ("soda_domain", 0.999, 397),
+    ("wide_domain", None, 113),
 ]
 
 
@@ -97,6 +101,15 @@ def test_states_built_pinned(request, monkeypatch, domain_fixture, prob, pinned)
     simulate(result.tree, initial)
     monkeypatch.undo()
     assert built == pinned
+
+
+def test_deep_perception_pinned(deep_domain):
+    # one terminal entry per (assignment, r): no latch splits entries whose
+    # futures agree
+    plan = refine_tree(plan_request_from_domain(deep_domain))
+    replay = simulate(plan.tree, deep_domain.initial_belief())
+    assert f"{plan.achieved:.6f}" == "0.526247"
+    assert len(replay.terminal) == len({(s.values, s.r) for _, s in replay.terminal}) == 11
 
 
 def count_visits(monkeypatch, run):
@@ -138,6 +151,23 @@ def wide_96(widegen):
 def test_wide_96_plan_visits_pinned(monkeypatch, wide_96):
     _, visits = plan_visits(monkeypatch, wide_96, max_iterations=1000)
     assert visits == 4998
+
+
+def test_wide_96_latch_view_pinned(monkeypatch, wide_96):
+    # the largest latch view of any entry of the final simulation: the
+    # latches of settled goal children are dropped (197 pairs before)
+    plan = refine_tree(plan_request_from_domain(wide_96, max_iterations=1000))
+    views = []
+    root_tick = engine.belief_tick
+
+    def viewed(node, mem, tables, reached=None):
+        views.extend(len(s.latches) for _, s in mem)
+        return root_tick(node, mem, tables, reached)
+
+    monkeypatch.setattr(engine, "belief_tick", viewed)
+    result = simulate(plan.tree, wide_96.initial_belief())
+    views.extend(len(s.latches) for _, s in result.terminal)
+    assert max(views) == 2
 
 
 def test_wide_plan_visits_grow_linearly(monkeypatch, widegen, wide_96):

@@ -1,11 +1,12 @@
 import random
+from collections import defaultdict
 
 import pytest
 
 from bbt import engine
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
 from bbt.classic import ClassicRuns, LeafProgram
-from bbt.engine import SimulationLimits, belief_tick, simulate
+from bbt.engine import SimulationLimits, Trail, belief_tick, simulate
 from bbt.errors import EntryLimitExceeded, TickLimitExceeded, UnknownLiteral
 from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper, TreeTables
@@ -498,6 +499,92 @@ class TestRootPass:
             expected = oracle.enumerate_terminals(root, assignment)
             result = simulate(root, BeliefState.point(PhysicalState(assignment)))
             oracle.assert_distributions_match(expected, oracle.simulation_to_terminals(result))
+
+
+def by_assignment_and_status(terminals):
+    """Oracle-keyed terminal masses summed over the blame."""
+    out = defaultdict(float)
+    for (assignment, r, _), p in terminals.items():
+        out[assignment, r] += p
+    return out
+
+
+class TestFrozenLiterals:
+    def test_goal_child_latches_drop_once_its_literal_holds(self):
+        # b sets g, so once it has run g's child is passed for good, and
+        # neither a's latch nor b's is kept
+        a, b = ActionNode(sure("a", (("x", S),))), ActionNode(sure("b", (("g", S),)))
+        goal = Fallback([Condition("g"), Sequence([a, b])])
+        tree = Sequence([goal, Condition("h")])
+        tables = TreeTables(tree)
+        assert tables.frozen == {"g", "h"}
+        assert tables.gated["g"] == {goal}
+        assert tables.top[b.node_id] is goal
+        result = simulate(tree, BeliefState.point(state(g="F", h="S", x="F")))
+        ((_, s),) = result.terminal.entries
+        assert (s.r, s.latches) == (S, {})
+
+    def test_clobber_outside_the_gated_children_unfreezes(self):
+        undo = ActionNode(sure("undo", (("g", F),)))
+        tree = Sequence([Fallback([Condition("g"), ActionNode(sure("b", (("g", S),)))]), undo])
+        tables = TreeTables(tree)
+        assert tables.frozen == set()
+        assert tables.loose == {"g": 1}
+
+    def test_masses_match_oracle_on_goal_roots(self):
+        # per (assignment, r) the terminal mass is the oracle's, and so is that
+        # of a run with no literal frozen, which keeps every latch; dropping
+        # only merges entries, and leaves no latch in a child passed for good
+        rng = random.Random(101)
+        merged = 0
+        for _ in range(400):
+            literals = randgen.random_literals(rng)
+            actions = randgen.random_actions(rng, literals)
+            if rng.random() < 0.5:
+                actions = achieving(actions)
+            root = achiever_root(rng, literals, actions)
+            assignment = dict.fromkeys(literals, F)
+            expected = by_assignment_and_status(oracle.enumerate_terminals(root, assignment))
+            belief = BeliefState.point(PhysicalState(assignment))
+            result = simulate(root, belief)
+            kept = Trail(root)
+            kept.tables.frozen = set()
+            full = simulate(root, belief, trail=kept)
+            for run in (result, full):
+                actual = by_assignment_and_status(oracle.simulation_to_terminals(run))
+                oracle.assert_distributions_match(expected, actual)
+            assert len(result.terminal) <= len(full.terminal)
+            merged += len(result.terminal) < len(full.terminal)
+            tables = result.tables
+            for _, s in result.terminal:
+                for literal in tables.frozen:
+                    if s.value(literal) is S:
+                        dead = tables.gated[literal]
+                        assert not any(tables.top[k] in dead for k in s.latches)
+        assert merged > 30
+
+
+def achieving(actions):
+    """``actions`` with every outcome setting to S each literal some outcome sets.
+
+    No literal is clobbered, and the outcomes of one action differ only in
+    their report.
+    """
+    out = []
+    for action in actions:
+        post = tuple(sorted({(lit, S) for o in action.outcomes for lit, _ in o.postconditions}))
+        outcomes = tuple(Outcome(o.probability, post, o.report) for o in action.outcomes)
+        out.append(ActionInstance(action.id, action.preconditions, outcomes))
+    return out
+
+
+def achiever_root(rng, literals, actions):
+    """A root Sequence of goal children ``Fb[l, ...]`` whose later children hold random actions."""
+    children = []
+    for literal in rng.sample(literals, rng.randint(1, len(literals))):
+        later = [randgen.random_tree(rng, literals, actions, 4) for _ in range(rng.randint(1, 2))]
+        children.append(Fallback([Condition(literal), *later]))
+    return Sequence(children)
 
 
 def coin(name):

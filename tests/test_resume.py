@@ -14,12 +14,12 @@ import random
 import pytest
 
 from bbt import engine, ground, parse_domain, plan_request_from_domain, refine_tree
-from bbt.belief import ActionInstance
+from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
 from bbt.engine import SimulationLimits, Trail, simulate
 from bbt.errors import TickLimitExceeded
 from bbt.planner import resolve_by_insert, resolve_threat
 from bbt.status import Status
-from bbt.tree import ActionNode, Condition, TreeTables
+from bbt.tree import ActionNode, Condition, Fallback, Sequence, TreeTables
 
 import randgen
 from test_engine import goal_root
@@ -51,11 +51,19 @@ def assert_tables_current(tables, tree):
     assert tables.depth == fresh.depth
     assert tables.foldable == fresh.foldable
     assert tables.gates == fresh.gates  # conditions compare by identity
+    assert tables.top.keys() == fresh.top.keys()
+    assert all(tables.top[k] is node for k, node in fresh.top.items())
+    assert tables.gated == fresh.gated  # sets of nodes, which compare by identity
+    assert tables.clobbered == fresh.clobbered
+    assert {literal: n for literal, n in tables.loose.items() if n} == fresh.loose
+    assert tables.frozen == fresh.frozen
 
 
 def random_edit(rng, tree, tables, literals, actions, wrappers):
     """One random planner edit of ``tree``: an insert or a sibling reorder.
 
+    One insert in five, when a literal is frozen, is of an action that
+    clobbers it outside the root children gated on it, which unfreezes it.
     Returns the new root and the edit's rank, or None when the tree has no
     place for the edit drawn.
     """
@@ -69,6 +77,14 @@ def random_edit(rng, tree, tables, literals, actions, wrappers):
             return None
         return resolve_threat(tree, target, rng.choice(in_tree), tables)
     action = rng.choice(actions)
+    if tables.frozen and rng.random() < 0.2:
+        literal = rng.choice(sorted(tables.frozen))
+        outside = [n for n in conditions if tables.top[n.node_id] not in tables.gated[literal]]
+        if not outside:
+            return None
+        target = rng.choice(outside)
+        thaw = Outcome(0.5, ((literal, rng.choice((Status.F, Status.R))),), Status.S)
+        action = ActionInstance("thaw", (), (thaw, Outcome(0.5, (), Status.F)))
     if rng.random() < 0.5:
         guard = (rng.choice(literals), Status.S)
         action = ActionInstance(action.id, (guard,), action.outcomes)
@@ -81,25 +97,27 @@ def test_random_edits_resume_exactly(epsilon):
     def random_tree(rng, literals, actions):
         return randgen.random_tree(rng, literals, actions, max_nodes=12)
 
-    resumed_ticks, pruned = edit_and_resume(random.Random(9090), epsilon, random_tree)
+    resumed_ticks, pruned, _ = edit_and_resume(random.Random(9090), epsilon, random_tree)
     assert resumed_ticks > 0  # some edits left a prefix to reuse
     assert (pruned > 0.0) == (epsilon > 0.0)
 
 
 def test_random_edits_of_goal_roots_resume_exactly():
-    # Sequence roots of gated children, whose gates each edit keeps current
-    resumed_ticks, _ = edit_and_resume(random.Random(9191), 0.0, goal_root)
+    # Sequence roots of gated children, whose gates and frozen literals each
+    # edit keeps current
+    resumed_ticks, _, emptied = edit_and_resume(random.Random(9191), 0.0, goal_root)
     assert resumed_ticks > 0
+    assert emptied > 20  # edits that changed the frozen literals emptied the trail
 
 
 def edit_and_resume(rng, epsilon, make_tree):
     """Random edits of 300 trees from ``make_tree``, each resumed and checked.
 
-    Returns the root ticks the resumed runs reused and the mass the fresh
-    runs pruned.
+    Returns the root ticks the resumed runs reused, the mass the fresh runs
+    pruned and the cuts that emptied a trail holding points.
     """
     limits = SimulationLimits(prune_epsilon=epsilon)
-    resumed_ticks, pruned = 0, 0.0
+    resumed_ticks, pruned, emptied = 0, 0.0, 0
     for _ in range(300):
         literals = randgen.random_literals(rng)
         actions = randgen.random_actions(rng, literals)
@@ -116,7 +134,9 @@ def edit_and_resume(rng, epsilon, make_tree):
             tree, rank = edit
             assert trail.tables is result.tables
             assert_tables_current(trail.tables, tree)
+            held = bool(trail.points)
             trail.cut(rank)
+            emptied += held and not trail.points
             if trail.points:
                 resumed_ticks += trail.points[-1][1]
             fresh_trail = Trail(tree)
@@ -133,12 +153,16 @@ def edit_and_resume(rng, epsilon, make_tree):
             # every tick's belief, not only the terminal one, is the fresh run's
             assert trail_fingerprint(trail) == trail_fingerprint(fresh_trail)
             pruned += fresh.pruned_mass
-    return resumed_ticks, pruned
+    return resumed_ticks, pruned, emptied
 
 
 def plan_checked(monkeypatch, domain, prob=None):
-    """Plan with every round's simulation checked against a fresh one."""
-    rounds = []
+    """Plan with every round's simulation checked against a fresh one.
+
+    Returns the plan, the root ticks each round's simulation reused and the
+    rounds whose edit changed the frozen literals, which empties the trail.
+    """
+    rounds, freezes = [], []
 
     def checked(tree, initial, limits=None, **kwargs):
         trail = kwargs.get("trail")
@@ -149,28 +173,65 @@ def plan_checked(monkeypatch, domain, prob=None):
         result = engine.simulate(tree, initial, limits, **kwargs)
         assert fingerprint(result) == fingerprint(engine.simulate(tree, initial, limits))
         rounds.append(start)
+        freezes.append(trail.tables.freezes)
         return result
 
     monkeypatch.setattr("bbt.planner.simulate", checked)
     plan = refine_tree(plan_request_from_domain(domain, target_probability=prob))
     assert len(rounds) == len(plan.log) + 1
-    return plan, rounds
+    emptied = sum(a != b for a, b in zip(freezes, freezes[1:]))
+    return plan, rounds, emptied
 
 
 @pytest.mark.parametrize("domain_fixture", ["soda_domain", "soda_det_domain"])
 @pytest.mark.parametrize("prob", [None, 0.99, 0.999])
 def test_soda_rounds_resume_exactly(request, monkeypatch, domain_fixture, prob):
-    plan_checked(monkeypatch, request.getfixturevalue(domain_fixture), prob)
+    _, _, emptied = plan_checked(monkeypatch, request.getfixturevalue(domain_fixture), prob)
+    assert emptied == 0
 
 
 def test_wide_rounds_resume_exactly(monkeypatch, wide_domain):
-    _, rounds = plan_checked(monkeypatch, wide_domain)
+    _, rounds, emptied = plan_checked(monkeypatch, wide_domain)
     assert sum(rounds) > 0  # the wide rounds skip a replayed prefix
+    assert emptied == 0
+
+
+def test_deep_perception_rounds_resume_exactly(monkeypatch, deep_domain):
+    _, rounds, emptied = plan_checked(monkeypatch, deep_domain)
+    assert sum(rounds) > 0
+    assert emptied == 0
 
 
 def test_threat_rounds_resume_exactly(monkeypatch):
-    plan, _ = plan_checked(monkeypatch, ground(parse_domain(CONFLICT_DOMAIN)))
+    plan, _, emptied = plan_checked(monkeypatch, ground(parse_domain(CONFLICT_DOMAIN)))
     assert "threat-reorder" in [record.kind for record in plan.log]
+    # make_a, inserted under goal a, sets goal b to F: b unfreezes once
+    assert emptied == 1
+
+
+def test_unfreezing_edit_empties_the_trail():
+    # Seq[Fb[l, Seq[b, a]], g]: l is frozen, so the outcome of a that sets it
+    # drops b's latch.  Inserting z at g, which sets l = F outside l's gated
+    # child, unfreezes l: kept, the trail would rerun b after z (0.25 in 6
+    # ticks); a fresh run finds b latched (0.5 in 4 ticks).
+    S, F = Status.S, Status.F
+    b = ActionInstance("b", (), (Outcome(1.0, (("m", S),), S),))
+    a = ActionInstance("a", (), (Outcome(0.5, (("l", S),), S), Outcome(0.5, (), F)))
+    z = ActionInstance("z", (), (Outcome(1.0, (("l", F), ("g", S)), S),))
+    g = Condition("g")
+    tree = Sequence([Fallback([Condition("l"), Sequence([ActionNode(b), ActionNode(a)])]), g])
+    belief = BeliefState.point(PhysicalState({"l": F, "m": F, "g": F}))
+    trail = Trail(tree)
+    simulate(tree, belief, trail=trail)
+    assert trail.tables.frozen == {"l", "g"}
+    tree, rank = resolve_by_insert(tree, g, F, z, trail.tables)
+    assert trail.tables.frozen == {"g"}
+    trail.cut(rank)
+    assert trail.points == []
+    resumed = simulate(tree, belief, trail=trail)
+    fresh = simulate(tree, belief)
+    assert fingerprint(resumed) == fingerprint(fresh)
+    assert (fresh.terminal.success_probability(), fresh.ticks_used) == (0.5, 4)
 
 
 @pytest.mark.parametrize(
