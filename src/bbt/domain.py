@@ -144,45 +144,41 @@ class DomainSpec:
 # Tokenizer
 
 
+# whitespace matches no alternative, so finditer skips it; ``bad`` catches
+# every other character that starts no token
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>->|[{}(),;=])
+  | (?P<comment>\#.*)
+  | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name" | "number" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+# (kind, text, loc): kind is "name", "number", "punct" or "eof"
+Token = tuple[str, str, Loc]
 
 
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, each a ``(kind, text, (line, col))`` tuple, then one ``eof``.
+
+    Positions are 1-based and counted in characters.  Only ``"\\n"`` ends a
+    line, and a tab counts as one column.  The ``eof`` token, whose text is
+    empty, sits just past the last character of the last line.
+    """
     tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind in ("ws", "comment"):
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + chunk.rindex("\n") + 1
-        else:
-            tokens.append(Token(kind, chunk, line, m.start() - line_start + 1))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+    lines = text.split("\n")
+    for line_no, line in enumerate(lines, 1):
+        for m in _TOKEN_RE.finditer(line):
+            kind = m.lastgroup
+            if kind == "comment":
+                break
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", line_no, m.start() + 1)
+            tokens.append((kind, m.group(), (line_no, m.start() + 1)))
+    tokens.append(("eof", "", (len(lines), len(lines[-1]) + 1)))
     return tokens
 
 
@@ -204,44 +200,44 @@ class _Parser:
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
-        if token.kind != "eof":
+        if token[0] != "eof":
             self.pos += 1
         return token
 
     def error(self, message: str, *expected: str) -> ParseError:
         token = self.peek()
-        found = token.text if token.kind != "eof" else "end of input"
-        return ParseError(f"{message}, found {found!r}", token.line, token.col, expected)
+        found = token[1] if token[0] != "eof" else "end of input"
+        return ParseError(f"{message}, found {found!r}", *token[2], expected)
 
     def expect(self, text: str) -> Token:
         token = self.peek()
-        if token.text != text or token.kind == "eof":
+        if token[1] != text or token[0] == "eof":
             raise self.error(f"expected {text!r}", text)
         return self.advance()
 
     def expect_name(self, what: str = "a name") -> Token:
         token = self.peek()
-        if token.kind != "name":
+        if token[0] != "name":
             raise self.error(f"expected {what}", "NAME")
         return self.advance()
 
     def expect_number(self) -> float:
         token = self.peek()
-        if token.kind != "number":
+        if token[0] != "number":
             raise self.error("expected a number", "NUMBER")
         self.advance()
-        return float(token.text)
+        return float(token[1])
 
     def expect_value(self) -> Status:
         token = self.peek()
-        if token.kind != "name" or token.text not in ("S", "F", "R"):
+        if token[0] != "name" or token[1] not in ("S", "F", "R"):
             raise self.error("expected a status value", "S", "F", "R")
         self.advance()
-        return Status(token.text)
+        return Status(token[1])
 
     def at(self, text: str) -> bool:
         token = self.peek()
-        return token.kind != "eof" and token.text == text
+        return token[0] != "eof" and token[1] == text
 
     def parse_list(
         self, open_: str, item: Callable[[], _T], close: str, sep: str = "", empty: bool = False
@@ -265,26 +261,26 @@ class _Parser:
         params, conditions, actions, templates = [], [], [], []
         initial: tuple[Assignment, ...] | None = None
         goal: tuple[tuple[Assignment, ...], float, Loc] | None = None
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             token = self.peek()
-            if token.text == "param":
+            if token[1] == "param":
                 params.append(self.parse_param())
-            elif token.text == "condition":
+            elif token[1] == "condition":
                 conditions.append(self.parse_condition())
-            elif token.text in ("action", "template"):
-                (actions if token.text == "action" else templates).append(self.parse_resolver())
-            elif token.text == "initial":
+            elif token[1] in ("action", "template"):
+                (actions if token[1] == "action" else templates).append(self.parse_resolver())
+            elif token[1] == "initial":
                 if initial is not None:
-                    raise SemanticError("duplicate initial section", token.line, token.col)
+                    raise SemanticError("duplicate initial section", *token[2])
                 self.advance()
                 initial = self.parse_asgnset()
-            elif token.text == "goal":
+            elif token[1] == "goal":
                 if goal is not None:
-                    raise SemanticError("duplicate goal section", token.line, token.col)
+                    raise SemanticError("duplicate goal section", *token[2])
                 self.advance()
                 goal_set = self.parse_asgnset()
                 self.expect("prob")
-                goal = (goal_set, self.expect_number(), (token.line, token.col))
+                goal = (goal_set, self.expect_number(), token[2])
             else:
                 raise self.error("expected a declaration", *_DECL_KEYWORDS)
         return DomainSpec(
@@ -301,11 +297,11 @@ class _Parser:
     def parse_param(self) -> ParamSpace:
         start = self.expect("param")
         name = self.expect_name("a parameter space name")
-        instances = self.parse_list("{", lambda: self.expect_name("an instance name").text, "}")
-        return ParamSpace(name.text, instances, (start.line, start.col))
+        instances = self.parse_list("{", lambda: self.expect_name("an instance name")[1], "}")
+        return ParamSpace(name[1], instances, start[2])
 
     def parse_signature(self) -> tuple[str, ...]:
-        return self.parse_list("(", lambda: self.expect_name("a parameter name").text, ")", ",")
+        return self.parse_list("(", lambda: self.expect_name("a parameter name")[1], ")", ",")
 
     def parse_condition(self) -> ConditionSchema:
         start = self.expect("condition")
@@ -313,11 +309,11 @@ class _Parser:
         params = self.parse_signature() if self.at("(") else ()
         self.expect("values")
         values = self.parse_list("{", self.expect_value, "}")
-        return ConditionSchema(name.text, params, values, (start.line, start.col))
+        return ConditionSchema(name[1], params, values, start[2])
 
     def parse_args(self) -> tuple[str, ...]:
         return self.parse_list(
-            "(", lambda: self.expect_name("an argument").text, ")", ",", empty=True
+            "(", lambda: self.expect_name("an argument")[1], ")", ",", empty=True
         )
 
     def parse_asgn(self) -> Assignment:
@@ -325,7 +321,7 @@ class _Parser:
         args = self.parse_args() if self.at("(") else ()
         self.expect("=")
         value = self.expect_value()
-        return Assignment(name.text, args, value, (name.line, name.col))
+        return Assignment(name[1], args, value, name[2])
 
     def parse_asgnset(self) -> tuple[Assignment, ...]:
         return self.parse_list("{", self.parse_asgn, "}", ";", empty=True)
@@ -339,7 +335,7 @@ class _Parser:
             self.advance()
             report = self.expect_value()
         assignments = self.parse_asgnset()
-        return OutcomeSpec(probability, report, assignments, (start.line, start.col))
+        return OutcomeSpec(probability, report, assignments, start[2])
 
     def parse_resolver(self) -> ActionSchema | TemplateSchema:
         """An ``action`` or a ``template``: a name, a signature and a ``pre`` clause.
@@ -349,9 +345,9 @@ class _Parser:
         it ends in a ``body``.
         """
         start = self.advance()
-        action = start.text == "action"
-        loc = (start.line, start.col)
-        name = self.expect_name("an action name" if action else "a template name").text
+        action = start[1] == "action"
+        loc = start[2]
+        name = self.expect_name("an action name" if action else "a template name")[1]
         params = self.parse_signature() if not action or self.at("(") else ()
         self.expect("{")
         self.expect("pre")
@@ -374,19 +370,19 @@ class _Parser:
 
     def parse_btexpr(self) -> BodyExpr:
         token = self.peek()
-        if token.text in ("seq", "fb", "skip"):
+        if token[1] in ("seq", "fb", "skip"):
             self.advance()
             self.expect("{")
             children = [self.parse_btexpr()]
             while not self.at("}"):
                 children.append(self.parse_btexpr())
             self.expect("}")
-            return BodyControl(token.text, tuple(children))
-        if token.text in ("act", "cond", "tmpl"):
+            return BodyControl(token[1], tuple(children))
+        if token[1] in ("act", "cond", "tmpl"):
             self.advance()
             name = self.expect_name("a referenced name")
             args = self.parse_args()
-            return BodyLeaf(token.text, name.text, args, (token.line, token.col))
+            return BodyLeaf(token[1], name[1], args, token[2])
         raise self.error("expected a tree expression", *_BODY_KEYWORDS)
 
 

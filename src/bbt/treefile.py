@@ -106,7 +106,8 @@ def tree_from_doc(doc: dict, domain: GroundedDomain) -> BTNode:
                 raise SemanticError(f"tree references unknown action {action_id!r}")
             built.append(ActionNode(action))
         elif isinstance(kind, str) and kind in CONTROL_KINDS:
-            children = node.get("children") or []
+            # only a missing key reads as no children; null, {} or 0 is a wrong type
+            children = node.get("children", [])
             if not isinstance(children, list):
                 raise SemanticError(f"{kind} node children are not a JSON list: {children!r}")
             if not children:

@@ -4,7 +4,12 @@ The corpus pins the domain front end (``parse_domain`` then ``ground``):
 the bundled domains, a ``perfbench/widegen.py`` domain and ``randgen``
 specs, each as written and under seeded word-level mutations (a word
 deleted, repeated, swapped or replaced), plus a few inputs that assign a
-literal twice in ``initial``.  Each input records either the error it
+literal twice in ``initial``.  Character-level inputs follow, with their
+own seed: CRLF line endings, tabs, Unicode whitespace, a comment on a last
+line that has no newline, and stray characters that start no token, as
+written and under seeded character-level edits.  They reach the
+tokenizer's whitespace, comment and line logic, which word-level edits,
+made on text stripped of its comments, never do.  Each input records either the error it
 raised (class, message, line, column, expected list) or a digest of the
 grounded domain.  Nothing in a record depends on ``PYTHONHASHSEED``.
 
@@ -71,6 +76,71 @@ def _mutate(text: str, rng: random.Random) -> str:
             # a word of the same kind, which more often parses
             words[i] = rng.choice([w for w in words if _kind(w) == _kind(words[i])])
     return " ".join(words)
+
+
+# inserted by character-level edits: whitespace that is not ``" "`` or
+# ``"\n"`` (``"\x85"``, ``"\x1c"`` and ``"\u2028"`` end a line for
+# ``str.splitlines`` but not for the language), characters that begin a
+# token or a comment, and characters that begin none
+_CHARS = (
+    "\r", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u2028", " ", "\n",
+    "#", "-", ">", ".", "e", "E", "+", "0", "7", "\u00e9", "%", "{", "}", ";",
+)
+_UNICODE_WS = ("\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u2028")
+
+
+def _char_mutate(text: str, rng: random.Random) -> str:
+    """``text`` with one to three characters deleted, inserted or replaced."""
+    chars = list(text)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        i = rng.randrange(len(chars))
+        op = rng.randrange(3)
+        if op == 0:
+            del chars[i]
+        elif op == 1:
+            chars.insert(i, rng.choice(_CHARS))
+        else:
+            chars[i] = rng.choice(_CHARS)
+    return "".join(chars)
+
+
+def _char_inputs(bases: dict[str, str]) -> dict[str, str]:
+    """The character-level inputs of the bundled domains and of ``wide6``."""
+    corpus = {}
+    for b, name in enumerate(("soda", "soda_deterministic", "wide6")):
+        text = bases[name]
+        rng = random.Random(5000 + b)
+        crlf = text.replace("\n", "\r\n")
+        unterminated = text.rstrip("\n") + "\n# a comment on a last line with no newline"
+        corpus[f"{name}/crlf"] = crlf
+        corpus[f"{name}/tabs"] = text.replace("  ", "\t").replace(" ", "\t ")
+        corpus[f"{name}/unicode-ws"] = "".join(
+            rng.choice(_UNICODE_WS) if c == " " else c for c in text
+        )
+        corpus[f"{name}/last-line-comment"] = unterminated
+        corpus[f"{name}/last-line-comment-crlf"] = unterminated.replace("\n", "\r\n")
+        # the end of input inside a comment, after a CRLF line
+        corpus[f"{name}/crlf-cut"] = crlf[: crlf.rindex("}")] + "# cut\r\n\t"
+        for k in range(12 if name == "soda" else 8):
+            source = crlf if k % 3 == 2 else text
+            corpus[f"{name}/char{k:03d}"] = _char_mutate(source, random.Random(6000 + 100 * b + k))
+    soda = bases["soda"]
+    stray = {
+        "stray-minus": ("goal {", "- goal {"),
+        "stray-arrow-gap": ("outcome 0.95 -> S", "outcome 0.95 - > S"),
+        "stray-dot": ("prob 0.9", "prob .9"),
+        "stray-trailing-dot": ("prob 0.9", "prob 0.9."),
+        "stray-e": ("prob 0.9", "prob 0.9e"),
+        "stray-e-sign": ("prob 0.9", "prob 0.9e-"),
+        "stray-exponent": ("prob 0.9", "prob 9e-1"),
+        "stray-nonascii": ("param object", "param obj\u00e9ct"),
+        "stray-tab-column": ("goal {", "\t\t% goal {"),
+        "stray-after-comment": ("goal {", "# % -\r\n\xa0%goal {"),
+    }
+    for name, (old, new) in stray.items():
+        assert old in soda, name
+        corpus[f"soda/{name}"] = soda.replace(old, new, 1)
+    return corpus
 
 
 def _repeat_initial(text: str, value: str | None) -> str:
@@ -140,6 +210,7 @@ def inputs() -> dict[str, str]:
     for name, (old, new) in edits.items():
         assert old in soda, name
         corpus[f"soda/{name}"] = soda.replace(old, new)
+    corpus.update(_char_inputs(bases))
     return corpus
 
 

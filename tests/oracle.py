@@ -20,15 +20,20 @@ node of the tree, against which the compiled leaf walk of
 :func:`run_classic` ticks one run at a time with it, walking every tick and
 recording the run's latches and outcomes in a :class:`ClassicRun`; the
 memoised :class:`~bbt.classic.ClassicRuns` is checked against those runs.
+
+:func:`tokenize` is the reference for the domain tokenizer: a match per
+token and per whitespace run over the whole text, counting newlines, where
+:func:`bbt.domain._tokenize` scans line by line.
 """
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from bbt.errors import TickLimitExceeded, UnknownLiteral
+from bbt.errors import ParseError, TickLimitExceeded, UnknownLiteral
 from bbt.status import Status
 from bbt.tree import ActionNode, BTNode, Condition, Fallback, Sequence, Skipper
 
@@ -217,3 +222,45 @@ def assert_distributions_match(expected, actual, tol: float = 1e-12) -> None:
     for key in keys:
         delta = abs(expected.get(key, 0.0) - actual.get(key, 0.0))
         assert delta <= tol, f"mass mismatch {delta!r} on {key}"
+
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct>->|[{}(),;=])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "name" | "number" | "punct" | "eof"
+    text: str
+    line: int
+    col: int
+
+
+def tokenize(text: str) -> list[Token]:
+    tokens = []
+    line, line_start = 1, 0
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        kind = m.lastgroup
+        chunk = m.group()
+        if kind in ("ws", "comment"):
+            newlines = chunk.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + chunk.rindex("\n") + 1
+        else:
+            tokens.append(Token(kind, chunk, line, m.start() - line_start + 1))
+        pos = m.end()
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+    return tokens

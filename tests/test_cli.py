@@ -542,6 +542,26 @@ class TestTreeFile:
             assert code == 1, doc
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "children, message",
+        [
+            (..., "fallback node in tree file has no children"),
+            ([], "fallback node in tree file has no children"),
+            ({}, "fallback node children are not a JSON list: {}"),
+            (0, "fallback node children are not a JSON list: 0"),
+            ("", "fallback node children are not a JSON list: ''"),
+            (False, "fallback node children are not a JSON list: False"),
+            (None, "fallback node children are not a JSON list: None"),
+        ],
+    )
+    def test_missing_and_malformed_children_messages(self, soda_domain, children, message):
+        root = {"kind": "fallback"}
+        if children is not ...:
+            root["children"] = children
+        with pytest.raises(SemanticError) as err:
+            tree_from_doc({"format": 1, "root": root}, soda_domain)
+        assert str(err.value) == message
+
     def test_deep_tree_file_exits_1(self, soda_path, tmp_path):
         # 1100 levels: past the JSON decoder's recursion limit
         depth = 1100

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bbt.domain import (
     Assignment,
     ConditionSchema,
     DomainSpec,
+    _tokenize,
     ground,
     parse_domain,
 )
@@ -15,6 +18,7 @@ from bbt.tree import ActionNode, Fallback, Sequence
 from bbt.treefile import dumps_tree
 
 import frontend_corpus
+import oracle
 import randgen
 from helpers import serialize_domain
 
@@ -234,6 +238,56 @@ template c(obj) { pre { } body seq { tmpl b(obj) } }
         # located at the reference that closes the cycle, in c's body
         with pytest.raises(SemanticError, match=r"^6:38: template 'b' expands into itself$"):
             parse_domain(text)
+
+
+def _scan(tokenize, text: str):
+    """``tokenize``'s tokens as ``(kind, text, (line, col))``, or its error."""
+    try:
+        tokens = tokenize(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+    return [t if isinstance(t, tuple) else (t.kind, t.text, (t.line, t.col)) for t in tokens]
+
+
+# with the corpus's edit characters: the rest of the punctuation, a
+# non-ASCII digit, and words that join characters into tokens
+_SCAN_WORDS = (
+    "(", ")", ",", "=", "x_1", "\u0663", "->", "1.5", "2e-3", "0.9e", "1.e5", "prob",
+    "# c ", "#\rx", "\r\n",
+)
+
+
+class TestTokenizer:
+    @given(
+        st.lists(st.sampled_from(frontend_corpus._CHARS + _SCAN_WORDS), max_size=40).map(
+            "".join
+        )
+    )
+    def test_matches_reference_on_generated_text(self, text):
+        assert _scan(_tokenize, text) == _scan(oracle.tokenize, text)
+
+    def test_matches_reference_under_character_edits(self, soda_path, soda_det_path, wide_text):
+        bases = [
+            soda_path.read_text(encoding="utf-8"),
+            soda_det_path.read_text(encoding="utf-8"),
+            wide_text,
+        ]
+        for b, text in enumerate(bases):
+            crlf = text.replace("\n", "\r\n")
+            for k in range(120):
+                rng = random.Random(8000 + 1000 * b + k)
+                mutated = frontend_corpus._char_mutate(crlf if k % 4 == 3 else text, rng)
+                assert _scan(_tokenize, mutated) == _scan(oracle.tokenize, mutated), (b, k)
+
+    def test_positions_count_characters_and_only_newline_ends_a_line(self):
+        tokens = _tokenize("a\r\n\tb\x85c # d\r e\n\u2028f")
+        assert tokens == [
+            ("name", "a", (1, 1)),
+            ("name", "b", (2, 2)),
+            ("name", "c", (2, 4)),
+            ("name", "f", (3, 2)),
+            ("eof", "", (3, 3)),
+        ]
 
 
 class TestRoundTrip:
