@@ -278,8 +278,10 @@ class BeliefState:
         return sum(p for p, s in self.entries if s.r is Status.S)
 
     def debug_lines(self, tables: "TreeTables") -> list[str]:
-        """Canonical text dump, one ``p | literals | r | pending=-`` line per entry.
+        """Text dump, one ``p | literals | r | pending=-`` line per entry.
 
+        Lines follow the entries as given, so the dump of a coalesced belief,
+        such as :func:`~bbt.engine.simulate`'s terminal one, is canonical.
         The ``pending=-`` field is constant, since no state holds a pending
         action; it is kept so the text stays byte-stable.  An entry whose
         latch view is not empty gets a fifth field,
@@ -289,7 +291,7 @@ class BeliefState:
         does not depend on node ids.
         """
         lines = []
-        for p, s in self.coalesce().entries:
+        for p, s in self.entries:
             body = ",".join(f"{k}={v}" for k, v in zip(s.literals, s.values))
             line = f"{p!r} | {body} | r={s.r} | pending=-"
             if s.latches:

@@ -45,7 +45,9 @@ _LIMIT_ERRORS = (TickLimitExceeded, EntryLimitExceeded)
 
 def _load_domain(args) -> GroundedDomain:
     try:
-        text = Path(args.domain).read_text(encoding="utf-8")
+        # newline="" keeps every "\r", so positions match parse_domain's on the same text
+        with open(args.domain, encoding="utf-8", newline="") as file:
+            text = file.read()
     except UnicodeDecodeError:
         raise BbtError(f"{args.domain}: not UTF-8 text") from None
     return ground(parse_domain(text))

@@ -165,8 +165,9 @@ def _tokenize(text: str) -> list[Token]:
     """The tokens of ``text``, each a ``(kind, text, (line, col))`` tuple, then one ``eof``.
 
     Positions are 1-based and counted in characters.  Only ``"\\n"`` ends a
-    line, and a tab counts as one column.  The ``eof`` token, whose text is
-    empty, sits just past the last character of the last line.
+    line, a ``"\\r"`` is whitespace and a tab counts as one column, so a CRLF
+    text reports the positions of its LF copy.  The ``eof`` token, whose text
+    is empty, sits just past the last character of the last line.
     """
     tokens = []
     lines = text.split("\n")
@@ -655,7 +656,6 @@ class GroundedDomain:
             for t in spec.templates
             for binding in self._bindings(t.params, t.name)
         )
-        self.templates_by_id = {t.id: t for t in self.templates}
 
         # per literal, the resolvers with an outcome setting it to S and the
         # outcome mass that does, in resolvers() order

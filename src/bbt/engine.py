@@ -111,33 +111,34 @@ class Trail:
     The states a tick leaves also depend on which literals the tables hold
     frozen (:attr:`~bbt.tree.TreeTables.frozen`), wherever the edit sits: an
     outcome drops the latches of the children gated on a frozen literal it
-    sets.  So :meth:`cut` empties the trail when an edit since the last cut
-    changed the frozen literals, and the next run starts afresh.
+    sets.  So :meth:`cut` empties the trail when the frozen literals differ
+    from those of the last cut, and the next run starts afresh.  With one
+    edit per cut, as the planner makes them, that is every edit that
+    changed them.
 
     A trail is made for one tree and holds ``tables``, the
     :class:`~bbt.tree.TreeTables` of that tree, built here.  Every
     :func:`simulate` given the trail runs on them, so whoever edits the tree
     keeps them current (:meth:`TreeTables.splice`; the planner's edits do).
-    ``freezes`` is the tables' count of frozen-literal changes as of the
-    last cut.
+    ``frozen`` is the tables' set of frozen literals as of the last cut.
     """
 
-    __slots__ = ("points", "finished", "tables", "freezes")
+    __slots__ = ("points", "finished", "tables", "frozen")
 
     def __init__(self, tree: BTNode) -> None:
         self.points: list[tuple[int, int, BeliefState, int, float]] = []
         self.finished: list[Entry] = []
         self.tables = TreeTables(tree)
-        self.freezes = self.tables.freezes
+        self.frozen = self.tables.frozen
 
     def cut(self, rank: int) -> None:
         """Drop the points after that of the first tick reaching ``rank``.
 
-        Drops them all when an edit since the last cut changed the tables'
-        frozen literals.
+        Drops them all when the tables' frozen literals changed since the
+        last cut.
         """
-        if self.freezes != self.tables.freezes:
-            self.freezes = self.tables.freezes
+        if self.tables.frozen != self.frozen:
+            self.frozen = self.tables.frozen
             self.points.clear()
         # reaches strictly increase along the trail
         del self.points[bisect_left(self.points, rank, key=itemgetter(0)) + 1 :]
@@ -153,8 +154,8 @@ def belief_tick(
 
     Control nodes scan their children left to right: entries returning the
     node's continue status flow on to the next child, the rest are returned
-    to the parent.  Entries whose latch view has a foldable control node
-    latched return that status without a scan.  The result lists those
+    to the parent.  Entries whose latch view has the control node latched
+    return that status without a scan.  The result lists those
     entries, then every child's stopped entries in scan order, then whatever
     continued past the last child.  When ``node`` is the tables' root, its
     scan passes a child whose gate every entering entry reads at S: those
@@ -184,23 +185,23 @@ def belief_tick(
         reached = [node]
     entries = [(p, s, s.r, None, s.blame) for p, s in mem.entries]
     gates = tables.gates if node is tables.order[0] else None
-    return _tick(node, entries, tables.foldable, tables.depth, reached, gates)
+    return _tick(node, entries, tables.depth, reached, gates)
 
 
 def _tick(
     node: BTNode,
     entries: list[_Ticking],
-    foldable: set[int],
     depth: dict[int, int],
     reached: list[BTNode],
     gates: dict[int, Condition] | None = None,
 ) -> list[_Ticking]:
     """The recursion behind :func:`belief_tick`.
 
-    An action leaf replays its latch or returns R, and becomes the pending
-    action when none is; :func:`simulate` expands its outcomes before the
-    next root tick.  ``gates`` are the tables' gates when ``node`` is the
-    root, else ``None``: below the root every child is visited.
+    A node replays its latch for the entries that hold one.  An action leaf
+    returns R for the rest, and becomes the pending action when none is;
+    :func:`simulate` expands its outcomes before the next root tick.
+    ``gates`` are the tables' gates when ``node`` is the root, else
+    ``None``: below the root every child is visited.
     """
     reached[0] = node
     node_id = node.node_id
@@ -223,16 +224,10 @@ def _tick(
             else:
                 out.append((p, s, done, pending, blame))
         return out
-    if node_id in foldable:
-        rest = []
-        for entry in entries:
-            done = entry[1].latches.get(node_id)
-            if done is None:
-                rest.append(entry)
-            else:
-                p, s, _, pending, blame = entry
-                out.append((p, s, done, pending, blame))
-        entries = rest
+    for entry in entries:
+        if node_id in entry[1].latches:
+            entries = _replay(node_id, entries, out)
+            break
     go_on = node.continue_status
     for child in node.children:
         if not entries:
@@ -255,7 +250,7 @@ def _tick(
                             (p, s, go_on, pending, blame) for p, s, _, pending, blame in entries
                         ]
                     continue
-        result = _tick(child, entries, foldable, depth, reached)
+        result = _tick(child, entries, depth, reached)
         entries = []
         for entry in result:
             if entry[2] is go_on:
@@ -264,6 +259,22 @@ def _tick(
                 out.append(entry)
     out.extend(entries)
     return out
+
+
+def _replay(node_id: int, entries: list[_Ticking], out: list[_Ticking]) -> list[_Ticking]:
+    """Append to ``out`` the entries latched at ``node_id``, with that status; return the rest.
+
+    Both keep their order.
+    """
+    rest = []
+    for entry in entries:
+        done = entry[1].latches.get(node_id)
+        if done is None:
+            rest.append(entry)
+        else:
+            p, s, _, pending, blame = entry
+            out.append((p, s, done, pending, blame))
+    return rest
 
 
 def simulate(

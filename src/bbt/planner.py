@@ -241,15 +241,17 @@ def resolve_by_insert(
     observed: Status,
     resolver: Resolver,
     tables: TreeTables,
-    wrappers: dict[int, str] | None = None,
+    wrappers: dict[int, str],
 ) -> tuple[BTNode, int]:
     """Attach a latched resolver at the target condition.
 
     Unknown conditions get a Skipper wrapper, false ones a Fallback.  When
     the target already sits under a wrapper created for the same literal and
     kind, the new resolver is appended as its next child instead of nesting
-    another wrapper.  ``tables`` are those of ``tree``; the edit updates them
-    to describe the edited tree (:meth:`TreeTables.splice` of the wrapper).
+    another wrapper.  ``wrappers`` maps the id of each wrapper made so far to
+    its literal, and a new wrapper is entered there.  ``tables`` are those of
+    ``tree``; the edit updates them to describe the edited tree
+    (:meth:`TreeTables.splice` of the wrapper).
 
     Returns the root and the edit's rank: the target's rank in ``tables``
     before the edit.  Every tick that reaches the new resolver first visits
@@ -257,8 +259,6 @@ def resolve_by_insert(
     """
     wrapper_kind = Skipper if observed is Status.R else Fallback
     subtree = _resolver_subtree(resolver)
-    if wrappers is None:
-        wrappers = {}
     rank = tables.rank[target_node.node_id]
     parent = tables.parent.get(target_node.node_id)
     if (

@@ -5,8 +5,8 @@ one run and live with the executor (a per-run dict in :mod:`bbt.classic`,
 per-branch views in :class:`~bbt.belief.PhysicalState`), so the same tree
 can be executed or simulated any number of times without a reset.
 :class:`TreeTables` holds the tables of one pre-order walk: tick order,
-parents, depths, the nodes whose latches keep those per-branch views
-canonical and the gates at which a root tick passes a settled goal child.
+parents, depths and the gates at which a root tick passes a settled goal
+child.
 A planner edit updates them in place instead of a new walk.
 """
 
@@ -121,10 +121,7 @@ class TreeTables:
     ``order`` lists the nodes in tick order and ``rank`` maps a node id to
     its index there.  ``parent`` maps a node id to its parent node,
     ``depth`` to its edge distance from the root and ``top`` to the child
-    of the root that holds it (the root maps to itself).  ``foldable``
-    holds the ids of the control nodes that can ever carry a latch in a
-    canonical latch view: those whose leftmost leaf is an action, since a
-    condition is never settled by latches.
+    of the root that holds it (the root maps to itself).
 
     ``gates`` maps the id of a child of a Sequence root to its gate: the
     condition at the end of the child's leftmost path when every node on
@@ -142,8 +139,9 @@ class TreeTables:
     is ticked again, and :meth:`~bbt.belief.PhysicalState.resolved` drops
     their latches.  ``clobbered`` maps a root child's id to the literals
     its actions clobber, and ``loose`` a literal to the number of root
-    children that clobber it without being gated on it.  ``freezes``
-    counts the changes of ``frozen`` (see :class:`~bbt.engine.Trail`).
+    children that clobber it without being gated on it.  ``frozen`` is a
+    frozenset that each change replaces, so an earlier value can be kept
+    and compared (see :class:`~bbt.engine.Trail`).
 
     Tables are never cached on the tree.  A plain :func:`~bbt.engine.simulate`
     builds them and hands them on with its result (to the leaf program of
@@ -155,19 +153,17 @@ class TreeTables:
     """
 
     __slots__ = (
-        "order", "rank", "parent", "depth", "top", "foldable",
-        "gates", "gated", "clobbered", "loose", "frozen", "freezes",
+        "order", "rank", "parent", "depth", "top",
+        "gates", "gated", "clobbered", "loose", "frozen",
     )
 
     def __init__(self, tree: BTNode):
         self.parent: dict[int, BTNode] = {}
         self.depth: dict[int, int] = {}
         self.top: dict[int, BTNode] = {}
-        self.foldable: set[int] = set()
         self.order = self._walk(tree, None, 0)
         self.rank = {node.node_id: i for i, node in enumerate(self.order)}
-        self.frozen: set[str] = set()
-        self.freezes = 0
+        self.frozen: frozenset[str] = frozenset()
         self._file_all()
 
     def splice(self, old: BTNode, new: BTNode) -> None:
@@ -178,11 +174,10 @@ class TreeTables:
         its children added to or reordered, or a new node above ``old``, as
         the planner's edits leave them.  The block of ``old`` in ``order``
         becomes a pre-order walk of ``new``, which sets ``parent``,
-        ``depth``, ``top`` and ``foldable`` for the walked nodes; ``rank``
-        is renumbered from the block to the end, and ``foldable`` is
-        recomputed for the ancestors.  The gate tables are refiled for the
-        root child that holds ``new`` only, or for all of them when ``new``
-        is the root.
+        ``depth`` and ``top`` for the walked nodes, and ``rank`` is
+        renumbered from the block to the end.  The gate tables are refiled
+        for the root child that holds ``new`` only, or for all of them when
+        ``new`` is the root.
         """
         order, depth = self.order, self.depth
         start = self.rank[old.node_id]
@@ -200,18 +195,14 @@ class TreeTables:
             rank[order[i].node_id] = i
         if above is None:
             self._file_all()
-            return
-        while above is not None:
-            self._refold(above)
-            above = self.parent.get(above.node_id)
-        if filed:
+        elif filed:
             self._refreeze(touched | self._file(self.top[new.node_id], 1))
 
     def _walk(self, root: BTNode, parent: BTNode | None, level: int) -> list[BTNode]:
         """Pre-order walk of ``root``, placed under ``parent`` at depth ``level``.
 
-        Sets ``parent``, ``depth``, ``top`` and ``foldable`` for every
-        walked node and returns the walk.
+        Sets ``parent``, ``depth`` and ``top`` for every walked node and
+        returns the walk.
         """
         parents, depth, top = self.parent, self.depth, self.top
         if parent is None:
@@ -229,19 +220,7 @@ class TreeTables:
                 parents[child.node_id] = node
                 depth[child.node_id] = below
                 top[child.node_id] = child if below == 1 else held
-        # reversed pre-order visits every child before its parent
-        for node in reversed(block):
-            if node.children:
-                self._refold(node)
         return block
-
-    def _refold(self, node: BTNode) -> None:
-        """Recompute whether the control ``node`` is foldable from its first child."""
-        first = node.children[0]
-        if isinstance(first, ActionNode) or first.node_id in self.foldable:
-            self.foldable.add(node.node_id)
-        else:
-            self.foldable.discard(node.node_id)
 
     def _file(self, child: BTNode, step: int) -> set[str]:
         """Enter (``step`` 1) or withdraw (-1) ``child``, a Sequence root's, in the gate tables.
@@ -285,11 +264,10 @@ class TreeTables:
         self._refreeze(self.frozen | self.gated.keys())
 
     def _refreeze(self, literals: set[str]) -> None:
-        """Recompute which of ``literals`` are frozen; count a change in ``freezes``."""
+        """Recompute which of ``literals`` are frozen; a change replaces ``frozen``."""
         frozen = {lit for lit in literals if lit in self.gated and not self.loose.get(lit)}
         if frozen != self.frozen & literals:
             self.frozen = (self.frozen - literals) | frozen
-            self.freezes += 1
 
     def settle(self, latches: dict[int, Status], node_id: int) -> None:
         """Canonicalize ``latches`` in place after ``node_id`` latched.

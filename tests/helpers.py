@@ -8,7 +8,8 @@ the structural invariants of a tree.  ``assignment_of`` reads a physical
 state's statuses back as a literal-to-status ``dict``, and ``walk_leaves``
 runs the classic leaf walk on a state given as such a ``dict``.
 ``ended`` runs one belief tick that leaves no action pending and builds
-the states its entries end in, as ``simulate`` does.
+the states its entries end in, as ``simulate`` does.  ``template`` looks a
+grounded template up by its id.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ def ended(node: BTNode, belief: BeliefState, tables) -> BeliefState:
         assert pending is None
         out.append((p, s.ticked(r, blame)))
     return BeliefState(out)
+
+
+def template(domain, template_id: str):
+    """The grounded template of ``domain`` whose id is ``template_id``."""
+    (found,) = (t for t in domain.templates if t.id == template_id)
+    return found
 
 
 def walk_leaves(program, state: dict, latches: dict):

@@ -10,7 +10,7 @@ import pytest
 from bbt.cli import main
 from bbt.domain import ground, parse_domain
 from bbt.dot import to_dot
-from bbt.errors import SemanticError
+from bbt.errors import ParseError, SemanticError
 from bbt.planner import plan_request_from_domain, refine_tree
 from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper
 from bbt.treefile import dumps_tree, load_tree, save_tree, tree_from_doc
@@ -100,6 +100,35 @@ class TestPlan:
         assert code == 1
         err = capsys.readouterr().err
         assert "2:" in err
+
+    def test_lone_carriage_return_does_not_end_a_line(self, tmp_path, capsys):
+        # only "\n" ends a line, in the CLI as in parse_domain
+        text = "param p { a }\r%"
+        domain = tmp_path / "cr.bbt"
+        domain.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError) as raised:
+            parse_domain(text)
+        assert (raised.value.line, raised.value.col) == (1, 15)
+        code = main(["plan", "--domain", str(domain), "--out", str(tmp_path / "tree.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+    def test_crlf_file_reports_and_plans_as_its_lf_copy(self, tmp_path, soda_det_path, capsys):
+        good = soda_det_path.read_text(encoding="utf-8")
+        bad = good.replace("initial {", "initial % {", 1)
+
+        def plan(text, line_end):
+            path, out = tmp_path / "domain.bbt", tmp_path / "tree.json"
+            path.write_bytes(text.replace("\n", line_end).encode("utf-8"))
+            out.unlink(missing_ok=True)
+            code = main(["plan", "--domain", str(path), "--out", str(out)])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, out.exists() and out.read_bytes()
+
+        assert plan(good, "\r\n") == plan(good, "\n")
+        assert plan(bad, "\r\n") == plan(bad, "\n")
+        code, _, err, _ = plan(bad, "\n")
+        assert code == 1 and "unexpected character '%'" in err
 
     @pytest.mark.parametrize("prob", ["0", "-0.5", "1.5", "nan"])
     def test_prob_outside_unit_interval_exits_1(self, tmp_path, soda_det_path, capsys, prob):

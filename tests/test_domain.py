@@ -20,7 +20,7 @@ from bbt.treefile import dumps_tree
 import frontend_corpus
 import oracle
 import randgen
-from helpers import serialize_domain
+from helpers import serialize_domain, template
 
 S, F, R = Status.S, Status.F, Status.R
 
@@ -406,7 +406,7 @@ action grab(obj) {
 
 class TestTemplates:
     def test_find_instantiation_shape(self, soda_domain):
-        body = soda_domain.templates_by_id["find(soda)"].instantiate()
+        body = template(soda_domain, "find(soda)").instantiate()
         assert isinstance(body, Fallback)
         assert len(body.children) == 2
         for child, table in zip(body.children, ("table1", "table2")):
@@ -416,15 +416,15 @@ class TestTemplates:
             assert isinstance(det, ActionNode) and det.action.id == "detect(soda)"
 
     def test_instantiate_twice_is_latch_independent(self, soda_domain):
-        first = soda_domain.templates_by_id["find(soda)"].instantiate()
-        second = soda_domain.templates_by_id["find(soda)"].instantiate()
+        first = template(soda_domain, "find(soda)").instantiate()
+        second = template(soda_domain, "find(soda)").instantiate()
         assert dumps_tree(first) == dumps_tree(second)
         first_ids = {n.node_id for n in first.iter_nodes()}
         second_ids = {n.node_id for n in second.iter_nodes()}
         assert not first_ids & second_ids
 
     def test_instantiate_by_name_with_bindings(self, soda_domain):
-        tree = soda_domain.templates_by_id["find(sprayer)"].instantiate()
+        tree = template(soda_domain, "find(sprayer)").instantiate()
         actions = [n.action.id for n in tree.iter_nodes() if isinstance(n, ActionNode)]
         assert "detect(sprayer)" in actions
 
@@ -455,7 +455,7 @@ template search(obj) {
 }
 """
         grounded = ground(parse_domain(text))
-        tree = grounded.templates_by_id["search(ball)"].instantiate()
+        tree = template(grounded, "search(ball)").instantiate()
         assert isinstance(tree, Fallback)
         leaves = [n.action.id for n in tree.iter_nodes() if isinstance(n, ActionNode)]
         assert leaves == ["go(t1)", "look(ball)", "go(t2)", "look(ball)"]

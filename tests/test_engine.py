@@ -412,7 +412,7 @@ def plain_tick(root, mem, tables):
     """A root tick that scans every child: ``_tick`` without the root's gates."""
     reached = [root]
     entries = [(p, s, s.r, None, s.blame) for p, s in mem.entries]
-    result = engine._tick(root, entries, tables.foldable, tables.depth, reached)
+    result = engine._tick(root, entries, tables.depth, reached)
     return result, reached[0]
 
 
@@ -620,14 +620,16 @@ class TestCanonicalLatchViews:
         ((_, s),) = result.terminal.entries
         assert s.latches == {action.node_id: S}
 
-    def test_foldable_nodes(self):
-        leaf = ActionNode(sure("a"))
-        nested = Sequence([leaf, Condition("x")])
-        outer = Fallback([nested])
-        guarded = Skipper([Condition("x"), ActionNode(sure("b"))])
-        root = Sequence([guarded, outer])
-        tables = TreeTables(root)
-        assert tables.foldable == {nested.node_id, outer.node_id}
+    def test_latched_control_node_replays_its_latch(self):
+        # a hand-built view: no tick latches a node whose leftmost leaf is a
+        # condition, but a latched control node replays its status unscanned
+        inner = Fallback([Condition("x"), ActionNode(sure("a"))])
+        tree = Sequence([inner, Condition("y")])
+        start = state(latches={inner.node_id: S}, x="F", y="S")
+        result = simulate(tree, BeliefState.point(start))
+        ((p, s),) = result.terminal.entries
+        assert (p, s.r, result.ticks_used) == (1.0, S, 1)
+        assert s.value("x") is F  # a never ran
 
     def test_latch_views_stay_canonical(self):
         # the invariants that make folding a child's latches enough: no latch

@@ -37,7 +37,7 @@ from bbt.treefile import dumps_tree
 
 import oracle
 import randgen
-from helpers import assignment_of
+from helpers import assignment_of, template
 
 S, F, R = Status.S, Status.F, Status.R
 
@@ -274,7 +274,7 @@ class TestResolveByInsert:
         target = Condition("seen(soda)")
         tree = Sequence([target])
         detect = soda_domain.actions_by_id["detect(soda)"]
-        resolve_by_insert(tree, target, R, detect, TreeTables(tree))
+        resolve_by_insert(tree, target, R, detect, TreeTables(tree), {})
         wrapper = tree.children[0]
         assert isinstance(wrapper, Skipper)
         assert wrapper.children[0] is target
@@ -288,7 +288,7 @@ class TestResolveByInsert:
         target = Condition("luminousity_ok")
         tree = Sequence([target])
         light_on = soda_domain.actions_by_id["light_on"]
-        resolve_by_insert(tree, target, F, light_on, TreeTables(tree))
+        resolve_by_insert(tree, target, F, light_on, TreeTables(tree), {})
         wrapper = tree.children[0]
         assert isinstance(wrapper, Fallback)
         assert dumps_tree(wrapper.children[1]) == dumps_tree(Sequence([ActionNode(light_on)]))
@@ -296,7 +296,7 @@ class TestResolveByInsert:
     def test_repeat_insert_appends_to_existing_wrapper(self, soda_domain):
         target = Condition("seen(soda)")
         tree = Sequence([target])
-        find = soda_domain.templates_by_id["find(soda)"]
+        find = template(soda_domain, "find(soda)")
         wrappers = {}
         resolve_by_insert(tree, target, F, find, TreeTables(tree), wrappers)
         resolve_by_insert(tree, target, F, find, TreeTables(tree), wrappers)

@@ -49,7 +49,6 @@ def assert_tables_current(tables, tree):
     assert all(tables.parent[k] is node for k, node in fresh.parent.items())
     assert tables.rank == fresh.rank
     assert tables.depth == fresh.depth
-    assert tables.foldable == fresh.foldable
     assert tables.gates == fresh.gates  # conditions compare by identity
     assert tables.top.keys() == fresh.top.keys()
     assert all(tables.top[k] is node for k, node in fresh.top.items())
@@ -162,7 +161,7 @@ def plan_checked(monkeypatch, domain, prob=None):
     Returns the plan, the root ticks each round's simulation reused and the
     rounds whose edit changed the frozen literals, which empties the trail.
     """
-    rounds, freezes = [], []
+    rounds, frozen = [], []
 
     def checked(tree, initial, limits=None, **kwargs):
         trail = kwargs.get("trail")
@@ -173,13 +172,13 @@ def plan_checked(monkeypatch, domain, prob=None):
         result = engine.simulate(tree, initial, limits, **kwargs)
         assert fingerprint(result) == fingerprint(engine.simulate(tree, initial, limits))
         rounds.append(start)
-        freezes.append(trail.tables.freezes)
+        frozen.append(trail.tables.frozen)
         return result
 
     monkeypatch.setattr("bbt.planner.simulate", checked)
     plan = refine_tree(plan_request_from_domain(domain, target_probability=prob))
     assert len(rounds) == len(plan.log) + 1
-    emptied = sum(a != b for a, b in zip(freezes, freezes[1:]))
+    emptied = sum(a != b for a, b in zip(frozen, frozen[1:]))
     return plan, rounds, emptied
 
 
@@ -224,7 +223,7 @@ def test_unfreezing_edit_empties_the_trail():
     trail = Trail(tree)
     simulate(tree, belief, trail=trail)
     assert trail.tables.frozen == {"l", "g"}
-    tree, rank = resolve_by_insert(tree, g, F, z, trail.tables)
+    tree, rank = resolve_by_insert(tree, g, F, z, trail.tables, {})
     assert trail.tables.frozen == {"g"}
     trail.cut(rank)
     assert trail.points == []

@@ -204,7 +204,6 @@ class TestStructure:
         assert tables.order == nodes
         assert tables.depth[leaf.node_id] == 3000
         assert tables.parent[leaf.node_id].children == [leaf]
-        assert not tables.foldable
         validate_tree(tree)
         assert to_dot(tree).count("->") == 3000
 
