@@ -12,16 +12,10 @@ from .domain import DomainSpec, GroundedDomain, TemplateInstance, ground, parse_
 from .dot import to_dot
 from .engine import SimulationLimits, SimulationResult, simulate
 from .planner import (
-    FailedConditionReport,
     PlanRequest,
     PlanResult,
-    find_failed_condition,
-    initial_tree,
     plan_request_from_domain,
     refine_tree,
-    resolve_by_insert,
-    resolve_threat,
-    select_resolver,
 )
 from .rng import CounterRng, draw
 from .status import Status
@@ -46,7 +40,6 @@ __all__ = [
     "ControlNode",
     "CounterRng",
     "DomainSpec",
-    "FailedConditionReport",
     "Fallback",
     "GroundedDomain",
     "LeafProgram",
@@ -62,17 +55,12 @@ __all__ = [
     "TemplateInstance",
     "draw",
     "dumps_tree",
-    "find_failed_condition",
     "ground",
-    "initial_tree",
     "load_tree",
     "parse_domain",
     "plan_request_from_domain",
     "refine_tree",
-    "resolve_by_insert",
-    "resolve_threat",
     "save_tree",
-    "select_resolver",
     "simulate",
     "to_dot",
     "tree_from_doc",

@@ -16,6 +16,7 @@ its outcomes before the next one, so no state records it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -53,6 +54,7 @@ class Outcome:
 class ActionInstance:
     """A grounded action: preconditions plus a distribution over outcomes.
 
+    Each outcome probability is finite and at least 0, and they sum to 1.
     ``clobbers`` holds the literals some outcome sets to anything other than
     S.  It is derived from the outcomes, so it is left out of the
     constructor, equality, hashing and ``repr``.
@@ -64,6 +66,11 @@ class ActionInstance:
     clobbers: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for o in self.outcomes:
+            if not 0.0 <= o.probability < math.inf:
+                raise ValueError(
+                    f"outcome probability {o.probability!r} of {self.id!r} is not finite and >= 0"
+                )
         total = sum(o.probability for o in self.outcomes)
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"outcome probabilities of {self.id!r} sum to {total!r}, not 1")
@@ -233,7 +240,7 @@ class BeliefState:
     def __init__(self, entries: Iterable[tuple[float, PhysicalState]] = ()):
         entries = tuple(entries)
         for p, _ in entries:
-            if p <= 0.0:
+            if not p > 0.0:
                 raise ValueError(f"belief entry with non-positive probability {p!r}")
         self.entries = entries
 

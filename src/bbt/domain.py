@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
-from .belief import ActionInstance, BeliefState, Outcome, PhysicalState
+from .belief import PROB_TOL, ActionInstance, BeliefState, Outcome, PhysicalState
 from .errors import ParseError, SemanticError
 from .status import Status
 from .tree import ActionNode, BTNode, Condition, CONTROL_KINDS
@@ -753,7 +753,7 @@ class GroundedDomain:
             schema, schema.outcomes, binding, "an outcome of "
         )
         total = sum(o.probability for o in outcomes)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > PROB_TOL:
             # validation allows PROB_SUM_TOL; rescale so downstream mass checks hold
             outcomes = tuple(
                 Outcome(o.probability / total, o.postconditions, o.report) for o in outcomes

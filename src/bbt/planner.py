@@ -6,7 +6,9 @@ siblings (when an earlier action clobbers the target literal) or inserts a
 latched resolver under a Skipper (unknown value) or Fallback (false value).
 The loop stops once the success probability reaches the request's target.
 Each branch's simulation already charged its failure to one condition (the
-entry's ``blame``), so the pick reads the terminal entries and ticks nothing.
+entry's ``blame``), so the pick reads the terminal entries once and ticks
+nothing; it hands on the condition with the entries charged with it, which
+the resolver search scores candidates on.
 
 Every edit leaves the tree as it was before the edit's rank in tick order,
 and the edit sits at the goal frontier, so most of each round's run is the
@@ -64,21 +66,18 @@ class PlanRequest:
 
 @dataclass(frozen=True)
 class FailedConditionReport:
-    """The condition chosen for resolution, with its supporting evidence.
+    """The condition chosen for resolution, with the entries charged with it.
 
-    ``table`` lists, for every non-success terminal entry charged with a
-    condition, the entry index and that condition (node id, observed
-    status): the deepest, then leftmost, condition that returned non-S
-    during the entry's final root tick, as the tick recorded it in the
-    entry's ``blame``.  ``mass`` is the cumulative probability of the
-    entries that picked this target.
+    ``node`` is the condition and ``observed`` the status it returned;
+    ``supporting`` lists, in terminal order, the non-success terminal
+    entries whose final root tick charged that condition (the entry's
+    ``blame``: the deepest, then leftmost, condition that returned non-S)
+    and on which it observed that status.
     """
 
-    node_id: int
-    literal: str
+    node: Condition
     observed: Status
-    mass: float
-    table: tuple[tuple[int, int, Status], ...]
+    supporting: tuple[tuple[float, PhysicalState], ...]
 
 
 @dataclass(frozen=True)
@@ -116,51 +115,40 @@ def find_failed_condition(terminal: BeliefState, tables: TreeTables) -> FailedCo
     F or R during the entry's final root tick) is read off the entry, with
     the status it observed.  Across entries the (condition, observed status)
     pair with the highest cumulative mass wins.  Ties break toward greater
-    depth, then leftmost position, then literal.  ``tables`` are those the
-    terminal was simulated with.
+    depth, then leftmost position, then literal.  The report carries the
+    winning pair's entries.  ``tables`` are those the terminal was simulated
+    with.
     """
     if not len(terminal):
         raise NothingFailed("no terminal entries")
-    depths, order = tables.depth, tables.rank
-    table: list[tuple[int, int, Status]] = []
-    masses: dict[tuple[int, Status], float] = {}
-    nodes: dict[int, Condition] = {}
-    failed_entries = 0
-    for index, (p, state) in enumerate(terminal.entries):
-        if state.r is Status.S:
+    order, rank, depth = tables.order, tables.rank, tables.depth
+    masses: dict[tuple[Condition, Status], float] = {}
+    groups: dict[tuple[Condition, Status], list[tuple[float, PhysicalState]]] = {}
+    for entry in terminal.entries:
+        p, state = entry
+        if state.r is Status.S or state.blame is None:
             continue
-        failed_entries += 1
-        node_id = state.blame
-        if node_id is None:
-            continue
-        node = nodes[node_id] = tables.order[order[node_id]]
-        observed = state.value(node.literal)
-        table.append((index, node_id, observed))
-        masses[(node_id, observed)] = masses.get((node_id, observed), 0.0) + p
+        node = order[rank[state.blame]]
+        key = (node, state.value(node.literal))
+        masses[key] = masses.get(key, 0.0) + p
+        groups.setdefault(key, []).append(entry)
     if not masses:
         raise NothingFailed(
             "no failed condition to resolve"
-            if failed_entries
+            if any(state.r is not Status.S for _, state in terminal.entries)
             else "every terminal entry already succeeds"
         )
-    ranked = sorted(
-        masses.items(),
-        key=lambda item: (
-            -item[1],
-            -depths[item[0][0]],
-            order[item[0][0]],
-            nodes[item[0][0]].literal,
-            item[0][1],
+    node, observed = min(
+        masses,
+        key=lambda key: (
+            -masses[key],
+            -depth[key[0].node_id],
+            rank[key[0].node_id],
+            key[0].literal,
+            key[1],
         ),
     )
-    (node_id, observed), mass = ranked[0]
-    return FailedConditionReport(
-        node_id=node_id,
-        literal=nodes[node_id].literal,
-        observed=observed,
-        mass=mass,
-        table=tuple(table),
-    )
+    return FailedConditionReport(node, observed, tuple(groups[node, observed]))
 
 
 def _holds_or_resolvable(
@@ -179,23 +167,23 @@ def select_resolver(
     target: FailedConditionReport,
     domain: GroundedDomain,
     history: Mapping[str, int],
-    supporting: list[tuple[float, PhysicalState]],
 ) -> Resolver:
-    """Choose the action or template to establish the target literal.
+    """Choose the action or template to establish the target's literal.
 
     Candidates must have an outcome setting the literal to S; when the
     condition was observed unknown, only perception candidates (those whose
     preconditions require the literal to be R) qualify.  The score is the
-    outcome mass establishing the literal, times the fraction of the target's
-    failing mass where all candidate preconditions hold or can be made to
-    hold, decayed by 0.9 per previous use.  Only the literal's entry in the
-    domain's resolver index is scanned.
+    outcome mass establishing the literal, times the fraction of the
+    target's supporting mass where all candidate preconditions hold or can
+    be made to hold, decayed by 0.9 per previous use.  Only the literal's
+    entry in the domain's resolver index is scanned.
     """
+    literal, supporting = target.node.literal, target.supporting
     total = sum(p for p, _ in supporting)
     scored: list[tuple[float, str, Resolver]] = []
-    for candidate, gain in domain.establishing(target.literal):
+    for candidate, gain in domain.establishing(literal):
         if target.observed is Status.R and (
-            (target.literal, Status.R) not in candidate.preconditions
+            (literal, Status.R) not in candidate.preconditions
         ):
             continue
         if total > 0.0:
@@ -211,7 +199,7 @@ def select_resolver(
         if score > 0.0:
             scored.append((score, candidate.id, candidate))
     if not scored:
-        raise NoResolver(target.literal)
+        raise NoResolver(literal)
     scored.sort(key=lambda item: (-item[0], item[1]))
     return scored[0][2]
 
@@ -236,13 +224,12 @@ def _resolver_subtree(resolver: Resolver) -> Sequence:
 
 
 def resolve_by_insert(
-    tree: BTNode,
-    target_node: Condition,
+    target: Condition,
     observed: Status,
     resolver: Resolver,
     tables: TreeTables,
     wrappers: dict[int, str],
-) -> tuple[BTNode, int]:
+) -> int:
     """Attach a latched resolver at the target condition.
 
     Unknown conditions get a Skipper wrapper, false ones a Fallback.  When
@@ -250,33 +237,31 @@ def resolve_by_insert(
     kind, the new resolver is appended as its next child instead of nesting
     another wrapper.  ``wrappers`` maps the id of each wrapper made so far to
     its literal, and a new wrapper is entered there.  ``tables`` are those of
-    ``tree``; the edit updates them to describe the edited tree
-    (:meth:`TreeTables.splice` of the wrapper).
+    the target's tree; the edit updates them to describe the edited tree
+    (:meth:`TreeTables.splice` of the wrapper), so a wrapper that replaces
+    the root is the new ``tables.order[0]``.
 
-    Returns the root and the edit's rank: the target's rank in ``tables``
-    before the edit.  Every tick that reaches the new resolver first visits
-    the target.
+    Returns the edit's rank: the target's rank in ``tables`` before the
+    edit.  Every tick that reaches the new resolver first visits the target.
     """
     wrapper_kind = Skipper if observed is Status.R else Fallback
     subtree = _resolver_subtree(resolver)
-    rank = tables.rank[target_node.node_id]
-    parent = tables.parent.get(target_node.node_id)
+    rank = tables.rank[target.node_id]
+    parent = tables.parent.get(target.node_id)
     if (
         parent is not None
         and isinstance(parent, wrapper_kind)
-        and wrappers.get(parent.node_id) == target_node.literal
+        and wrappers.get(parent.node_id) == target.literal
     ):
         parent.children.append(subtree)
         tables.splice(parent, parent)
-        return tree, rank
-    wrapper = wrapper_kind([target_node, subtree])
-    wrappers[wrapper.node_id] = target_node.literal
-    if parent is None:
-        tree = wrapper
-    else:
-        parent.children[parent.children.index(target_node)] = wrapper
-    tables.splice(target_node, wrapper)
-    return tree, rank
+        return rank
+    wrapper = wrapper_kind([target, subtree])
+    wrappers[wrapper.node_id] = target.literal
+    if parent is not None:
+        parent.children[parent.children.index(target)] = wrapper
+    tables.splice(target, wrapper)
+    return rank
 
 
 def find_threat(tables: TreeTables, target_node: Condition, literal: str) -> ActionNode | None:
@@ -292,30 +277,27 @@ def find_threat(tables: TreeTables, target_node: Condition, literal: str) -> Act
     return None
 
 
-def resolve_threat(
-    tree: BTNode, target_node: Condition, conflict: ActionNode, tables: TreeTables
-) -> tuple[BTNode, int]:
+def resolve_threat(target: Condition, conflict: ActionNode, tables: TreeTables) -> int:
     """Reorder siblings so the target precedes the conflicting action.
 
     Within the lowest common ancestor of the two nodes, the child subtree
     holding the target moves to just before the child holding the conflict;
-    every other relative order is preserved.  ``tables`` are those of
-    ``tree``; the edit updates them to describe the edited tree
+    every other relative order is preserved.  ``tables`` are those of the
+    two nodes' tree; the edit updates them to describe the edited tree
     (:meth:`TreeTables.splice` of the common ancestor).
 
-    Returns the root and the edit's rank: the rank in ``tables``, before
-    the edit, of the earlier of the two moved children (the conflict's, when
-    the conflict comes first in tick order, as :func:`find_threat` finds
-    it).
+    Returns the edit's rank: the rank in ``tables``, before the edit, of
+    the earlier of the two moved children (the conflict's, when the
+    conflict comes first in tick order, as :func:`find_threat` finds it).
     """
     parents, depth = tables.parent, tables.depth
-    if target_node.node_id not in depth or conflict.node_id not in depth:
+    if target.node_id not in depth or conflict.node_id not in depth:
         raise UnresolvableThreat(
-            f"cannot reorder {conflict.action.id!r} behind {target_node.literal!r}"
+            f"cannot reorder {conflict.action.id!r} behind {target.literal!r}"
         )
     # climb the deeper node to the other's depth, then both until they share
     # a parent: the lowest common ancestor
-    target_child, conflict_child = target_node, conflict
+    target_child, conflict_child = target, conflict
     while depth[target_child.node_id] > depth[conflict_child.node_id]:
         target_child = parents[target_child.node_id]
     while depth[conflict_child.node_id] > depth[target_child.node_id]:
@@ -330,11 +312,17 @@ def resolve_threat(
     children.remove(target_child)
     children.insert(children.index(conflict_child), target_child)
     tables.splice(lca, lca)
-    return tree, edit_rank
+    return edit_rank
 
 
 def refine_tree(request: PlanRequest) -> PlanResult:
     """Run the synthesis loop until the target probability is reached.
+
+    Each round reports the target condition with its supporting entries
+    (:func:`find_failed_condition`), edits the tree in place at it, which
+    keeps the trail's tables current and returns the edit's rank, and
+    resumes the simulation from the trail cut there.  The root is the
+    initial goal Sequence throughout.
 
     Raises :class:`NoResolver`, :class:`NothingFailed` or
     :class:`IterationLimit` when the goal is unreachable within budget;
@@ -346,7 +334,7 @@ def refine_tree(request: PlanRequest) -> PlanResult:
     for literal, _ in domain.goal:
         if literal not in domain.allowed_values:
             raise UnknownLiteral(literal)
-    tree: BTNode = initial_tree([literal for literal, _ in domain.goal])
+    tree = initial_tree([literal for literal, _ in domain.goal])
     wrappers: dict[int, str] = {}
     history: dict[str, int] = {}
     log: list[IterationRecord] = []
@@ -367,29 +355,20 @@ def refine_tree(request: PlanRequest) -> PlanResult:
                     f"{exc}; mass {result.pruned_mass:.6f} was pruned unresolved"
                 ) from None
             raise
-        tables = result.tables
-        target_node = tables.order[tables.rank[report.node_id]]
-        assert isinstance(target_node, Condition)
-        conflict = find_threat(tables, target_node, report.literal)
+        target, tables = report.node, trail.tables
+        conflict = find_threat(tables, target, target.literal)
         if conflict is not None:
-            tree, edit_rank = resolve_threat(tree, target_node, conflict, tables)
+            edit_rank = resolve_threat(target, conflict, tables)
             kind = "threat-reorder"
         else:
-            supporting = [
-                result.terminal.entries[index]
-                for index, node_id, observed in report.table
-                if node_id == report.node_id and observed is report.observed
-            ]
-            resolver = select_resolver(report, domain, history, supporting)
-            tree, edit_rank = resolve_by_insert(
-                tree, target_node, report.observed, resolver, tables, wrappers
-            )
+            resolver = select_resolver(report, domain, history)
+            edit_rank = resolve_by_insert(target, report.observed, resolver, tables, wrappers)
             history[resolver.id] = history.get(resolver.id, 0) + 1
             kind = "insert"
         trail.cut(edit_rank)
         result = simulate(tree, initial, request.limits, trail=trail)
         probability = result.terminal.success_probability()
-        log.append(IterationRecord(iteration, kind, report.literal, probability))
+        log.append(IterationRecord(iteration, kind, target.literal, probability))
     return PlanResult(tree=tree, achieved=probability, log=tuple(log))
 
 

@@ -9,7 +9,8 @@ only tests call belongs in the tests.
 
 Likewise every name a program module imports is read in that module, so a
 deletion leaves no import behind.  The package's ``__init__.py`` imports to
-re-export and is not checked.
+re-export and is not checked; its ``__all__`` lists exactly the names it
+imports, each of which resolves.
 """
 
 import ast
@@ -127,3 +128,13 @@ def test_no_module_imports_a_name_it_never_reads():
 def test_allowlist_names_definitions():
     names = {top for path in PACKAGE.glob("*.py") for top, _, _ in _definitions(_parse(path))}
     assert set(ALLOWED) <= names
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    import bbt
+
+    imported = [name for name, _ in _imported(_parse(PACKAGE / "__init__.py"))]
+    assert len(bbt.__all__) == len(set(bbt.__all__))
+    assert set(bbt.__all__) == set(imported)
+    for name in bbt.__all__:
+        assert getattr(bbt, name).__module__.startswith("bbt."), name

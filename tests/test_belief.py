@@ -341,3 +341,24 @@ class TestPruneAndDebug:
     def test_rejects_non_positive_probability(self):
         with pytest.raises(ValueError):
             BeliefState([(0.0, state(a="S"))])
+
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError):
+            BeliefState([(float("nan"), state(a="S"))])
+
+
+class TestActionInstance:
+    @pytest.mark.parametrize(
+        "probabilities",
+        [(float("nan"), 0.5), (1.5, -0.5), (float("inf"), float("-inf"))],
+    )
+    def test_rejects_outcome_probability_outside_zero_to_inf(self, probabilities):
+        # each sums to 1 or to NaN, which the sum check alone let through
+        outcomes = tuple(Outcome(p, (("a", S),), S) for p in probabilities)
+        with pytest.raises(ValueError, match="is not finite and >= 0"):
+            ActionInstance("bad", (), outcomes)
+
+    def test_zero_probability_outcome_is_accepted(self):
+        action = ActionInstance("sure", (), (Outcome(1.0, (("a", S),), S), Outcome(0.0, (), F)))
+        terminal = simulate(ActionNode(action), BeliefState.point(state(a="F"))).terminal
+        assert terminal.mass == 1.0

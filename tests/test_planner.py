@@ -100,10 +100,10 @@ class TestFindFailedCondition:
             BeliefState([(0.6, state(r=F, a="F", b="S")), (0.4, state(r=F, a="S", b="F"))]),
         )
         report = find_failed_condition(result.terminal, result.tables)
-        assert report.literal == "a"
+        assert report.node.literal == "a"
         assert report.observed is F
-        assert report.mass == pytest.approx(0.6)
-        assert len(report.table) == 2
+        assert sum(p for p, _ in report.supporting) == pytest.approx(0.6)
+        assert len(report.supporting) == 1  # the entry charged with b is not the target's
 
     def test_deeper_condition_wins_at_equal_mass(self):
         deep = Condition("q")
@@ -119,13 +119,13 @@ class TestFindFailedCondition:
         )
         result = simulate(tree, initial)
         report = find_failed_condition(result.terminal, result.tables)
-        assert report.node_id == deep.node_id
+        assert report.node is deep
 
     def test_running_condition_counts_as_failed(self):
         tree = Sequence([Condition("seen")])
         report = find_failed_condition(terminal_of(tree, seen="R"), TreeTables(tree))
         assert report.observed is R
-        assert report.mass == pytest.approx(1.0)
+        assert sum(p for p, _ in report.supporting) == pytest.approx(1.0)
 
     def test_nothing_failed_when_all_succeed(self):
         tree = Sequence([Condition("a")])
@@ -145,13 +145,13 @@ class TestFindFailedCondition:
         terminal = result.terminal
         report = find_failed_condition(terminal, result.tables)
         from_table = sum(
-            terminal.entries[index][0]
-            for index, node_id, observed in report.table
-            if node_id == report.node_id and observed is report.observed
+            p
+            for p, s in terminal.entries
+            if s.blame == report.node.node_id and s.value(report.node.literal) is report.observed
         )
-        assert report.mass == pytest.approx(from_table, abs=1e-12)
-        assert report.literal == "a"
-        assert report.mass == pytest.approx(0.6, abs=1e-12)
+        assert sum(p for p, _ in report.supporting) == pytest.approx(from_table, abs=1e-12)
+        assert report.node.literal == "a"
+        assert sum(p for p, _ in report.supporting) == pytest.approx(0.6, abs=1e-12)
 
     def test_only_final_tick_conditions_charged(self, soda_det_domain):
         # mirror of the second refinement round: everything fails at the
@@ -163,9 +163,9 @@ class TestFindFailedCondition:
         )
         terminal = simulate(tree, soda_det_domain.initial_belief()).terminal
         report = find_failed_condition(terminal, TreeTables(tree))
-        assert report.node_id == guard.node_id
+        assert report.node is guard
         assert report.observed is F
-        assert report.mass == pytest.approx(1.0)
+        assert sum(p for p, _ in report.supporting) == pytest.approx(1.0)
 
     def test_no_terminal_entries(self):
         tree = Sequence([Condition("a")])
@@ -186,35 +186,56 @@ class TestFindFailedCondition:
         assert entry.latches == {inner.node_id: F}
         assert entry.r is F
         report = find_failed_condition(terminal, TreeTables(tree))
-        assert report.node_id == goal.node_id
+        assert report.node is goal
         assert report.observed is F
-        assert report.mass == pytest.approx(1.0)
-        assert report.table == ((0, goal.node_id, F),)
+        assert sum(p for p, _ in report.supporting) == pytest.approx(1.0)
+        assert report.supporting == terminal.entries
+
+
+    def test_supporting_entries_are_the_targets_in_terminal_order(self):
+        a = Condition("a")
+        tree = Sequence([a, Condition("b")])
+        initial = BeliefState(
+            [
+                (0.2, state(r=F, a="F", b="S")),
+                (0.1, state(r=F, a="R", b="S")),
+                (0.3, state(r=F, a="F", b="F")),
+                (0.15, state(r=F, a="S", b="F")),
+                (0.05, state(r=F, a="F", b="R")),
+                (0.2, state(r=F, a="S", b="S")),
+            ]
+        )
+        terminal = simulate(tree, initial).terminal
+        report = find_failed_condition(terminal, TreeTables(tree))
+        assert (report.node, report.observed) == (a, F)
+        charged = tuple(
+            (p, s) for p, s in terminal.entries if s.blame == a.node_id and s.value("a") is F
+        )
+        assert len(charged) == 3
+        assert report.supporting == charged
+        # the other failing entries were charged with (a, R) and (b, F)
+        assert len([s for _, s in terminal.entries if s.r is not S]) == 5
 
 
 class TestSelectResolver:
-    def _report(self, literal, observed, node_id=0):
-        return FailedConditionReport(node_id, literal, observed, 1.0, ())
+    def _report(self, literal, observed, supporting):
+        return FailedConditionReport(Condition(literal), observed, tuple(supporting))
 
     def test_unknown_target_needs_perception(self, soda_domain):
         support = [(1.0, soda_domain.initial_belief().entries[0][1])]
-        resolver = select_resolver(
-            self._report("seen(soda)", R), soda_domain, {}, support
-        )
+        resolver = select_resolver(self._report("seen(soda)", R, support), soda_domain, {})
         assert resolver.id == "detect(soda)"
 
     def test_false_luminousity_resolved_by_light_on(self, soda_domain):
         support = [(1.0, soda_domain.initial_belief().entries[0][1])]
-        resolver = select_resolver(
-            self._report("luminousity_ok", F), soda_domain, {}, support
-        )
+        resolver = select_resolver(self._report("luminousity_ok", F, support), soda_domain, {})
         assert resolver.id == "light_on"
 
     def test_false_seen_resolved_by_find(self, soda_domain):
         initial = soda_domain.initial_belief().entries[0][1]
         failing = PhysicalState({**assignment_of(initial), "seen(soda)": F})
         resolver = select_resolver(
-            self._report("seen(soda)", F), soda_domain, {}, [(1.0, failing)]
+            self._report("seen(soda)", F, [(1.0, failing)]), soda_domain, {}
         )
         assert resolver.id == "find(soda)"
 
@@ -234,9 +255,7 @@ action weak {
 """
         domain = ground(parse_domain(text))
         failing = PhysicalState({"seen": F})
-        resolver = select_resolver(
-            self._report("seen", F), domain, {}, [(1.0, failing)]
-        )
+        resolver = select_resolver(self._report("seen", F, [(1.0, failing)]), domain, {})
         assert resolver.id == "strong"
 
     def test_history_penalty_breaks_near_ties(self):
@@ -255,17 +274,15 @@ action second {
 """
         domain = ground(parse_domain(text))
         failing = PhysicalState({"seen": F})
-        fresh = select_resolver(self._report("seen", F), domain, {}, [(1.0, failing)])
+        fresh = select_resolver(self._report("seen", F, [(1.0, failing)]), domain, {})
         assert fresh.id == "first"  # id tie-break
-        after = select_resolver(
-            self._report("seen", F), domain, {"first": 1}, [(1.0, failing)]
-        )
+        after = select_resolver(self._report("seen", F, [(1.0, failing)]), domain, {"first": 1})
         assert after.id == "second"  # 0.9 penalty demotes the used one
 
     def test_no_resolver_names_literal(self, soda_domain):
         support = [(1.0, soda_domain.initial_belief().entries[0][1])]
         with pytest.raises(NoResolver) as err:
-            select_resolver(self._report("at(table1)", R), soda_domain, {}, support)
+            select_resolver(self._report("at(table1)", R, support), soda_domain, {})
         assert err.value.literal == "at(table1)"
 
 
@@ -274,7 +291,7 @@ class TestResolveByInsert:
         target = Condition("seen(soda)")
         tree = Sequence([target])
         detect = soda_domain.actions_by_id["detect(soda)"]
-        resolve_by_insert(tree, target, R, detect, TreeTables(tree), {})
+        resolve_by_insert(target, R, detect, TreeTables(tree), {})
         wrapper = tree.children[0]
         assert isinstance(wrapper, Skipper)
         assert wrapper.children[0] is target
@@ -288,7 +305,7 @@ class TestResolveByInsert:
         target = Condition("luminousity_ok")
         tree = Sequence([target])
         light_on = soda_domain.actions_by_id["light_on"]
-        resolve_by_insert(tree, target, F, light_on, TreeTables(tree), {})
+        resolve_by_insert(target, F, light_on, TreeTables(tree), {})
         wrapper = tree.children[0]
         assert isinstance(wrapper, Fallback)
         assert dumps_tree(wrapper.children[1]) == dumps_tree(Sequence([ActionNode(light_on)]))
@@ -298,12 +315,22 @@ class TestResolveByInsert:
         tree = Sequence([target])
         find = template(soda_domain, "find(soda)")
         wrappers = {}
-        resolve_by_insert(tree, target, F, find, TreeTables(tree), wrappers)
-        resolve_by_insert(tree, target, F, find, TreeTables(tree), wrappers)
+        resolve_by_insert(target, F, find, TreeTables(tree), wrappers)
+        resolve_by_insert(target, F, find, TreeTables(tree), wrappers)
         wrapper = tree.children[0]
         assert isinstance(wrapper, Fallback)
         assert len(wrapper.children) == 3  # condition + two resolver subtrees
         assert dumps_tree(wrapper.children[1]) == dumps_tree(wrapper.children[2])
+
+
+    def test_wrapping_a_bare_root_leaves_the_wrapper_first(self, soda_domain):
+        target = Condition("luminousity_ok")
+        tables = TreeTables(target)
+        light_on = soda_domain.actions_by_id["light_on"]
+        assert resolve_by_insert(target, F, light_on, tables, {}) == 0
+        root = tables.order[0]
+        assert isinstance(root, Fallback) and root.children[0] is target
+        assert tables.order == TreeTables(root).order
 
 
 class TestThreats:
@@ -314,7 +341,7 @@ class TestThreats:
         tree = Sequence([Fallback([Condition("a"), Sequence([make_a])]), target])
         conflict = find_threat(TreeTables(tree), target, "b")
         assert conflict is make_a
-        resolve_threat(tree, target, conflict, TreeTables(tree))
+        resolve_threat(target, conflict, TreeTables(tree))
         assert tree.children[0] is target
 
     def test_no_conflict_means_no_threat(self):
@@ -358,7 +385,7 @@ class TestThreats:
         target = Condition("b")
         tree = Sequence([target, Condition("a")])
         with pytest.raises(UnresolvableThreat):
-            resolve_threat(tree, target, make_a, TreeTables(tree))
+            resolve_threat(target, make_a, TreeTables(tree))
 
     def test_unresolvable_threat_when_target_not_in_tree(self):
         domain = ground(parse_domain(CONFLICT_DOMAIN))
@@ -366,7 +393,7 @@ class TestThreats:
         target = Condition("b")  # not attached to tree
         tree = Sequence([Sequence([make_a]), Condition("a")])
         with pytest.raises(UnresolvableThreat):
-            resolve_threat(tree, target, make_a, TreeTables(tree))
+            resolve_threat(target, make_a, TreeTables(tree))
 
     def test_reorder_matches_the_ancestor_chains(self):
         # the lowest common ancestor as resolve_threat found it before it
@@ -410,7 +437,7 @@ class TestThreats:
                     tables = TreeTables(tree)
                     lca, children, rank = reference(tables, target, conflict)
                     before = list(lca.children)
-                    assert resolve_threat(tree, target, conflict, tables) == (tree, rank)
+                    assert resolve_threat(target, conflict, tables) == rank
                     assert lca.children == children
                     lca.children[:] = before
                     pairs += 1
@@ -425,7 +452,7 @@ class TestThreats:
         target = Condition("b")
         target_child = Fallback([target, Sequence([Condition("a")])])
         tree = Sequence([conflict_child, bystander, target_child])
-        resolve_threat(tree, target, make_a, TreeTables(tree))
+        resolve_threat(target, make_a, TreeTables(tree))
         assert tree.children == [target_child, conflict_child, bystander]
 
 

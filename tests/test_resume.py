@@ -58,13 +58,13 @@ def assert_tables_current(tables, tree):
     assert tables.frozen == fresh.frozen
 
 
-def random_edit(rng, tree, tables, literals, actions, wrappers):
-    """One random planner edit of ``tree``: an insert or a sibling reorder.
+def random_edit(rng, tables, literals, actions, wrappers):
+    """One random planner edit of the tree of ``tables``: an insert or a reorder.
 
     One insert in five, when a literal is frozen, is of an action that
     clobbers it outside the root children gated on it, which unfreezes it.
-    Returns the new root and the edit's rank, or None when the tree has no
-    place for the edit drawn.
+    Returns the edit's rank, or None when the tree has no place for the
+    edit drawn; the edited root is ``tables.order[0]``.
     """
     conditions = [n for n in tables.order if isinstance(n, Condition)]
     if not conditions:
@@ -74,7 +74,7 @@ def random_edit(rng, tree, tables, literals, actions, wrappers):
         in_tree = [n for n in tables.order if isinstance(n, ActionNode)]
         if not in_tree:
             return None
-        return resolve_threat(tree, target, rng.choice(in_tree), tables)
+        return resolve_threat(target, rng.choice(in_tree), tables)
     action = rng.choice(actions)
     if tables.frozen and rng.random() < 0.2:
         literal = rng.choice(sorted(tables.frozen))
@@ -88,7 +88,7 @@ def random_edit(rng, tree, tables, literals, actions, wrappers):
         guard = (rng.choice(literals), Status.S)
         action = ActionInstance(action.id, (guard,), action.outcomes)
     observed = rng.choice((Status.F, Status.R))
-    return resolve_by_insert(tree, target, observed, action, tables, wrappers)
+    return resolve_by_insert(target, observed, action, tables, wrappers)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
@@ -127,10 +127,10 @@ def edit_and_resume(rng, epsilon, make_tree):
         assert fingerprint(result) == fingerprint(simulate(tree, belief, limits))
         wrappers: dict[int, str] = {}
         for _ in range(rng.randint(1, 4)):
-            edit = random_edit(rng, tree, result.tables, literals, actions, wrappers)
-            if edit is None:
+            rank = random_edit(rng, result.tables, literals, actions, wrappers)
+            if rank is None:
                 break
-            tree, rank = edit
+            tree = trail.tables.order[0]
             assert trail.tables is result.tables
             assert_tables_current(trail.tables, tree)
             held = bool(trail.points)
@@ -223,7 +223,7 @@ def test_unfreezing_edit_empties_the_trail():
     trail = Trail(tree)
     simulate(tree, belief, trail=trail)
     assert trail.tables.frozen == {"l", "g"}
-    tree, rank = resolve_by_insert(tree, g, F, z, trail.tables, {})
+    rank = resolve_by_insert(g, F, z, trail.tables, {})
     assert trail.tables.frozen == {"g"}
     trail.cut(rank)
     assert trail.points == []
