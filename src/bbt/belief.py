@@ -8,10 +8,10 @@ postconditions are written, into a caller-owned list laid out by a
 literal-to-position index.  :meth:`PhysicalState.resolved` copies a
 state's statuses into such a list and applies one outcome;
 :meth:`PhysicalState.ticked` builds the state an entry that ends a root
-tick settles in (a new return status or blame), sharing the statuses and
-the latch view with the state it comes from.  A state holds only what
-outlasts a root tick: the action a tick leaves pending is expanded into
-its outcomes before the next one, so no state records it.
+tick settles in, sharing the statuses and the latch view with the state
+it comes from.  A state holds only what outlasts a root tick: the action
+a tick leaves pending is expanded into its outcomes before the next one,
+so no state records it.
 """
 
 from __future__ import annotations
@@ -105,35 +105,32 @@ class PhysicalState:
     entry it names the condition the planner resolves.  It is not part of
     the key: two terminal entries with equal keys ran the same final tick.
 
-    The constructor sorts the literals once and maps each to its position
-    in ``index``.  An outcome writes only literals the state already holds,
-    so every state derived from a constructed one shares ``literals`` and
-    ``index``.
+    The constructor builds an initial state: it returns R, holds no
+    latches and has no blame.  It sorts the literals once and maps each to
+    its position in ``index``.  An outcome writes only literals the state
+    already holds, so every state derived from a constructed one shares
+    ``literals`` and ``index``.
     ``key``, the canonical sort and equality key, is ``(literals, values,
     r, latches)``: over one literal set it orders states by their statuses
     in literal order, and states over different literal sets never compare
     equal.  A root tick makes one state per outcome of an entry's pending
-    action, with :meth:`resolved`, or one for an entry that ends, with
-    :meth:`ticked`, and none for an entry that ends unchanged; both methods
-    build their states around a ready key, through one private constructor.
+    action, with :meth:`resolved`, and one per entry that ends, with
+    :meth:`ticked`; both methods build their states around a ready key,
+    through one private constructor.  Every state is hashed when its
+    belief is coalesced, so each hashes its key once, when it is built.
     """
 
     __slots__ = ("literals", "values", "r", "latches", "blame", "index", "key", "_hash")
 
-    def __init__(
-        self,
-        assignment: Mapping[str, Status],
-        r: Status = Status.R,
-        latches: Mapping[int, Status] | None = None,
-    ):
+    def __init__(self, assignment: Mapping[str, Status]):
         self.literals = tuple(sorted(assignment))
         self.values = tuple(assignment[literal] for literal in self.literals)
-        self.r = r
-        self.latches = dict(latches) if latches else {}
+        self.r = Status.R
+        self.latches: dict[int, Status] = {}
         self.blame: int | None = None
         self.index = {literal: i for i, literal in enumerate(self.literals)}
-        self.key = (self.literals, self.values, r, tuple(sorted(self.latches.items())))
-        self._hash = None
+        self.key = (self.literals, self.values, Status.R, ())
+        self._hash = hash(self.key)
 
     def value(self, literal: str) -> Status:
         try:
@@ -144,12 +141,9 @@ class PhysicalState:
     def ticked(self, r: Status, blame: int | None) -> "PhysicalState":
         """This state as a root tick that ends it leaves it: returning ``r``, with ``blame``.
 
-        Returns the state itself when neither changed.  Otherwise the result
-        shares the statuses, the latch view and its sorted key part, which
-        are never written after construction.
+        The result is a new state; it shares the statuses, the latch view
+        and its sorted key part, which are never written after construction.
         """
-        if r is self.r and blame == self.blame:
-            return self
         literals, values, _, latch_key = self.key
         return self._derived(self.latches, (literals, values, r, latch_key), blame)
 
@@ -207,7 +201,7 @@ class PhysicalState:
         state.blame = blame
         state.index = self.index
         state.key = key
-        state._hash = None
+        state._hash = hash(key)
         return state
 
     def __eq__(self, other) -> bool:
@@ -216,10 +210,6 @@ class PhysicalState:
         return self.key == other.key
 
     def __hash__(self) -> int:
-        # computed on first use: most states a tick makes are never hashed,
-        # and hashing the key calls Status.__hash__ once per literal
-        if self._hash is None:
-            self._hash = hash(self.key)
         return self._hash
 
     def __repr__(self) -> str:
@@ -245,8 +235,8 @@ class BeliefState:
         self.entries = entries
 
     @classmethod
-    def point(cls, state: PhysicalState, probability: float = 1.0) -> "BeliefState":
-        return cls([(probability, state)])
+    def point(cls, state: PhysicalState) -> "BeliefState":
+        return cls([(1.0, state)])
 
     @property
     def mass(self) -> float:

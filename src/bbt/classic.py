@@ -286,21 +286,20 @@ class ClassicRuns:
         """The unlinked step of ``action_node`` whose outcomes no run has walked.
 
         Its children are a tuple, so nothing can be memoised under it; a run
-        that has left a full trie goes on through these shared steps.
+        that has left a full trie goes on through these shared steps.  Its
+        thresholds are plain running sums of the outcome masses: no outcome
+        probability is negative (:class:`~bbt.belief.ActionInstance`), and
+        adding p >= 0 never lowers a double, so they are sorted for bisect.
         """
         fresh = self._fresh.get(action_node.node_id)
         if fresh is None:
             outcomes = action_node.action.outcomes
             thresholds = None
             if len(outcomes) > 1:
-                # cumulative outcome masses; their running maximum from 0
-                # is sorted for bisect and, as draws are in [0, 1), exceeds
-                # a draw first where the sums do
-                acc, top, thresholds = 0.0, 0.0, []
+                acc, thresholds = 0.0, []
                 for outcome in outcomes[:-1]:
                     acc += outcome.probability
-                    top = max(top, acc)
-                    thresholds.append(top)
+                    thresholds.append(acc)
             fresh = self._fresh[action_node.node_id] = _Step(
                 action_node, thresholds, (None,) * len(outcomes), None, 0
             )

@@ -87,10 +87,9 @@ def cmd_simulate(args) -> int:
     limits = _limits(args)
     domain = _load_domain(args)
     tree = load_tree(args.tree, domain)
-    record_flow = log.isEnabledFor(logging.DEBUG)
-    result = simulate(tree, domain.initial_belief(), limits, record_flow=record_flow)
-    for flow_line in result.mass_flow or ():
-        log.debug(flow_line)
+    result = simulate(tree, domain.initial_belief(), limits)
+    for tick, (ended, pending) in enumerate(result.flow, 1):
+        log.debug("tick %d ended %.6f pending %.6f", tick, ended, pending)
     for line in result.terminal.debug_lines(result.tables):
         print(line)
     if result.pruned_mass > 0.0:

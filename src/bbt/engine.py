@@ -18,9 +18,10 @@ and leave every state untouched.  The pending action lives only in that
 tuple: :func:`simulate` reads each tuple of a root tick once, and either
 ends the entry in one state (:meth:`~bbt.belief.PhysicalState.ticked`) or
 expands it straight into one state per outcome of its pending action
-(:meth:`~bbt.belief.PhysicalState.resolved`).  Each root tick's
-expansion, with its coalesce, is validated as one
-:class:`~bbt.belief.BeliefState`.  The tree's
+(:meth:`~bbt.belief.PhysicalState.resolved`).  The same pass sums the
+tick's flow, the mass that ended and the mass left pending, which every
+run records as numbers.  Each root tick's expansion, with its coalesce,
+is validated as one :class:`~bbt.belief.BeliefState`.  The tree's
 :class:`~bbt.tree.TreeTables` are built once per :func:`simulate` without a
 :class:`Trail`, or once when a trail is made, and returned with each result.
 
@@ -70,9 +71,10 @@ class SimulationLimits:
 class SimulationResult:
     """Exact terminal distribution of a simulation run.
 
-    ``pruned_mass`` is reported, never renormalized away; ``mass_flow``
-    carries one text line per root tick when flow recording was requested.
-    ``tables`` are those of the tree as simulated: with a trail, the
+    ``pruned_mass`` is reported, never renormalized away.  ``flow`` holds
+    one ``(ended, pending)`` pair per root tick: the mass that finished in
+    that tick and the mass it left with a pending action.  ``tables`` are
+    those of the tree as simulated: with a trail, the
     trail's own, built with the trail and kept current by the planner's
     edits; without one, a set built by this run, stale once the tree is
     edited.
@@ -81,8 +83,8 @@ class SimulationResult:
     terminal: BeliefState
     ticks_used: int
     tables: TreeTables
-    pruned_mass: float = 0.0
-    mass_flow: list[str] | None = None
+    pruned_mass: float
+    flow: tuple[tuple[float, float], ...]
 
 
 class Trail:
@@ -94,7 +96,8 @@ class Trail:
     the live belief, how many entries had finished and the mass pruned so
     far.  The first tick to reach a given rank always sets such a record,
     so it always has a point.  The trail also keeps the run's finished
-    entries.
+    entries and its flow, one record per tick, so a point's tick count is
+    also the length of the flow before it.
 
     An edit changes no node, parent or rank before its own rank, and a tick
     that does not reach that rank reads only nodes before it; a root child
@@ -123,11 +126,12 @@ class Trail:
     ``frozen`` is the tables' set of frozen literals as of the last cut.
     """
 
-    __slots__ = ("points", "finished", "tables", "frozen")
+    __slots__ = ("points", "finished", "flow", "tables", "frozen")
 
     def __init__(self, tree: BTNode) -> None:
         self.points: list[tuple[int, int, BeliefState, int, float]] = []
         self.finished: list[Entry] = []
+        self.flow: list[tuple[float, float]] = []
         self.tables = TreeTables(tree)
         self.frozen = self.tables.frozen
 
@@ -282,7 +286,6 @@ def simulate(
     initial: BeliefState,
     limits: SimulationLimits | None = None,
     *,
-    record_flow: bool = False,
     trail: Trail | None = None,
 ) -> SimulationResult:
     """Run root ticks until every branch is a fixpoint.
@@ -292,7 +295,10 @@ def simulate(
     result, each in the state :meth:`PhysicalState.ticked` gives it; the
     rest go straight to one state per outcome of their pending action
     (:meth:`PhysicalState.resolved`), which are coalesced and go around
-    again.  Without a trail the tree's
+    again.  An outcome branch whose mass is 0.0 is dropped: a
+    zero-probability outcome, or a product that underflows, whose true mass
+    is below the smallest double.  Each tick records its flow
+    (see :class:`SimulationResult`).  Without a trail the tree's
     tables are built here, as the tree stands.  The entry limit is checked
     on the live belief before each root tick, the initial belief included;
     a tick never holds more entries than it starts with.
@@ -301,12 +307,10 @@ def simulate(
     last point, if it has one, reusing the ticks, finished entries and
     pruned mass before it, and records its own points.  It runs on the
     trail's tables; a ``ValueError`` says they are not those of ``tree``.
-    The result, ``ticks_used`` included, is the same as without one, and
-    every limit fires at the same tick.  Flow is not recorded with a trail.
+    The result, ``ticks_used`` and ``flow`` included, is the same as
+    without one, and every limit fires at the same tick.
     """
     limits = limits or SimulationLimits()
-    if record_flow and trail is not None:
-        raise ValueError("a simulation resumed from a trail records no flow")
     if trail is None:
         tables = TreeTables(tree)
     elif trail.tables.order[0] is tree:
@@ -315,14 +319,14 @@ def simulate(
         raise ValueError("the trail's tables are not those of this tree")
     if trail is not None and trail.points:
         _, ticks, mem, done, pruned = trail.points.pop()
-        finished = trail.finished
+        finished, flow = trail.finished, trail.flow
         del finished[done:]
+        del flow[ticks:]
     else:
-        ticks, mem, finished, pruned = 0, initial.coalesce(), [], 0.0
+        ticks, mem, finished, flow, pruned = 0, initial.coalesce(), [], [], 0.0
         if trail is not None:
-            trail.finished = finished
+            trail.finished, trail.flow = finished, flow
     furthest = trail.points[-1][0] if trail is not None and trail.points else -1
-    flow: list[str] | None = [] if record_flow else None
     reached = [tree]
     while len(mem):
         if len(mem) > limits.max_entries:
@@ -336,23 +340,22 @@ def simulate(
                 furthest = reach
                 trail.points.append((reach, ticks, mem, len(finished), pruned))
         ticks += 1
-        first_ended = len(finished)
+        ended = waiting = 0.0
         expanded = []
         for p, s, r, pending, blame in entries:
             if pending is None:
                 finished.append((p, s.ticked(r, blame)))
+                ended += p
                 continue
+            waiting += p
             for outcome in pending.action.outcomes:
-                if outcome.probability > 0.0:
-                    state = s.resolved(r, pending, outcome, tables)
-                    expanded.append((p * outcome.probability, state))
-        if flow is not None:
-            ended = sum(p for p, _ in finished[first_ended:])
-            waiting = sum(entry[0] for entry in entries if entry[3] is not None)
-            flow.append(f"tick {ticks} ended {ended:.6f} pending {waiting:.6f}")
+                q = p * outcome.probability
+                if q > 0.0:
+                    expanded.append((q, s.resolved(r, pending, outcome, tables)))
+        flow.append((ended, waiting))
         mem = BeliefState(expanded).coalesce()
         if limits.prune_epsilon > 0.0:
             mem, dropped = mem.prune(limits.prune_epsilon)
             pruned += dropped
     terminal = BeliefState(finished).coalesce()
-    return SimulationResult(terminal, ticks, tables, pruned, flow)
+    return SimulationResult(terminal, ticks, tables, pruned, tuple(flow))

@@ -179,6 +179,7 @@ def select_resolver(
     entry in the domain's resolver index is scanned.
     """
     literal, supporting = target.node.literal, target.supporting
+    # the target has entries, each of positive mass, so total > 0
     total = sum(p for p, _ in supporting)
     scored: list[tuple[float, str, Resolver]] = []
     for candidate, gain in domain.establishing(literal):
@@ -186,16 +187,12 @@ def select_resolver(
             (literal, Status.R) not in candidate.preconditions
         ):
             continue
-        if total > 0.0:
-            feasible = sum(
-                p
-                for p, s in supporting
-                if all(_holds_or_resolvable(pre, s, domain) for pre in candidate.preconditions)
-            )
-            feasibility = feasible / total
-        else:
-            feasibility = 1.0
-        score = gain * feasibility * (0.9 ** history.get(candidate.id, 0))
+        feasible = sum(
+            p
+            for p, s in supporting
+            if all(_holds_or_resolvable(pre, s, domain) for pre in candidate.preconditions)
+        )
+        score = gain * (feasible / total) * (0.9 ** history.get(candidate.id, 0))
         if score > 0.0:
             scored.append((score, candidate.id, candidate))
     if not scored:

@@ -9,9 +9,10 @@ own seed: CRLF line endings, tabs, Unicode whitespace, a comment on a last
 line that has no newline, and stray characters that start no token, as
 written and under seeded character-level edits.  They reach the
 tokenizer's whitespace, comment and line logic, which word-level edits,
-made on text stripped of its comments, never do.  Each input records either the error it
-raised (class, message, line, column, expected list) or a digest of the
-grounded domain.  Nothing in a record depends on ``PYTHONHASHSEED``.
+made on text stripped of its comments, never do.  Last come soda edits
+that each raise one error no other input raises.  Each input records
+either the error it raised (class, message, line, column, expected list)
+or a digest of the grounded domain.  Nothing in a record depends on ``PYTHONHASHSEED``.
 
 ``tests/golden/domain-front-end.txt`` holds one ``<input>\\t<record>`` line
 per input.  To rewrite it after a deliberate change, run
@@ -211,6 +212,21 @@ def inputs() -> dict[str, str]:
         assert old in soda, name
         corpus[f"soda/{name}"] = soda.replace(old, new)
     corpus.update(_char_inputs(bases))
+    # errors that no other input raises
+    checks = {
+        "duplicate-initial": ("goal {", "initial { luminousity_ok = F }\ngoal {"),
+        "duplicate-goal": ("initial {", "goal { seen(soda) = F } prob 0.5\ninitial {"),
+        "argument-space": (
+            "action light_on {",
+            "param thing { cup }\naction grab(thing) {\n  pre { at(thing) = S }\n"
+            "  outcome 1 -> S { }\n}\n\naction light_on {",
+        ),
+        "signature-repeat": ("action goto(place)", "action goto(place, place)"),
+        "outcome-zero": ("outcome 0.05 -> F { }", "outcome 0 -> F { }"),
+    }
+    for name, (old, new) in checks.items():
+        assert old in soda, name
+        corpus[f"soda/{name}"] = soda.replace(old, new, 1)
     return corpus
 
 

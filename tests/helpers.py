@@ -5,7 +5,9 @@ that parse -> serialize -> parse is the identity; the round-trip tests use
 it.  ``tree_to_doc`` builds a tree's format-1 document, the reference that
 ``bbt.treefile.dumps_tree`` is checked against.  ``validate_tree`` checks
 the structural invariants of a tree.  ``assignment_of`` reads a physical
-state's statuses back as a literal-to-status ``dict``, and ``walk_leaves``
+state's statuses back as a literal-to-status ``dict``, ``physical_state``
+builds a state that returns a given status and holds given latches, and
+``walk_leaves``
 runs the classic leaf walk on a state given as such a ``dict``.
 ``ended`` runs one belief tick that leaves no action pending and builds
 the states its entries end in, as ``simulate`` does.  ``template`` looks a
@@ -15,9 +17,10 @@ grounded template up by its id.
 from __future__ import annotations
 
 from bbt import classic
-from bbt.belief import BeliefState
+from bbt.belief import BeliefState, PhysicalState
 from bbt.domain import Assignment, BodyExpr, BodyLeaf, DomainSpec, format_literal
 from bbt.engine import belief_tick
+from bbt.status import Status
 from bbt.tree import ActionNode, BTNode, Condition
 from bbt.treefile import FORMAT_VERSION
 
@@ -25,6 +28,18 @@ from bbt.treefile import FORMAT_VERSION
 def assignment_of(state) -> dict:
     """The literal -> status ``dict`` of a :class:`~bbt.belief.PhysicalState`."""
     return dict(zip(state.literals, state.values))
+
+
+def physical_state(assignment: dict, r: Status = Status.R, latches=None) -> PhysicalState:
+    """A state over ``assignment`` that returns ``r`` and holds ``latches``.
+
+    The constructor builds only initial states, so this derives the state
+    from one, the way a tick derives the states it makes.
+    """
+    initial = PhysicalState(assignment)
+    latches = dict(latches or {})
+    key = (initial.literals, initial.values, r, tuple(sorted(latches.items())))
+    return initial._derived(latches, key, None)
 
 
 def ended(node: BTNode, belief: BeliefState, tables) -> BeliefState:

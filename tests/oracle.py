@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Protocol
 
 from bbt.errors import ParseError, TickLimitExceeded, UnknownLiteral
@@ -177,10 +178,17 @@ def run_classic(
 
 
 def enumerate_terminals(
-    tree: BTNode, assignment: dict[str, Status], max_ticks: int = 200
+    tree: BTNode, assignment: dict[str, Status], max_ticks: int = 200, exact: bool = False
 ) -> dict[TerminalKey, float]:
-    """Exact terminal distribution keyed by (assignment, status, blame)."""
-    results: dict[TerminalKey, float] = defaultdict(float)
+    """Exact terminal distribution keyed by (assignment, status, blame).
+
+    With ``exact``, masses are :class:`~fractions.Fraction` values: they
+    start at 1 and are multiplied by each outcome probability converted
+    exactly, so nothing is rounded and every mass is the one the tree's
+    doubles define.
+    """
+    convert = Fraction if exact else float
+    results: dict[TerminalKey, float] = defaultdict(convert)
 
     def run(state: dict[str, Status], latches: dict[int, Status], prob: float, ticks: int):
         if ticks > max_ticks:
@@ -199,9 +207,9 @@ def enumerate_terminals(
             next_state.update(outcome.postconditions)
             next_latches = dict(latches)
             next_latches[node.node_id] = outcome.report
-            run(next_state, next_latches, prob * outcome.probability, ticks + 1)
+            run(next_state, next_latches, prob * convert(outcome.probability), ticks + 1)
 
-    run(dict(assignment), {}, 1.0, 0)
+    run(dict(assignment), {}, convert(1), 0)
     return dict(results)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
+from bbt.belief import ActionInstance, BeliefState, Outcome
 from bbt.domain import (
     ActionSchema,
     Assignment,
@@ -23,6 +23,8 @@ from bbt.domain import (
 )
 from bbt.status import Status
 from bbt.tree import ActionNode, BTNode, Condition, Fallback, Sequence, Skipper
+
+from helpers import physical_state
 
 STATUSES = (Status.S, Status.F, Status.R)
 CONTROLS = (Sequence, Fallback, Skipper)
@@ -103,7 +105,7 @@ def random_belief(
 ) -> BeliefState:
     n = rng.randint(1, max_entries)
     return BeliefState(
-        (p, PhysicalState(random_assignment(rng, literals), rng.choice(STATUSES)))
+        (p, physical_state(random_assignment(rng, literals), rng.choice(STATUSES)))
         for p in dyadic_parts(rng, n)
     )
 

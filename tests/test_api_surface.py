@@ -7,6 +7,12 @@ across modules and classes, so a used name covers every definition of it.
 Dunder methods are called by the language and are not checked.  An API that
 only tests call belongs in the tests.
 
+A parameter with a default is likewise passed by some call in the
+program: by keyword, by position or through ``*``/``**``.  Calls are
+matched by name as definitions are; a class's ``__init__`` is called by the
+class name, or by ``super().__init__`` in a class derived from it.  A
+setting only tests pass belongs in the tests too.
+
 Likewise every name a program module imports is read in that module, so a
 deletion leaves no import behind.  The package's ``__init__.py`` imports to
 re-export and is not checked; its ``__all__`` lists exactly the names it
@@ -25,7 +31,14 @@ ALLOWED = {
     "CounterRng": "the README documents it with draw; the benchmark tracer calibrates with it",
 }
 
+# (qualified name, parameter): defaults kept that no call in the program passes
+DEFAULTS_ALLOWED = {
+    ("main", "argv"): "the console script calls main(); argv is for embedding the CLI",
+    ("plan_request_from_domain", "max_iterations"): "the README documents it for wide domains",
+}
+
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _parse(path: Path) -> ast.Module:
@@ -79,6 +92,111 @@ def test_no_definition_is_used_by_tests_only():
             if not any(node not in around for around in reads.get(node.name, ())):
                 unused.append(f"{path.relative_to(REPO)}:{node.lineno} {qualname}")
     assert not unused, "defined in src/bbt but called only by tests:\n" + "\n".join(unused)
+
+
+def _defaulted(module: ast.Module):
+    """Each function or method with a parameter that has a default.
+
+    Yields the top-level name, the qualified name, the name calls use (the
+    class name for ``__init__``), the parameters a call fills by position
+    (a method's first one left out) and the names of those with a default.
+    """
+    stack = [(module, None, "")]
+    while stack:
+        node, owner, prefix = stack.pop()
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                stack.append((item, item, f"{prefix}{item.name}."))
+            elif isinstance(item, _FUNCTIONS):
+                stack.append((item, None, f"{prefix}{item.name}."))
+                args = item.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults) :]
+                defaulted += [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                if not defaulted:
+                    continue
+                method = owner is not None
+                called = owner.name if method and item.name == "__init__" else item.name
+                qualname = f"{prefix}{item.name}"
+                yield qualname.split(".")[0], qualname, called, positional[method:], defaulted, item
+
+
+def _calls(module: ast.Module):
+    """Each call in ``module``: the names it calls, the call and the definitions around it.
+
+    ``super().__init__(...)`` calls the ``__init__`` of each base named in
+    the class around it.
+    """
+    stack = [(module, ())]
+    while stack:
+        node, around = stack.pop()
+        if isinstance(node, _DEFS):
+            around = around + (node,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield (func.id,), node, around
+            elif isinstance(func, ast.Attribute):
+                inner = func.value
+                if (
+                    func.attr == "__init__"
+                    and isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Name)
+                    and inner.func.id == "super"
+                ):
+                    cls = next(d for d in reversed(around) if isinstance(d, ast.ClassDef))
+                    yield tuple(b.id for b in cls.bases if isinstance(b, ast.Name)), node, around
+                else:
+                    yield (func.attr,), node, around
+        stack.extend((child, around) for child in ast.iter_child_nodes(node))
+
+
+def _passed(call: ast.Call, positional: list[str]) -> set[str] | None:
+    """The parameters ``call`` passes, or None when ``*`` or ``**`` may pass any."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    if any(k.arg is None for k in call.keywords):
+        return None
+    return set(positional[: len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def test_no_default_is_passed_by_tests_only():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
+    modules = {path: _parse(path) for path in sources}
+    calls: dict[str, list[tuple]] = {}
+    for module in modules.values():
+        for names, call, around in _calls(module):
+            for name in names:
+                calls.setdefault(name, []).append((call, around))
+    unpassed = []
+    for path, module in modules.items():
+        if path.parent != PACKAGE:
+            continue
+        for top, qualname, called, positional, defaulted, node in _defaulted(module):
+            if top in ALLOWED:
+                continue
+            passed: set[str] = set()
+            for call, around in calls.get(called, ()):
+                if node in around:
+                    continue
+                names = _passed(call, positional)
+                passed |= set(defaulted) if names is None else names
+            for name in defaulted:
+                if name not in passed and (qualname, name) not in DEFAULTS_ALLOWED:
+                    unpassed.append(f"{path.relative_to(REPO)}:{node.lineno} {qualname}({name})")
+    assert not unpassed, "defaults no call in the program passes:\n" + "\n".join(unpassed)
+
+
+def test_defaults_allowlist_names_parameters():
+    found = {
+        (qualname, name)
+        for path in PACKAGE.glob("*.py")
+        for _, qualname, _, _, defaulted, _ in _defaulted(_parse(path))
+        for name in defaulted
+    }
+    assert set(DEFAULTS_ALLOWED) <= found
 
 
 def _imported(module: ast.Module):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
+from bbt.belief import ActionInstance, BeliefState, Outcome
 from bbt.engine import belief_tick, simulate
 from bbt.errors import UnknownLiteral
 from bbt.planner import plan_request_from_domain, refine_tree
@@ -13,7 +13,7 @@ from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Sequence, TreeTables
 
 import randgen
-from helpers import assignment_of, ended
+from helpers import assignment_of, ended, physical_state
 
 S, F, R = Status.S, Status.F, Status.R
 
@@ -21,7 +21,7 @@ MASS_TOL = 1e-12
 
 
 def state(r=R, **values):
-    return PhysicalState({k: Status(v) for k, v in values.items()}, r)
+    return physical_state({k: Status(v) for k, v in values.items()}, r)
 
 
 statuses = st.sampled_from([S, F, R])
@@ -38,7 +38,7 @@ def beliefs(draw):
     for _ in range(n):
         assignment = {lit: draw(statuses) for lit in literals}
         p = draw(st.integers(1, 16)) / 16.0
-        entries.append((p, PhysicalState(assignment, draw(statuses))))
+        entries.append((p, physical_state(assignment, draw(statuses))))
     return BeliefState(entries)
 
 
@@ -51,7 +51,7 @@ class TestPhysicalState:
         for other in (
             state(a="F"),
             state(r=S, a="S"),
-            PhysicalState({"a": S}, R, latches={1: S}),
+            physical_state({"a": S}, R, latches={1: S}),
             state(b="S"),
         ):
             assert base != other
@@ -82,7 +82,7 @@ class TestPhysicalState:
                     outcome = rng.choice(node.action.outcomes)
                     s = s.ticked(rng.choice(randgen.STATUSES), s.blame)
                     s = s.resolved(s.r, node, outcome, tables)
-                    fresh = PhysicalState(assignment_of(s), s.r, s.latches)
+                    fresh = physical_state(assignment_of(s), s.r, s.latches)
                     assert s.key == fresh.key
                     assert s == fresh and hash(s) == hash(fresh)
                     checked += 1
@@ -219,11 +219,8 @@ class TestSplitCoalesce:
         out = belief_tick(tree, m, TreeTables(tree))
         assert [r for _, _, r, pending, _ in out if pending is None] == [F]
         assert [r for _, _, r, pending, _ in out if pending is not None] == [R]
-        result = simulate(tree, m, record_flow=True)
-        assert result.mass_flow == [
-            "tick 1 ended 0.500000 pending 0.500000",
-            "tick 2 ended 0.500000 pending 0.000000",
-        ]
+        result = simulate(tree, m)
+        assert result.flow == ((0.5, 0.5), (0.5, 0.0))
         assert {s.r: p for p, s in result.terminal} == {S: 0.5, F: 0.5}
 
     def test_split_empty(self):
@@ -324,7 +321,7 @@ class TestPruneAndDebug:
         first, second = ActionNode(sure), ActionNode(sure)
         tables = TreeTables(Sequence([first, Condition("a"), second]))
         latches = {second.node_id: F, first.node_id: S}
-        m = BeliefState([(0.5, PhysicalState({"a": S}, F, latches=latches))])
+        m = BeliefState([(0.5, physical_state({"a": S}, F, latches=latches))])
         (line,) = m.debug_lines(tables)
         assert line == "0.5 | a=S | r=F | pending=- | latches=n1:S,n3:F"
 

@@ -213,6 +213,32 @@ class TestSimulate:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert line == f"success_probability {planned_stochastic.achieved:.6f}"
 
+    def test_long_retry_chain_exits_0(self, tmp_path):
+        # Fb[done, try x 300]: the mass of k failures, 0.05 ** k, underflows
+        # to 0.0 from about k = 249, and those branches are dropped
+        domain = tmp_path / "retry.bbt"
+        domain.write_text(
+            "condition done values { S F }\n"
+            "action try { pre { } outcome 0.95 -> S { done = S } outcome 0.05 -> F { } }\n"
+            "initial { done = F }\n"
+            "goal { done = S } prob 0.9\n",
+            encoding="utf-8",
+        )
+        children = [{"kind": "condition", "literal": "done"}]
+        children += [{"kind": "action", "action": "try"}] * 300
+        tree = tmp_path / "retry.json"
+        tree.write_text(
+            json.dumps({"format": 1, "root": {"kind": "fallback", "children": children}}),
+            encoding="utf-8",
+        )
+        common = ["--domain", str(domain), "--tree", str(tree)]
+        proc = run_bbt("simulate", *common)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == "success_probability 1.000000"
+        proc = run_bbt("exec", *common, "--seed", "1", "--runs", "100")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == "analytical_success_probability 1.000000"
+
 
 class TestExec:
     def test_single_run_is_binary(self, planned_paths, soda_path, capsys):
@@ -686,6 +712,21 @@ class TestTreeFile:
         assert "Traceback" not in proc.stderr
         assert proc.returncode in (0, 1)
         assert proc.stderr.count("\n") == (proc.returncode == 1)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"format": 1}', "tree file has no root node"),
+            ('{"format": 1, "root": ', "{path}: not valid JSON (Expecting value: "),
+        ],
+    )
+    def test_rootless_or_broken_tree_file_exits_1(self, soda_path, tmp_path, capsys, text, message):
+        path = tmp_path / "tree.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(["simulate", "--domain", str(soda_path), "--tree", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: " + message.format(path=path)) and err.count("\n") == 1
 
     def test_latches_not_serialized(self, soda_domain):
         action = ActionNode(soda_domain.actions_by_id["light_on"])

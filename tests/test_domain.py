@@ -14,7 +14,9 @@ from bbt.domain import (
 )
 from bbt.errors import ParseError, SemanticError
 from bbt.status import Status
-from bbt.tree import ActionNode, Fallback, Sequence
+from bbt.engine import simulate
+from bbt.planner import plan_request_from_domain, refine_tree
+from bbt.tree import ActionNode, Condition, Fallback, Sequence
 from bbt.treefile import dumps_tree
 
 import frontend_corpus
@@ -459,6 +461,50 @@ template search(obj) {
         assert isinstance(tree, Fallback)
         leaves = [n.action.id for n in tree.iter_nodes() if isinstance(n, ActionNode)]
         assert leaves == ["go(t1)", "look(ball)", "go(t2)", "look(ball)"]
+
+    def test_condition_leaf_in_body(self):
+        # finish needs ready, which nothing sets, so the planner can only
+        # establish done with the template, whose body runs finish itself
+        text = """
+param place { b }
+condition at(place) values { S F }
+condition ready values { S F }
+condition done values { S F }
+action go(place) {
+  pre { }
+  outcome 0.9 -> S { at(place) = S }
+  outcome 0.1 -> F { }
+}
+action finish {
+  pre { ready = S }
+  outcome 1 -> S { done = S }
+}
+template reach(place) {
+  pre { }
+  declared 1 { done = S }
+  body seq { fb { cond at(place) act go(place) } act finish() }
+}
+initial { at(b) = F ; ready = F ; done = F }
+goal { done = S } prob 0.9
+"""
+        grounded = ground(parse_domain(text))
+        tree = template(grounded, "reach(b)").instantiate()
+        assert isinstance(tree, Sequence)
+        fallback, finish = tree.children
+        assert isinstance(fallback, Fallback)
+        at, go = fallback.children
+        assert isinstance(at, Condition) and at.literal == "at(b)"
+        assert isinstance(go, ActionNode) and go.action.id == "go(b)"
+        assert isinstance(finish, ActionNode) and finish.action.id == "finish"
+        plan = refine_tree(plan_request_from_domain(grounded))
+        assert plan.log_lines() == ["1\tinsert\tdone\t0.900000"]
+        assert [n.literal for n in plan.tree.iter_nodes() if isinstance(n, Condition)] == [
+            "done", "at(b)"
+        ]
+        result = simulate(plan.tree, grounded.initial_belief())
+        expected = oracle.enumerate_terminals(plan.tree, grounded.initial_assignment)
+        oracle.assert_distributions_match(expected, oracle.simulation_to_terminals(result))
+        assert result.terminal.success_probability() == pytest.approx(0.9, abs=1e-12)
 
 
 class TestGeneratedRoundTrip:

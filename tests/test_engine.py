@@ -13,14 +13,14 @@ from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper, TreeTab
 
 import oracle
 import randgen
-from helpers import assignment_of, ended
+from helpers import assignment_of, ended, physical_state
 
 S, F, R = Status.S, Status.F, Status.R
 MASS_TOL = 1e-12
 
 
 def state(r=R, latches=None, **values):
-    return PhysicalState({k: Status(v) for k, v in values.items()}, r, latches)
+    return physical_state({k: Status(v) for k, v in values.items()}, r, latches)
 
 
 def detect(name="detect", literal="seen"):
@@ -62,16 +62,17 @@ class TestBeliefTick:
         assert pending is action
         assert pending.action.id == "detect"
 
-    def test_unchanged_entry_is_the_same_object(self):
+    def test_ended_entry_shares_its_state_parts(self):
         tree = Sequence([Condition("a"), Condition("b")])
         same, moved = state(r=S, a="S", b="S"), state(r=S, a="S", b="F")
         # the b=F entry stops at child 1; the other runs past the last child
         m = BeliefState([(0.5, same), (0.5, moved)])
         stopped, passed = (s for _, s in ended(tree, m, TreeTables(tree)))
-        assert passed is same
-        assert stopped is not moved and (stopped.r, stopped.blame) == (F, tree.children[1].node_id)
-        # a changed entry is built once, around the state's own parts
-        assert stopped.values is moved.values and stopped.latches is moved.latches
+        assert passed is not same and passed == same and hash(passed) == hash(same)
+        assert stopped != moved and (stopped.r, stopped.blame) == (F, tree.children[1].node_id)
+        # each ended entry gets its own state, built around the state's own parts
+        for end, start in ((passed, same), (stopped, moved)):
+            assert end.values is start.values and end.latches is start.latches
 
     def test_entry_limit(self):
         # a tick holds no more entries than it starts with, so the limit is
@@ -316,6 +317,20 @@ class TestSimulate:
         bound = 3 * (max(analytical * (1 - analytical), 1e-9) / n) ** 0.5
         assert abs(rate - analytical) <= max(bound, 1e-9) + 3e-3
 
+    def test_retry_chain_past_underflow(self):
+        # Fb[done, try x 300]: the mass of k failures, 0.05 ** k, underflows to
+        # 0.0 from about k = 249; those branches are dropped, and no mass a
+        # double can hold is lost
+        attempt = ActionInstance(
+            "try", (), (Outcome(0.95, (("done", S),), S), Outcome(0.05, (), F))
+        )
+        tree = Fallback([Condition("done")] + [ActionNode(attempt) for _ in range(300)])
+        assignment = {"done": F}
+        result = simulate(tree, BeliefState.point(PhysicalState(assignment)))
+        assert result.terminal.mass == pytest.approx(1.0, abs=MASS_TOL)
+        expected = oracle.enumerate_terminals(tree, assignment, max_ticks=400)
+        oracle.assert_distributions_match(expected, oracle.simulation_to_terminals(result))
+
     def test_tick_limit(self):
         action = ActionNode(detect())
         tree = Skipper([Condition("seen"), Sequence([action])])
@@ -360,12 +375,13 @@ class TestSimulate:
         assert result.pruned_mass == pytest.approx(0.0625, abs=MASS_TOL)
         assert result.terminal.mass == pytest.approx(0.9375, abs=MASS_TOL)
 
-    def test_mass_flow_log(self):
+    def test_flow_records_each_tick(self):
+        # tick 1 leaves detect pending on all the mass; tick 2 ends both outcomes
         action = ActionNode(detect())
         tree = Skipper([Condition("seen"), Sequence([action])])
-        result = simulate(tree, BeliefState.point(state(seen="R")), record_flow=True)
-        assert result.mass_flow
-        assert result.mass_flow[0].startswith("tick 1 ")
+        result = simulate(tree, BeliefState.point(state(seen="R")))
+        assert result.flow == ((0.0, 1.0), (1.0, 0.0))
+        assert len(result.flow) == result.ticks_used
 
 
 def gated_chain(rng, literals, actions):
@@ -404,7 +420,7 @@ def gate_belief(rng, literals, gate_literals):
                 assignment[literal] = S
             else:
                 assignment[literal] = rng.choice((F, R))
-        entries.append((p, PhysicalState(assignment, rng.choice(randgen.STATUSES))))
+        entries.append((p, physical_state(assignment, rng.choice(randgen.STATUSES))))
     return BeliefState(entries)
 
 
@@ -463,7 +479,7 @@ class TestRootPass:
             missing = rng.choice(gate_literals)
             p, s = mem.entries[-1]
             held = {lit: v for lit, v in zip(s.literals, s.values) if lit != missing}
-            mem = BeliefState([*mem.entries[:-1], (p, PhysicalState(held, s.r))])
+            mem = BeliefState([*mem.entries[:-1], (p, physical_state(held, s.r))])
             try:
                 plain_tick(root, mem, tables)
             except UnknownLiteral as exc:

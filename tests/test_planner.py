@@ -37,13 +37,13 @@ from bbt.treefile import dumps_tree
 
 import oracle
 import randgen
-from helpers import assignment_of, template
+from helpers import assignment_of, physical_state, template
 
 S, F, R = Status.S, Status.F, Status.R
 
 
 def state(r=R, **values):
-    return PhysicalState({k: Status(v) for k, v in values.items()}, r)
+    return physical_state({k: Status(v) for k, v in values.items()}, r)
 
 
 def terminal_of(tree, **values):

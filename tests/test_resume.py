@@ -2,7 +2,7 @@
 
 A simulation given a :class:`~bbt.engine.Trail` cut at an edit's rank
 resumes at the first root tick that reaches the edit.  Its terminal entries
-(probabilities, keys and blame), ``ticks_used`` and ``pruned_mass`` must equal
+(probabilities, keys and blame), ``ticks_used``, ``pruned_mass`` and ``flow`` must equal
 those of a fresh :func:`~bbt.engine.simulate` of the edited tree exactly,
 and its limits must fire where the fresh run's do.  The trail's tables,
 which every edit updates in place, must equal a fresh walk of the edited
@@ -31,13 +31,13 @@ def keys(entries):
 
 
 def fingerprint(result):
-    return keys(result.terminal.entries), result.ticks_used, result.pruned_mass
+    return keys(result.terminal.entries), result.ticks_used, result.pruned_mass, result.flow
 
 
 def trail_fingerprint(trail):
     points = [(reach, ticks, keys(mem.entries), done, pruned)
               for reach, ticks, mem, done, pruned in trail.points]
-    return points, keys(trail.finished)
+    return points, keys(trail.finished), trail.flow
 
 
 def assert_tables_current(tables, tree):
@@ -243,11 +243,28 @@ def test_cut_keeps_points_up_to_the_first_reaching_rank(rank, kept):
     assert [point[0] for point in trail.points] == kept
 
 
-def test_trail_records_no_flow():
-    tree = Condition("c0")
-    belief = randgen.random_belief(random.Random(1), ["c0"])
-    with pytest.raises(ValueError):
-        simulate(tree, belief, record_flow=True, trail=Trail(tree))
+def test_resumed_flow_equals_a_fresh_runs():
+    # Seq[Fb[a, try_a], Fb[b, try_b]]: an insert at b keeps the ticks that
+    # never reach b, and the flow records of those ticks with them; a second
+    # try of b adds a tick
+    S, F = Status.S, Status.F
+    try_a = ActionInstance("try_a", (), (Outcome(0.75, (("a", S),), S), Outcome(0.25, (), F)))
+    try_b = ActionInstance("try_b", (), (Outcome(0.5, (("b", S),), S), Outcome(0.5, (), F)))
+    b = Condition("b")
+    tree = Sequence(
+        [Fallback([Condition("a"), ActionNode(try_a)]), Fallback([b, ActionNode(try_b)])]
+    )
+    belief = BeliefState.point(PhysicalState({"a": F, "b": F}))
+    trail = Trail(tree)
+    before = simulate(tree, belief, trail=trail).flow
+    trail.cut(resolve_by_insert(b, F, try_b, trail.tables, {}))
+    kept = trail.points[-1][1]
+    assert kept > 0
+    resumed = simulate(tree, belief, trail=trail)
+    fresh = simulate(tree, belief)
+    assert resumed.flow[:kept] == before[:kept] and len(resumed.flow) == len(before) + 1
+    assert resumed.flow == fresh.flow and len(fresh.flow) == fresh.ticks_used
+    assert sum(ended for ended, _ in fresh.flow) == pytest.approx(fresh.terminal.mass)
 
 
 def test_planner_builds_tables_once(monkeypatch, wide_domain):
