@@ -17,12 +17,13 @@ so no state records it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import UnknownLiteral
 from .status import Status
+from .value import Frozen, set_field
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .tree import ActionNode, TreeTables
 
@@ -30,17 +31,21 @@ if TYPE_CHECKING:
 PROB_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Frozen):
     """One probabilistic result of an action.
 
     ``postconditions`` are the literal assignments the outcome applies;
     ``report`` is the status the action replays once latched (S or F).
     """
 
-    probability: float
-    postconditions: tuple[tuple[str, Status], ...]
-    report: Status
+    __slots__ = ("probability", "postconditions", "report")
+
+    def __init__(
+        self, probability: float, postconditions: tuple[tuple[str, Status], ...], report: Status
+    ):
+        set_field(self, "probability", probability)
+        set_field(self, "postconditions", postconditions)
+        set_field(self, "report", report)
 
     def apply(self, values: list[Status], index: Mapping[str, int]) -> None:
         """Write the postconditions into ``values``; ``index`` maps a literal to its position."""
@@ -50,8 +55,7 @@ class Outcome:
             values[index[literal]] = status
 
 
-@dataclass(frozen=True)
-class ActionInstance:
+class ActionInstance(Frozen):
     """A grounded action: preconditions plus a distribution over outcomes.
 
     Each outcome probability is finite and at least 0, and they sum to 1.
@@ -60,27 +64,30 @@ class ActionInstance:
     constructor, equality, hashing and ``repr``.
     """
 
-    id: str
-    preconditions: tuple[tuple[str, Status], ...]
-    outcomes: tuple[Outcome, ...]
-    clobbers: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("id", "preconditions", "outcomes", "clobbers")
+    _compared = 3
 
-    def __post_init__(self) -> None:
-        for o in self.outcomes:
+    def __init__(
+        self, id: str, preconditions: tuple[tuple[str, Status], ...], outcomes: tuple[Outcome, ...]
+    ):
+        for o in outcomes:
             if not 0.0 <= o.probability < math.inf:
                 raise ValueError(
-                    f"outcome probability {o.probability!r} of {self.id!r} is not finite and >= 0"
+                    f"outcome probability {o.probability!r} of {id!r} is not finite and >= 0"
                 )
-        total = sum(o.probability for o in self.outcomes)
+        total = sum(o.probability for o in outcomes)
         if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"outcome probabilities of {self.id!r} sum to {total!r}, not 1")
+            raise ValueError(f"outcome probabilities of {id!r} sum to {total!r}, not 1")
+        set_field(self, "id", id)
+        set_field(self, "preconditions", preconditions)
+        set_field(self, "outcomes", outcomes)
         clobbers = frozenset(
             lit
-            for outcome in self.outcomes
+            for outcome in outcomes
             for lit, value in outcome.postconditions
             if value is not Status.S
         )
-        object.__setattr__(self, "clobbers", clobbers)
+        set_field(self, "clobbers", clobbers)
 
 
 class PhysicalState:

@@ -29,8 +29,8 @@ at once; run *r*'s draw at tick *t* is ``bbt.rng.draw(seed, r, t)``, the
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from itertools import islice
-from typing import Iterable, Iterator
 
 from .errors import TickLimitExceeded, UnknownLiteral
 from .rng import _LANES, _UNIT, BlockDraw

@@ -1,8 +1,8 @@
 """Command-line surface: plan, simulate, exec, and export-dot subcommands.
 
 Exit codes: 0 success, 1 file/parse errors and invalid arguments, 2
-planning failures, 3 simulation limits.  ``BBT_LOG`` (error|info|debug)
-controls diagnostics on standard error.
+planning failures, 3 simulation limits.  ``BBT_LOG`` (error|info|debug),
+read by each :func:`main` call, controls diagnostics on standard error.
 """
 
 from __future__ import annotations
@@ -128,13 +128,18 @@ def cmd_export_dot(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    defaults = SimulationLimits()
     parser.add_argument("--domain", required=True, help="domain definition file")
-    parser.add_argument("--max-ticks", type=int, default=10000, help="root tick budget")
-    parser.add_argument("--max-entries", type=int, default=100000, help="belief entry budget")
+    parser.add_argument(
+        "--max-ticks", type=int, default=defaults.max_root_ticks, help="root tick budget"
+    )
+    parser.add_argument(
+        "--max-entries", type=int, default=defaults.max_entries, help="belief entry budget"
+    )
     parser.add_argument(
         "--prune-epsilon",
         type=float,
-        default=0.0,
+        default=defaults.prune_epsilon,
         help="drop belief entries below this mass (reported, not renormalized)",
     )
 
@@ -187,15 +192,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("BBT_LOG", "error").lower(), logging.ERROR
-    )
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
+_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
+    """Run one CLI command; return its exit code.
+
+    For the duration of the call, the ``bbt`` loggers write to the
+    standard error stream of the moment, at the level ``BBT_LOG`` names
+    then, and to nowhere else; the ``bbt`` logger is restored on return.
+    """
+    logger = logging.getLogger("bbt")
+    level, propagate = logger.level, logger.propagate
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.setLevel(_LOG_LEVELS.get(os.environ.get("BBT_LOG", "error").lower(), logging.ERROR))
+    logger.propagate = False
+    logger.addHandler(handler)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -208,6 +221,10 @@ def main(argv: list[str] | None = None) -> int:
     except (BbtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+        logger.propagate = propagate
 
 
 if __name__ == "__main__":

@@ -35,19 +35,17 @@ from __future__ import annotations
 import itertools
 import logging
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .belief import PROB_TOL, ActionInstance, BeliefState, Outcome, PhysicalState
 from .errors import ParseError, SemanticError
 from .status import Status
 from .tree import ActionNode, BTNode, Condition, CONTROL_KINDS
+from .value import Frozen, set_field
 
 log = logging.getLogger(__name__)
 
 PROB_SUM_TOL = 1e-9
-
-_T = TypeVar("_T")
 
 Loc = tuple[int, int]
 _NO_LOC: Loc = (0, 0)
@@ -57,87 +55,153 @@ _NO_LOC: Loc = (0, 0)
 # Parsed representation
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """``name(args) = value`` — a condition reference paired with a status."""
+class Assignment(Frozen):
+    """``name(args) = value`` — a condition reference paired with a status.
 
-    name: str
-    args: tuple[str, ...]
-    value: Status
-    loc: Loc = field(default=_NO_LOC, compare=False, repr=False)
+    Like every parsed item's, its ``loc``, the source position, is left out
+    of equality and ``repr``.
+    """
+
+    __slots__ = ("name", "args", "value", "loc")
+    _compared = 3
+
+    def __init__(self, name: str, args: tuple[str, ...], value: Status, loc: Loc = _NO_LOC):
+        set_field(self, "name", name)
+        set_field(self, "args", args)
+        set_field(self, "value", value)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class OutcomeSpec:
+class OutcomeSpec(Frozen):
     """One outcome clause; ``report`` is None when left to the default rule."""
 
-    probability: float
-    report: Status | None
-    assignments: tuple[Assignment, ...]
-    loc: Loc = field(default=_NO_LOC, compare=False, repr=False)
+    __slots__ = ("probability", "report", "assignments", "loc")
+    _compared = 3
+
+    def __init__(
+        self,
+        probability: float,
+        report: Status | None,
+        assignments: tuple[Assignment, ...],
+        loc: Loc = _NO_LOC,
+    ):
+        set_field(self, "probability", probability)
+        set_field(self, "report", report)
+        set_field(self, "assignments", assignments)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class ParamSpace:
-    name: str
-    instances: tuple[str, ...]
-    loc: Loc = field(default=_NO_LOC, compare=False, repr=False)
+class ParamSpace(Frozen):
+    __slots__ = ("name", "instances", "loc")
+    _compared = 2
+
+    def __init__(self, name: str, instances: tuple[str, ...], loc: Loc = _NO_LOC):
+        set_field(self, "name", name)
+        set_field(self, "instances", instances)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class ConditionSchema:
-    name: str
-    params: tuple[str, ...]
-    values: tuple[Status, ...]
-    loc: Loc = field(default=_NO_LOC, compare=False, repr=False)
+class ConditionSchema(Frozen):
+    __slots__ = ("name", "params", "values", "loc")
+    _compared = 3
+
+    def __init__(
+        self, name: str, params: tuple[str, ...], values: tuple[Status, ...], loc: Loc = _NO_LOC
+    ):
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "values", values)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class ActionSchema:
-    name: str
-    params: tuple[str, ...]
-    preconditions: tuple[Assignment, ...]
-    outcomes: tuple[OutcomeSpec, ...]
-    loc: Loc = field(default=_NO_LOC, compare=False, repr=False)
+class ActionSchema(Frozen):
+    __slots__ = ("name", "params", "preconditions", "outcomes", "loc")
+    _compared = 4
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[str, ...],
+        preconditions: tuple[Assignment, ...],
+        outcomes: tuple[OutcomeSpec, ...],
+        loc: Loc = _NO_LOC,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "preconditions", preconditions)
+        set_field(self, "outcomes", outcomes)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class BodyControl:
-    op: str  # "seq" | "fb" | "skip"
-    children: tuple["BodyExpr", ...]
+class BodyControl(Frozen):
+    __slots__ = ("op", "children")
+
+    def __init__(self, op: str, children: tuple[BodyExpr, ...]):
+        set_field(self, "op", op)  # "seq" | "fb" | "skip"
+        set_field(self, "children", children)
 
 
-@dataclass(frozen=True)
-class BodyLeaf:
-    ref: str  # "act" | "cond" | "tmpl"
-    name: str
-    args: tuple[str, ...]
-    loc: Loc = field(default=_NO_LOC, compare=False, repr=False)
+class BodyLeaf(Frozen):
+    __slots__ = ("ref", "name", "args", "loc")
+    _compared = 3
+
+    def __init__(self, ref: str, name: str, args: tuple[str, ...], loc: Loc = _NO_LOC):
+        set_field(self, "ref", ref)  # "act" | "cond" | "tmpl"
+        set_field(self, "name", name)
+        set_field(self, "args", args)
+        set_field(self, "loc", loc)
 
 
-BodyExpr = Union[BodyControl, BodyLeaf]
+BodyExpr = BodyControl | BodyLeaf
 
 
-@dataclass(frozen=True)
-class TemplateSchema:
-    name: str
-    params: tuple[str, ...]
-    preconditions: tuple[Assignment, ...]
-    declared: tuple[OutcomeSpec, ...]
-    body: BodyExpr
-    loc: Loc = field(default=_NO_LOC, compare=False, repr=False)
+class TemplateSchema(Frozen):
+    __slots__ = ("name", "params", "preconditions", "declared", "body", "loc")
+    _compared = 5
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[str, ...],
+        preconditions: tuple[Assignment, ...],
+        declared: tuple[OutcomeSpec, ...],
+        body: BodyExpr,
+        loc: Loc = _NO_LOC,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "preconditions", preconditions)
+        set_field(self, "declared", declared)
+        set_field(self, "body", body)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    params: tuple[ParamSpace, ...] = ()
-    conditions: tuple[ConditionSchema, ...] = ()
-    actions: tuple[ActionSchema, ...] = ()
-    templates: tuple[TemplateSchema, ...] = ()
-    initial: tuple[Assignment, ...] = ()
-    goal: tuple[Assignment, ...] = ()
-    goal_probability: float | None = None
-    goal_loc: Loc = field(default=_NO_LOC, compare=False, repr=False)
+class DomainSpec(Frozen):
+    __slots__ = (
+        "params", "conditions", "actions", "templates", "initial", "goal", "goal_probability",
+        "goal_loc",
+    )
+    _compared = 7
+
+    def __init__(
+        self,
+        params: tuple[ParamSpace, ...] = (),
+        conditions: tuple[ConditionSchema, ...] = (),
+        actions: tuple[ActionSchema, ...] = (),
+        templates: tuple[TemplateSchema, ...] = (),
+        initial: tuple[Assignment, ...] = (),
+        goal: tuple[Assignment, ...] = (),
+        goal_probability: float | None = None,
+        goal_loc: Loc = _NO_LOC,
+    ):
+        set_field(self, "params", params)
+        set_field(self, "conditions", conditions)
+        set_field(self, "actions", actions)
+        set_field(self, "templates", templates)
+        set_field(self, "initial", initial)
+        set_field(self, "goal", goal)
+        set_field(self, "goal_probability", goal_probability)
+        set_field(self, "goal_loc", goal_loc)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +305,8 @@ class _Parser:
         return token[0] != "eof" and token[1] == text
 
     def parse_list(
-        self, open_: str, item: Callable[[], _T], close: str, sep: str = "", empty: bool = False
-    ) -> tuple[_T, ...]:
+        self, open_: str, item: Callable[[], object], close: str, sep: str = "", empty: bool = False
+    ) -> tuple:
         """``open_``, items, ``close``: items joined by ``sep``, or up to ``close`` without one.
 
         ``empty`` admits a list with no items.
@@ -598,20 +662,33 @@ def format_literal(name: str, args: tuple[str, ...]) -> str:
     return f"{name}({','.join(args)})" if args else name
 
 
-@dataclass(frozen=True)
-class TemplateInstance:
+class TemplateInstance(Frozen):
     """A grounded template: advisory outcome distribution plus a body factory.
 
     ``outcomes`` are the template's declared outcomes, grounded; like an
-    action's, they are what the planner scores the template by.
+    action's, they are what the planner scores the template by.  The
+    ``schema``, ``bindings`` and ``domain`` the body is built from are left
+    out of equality and ``repr``.
     """
 
-    id: str
-    preconditions: tuple[tuple[str, Status], ...]
-    outcomes: tuple[Outcome, ...]
-    schema: TemplateSchema = field(compare=False, repr=False)
-    bindings: tuple[tuple[str, str], ...] = field(compare=False, repr=False)
-    domain: "GroundedDomain" = field(compare=False, repr=False)
+    __slots__ = ("id", "preconditions", "outcomes", "schema", "bindings", "domain")
+    _compared = 3
+
+    def __init__(
+        self,
+        id: str,
+        preconditions: tuple[tuple[str, Status], ...],
+        outcomes: tuple[Outcome, ...],
+        schema: TemplateSchema,
+        bindings: tuple[tuple[str, str], ...],
+        domain: GroundedDomain,
+    ):
+        set_field(self, "id", id)
+        set_field(self, "preconditions", preconditions)
+        set_field(self, "outcomes", outcomes)
+        set_field(self, "schema", schema)
+        set_field(self, "bindings", bindings)
+        set_field(self, "domain", domain)
 
     def instantiate(self) -> BTNode:
         """Build a new subtree; repeated calls share structure, not node ids."""
@@ -622,7 +699,7 @@ class TemplateInstance:
             raise SemanticError("template body nested too deeply", *self.schema.loc) from None
 
 
-Resolver = Union[ActionInstance, TemplateInstance]
+Resolver = ActionInstance | TemplateInstance
 
 
 class GroundedDomain:

@@ -45,30 +45,33 @@ first tick that reaches its edit instead of replaying the whole run.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .belief import BeliefState, PhysicalState
 from .errors import EntryLimitExceeded, TickLimitExceeded
 from .status import Status
 from .tree import ActionNode, BTNode, Condition, TreeTables
+from .value import Frozen, Record, set_field
 
 Entry = tuple[float, PhysicalState]
 # one entry inside a tick: (p, state at the tick's start, status, pending, blame)
 _Ticking = tuple[float, PhysicalState, Status, ActionNode | None, int | None]
 
 
-@dataclass(frozen=True)
-class SimulationLimits:
+class SimulationLimits(Frozen):
     """Budget for self-simulation; exceeding one raises, never mis-answers."""
 
-    max_root_ticks: int = 10000
-    max_entries: int = 100000
-    prune_epsilon: float = 0.0
+    __slots__ = ("max_root_ticks", "max_entries", "prune_epsilon")
+
+    def __init__(
+        self, max_root_ticks: int = 10000, max_entries: int = 100000, prune_epsilon: float = 0.0
+    ):
+        set_field(self, "max_root_ticks", max_root_ticks)
+        set_field(self, "max_entries", max_entries)
+        set_field(self, "prune_epsilon", prune_epsilon)
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(Record):
     """Exact terminal distribution of a simulation run.
 
     ``pruned_mass`` is reported, never renormalized away.  ``flow`` holds
@@ -80,11 +83,21 @@ class SimulationResult:
     edited.
     """
 
-    terminal: BeliefState
-    ticks_used: int
-    tables: TreeTables
-    pruned_mass: float
-    flow: tuple[tuple[float, float], ...]
+    __slots__ = ("terminal", "ticks_used", "tables", "pruned_mass", "flow")
+
+    def __init__(
+        self,
+        terminal: BeliefState,
+        ticks_used: int,
+        tables: TreeTables,
+        pruned_mass: float,
+        flow: tuple[tuple[float, float], ...],
+    ):
+        self.terminal = terminal
+        self.ticks_used = ticks_used
+        self.tables = tables
+        self.pruned_mass = pruned_mass
+        self.flow = flow
 
 
 class Trail:

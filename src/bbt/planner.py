@@ -23,8 +23,7 @@ or domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .belief import ActionInstance, BeliefState, PhysicalState
 from .domain import GroundedDomain, Resolver
@@ -47,25 +46,33 @@ from .tree import (
     Skipper,
     TreeTables,
 )
+from .value import Frozen, Record, set_field
 
 PROB_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
-class PlanRequest:
+class PlanRequest(Frozen):
     """One planning problem over a grounded domain.
 
     The goal and the initial belief are the domain's own.
     """
 
-    domain: GroundedDomain
-    target_probability: float
-    limits: SimulationLimits = SimulationLimits()
-    max_iterations: int = 64
+    __slots__ = ("domain", "target_probability", "limits", "max_iterations")
+
+    def __init__(
+        self,
+        domain: GroundedDomain,
+        target_probability: float,
+        limits: SimulationLimits = SimulationLimits(),
+        max_iterations: int = 64,
+    ):
+        set_field(self, "domain", domain)
+        set_field(self, "target_probability", target_probability)
+        set_field(self, "limits", limits)
+        set_field(self, "max_iterations", max_iterations)
 
 
-@dataclass(frozen=True)
-class FailedConditionReport:
+class FailedConditionReport(Frozen):
     """The condition chosen for resolution, with the entries charged with it.
 
     ``node`` is the condition and ``observed`` the status it returned;
@@ -75,24 +82,33 @@ class FailedConditionReport:
     and on which it observed that status.
     """
 
-    node: Condition
-    observed: Status
-    supporting: tuple[tuple[float, PhysicalState], ...]
+    __slots__ = ("node", "observed", "supporting")
+
+    def __init__(
+        self, node: Condition, observed: Status, supporting: tuple[tuple[float, PhysicalState], ...]
+    ):
+        set_field(self, "node", node)
+        set_field(self, "observed", observed)
+        set_field(self, "supporting", supporting)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    iteration: int
-    kind: str  # "insert" | "threat-reorder"
-    literal: str
-    probability: float
+class IterationRecord(Frozen):
+    __slots__ = ("iteration", "kind", "literal", "probability")
+
+    def __init__(self, iteration: int, kind: str, literal: str, probability: float):
+        set_field(self, "iteration", iteration)
+        set_field(self, "kind", kind)  # "insert" | "threat-reorder"
+        set_field(self, "literal", literal)
+        set_field(self, "probability", probability)
 
 
-@dataclass
-class PlanResult:
-    tree: BTNode
-    achieved: float
-    log: tuple[IterationRecord, ...]
+class PlanResult(Record):
+    __slots__ = ("tree", "achieved", "log")
+
+    def __init__(self, tree: BTNode, achieved: float, log: tuple[IterationRecord, ...]):
+        self.tree = tree
+        self.achieved = achieved
+        self.log = log
 
     def log_lines(self) -> list[str]:
         return [

@@ -13,10 +13,14 @@ A planner edit updates them in place instead of a new walk.
 from __future__ import annotations
 
 import itertools
-from typing import ClassVar, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .belief import ActionInstance
 from .status import Status
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import ClassVar
 
 _node_ids = itertools.count()
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import random
 import subprocess
@@ -739,9 +740,26 @@ class TestLogging:
     def test_bbt_log_goes_to_stderr_only(
         self, planned_paths, soda_path, capsys, monkeypatch
     ):
+        # planned_paths already ran one main() call in this process
         tree, _ = planned_paths
+        capsys.readouterr()
         monkeypatch.setenv("BBT_LOG", "debug")
         code = main(["simulate", "--domain", str(soda_path), "--tree", str(tree)])
         assert code == 0
-        out = capsys.readouterr().out
-        assert out.strip().splitlines()[-1].startswith("success_probability")
+        captured = capsys.readouterr()
+        assert captured.out.strip().splitlines()[-1].startswith("success_probability")
+        assert "tick" not in captured.out
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("DEBUG bbt.cli: tick 1 ended ")
+        assert all(line.startswith("DEBUG bbt.cli: tick ") for line in lines)
+
+    def test_bbt_log_is_read_per_call(self, planned_paths, soda_path, capsys, monkeypatch):
+        tree, _ = planned_paths
+        argv = ["simulate", "--domain", str(soda_path), "--tree", str(tree)]
+        logger = logging.getLogger("bbt")
+        before = (logger.level, logger.propagate, list(logger.handlers))
+        for level, logged in (("debug", True), ("error", False), ("debug", True)):
+            monkeypatch.setenv("BBT_LOG", level)
+            assert main(argv) == 0
+            assert ("DEBUG bbt.cli: tick 1 ended" in capsys.readouterr().err) is logged
+            assert (logger.level, logger.propagate, list(logger.handlers)) == before
