@@ -247,7 +247,7 @@ class BeliefState:
 
     @property
     def mass(self) -> float:
-        return sum(p for p, _ in self.entries)
+        return sum((p for p, _ in self.entries), 0.0)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -279,7 +279,7 @@ class BeliefState:
         return BeliefState(kept), dropped
 
     def success_probability(self) -> float:
-        return sum(p for p, s in self.entries if s.r is Status.S)
+        return sum((p for p, s in self.entries if s.r is Status.S), 0.0)
 
     def debug_lines(self, tables: "TreeTables") -> list[str]:
         """Text dump, one ``p | literals | r | pending=-`` line per entry.

@@ -8,7 +8,7 @@ read by each :func:`main` call, controls diagnostics on standard error.
 from __future__ import annotations
 
 import argparse
-import logging
+import functools
 import math
 import os
 import sys
@@ -31,8 +31,6 @@ from .errors import (
 from .planner import plan_request_from_domain, refine_tree
 from .status import Status
 from .treefile import load_tree, save_tree
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -67,7 +65,7 @@ def _limits(args) -> SimulationLimits:
     )
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args, log) -> int:
     limits = _limits(args)
     if args.prob is not None and not 0.0 < args.prob <= 1.0:
         raise BbtError(f"--prob must be in (0, 1], got {args.prob!r}")
@@ -83,7 +81,7 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, log) -> int:
     limits = _limits(args)
     domain = _load_domain(args)
     tree = load_tree(args.tree, domain)
@@ -98,7 +96,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_exec(args) -> int:
+def cmd_exec(args, log) -> int:
     limits = _limits(args)
     if args.runs < 1:
         raise BbtError(f"--runs must be at least 1, got {args.runs}")
@@ -116,7 +114,7 @@ def cmd_exec(args) -> int:
     return EXIT_OK
 
 
-def cmd_export_dot(args) -> int:
+def cmd_export_dot(args, log) -> int:
     domain = _load_domain(args)
     tree = load_tree(args.tree, domain)
     text = to_dot(tree)
@@ -156,7 +154,13 @@ class _Parser(argparse.ArgumentParser):
         raise BbtError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and shared by later ones.
+
+    Parsing leaves it unchanged, and argparse reads the help width when it
+    formats, so one parser serves every :func:`main` call in a process.
+    """
     parser = _Parser(
         prog="bbt",
         description="Belief behavior trees: plan, simulate, execute, export.",
@@ -192,26 +196,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+class _Silent:
+    """The log of a call whose ``BBT_LOG`` asks for no diagnostics: it drops every message."""
+
+    def info(self, *args) -> None:
+        pass
+
+    debug = info
+
+
+def _stderr_log(level: str):
+    """The ``bbt.cli`` logger writing at ``level`` to the ``sys.stderr`` of the moment.
+
+    Only the ``bbt`` loggers write, and to nowhere else; returns the logger
+    and a function that restores the ``bbt`` logger as it was.
+    """
+    import logging
+
+    logger = logging.getLogger("bbt")
+    saved_level, saved_propagate = logger.level, logger.propagate
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.setLevel(level.upper())
+    logger.propagate = False
+    logger.addHandler(handler)
+
+    def restore() -> None:
+        logger.removeHandler(handler)
+        logger.setLevel(saved_level)
+        logger.propagate = saved_propagate
+
+    return logging.getLogger(__name__), restore
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one CLI command; return its exit code.
 
-    For the duration of the call, the ``bbt`` loggers write to the
-    standard error stream of the moment, at the level ``BBT_LOG`` names
-    then, and to nowhere else; the ``bbt`` logger is restored on return.
+    ``BBT_LOG`` is read on each call.  At ``info`` or ``debug`` the call
+    imports :mod:`logging` and writes diagnostics to the standard error
+    stream of the moment; at any other value it writes none.
     """
-    logger = logging.getLogger("bbt")
-    level, propagate = logger.level, logger.propagate
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    logger.setLevel(_LOG_LEVELS.get(os.environ.get("BBT_LOG", "error").lower(), logging.ERROR))
-    logger.propagate = False
-    logger.addHandler(handler)
+    level = os.environ.get("BBT_LOG", "error").lower()
+    log, restore = _stderr_log(level) if level in ("info", "debug") else (_Silent(), None)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return args.func(args, log)
     except _PLANNING_ERRORS as exc:
         print(f"planning failed: {exc}", file=sys.stderr)
         return EXIT_PLANNING
@@ -222,9 +251,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
-        logger.propagate = propagate
+        if restore is not None:
+            restore()
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ space expected at that position.  ``#`` starts a comment.
 from __future__ import annotations
 
 import itertools
-import logging
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
@@ -42,8 +41,6 @@ from .errors import ParseError, SemanticError
 from .status import Status
 from .tree import ActionNode, BTNode, Condition, CONTROL_KINDS
 from .value import Frozen, set_field
-
-log = logging.getLogger(__name__)
 
 PROB_SUM_TOL = 1e-9
 
@@ -539,6 +536,8 @@ def validate_domain(spec: DomainSpec) -> None:
     """Raise :class:`SemanticError` on the first well-formedness violation."""
     _check_duplicates(((p.name, p.loc) for p in spec.params), "parameter space")
     for space in spec.params:
+        if not space.instances:
+            raise SemanticError(f"parameter space {space.name!r} is empty", *space.loc)
         _check_duplicates(((i, space.loc) for i in space.instances), "instance")
     _check_duplicates(((c.name, c.loc) for c in spec.conditions), "condition")
     _check_duplicates(
@@ -666,12 +665,18 @@ class TemplateInstance(Frozen):
     """A grounded template: advisory outcome distribution plus a body factory.
 
     ``outcomes`` are the template's declared outcomes, grounded; like an
-    action's, they are what the planner scores the template by.  The
-    ``schema``, ``bindings`` and ``domain`` the body is built from are left
-    out of equality and ``repr``.
+    action's, they are what the planner scores the template by.  The body
+    is built from the ``schema`` under ``bindings``, with the domain's
+    ``actions_by_id`` and ``template_schemas`` (by name); these four are
+    left out of equality and ``repr``.  Holding those two tables rather
+    than the domain keeps a grounded domain free of reference cycles, so
+    reference counting frees it when it is dropped.
     """
 
-    __slots__ = ("id", "preconditions", "outcomes", "schema", "bindings", "domain")
+    __slots__ = (
+        "id", "preconditions", "outcomes", "schema", "bindings", "actions_by_id",
+        "template_schemas",
+    )
     _compared = 3
 
     def __init__(
@@ -681,19 +686,23 @@ class TemplateInstance(Frozen):
         outcomes: tuple[Outcome, ...],
         schema: TemplateSchema,
         bindings: tuple[tuple[str, str], ...],
-        domain: GroundedDomain,
+        actions_by_id: Mapping[str, ActionInstance],
+        template_schemas: Mapping[str, TemplateSchema],
     ):
         set_field(self, "id", id)
         set_field(self, "preconditions", preconditions)
         set_field(self, "outcomes", outcomes)
         set_field(self, "schema", schema)
         set_field(self, "bindings", bindings)
-        set_field(self, "domain", domain)
+        set_field(self, "actions_by_id", actions_by_id)
+        set_field(self, "template_schemas", template_schemas)
 
     def instantiate(self) -> BTNode:
         """Build a new subtree; repeated calls share structure, not node ids."""
         try:
-            return _expand_body(self.domain, self.schema, dict(self.bindings))
+            return _expand_body(
+                self.actions_by_id, self.template_schemas, self.schema, dict(self.bindings)
+            )
         except RecursionError:
             # _expand_body recurses once or twice per level of the body
             raise SemanticError("template body nested too deeply", *self.schema.loc) from None
@@ -716,7 +725,7 @@ class GroundedDomain:
 
         self.allowed_values: dict[str, tuple[Status, ...]] = {}
         for cond in spec.conditions:
-            for binding in self._bindings(cond.params, cond.name):
+            for binding in self._bindings(cond.params):
                 literal = format_literal(cond.name, tuple(binding[p] for p in cond.params))
                 self.allowed_values[literal] = cond.values
         self.literals: tuple[str, ...] = tuple(self.allowed_values)
@@ -724,14 +733,14 @@ class GroundedDomain:
         self.actions: tuple[ActionInstance, ...] = tuple(
             self._ground_action(a, binding)
             for a in spec.actions
-            for binding in self._bindings(a.params, a.name)
+            for binding in self._bindings(a.params)
         )
         self.actions_by_id = {a.id: a for a in self.actions}
 
         self.templates: tuple[TemplateInstance, ...] = tuple(
             self._ground_template(t, binding)
             for t in spec.templates
-            for binding in self._bindings(t.params, t.name)
+            for binding in self._bindings(t.params)
         )
 
         # per literal, the resolvers with an outcome setting it to S and the
@@ -759,14 +768,8 @@ class GroundedDomain:
 
     # -- construction helpers
 
-    def _bindings(self, params: tuple[str, ...], owner: str) -> Iterator[dict[str, str]]:
-        spaces = []
-        for p in params:
-            instances = self._spaces[p]
-            if not instances:
-                log.warning("parameter space %r is empty; %r grounds to nothing", p, owner)
-            spaces.append(instances)
-        for combo in itertools.product(*spaces):
+    def _bindings(self, params: tuple[str, ...]) -> Iterator[dict[str, str]]:
+        for combo in itertools.product(*(self._spaces[p] for p in params)):
             yield dict(zip(params, combo))
 
     def _ground_clause(
@@ -849,7 +852,8 @@ class GroundedDomain:
             outcomes=outcomes,
             schema=schema,
             bindings=tuple(binding.items()),
-            domain=self,
+            actions_by_id=self.actions_by_id,
+            template_schemas=self._template_schemas,
         )
 
     def _build_initial(self) -> dict[str, Status]:
@@ -889,7 +893,10 @@ def ground(spec: DomainSpec) -> GroundedDomain:
 
 
 def _expand_body(
-    domain: GroundedDomain, schema: TemplateSchema, binding: dict[str, str]
+    actions_by_id: Mapping[str, ActionInstance],
+    template_schemas: Mapping[str, TemplateSchema],
+    schema: TemplateSchema,
+    binding: dict[str, str],
 ) -> BTNode:
     def resolve_args(args: tuple[str, ...]) -> tuple[str, ...]:
         return tuple(binding.get(a, a) for a in args)
@@ -901,11 +908,11 @@ def _expand_body(
         args = resolve_args(expr.args)
         name = format_literal(expr.name, args)
         if expr.ref == "act":
-            return ActionNode(domain.actions_by_id[name])
+            return ActionNode(actions_by_id[name])
         if expr.ref == "cond":
             return Condition(name)
-        inner = domain._template_schemas[expr.name]
-        return _expand_body(domain, inner, dict(zip(inner.params, args)))
+        inner = template_schemas[expr.name]
+        return _expand_body(actions_by_id, template_schemas, inner, dict(zip(inner.params, args)))
 
     return walk(schema.body)
 

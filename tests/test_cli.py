@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bbt import cli
 from bbt.cli import main
 from bbt.domain import ground, parse_domain
 from bbt.dot import to_dot
@@ -391,6 +392,57 @@ class TestUsageErrors:
     def test_help_exits_0(self):
         proc = run_bbt("simulate", "--help")
         assert proc.returncode == 0 and proc.stdout.startswith("usage: bbt simulate")
+
+
+class TestParserPerProcess:
+    """One parser serves every :func:`main` call in a process."""
+
+    def test_three_calls_build_one_parser(self, tmp_path, soda_det_path, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        domain, tree = str(soda_det_path), str(tmp_path / "tree.json")
+        assert main(["plan", "--domain", domain, "--out", tree]) == 0
+        assert main(["simulate", "--domain", domain, "--tree", tree]) == 0
+        assert main(["export-dot", "--domain", domain, "--tree", tree]) == 0
+        assert built == ["bbt", "bbt plan", "bbt simulate", "bbt exec", "bbt export-dot"]
+
+    def test_usage_error_then_valid_call(self, tmp_path, soda_det_path, capsys):
+        domain, tree = str(soda_det_path), str(tmp_path / "tree.json")
+        bad = ["simulate", "--domain", domain, "--tree", tree, "--max-ticks", "x"]
+        assert main(bad) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bbt simulate: argument --max-ticks: invalid int value: 'x'\n"
+        )
+        assert main(["plan", "--domain", domain, "--out", tree]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "1\tinsert\tseen(soda)\t0.000000",
+            "2\tinsert\tluminousity_ok\t0.500000",
+            "3\tinsert\tseen(soda)\t0.875000",
+            "4\tinsert\tseen(soda)\t0.968750",
+        ]
+
+    def test_help_wraps_to_the_width_of_each_call(self, capsys, monkeypatch):
+        helps = []
+        for columns in ("40", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as exit_:
+                main(["plan", "--help"])
+            assert exit_.value.code == 0
+            helps.append(capsys.readouterr().out)
+            # what a fresh process prints at this width
+            assert helps[-1] == run_bbt("plan", "--help").stdout
+        assert helps[0] != helps[1]
 
 
 class TestLimitFlags:

@@ -8,9 +8,11 @@ from bbt.domain import (
     Assignment,
     ConditionSchema,
     DomainSpec,
+    ParamSpace,
     _tokenize,
     ground,
     parse_domain,
+    validate_domain,
 )
 from bbt.errors import ParseError, SemanticError
 from bbt.status import Status
@@ -369,26 +371,16 @@ class TestGrounding:
         assert initial["seen(soda)"] is R
         assert initial["luminousity_ok"] is F
 
-    def test_empty_space_grounds_to_nothing(self, caplog):
-        text = """
-param obj { ball }
-param ghost_space { g }
-condition held(obj) values { S F }
-"""
-        spec = parse_domain(text)
-        object.__setattr__(spec.params[1], "instances", ())
-        with caplog.at_level("WARNING"):
-            grounded = ground(
-                DomainSpec(
-                    params=spec.params,
-                    conditions=(
-                        spec.conditions[0],
-                        ConditionSchema("spooky", ("ghost_space",), (S, F)),
-                    ),
-                )
-            )
-        assert [lit for lit in grounded.literals if "spooky" in lit] == []
-        assert "ghost_space" in caplog.text
+    def test_empty_space_is_rejected(self):
+        # the parser refuses "param ghost { }", so only a hand-built spec has one
+        spec = parse_domain(MINI)
+        ghost = ParamSpace("ghost_space", (), (3, 1))
+        conditions = spec.conditions + (ConditionSchema("spooky", ("ghost_space",), (S, F)),)
+        bad = DomainSpec(params=spec.params + (ghost,), conditions=conditions, goal=spec.goal)
+        with pytest.raises(SemanticError, match=r"^3:1: parameter space 'ghost_space' is empty$"):
+            validate_domain(bad)
+        with pytest.raises(ParseError, match="expected an instance name"):
+            parse_domain("param ghost_space { }\n")
 
     def test_report_status_default_rule(self):
         text = """

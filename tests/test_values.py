@@ -3,10 +3,12 @@
 Frozen records have read-only fields, compare and hash by their compared
 fields and print as ``Name(field=value, ...)``; source locations and derived
 fields are left out of all three.  The two result records stay mutable and
-unhashable.
+unhashable.  A dropped grounded domain holds no reference cycle, and a CLI
+call loads ``logging`` only when ``BBT_LOG`` asks for diagnostics.
 """
 
 import copy
+import gc
 import os
 import pickle
 import subprocess
@@ -17,11 +19,14 @@ import pytest
 
 from bbt import (
     ActionInstance,
+    BeliefState,
     DomainSpec,
     Outcome,
     PlanRequest,
     SimulationLimits,
     TemplateInstance,
+    ground,
+    parse_domain,
     refine_tree,
     simulate,
 )
@@ -139,6 +144,33 @@ def test_results_are_mutable_and_unhashable(soda_det_domain):
     )
 
 
+def test_no_mass_is_the_float_zero(soda_det_domain):
+    first = refine_tree(PlanRequest(soda_det_domain, 0.9)).log[0]
+    assert repr(first) == (
+        "IterationRecord(iteration=1, kind='insert', literal='seen(soda)', probability=0.0)"
+    )
+    assert type(first.probability) is float
+    belief = soda_det_domain.initial_belief()
+    for empty in (belief.success_probability(), BeliefState().mass):
+        assert empty == 0.0 and type(empty) is float
+
+
+def test_a_dropped_domain_leaves_no_cycles(soda_path):
+    text = soda_path.read_text(encoding="utf-8")
+    ground(parse_domain(text))
+    gc.collect()
+    gc.disable()
+    try:
+        ground(parse_domain(text))
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+    # a template outlives its domain and still builds its body
+    kept = template(ground(parse_domain(text)))
+    assert len(kept.instantiate().children) > 0
+
+
 def test_values_survive_pickle_and_copy(soda_domain):
     request = PlanRequest(soda_domain, 0.9)
     restored = pickle.loads(pickle.dumps(request))
@@ -149,17 +181,44 @@ def test_values_survive_pickle_and_copy(soda_domain):
     assert copy.copy(action()).clobbers == action().clobbers
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_typing():
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import bbt.cli\n"
-        "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'typing'}\n"
-        "print(sorted(heavy & (set(sys.modules) - before)))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def run_bare(code, bbt_log=None):
+    """Run ``code`` in a fresh ``python -S``, which imports nothing for ``site``; return stdout.
+
+    ``bbt_log`` is the ``BBT_LOG`` of the run; None leaves it unset.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "BBT_LOG"}
+    env["PYTHONPATH"] = str(SRC)
+    if bbt_log is not None:
+        env["BBT_LOG"] = bbt_log
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bbt.cli\n"
+        "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'typing', 'logging'}\n"
+        "print(sorted(heavy & (set(sys.modules) - before)))\n"
+    )
+    assert run_bare(code) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "bbt_log, loaded", [(None, False), ("error", False), ("INFO", True), ("debug", True)]
+)
+def test_a_cli_call_loads_logging_only_when_bbt_log_asks(soda_det_path, tmp_path, bbt_log, loaded):
+    argv = ["plan", "--domain", str(soda_det_path), "--out", str(tmp_path / "tree.json")]
+    code = (
+        "import contextlib, io, sys\n"
+        "import bbt.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = bbt.cli.main({argv!r})\n"
+        "print(code, 'logging' in sys.modules)\n"
+    )
+    assert run_bare(code, bbt_log) == f"0 {loaded}\n"
