@@ -20,10 +20,11 @@ edited.
 :class:`ClassicRuns`, which memoises root ticks in a trie keyed by outcome
 history: only a history no earlier run reached costs a leaf walk.  One loop,
 :meth:`ClassicRuns.statuses`, runs every run of an exec.  It reads the runs
-in blocks of :data:`bbt.rng._LANES` and takes their draws from a
-:class:`~bbt.rng.BlockDraw`, which mixes a tick's draws for the whole block
-at once; run *r*'s draw at tick *t* is ``bbt.rng.draw(seed, r, t)``, the
-*t*-th draw of ``CounterRng(seed, r)``.
+in blocks of :data:`bbt.rng._LANES` and runs each block tick by tick: runs
+at the same trie node move as one group, and a tick's draws come from one
+:class:`~bbt.rng.BlockDraw` over the runs still running, which mixes them
+all at once.  Run *r*'s draw at tick *t* is ``bbt.rng.draw(seed, r, t)``,
+the *t*-th draw of ``CounterRng(seed, r)``, in whatever order the runs go.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
-from .errors import TickLimitExceeded, UnknownLiteral
+from .errors import BbtError, TickLimitExceeded, UnknownLiteral
 from .rng import _LANES, _UNIT, BlockDraw
 from .status import Status
 from .tree import ActionNode, TreeTables
@@ -157,9 +158,10 @@ class ClassicRuns:
     started action; the outcome drawn is the first whose cumulative mass
     exceeds the draw, or the last.  So a run returns the status and raises
     the error of a run that walks the leaves of every tick.  Only a
-    history no earlier run reached pays for a leaf walk; its state is
-    replayed from ``initial`` along the history once, then kept up to date
-    while the run explores.
+    history no earlier run reached pays for a leaf walk, once for all the
+    runs of a block that reach it in the same tick; its state is replayed
+    from ``initial`` along the history once, then kept up to date while
+    those runs explore, and each part they split into takes a copy.
 
     An outcome drawn in tick *i* is applied before tick *i + 1*, and a slot
     is walked only when a run reaches it with a tick to spare, so a run that
@@ -191,64 +193,127 @@ class ClassicRuns:
         """The final status of one run per stream, in stream order.
 
         A run ticks until a root tick starts no action; that tick's status
-        is final.  One loop runs every run: run ``r``'s draw at tick ``t`` is
-        ``bbt.rng.draw(seed, r, t)`` bit for bit.  ``streams`` is read
-        lazily, :data:`bbt.rng._LANES` at a time, and each block's runs are
-        run one by one in stream order.  A block's words at tick ``t`` come
-        from one :class:`~bbt.rng.BlockDraw`, computed when the first of its
-        runs draws at ``t`` and kept for the others, so no run mixes its own
-        draws.  A step of one outcome draws nothing, but its tick still
-        takes its index, so later ticks draw as they would if it drew.
+        is final.  Run ``r``'s draw at tick ``t`` is
+        ``bbt.rng.draw(seed, r, t)`` bit for bit, whatever order the runs
+        take.  ``streams`` is read lazily, :data:`bbt.rng._LANES` at a time;
+        :meth:`_block` runs each block tick by tick, and its statuses are
+        yielded in stream order once the block ends.  A step of one outcome
+        draws nothing, but its tick still takes its index, so later ticks
+        draw as they would if it drew.
 
         A run that reaches an outcome it cannot apply raises
         :class:`~bbt.errors.UnknownLiteral`, and one still running after
         ``max_ticks`` root ticks raises
-        :class:`~bbt.errors.TickLimitExceeded`; either ends the iteration.
-        ``bbt exec`` does not reach this budget in practice: it first runs
-        ``simulate`` under the same budget, and without pruning that
-        simulation ticks at least as long as any run, so it fails first.
-        The budget stays for library callers, whose runs have no such guard.
+        :class:`~bbt.errors.TickLimitExceeded`; the first failing run's
+        error is raised after the runs before it are yielded, and ends the
+        iteration.  ``bbt exec`` does not reach this budget in practice: it
+        first runs ``simulate`` under the same budget, and without pruning
+        that simulation ticks at least as long as any run, so it fails
+        first.  The budget stays for library callers, whose runs have no
+        such guard.
         """
-        unit = _UNIT
         streams = iter(streams)
         while block := list(islice(streams, _LANES)):
-            # tick -> the block's words at that tick, once some run draws
-            # there; rebound before the next block is mixed, so the last
-            # block's words are freed first
-            drawn: dict[int, list[int]] = {}
-            draws = BlockDraw(seed, block)
-            for lane in range(len(block)):
-                node, step, index = self._root, None, 0
-                state = latches = None
-                for tick in range(max_ticks):
-                    if node.__class__ is not _Step:
-                        if node is None:
-                            if state is None:
-                                state, latches = self._replay(step)
-                            if step is not None:
-                                self._apply(step, index, state, latches)
-                            node = self._walk(step, index, state, latches)
-                        if node.__class__ is not _Step:
-                            break
-                    step = node
-                    thresholds = step.thresholds
-                    if thresholds is None:
-                        index = 0
+            statuses, error = self._block(seed, block, max_ticks)
+            yield from statuses
+            if error is not None:
+                raise error
+
+    def _block(
+        self, seed: int, block: list[int], max_ticks: int
+    ) -> tuple[list[Status], BbtError | None]:
+        """Run one block tick by tick: the statuses of its runs before the
+        first failing one, and that run's error or ``None``.
+
+        Runs with one outcome history sit at one trie node and move as a
+        group: per tick each group draws once per run and splits by outcome,
+        and a group that reaches an unwalked slot replays, applies and walks
+        once for all its runs, then keeps that state while it explores.  A
+        group holds its runs as positions in the :class:`~bbt.rng.BlockDraw`
+        of the runs still running, in stream order; the draw is packed anew
+        whenever the running runs fall to half of those it packs, so a tick
+        mixes fewer than twice the lanes still running.
+        """
+        unit, bisect, step_class = _UNIT, bisect_right, _Step
+        statuses: list = [None] * len(block)
+        # the block lane of the first failing run, and its error
+        first, error = len(block), None
+        lane_of = list(range(len(block)))  # position in the packed draw -> lane
+        draws = BlockDraw(seed, block)
+        # the groups that reach a trie node at this tick, each a record
+        # [node, step, outcome index, positions, state, latches] that is
+        # updated in place as the group moves
+        arrivals = [[self._root, None, 0, range(len(block)), None, None]]
+        running = len(block)
+        for tick in range(max_ticks):
+            words, moved = None, []
+            move = moved.append
+            for group in arrivals:
+                node, step, index, lanes, state, latches = group
+                if node is None:
+                    try:
+                        if state is None:
+                            group[4], group[5] = state, latches = self._replay(step)
+                        node = self._walk(step, index, state, latches)
+                    except UnknownLiteral as exc:
+                        if lane_of[lanes[0]] < first:
+                            first, error = lane_of[lanes[0]], exc
+                        running -= len(lanes)
+                        continue
+                if node.__class__ is not step_class:
+                    for p in lanes:
+                        statuses[lane_of[p]] = node
+                    running -= len(lanes)
+                    continue
+                thresholds, children = node.thresholds, node.children
+                if thresholds is None:
+                    group[0], group[1], group[2] = children[0], node, 0
+                    move(group)
+                    continue
+                if words is None:
+                    words = draws.words(tick)
+                if len(lanes) == 1:
+                    index = bisect(thresholds, words[lanes[0]] * unit)
+                    group[0], group[1], group[2] = children[index], node, index
+                    move(group)
+                    continue
+                split: list[list[int]] = [[] for _ in children]
+                for p in lanes:
+                    split[bisect(thresholds, words[p] * unit)].append(p)
+                parts = [index for index, part in enumerate(split) if part]
+                for index in parts:
+                    # the last part takes the group's state, the others a copy
+                    if state is not None and index != parts[-1]:
+                        move([children[index], node, index, split[index],
+                              list(state), dict(latches)])
                     else:
-                        try:
-                            words = drawn[tick]
-                        except KeyError:
-                            words = drawn[tick] = draws.words(tick)
-                        index = bisect_right(thresholds, words[lane] * unit)
-                    node = step.children[index]
-                else:
-                    if node is None and step is not None:
-                        # the last tick applies its outcome too, which may fail
+                        move([children[index], node, index, split[index],
+                              state, latches])
+            arrivals = moved
+            if not moved:
+                break
+            if 2 * running <= len(lane_of):
+                # pack the runs still running, group by group
+                packed = []
+                for group in moved:
+                    at = len(packed)
+                    packed += [lane_of[p] for p in group[3]]
+                    group[3] = range(at, len(packed))
+                lane_of = packed
+                draws = BlockDraw(seed, [block[lane] for lane in packed])
+        # runs still running after max_ticks; one at an unwalked slot
+        # applies its last outcome first, which may fail
+        for node, step, index, lanes, state, latches in arrivals:
+            if lane_of[lanes[0]] < first:
+                first, error = lane_of[lanes[0]], TickLimitExceeded(max_ticks)
+                if node is None and step is not None:
+                    try:
                         if state is None:
                             state, latches = self._replay(step)
                         self._apply(step, index, state, latches)
-                    raise TickLimitExceeded(max_ticks)
-                yield node
+                    except UnknownLiteral as exc:
+                        error = exc
+        return statuses[:first], error
 
     def _replay(self, step: _Step | None) -> tuple[list[Status], dict[int, Status]]:
         """The state and latches of the root tick that ``step`` memoises."""
@@ -269,7 +334,13 @@ class ClassicRuns:
         latches[step.action_node.node_id] = outcome.report
 
     def _walk(self, step, index, state, latches) -> _Step | Status:
-        """Walk the tick after outcome ``index`` of ``step``; memoise it there while room lasts."""
+        """Apply outcome ``index`` of ``step`` (none before the root), then walk
+        the tick after it; memoise that tick there while room lasts."""
+        if step is not None:
+            # _apply inlined: a run that explores comes here every tick
+            outcome = step.action_node.action.outcomes[index]
+            outcome.apply(state, self.index)
+            latches[step.action_node.node_id] = outcome.report
         status, started = _walk_leaves(self.program, self.index, state, latches)
         node = status if started is None else self._fresh_step(started)
         if self._room > 0:

@@ -110,6 +110,8 @@ def cmd_exec(args, log) -> int:
     rate = successes / args.runs
     print(f"runs {args.runs}")
     print(f"empirical_success_rate {rate:.6f}")
+    if analytical.pruned_mass > 0.0:
+        print(f"unresolved_mass {analytical.pruned_mass:.6f}")
     print(f"analytical_success_probability {analytical.terminal.success_probability():.6f}")
     return EXIT_OK
 

@@ -9,9 +9,9 @@ pseudorandom number generators", OOPSLA 2014).
 :class:`BlockDraw` computes the same words for a block of streams at once,
 one tick at a time: each stream's state is a 128-bit lane of one int, and
 one finalizer over that int mixes every lane.  ``bbt exec`` reads its runs'
-draws from it, :data:`_LANES` runs per block
-(:meth:`bbt.classic.ClassicRuns.statuses`): run *r*'s draw at tick *t* is
-``draw(seed, r, t)``.
+draws from it, :data:`_LANES` runs per block, packing anew the runs still
+running as the others end (:meth:`bbt.classic.ClassicRuns.statuses`): run
+*r*'s draw at tick *t* is ``draw(seed, r, t)`` in any block and packing.
 """
 
 from __future__ import annotations
@@ -60,12 +60,12 @@ class CounterRng:
         return (word >> 11) * _UNIT
 
 
-# Streams per block that ClassicRuns.statuses reads at a time.  A block
-# mixes every lane at every tick that any of its runs draws at, and keeps
-# each tick's words (about 40 bytes a lane) until its last run ends, so
-# larger blocks mean fewer big-int operations per draw but more mixed lanes
-# that no run reads, and more memory.
-_LANES = 128
+# Streams per block that ClassicRuns.statuses reads at a time.  A block runs
+# tick by tick and mixes, at each tick one of its runs draws at, fewer than
+# twice the lanes still running; it keeps one tick's words at a time.
+# Larger blocks mean fewer big-int operations and fewer group steps per
+# run, but more runs' states held at once.
+_LANES = 512
 # each lane is 16 bytes: the 64-bit state, then 64 bits of headroom
 _LANE_ONE = (1).to_bytes(16, "little")
 # the low 64-bit word of every lane, among a lane int's native 64-bit words

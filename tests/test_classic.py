@@ -4,6 +4,7 @@ runs."""
 
 import bisect
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,7 @@ from bbt import classic
 from bbt.belief import ActionInstance, Outcome
 from bbt.classic import ClassicRuns, LeafProgram
 from bbt.errors import TickLimitExceeded, UnknownLiteral
-from bbt.rng import _LANES, CounterRng, draw
+from bbt.rng import _LANES, BlockDraw, CounterRng, draw
 from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Sequence, Skipper, TreeTables
 
@@ -198,7 +199,9 @@ def test_each_draw_is_the_counter_draw_of_its_run_and_tick(monkeypatch):
                 else:
                     skipped += 1
         assert got == want, case
-        assert compared == want_compared, case
+        # a block's runs draw tick by tick, not run by run: compare the
+        # draws as a multiset, each with the thresholds it was compared with
+        assert sorted(compared) == sorted(want_compared), case
         draws += len(compared)
     assert draws > 1000 and skipped > 400, (draws, skipped)
 
@@ -274,10 +277,54 @@ def test_runs_across_blocks_match_reference_runs(monkeypatch):
         got = list(ClassicRuns(program, assignment).statuses(seed, source))
         want, want_compared = _oracle_runs(tree, assignment, seed, streams)
         assert got == want, case
-        assert compared == want_compared, case
+        assert sorted(compared) == sorted(want_compared), case
         for status in got:
             ended[status] += 1
     assert min(ended[S], ended[F]) > 200, ended
+
+
+def _statuses_or_error(run_statuses):
+    """The statuses a run of ``statuses`` yields, and the error that ends it or ``None``."""
+    got = []
+    try:
+        for status in run_statuses:
+            got.append(status)
+    except (UnknownLiteral, TickLimitExceeded) as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+def test_runs_with_failures_match_reference_runs(monkeypatch):
+    rng = random.Random(8181)
+    errors = Counter()
+    for case in range(300):
+        literals = randgen.random_literals(rng)
+        actions = randgen.random_actions(rng, literals)
+        subtrees = [
+            randgen.random_tree(rng, literals, actions, max_nodes=10)
+            for _ in range(rng.randint(1, 4))
+        ]
+        tree = rng.choice(randgen.CONTROLS)(subtrees)
+        assignment = randgen.random_assignment(rng, literals)
+        if rng.random() < 0.3:
+            del assignment[rng.choice(literals)]
+        # blocks of 1 and 3 runs, and one block; a trie that fills up at once
+        monkeypatch.setattr(classic, "_LANES", rng.choice((1, 3, _LANES)))
+        monkeypatch.setattr(classic, "MEMO_SLOTS", rng.choice((0, 5, 1 << 16)))
+        runs = ClassicRuns(LeafProgram(TreeTables(tree)), assignment)
+        # a cold trie, then a warm one
+        for seed in (case, case + 1):
+            max_ticks = rng.randint(0, 6)
+            streams = _scattered_streams(rng, rng.randint(1, 40))
+            got = _statuses_or_error(runs.statuses(seed, streams, max_ticks))
+            # the oracle runs stream by stream until the first that fails
+            want = _statuses_or_error(
+                oracle.run_classic(tree, dict(assignment), CounterRng(seed, stream), max_ticks)[0]
+                for stream in streams
+            )
+            assert got == want, (case, seed)
+            errors[want[1] and want[1][0]] += 1
+    assert min(errors[None], errors[UnknownLiteral], errors[TickLimitExceeded]) > 60, errors
 
 
 # a two-outcome first action then a one-outcome second: outcome 0 ends the
@@ -312,6 +359,35 @@ def test_failing_run_in_second_block_ends_the_runs(outcome, error):
     assert got == [F] * len(before)
 
 
+@pytest.mark.parametrize("late_first", [True, False])
+def test_first_failing_stream_in_a_block_raises_its_error(late_first):
+    # outcome 1 of _FIRST starts five more actions, one a tick, so its run
+    # is still running when the budget of five ticks ends; outcome 2 fails
+    # in tick 1, when its ghost literal is applied
+    tree = Sequence([ActionNode(_FIRST), *(ActionNode(sure((("x", S),))) for _ in range(5))])
+    program = LeafProgram(TreeTables(tree))
+    seed, thresholds, max_ticks = 415, [0.4, 0.7], 5
+    by_outcome = {0: [], 1: [], 2: []}
+    for s in range(10000):
+        by_outcome[bisect.bisect_right(thresholds, draw(seed, s, 0))].append(s)
+    late, early = by_outcome[1][0], by_outcome[2][0]
+    with pytest.raises(TickLimitExceeded):
+        oracle.run_classic(tree, {"x": F}, CounterRng(seed, late), max_ticks)
+    with pytest.raises(UnknownLiteral):
+        oracle.run_classic(tree, {"x": F}, CounterRng(seed, early), max_ticks)
+    before, after = by_outcome[0][:20], by_outcome[0][20:40]
+    assert _oracle_runs(tree, {"x": F}, seed, before, max_ticks)[0] == [F] * len(before)
+    # one block: the earlier failing stream fails in a later tick
+    first, second = (late, early) if late_first else (early, late)
+    streams = [*before, first, second, *after]
+    assert len(streams) <= _LANES
+    got = []
+    with pytest.raises(TickLimitExceeded if late_first else UnknownLiteral):
+        for status in ClassicRuns(program, {"x": F}).statuses(seed, streams, max_ticks):
+            got.append(status)
+    assert got == [F] * len(before)
+
+
 def test_memo_miss_runs_match_reference_runs(monkeypatch):
     # 20 items, each rolled by an 8-outcome action whose outcomes all report
     # S: 8**20 histories, so the runs share little more than their first ticks
@@ -336,7 +412,7 @@ def test_memo_miss_runs_match_reference_runs(monkeypatch):
     got = list(ClassicRuns(LeafProgram(TreeTables(tree)), assignment).statuses(7, range(300)))
     want, want_compared = _oracle_runs(tree, assignment, 7, range(300))
     assert got == want == [S] * 300
-    assert compared == want_compared and len(compared) == 300 * 20
+    assert sorted(compared) == sorted(want_compared) and len(compared) == 300 * 20
     assert walks > 300 * 15, walks
 
 
@@ -368,3 +444,40 @@ def test_wide_skipper_scans_every_child():
     assert list(runs.statuses(0, [0], 2)) == [S]
     status, run = oracle.run_classic(tree, {"r": R}, CounterRng(0))
     assert status is S and run.outcomes == [("sure", 0)]
+
+
+def test_block_mixes_fewer_than_twice_the_runs_still_running(
+    monkeypatch, planned_stochastic, soda_domain
+):
+    # the exec-soda workload: the soda goal tree, 20,000 runs at seed 42
+    tree, assignment = planned_stochastic.tree, soda_domain.initial_assignment
+    seed, runs = 42, 20000
+    mixed = []  # (block, tick, lanes mixed) of every tick a block draws at
+
+    class CountedDraw(BlockDraw):
+        def __init__(self, seed, streams):
+            super().__init__(seed, streams)
+            # streams are range(runs), so a block's lowest stream names it
+            self.block, self.lanes = min(streams) // _LANES, len(streams)
+
+        def words(self, tick):
+            mixed.append((self.block, tick, self.lanes))
+            return super().words(tick)
+
+    monkeypatch.setattr(classic, "BlockDraw", CountedDraw)
+    compared = _record_draws(monkeypatch)
+    got = list(ClassicRuns(LeafProgram(TreeTables(tree)), assignment).statuses(seed, range(runs)))
+    # a run is still running at tick t when its tick t happens: it started
+    # an action in each tick before t
+    running = Counter()
+    want = []
+    for stream in range(runs):
+        status, run = oracle.run_classic(tree, dict(assignment), CounterRng(seed, stream))
+        want.append(status)
+        for tick in range(len(run.outcomes) + 1):
+            running[stream // _LANES, tick] += 1
+    assert got == want
+    for block, tick, lanes in mixed:
+        assert lanes < 2 * running[block, tick], (block, tick, lanes)
+    assert len(compared) == 58058
+    assert sum(lanes for _, _, lanes in mixed) == 91583

@@ -322,6 +322,16 @@ class TestExec:
                 "",
                 id="wide-2000",
             ),
+            # pruning drops mass from the analytical result, and exec says how much
+            pytest.param(
+                "soda", ["--prob", "0.999"], ["--runs", "2000", "--prune-epsilon", "0.3"], 0,
+                "runs 2000\n"
+                "empirical_success_rate 0.998500\n"
+                "unresolved_mass 0.500000\n"
+                "analytical_success_probability 0.500000\n",
+                "",
+                id="prune-epsilon-0.3",
+            ),
             pytest.param(
                 "soda", [], ["--runs", "2000", "--max-ticks", "3"], 3,
                 "", "simulation limit: exceeded the limit of 3 root ticks\n",

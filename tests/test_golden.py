@@ -41,6 +41,9 @@ CASES.update({f"wide-seed{seed}": (("wide", seed), None, "42", "2000") for seed 
 # 1000 runs at exec seed 415 read 0.994000 on the soda 0.999 tree (exact
 # 0.99920), a rare but honest tail that the benchmark's 5-SE exec check flags
 CASES["soda-0.999-exec415"] = ("soda.bbt", "0.999", "415", "1000")
+# the benchmark's exec-soda run count: many blocks, and lanes that finish
+# at different ticks within each one
+CASES["soda-goal-exec20000"] = ("soda.bbt", None, "42", "20000")
 
 
 def _bbt(*args: str, log: str = "error") -> subprocess.CompletedProcess:

@@ -92,3 +92,11 @@ def test_code_lines(tmp_path):
     counts = [int(line.split()[0]) for line in lines]
     assert lines[-1].split()[1] == "total" and counts[-1] == sum(counts[:-1])
     assert any(line.endswith("  domain.py") for line in lines)
+
+
+def test_exec_rate():
+    proc = run_script("exec_rate.py", "--runs", "2000", "--repeats", "1")
+    assert proc.returncode == 0, proc.stderr
+    # the golden soda-goal exec: 2000 runs at seed 42 read 0.960000
+    assert proc.stdout.startswith("runs 2000 successes 1920 best ")
+    assert proc.stdout.endswith(" runs/s\n")
