@@ -39,6 +39,15 @@ EXIT_LIMITS = 3
 
 _PLANNING_ERRORS = (EmptyGoal, NoResolver, NothingFailed, IterationLimit, UnresolvableThreat)
 _LIMIT_ERRORS = (TickLimitExceeded, EntryLimitExceeded)
+_LEVELS = {"info": 1, "debug": 2}
+
+
+def _say(line: str) -> None:
+    """Print ``line`` on the ``sys.stderr`` of the moment; drop it if that cannot be written."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _load_domain(args) -> GroundedDomain:
@@ -65,7 +74,7 @@ def _limits(args) -> SimulationLimits:
     )
 
 
-def cmd_plan(args, log) -> int:
+def cmd_plan(args, level) -> int:
     limits = _limits(args)
     if args.prob is not None and not 0.0 < args.prob <= 1.0:
         raise BbtError(f"--prob must be in (0, 1], got {args.prob!r}")
@@ -77,17 +86,20 @@ def cmd_plan(args, log) -> int:
         print(line)
     if args.dot:
         Path(args.dot).write_text(to_dot(result.tree), encoding="utf-8")
-    log.info("plan reached probability %.6f in %d iterations", result.achieved, len(result.log))
+    if level:
+        reached = f"{result.achieved:.6f} in {len(result.log)} iterations"
+        _say(f"INFO bbt.cli: plan reached probability {reached}")
     return EXIT_OK
 
 
-def cmd_simulate(args, log) -> int:
+def cmd_simulate(args, level) -> int:
     limits = _limits(args)
     domain = _load_domain(args)
     tree = load_tree(args.tree, domain)
     result = simulate(tree, domain.initial_belief(), limits)
-    for tick, (ended, pending) in enumerate(result.flow, 1):
-        log.debug("tick %d ended %.6f pending %.6f", tick, ended, pending)
+    if level == 2:
+        for tick, (ended, pending) in enumerate(result.flow, 1):
+            _say(f"DEBUG bbt.cli: tick {tick} ended {ended:.6f} pending {pending:.6f}")
     for line in result.terminal.debug_lines(result.tables):
         print(line)
     if result.pruned_mass > 0.0:
@@ -96,7 +108,7 @@ def cmd_simulate(args, log) -> int:
     return EXIT_OK
 
 
-def cmd_exec(args, log) -> int:
+def cmd_exec(args, level) -> int:
     limits = _limits(args)
     if args.runs < 1:
         raise BbtError(f"--runs must be at least 1, got {args.runs}")
@@ -116,7 +128,7 @@ def cmd_exec(args, log) -> int:
     return EXIT_OK
 
 
-def cmd_export_dot(args, log) -> int:
+def cmd_export_dot(args, level) -> int:
     domain = _load_domain(args)
     tree = load_tree(args.tree, domain)
     text = to_dot(tree)
@@ -198,63 +210,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Silent:
-    """The log of a call whose ``BBT_LOG`` asks for no diagnostics: it drops every message."""
-
-    def info(self, *args) -> None:
-        pass
-
-    debug = info
-
-
-def _stderr_log(level: str):
-    """The ``bbt.cli`` logger writing at ``level`` to the ``sys.stderr`` of the moment.
-
-    Only the ``bbt`` loggers write, and to nowhere else; returns the logger
-    and a function that restores the ``bbt`` logger as it was.
-    """
-    import logging
-
-    logger = logging.getLogger("bbt")
-    saved_level, saved_propagate = logger.level, logger.propagate
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    logger.setLevel(level.upper())
-    logger.propagate = False
-    logger.addHandler(handler)
-
-    def restore() -> None:
-        logger.removeHandler(handler)
-        logger.setLevel(saved_level)
-        logger.propagate = saved_propagate
-
-    return logging.getLogger(__name__), restore
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one CLI command; return its exit code.
 
-    ``BBT_LOG`` is read on each call.  At ``info`` or ``debug`` the call
-    imports :mod:`logging` and writes diagnostics to the standard error
-    stream of the moment; at any other value it writes none.
+    ``BBT_LOG`` is read on each call.  At ``info``, ``plan`` writes the
+    probability it reached; at ``debug``, ``simulate`` also writes each
+    root tick's flow; at any other value the call writes only failures.
+    Every line goes to the standard error stream of the moment, and a line
+    that stream cannot take is dropped, so the exit code stands.
     """
-    level = os.environ.get("BBT_LOG", "error").lower()
-    log, restore = _stderr_log(level) if level in ("info", "debug") else (_Silent(), None)
+    level = _LEVELS.get(os.environ.get("BBT_LOG", "").lower(), 0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, log)
+        return args.func(args, level)
     except _PLANNING_ERRORS as exc:
-        print(f"planning failed: {exc}", file=sys.stderr)
+        _say(f"planning failed: {exc}")
         return EXIT_PLANNING
     except _LIMIT_ERRORS as exc:
-        print(f"simulation limit: {exc}", file=sys.stderr)
+        _say(f"simulation limit: {exc}")
         return EXIT_LIMITS
     except (BbtError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_INPUT
-    finally:
-        if restore is not None:
-            restore()
 
 
 if __name__ == "__main__":

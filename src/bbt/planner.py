@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .belief import ActionInstance, BeliefState, PhysicalState
+from .belief import PROB_TOL, ActionInstance, BeliefState, PhysicalState
 from .domain import GroundedDomain, Resolver
 from .engine import SimulationLimits, Trail, simulate
 from .errors import (
@@ -47,8 +47,6 @@ from .tree import (
     TreeTables,
 )
 from .value import Frozen, Record, set_field
-
-PROB_MARGIN = 1e-12
 
 
 class PlanRequest(Frozen):
@@ -356,7 +354,7 @@ def refine_tree(request: PlanRequest) -> PlanResult:
     result = simulate(tree, initial, request.limits, trail=trail)
     probability = result.terminal.success_probability()
     iteration = 0
-    while probability < request.target_probability - PROB_MARGIN:
+    while probability < request.target_probability - PROB_TOL:
         iteration += 1
         if iteration > request.max_iterations:
             raise IterationLimit(request.max_iterations, probability)

@@ -44,6 +44,13 @@ def run_bbt(*args):
     )
 
 
+class _Unwritable:
+    """A standard error stream that a full disk or a closed descriptor stands behind."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
 @pytest.fixture()
 def planned_paths(tmp_path, soda_path):
     tree = tmp_path / "tree.json"
@@ -825,3 +832,66 @@ class TestLogging:
             assert main(argv) == 0
             assert ("DEBUG bbt.cli: tick 1 ended" in capsys.readouterr().err) is logged
             assert (logger.level, logger.propagate, list(logger.handlers)) == before
+
+    @pytest.mark.parametrize("level", ["info", "INFO"])
+    def test_info_writes_one_line_for_plan_only(
+        self, tmp_path, soda_det_path, capsys, monkeypatch, level
+    ):
+        tree = tmp_path / "tree.json"
+        monkeypatch.setenv("BBT_LOG", level)
+        assert main(["plan", "--domain", str(soda_det_path), "--out", str(tree)]) == 0
+        assert capsys.readouterr().err == (
+            "INFO bbt.cli: plan reached probability 0.968750 in 4 iterations\n"
+        )
+        assert main(["simulate", "--domain", str(soda_det_path), "--tree", str(tree)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("level", [None, "error", "warning"])
+    def test_quiet_levels_leave_stderr_empty(
+        self, tmp_path, soda_det_path, capsys, monkeypatch, level
+    ):
+        if level is None:
+            monkeypatch.delenv("BBT_LOG", raising=False)
+        else:
+            monkeypatch.setenv("BBT_LOG", level)
+        domain, tree = ["--domain", str(soda_det_path)], ["--tree", str(tmp_path / "tree.json")]
+        for argv in (
+            ["plan", *domain, "--out", str(tmp_path / "tree.json")],
+            ["simulate", *domain, *tree],
+            ["exec", *domain, *tree, "--seed", "7", "--runs", "20"],
+            ["export-dot", *domain, *tree],
+        ):
+            assert main(argv) == 0
+            assert capsys.readouterr().err == ""
+
+    def test_debug_lines_dropped_when_stderr_fails(
+        self, tmp_path, soda_det_path, capsys, monkeypatch
+    ):
+        tree = tmp_path / "tree.json"
+        argv = ["simulate", "--domain", str(soda_det_path), "--tree", str(tree)]
+        assert main(["plan", "--domain", str(soda_det_path), "--out", str(tree)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setenv("BBT_LOG", "debug")
+        monkeypatch.setattr(sys, "stderr", _Unwritable())
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_failures_keep_their_exit_codes_when_stderr_fails(
+        self, tmp_path, soda_det_path, monkeypatch
+    ):
+        domain = tmp_path / "unplannable.bbt"
+        domain.write_text(
+            "condition g values { S F }\ninitial { g = F }\ngoal { g = S } prob 0.9\n",
+            encoding="utf-8",
+        )
+        tree = tmp_path / "tree.json"
+        assert main(["plan", "--domain", str(soda_det_path), "--out", str(tree)]) == 0
+        monkeypatch.setattr(sys, "stderr", _Unwritable())
+        plan = ["plan", "--domain", str(domain), "--out", str(tmp_path / "none.json")]
+        assert main(plan) == 2
+        simulate = ["simulate", "--domain", str(soda_det_path), "--tree", str(tree)]
+        assert main([*simulate, "--max-ticks", "1"]) == 3
+        assert main(["plan", "--no-such-flag"]) == 1
+

@@ -48,7 +48,7 @@ def test_cross_validate():
 
 
 def test_cross_validate_deep_soda(tmp_path):
-    # canonical latch views keep soda at 0.999 to 20 terminal belief
+    # canonical latch views keep soda at 0.999 to 8 terminal belief
     # entries, small enough to plan and simulate in a smoke test
     text = (REPO / "domains" / "soda.bbt").read_text(encoding="utf-8")
     assert text.count("} prob 0.9\n") == 1
