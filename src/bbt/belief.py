@@ -11,7 +11,15 @@ state's statuses into such a list and applies one outcome;
 tick settles in, sharing the statuses and the latch view with the state
 it comes from.  A state holds only what outlasts a root tick: the action
 a tick leaves pending is expanded into its outcomes before the next one,
-so no state records it.
+so no state records it.  So a root tick of a state depends on its key
+alone, and a simulation ticks each distinct state once
+(:func:`~bbt.engine.simulate`); its reach too is a state's own, and a
+tick's is the maximum over its states.
+
+Masses are merged with :func:`math.fsum`: :meth:`BeliefState.coalesce`,
+:attr:`BeliefState.mass` and :meth:`BeliefState.success_probability` give
+the correctly rounded sum of the entries' probabilities, the same double
+whatever the order of the entries.
 """
 
 from __future__ import annotations
@@ -247,7 +255,7 @@ class BeliefState:
 
     @property
     def mass(self) -> float:
-        return sum((p for p, _ in self.entries), 0.0)
+        return math.fsum(p for p, _ in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -256,13 +264,17 @@ class BeliefState:
         return iter(self.entries)
 
     def coalesce(self) -> "BeliefState":
-        """Merge identical states, summing probability, in canonical order."""
-        merged: dict[PhysicalState, float] = {}
+        """Merge identical states in canonical order.
+
+        A state's probabilities are merged with :func:`math.fsum`, whose
+        correctly rounded sum does not depend on the order of the entries;
+        a state with one entry keeps its probability as it is.
+        """
+        merged: dict[PhysicalState, list[float]] = {}
         for p, s in self.entries:
-            merged[s] = merged.get(s, 0.0) + p
-        return BeliefState(
-            (p, s) for s, p in sorted(merged.items(), key=lambda item: item[0].key)
-        )
+            merged.setdefault(s, []).append(p)
+        ordered = sorted(merged.items(), key=lambda item: item[0].key)
+        return BeliefState((math.fsum(ps), s) for s, ps in ordered)
 
     def prune(self, epsilon: float) -> tuple["BeliefState", float]:
         """Drop entries below ``epsilon`` and report the dropped mass.
@@ -279,7 +291,7 @@ class BeliefState:
         return BeliefState(kept), dropped
 
     def success_probability(self) -> float:
-        return sum((p for p, s in self.entries if s.r is Status.S), 0.0)
+        return math.fsum(p for p, s in self.entries if s.r is Status.S)
 
     def debug_lines(self, tables: "TreeTables") -> list[str]:
         """Text dump, one ``p | literals | r | pending=-`` line per entry.

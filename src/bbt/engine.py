@@ -15,12 +15,18 @@ entries without ticking the tree again.
 
 Within a tick, nodes pass ``(p, state, status, pending, blame)`` tuples
 and leave every state untouched.  The pending action lives only in that
-tuple: :func:`simulate` reads each tuple of a root tick once, and either
-ends the entry in one state (:meth:`~bbt.belief.PhysicalState.ticked`) or
-expands it straight into one state per outcome of its pending action
-(:meth:`~bbt.belief.PhysicalState.resolved`).  The same pass sums the
-tick's flow, the mass that ended and the mass left pending, which every
-run records as numbers.  Each root tick's expansion, with its coalesce,
+tuple: :func:`simulate` reads each tuple once, and either ends the state
+in one state (:meth:`~bbt.belief.PhysicalState.ticked`) or resolves it
+into one successor per outcome of its pending action
+(:meth:`~bbt.belief.PhysicalState.resolved`).  A live state's tick
+depends on its key alone, so each run keeps a dict from every state it
+has ticked to that result: the state it ends in, or its list of
+``(outcome probability, successor)`` pairs.  A root tick sends only the
+states the dict lacks through :func:`belief_tick`, then ends or expands
+every entry from the dict, in belief order, and records the tick's flow,
+the mass that ended and the mass left pending.  Those sums, like every
+merge of a coalesce, are :func:`math.fsum` sums, so they do not depend on
+the order of the entries.  Each root tick's expansion, with its coalesce,
 is validated as one :class:`~bbt.belief.BeliefState`.  The tree's
 :class:`~bbt.tree.TreeTables` are built once per :func:`simulate` without a
 :class:`Trail`, or once when a trail is made, and returned with each result.
@@ -36,15 +42,23 @@ per entry.  Planning and simulation of a wide goal then visit nodes in
 proportion to the goal frontier, not to the goals already settled.
 
 A tick reads nodes in tick order, so the last node it reads, a passed
-child's gate included, is the furthest it reaches.  A tick that reaches no
+child's gate included, is the furthest it reaches; a root tick reaches as
+far as the furthest of its states would alone.  A tick that reaches no
 node at or after an edit runs the same in the edited tree, so a
 :class:`Trail` lets the planner resume each round's simulation at the
-first tick that reaches its edit instead of replaying the whole run.
+first tick that reaches its edit instead of replaying the whole run.  A
+run needs only the furthest reach so far, the maximum over the states it
+has ticked, and each state adds its reach once, in the tick that first
+ticks it; so the reach of the states a root tick sends through
+:func:`belief_tick` tells whether that tick reaches further than every
+earlier one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
+from math import fsum
 from operator import itemgetter
 
 from .belief import BeliefState, PhysicalState
@@ -56,6 +70,10 @@ from .value import Frozen, Record, set_field
 Entry = tuple[float, PhysicalState]
 # one entry inside a tick: (p, state at the tick's start, status, pending, blame)
 _Ticking = tuple[float, PhysicalState, Status, ActionNode | None, int | None]
+
+# Distinct states whose tick results one simulate run keeps at most: a few
+# MB.  States past it are ticked at every root tick that holds them.
+MEMO_STATES = 1 << 16
 
 
 class SimulationLimits(Frozen):
@@ -163,11 +181,11 @@ class Trail:
 
 def belief_tick(
     node: BTNode,
-    mem: BeliefState,
+    mem: Iterable[Entry],
     tables: TreeTables,
     reached: list[BTNode] | None = None,
 ) -> list[_Ticking]:
-    """Propagate ``mem`` through ``node`` for one tick.
+    """Propagate ``mem``, any iterable of ``(p, state)`` entries, through ``node`` for one tick.
 
     Control nodes scan their children left to right: entries returning the
     node's continue status flow on to the next child, the rest are returned
@@ -200,7 +218,7 @@ def belief_tick(
     """
     if reached is None:
         reached = [node]
-    entries = [(p, s, s.r, None, s.blame) for p, s in mem.entries]
+    entries = [(p, s, s.r, None, s.blame) for p, s in mem]
     gates = tables.gates if node is tables.order[0] else None
     return _tick(node, entries, tables.depth, reached, gates)
 
@@ -303,14 +321,22 @@ def simulate(
 ) -> SimulationResult:
     """Run root ticks until every branch is a fixpoint.
 
-    Each root tick's entries are read once.  Those that finish it without a
-    pending action cannot change under further ticks and move to the
-    result, each in the state :meth:`PhysicalState.ticked` gives it; the
-    rest go straight to one state per outcome of their pending action
+    Each distinct state is ticked once per run, in the first root tick that
+    holds it, and its result is kept in a dict, up to :data:`MEMO_STATES`
+    states.  Entries that finish a root tick without a pending action
+    cannot change under further ticks and move to the result, each in the
+    state :meth:`PhysicalState.ticked` gives it; the rest go straight to one
+    state per outcome of their pending action
     (:meth:`PhysicalState.resolved`), which are coalesced and go around
-    again.  An outcome branch whose mass is 0.0 is dropped: a
+    again.  Entries are read in belief order, and the masses of one state
+    are merged with :func:`math.fsum`, so the order does not show in the
+    result.  An outcome branch whose mass is 0.0 is dropped: a
     zero-probability outcome, or a product that underflows, whose true mass
-    is below the smallest double.  Each tick records its flow
+    is below the smallest double.  A state one of whose branches underflows
+    is not kept, so a heavier entry of it resolves that branch, as it would
+    if ticked on its own.  The dict is keyed by state, as a coalesce is, so
+    it does not tell apart states that differ only in ``blame``; of the live
+    states, only those of ``initial`` can hold one.  Each tick records its flow
     (see :class:`SimulationResult`).  Without a trail the tree's
     tables are built here, as the tree stands.  The entry limit is checked
     on the live belief before each root tick, the initial belief included;
@@ -318,7 +344,10 @@ def simulate(
 
     With a ``trail`` (see :class:`Trail`), the run resumes from the trail's
     last point, if it has one, reusing the ticks, finished entries and
-    pruned mass before it, and records its own points.  It runs on the
+    pruned mass before it, and records its own points; its dict starts
+    empty.  A root tick records a point when the states it ticks reach
+    further than every state ticked before (see the module docstring), so
+    the points are those a run ticking every entry records.  It runs on the
     trail's tables; a ``ValueError`` says they are not those of ``tree``.
     The result, ``ticks_used`` and ``flow`` included, is the same as
     without one, and every limit fires at the same tick.
@@ -341,31 +370,53 @@ def simulate(
             trail.finished, trail.flow = finished, flow
     furthest = trail.points[-1][0] if trail is not None and trail.points else -1
     reached = [tree]
+    # state -> the state it ends in, or its (outcome probability, successor) list
+    memo: dict = {}
     while len(mem):
         if len(mem) > limits.max_entries:
             raise EntryLimitExceeded(len(mem), limits.max_entries)
         if ticks >= limits.max_root_ticks:
             raise TickLimitExceeded(limits.max_root_ticks)
-        entries = belief_tick(tree, mem, tables, reached)
-        if trail is not None:
-            reach = tables.rank[reached[0].node_id]
-            if reach > furthest:
-                furthest = reach
-                trail.points.append((reach, ticks, mem, len(finished), pruned))
+        fresh = [entry for entry in mem.entries if entry[1] not in memo]
+        if fresh:
+            entries = belief_tick(tree, fresh, tables, reached)
+            if trail is not None:
+                reach = tables.rank[reached[0].node_id]
+                if reach > furthest:
+                    furthest = reach
+                    trail.points.append((reach, ticks, mem, len(finished), pruned))
+            partial = []
+            for p, s, r, pending, blame in entries:
+                if pending is None:
+                    memo[s] = s.ticked(r, blame)
+                    continue
+                moves = memo[s] = []
+                for outcome in pending.action.outcomes:
+                    q = outcome.probability
+                    if p * q > 0.0:
+                        moves.append((q, s.resolved(r, pending, outcome, tables)))
+                    elif q > 0.0:
+                        # dropped as it underflows for this mass, so keep the state out of the dict
+                        partial.append(s)
         ticks += 1
-        ended = waiting = 0.0
-        expanded = []
-        for p, s, r, pending, blame in entries:
-            if pending is None:
-                finished.append((p, s.ticked(r, blame)))
-                ended += p
+        ended, waiting, expanded = [], [], []
+        for p, s in mem.entries:
+            done = memo[s]
+            if done.__class__ is PhysicalState:
+                finished.append((p, done))
+                ended.append(p)
                 continue
-            waiting += p
-            for outcome in pending.action.outcomes:
-                q = p * outcome.probability
+            waiting.append(p)
+            for q, t in done:
+                q *= p
                 if q > 0.0:
-                    expanded.append((q, s.resolved(r, pending, outcome, tables)))
-        flow.append((ended, waiting))
+                    expanded.append((q, t))
+        flow.append((fsum(ended), fsum(waiting)))
+        if fresh:
+            for s in partial:
+                memo.pop(s, None)
+            while len(memo) > MEMO_STATES:
+                memo.popitem()
         mem = BeliefState(expanded).coalesce()
         if limits.prune_epsilon > 0.0:
             mem, dropped = mem.prune(limits.prune_epsilon)

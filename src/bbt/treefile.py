@@ -10,11 +10,16 @@ node is one of::
 Output is byte-stable for identical trees.  A tree file holds structure
 only: latches are per-run executor state, never part of a tree, so a loaded
 tree can be simulated or executed any number of times as it is.
+
+A loaded tree is at most :data:`MAX_DEPTH` levels deep, on every
+interpreter.  :func:`dumps_tree` writes a tree of any depth, so a deeper
+tree can be saved, but :func:`load_tree` rejects its file.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 from pathlib import Path
 
 from .domain import GroundedDomain
@@ -22,6 +27,13 @@ from .errors import SemanticError
 from .tree import ActionNode, BTNode, Condition, CONTROL_KINDS
 
 FORMAT_VERSION = 1
+
+#: Levels, nodes on the longest root-to-leaf path, a loaded tree file may
+#: hold.  The JSON decoders recurse once per nesting level, and CPython
+#: 3.11's, the first to give up, stops at 493 tree levels; so every
+#: interpreter decodes such a file, and the belief tick, which recurses once
+#: per level, simulates it.
+MAX_DEPTH = 400
 
 
 def dumps_tree(tree: BTNode) -> str:
@@ -119,17 +131,39 @@ def tree_from_doc(doc: dict, domain: GroundedDomain) -> BTNode:
     return built[0]
 
 
+def _nests_deeper(text: str, limit: int) -> bool:
+    """Whether ``text`` nests JSON objects and arrays more than ``limit`` deep.
+
+    Brackets inside strings do not count.  Text with at most ``limit``
+    opening brackets in all needs no scan; otherwise the brackets outside
+    strings are summed up in one pass, without recursion.
+    """
+    if text.count("{") + text.count("[") <= limit:
+        return False
+    # without escaped backslashes and quotes, every quote opens or closes a string
+    data = text.replace("\\\\", "").replace('\\"', "").encode()
+    syntax = data.translate(None, bytes(b for b in range(256) if b not in b'"[]{}'))
+    outside = b"".join(syntax.split(b'"')[::2])
+    step = {ord("{"): 1, ord("["): 1, ord("}"): -1, ord("]"): -1}
+    return max(accumulate(map(step.__getitem__, outside)), default=0) > limit
+
+
 def load_tree(path: str | Path, domain: GroundedDomain) -> BTNode:
     """Read and decode a tree file; every bad file raises :class:`SemanticError`.
 
-    A file that is not UTF-8 text is rejected as such.  The JSON decoder
-    recurses once per level, so a file nested past Python's recursion limit
-    is rejected as too deep.
+    A file that is not UTF-8 text is rejected as such, and so is a file
+    nested deeper than a tree of :data:`MAX_DEPTH` levels, before it is
+    decoded: a tree of n levels nests 2n deep, the document's object, an
+    object and a children array per control node, and the leaf's object.
+    The decoder recurses, so a caller deep in the stack may still see it
+    give up first; that is reported the same way.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise SemanticError(f"{path}: not UTF-8 text") from None
+    if _nests_deeper(text, 2 * MAX_DEPTH):
+        raise SemanticError(f"{path}: tree file nested too deeply")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -48,12 +48,14 @@ def random_actions(
     max_actions: int = 3,
     max_outcomes: int = 3,
     deterministic: bool = False,
+    total: int = 16,
 ) -> list[ActionInstance]:
+    """Random actions over ``literals``; outcome probabilities are multiples of 1/``total``."""
     actions = []
     for index in range(rng.randint(1, max_actions)):
         n_outcomes = 1 if deterministic else rng.randint(1, max_outcomes)
         outcomes = []
-        for prob in dyadic_parts(rng, n_outcomes):
+        for prob in dyadic_parts(rng, n_outcomes, total):
             n_post = rng.randint(0, len(literals))
             post = tuple(
                 (lit, rng.choice(STATUSES))

@@ -8,14 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from bbt import cli
+from bbt import cli, treefile
 from bbt.cli import main
 from bbt.domain import ground, parse_domain
 from bbt.dot import to_dot
 from bbt.errors import ParseError, SemanticError
 from bbt.planner import plan_request_from_domain, refine_tree
 from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper
-from bbt.treefile import dumps_tree, load_tree, save_tree, tree_from_doc
+from bbt.treefile import MAX_DEPTH, dumps_tree, load_tree, save_tree, tree_from_doc
 
 import randgen
 from helpers import tree_to_doc
@@ -687,17 +687,72 @@ class TestTreeFile:
             tree_from_doc({"format": 1, "root": root}, soda_domain)
         assert str(err.value) == message
 
-    def test_deep_tree_file_exits_1(self, soda_path, tmp_path):
-        # 1100 levels: past the JSON decoder's recursion limit
-        depth = 1100
-        leaf = '{"kind": "condition", "literal": "seen(soda)"}'
-        text = '{"kind": "sequence", "children": [' * depth + leaf + "]}" * depth
-        path = tmp_path / "deep.json"
+    @staticmethod
+    def write_chain(path, levels, literal="seen(soda)"):
+        """A tree file of one-child Sequences over a condition, ``levels`` nodes deep."""
+        leaf = json.dumps({"kind": "condition", "literal": literal})
+        text = '{"kind": "sequence", "children": [' * (levels - 1) + leaf + "]}" * (levels - 1)
         path.write_text('{"format": 1, "root": ' + text + "}", encoding="utf-8")
+
+    def test_deep_tree_file_exits_1(self, soda_path, tmp_path):
+        # 1100 levels: past the JSON decoder's recursion limit on 3.11 and
+        # 3.12, not on 3.13; the loader rejects it before decoding
+        path = tmp_path / "deep.json"
+        self.write_chain(path, 1100)
         proc = run_bbt("simulate", "--domain", str(soda_path), "--tree", str(path))
         assert proc.returncode == 1
         assert proc.stderr == f"error: {path}: tree file nested too deeply\n"
         assert "Traceback" not in proc.stderr
+
+    def test_tree_file_depth_limit(self, soda_path, tmp_path):
+        path = tmp_path / "deep.json"
+        self.write_chain(path, MAX_DEPTH)
+        proc = run_bbt("simulate", "--domain", str(soda_path), "--tree", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("success_probability 0.000000\n")
+        self.write_chain(path, MAX_DEPTH + 1)
+        proc = run_bbt("export-dot", "--domain", str(soda_path), "--tree", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {path}: tree file nested too deeply\n"
+
+    def test_nesting_scan_matches_decoded_depth(self):
+        rng = random.Random(4001)
+        chars = '[]{}"\\/ab\n\u00fc\u2192'
+
+        def text():
+            return "".join(rng.choice(chars) for _ in range(rng.randint(0, 6)))
+
+        def value():
+            nonlocal left
+            if left <= 0 or rng.random() < 0.3:
+                return rng.choice((text(), 1, None, True, 2.5))
+            left -= 1
+            items = [value() for _ in range(rng.randint(0, 3))]
+            return items if rng.random() < 0.5 else {text(): v for v in items}
+
+        def nesting(doc):
+            deepest, stack = 0, [(doc, 1)]
+            while stack:
+                item, level = stack.pop()
+                if isinstance(item, (list, dict)):
+                    deepest = max(deepest, level)
+                    items = item.values() if isinstance(item, dict) else item
+                    stack.extend((v, level + 1) for v in items)
+            return deepest
+
+        for _ in range(2000):
+            left = rng.randint(1, 30)
+            doc = value()
+            depth = nesting(doc)
+            dumped = json.dumps(doc, indent=rng.choice((None, 2)), ensure_ascii=rng.random() < 0.5)
+            for limit in (depth - 1, depth, 0):
+                assert treefile._nests_deeper(dumped, limit) == (depth > limit), dumped
+
+    def test_brackets_in_strings_add_no_depth(self, soda_domain, tmp_path):
+        path = tmp_path / "brackets.json"
+        self.write_chain(path, 2, literal="[{" * MAX_DEPTH)
+        with pytest.raises(SemanticError, match="unknown literal"):
+            load_tree(path, soda_domain)
 
     def test_non_utf8_tree_file_exits_1(self, soda_path, tmp_path):
         path = tmp_path / "bad.json"

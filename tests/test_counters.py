@@ -2,9 +2,11 @@
 
 Each row is (planner iterations, tree nodes, terminal belief entries, root
 ticks used by the final simulation, root ticks the planner executes).  The
-last counts the ticks that every round's simulation actually runs, not the
-ticks a resumed simulation reuses.  These are deterministic, so they are
-gated exactly.  A change may only tighten them (for example a latch-view
+last counts, over every round's simulation, the root ticks that tick at
+least one unseen state: a simulation ticks each distinct state once, so a
+root tick whose states were all ticked before runs no belief tick, and the
+ticks a resumed simulation reuses run none either.  These are
+deterministic, so they are gated exactly.  A change may only tighten them (for example a latch-view
 canonicalization that merges more belief entries lowers the terminal count);
 never loosen a pin to make a change pass.
 
@@ -17,7 +19,9 @@ the final simulation from 620 terminal entries to 11.
 
 ``STATES_BUILT`` pins the physical states the final simulation builds,
 constructed or derived from another state, on soda at 0.999 and on the
-wide row.
+wide row.  ``ENTRIES_TICKED`` pins the belief entries sent through the
+belief tick, by the planner and by the final simulation: one per distinct
+state a simulation meets, however many root ticks hold it.
 
 The node-visit pins count ``engine._tick`` calls, the root scans included.
 A root tick passes a settled goal child at its gate without visiting it, so
@@ -37,14 +41,14 @@ from bbt import (
 )
 
 PINS = [
-    ("soda_domain", None, (4, 26, 8, 11, 23)),
-    ("soda_domain", 0.99, (6, 42, 8, 19, 57)),
+    ("soda_domain", None, (4, 26, 8, 11, 21)),
+    ("soda_domain", 0.99, (6, 42, 8, 19, 45)),
     ("soda_det_domain", None, (4, 26, 4, 11, 23)),
     ("soda_det_domain", 0.99, (5, 34, 4, 15, 38)),
-    ("soda_domain", 0.999, (7, 50, 8, 23, 80)),
+    ("soda_domain", 0.999, (7, 50, 8, 23, 60)),
     ("soda_det_domain", 0.999, (7, 50, 4, 23, 80)),
-    ("wide_domain", None, (53, 232, 3, 54, 156)),
-    ("deep_domain", None, (21, 74, 11, 17, 142)),
+    ("wide_domain", None, (53, 232, 3, 54, 153)),
+    ("deep_domain", None, (21, 74, 11, 17, 76)),
 ]
 
 
@@ -75,8 +79,8 @@ def test_counters_pinned(request, monkeypatch, domain_fixture, prob, pinned):
 
 
 STATES_BUILT = [
-    ("soda_domain", 0.999, 397),
-    ("wide_domain", None, 113),
+    ("soda_domain", 0.999, 119),
+    ("wide_domain", None, 62),
 ]
 
 
@@ -101,6 +105,51 @@ def test_states_built_pinned(request, monkeypatch, domain_fixture, prob, pinned)
     simulate(result.tree, initial)
     monkeypatch.undo()
     assert built == pinned
+
+
+ENTRIES_TICKED = [
+    ("soda_domain", 0.999, (206, 64)),
+    ("wide_domain", None, (163, 58)),
+    ("deep_domain", None, (314, 35)),
+]
+
+
+def count_entries_ticked(monkeypatch, run):
+    """``run()`` and the belief entries its root ticks send through ``belief_tick``."""
+    ticked = 0
+    root_tick = engine.belief_tick
+
+    def counted(node, mem, tables, reached=None):
+        nonlocal ticked
+        mem = list(mem)
+        ticked += len(mem)
+        return root_tick(node, mem, tables, reached)
+
+    with monkeypatch.context() as patch:
+        # simulate runs each root tick through this module binding
+        patch.setattr(engine, "belief_tick", counted)
+        return run(), ticked
+
+
+@pytest.mark.parametrize("domain_fixture,prob,pinned", ENTRIES_TICKED)
+def test_entries_ticked_pinned(request, monkeypatch, domain_fixture, prob, pinned):
+    domain = request.getfixturevalue(domain_fixture)
+    request_ = plan_request_from_domain(domain, target_probability=prob)
+    result, planned = count_entries_ticked(monkeypatch, lambda: refine_tree(request_))
+    initial = domain.initial_belief()
+    _, simulated = count_entries_ticked(monkeypatch, lambda: simulate(result.tree, initial))
+    assert (planned, simulated) == pinned
+
+
+def test_memo_without_room_ticks_every_entry(monkeypatch, soda_domain):
+    # a dict that keeps no state leaves every root tick to tick every entry:
+    # 230 on the soda 0.999 tree, against its 64 distinct states
+    tree = refine_tree(plan_request_from_domain(soda_domain, target_probability=0.999)).tree
+    initial = soda_domain.initial_belief()
+    _, stored = count_entries_ticked(monkeypatch, lambda: simulate(tree, initial))
+    monkeypatch.setattr(engine, "MEMO_STATES", 0)
+    _, unstored = count_entries_ticked(monkeypatch, lambda: simulate(tree, initial))
+    assert (stored, unstored) == (64, 230)
 
 
 def test_deep_perception_pinned(deep_domain):
@@ -140,7 +189,7 @@ def test_wide_visits_pinned(monkeypatch, wide_domain):
     _, simulated = count_visits(
         monkeypatch, lambda: simulate(result.tree, wide_domain.initial_belief())
     )
-    assert (planned, simulated) == (1326, 660)
+    assert (planned, simulated) == (1050, 457)
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +199,7 @@ def wide_96(widegen):
 
 def test_wide_96_plan_visits_pinned(monkeypatch, wide_96):
     _, visits = plan_visits(monkeypatch, wide_96, max_iterations=1000)
-    assert visits == 4998
+    assert visits == 3858
 
 
 def test_wide_96_latch_view_pinned(monkeypatch, wide_96):

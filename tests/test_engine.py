@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import pytest
 
-from bbt import engine
+from bbt import engine, plan_request_from_domain, refine_tree
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
 from bbt.classic import ClassicRuns, LeafProgram
 from bbt.engine import SimulationLimits, Trail, belief_tick, simulate
@@ -384,6 +384,65 @@ class TestSimulate:
         assert len(result.flow) == result.ticks_used
 
 
+def memo_fingerprint(tree, belief, limits=None):
+    """A run's terminal entries, ticks, pruned mass and flow, or its error."""
+    try:
+        result = simulate(tree, belief, limits)
+    except (UnknownLiteral, TickLimitExceeded, EntryLimitExceeded) as exc:
+        return type(exc), str(exc)
+    entries = [(p, s.key, s.blame) for p, s in result.terminal.entries]
+    return entries, result.ticks_used, result.pruned_mass, result.flow
+
+
+class TestTickMemo:
+    """Each distinct state is ticked once per run; the dict changes no result."""
+
+    def underflow_case(self, post):
+        # Seq[a, b]: x is the state a leaves, so y reaches it one tick later.
+        # x alone weighs the smallest double, so both of b's branches
+        # underflow for it; y brings it a mass that resolves them.
+        a = ActionInstance("a", (), (Outcome(1.0, (), S),))
+        b = ActionInstance("b", (), (Outcome(0.5, post, S), Outcome(0.5, (), F)))
+        tree = Sequence([ActionNode(a), ActionNode(b)])
+        y = state(g="F")
+        x = y.resolved(R, tree.children[0], a.outcomes[0], TreeTables(tree))
+        return tree, x, y
+
+    def test_underflowed_branch_resolves_for_a_heavier_entry(self):
+        tree, x, y = self.underflow_case((("g", S),))
+        result = simulate(tree, BeliefState([(5e-324, x), (0.5, y)]))
+        assert result.terminal.mass == 0.5
+        assert result.terminal.success_probability() == 0.25
+
+    def test_underflowed_missing_literal_raises_only_with_mass(self):
+        tree, x, y = self.underflow_case((("gone", S),))
+        # the branch that writes the missing literal has no mass a double holds
+        assert simulate(tree, BeliefState([(5e-324, x)])).terminal.mass == 0.0
+        with pytest.raises(UnknownLiteral, match="gone"):
+            simulate(tree, BeliefState([(5e-324, x), (0.5, y)]))
+
+    @pytest.mark.parametrize("room", [0, 1])
+    def test_results_do_not_depend_on_the_dicts_room(self, monkeypatch, soda_domain, room):
+        # the soda 0.999 plan, and random trees with hundredths and missing
+        # literals, tick limits and pruning
+        plan = refine_tree(plan_request_from_domain(soda_domain, target_probability=0.999))
+        cases = [(plan.tree, soda_domain.initial_belief(), None)]
+        rng = random.Random(4111 + room)
+        for _ in range(300):
+            literals = randgen.random_literals(rng)
+            gone = ["gone"] if rng.random() < 0.2 else []
+            actions = randgen.random_actions(rng, literals + gone, total=100)
+            tree = randgen.random_tree(rng, literals + gone[:1], actions, max_nodes=16)
+            limits = SimulationLimits(
+                max_root_ticks=rng.choice((3, 50)), prune_epsilon=rng.choice((0.0, 0.01))
+            )
+            cases.append((tree, randgen.random_belief(rng, literals), limits))
+        want = [memo_fingerprint(*case) for case in cases]
+        monkeypatch.setattr(engine, "MEMO_STATES", room)
+        assert [memo_fingerprint(*case) for case in cases] == want
+        assert sum(isinstance(w[0], type) for w in want) > 20  # errors are compared too
+
+
 def gated_chain(rng, literals, actions):
     """A condition under zero to three wrappers, each with random later children.
 
@@ -427,7 +486,7 @@ def gate_belief(rng, literals, gate_literals):
 def plain_tick(root, mem, tables):
     """A root tick that scans every child: ``_tick`` without the root's gates."""
     reached = [root]
-    entries = [(p, s, s.r, None, s.blame) for p, s in mem.entries]
+    entries = [(p, s, s.r, None, s.blame) for p, s in mem]
     result = engine._tick(root, entries, tables.depth, reached)
     return result, reached[0]
 

@@ -8,11 +8,13 @@ a few units in the last place.  Projected onto the oracle's keys, with the
 entries of one key summed exactly, every key's mass must lie within
 ``KEY_ULPS`` ulps of the exact value, and the success probability the
 engine reports within ``SUCCESS_ULPS``; an ulp is that of the double
-nearest the exact value.  The worst errors measured when these bounds were
-set were 2.09 ulp, on the deep-perception plan with 4 objects, both for a
-key and for the success probability; the soda plans reach 1.98 and 0.97.
-The bounds leave room for a change of summation order; a lost or doubled
-outcome branch is off by far more.
+nearest the exact value.  The engine merges masses with correctly rounded
+sums (:func:`math.fsum`), so only the products round on their way there.
+The worst errors measured when these bounds were set were 1.45 ulp for a
+key, on the soda plan at 0.99, and 0.71 ulp for the success probability,
+on a random tree; with sums in input order they were 2.09 and 2.09, on the
+deep-perception plan with 4 objects.  A lost or doubled outcome branch is
+off by far more.
 """
 
 import math
@@ -31,8 +33,8 @@ import deepgen
 import oracle
 import randgen
 
-KEY_ULPS = 4
-SUCCESS_ULPS = 3
+KEY_ULPS = 2
+SUCCESS_ULPS = 1
 
 
 def ulps(value, exact: Fraction) -> float:

@@ -100,3 +100,14 @@ def test_exec_rate():
     # the golden soda-goal exec: 2000 runs at seed 42 read 0.960000
     assert proc.stdout.startswith("runs 2000 successes 1920 best ")
     assert proc.stdout.endswith(" runs/s\n")
+
+
+def test_interp_matrix():
+    # one interpreter, its own reference: the goal plan of the deterministic
+    # domain and both depth-limit files; the deeper file exits 1
+    proc = run_script(
+        "interp_matrix.py", "--python", sys.executable,
+        "--domain", "soda_deterministic", "--prob", "goal",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(": reference, 10 calls, exit codes 7 x 0, 3 x 1\n")
