@@ -41,7 +41,9 @@ def main() -> None:
     for _ in range(args.repeats):
         runs = ClassicRuns(program, domain.initial_assignment)
         start = time.perf_counter()
-        successes = sum(s is Status.S for s in runs.statuses(args.seed, range(args.runs)))
+        successes, success = 0, Status.S
+        for status in runs.statuses(args.seed, range(args.runs)):
+            successes += status is success
         best = min(best, time.perf_counter() - start)
     print(f"runs {args.runs} successes {successes} best {best:.4f} s {args.runs / best:.0f} runs/s")
 

@@ -37,6 +37,8 @@ if TYPE_CHECKING:
 
 #: Comparison tolerance for probability mass under double arithmetic.
 PROB_TOL = 1e-12
+# read per entry, bound once: a module global reads faster than an enum member
+_S = Status.S
 
 
 class Outcome(Frozen):
@@ -188,7 +190,7 @@ class PhysicalState:
         dead = None
         frozen, index = tables.frozen, self.index
         for literal, status in outcome.postconditions:
-            if literal in frozen and status is Status.S and self.values[index[literal]] is not status:
+            if literal in frozen and status is _S and self.values[index[literal]] is not status:
                 dead = tables.gated[literal] if dead is None else dead | tables.gated[literal]
         node_id = node.node_id
         if dead is None:
@@ -291,7 +293,7 @@ class BeliefState:
         return BeliefState(kept), dropped
 
     def success_probability(self) -> float:
-        return math.fsum(p for p, s in self.entries if s.r is Status.S)
+        return math.fsum(p for p, s in self.entries if s.r is _S)
 
     def debug_lines(self, tables: "TreeTables") -> list[str]:
         """Text dump, one ``p | literals | r | pending=-`` line per entry.

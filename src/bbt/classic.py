@@ -23,8 +23,12 @@ history: only a history no earlier run reached costs a leaf walk.  One loop,
 in blocks of :data:`bbt.rng._LANES` and runs each block tick by tick: runs
 at the same trie node move as one group, and a tick's draws come from one
 :class:`~bbt.rng.BlockDraw` over the runs still running, which mixes them
-all at once.  Run *r*'s draw at tick *t* is ``bbt.rng.draw(seed, r, t)``,
-the *t*-th draw of ``CounterRng(seed, r)``, in whatever order the runs go.
+all at once; as runs end, the draw keeps the lanes of those still running,
+repacked from the bases it has mixed.  Run *r*'s draw at tick *t* is
+``bbt.rng.draw(seed, r, t)``, the *t*-th draw of ``CounterRng(seed, r)``,
+in whatever order the runs go.  A run picks an outcome by comparing the
+draw's 53-bit word with integer thresholds (:meth:`ClassicRuns._fresh_step`),
+exactly as comparing the draw with the cumulative masses would.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import islice
+from math import ceil
 
 from .errors import BbtError, TickLimitExceeded, UnknownLiteral
-from .rng import _LANES, _UNIT, BlockDraw
+from .rng import _LANES, BlockDraw
 from .status import Status
 from .tree import ActionNode, TreeTables
 
@@ -132,8 +137,9 @@ class _Step:
     run has walked it.  An outcome that cannot apply leaves its slot
     ``None`` for good.
     ``thresholds`` are the cumulative outcome masses, last one left out,
-    that a draw is compared with to pick an outcome, or ``None`` for a
-    single outcome.  ``parent`` and ``slot`` locate the step in the trie,
+    as the integers a draw's 53-bit word is compared with to pick an
+    outcome (:meth:`ClassicRuns._fresh_step`), or ``None`` for a single
+    outcome.  ``parent`` and ``slot`` locate the step in the trie,
     so its history can be replayed.
     """
 
@@ -230,11 +236,12 @@ class ClassicRuns:
         and a group that reaches an unwalked slot replays, applies and walks
         once for all its runs, then keeps that state while it explores.  A
         group holds its runs as positions in the :class:`~bbt.rng.BlockDraw`
-        of the runs still running, in stream order; the draw is packed anew
-        whenever the running runs fall to half of those it packs, so a tick
-        mixes fewer than twice the lanes still running.
+        of the runs still running, in stream order; the draw keeps the
+        running runs' lanes (:meth:`~bbt.rng.BlockDraw.keep`) whenever they
+        fall to half of those it packs, so a tick mixes fewer than twice the
+        lanes still running.
         """
-        unit, bisect, step_class = _UNIT, bisect_right, _Step
+        bisect, step_class = bisect_right, _Step
         statuses: list = [None] * len(block)
         # the block lane of the first failing run, and its error
         first, error = len(block), None
@@ -273,13 +280,13 @@ class ClassicRuns:
                 if words is None:
                     words = draws.words(tick)
                 if len(lanes) == 1:
-                    index = bisect(thresholds, words[lanes[0]] * unit)
+                    index = bisect(thresholds, words[lanes[0]])
                     group[0], group[1], group[2] = children[index], node, index
                     move(group)
                     continue
                 split: list[list[int]] = [[] for _ in children]
                 for p in lanes:
-                    split[bisect(thresholds, words[p] * unit)].append(p)
+                    split[bisect(thresholds, words[p])].append(p)
                 parts = [index for index, part in enumerate(split) if part]
                 for index in parts:
                     # the last part takes the group's state, the others a copy
@@ -293,14 +300,14 @@ class ClassicRuns:
             if not moved:
                 break
             if 2 * running <= len(lane_of):
-                # pack the runs still running, group by group
-                packed = []
+                # keep the runs still running, group by group
+                kept = []
                 for group in moved:
-                    at = len(packed)
-                    packed += [lane_of[p] for p in group[3]]
-                    group[3] = range(at, len(packed))
-                lane_of = packed
-                draws = BlockDraw(seed, [block[lane] for lane in packed])
+                    at = len(kept)
+                    kept += group[3]
+                    group[3] = range(at, len(kept))
+                lane_of = [lane_of[p] for p in kept]
+                draws = draws.keep(kept)
         # runs still running after max_ticks; one at an unwalked slot
         # applies its last outcome first, which may fail
         for node, step, index, lanes, state, latches in arrivals:
@@ -358,9 +365,14 @@ class ClassicRuns:
 
         Its children are a tuple, so nothing can be memoised under it; a run
         that has left a full trie goes on through these shared steps.  Its
-        thresholds are plain running sums of the outcome masses: no outcome
-        probability is negative (:class:`~bbt.belief.ActionInstance`), and
-        adding p >= 0 never lowers a double, so they are sorted for bisect.
+        thresholds are integers a draw's 53-bit word is compared with:
+        ``ceil(t * 2**53)`` for each running sum ``t`` of the outcome
+        masses.  Scaling a double by a power of two is exact, so for a word
+        ``w < 2**53``, ``w * 2**-53 >= t`` exactly when ``w >=
+        ceil(t * 2**53)``, and bisecting the words picks the outcome that
+        bisecting the draws against the sums would.  No outcome probability
+        is negative (:class:`~bbt.belief.ActionInstance`), and adding p >= 0
+        never lowers a double, so the thresholds are sorted for bisect.
         """
         fresh = self._fresh.get(action_node.node_id)
         if fresh is None:
@@ -370,7 +382,7 @@ class ClassicRuns:
                 acc, thresholds = 0.0, []
                 for outcome in outcomes[:-1]:
                     acc += outcome.probability
-                    thresholds.append(acc)
+                    thresholds.append(ceil(acc * 2.0**53))
             fresh = self._fresh[action_node.node_id] = _Step(
                 action_node, thresholds, (None,) * len(outcomes), None, 0
             )

@@ -12,7 +12,6 @@ import functools
 import math
 import os
 import sys
-from pathlib import Path
 
 from .classic import ClassicRuns, LeafProgram
 from .domain import GroundedDomain, ground, parse_domain
@@ -60,6 +59,11 @@ def _load_domain(args) -> GroundedDomain:
     return ground(parse_domain(text))
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)
+
+
 def _limits(args) -> SimulationLimits:
     """The simulation budgets of ``args``; rejects those that cannot mean anything."""
     for flag, value in (("--max-ticks", args.max_ticks), ("--max-entries", args.max_entries)):
@@ -85,7 +89,7 @@ def cmd_plan(args, level) -> int:
     for line in result.log_lines():
         print(line)
     if args.dot:
-        Path(args.dot).write_text(to_dot(result.tree), encoding="utf-8")
+        _write(args.dot, to_dot(result.tree))
     if level:
         reached = f"{result.achieved:.6f} in {len(result.log)} iterations"
         _say(f"INFO bbt.cli: plan reached probability {reached}")
@@ -116,9 +120,9 @@ def cmd_exec(args, level) -> int:
     tree = load_tree(args.tree, domain)
     analytical = simulate(tree, domain.initial_belief(), limits)
     runs = ClassicRuns(LeafProgram(analytical.tables), domain.initial_assignment)
-    successes = 0
+    successes, success = 0, Status.S
     for status in runs.statuses(args.seed, range(args.runs), args.max_ticks):
-        successes += status is Status.S
+        successes += status is success
     rate = successes / args.runs
     print(f"runs {args.runs}")
     print(f"empirical_success_rate {rate:.6f}")
@@ -133,7 +137,7 @@ def cmd_export_dot(args, level) -> int:
     tree = load_tree(args.tree, domain)
     text = to_dot(tree)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         print(text, end="")
     return EXIT_OK

@@ -48,6 +48,9 @@ from .tree import (
 )
 from .value import Frozen, Record, set_field
 
+# read per terminal entry, bound once: a module global reads faster than an enum member
+_S = Status.S
+
 
 class PlanRequest(Frozen):
     """One planning problem over a grounded domain.
@@ -140,7 +143,7 @@ def find_failed_condition(terminal: BeliefState, tables: TreeTables) -> FailedCo
     groups: dict[tuple[Condition, Status], list[tuple[float, PhysicalState]]] = {}
     for entry in terminal.entries:
         p, state = entry
-        if state.r is Status.S or state.blame is None:
+        if state.r is _S or state.blame is None:
             continue
         node = order[rank[state.blame]]
         key = (node, state.value(node.literal))
@@ -149,7 +152,7 @@ def find_failed_condition(terminal: BeliefState, tables: TreeTables) -> FailedCo
     if not masses:
         raise NothingFailed(
             "no failed condition to resolve"
-            if any(state.r is not Status.S for _, state in terminal.entries)
+            if any(state.r is not _S for _, state in terminal.entries)
             else "every terminal entry already succeeds"
         )
     node, observed = min(

@@ -9,13 +9,17 @@ pseudorandom number generators", OOPSLA 2014).
 :class:`BlockDraw` computes the same words for a block of streams at once,
 one tick at a time: each stream's state is a 128-bit lane of one int, and
 one finalizer over that int mixes every lane.  ``bbt exec`` reads its runs'
-draws from it, :data:`_LANES` runs per block, packing anew the runs still
-running as the others end (:meth:`bbt.classic.ClassicRuns.statuses`): run
-*r*'s draw at tick *t* is ``draw(seed, r, t)`` in any block and packing.
+draws from it, :data:`_LANES` runs per block, and as runs end it keeps the
+lanes of the runs still running (:meth:`BlockDraw.keep`), repacked from
+their bases, which already hold the seed, so the seed is mixed once per
+block (:meth:`bbt.classic.ClassicRuns.statuses`).  Run *r*'s draw at tick
+*t* is ``draw(seed, r, t)`` in any block and packing; ``bbt exec`` compares
+its 53-bit word with integer thresholds, which is exact.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
 
 _MASK64 = (1 << 64) - 1
@@ -72,6 +76,18 @@ _LANE_ONE = (1).to_bytes(16, "little")
 _LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 
+def _pack(words: list[int]) -> int:
+    """The int whose lane *i* holds ``words[i]``, each in [0, 2**64), over zero headroom."""
+    lanes = [0] * (2 * len(words))
+    lanes[::2] = words
+    return int.from_bytes(struct.pack(f"<{len(lanes)}Q", *lanes), "little")
+
+
+def _low_words(x: int, size: int) -> list[int]:
+    """The low 64-bit word of every lane of ``x``, an int of ``size`` bytes."""
+    return memoryview(x.to_bytes(size, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
+
+
 class BlockDraw:
     """The draws of a block of streams under one seed, one tick at a time.
 
@@ -83,6 +99,12 @@ class BlockDraw:
     so each step of the splitmix64 finalizer is one big-int operation on
     every lane at once.  The seed, the streams and the tick are masked to
     64 bits as in :func:`draw`.
+
+    A block packs its streams in one call.  Its lane constants are derived
+    per block: module-level ones, 8 KB each at 512 lanes, would be kept by
+    every import of this module a process holds.  :meth:`keep` draws for a subset
+    of the lanes without mixing the seed again: it packs the kept lanes'
+    bases, which already hold it.
     """
 
     __slots__ = ("_bases", "_ones", "_golden", "_mask", "_size")
@@ -92,9 +114,11 @@ class BlockDraw:
         self._golden = ones * _GOLDEN
         self._mask = ones * _MASK64
         self._size = 16 * len(streams)
-        packed = int.from_bytes(
-            b"".join([(stream & _MASK64).to_bytes(16, "little") for stream in streams]), "little"
-        )
+        try:
+            packed = _pack(streams)
+        except struct.error:
+            # a stream outside [0, 2**64)
+            packed = _pack([stream & _MASK64 for stream in streams])
         # lane i: _mix(_mix(seed) ^ stream i), the CounterRng base of stream i
         self._bases = self._mix_lanes(packed ^ ones * _mix(seed & _MASK64))
 
@@ -114,4 +138,23 @@ class BlockDraw:
         """The 53-bit word (``word >> 11``) of every stream's draw at ``tick``."""
         x = self._mix_lanes(self._bases ^ self._ones * (tick & _MASK64)) >> 11
         # a lane's low word after the shift takes its bits 11-74, and 64-74 are zero
-        return memoryview(x.to_bytes(self._size, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
+        return _low_words(x, self._size)
+
+    def keep(self, positions: list[int]) -> BlockDraw:
+        """The draw of the streams at ``positions`` of this block, in that order.
+
+        ``keep(positions).words(tick)[j] == words(tick)[positions[j]]`` for
+        every tick.  There may be at most as many positions as lanes.  The
+        kept lanes' bases are read off and packed anew, and the kept block's
+        lane constants are this block's shifted right, past the lanes it
+        drops.
+        """
+        bases = _low_words(self._bases, self._size)
+        shift = 8 * self._size - 128 * len(positions)
+        kept = object.__new__(self.__class__)
+        kept._ones = self._ones >> shift
+        kept._golden = self._golden >> shift
+        kept._mask = self._mask >> shift
+        kept._size = 16 * len(positions)
+        kept._bases = _pack([bases[p] for p in positions])
+        return kept

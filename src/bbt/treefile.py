@@ -19,8 +19,8 @@ tree can be saved, but :func:`load_tree` rejects its file.
 from __future__ import annotations
 
 import json
+import os
 from itertools import accumulate
-from pathlib import Path
 
 from .domain import GroundedDomain
 from .errors import SemanticError
@@ -72,9 +72,11 @@ def dumps_tree(tree: BTNode) -> str:
     return "".join(out)
 
 
-def save_tree(tree: BTNode, path: str | Path) -> None:
+def save_tree(tree: BTNode, path: str | os.PathLike[str]) -> None:
     """Write the tree file of ``tree`` to ``path``."""
-    Path(path).write_text(dumps_tree(tree), encoding="utf-8")
+    text = dumps_tree(tree)
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)
 
 
 def tree_from_doc(doc: dict, domain: GroundedDomain) -> BTNode:
@@ -148,7 +150,7 @@ def _nests_deeper(text: str, limit: int) -> bool:
     return max(accumulate(map(step.__getitem__, outside)), default=0) > limit
 
 
-def load_tree(path: str | Path, domain: GroundedDomain) -> BTNode:
+def load_tree(path: str | os.PathLike[str], domain: GroundedDomain) -> BTNode:
     """Read and decode a tree file; every bad file raises :class:`SemanticError`.
 
     A file that is not UTF-8 text is rejected as such, and so is a file
@@ -159,7 +161,8 @@ def load_tree(path: str | Path, domain: GroundedDomain) -> BTNode:
     give up first; that is reported the same way.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except UnicodeDecodeError:
         raise SemanticError(f"{path}: not UTF-8 text") from None
     if _nests_deeper(text, 2 * MAX_DEPTH):

@@ -3,6 +3,7 @@ the recursive walk, and the memoised runs against the oracle's tick-by-tick
 runs."""
 
 import bisect
+import math
 import random
 from collections import Counter
 
@@ -12,7 +13,7 @@ from bbt import classic
 from bbt.belief import ActionInstance, Outcome
 from bbt.classic import ClassicRuns, LeafProgram
 from bbt.errors import TickLimitExceeded, UnknownLiteral
-from bbt.rng import _LANES, BlockDraw, CounterRng, draw
+from bbt.rng import _LANES, _UNIT, BlockDraw, CounterRng, draw
 from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Sequence, Skipper, TreeTables
 
@@ -161,11 +162,12 @@ def test_memoised_runs_match_reference_runs(monkeypatch):
 
 
 def test_each_draw_is_the_counter_draw_of_its_run_and_tick(monkeypatch):
-    # every comparison a run makes: (thresholds it compares against, draw)
+    # every comparison a run makes: (thresholds it compares against, draw);
+    # a run compares its draw's 53-bit word, so u * _UNIT is the draw
     compared = []
 
     def recorded_bisect(thresholds, u):
-        compared.append((len(thresholds), u))
+        compared.append((len(thresholds), u * _UNIT))
         return bisect.bisect_right(thresholds, u)
 
     monkeypatch.setattr(classic, "bisect_right", recorded_bisect)
@@ -207,11 +209,14 @@ def test_each_draw_is_the_counter_draw_of_its_run_and_tick(monkeypatch):
 
 
 def _record_draws(monkeypatch) -> list:
-    """Every comparison runs make from now on: (thresholds compared against, draw)."""
+    """Every comparison runs make from now on: (thresholds compared against, draw).
+
+    A run compares its draw's 53-bit word, so ``u * _UNIT`` is the draw.
+    """
     compared = []
 
     def recorded_bisect(thresholds, u):
-        compared.append((len(thresholds), u))
+        compared.append((len(thresholds), u * _UNIT))
         return bisect.bisect_right(thresholds, u)
 
     monkeypatch.setattr(classic, "bisect_right", recorded_bisect)
@@ -460,6 +465,12 @@ def test_block_mixes_fewer_than_twice_the_runs_still_running(
             # streams are range(runs), so a block's lowest stream names it
             self.block, self.lanes = min(streams) // _LANES, len(streams)
 
+        def keep(self, positions):
+            # a repack draws for the same block
+            kept = super().keep(positions)
+            kept.block, kept.lanes = self.block, len(positions)
+            return kept
+
         def words(self, tick):
             mixed.append((self.block, tick, self.lanes))
             return super().words(tick)
@@ -481,3 +492,52 @@ def test_block_mixes_fewer_than_twice_the_runs_still_running(
         assert lanes < 2 * running[block, tick], (block, tick, lanes)
     assert len(compared) == 58058
     assert sum(lanes for _, _, lanes in mixed) == 91583
+
+
+def _float_thresholds(action):
+    """The running sums of ``action``'s outcome masses, last one left out:
+    the doubles a draw would be compared with."""
+    acc, sums = 0.0, []
+    for outcome in action.outcomes[:-1]:
+        acc += outcome.probability
+        sums.append(acc)
+    return sums
+
+
+def test_integer_thresholds_pick_the_outcomes_of_float_thresholds(soda_domain, soda_det_domain):
+    actions = [*soda_domain.actions, *soda_det_domain.actions]
+    rng = random.Random(7171)
+    for total in (16, 100, 3, 7, 10):
+        for _ in range(100):
+            literals = randgen.random_literals(rng)
+            actions += randgen.random_actions(rng, literals, max_outcomes=min(4, total), total=total)
+    # a first outcome's mass on a word, next to one, subnormal, or all of it
+    edges = [5e-324, 1.0]
+    for k in (1, 2, 3, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1):
+        edges += [k * _UNIT, math.nextafter(k * _UNIT, 0.0), math.nextafter(k * _UNIT, 1.0)]
+    actions += [
+        ActionInstance("edge", (), (Outcome(t, (), S), Outcome(1.0 - t, (), F))) for t in edges
+    ]
+    # a running sum just above 1.0
+    above = ActionInstance(
+        "above", (), (Outcome(0.1, (), S), Outcome(0.9000000000000001, (), F), Outcome(0.0, (), S))
+    )
+    assert _float_thresholds(above)[-1] > 1.0
+    actions.append(above)
+    runs = ClassicRuns(LeafProgram(TreeTables(Condition("c"))), {})
+    checked = 0
+    for action in actions:
+        if len(action.outcomes) < 2:
+            continue
+        floats = _float_thresholds(action)
+        ints = runs._fresh_step(ActionNode(action)).thresholds
+        assert len(ints) == len(floats)
+        words = {0, 2**53 - 1}
+        for t in ints:
+            words |= {t - 1, t, t + 1}
+        for w in sorted(words):
+            if 0 <= w < 2**53:
+                want = bisect.bisect_right(floats, w * _UNIT)
+                assert bisect.bisect_right(ints, w) == want, (floats, ints, w)
+                checked += 1
+    assert checked > 2000, checked

@@ -43,8 +43,18 @@ def test_block_draw_lanes_are_bit_identical_to_draw(seed, size):
     special = [0, -3, 2**64 - 1, 2**64 + 7]
     streams = (special + [rng.getrandbits(66) for _ in range(size)])[:size]
     block = BlockDraw(seed, streams)
-    for tick in (0, 1, 2**63 + 5, 2**64 + 3):
-        words = block.words(tick)
-        assert len(words) == size
-        got = [word * _UNIT for word in words]
-        assert got == [draw(seed, stream, tick) for stream in streams], (seed, size, tick)
+    # lanes kept once: a subset out of order; kept twice: a subset of that
+    once = rng.sample(range(size), (size + 1) // 2)
+    twice = rng.sample(range(len(once)), (len(once) + 1) // 2)
+    kept_once = block.keep(once)
+    for draws, drawn in (
+        (block, streams),
+        (kept_once, [streams[p] for p in once]),
+        (kept_once.keep(twice), [streams[once[p]] for p in twice]),
+    ):
+        for tick in (0, 1, 2**63 + 5, 2**64 + 3):
+            words = draws.words(tick)
+            assert len(words) == len(drawn)
+            got = [word * _UNIT for word in words]
+            assert got == [draw(seed, stream, tick) for stream in drawn], (seed, size, tick)
+

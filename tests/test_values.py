@@ -3,8 +3,9 @@
 Frozen records have read-only fields, compare and hash by their compared
 fields and print as ``Name(field=value, ...)``; source locations and derived
 fields are left out of all three.  The two result records stay mutable and
-unhashable.  A dropped grounded domain holds no reference cycle, and no
-CLI call loads ``logging``, whatever ``BBT_LOG`` asks for.
+unhashable.  A dropped grounded domain holds no reference cycle, importing
+the CLI leaves ``pathlib`` out, and no CLI call loads ``logging``, whatever
+``BBT_LOG`` asks for.
 """
 
 import copy
@@ -206,6 +207,11 @@ def test_importing_the_cli_loads_no_heavy_module():
         "print(sorted(heavy & (set(sys.modules) - before)))\n"
     )
     assert run_bare(code) == "[]\n"
+
+
+def test_importing_the_cli_leaves_pathlib_out():
+    # pathlib brings urllib.parse, ipaddress and fnmatch; files are read with open()
+    assert run_bare("import sys\nimport bbt.cli\nprint('pathlib' in sys.modules)\n") == "False\n"
 
 
 @pytest.mark.parametrize("bbt_log", [None, "error", "INFO", "debug"])
