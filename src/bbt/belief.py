@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 #: Comparison tolerance for probability mass under double arithmetic.
 PROB_TOL = 1e-12
 # read per entry, bound once: a module global reads faster than an enum member
-_S = Status.S
+_S, _R = Status.S, Status.R
 
 
 class Outcome(Frozen):
@@ -105,14 +105,15 @@ class PhysicalState:
 
     ``literals`` holds the grounded literals in sorted order and ``values``
     their statuses, position for position; that tuple is the state's one
-    copy of its assignment.  ``r`` is the status last propagated to the
-    root for this state.  ``latches`` is this belief branch's canonical
-    latch view: the latches that can still change its behaviour, keyed by
-    node id.  It holds finished actions with their report status and
-    control nodes whose return latches alone have fixed; :meth:`resolved`
-    folds a settled subtree into its control node's latch and drops the
-    latches of root children that a frozen literal passes for good, and
-    nodes that can never be ticked again hold none.  Branches whose
+    copy of its assignment.  ``r`` is the status the root returned in
+    the tick that ended this state, and R for a state still running.
+    ``latches`` is this belief branch's canonical latch view: the latches
+    that can still change its behaviour, keyed by node id.  It holds
+    finished actions with their report status and control nodes whose
+    return latches alone have fixed; :meth:`resolved` folds a settled
+    subtree into its control node's latch and drops the latches of root
+    children that a frozen literal passes for good, and nodes that can
+    never be ticked again hold none.  Branches whose
     histories differ but whose futures agree thus share one state.
 
     ``blame`` is the node id of the condition charged with this branch's
@@ -165,15 +166,16 @@ class PhysicalState:
         return self._derived(self.latches, (literals, values, r, latch_key), blame)
 
     def resolved(
-        self, r: Status, node: "ActionNode", outcome: Outcome, tables: "TreeTables"
+        self, node: "ActionNode", outcome: Outcome, tables: "TreeTables"
     ) -> "PhysicalState":
         """The state ``outcome`` of the pending action ``node`` leads to.
 
-        ``r`` is the status the root tick that left ``node`` pending
-        returned; the result returns it too, latches ``node`` at the
-        outcome's report and has no blame.  This is the one place a latch is
-        set.  ``tables`` are those of the tree ``node`` sits in; the latch
-        view is canonicalized with them (:meth:`TreeTables.settle`).
+        The result returns R, as a state that has not ended does (the next
+        tick never reads it, so states whose earlier ticks returned
+        differently merge), latches ``node`` at the outcome's report and has
+        no blame.  This is the one place a latch is set.  ``tables`` are
+        those of the tree ``node`` sits in; the latch view is canonicalized
+        with them (:meth:`TreeTables.settle`).
 
         An outcome that turns a frozen literal (:attr:`TreeTables.frozen`)
         from another status to S leaves every root child gated on it passed
@@ -201,7 +203,7 @@ class PhysicalState:
         if dead is None or top[node_id] not in dead:
             latches[node_id] = outcome.report
             tables.settle(latches, node_id)
-        key = (self.literals, tuple(values), r, tuple(sorted(latches.items())))
+        key = (self.literals, tuple(values), _R, tuple(sorted(latches.items())))
         return self._derived(latches, key, None)
 
     def _derived(self, latches, key, blame) -> "PhysicalState":

@@ -21,7 +21,8 @@ edited.
 history: only a history no earlier run reached costs a leaf walk.  One loop,
 :meth:`ClassicRuns.statuses`, runs every run of an exec.  It reads the runs
 in blocks of :data:`bbt.rng._LANES` and runs each block tick by tick: runs
-at the same trie node move as one group, and a tick's draws come from one
+at the same trie node move as one group that carries their state and
+latches, applying every outcome they draw, and a tick's draws come from one
 :class:`~bbt.rng.BlockDraw` over the runs still running, which mixes them
 all at once; as runs end, the draw keeps the lanes of those still running,
 repacked from the bases it has mixed.  Run *r*'s draw at tick *t* is
@@ -139,18 +140,15 @@ class _Step:
     ``thresholds`` are the cumulative outcome masses, last one left out,
     as the integers a draw's 53-bit word is compared with to pick an
     outcome (:meth:`ClassicRuns._fresh_step`), or ``None`` for a single
-    outcome.  ``parent`` and ``slot`` locate the step in the trie,
-    so its history can be replayed.
+    outcome.
     """
 
-    __slots__ = ("action_node", "thresholds", "children", "parent", "slot")
+    __slots__ = ("action_node", "thresholds", "children")
 
-    def __init__(self, action_node, thresholds, children, parent, slot):
+    def __init__(self, action_node, thresholds, children):
         self.action_node = action_node
         self.thresholds = thresholds
         self.children = children
-        self.parent = parent
-        self.slot = slot
 
 
 class ClassicRuns:
@@ -163,24 +161,20 @@ class ClassicRuns:
     one child slot per outcome.  A run follows the trie and draws once per
     started action; the outcome drawn is the first whose cumulative mass
     exceeds the draw, or the last.  So a run returns the status and raises
-    the error of a run that walks the leaves of every tick.  Only a
-    history no earlier run reached pays for a leaf walk, once for all the
-    runs of a block that reach it in the same tick; its state is replayed
-    from ``initial`` along the history once, then kept up to date while
-    those runs explore, and each part they split into takes a copy.
+    the error of a run that walks the leaves of every tick.  A run carries
+    its own state and latches from ``initial``, and only a history no
+    earlier run reached pays for a leaf walk, once for all the runs of a
+    block that reach it in the same tick.
 
-    An outcome drawn in tick *i* is applied before tick *i + 1*, and a slot
-    is walked only when a run reaches it with a tick to spare, so a run that
-    hits ``max_ticks`` walks no more than once per tick.  A run applies an
-    outcome only where it reaches an unwalked slot: before walking it, or
-    before raising :class:`~bbt.errors.TickLimitExceeded` when the budget
-    ends there.  A walked slot's outcome has applied before, and one that
-    cannot apply is never walked, so it fails in
-    :meth:`~bbt.belief.Outcome.apply` in the tick that draws it, as it does
-    in a run that applies every outcome.  The program
-    is read-only, so the memo is valid for as long as the program is.  The
-    trie takes at most :data:`MEMO_SLOTS` child slots; a run that leaves a
-    full trie walks every tick on, memoising nothing.
+    An outcome drawn in tick *i* is applied before tick *i + 1*, or before
+    raising :class:`~bbt.errors.TickLimitExceeded` when the budget ends
+    there; one that cannot apply raises in
+    :meth:`~bbt.belief.Outcome.apply` then, and its slot stays ``None``.
+    A slot is walked only when a run reaches it with a tick to spare, so a
+    run that hits ``max_ticks`` walks no more than once per tick.  The
+    program is read-only, so the memo is valid for as long as the program
+    is.  The trie takes at most :data:`MEMO_SLOTS` child slots; a run that
+    leaves a full trie walks every tick on, memoising nothing.
     """
 
     def __init__(self, program: LeafProgram, initial: dict[str, Status]):
@@ -232,16 +226,17 @@ class ClassicRuns:
         first failing one, and that run's error or ``None``.
 
         Runs with one outcome history sit at one trie node and move as a
-        group: per tick each group draws once per run and splits by outcome,
-        and a group that reaches an unwalked slot replays, applies and walks
-        once for all its runs, then keeps that state while it explores.  A
-        group holds its runs as positions in the :class:`~bbt.rng.BlockDraw`
-        of the runs still running, in stream order; the draw keeps the
-        running runs' lanes (:meth:`~bbt.rng.BlockDraw.keep`) whenever they
-        fall to half of those it packs, so a tick mixes fewer than twice the
-        lanes still running.
+        group that carries their state and latches: per tick a group applies
+        the outcome it drew, walks the slot it reached if no run has, then
+        draws once per run and splits by outcome, every part but the last
+        taking a copy of the state.  A group holds its runs as positions in
+        the :class:`~bbt.rng.BlockDraw` of the runs still running, in stream
+        order; the draw keeps the running runs' lanes
+        (:meth:`~bbt.rng.BlockDraw.keep`) whenever they fall to half of
+        those it packs, so a tick mixes fewer than twice the lanes still
+        running.
         """
-        bisect, step_class = bisect_right, _Step
+        bisect, step_class, apply = bisect_right, _Step, self._apply
         statuses: list = [None] * len(block)
         # the block lane of the first failing run, and its error
         first, error = len(block), None
@@ -250,23 +245,23 @@ class ClassicRuns:
         # the groups that reach a trie node at this tick, each a record
         # [node, step, outcome index, positions, state, latches] that is
         # updated in place as the group moves
-        arrivals = [[self._root, None, 0, range(len(block)), None, None]]
+        arrivals = [[self._root, None, 0, range(len(block)), list(self.initial), {}]]
         running = len(block)
         for tick in range(max_ticks):
             words, moved = None, []
             move = moved.append
             for group in arrivals:
                 node, step, index, lanes, state, latches = group
-                if node is None:
-                    try:
-                        if state is None:
-                            group[4], group[5] = state, latches = self._replay(step)
+                try:
+                    if step is not None:
+                        apply(step, index, state, latches)
+                    if node is None:
                         node = self._walk(step, index, state, latches)
-                    except UnknownLiteral as exc:
-                        if lane_of[lanes[0]] < first:
-                            first, error = lane_of[lanes[0]], exc
-                        running -= len(lanes)
-                        continue
+                except UnknownLiteral as exc:
+                    if lane_of[lanes[0]] < first:
+                        first, error = lane_of[lanes[0]], exc
+                    running -= len(lanes)
+                    continue
                 if node.__class__ is not step_class:
                     for p in lanes:
                         statuses[lane_of[p]] = node
@@ -288,14 +283,11 @@ class ClassicRuns:
                 for p in lanes:
                     split[bisect(thresholds, words[p])].append(p)
                 parts = [index for index, part in enumerate(split) if part]
-                for index in parts:
-                    # the last part takes the group's state, the others a copy
-                    if state is not None and index != parts[-1]:
-                        move([children[index], node, index, split[index],
-                              list(state), dict(latches)])
-                    else:
-                        move([children[index], node, index, split[index],
-                              state, latches])
+                for index in parts[:-1]:
+                    move([children[index], node, index, split[index], list(state), dict(latches)])
+                index = parts[-1]
+                group[0], group[1], group[2], group[3] = children[index], node, index, split[index]
+                move(group)
             arrivals = moved
             if not moved:
                 break
@@ -308,31 +300,17 @@ class ClassicRuns:
                     group[3] = range(at, len(kept))
                 lane_of = [lane_of[p] for p in kept]
                 draws = draws.keep(kept)
-        # runs still running after max_ticks; one at an unwalked slot
-        # applies its last outcome first, which may fail
+        # runs still running after max_ticks apply their last outcome first,
+        # which may fail
         for node, step, index, lanes, state, latches in arrivals:
             if lane_of[lanes[0]] < first:
                 first, error = lane_of[lanes[0]], TickLimitExceeded(max_ticks)
-                if node is None and step is not None:
+                if step is not None:
                     try:
-                        if state is None:
-                            state, latches = self._replay(step)
-                        self._apply(step, index, state, latches)
+                        apply(step, index, state, latches)
                     except UnknownLiteral as exc:
                         error = exc
         return statuses[:first], error
-
-    def _replay(self, step: _Step | None) -> tuple[list[Status], dict[int, Status]]:
-        """The state and latches of the root tick that ``step`` memoises."""
-        path = []
-        while step is not None and step.parent is not None:
-            path.append((step.parent, step.slot))
-            step = step.parent
-        state = list(self.initial)
-        latches: dict[int, Status] = {}
-        for parent, index in reversed(path):
-            self._apply(parent, index, state, latches)
-        return state, latches
 
     def _apply(self, step, index, state, latches) -> None:
         """Apply outcome ``index`` of ``step`` to a run's ``state`` and ``latches``."""
@@ -341,18 +319,14 @@ class ClassicRuns:
         latches[step.action_node.node_id] = outcome.report
 
     def _walk(self, step, index, state, latches) -> _Step | Status:
-        """Apply outcome ``index`` of ``step`` (none before the root), then walk
-        the tick after it; memoise that tick there while room lasts."""
-        if step is not None:
-            # _apply inlined: a run that explores comes here every tick
-            outcome = step.action_node.action.outcomes[index]
-            outcome.apply(state, self.index)
-            latches[step.action_node.node_id] = outcome.report
+        """Walk the root tick a run reaches from ``state`` and ``latches``
+        after outcome ``index`` of ``step`` (the first tick when ``step`` is
+        ``None``); memoise it there while room lasts."""
         status, started = _walk_leaves(self.program, self.index, state, latches)
         node = status if started is None else self._fresh_step(started)
         if self._room > 0:
             if node.__class__ is _Step:
-                node = _Step(node.action_node, node.thresholds, list(node.children), step, index)
+                node = _Step(node.action_node, node.thresholds, list(node.children))
                 self._room -= len(node.children)
             if step is None:
                 self._root = node
@@ -361,7 +335,7 @@ class ClassicRuns:
         return node
 
     def _fresh_step(self, action_node: ActionNode) -> _Step:
-        """The unlinked step of ``action_node`` whose outcomes no run has walked.
+        """The step of ``action_node`` outside the trie, whose outcomes no run has walked.
 
         Its children are a tuple, so nothing can be memoised under it; a run
         that has left a full trie goes on through these shared steps.  Its
@@ -384,6 +358,6 @@ class ClassicRuns:
                     acc += outcome.probability
                     thresholds.append(ceil(acc * 2.0**53))
             fresh = self._fresh[action_node.node_id] = _Step(
-                action_node, thresholds, (None,) * len(outcomes), None, 0
+                action_node, thresholds, (None,) * len(outcomes)
             )
         return fresh

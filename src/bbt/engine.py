@@ -396,7 +396,7 @@ def simulate(
                 for outcome in pending.action.outcomes:
                     q = outcome.probability
                     if p * q > 0.0:
-                        moves.append((q, s.resolved(r, pending, outcome, tables)))
+                        moves.append((q, s.resolved(pending, outcome, tables)))
                     elif q > 0.0:
                         # dropped as it underflows for this mass, so keep the state out of the dict
                         partial.append(s)

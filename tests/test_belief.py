@@ -63,7 +63,7 @@ class TestPhysicalState:
         with pytest.raises(UnknownLiteral):
             outcome = Outcome(1.0, (("b", S),), S)
             node = ActionNode(ActionInstance("bad", (), (outcome,)))
-            state(a="S").resolved(R, node, outcome, TreeTables(node))
+            state(a="S").resolved(node, outcome, TreeTables(node))
 
     def test_resolved_key_equals_fresh_state(self):
         rng = random.Random(6161)
@@ -81,7 +81,7 @@ class TestPhysicalState:
                     node = rng.choice(nodes)
                     outcome = rng.choice(node.action.outcomes)
                     s = s.ticked(rng.choice(randgen.STATUSES), s.blame)
-                    s = s.resolved(s.r, node, outcome, tables)
+                    s = s.resolved(node, outcome, tables)
                     fresh = physical_state(assignment_of(s), s.r, s.latches)
                     assert s.key == fresh.key
                     assert s == fresh and hash(s) == hash(fresh)
@@ -131,7 +131,7 @@ def expand(m, node):
     """
     tables = TreeTables(node)
     return BeliefState(
-        (p * outcome.probability, s.resolved(R, node, outcome, tables))
+        (p * outcome.probability, s.resolved(node, outcome, tables))
         for p, s in m
         for outcome in node.action.outcomes
         if outcome.probability > 0.0

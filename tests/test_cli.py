@@ -310,19 +310,19 @@ class TestExec:
         assert rates[0] != rates[1]
 
     @pytest.mark.parametrize(
-        "domain,plan_args,exec_args,code,out,err",
+        "verb,domain,plan_args,args,code,out,err",
         [
             # the first two rows keep the ids they had as (prob, runs, expected)
             pytest.param(
-                "soda", [], ["--runs", "20000"], 0, SODA_GOAL_20000, "",
+                "exec", "soda", [], ["--runs", "20000"], 0, SODA_GOAL_20000, "",
                 id=f"prob0-20000-{SODA_GOAL_20000}",
             ),
             pytest.param(
-                "soda", ["--prob", "0.999"], ["--runs", "2000"], 0, SODA_999_2000, "",
+                "exec", "soda", ["--prob", "0.999"], ["--runs", "2000"], 0, SODA_999_2000, "",
                 id=f"prob1-2000-{SODA_999_2000}",
             ),
             pytest.param(
-                "wide", [], ["--runs", "2000"], 0,
+                "exec", "wide", [], ["--runs", "2000"], 0,
                 "runs 2000\n"
                 "empirical_success_rate 0.919500\n"
                 "analytical_success_probability 0.921600\n",
@@ -331,7 +331,8 @@ class TestExec:
             ),
             # pruning drops mass from the analytical result, and exec says how much
             pytest.param(
-                "soda", ["--prob", "0.999"], ["--runs", "2000", "--prune-epsilon", "0.3"], 0,
+                "exec", "soda", ["--prob", "0.999"],
+                ["--runs", "2000", "--prune-epsilon", "0.3"], 0,
                 "runs 2000\n"
                 "empirical_success_rate 0.998500\n"
                 "unresolved_mass 0.500000\n"
@@ -339,14 +340,24 @@ class TestExec:
                 "",
                 id="prune-epsilon-0.3",
             ),
+            # simulate says the same, below the one entry left
             pytest.param(
-                "soda", [], ["--runs", "2000", "--max-ticks", "3"], 3,
+                "simulate", "soda", ["--prob", "0.999"], ["--prune-epsilon", "0.3"], 0,
+                "0.5 | at(table1)=F,at(table2)=F,luminousity_ok=S,seen(soda)=S,seen(sprayer)=R"
+                " | r=S | pending=-\n"
+                "unresolved_mass 0.500000\n"
+                "success_probability 0.500000\n",
+                "",
+                id="simulate-prune-epsilon-0.3",
+            ),
+            pytest.param(
+                "exec", "soda", [], ["--runs", "2000", "--max-ticks", "3"], 3,
                 "", "simulation limit: exceeded the limit of 3 root ticks\n",
                 id="max-ticks-3",
             ),
             # seeds outside [0, 2**64) are masked to 64 bits before mixing
             pytest.param(
-                "soda", [], ["--runs", "2000", "--seed", "-1"], 0,
+                "exec", "soda", [], ["--runs", "2000", "--seed", "-1"], 0,
                 "runs 2000\n"
                 "empirical_success_rate 0.956500\n"
                 "analytical_success_probability 0.962015\n",
@@ -354,7 +365,7 @@ class TestExec:
                 id="seed-minus-1",
             ),
             pytest.param(
-                "soda", [], ["--runs", "2000", "--seed", str(2**64 + 5)], 0,
+                "exec", "soda", [], ["--runs", "2000", "--seed", str(2**64 + 5)], 0,
                 "runs 2000\n"
                 "empirical_success_rate 0.965000\n"
                 "analytical_success_probability 0.962015\n",
@@ -364,15 +375,17 @@ class TestExec:
         ],
     )
     def test_pinned_output(
-        self, request, tmp_path, capsys, domain, plan_args, exec_args, code, out, err
+        self, request, tmp_path, capsys, verb, domain, plan_args, args, code, out, err
     ):
         # the sampled runs of a seed are part of the output contract
         path = request.getfixturevalue(f"{domain}_path")
         tree = tmp_path / "tree.json"
         assert main(["plan", "--domain", str(path), "--out", str(tree), *plan_args]) == 0
         capsys.readouterr()
-        argv = ["exec", "--domain", str(path), "--tree", str(tree), "--seed", "42"]
-        assert main([*argv, *exec_args]) == code
+        argv = [verb, "--domain", str(path), "--tree", str(tree)]
+        if verb == "exec":
+            argv += ["--seed", "42"]
+        assert main([*argv, *args]) == code
         assert capsys.readouterr() == (out, err)
 
     @pytest.mark.parametrize("runs", ["0", "-3"])
@@ -837,6 +850,34 @@ class TestTreeFile:
         assert "Traceback" not in proc.stderr
         assert proc.returncode in (0, 1)
         assert proc.stderr.count("\n") == (proc.returncode == 1)
+
+    def test_template_chain_expansion_exits_1(self, tmp_path):
+        # t400 expands into t399, and so on down to t0's action: the planner
+        # inserts t400, the one resolver of the goal, and its expansion
+        # recurses past the guard in TemplateInstance.instantiate
+        depth = 400
+        templates = ["template t0(x) { pre { } body seq { act a() } }\n"]
+        templates += [
+            f"template t{k}(x) {{ pre {{ }}"
+            + (" declared 1 { g = S }" if k == depth else "")
+            + f" body seq {{ tmpl t{k - 1}(x) }} }}\n"
+            for k in range(1, depth + 1)
+        ]
+        path = tmp_path / "chain.bbt"
+        path.write_text(
+            "param x { x1 }\n"
+            "condition g values { S F }\n"
+            "condition h values { S F }\n"
+            "action a { pre { } outcome 1 -> S { h = S } }\n"
+            + "".join(templates)
+            + "initial { g = F ; h = F }\n"
+            "goal { g = S } prob 0.9\n",
+            encoding="utf-8",
+        )
+        proc = run_bbt("plan", "--domain", str(path), "--out", str(tmp_path / "tree.json"))
+        assert proc.returncode == 1
+        # t400 is declared on line 405
+        assert proc.stderr == "error: 405:1: template body nested too deeply\n"
 
     @pytest.mark.parametrize(
         "text, message",

@@ -405,7 +405,7 @@ class TestTickMemo:
         b = ActionInstance("b", (), (Outcome(0.5, post, S), Outcome(0.5, (), F)))
         tree = Sequence([ActionNode(a), ActionNode(b)])
         y = state(g="F")
-        x = y.resolved(R, tree.children[0], a.outcomes[0], TreeTables(tree))
+        x = y.resolved(tree.children[0], a.outcomes[0], TreeTables(tree))
         return tree, x, y
 
     def test_underflowed_branch_resolves_for_a_heavier_entry(self):

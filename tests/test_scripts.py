@@ -97,9 +97,12 @@ def test_code_lines(tmp_path):
 def test_exec_rate():
     proc = run_script("exec_rate.py", "--runs", "2000", "--repeats", "1")
     assert proc.returncode == 0, proc.stderr
-    # the golden soda-goal exec: 2000 runs at seed 42 read 0.960000
-    assert proc.stdout.startswith("runs 2000 successes 1920 best ")
-    assert proc.stdout.endswith(" runs/s\n")
+    # the golden soda-goal and soda-0.999 execs: 2000 runs at seed 42 read
+    # 0.960000 and 0.998500
+    goal, tail = proc.stdout.splitlines()
+    assert goal.startswith("prob goal runs 2000 successes 1920 best ")
+    assert tail.startswith("prob 0.999 runs 2000 successes 1997 best ")
+    assert goal.endswith(" runs/s") and tail.endswith(" runs/s")
 
 
 def test_interp_matrix():
