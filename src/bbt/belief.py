@@ -50,13 +50,6 @@ class Outcome(Frozen):
 
     __slots__ = ("probability", "postconditions", "report")
 
-    def __init__(
-        self, probability: float, postconditions: tuple[tuple[str, Status], ...], report: Status
-    ):
-        set_field(self, "probability", probability)
-        set_field(self, "postconditions", postconditions)
-        set_field(self, "report", report)
-
     def apply(self, values: list[Status], index: Mapping[str, int]) -> None:
         """Write the postconditions into ``values``; ``index`` maps a literal to its position."""
         for literal, status in self.postconditions:
@@ -284,15 +277,16 @@ class BeliefState:
         """Drop entries below ``epsilon`` and report the dropped mass.
 
         The remainder is never renormalized, so success probabilities stay
-        sound lower bounds.
+        sound lower bounds.  The dropped mass is a correctly rounded sum,
+        the same double in any order of the entries.
         """
-        kept, dropped = [], 0.0
+        kept, dropped = [], []
         for p, s in self.entries:
             if p < epsilon:
-                dropped += p
+                dropped.append(p)
             else:
                 kept.append((p, s))
-        return BeliefState(kept), dropped
+        return BeliefState(kept), math.fsum(dropped)
 
     def success_probability(self) -> float:
         return math.fsum(p for p, s in self.entries if s.r is _S)

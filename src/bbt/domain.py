@@ -40,7 +40,7 @@ from .belief import PROB_TOL, ActionInstance, BeliefState, Outcome, PhysicalStat
 from .errors import ParseError, SemanticError
 from .status import Status
 from .tree import ActionNode, BTNode, Condition, CONTROL_KINDS
-from .value import Frozen, set_field
+from .value import Frozen
 
 PROB_SUM_TOL = 1e-9
 
@@ -61,12 +61,7 @@ class Assignment(Frozen):
 
     __slots__ = ("name", "args", "value", "loc")
     _compared = 3
-
-    def __init__(self, name: str, args: tuple[str, ...], value: Status, loc: Loc = _NO_LOC):
-        set_field(self, "name", name)
-        set_field(self, "args", args)
-        set_field(self, "value", value)
-        set_field(self, "loc", loc)
+    _defaults = (_NO_LOC,)
 
 
 class OutcomeSpec(Frozen):
@@ -74,79 +69,39 @@ class OutcomeSpec(Frozen):
 
     __slots__ = ("probability", "report", "assignments", "loc")
     _compared = 3
-
-    def __init__(
-        self,
-        probability: float,
-        report: Status | None,
-        assignments: tuple[Assignment, ...],
-        loc: Loc = _NO_LOC,
-    ):
-        set_field(self, "probability", probability)
-        set_field(self, "report", report)
-        set_field(self, "assignments", assignments)
-        set_field(self, "loc", loc)
+    _defaults = (_NO_LOC,)
 
 
 class ParamSpace(Frozen):
     __slots__ = ("name", "instances", "loc")
     _compared = 2
-
-    def __init__(self, name: str, instances: tuple[str, ...], loc: Loc = _NO_LOC):
-        set_field(self, "name", name)
-        set_field(self, "instances", instances)
-        set_field(self, "loc", loc)
+    _defaults = (_NO_LOC,)
 
 
 class ConditionSchema(Frozen):
     __slots__ = ("name", "params", "values", "loc")
     _compared = 3
-
-    def __init__(
-        self, name: str, params: tuple[str, ...], values: tuple[Status, ...], loc: Loc = _NO_LOC
-    ):
-        set_field(self, "name", name)
-        set_field(self, "params", params)
-        set_field(self, "values", values)
-        set_field(self, "loc", loc)
+    _defaults = (_NO_LOC,)
 
 
 class ActionSchema(Frozen):
     __slots__ = ("name", "params", "preconditions", "outcomes", "loc")
     _compared = 4
-
-    def __init__(
-        self,
-        name: str,
-        params: tuple[str, ...],
-        preconditions: tuple[Assignment, ...],
-        outcomes: tuple[OutcomeSpec, ...],
-        loc: Loc = _NO_LOC,
-    ):
-        set_field(self, "name", name)
-        set_field(self, "params", params)
-        set_field(self, "preconditions", preconditions)
-        set_field(self, "outcomes", outcomes)
-        set_field(self, "loc", loc)
+    _defaults = (_NO_LOC,)
 
 
 class BodyControl(Frozen):
-    __slots__ = ("op", "children")
+    """A composite of a template body: ``op`` is "seq", "fb" or "skip"."""
 
-    def __init__(self, op: str, children: tuple[BodyExpr, ...]):
-        set_field(self, "op", op)  # "seq" | "fb" | "skip"
-        set_field(self, "children", children)
+    __slots__ = ("op", "children")
 
 
 class BodyLeaf(Frozen):
+    """A leaf of a template body: ``ref`` is "act", "cond" or "tmpl"."""
+
     __slots__ = ("ref", "name", "args", "loc")
     _compared = 3
-
-    def __init__(self, ref: str, name: str, args: tuple[str, ...], loc: Loc = _NO_LOC):
-        set_field(self, "ref", ref)  # "act" | "cond" | "tmpl"
-        set_field(self, "name", name)
-        set_field(self, "args", args)
-        set_field(self, "loc", loc)
+    _defaults = (_NO_LOC,)
 
 
 BodyExpr = BodyControl | BodyLeaf
@@ -155,22 +110,7 @@ BodyExpr = BodyControl | BodyLeaf
 class TemplateSchema(Frozen):
     __slots__ = ("name", "params", "preconditions", "declared", "body", "loc")
     _compared = 5
-
-    def __init__(
-        self,
-        name: str,
-        params: tuple[str, ...],
-        preconditions: tuple[Assignment, ...],
-        declared: tuple[OutcomeSpec, ...],
-        body: BodyExpr,
-        loc: Loc = _NO_LOC,
-    ):
-        set_field(self, "name", name)
-        set_field(self, "params", params)
-        set_field(self, "preconditions", preconditions)
-        set_field(self, "declared", declared)
-        set_field(self, "body", body)
-        set_field(self, "loc", loc)
+    _defaults = (_NO_LOC,)
 
 
 class DomainSpec(Frozen):
@@ -179,26 +119,7 @@ class DomainSpec(Frozen):
         "goal_loc",
     )
     _compared = 7
-
-    def __init__(
-        self,
-        params: tuple[ParamSpace, ...] = (),
-        conditions: tuple[ConditionSchema, ...] = (),
-        actions: tuple[ActionSchema, ...] = (),
-        templates: tuple[TemplateSchema, ...] = (),
-        initial: tuple[Assignment, ...] = (),
-        goal: tuple[Assignment, ...] = (),
-        goal_probability: float | None = None,
-        goal_loc: Loc = _NO_LOC,
-    ):
-        set_field(self, "params", params)
-        set_field(self, "conditions", conditions)
-        set_field(self, "actions", actions)
-        set_field(self, "templates", templates)
-        set_field(self, "initial", initial)
-        set_field(self, "goal", goal)
-        set_field(self, "goal_probability", goal_probability)
-        set_field(self, "goal_loc", goal_loc)
+    _defaults = ((), (), (), (), (), (), None, _NO_LOC)
 
 
 # ---------------------------------------------------------------------------
@@ -678,24 +599,6 @@ class TemplateInstance(Frozen):
         "template_schemas",
     )
     _compared = 3
-
-    def __init__(
-        self,
-        id: str,
-        preconditions: tuple[tuple[str, Status], ...],
-        outcomes: tuple[Outcome, ...],
-        schema: TemplateSchema,
-        bindings: tuple[tuple[str, str], ...],
-        actions_by_id: Mapping[str, ActionInstance],
-        template_schemas: Mapping[str, TemplateSchema],
-    ):
-        set_field(self, "id", id)
-        set_field(self, "preconditions", preconditions)
-        set_field(self, "outcomes", outcomes)
-        set_field(self, "schema", schema)
-        set_field(self, "bindings", bindings)
-        set_field(self, "actions_by_id", actions_by_id)
-        set_field(self, "template_schemas", template_schemas)
 
     def instantiate(self) -> BTNode:
         """Build a new subtree; repeated calls share structure, not node ids."""

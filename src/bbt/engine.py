@@ -65,7 +65,7 @@ from .belief import BeliefState, PhysicalState
 from .errors import EntryLimitExceeded, TickLimitExceeded
 from .status import Status
 from .tree import ActionNode, BTNode, Condition, TreeTables
-from .value import Frozen, Record, set_field
+from .value import Frozen, Record
 
 Entry = tuple[float, PhysicalState]
 # one entry inside a tick: (p, state at the tick's start, status, pending, blame)
@@ -82,13 +82,7 @@ class SimulationLimits(Frozen):
     """Budget for self-simulation; exceeding one raises, never mis-answers."""
 
     __slots__ = ("max_root_ticks", "max_entries", "prune_epsilon")
-
-    def __init__(
-        self, max_root_ticks: int = 10000, max_entries: int = 100000, prune_epsilon: float = 0.0
-    ):
-        set_field(self, "max_root_ticks", max_root_ticks)
-        set_field(self, "max_entries", max_entries)
-        set_field(self, "prune_epsilon", prune_epsilon)
+    _defaults = (10000, 100000, 0.0)
 
 
 class SimulationResult(Record):
@@ -104,20 +98,6 @@ class SimulationResult(Record):
     """
 
     __slots__ = ("terminal", "ticks_used", "tables", "pruned_mass", "flow")
-
-    def __init__(
-        self,
-        terminal: BeliefState,
-        ticks_used: int,
-        tables: TreeTables,
-        pruned_mass: float,
-        flow: tuple[tuple[float, float], ...],
-    ):
-        self.terminal = terminal
-        self.ticks_used = ticks_used
-        self.tables = tables
-        self.pruned_mass = pruned_mass
-        self.flow = flow
 
 
 class Trail:

@@ -24,6 +24,7 @@ or domain.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from math import fsum
 
 from .belief import PROB_TOL, ActionInstance, BeliefState, PhysicalState
 from .domain import GroundedDomain, Resolver
@@ -46,7 +47,7 @@ from .tree import (
     Skipper,
     TreeTables,
 )
-from .value import Frozen, Record, set_field
+from .value import Frozen, Record
 
 # read per terminal entry, bound once: a module global reads faster than an enum member
 _S = Status.S
@@ -59,18 +60,7 @@ class PlanRequest(Frozen):
     """
 
     __slots__ = ("domain", "target_probability", "limits", "max_iterations")
-
-    def __init__(
-        self,
-        domain: GroundedDomain,
-        target_probability: float,
-        limits: SimulationLimits = SimulationLimits(),
-        max_iterations: int = 64,
-    ):
-        set_field(self, "domain", domain)
-        set_field(self, "target_probability", target_probability)
-        set_field(self, "limits", limits)
-        set_field(self, "max_iterations", max_iterations)
+    _defaults = (SimulationLimits(), 64)
 
 
 class FailedConditionReport(Frozen):
@@ -85,31 +75,15 @@ class FailedConditionReport(Frozen):
 
     __slots__ = ("node", "observed", "supporting")
 
-    def __init__(
-        self, node: Condition, observed: Status, supporting: tuple[tuple[float, PhysicalState], ...]
-    ):
-        set_field(self, "node", node)
-        set_field(self, "observed", observed)
-        set_field(self, "supporting", supporting)
-
 
 class IterationRecord(Frozen):
-    __slots__ = ("iteration", "kind", "literal", "probability")
+    """One planner edit: ``kind`` is "insert" or "threat-reorder"."""
 
-    def __init__(self, iteration: int, kind: str, literal: str, probability: float):
-        set_field(self, "iteration", iteration)
-        set_field(self, "kind", kind)  # "insert" | "threat-reorder"
-        set_field(self, "literal", literal)
-        set_field(self, "probability", probability)
+    __slots__ = ("iteration", "kind", "literal", "probability")
 
 
 class PlanResult(Record):
     __slots__ = ("tree", "achieved", "log")
-
-    def __init__(self, tree: BTNode, achieved: float, log: tuple[IterationRecord, ...]):
-        self.tree = tree
-        self.achieved = achieved
-        self.log = log
 
     def log_lines(self) -> list[str]:
         return [
@@ -139,22 +113,20 @@ def find_failed_condition(terminal: BeliefState, tables: TreeTables) -> FailedCo
     if not len(terminal):
         raise NothingFailed("no terminal entries")
     order, rank, depth = tables.order, tables.rank, tables.depth
-    masses: dict[tuple[Condition, Status], float] = {}
     groups: dict[tuple[Condition, Status], list[tuple[float, PhysicalState]]] = {}
     for entry in terminal.entries:
-        p, state = entry
+        state = entry[1]
         if state.r is _S or state.blame is None:
             continue
         node = order[rank[state.blame]]
-        key = (node, state.value(node.literal))
-        masses[key] = masses.get(key, 0.0) + p
-        groups.setdefault(key, []).append(entry)
-    if not masses:
+        groups.setdefault((node, state.value(node.literal)), []).append(entry)
+    if not groups:
         raise NothingFailed(
             "no failed condition to resolve"
             if any(state.r is not _S for _, state in terminal.entries)
             else "every terminal entry already succeeds"
         )
+    masses = {key: fsum(p for p, _ in entries) for key, entries in groups.items()}
     node, observed = min(
         masses,
         key=lambda key: (
@@ -197,14 +169,14 @@ def select_resolver(
     """
     literal, supporting = target.node.literal, target.supporting
     # the target has entries, each of positive mass, so total > 0
-    total = sum(p for p, _ in supporting)
+    total = fsum(p for p, _ in supporting)
     scored: list[tuple[float, str, Resolver]] = []
     for candidate, gain in domain.establishing(literal):
         if target.observed is Status.R and (
             (literal, Status.R) not in candidate.preconditions
         ):
             continue
-        feasible = sum(
+        feasible = fsum(
             p
             for p, s in supporting
             if all(_holds_or_resolvable(pre, s, domain) for pre in candidate.preconditions)

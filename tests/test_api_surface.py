@@ -11,7 +11,9 @@ A parameter with a default is likewise passed by some call in the
 program: by keyword, by position or through ``*``/``**``.  Calls are
 matched by name as definitions are; a class's ``__init__`` is called by the
 class name, or by ``super().__init__`` in a class derived from it.  A
-setting only tests pass belongs in the tests too.
+record class's generated constructor counts as an ``__init__`` whose last
+fields default to its ``_defaults``.  A setting only tests pass belongs in
+the tests too.
 
 Likewise every name a program module imports is read in that module, so a
 deletion leaves no import behind.  The package's ``__init__.py`` imports to
@@ -94,12 +96,34 @@ def test_no_definition_is_used_by_tests_only():
     assert not unused, "defined in src/bbt but called only by tests:\n" + "\n".join(unused)
 
 
+def _record_fields(node: ast.ClassDef) -> tuple[list[str], list[str]]:
+    """A record class's fields and those its ``_defaults`` cover; ``[], []`` for other classes.
+
+    A record class lists its fields as a tuple in ``__slots__`` and the
+    defaults of the last ones as a tuple in ``_defaults``; its constructor,
+    made from those two, takes the fields in order.
+    """
+    assigned = {
+        target.id: stmt.value
+        for stmt in node.body
+        if isinstance(stmt, ast.Assign)
+        for target in stmt.targets
+        if isinstance(target, ast.Name)
+    }
+    slots, defaults = assigned.get("__slots__"), assigned.get("_defaults")
+    if not (isinstance(slots, ast.Tuple) and isinstance(defaults, ast.Tuple)):
+        return [], []
+    fields = [field.value for field in slots.elts]
+    return fields, fields[len(fields) - len(defaults.elts) :]
+
+
 def _defaulted(module: ast.Module):
-    """Each function or method with a parameter that has a default.
+    """Each function, method or record class with a parameter that has a default.
 
     Yields the top-level name, the qualified name, the name calls use (the
-    class name for ``__init__``), the parameters a call fills by position
-    (a method's first one left out) and the names of those with a default.
+    class name for ``__init__`` and for a record class's generated
+    constructor), the parameters a call fills by position (a method's first
+    one left out) and the names of those with a default.
     """
     stack = [(module, None, "")]
     while stack:
@@ -107,6 +131,10 @@ def _defaulted(module: ast.Module):
         for item in ast.iter_child_nodes(node):
             if isinstance(item, ast.ClassDef):
                 stack.append((item, item, f"{prefix}{item.name}."))
+                fields, defaults = _record_fields(item)
+                if defaults:
+                    qualname = f"{prefix}{item.name}"
+                    yield qualname.split(".")[0], qualname, item.name, fields, defaults, item
             elif isinstance(item, _FUNCTIONS):
                 stack.append((item, None, f"{prefix}{item.name}."))
                 args = item.args

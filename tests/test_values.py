@@ -1,8 +1,11 @@
 """Value semantics of the library's record types, and what importing the CLI loads.
 
-Frozen records have read-only fields, compare and hash by their compared
-fields and print as ``Name(field=value, ...)``; source locations and derived
-fields are left out of all three.  The two result records stay mutable and
+Every record but ``ActionInstance`` is built by the constructor its
+``__slots__`` and ``_defaults`` generate: fields in slot order, by position
+or by keyword, the last ones defaulted.  Frozen records have read-only
+fields, compare and hash by their compared fields and print as
+``Name(field=value, ...)``; source locations and derived fields are left
+out of all three.  The two result records stay mutable and
 unhashable.  A dropped grounded domain holds no reference cycle, importing
 the CLI leaves ``pathlib`` out, and no CLI call loads ``logging``, whatever
 ``BBT_LOG`` asks for.
@@ -10,6 +13,7 @@ the CLI leaves ``pathlib`` out, and no CLI call loads ``logging``, whatever
 
 import copy
 import gc
+import inspect
 import os
 import pickle
 import subprocess
@@ -33,9 +37,24 @@ from bbt import (
 )
 from bbt.domain import Assignment, ParamSpace
 from bbt.status import Status
+from bbt.value import Record
 
 S, F = Status.S, Status.F
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def record_classes():
+    """Every record class of the package, by qualified name."""
+    found, stack = [], [Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("bbt.") and cls.__slots__:
+                found.append(cls)
+    return sorted(found, key=lambda cls: cls.__qualname__)
+
+
+GENERATED = [cls for cls in record_classes() if cls is not ActionInstance]
 
 
 def outcome(probability=1.0, literal="done"):
@@ -130,6 +149,43 @@ def test_defaults():
         "SimulationLimits(max_root_ticks=10000, max_entries=100000, prune_epsilon=0.0)"
     )
     assert DomainSpec().goal_probability is None and DomainSpec().params == ()
+
+
+def test_only_action_instance_writes_its_own_constructor():
+    # it checks its outcomes and derives clobbers; a generated one is compiled from a string
+    written = [cls for cls in record_classes() if cls.__init__.__code__.co_filename != "<string>"]
+    assert written == [ActionInstance]
+    assert len(GENERATED) == 17
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=lambda cls: cls.__qualname__)
+def test_generated_constructors_take_fields_by_position_or_keyword(cls):
+    fields = cls.__slots__
+    values = [object() for _ in fields]
+    made = cls(*values)
+    assert [getattr(made, name) for name in fields] == values
+    assert cls(**dict(zip(fields, values))) == made
+    assert list(inspect.signature(cls).parameters) == list(fields)
+    required = len(fields) - len(cls._defaults)
+    defaulted = cls(*values[:required])
+    assert [getattr(defaulted, name) for name in fields] == values[:required] + list(cls._defaults)
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=lambda cls: cls.__qualname__)
+def test_generated_constructors_reject_bad_calls_by_class_name(cls):
+    fields = cls.__slots__
+    values = [object() for _ in fields]
+    bad = [
+        lambda: cls(*values, object()),
+        lambda: cls(*values, no_such_field=None),
+        lambda: cls(*values, **{fields[0]: None}),
+    ]
+    required = len(fields) - len(cls._defaults)
+    if required:
+        bad.append(lambda: cls(*values[: required - 1]))
+    for call in bad:
+        with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) "):
+            call()
 
 
 def test_results_are_mutable_and_unhashable(soda_det_domain):
