@@ -6,9 +6,10 @@ a fresh process, in a working directory of its own, on the package under
 
 - ``plan --dot``, ``simulate`` under ``BBT_LOG=debug``, ``exec --seed 7
   --runs 2000`` and ``export-dot --out`` of the tree the plan wrote;
-- on ``domains/soda.bbt``, ``domains/soda_deterministic.bbt`` and the
-  24-item domain of ``perfbench/widegen.py`` (seed 0), at the domain's
-  goal, 0.99 and 0.999;
+- on ``domains/soda.bbt``, ``domains/soda_deterministic.bbt``, the
+  24-item domain of ``perfbench/widegen.py`` (seed 0) and ``inexact``, soda
+  with outcome probabilities whose sum is not exactly 1 in doubles (see
+  :func:`inexact_soda`), at the domain's goal, 0.99 and 0.999;
 - ``simulate``, ``exec --seed 7 --runs 10`` and ``export-dot`` of tree files
   ``bbt.treefile.MAX_DEPTH`` levels deep and one level deeper.
 
@@ -22,7 +23,8 @@ differing call; exits 1 when any call differs and 2 when no interpreter is
 found.
 
 Usage: python3 scripts/interp_matrix.py [--python PATH ...]
-       [--domain soda|soda_deterministic|wide ...] [--prob goal|0.99|0.999 ...]
+       [--domain soda|soda_deterministic|wide|inexact ...]
+       [--prob goal|0.99|0.999 ...]
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from bbt.treefile import MAX_DEPTH  # noqa: E402
 
-DOMAINS = ("soda", "soda_deterministic", "wide")
+DOMAINS = ("soda", "soda_deterministic", "wide", "inexact")
 PROBS = ("goal", "0.99", "0.999")
 
 
@@ -55,6 +57,27 @@ def interpreters() -> list[Path]:
     return [python for _, python in sorted(found)]
 
 
+def inexact_soda() -> str:
+    """``domains/soda.bbt`` with ``detect`` given four outcomes that sum to 1 - 2.2e-10.
+
+    Validation accepts the sum and grounding rescales the outcomes by it,
+    so a total that rounds differently shows in every mass downstream.
+    Summed left to right, the four give 0.9999999997825; their correctly
+    rounded sum is 0.9999999997825001.
+    """
+    text = (REPO / "domains" / "soda.bbt").read_text(encoding="utf-8")
+    exact = "  outcome 0.5 -> S { seen(object) = S }\n  outcome 0.5 -> F { seen(object) = F }\n"
+    inexact = (
+        "  outcome 0.789 -> S { seen(object) = S }\n"
+        "  outcome 0.094 -> F { seen(object) = F }\n"
+        "  outcome 0.028 -> F { seen(object) = F }\n"
+        "  outcome 0.0889999997825 -> F { }\n"
+    )
+    if exact not in text:
+        raise SystemExit("domains/soda.bbt no longer holds detect's two outcomes")
+    return text.replace(exact, inexact)
+
+
 def domain_texts(names: list[str]) -> dict[str, str]:
     """Domain file name -> text."""
     texts = {}
@@ -66,6 +89,8 @@ def domain_texts(names: list[str]) -> dict[str, str]:
             widegen = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(widegen)
             texts["wide.bbt"] = widegen.generate(24, seed=0)
+        elif name == "inexact":
+            texts["inexact.bbt"] = inexact_soda()
         else:
             texts[f"{name}.bbt"] = (REPO / "domains" / f"{name}.bbt").read_text(encoding="utf-8")
     return texts

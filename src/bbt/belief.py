@@ -16,10 +16,13 @@ alone, and a simulation ticks each distinct state once
 (:func:`~bbt.engine.simulate`); its reach too is a state's own, and a
 tick's is the maximum over its states.
 
-Masses are merged with :func:`math.fsum`: :meth:`BeliefState.coalesce`,
-:attr:`BeliefState.mass` and :meth:`BeliefState.success_probability` give
-the correctly rounded sum of the entries' probabilities, the same double
-whatever the order of the entries.
+A belief holds each state once: :class:`BeliefState` merges the entries
+of equal states as it is built.  Masses are merged with
+:func:`math.fsum`: that merge, :attr:`BeliefState.mass` and
+:meth:`BeliefState.success_probability` give the correctly rounded sum of
+the entries' probabilities, the same double whatever the order of the
+entries.  Entries keep the order their states are first seen in; only
+:meth:`BeliefState.debug_lines` sorts them.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class ActionInstance(Frozen):
                 raise ValueError(
                     f"outcome probability {o.probability!r} of {id!r} is not finite and >= 0"
                 )
-        total = sum(o.probability for o in outcomes)
+        total = math.fsum(o.probability for o in outcomes)
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"outcome probabilities of {id!r} sum to {total!r}, not 1")
         set_field(self, "id", id)
@@ -127,8 +130,9 @@ class PhysicalState:
     equal.  A root tick makes one state per outcome of an entry's pending
     action, with :meth:`resolved`, and one per entry that ends, with
     :meth:`ticked`; both methods build their states around a ready key,
-    through one private constructor.  Every state is hashed when its
-    belief is coalesced, so each hashes its key once, when it is built.
+    through one private constructor.  Every state is hashed when a
+    belief holding it is built, so each hashes its key once, when it is
+    built.
     """
 
     __slots__ = ("literals", "values", "r", "latches", "blame", "index", "key", "_hash")
@@ -230,21 +234,28 @@ class PhysicalState:
 
 
 class BeliefState:
-    """A finite list of ``(probability, PhysicalState)`` entries.
+    """A finite list of ``(probability, PhysicalState)`` entries, one per state.
 
-    Probabilities are strictly positive and total mass is conserved by every
-    operation; callers that prune must account for the dropped mass
-    themselves (see :meth:`prune`).
+    The constructor checks that every probability is strictly positive and
+    merges the entries of equal states: their probabilities are summed
+    with :func:`math.fsum`, whose correctly rounded sum does not depend on
+    the order of the entries (a state with one entry keeps its probability
+    as it is).  Entries keep the order their states are first seen in, and
+    the state object kept is the first one seen, so its ``blame`` is the
+    one a belief reports.  Total mass is conserved by every operation;
+    callers that prune must account for the dropped mass themselves (see
+    :meth:`prune`).
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[tuple[float, PhysicalState]] = ()):
-        entries = tuple(entries)
-        for p, _ in entries:
+        merged: dict[PhysicalState, list[float]] = {}
+        for p, s in entries:
             if not p > 0.0:
                 raise ValueError(f"belief entry with non-positive probability {p!r}")
-        self.entries = entries
+            merged.setdefault(s, []).append(p)
+        self.entries = tuple([(math.fsum(ps), s) for s, ps in merged.items()])
 
     @classmethod
     def point(cls, state: PhysicalState) -> "BeliefState":
@@ -259,19 +270,6 @@ class BeliefState:
 
     def __iter__(self) -> Iterator[tuple[float, PhysicalState]]:
         return iter(self.entries)
-
-    def coalesce(self) -> "BeliefState":
-        """Merge identical states in canonical order.
-
-        A state's probabilities are merged with :func:`math.fsum`, whose
-        correctly rounded sum does not depend on the order of the entries;
-        a state with one entry keeps its probability as it is.
-        """
-        merged: dict[PhysicalState, list[float]] = {}
-        for p, s in self.entries:
-            merged.setdefault(s, []).append(p)
-        ordered = sorted(merged.items(), key=lambda item: item[0].key)
-        return BeliefState((math.fsum(ps), s) for s, ps in ordered)
 
     def prune(self, epsilon: float) -> tuple["BeliefState", float]:
         """Drop entries below ``epsilon`` and report the dropped mass.
@@ -294,18 +292,18 @@ class BeliefState:
     def debug_lines(self, tables: "TreeTables") -> list[str]:
         """Text dump, one ``p | literals | r | pending=-`` line per entry.
 
-        Lines follow the entries as given, so the dump of a coalesced belief,
-        such as :func:`~bbt.engine.simulate`'s terminal one, is canonical.
-        The ``pending=-`` field is constant, since no state holds a pending
-        action; it is kept so the text stays byte-stable.  An entry whose
-        latch view is not empty gets a fifth field,
+        Lines are sorted by the states' keys, so the dump does not depend
+        on the order of the entries; this is the one place a belief is
+        ordered.  The ``pending=-`` field is constant, since no state holds
+        a pending action; it is kept so the text stays byte-stable.  An
+        entry whose latch view is not empty gets a fifth field,
         ``latches=n<i>:<status>,...``, so distinct entries print distinct
         lines.  ``n<i>`` names a latched node by its index in tick order
         in ``tables`` (the name the DOT rendering gives it), so the text
         does not depend on node ids.
         """
         lines = []
-        for p, s in self.entries:
+        for p, s in sorted(self.entries, key=lambda entry: entry[1].key):
             body = ",".join(f"{k}={v}" for k, v in zip(s.literals, s.values))
             line = f"{p!r} | {body} | r={s.r} | pending=-"
             if s.latches:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from math import fsum
 
 from .belief import PROB_TOL, ActionInstance, BeliefState, Outcome, PhysicalState
 from .errors import ParseError, SemanticError
@@ -448,7 +449,7 @@ def _validate_outcomes(
             )
         if outcome.report is Status.R:
             raise SemanticError(f"{what} report status of {owner} must be S or F", *outcome.loc)
-    total = sum(o.probability for o in outcomes)
+    total = fsum(o.probability for o in outcomes)
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise SemanticError(f"{what} probabilities of {owner} sum to {total:.12g}, not 1", *loc)
 
@@ -659,7 +660,7 @@ class GroundedDomain:
                     literal for literal, value in outcome.postconditions if value is Status.S
                 )
             for literal in established:
-                gain = sum(
+                gain = fsum(
                     o.probability for o in outcomes if (literal, Status.S) in o.postconditions
                 )
                 if gain > 0.0:
@@ -735,7 +736,7 @@ class GroundedDomain:
         name, preconditions, outcomes = self._ground_resolver(
             schema, schema.outcomes, binding, "an outcome of "
         )
-        total = sum(o.probability for o in outcomes)
+        total = fsum(o.probability for o in outcomes)
         if abs(total - 1.0) > PROB_TOL:
             # validation allows PROB_SUM_TOL; rescale so downstream mass checks hold
             outcomes = tuple(

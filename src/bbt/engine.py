@@ -8,7 +8,7 @@ branch settles yields the exact distribution of execution results.
 
 Each branch carries a canonical latch view (see
 :class:`~bbt.belief.PhysicalState`), so branches whose histories differ but
-whose futures agree merge when the belief is coalesced.  Each branch also
+whose futures agree merge in the belief that holds them.  Each branch also
 records, as its ``blame``, the condition charged with its failure in the
 tick that is running, so the planner reads its targets off the terminal
 entries without ticking the tree again.
@@ -25,9 +25,10 @@ has ticked to that result: the state it ends in, or its list of
 states the dict lacks through :func:`belief_tick`, then ends or expands
 every entry from the dict, in belief order, and records the tick's flow,
 the mass that ended and the mass left pending.  Those sums, like every
-merge of a coalesce, are :func:`math.fsum` sums, so they do not depend on
-the order of the entries.  Each root tick's expansion, with its coalesce,
-is validated as one :class:`~bbt.belief.BeliefState`.  The tree's
+merge of equal states, are :func:`math.fsum` sums, so they do not depend
+on the order of the entries, and no belief is sorted.  Each root tick's
+expansion is validated and merged once, as one
+:class:`~bbt.belief.BeliefState`.  The tree's
 :class:`~bbt.tree.TreeTables` are built once per :func:`simulate` without a
 :class:`Trail`, or once when a trail is made, and returned with each result.
 
@@ -88,10 +89,11 @@ class SimulationLimits(Frozen):
 class SimulationResult(Record):
     """Exact terminal distribution of a simulation run.
 
-    ``pruned_mass`` is reported, never renormalized away.  ``flow`` holds
-    one ``(ended, pending)`` pair per root tick: the mass that finished in
-    that tick and the mass it left with a pending action.  ``tables`` are
-    those of the tree as simulated: with a trail, the
+    ``terminal`` holds each final state once, in the order the run first
+    reached them.  ``pruned_mass`` is reported, never renormalized away.
+    ``flow`` holds one ``(ended, pending)`` pair per root tick: the mass
+    that finished in that tick and the mass it left with a pending action.
+    ``tables`` are those of the tree as simulated: with a trail, the
     trail's own, built with the trail and kept current by the planner's
     edits; without one, a set built by this run, stale once the tree is
     edited.
@@ -309,14 +311,15 @@ def simulate(
     cannot change under further ticks and move to the result, each in the
     state :meth:`PhysicalState.ticked` gives it; the rest go straight to one
     state per outcome of their pending action
-    (:meth:`PhysicalState.resolved`), which are coalesced and go around
-    again.  Entries are read in belief order, and the masses of one state
-    are merged with :func:`math.fsum`, so the order does not show in the
-    result.  An outcome branch whose mass is 0.0 is dropped: a
-    zero-probability outcome, or a product that underflows, whose true mass
-    is below the smallest double.  A state one of whose branches underflows
+    (:meth:`PhysicalState.resolved`), which are built into one belief,
+    each state once, and go around again.  Entries are read in belief
+    order, the order their states were first reached in, and the masses of
+    one state are merged with :func:`math.fsum`, so the order does not show
+    in the masses, and nothing is sorted.  An outcome branch whose mass is
+    0.0 is dropped: a zero-probability outcome, or a product that
+    underflows, whose true mass is below the smallest double.  A state one of whose branches underflows
     is not kept, so a heavier entry of it resolves that branch, as it would
-    if ticked on its own.  The dict is keyed by state, as a coalesce is, so
+    if ticked on its own.  The dict is keyed by state, as a belief is, so
     it does not tell apart states that differ only in ``blame``; of the live
     states, only those of ``initial`` can hold one.  Each tick records its flow
     (see :class:`SimulationResult`).  Without a trail the tree's
@@ -347,7 +350,7 @@ def simulate(
         del finished[done:]
         del flow[ticks:]
     else:
-        ticks, mem, finished, flow, pruned = 0, initial.coalesce(), [], [], 0.0
+        ticks, mem, finished, flow, pruned = 0, initial, [], [], 0.0
         if trail is not None:
             trail.finished, trail.flow = finished, flow
     furthest = trail.points[-1][0] if trail is not None and trail.points else -1
@@ -399,9 +402,9 @@ def simulate(
                 memo.pop(s, None)
             while len(memo) > MEMO_STATES:
                 memo.popitem()
-        mem = BeliefState(expanded).coalesce()
+        mem = BeliefState(expanded)
         if limits.prune_epsilon > 0.0:
             mem, dropped = mem.prune(limits.prune_epsilon)
             pruned += dropped
-    terminal = BeliefState(finished).coalesce()
+    terminal = BeliefState(finished)
     return SimulationResult(terminal, ticks, tables, pruned, tuple(flow))

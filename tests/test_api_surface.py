@@ -19,6 +19,10 @@ Likewise every name a program module imports is read in that module, so a
 deletion leaves no import behind.  The package's ``__init__.py`` imports to
 re-export and is not checked; its ``__all__`` lists exactly the names it
 imports, each of which resolves.
+
+No module of the package calls the built-in ``sum``: CPython compensates
+its float sums from 3.12 on and not before, so a mass summed with it could
+differ across interpreters.  The package sums with ``math.fsum``.
 """
 
 import ast
@@ -269,6 +273,16 @@ def test_no_module_imports_a_name_it_never_reads():
             if name not in read:
                 unread.append(f"{path.relative_to(REPO)}:{line} {name}")
     assert not unread, "imported but never read:\n" + "\n".join(unread)
+
+
+def test_no_module_calls_the_built_in_sum():
+    calls = [
+        f"{path.relative_to(REPO)}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert not calls, "built-in sum called at:\n" + "\n".join(calls)
 
 
 def test_allowlist_names_definitions():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bbt.belief import ActionInstance, BeliefState, Outcome
 from bbt.engine import belief_tick, simulate
 from bbt.errors import UnknownLiteral
-from bbt.planner import plan_request_from_domain, refine_tree
+from bbt.planner import find_failed_condition, plan_request_from_domain, refine_tree
 from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Sequence, TreeTables
 
@@ -47,7 +47,7 @@ class TestPhysicalState:
         base = state(a="S")
         assert base == state(a="S")
         # the last one holds another literal: states over different literal
-        # sets stay apart, also when coalesced
+        # sets stay apart, also in one belief
         for other in (
             state(a="F"),
             state(r=S, a="S"),
@@ -55,7 +55,7 @@ class TestPhysicalState:
             state(b="S"),
         ):
             assert base != other
-            assert len(BeliefState([(0.5, base), (0.5, other)]).coalesce()) == 2
+            assert len(BeliefState([(0.5, base), (0.5, other)])) == 2
 
     def test_unknown_literal(self):
         with pytest.raises(UnknownLiteral):
@@ -135,7 +135,7 @@ def expand(m, node):
         for p, s in m
         for outcome in node.action.outcomes
         if outcome.probability > 0.0
-    ).coalesce()
+    )
 
 
 class TestApplyOutcomes:
@@ -237,7 +237,7 @@ class TestSplitCoalesce:
         condition = Condition(m.entries[0][1].literals[0])
         result = simulate(condition, m)
         assert result.ticks_used == 1
-        once = ended(condition, m, TreeTables(condition)).coalesce()
+        once = ended(condition, m, TreeTables(condition))
         assert [s for _, s in result.terminal] == [s for _, s in once]
         for (p, _), (q, _) in zip(result.terminal, once):
             assert p == pytest.approx(q, abs=MASS_TOL)
@@ -255,19 +255,34 @@ class TestSplitCoalesce:
         original = sorted((p, s.key) for p, s in m)
         assert combined == original
 
-    def test_coalesce_merges(self):
+    def test_construction_merges_equal_states(self):
         s1, s2 = state(a="S"), state(a="F")
-        m = BeliefState([(0.3, s1), (0.2, s1), (0.5, s2)]).coalesce()
-        assert len(m) == 2
-        assert {p for p, _ in m.entries} == {0.5}
+        m = BeliefState([(0.3, s1), (0.5, s2), (0.2, s1)])
+        assert m.entries == ((0.5, s1), (0.5, s2))  # in first-seen order
+
+    def test_merge_keeps_the_first_blame(self):
+        # equal keys, different blame: the first state seen is kept, and
+        # the planner charges its condition with the whole mass
+        tree = Sequence([Condition("a"), Condition("b")])
+        tables = TreeTables(tree)
+        first, second = tree.children
+        initial = state(a="F", b="F")
+        on_first = initial.ticked(F, first.node_id)
+        on_second = initial.ticked(F, second.node_id)
+        for kept, other in ((on_first, on_second), (on_second, on_first)):
+            m = BeliefState([(0.25, kept), (0.75, other)])
+            ((p, s),) = m.entries
+            assert p == 1.0 and s is kept
+            report = find_failed_condition(m, tables)
+            assert report.node.node_id == kept.blame and report.supporting == m.entries
 
     @given(beliefs())
-    def test_coalesce_idempotent(self, m):
-        once = m.coalesce()
-        twice = once.coalesce()
-        assert [(p, s) for p, s in once] == [(p, s) for p, s in twice]
+    def test_rebuilding_is_identity(self, m):
+        again = BeliefState(m.entries)
+        assert again.entries == m.entries
+        assert all(s is t for (_, s), (_, t) in zip(again, m))
 
-    def test_coalesce_against_per_state_sums(self):
+    def test_merge_against_per_state_sums(self):
         rng = random.Random(7)
         distinct = [state(a=v.value, r=r) for v in (S, F, R) for r in (S, F, R)] + [
             state(a="S", b="F")
@@ -276,8 +291,8 @@ class TestSplitCoalesce:
         expected = defaultdict(float)
         for p, s in entries:
             expected[s] += p
-        m = BeliefState(entries).coalesce()
-        assert len(m) == len(expected)
+        m = BeliefState(entries)
+        assert [s for _, s in m] == list(expected)  # in first-seen order
         for p, s in m.entries:
             assert p == pytest.approx(expected[s], abs=MASS_TOL)
 
@@ -286,7 +301,7 @@ class TestSplitCoalesce:
         condition = Condition(m.entries[0][1].literals[0])
         ticked = belief_tick(condition, m, TreeTables(condition))
         assert sum(p for p, *_ in ticked) == pytest.approx(m.mass, abs=MASS_TOL)
-        assert m.coalesce().mass == pytest.approx(m.mass, abs=MASS_TOL)
+        assert BeliefState(m.entries * 2).mass == pytest.approx(2 * m.mass, abs=MASS_TOL)
         assert simulate(condition, m).terminal.mass == pytest.approx(m.mass, abs=MASS_TOL)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -364,6 +365,22 @@ class TestGrounding:
         assert goto.outcomes[0].probability == pytest.approx(0.95)
         assert goto.outcomes[1].postconditions == ()
         assert goto.outcomes[1].report is F
+
+    def test_rescale_divides_by_the_correctly_rounded_total(self, soda_path):
+        # detect's outcomes sum to 1 - 2.2e-10, so grounding rescales them;
+        # left to right they sum to 0.9999999997825, one ulp below their
+        # correctly rounded total, so each interpreter's sum gives one answer
+        raw = (0.789, 0.094, 0.028, 0.0889999997825)
+        total = math.fsum(raw)
+        assert raw[0] + raw[1] + raw[2] + raw[3] != total
+        reports = ("S { seen(object) = S }", "F { seen(object) = F }",
+                   "F { seen(object) = F }", "F { }")
+        text = soda_path.read_text(encoding="utf-8").replace(
+            "  outcome 0.5 -> S { seen(object) = S }\n  outcome 0.5 -> F { seen(object) = F }\n",
+            "".join(f"  outcome {p!r} -> {rest}\n" for p, rest in zip(raw, reports)),
+        )
+        detect = ground(parse_domain(text)).actions_by_id["detect(soda)"]
+        assert [o.probability for o in detect.outcomes] == [p / total for p in raw]
 
     def test_initial_defaults_unknown_when_allowed(self, soda_domain):
         initial = soda_domain.initial_assignment

@@ -1,35 +1,39 @@
-"""Coalesced beliefs and their sums do not depend on the order of the entries.
+"""Beliefs, their sums and their printed lines do not depend on the order of the entries.
 
-``BeliefState.coalesce`` merges a state's probabilities with a correctly
-rounded sum, and ``mass``, ``success_probability`` and the mass ``prune``
-drops sum the same way, so any order of the same entries gives the same
-doubles, bit for bit.  The beliefs checked here are those that simulations
-of random trees coalesce, with outcome probabilities in hundredths and
-thirds, which doubles round: summed left to right, their merged masses
-would move with the order.
+A ``BeliefState`` merges the entries of equal states with a correctly
+rounded sum as it is built, and ``mass``, ``success_probability`` and the
+mass ``prune`` drops sum the same way, so any order of the same entries
+gives each state the same double, bit for bit; ``debug_lines`` sorts, so
+it prints the same lines.  The beliefs checked here are those that
+simulations of random trees build, with outcome probabilities in
+hundredths and thirds, which doubles round: summed left to right, their
+merged masses would move with the order.
 """
 
 import itertools
 import random
 
-from bbt.belief import BeliefState, PhysicalState
+from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
 from bbt.engine import simulate
 from bbt.status import Status
+from bbt.tree import ActionNode, TreeTables
 
 import randgen
+from helpers import physical_state
 
 
-def coalesced_beliefs(monkeypatch, rng, runs):
-    """The entry tuples every coalesce of ``runs`` random simulations receives."""
+def built_beliefs(monkeypatch, rng, runs):
+    """The entry tuples every ``BeliefState`` of ``runs`` random simulations is built from."""
     beliefs = []
-    coalesce = BeliefState.coalesce
+    build = BeliefState.__init__
 
-    def recorded(self):
-        beliefs.append(self.entries)
-        return coalesce(self)
+    def recorded(self, entries=()):
+        entries = tuple(entries)
+        beliefs.append(entries)
+        build(self, entries)
 
     with monkeypatch.context() as patch:
-        patch.setattr(BeliefState, "coalesce", recorded)
+        patch.setattr(BeliefState, "__init__", recorded)
         for _ in range(runs):
             literals = randgen.random_literals(rng)
             total = rng.choice((100, 3))
@@ -47,20 +51,19 @@ def summed_in_order(entries):
     return merged
 
 
-def test_shuffled_entries_coalesce_bit_identically(monkeypatch):
+def test_shuffled_entries_merge_bit_identically(monkeypatch):
     rng = random.Random(5151)
-    beliefs = coalesced_beliefs(monkeypatch, rng, 400)
+    beliefs = built_beliefs(monkeypatch, rng, 400)
     order_shows = 0
     for entries in beliefs:
         want = BeliefState(entries)
-        merged = want.coalesce()
         for _ in range(3):
             shuffled = list(entries)
             rng.shuffle(shuffled)
             got = BeliefState(shuffled)
             assert got.mass == want.mass
             assert got.success_probability() == want.success_probability()
-            assert [(p, s.key) for p, s in got.coalesce()] == [(p, s.key) for p, s in merged]
+            assert {s.key: p for p, s in got} == {s.key: p for p, s in want}
             order_shows += summed_in_order(shuffled) != summed_in_order(entries)
     assert order_shows > 20  # sums in input order would differ in these
 
@@ -75,3 +78,19 @@ def test_pruned_mass_is_the_same_in_every_order():
         assert not len(kept)
         dropped.add(mass)
     assert dropped == {0.6}
+
+
+def test_debug_lines_are_the_same_in_every_order():
+    S, F, R = Status.S, Status.F, Status.R
+    node = ActionNode(ActionInstance("go", (), (Outcome(1.0, (("x", S),), S),)))
+    states = [
+        physical_state({"x": S}, S),
+        physical_state({"x": F}, F),
+        physical_state({"x": R}, R),
+        physical_state({"x": S}, R, {node.node_id: S}),
+    ]
+    entries = list(zip((0.1, 0.2, 0.3, 0.4), states))
+    tables = TreeTables(node)
+    orders = itertools.permutations(entries)
+    printed = {tuple(BeliefState(order).debug_lines(tables)) for order in orders}
+    assert len(printed) == 1
