@@ -22,6 +22,7 @@ from bbt.planner import plan_request_from_domain, refine_tree
 from bbt.tree import ActionNode, Condition, Fallback, Sequence
 from bbt.treefile import dumps_tree
 
+import domain_records
 import frontend_corpus
 import oracle
 import randgen
@@ -552,6 +553,17 @@ def test_front_end_corpus_matches_golden():
     expected = frontend_corpus.GOLDEN.read_text(encoding="utf-8").splitlines()
     actual = frontend_corpus.render().splitlines()
     assert len(expected) >= 300
+    assert [line.split("\t")[0] for line in actual] == [line.split("\t")[0] for line in expected]
+    for want, got in zip(expected, actual):
+        assert got == want
+
+
+def test_domain_records_match_golden():
+    # every field of each parsed spec and grounded domain, locations,
+    # clobbers, template bindings and float bits included
+    expected = domain_records.GOLDEN.read_text(encoding="utf-8").splitlines()
+    actual = domain_records.render().splitlines()
+    assert len(expected) >= 130
     assert [line.split("\t")[0] for line in actual] == [line.split("\t")[0] for line in expected]
     for want, got in zip(expected, actual):
         assert got == want
