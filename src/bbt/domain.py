@@ -27,7 +27,15 @@ Format by example::
 
 Parameter names in signatures are the names of parameter spaces; inside a
 schema an argument is either such a parameter or a concrete instance of the
-space expected at that position.  ``#`` starts a comment.
+space expected at that position.  ``#`` starts a comment that runs to the
+end of its line.
+
+No token holds ``#``, so the tokenizer cuts each line at its first ``#`` and
+scans the rest with one regular-expression match per token.  The parser
+reads the tokens' kinds, texts and locations as parallel tuples.  Grounding
+works out what depends on a schema alone (its outcomes' report statuses and
+probabilities, rescaled if need be) once per schema, and only the clauses
+per binding.
 """
 
 from __future__ import annotations
@@ -127,15 +135,17 @@ class DomainSpec(Frozen):
 # Tokenizer
 
 
-# whitespace matches no alternative, so finditer skips it; ``bad`` catches
-# every other character that starts no token
+# each match takes the whitespace before its token, so a line's scan makes
+# one match per token; ``bad`` catches every other character that starts no
+# token.  Comments are cut off before the scan.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>->|[{}(),;=])
-  | (?P<comment>\#.*)
-  | (?P<bad>\S)
+    \s*(?:
+      (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<punct>->|[{}(),;=])
+    | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
@@ -151,17 +161,21 @@ def _tokenize(text: str) -> list[Token]:
     line, a ``"\\r"`` is whitespace and a tab counts as one column, so a CRLF
     text reports the positions of its LF copy.  The ``eof`` token, whose text
     is empty, sits just past the last character of the last line.
+
+    No token holds ``#``, so each line is cut at its first ``#`` before it
+    is scanned, and a comment costs no match.  Each match takes a token
+    with the whitespace before it, so the token ends where the match does.
     """
     tokens = []
     lines = text.split("\n")
     for line_no, line in enumerate(lines, 1):
-        for m in _TOKEN_RE.finditer(line):
+        cut = line.find("#")
+        for m in _TOKEN_RE.finditer(line if cut < 0 else line[:cut]):
             kind = m.lastgroup
-            if kind == "comment":
-                break
+            token = m[kind]
             if kind == "bad":
-                raise ParseError(f"unexpected character {m.group()!r}", line_no, m.start() + 1)
-            tokens.append((kind, m.group(), (line_no, m.start() + 1)))
+                raise ParseError(f"unexpected character {token!r}", line_no, m.end())
+            tokens.append((kind, token, (line_no, m.end() - len(token) + 1)))
     tokens.append(("eof", "", (len(lines), len(lines[-1]) + 1)))
     return tokens
 
@@ -172,69 +186,67 @@ def _tokenize(text: str) -> list[Token]:
 
 _DECL_KEYWORDS = ("param", "condition", "action", "template", "initial", "goal")
 _BODY_KEYWORDS = ("seq", "fb", "skip", "act", "cond", "tmpl")
+# a dict lookup costs less than calling the enum
+_STATUSES = {status.value: status for status in Status}
 
 
 class _Parser:
+    """Recursive descent over the tokens, read as parallel ``kinds``, ``texts`` and ``locs``.
+
+    Only the ``eof`` token has empty text, so comparing the current text
+    with a keyword or punctuation also checks that input remains, and the
+    parser never moves past ``eof``.
+    """
+
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        self.kinds, self.texts, self.locs = zip(*tokens)
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token[0] != "eof":
-            self.pos += 1
-        return token
-
     def error(self, message: str, *expected: str) -> ParseError:
-        token = self.peek()
-        found = token[1] if token[0] != "eof" else "end of input"
-        return ParseError(f"{message}, found {found!r}", *token[2], expected)
+        found = self.texts[self.pos] or "end of input"
+        return ParseError(f"{message}, found {found!r}", *self.locs[self.pos], expected)
 
-    def expect(self, text: str) -> Token:
-        token = self.peek()
-        if token[1] != text or token[0] == "eof":
+    def expect(self, text: str) -> Loc:
+        """Step past ``text`` and return its location."""
+        pos = self.pos
+        if self.texts[pos] != text:
             raise self.error(f"expected {text!r}", text)
-        return self.advance()
+        self.pos = pos + 1
+        return self.locs[pos]
 
-    def expect_name(self, what: str = "a name") -> Token:
-        token = self.peek()
-        if token[0] != "name":
+    def expect_name(self, what: str = "a name") -> str:
+        pos = self.pos
+        if self.kinds[pos] != "name":
             raise self.error(f"expected {what}", "NAME")
-        return self.advance()
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def expect_number(self) -> float:
-        token = self.peek()
-        if token[0] != "number":
+        pos = self.pos
+        if self.kinds[pos] != "number":
             raise self.error("expected a number", "NUMBER")
-        self.advance()
-        return float(token[1])
+        self.pos = pos + 1
+        return float(self.texts[pos])
 
     def expect_value(self) -> Status:
-        token = self.peek()
-        if token[0] != "name" or token[1] not in ("S", "F", "R"):
+        value = _STATUSES.get(self.texts[self.pos])
+        if value is None:
             raise self.error("expected a status value", "S", "F", "R")
-        self.advance()
-        return Status(token[1])
+        self.pos += 1
+        return value
 
     def at(self, text: str) -> bool:
-        token = self.peek()
-        return token[0] != "eof" and token[1] == text
+        return self.texts[self.pos] == text
 
     def parse_list(
-        self, open_: str, item: Callable[[], object], close: str, sep: str = "", empty: bool = False
+        self, open_: str, item: Callable[[], object], close: str, sep: str = ""
     ) -> tuple:
-        """``open_``, items, ``close``: items joined by ``sep``, or up to ``close`` without one.
-
-        ``empty`` admits a list with no items.
-        """
+        """``open_``, items, ``close``: items joined by ``sep``, or up to ``close`` without one."""
         self.expect(open_)
-        items = [] if empty and self.at(close) else [item()]
+        items = [item()]
         while self.at(sep) if sep else not self.at(close):
             if sep:
-                self.advance()
+                self.pos += 1
             items.append(item())
         self.expect(close)
         return tuple(items)
@@ -245,26 +257,26 @@ class _Parser:
         params, conditions, actions, templates = [], [], [], []
         initial: tuple[Assignment, ...] | None = None
         goal: tuple[tuple[Assignment, ...], float, Loc] | None = None
-        while self.peek()[0] != "eof":
-            token = self.peek()
-            if token[1] == "param":
+        while self.kinds[self.pos] != "eof":
+            text, loc = self.texts[self.pos], self.locs[self.pos]
+            if text == "param":
                 params.append(self.parse_param())
-            elif token[1] == "condition":
+            elif text == "condition":
                 conditions.append(self.parse_condition())
-            elif token[1] in ("action", "template"):
-                (actions if token[1] == "action" else templates).append(self.parse_resolver())
-            elif token[1] == "initial":
+            elif text in ("action", "template"):
+                (actions if text == "action" else templates).append(self.parse_resolver())
+            elif text == "initial":
                 if initial is not None:
-                    raise SemanticError("duplicate initial section", *token[2])
-                self.advance()
+                    raise SemanticError("duplicate initial section", *loc)
+                self.pos += 1
                 initial = self.parse_asgnset()
-            elif token[1] == "goal":
+            elif text == "goal":
                 if goal is not None:
-                    raise SemanticError("duplicate goal section", *token[2])
-                self.advance()
+                    raise SemanticError("duplicate goal section", *loc)
+                self.pos += 1
                 goal_set = self.parse_asgnset()
                 self.expect("prob")
-                goal = (goal_set, self.expect_number(), token[2])
+                goal = (goal_set, self.expect_number(), loc)
             else:
                 raise self.error("expected a declaration", *_DECL_KEYWORDS)
         return DomainSpec(
@@ -279,47 +291,69 @@ class _Parser:
         )
 
     def parse_param(self) -> ParamSpace:
-        start = self.expect("param")
+        loc = self.expect("param")
         name = self.expect_name("a parameter space name")
-        instances = self.parse_list("{", lambda: self.expect_name("an instance name")[1], "}")
-        return ParamSpace(name[1], instances, start[2])
+        instances = self.parse_list("{", lambda: self.expect_name("an instance name"), "}")
+        return ParamSpace(name, instances, loc)
 
     def parse_signature(self) -> tuple[str, ...]:
-        return self.parse_list("(", lambda: self.expect_name("a parameter name")[1], ")", ",")
+        return self.parse_list("(", lambda: self.expect_name("a parameter name"), ")", ",")
 
     def parse_condition(self) -> ConditionSchema:
-        start = self.expect("condition")
+        loc = self.expect("condition")
         name = self.expect_name("a condition name")
         params = self.parse_signature() if self.at("(") else ()
         self.expect("values")
         values = self.parse_list("{", self.expect_value, "}")
-        return ConditionSchema(name[1], params, values, start[2])
+        return ConditionSchema(name, params, values, loc)
 
     def parse_args(self) -> tuple[str, ...]:
-        return self.parse_list(
-            "(", lambda: self.expect_name("an argument")[1], ")", ",", empty=True
-        )
-
-    def parse_asgn(self) -> Assignment:
-        name = self.expect_name("a condition name")
-        args = self.parse_args() if self.at("(") else ()
-        self.expect("=")
-        value = self.expect_value()
-        return Assignment(name[1], args, value, name[2])
+        """``( name , ... )``, possibly empty."""
+        kinds, texts = self.kinds, self.texts
+        self.expect("(")
+        args = []
+        if texts[self.pos] != ")":
+            while True:
+                if kinds[self.pos] != "name":
+                    raise self.error("expected an argument", "NAME")
+                args.append(texts[self.pos])
+                self.pos += 1
+                if texts[self.pos] != ",":
+                    break
+                self.pos += 1
+        self.expect(")")
+        return tuple(args)
 
     def parse_asgnset(self) -> tuple[Assignment, ...]:
-        return self.parse_list("{", self.parse_asgn, "}", ";", empty=True)
+        """``{ name(args) = value ; ... }``, possibly empty."""
+        kinds, texts = self.kinds, self.texts
+        self.expect("{")
+        items = []
+        if texts[self.pos] != "}":
+            while True:
+                pos = self.pos
+                if kinds[pos] != "name":
+                    raise self.error("expected a condition name", "NAME")
+                self.pos = pos + 1
+                args = self.parse_args() if texts[pos + 1] == "(" else ()
+                self.expect("=")
+                items.append(Assignment(texts[pos], args, self.expect_value(), self.locs[pos]))
+                if texts[self.pos] != ";":
+                    break
+                self.pos += 1
+        self.expect("}")
+        return tuple(items)
 
     def parse_outcome(self, keyword: str) -> OutcomeSpec:
         """One ``keyword`` clause; only an action's ``outcome`` may name a report."""
-        start = self.expect(keyword)
+        loc = self.expect(keyword)
         probability = self.expect_number()
         report = None
         if keyword == "outcome" and self.at("->"):
-            self.advance()
+            self.pos += 1
             report = self.expect_value()
         assignments = self.parse_asgnset()
-        return OutcomeSpec(probability, report, assignments, start[2])
+        return OutcomeSpec(probability, report, assignments, loc)
 
     def parse_resolver(self) -> ActionSchema | TemplateSchema:
         """An ``action`` or a ``template``: a name, a signature and a ``pre`` clause.
@@ -328,10 +362,10 @@ class _Parser:
         template's signature is required, its clauses are ``declared`` and
         it ends in a ``body``.
         """
-        start = self.advance()
-        action = start[1] == "action"
-        loc = start[2]
-        name = self.expect_name("an action name" if action else "a template name")[1]
+        action = self.texts[self.pos] == "action"
+        loc = self.locs[self.pos]
+        self.pos += 1
+        name = self.expect_name("an action name" if action else "a template name")
         params = self.parse_signature() if not action or self.at("(") else ()
         self.expect("{")
         self.expect("pre")
@@ -353,20 +387,19 @@ class _Parser:
         return TemplateSchema(name, params, preconditions, tuple(outcomes), body, loc)
 
     def parse_btexpr(self) -> BodyExpr:
-        token = self.peek()
-        if token[1] in ("seq", "fb", "skip"):
-            self.advance()
+        text, loc = self.texts[self.pos], self.locs[self.pos]
+        if text in ("seq", "fb", "skip"):
+            self.pos += 1
             self.expect("{")
             children = [self.parse_btexpr()]
             while not self.at("}"):
                 children.append(self.parse_btexpr())
             self.expect("}")
-            return BodyControl(token[1], tuple(children))
-        if token[1] in ("act", "cond", "tmpl"):
-            self.advance()
+            return BodyControl(text, tuple(children))
+        if text in ("act", "cond", "tmpl"):
+            self.pos += 1
             name = self.expect_name("a referenced name")
-            args = self.parse_args()
-            return BodyLeaf(token[1], name[1], args, token[2])
+            return BodyLeaf(text, name, self.parse_args(), loc)
         raise self.error("expected a tree expression", *_BODY_KEYWORDS)
 
 
@@ -629,22 +662,33 @@ class GroundedDomain:
 
         self.allowed_values: dict[str, tuple[Status, ...]] = {}
         for cond in spec.conditions:
-            for binding in self._bindings(cond.params):
-                literal = format_literal(cond.name, tuple(binding[p] for p in cond.params))
+            for _, literal in self._bindings(cond.name, cond.params):
                 self.allowed_values[literal] = cond.values
         self.literals: tuple[str, ...] = tuple(self.allowed_values)
 
         self.actions: tuple[ActionInstance, ...] = tuple(
-            self._ground_action(a, binding)
+            ActionInstance(name, preconditions, outcomes)
             for a in spec.actions
-            for binding in self._bindings(a.params)
+            for _, name, preconditions, outcomes in self._ground_resolver(
+                a, a.outcomes, "an outcome of ", rescale=True
+            )
         )
         self.actions_by_id = {a.id: a for a in self.actions}
 
         self.templates: tuple[TemplateInstance, ...] = tuple(
-            self._ground_template(t, binding)
+            TemplateInstance(
+                id=name,
+                preconditions=preconditions,
+                outcomes=outcomes,
+                schema=t,
+                bindings=tuple(binding.items()),
+                actions_by_id=self.actions_by_id,
+                template_schemas=self._template_schemas,
+            )
             for t in spec.templates
-            for binding in self._bindings(t.params)
+            for binding, name, preconditions, outcomes in self._ground_resolver(
+                t, t.declared, "a declared outcome of ", rescale=False
+            )
         )
 
         # per literal, the resolvers with an outcome setting it to S and the
@@ -652,17 +696,14 @@ class GroundedDomain:
         self._assignable: set[tuple[str, Status]] = set()
         self._establishing: dict[str, list[tuple[Resolver, float]]] = {}
         for resolver in self.resolvers():
-            outcomes = resolver.outcomes
-            established = set()
-            for outcome in outcomes:
+            gains: dict[str, list[float]] = {}
+            for outcome in resolver.outcomes:
                 self._assignable.update(outcome.postconditions)
-                established.update(
-                    literal for literal, value in outcome.postconditions if value is Status.S
-                )
-            for literal in established:
-                gain = fsum(
-                    o.probability for o in outcomes if (literal, Status.S) in o.postconditions
-                )
+                for literal, value in outcome.postconditions:
+                    if value is Status.S:
+                        gains.setdefault(literal, []).append(outcome.probability)
+            for literal, probabilities in gains.items():
+                gain = fsum(probabilities)
                 if gain > 0.0:
                     self._establishing.setdefault(literal, []).append((resolver, gain))
 
@@ -672,9 +713,16 @@ class GroundedDomain:
 
     # -- construction helpers
 
-    def _bindings(self, params: tuple[str, ...]) -> Iterator[dict[str, str]]:
-        for combo in itertools.product(*(self._spaces[p] for p in params)):
-            yield dict(zip(params, combo))
+    def _bindings(
+        self, name: str, params: tuple[str, ...]
+    ) -> Iterable[tuple[dict[str, str], str]]:
+        """Each binding of ``params``, in grounding order, with ``name`` grounded under it."""
+        if not params:
+            return (({}, name),)
+        return (
+            (dict(zip(params, combo)), f"{name}({','.join(combo)})")
+            for combo in itertools.product(*(self._spaces[p] for p in params))
+        )
 
     def _ground_clause(
         self, clause: tuple[Assignment, ...], binding: Mapping[str, str], owner: str, name: str
@@ -686,9 +734,11 @@ class GroundedDomain:
         the clause as ``owner`` followed by ``name``.
         """
         # list comprehensions: these tuples are short, and a generator costs
-        # more to start than it saves
+        # more to start than it saves; literals are formatted as
+        # format_literal does, without its call
         grounded = tuple([
-            (format_literal(a.name, tuple([binding.get(x, x) for x in a.args])), a.value)
+            (f"{a.name}({','.join([binding.get(x, x) for x in a.args])})" if a.args else a.name,
+             a.value)
             for a in clause
         ])
         if len(grounded) > 1 and len(dict(grounded)) < len(grounded):
@@ -711,54 +761,32 @@ class GroundedDomain:
         self,
         schema: ActionSchema | TemplateSchema,
         outcomes: tuple[OutcomeSpec, ...],
-        binding: dict[str, str],
         what: str,
-    ) -> tuple[str, tuple[tuple[str, Status], ...], tuple[Outcome, ...]]:
-        """The id, preconditions and outcomes of ``schema`` under ``binding``.
+        rescale: bool,
+    ) -> Iterator[tuple[dict[str, str], str, tuple[tuple[str, Status], ...], tuple[Outcome, ...]]]:
+        """The binding, id, preconditions and outcomes of each grounding of ``schema``.
 
-        ``what`` names one of ``outcomes`` in an error.
+        The outcomes' report statuses and probabilities depend on the schema
+        alone, so they are worked out once.  With ``rescale``, probabilities
+        whose sum is off 1 by more than ``PROB_TOL`` are divided by it:
+        validation allows ``PROB_SUM_TOL``, and downstream mass checks need
+        less.  ``what`` names one of ``outcomes`` in an error.
         """
-        name = format_literal(schema.name, tuple(binding[p] for p in schema.params))
-        grounded = tuple(
-            Outcome(
-                o.probability,
-                self._ground_clause(o.assignments, binding, what, name),
-                self._report_status(o),
-            )
-            for o in outcomes
-        )
-        preconditions = self._ground_clause(
-            schema.preconditions, binding, "the preconditions of ", name
-        )
-        return name, preconditions, grounded
-
-    def _ground_action(self, schema: ActionSchema, binding: dict[str, str]) -> ActionInstance:
-        name, preconditions, outcomes = self._ground_resolver(
-            schema, schema.outcomes, binding, "an outcome of "
-        )
-        total = fsum(o.probability for o in outcomes)
+        statuses = [self._report_status(o) for o in outcomes]
+        probabilities = [o.probability for o in outcomes]
+        total = fsum(probabilities) if rescale else 1.0
         if abs(total - 1.0) > PROB_TOL:
-            # validation allows PROB_SUM_TOL; rescale so downstream mass checks hold
-            outcomes = tuple(
-                Outcome(o.probability / total, o.postconditions, o.report) for o in outcomes
+            probabilities = [p / total for p in probabilities]
+        ground_clause = self._ground_clause
+        for binding, name in self._bindings(schema.name, schema.params):
+            grounded = tuple([
+                Outcome(p, ground_clause(o.assignments, binding, what, name), status)
+                for p, o, status in zip(probabilities, outcomes, statuses)
+            ])
+            preconditions = ground_clause(
+                schema.preconditions, binding, "the preconditions of ", name
             )
-        return ActionInstance(id=name, preconditions=preconditions, outcomes=outcomes)
-
-    def _ground_template(
-        self, schema: TemplateSchema, binding: dict[str, str]
-    ) -> TemplateInstance:
-        name, preconditions, outcomes = self._ground_resolver(
-            schema, schema.declared, binding, "a declared outcome of "
-        )
-        return TemplateInstance(
-            id=name,
-            preconditions=preconditions,
-            outcomes=outcomes,
-            schema=schema,
-            bindings=tuple(binding.items()),
-            actions_by_id=self.actions_by_id,
-            template_schemas=self._template_schemas,
-        )
+            yield binding, name, preconditions, grounded
 
     def _build_initial(self) -> dict[str, Status]:
         # unassigned literals default to unknown when the condition allows it

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbt.domain import (
@@ -15,7 +15,7 @@ from bbt.domain import (
     parse_domain,
     validate_domain,
 )
-from bbt.errors import ParseError, SemanticError
+from bbt.errors import BbtError, ParseError, SemanticError
 from bbt.status import Status
 from bbt.engine import simulate
 from bbt.planner import plan_request_from_domain, refine_tree
@@ -294,6 +294,60 @@ class TestTokenizer:
             ("name", "f", (3, 2)),
             ("eof", "", (3, 3)),
         ]
+
+
+def _front_end_error(text: str) -> BbtError | None:
+    """The error parsing and grounding ``text`` raised, or None; any other exception escapes."""
+    try:
+        ground(parse_domain(text))
+    except BbtError as exc:
+        return exc
+    return None
+
+
+def _token_ends(text: str) -> list[int]:
+    """The offset just past each token of ``text``."""
+    starts = [0]
+    for line in text.split("\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    return [starts[line - 1] + col - 1 + len(tok) for _, tok, (line, col) in _tokenize(text)[:-1]]
+
+
+_SOUP = st.lists(
+    st.sampled_from(frontend_corpus._POOL + frontend_corpus._CHARS), max_size=60
+)
+_BUNDLED = ("soda", "soda_deterministic")
+
+
+class TestFrontEndRaisesOnlyBbtErrors:
+    """Malformed text ends in a :class:`BbtError`, never in an ``IndexError`` or the like.
+
+    The parser looks ahead by index and relies on the ``eof`` token to stop
+    it, so input that ends anywhere must still end in a located error.
+    """
+
+    @settings(max_examples=300)
+    @given(_SOUP, st.sampled_from((" ", "")))
+    def test_token_soups(self, words, sep):
+        # joined without a space, words and characters glue into other tokens
+        _front_end_error(sep.join(words))
+
+    @pytest.mark.parametrize("name", _BUNDLED)
+    def test_truncations_at_every_token_end(self, name):
+        text = (frontend_corpus.REPO / "domains" / f"{name}.bbt").read_text(encoding="utf-8")
+        ends = _token_ends(text)
+        assert len(ends) > 200
+        for end in ends[:-1]:
+            error = _front_end_error(text[:end])
+            if isinstance(error, ParseError):
+                # the error sits at the end of the cut text, or before it
+                assert (error.line, error.col) <= _tokenize(text[:end])[-1][2], end
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(_BUNDLED), st.integers(0, 1300), st.integers(0, 1300))
+    def test_cut_out_spans(self, name, i, j):
+        text = (frontend_corpus.REPO / "domains" / f"{name}.bbt").read_text(encoding="utf-8")
+        _front_end_error(text[:i] + text[max(i, j):])
 
 
 class TestRoundTrip:

@@ -105,6 +105,20 @@ def test_exec_rate():
     assert goal.endswith(" runs/s") and tail.endswith(" runs/s")
 
 
+def test_load_rate():
+    proc = run_script("load_rate.py", "--repeats", "1", "--loops", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    heads = [line.split(" parse_domain ")[0] for line in lines]
+    assert heads == [
+        "soda literals 5 resolvers 7",
+        "wide-24 literals 51 resolvers 51",
+        "wide-96 literals 195 resolvers 195",
+    ]
+    for line in lines:
+        assert " ground " in line and line.endswith(" ms")
+
+
 def test_interp_matrix():
     # one interpreter, its own reference: the goal plan of the deterministic
     # domain and both depth-limit files; the deeper file exits 1
