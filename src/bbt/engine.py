@@ -42,6 +42,13 @@ and reach no action, so passing it is exact and costs one literal lookup
 per entry.  Planning and simulation of a wide goal then visit nodes in
 proportion to the goal frontier, not to the goals already settled.
 
+Once every live entry reads S at the gates of the first j root children,
+each gate on a frozen literal (:attr:`~bbt.tree.TreeTables.frozen`), those
+children pass every later entry of the run too, so the root's scan starts
+at child j.  A run grows this *frozen prefix* after each root tick that
+reaches further than every earlier one, over the children whose gates that
+reach covers.
+
 A tick reads nodes in tick order, so the last node it reads, a passed
 child's gate included, is the furthest it reaches; a root tick reaches as
 far as the furthest of its states would alone.  A tick that reaches no
@@ -108,11 +115,12 @@ class Trail:
     A :func:`simulate` given a trail records a point before each root tick
     that reaches further in tick order than every earlier tick: that reach
     (a rank in the tree's :class:`~bbt.tree.TreeTables`), the tick count,
-    the live belief, how many entries had finished and the mass pruned so
-    far.  The first tick to reach a given rank always sets such a record,
-    so it always has a point.  The trail also keeps the run's finished
-    entries and its flow, one record per tick, so a point's tick count is
-    also the length of the flow before it.
+    the live belief, the frozen prefix its root scan starts from, how many
+    entries had finished and the mass pruned so far.  The first tick to
+    reach a given rank always sets such a record, so it always has a point.
+    The trail also keeps the run's finished entries and its flow, one record
+    per tick, so a point's tick count is also the length of the flow before
+    it.
 
     An edit changes no node, parent or rank before its own rank, and a tick
     that does not reach that rank reads only nodes before it; a root child
@@ -122,7 +130,9 @@ class Trail:
     stops at a child before the edit).  :meth:`cut` at the edit's rank
     therefore leaves, as the last point, one from which the next
     :func:`simulate` of the edited tree, given this trail, resumes with a
-    result bit-identical to a fresh run's.
+    result bit-identical to a fresh run's.  A point's prefix covers only
+    gates that earlier ticks reached, before the edit's rank, so a fresh run
+    grows the same one.
     That run ignores its ``initial`` belief, so a trail serves the
     simulations of one initial belief and one set of limits.
 
@@ -144,7 +154,7 @@ class Trail:
     __slots__ = ("points", "finished", "flow", "tables", "frozen")
 
     def __init__(self, tree: BTNode) -> None:
-        self.points: list[tuple[int, int, BeliefState, int, float]] = []
+        self.points: list[tuple[int, int, BeliefState, int, int, float]] = []
         self.finished: list[Entry] = []
         self.flow: list[tuple[float, float]] = []
         self.tables = TreeTables(tree)
@@ -168,6 +178,7 @@ def belief_tick(
     mem: Iterable[Entry],
     tables: TreeTables,
     reached: list[BTNode] | None = None,
+    prefix: int = 0,
 ) -> list[_Ticking]:
     """Propagate ``mem``, any iterable of ``(p, state)`` entries, through ``node`` for one tick.
 
@@ -188,7 +199,8 @@ def belief_tick(
     ``tables`` are those of ``node``'s tree.  ``reached``, when given, is a
     one-item list that ends up holding the furthest node the tick reads in
     tick order: the last node it visits, or the gate of a child it passed
-    after that.
+    after that.  When ``node`` is the root, its scan starts after its first
+    ``prefix`` children, which every entry must pass at their gates.
 
     Between nodes the tick passes ``(p, state, status, pending, blame)``
     tuples and leaves every state untouched, and it returns them as they
@@ -203,8 +215,9 @@ def belief_tick(
     if reached is None:
         reached = [node]
     entries = [(p, s, s.r, None, s.blame) for p, s in mem]
-    gates = tables.gates if node is tables.order[0] else None
-    return _tick(node, entries, tables.depth, reached, gates)
+    if node is tables.order[0]:
+        return _tick(node, entries, tables.depth, reached, tables.gates, prefix)
+    return _tick(node, entries, tables.depth, reached)
 
 
 def _tick(
@@ -213,6 +226,7 @@ def _tick(
     depth: dict[int, int],
     reached: list[BTNode],
     gates: dict[int, Condition] | None = None,
+    prefix: int = 0,
 ) -> list[_Ticking]:
     """The recursion behind :func:`belief_tick`.
 
@@ -248,7 +262,12 @@ def _tick(
             entries = _replay(node_id, entries, out)
             break
     go_on = node.continue_status
-    for child in node.children:
+    children = node.children
+    if prefix and entries:
+        reached[0] = gates[children[prefix - 1].node_id]
+        entries = [(p, s, go_on, pending, blame) for p, s, _, pending, blame in entries]
+        children = children[prefix:]
+    for child in children:
         if not entries:
             break
         if gates:
@@ -296,6 +315,24 @@ def _replay(node_id: int, entries: list[_Ticking], out: list[_Ticking]) -> list[
     return rest
 
 
+def _frozen_prefix(tables: TreeTables, mem: BeliefState, prefix: int, furthest: int) -> int:
+    """``prefix`` grown over the next root children whose gates rank at most
+    ``furthest`` and read a frozen literal that every entry of ``mem`` holds at S."""
+    children = tables.order[0].children
+    gates, frozen = tables.gates, tables.frozen
+    while prefix < len(children):
+        gate = gates.get(children[prefix].node_id)
+        if gate is None or tables.rank[gate.node_id] > furthest or gate.literal not in frozen:
+            break
+        literal = gate.literal
+        for _, s in mem.entries:
+            position = s.index.get(literal)
+            if position is None or s.values[position] is not _S:
+                return prefix
+        prefix += 1
+    return prefix
+
+
 def simulate(
     tree: BTNode,
     initial: BeliefState,
@@ -328,8 +365,8 @@ def simulate(
     a tick never holds more entries than it starts with.
 
     With a ``trail`` (see :class:`Trail`), the run resumes from the trail's
-    last point, if it has one, reusing the ticks, finished entries and
-    pruned mass before it, and records its own points; its dict starts
+    last point, if it has one, reusing the ticks, finished entries, pruned
+    mass and frozen prefix before it, and records its own points; its dict starts
     empty.  A root tick records a point when the states it ticks reach
     further than every state ticked before (see the module docstring), so
     the points are those a run ticking every entry records.  It runs on the
@@ -345,15 +382,16 @@ def simulate(
     else:
         raise ValueError("the trail's tables are not those of this tree")
     if trail is not None and trail.points:
-        _, ticks, mem, done, pruned = trail.points.pop()
+        _, ticks, mem, prefix, done, pruned = trail.points.pop()
         finished, flow = trail.finished, trail.flow
         del finished[done:]
         del flow[ticks:]
     else:
-        ticks, mem, finished, flow, pruned = 0, initial, [], [], 0.0
+        ticks, mem, prefix, finished, flow, pruned = 0, initial, 0, [], [], 0.0
         if trail is not None:
             trail.finished, trail.flow = finished, flow
     furthest = trail.points[-1][0] if trail is not None and trail.points else -1
+    rank = tables.rank
     reached = [tree]
     # state -> the state it ends in, or its (outcome probability, successor) list
     memo: dict = {}
@@ -363,13 +401,14 @@ def simulate(
         if ticks >= limits.max_root_ticks:
             raise TickLimitExceeded(limits.max_root_ticks)
         fresh = [entry for entry in mem.entries if entry[1] not in memo]
+        further = False
         if fresh:
-            entries = belief_tick(tree, fresh, tables, reached)
-            if trail is not None:
-                reach = tables.rank[reached[0].node_id]
-                if reach > furthest:
-                    furthest = reach
-                    trail.points.append((reach, ticks, mem, len(finished), pruned))
+            entries = belief_tick(tree, fresh, tables, reached, prefix)
+            reach = rank[reached[0].node_id]
+            if reach > furthest:
+                furthest, further = reach, True
+                if trail is not None:
+                    trail.points.append((reach, ticks, mem, prefix, len(finished), pruned))
             partial = []
             for p, s, r, pending, blame in entries:
                 if pending is None:
@@ -406,5 +445,7 @@ def simulate(
         if limits.prune_epsilon > 0.0:
             mem, dropped = mem.prune(limits.prune_epsilon)
             pruned += dropped
+        if further and len(mem):
+            prefix = _frozen_prefix(tables, mem, prefix, furthest)
     terminal = BeliefState(finished)
     return SimulationResult(terminal, ticks, tables, pruned, tuple(flow))

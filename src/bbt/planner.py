@@ -16,9 +16,9 @@ same as the last round's.  The rounds' simulations share one
 :class:`~bbt.engine.Trail`, cut at each edit's rank, and each resumes at the
 first root tick that reaches its edit instead of replaying the run from the
 initial belief.  The trail's tree tables are built once; each edit updates
-them in place, and the resolver search reads the domain's per-literal
-resolver index, so a round's overhead follows its edit, not the whole tree
-or domain.
+them in place, and the threat and resolver searches read per-literal
+indexes, so a round's overhead follows its edit, not the whole tree or
+domain.
 """
 
 from __future__ import annotations
@@ -255,12 +255,16 @@ def find_threat(tables: TreeTables, target_node: Condition, literal: str) -> Act
 
     An action threatens the target when one of its outcomes assigns the
     literal anything other than S.  ``tables`` are those of the target's
-    tree.
+    tree; of the literal's ``clobberers``, the one of lowest rank wins.
     """
-    for node in tables.order[: tables.rank[target_node.node_id]]:
-        if isinstance(node, ActionNode) and literal in node.action.clobbers:
-            return node
-    return None
+    rank = tables.rank
+    below = rank[target_node.node_id]
+    threat = None
+    for node in tables.clobberers.get(literal, ()):
+        if rank[node.node_id] < below:
+            below = rank[node.node_id]
+            threat = node
+    return threat
 
 
 def resolve_threat(target: Condition, conflict: ActionNode, tables: TreeTables) -> int:

@@ -5,8 +5,8 @@ one run and live with the executor (a per-run dict in :mod:`bbt.classic`,
 per-branch views in :class:`~bbt.belief.PhysicalState`), so the same tree
 can be executed or simulated any number of times without a reset.
 :class:`TreeTables` holds the tables of one pre-order walk: tick order,
-parents, depths and the gates at which a root tick passes a settled goal
-child.
+parents, depths, the action nodes that can break each literal and the
+gates at which a root tick passes a settled goal child.
 A planner edit updates them in place instead of a new walk.
 """
 
@@ -127,6 +127,10 @@ class TreeTables:
     ``depth`` to its edge distance from the root and ``top`` to the child
     of the root that holds it (the root maps to itself).
 
+    ``clobberers`` maps a literal to the action nodes that can break it
+    (:attr:`~bbt.belief.ActionInstance.clobbers`), for the planner's threat
+    search; an edit only adds nodes, so renumbering leaves it current.
+
     ``gates`` maps the id of a child of a Sequence root to its gate: the
     condition at the end of the child's leftmost path when every node on
     that path is a Fallback or a Skipper.  None of those continues on S, so
@@ -157,7 +161,7 @@ class TreeTables:
     """
 
     __slots__ = (
-        "order", "rank", "parent", "depth", "top",
+        "order", "rank", "parent", "depth", "top", "clobberers",
         "gates", "gated", "clobbered", "loose", "frozen",
     )
 
@@ -165,6 +169,7 @@ class TreeTables:
         self.parent: dict[int, BTNode] = {}
         self.depth: dict[int, int] = {}
         self.top: dict[int, BTNode] = {}
+        self.clobberers: dict[str, set[ActionNode]] = {}
         self.order = self._walk(tree, None, 0)
         self.rank = {node.node_id: i for i, node in enumerate(self.order)}
         self.frozen: frozenset[str] = frozenset()
@@ -205,10 +210,10 @@ class TreeTables:
     def _walk(self, root: BTNode, parent: BTNode | None, level: int) -> list[BTNode]:
         """Pre-order walk of ``root``, placed under ``parent`` at depth ``level``.
 
-        Sets ``parent``, ``depth`` and ``top`` for every walked node and
-        returns the walk.
+        Sets ``parent``, ``depth`` and ``top`` for every walked node, files
+        its action nodes in ``clobberers`` and returns the walk.
         """
-        parents, depth, top = self.parent, self.depth, self.top
+        parents, depth, top, clobberers = self.parent, self.depth, self.top, self.clobberers
         if parent is None:
             parents.pop(root.node_id, None)
         else:
@@ -218,6 +223,10 @@ class TreeTables:
         block = list(root.iter_nodes())
         # pre-order visits every parent before its children
         for node in block:
+            if isinstance(node, ActionNode):
+                for literal in node.action.clobbers:
+                    clobberers.setdefault(literal, set()).add(node)
+                continue
             below = depth[node.node_id] + 1
             held = top[node.node_id]
             for child in node.children:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _quote
 
 from .domain import GroundedDomain
 from .errors import SemanticError
@@ -41,10 +42,12 @@ def dumps_tree(tree: BTNode) -> str:
 
     ``doc`` is the tree's format-1 document (see the module docstring).  The
     text is written in one explicit-stack pass over the tree, with no
-    document in between and no recursion; each string goes through
-    ``json.dumps``, so escaping is the same.
+    document in between and no recursion.  Strings are escaped as
+    ``json.dumps`` escapes them, and the text around them is built once per
+    node class and indent.
     """
     out = [f'{{\n  "format": {FORMAT_VERSION},\n  "root": ']
+    texts: dict[tuple[type, int], tuple[str, str, str]] = {}
     # (node, indent of its braces) to write, or text to write as it is
     stack: list = [(tree, 2)]
     while stack:
@@ -53,23 +56,36 @@ def dumps_tree(tree: BTNode) -> str:
             out.append(item)
             continue
         node, indent = item
-        pad, key_pad = " " * indent, " " * (indent + 2)
-        out.append(f'{{\n{key_pad}"kind": {json.dumps(node.kind)},\n{key_pad}')
+        text = texts.get((node.__class__, indent))
+        if text is None:
+            text = texts[node.__class__, indent] = _node_text(node, indent)
+        head, tail, between = text
         if isinstance(node, Condition):
-            out.append(f'"literal": {json.dumps(node.literal)}\n{pad}}}')
+            out += (head, _quote(node.literal), tail)
         elif isinstance(node, ActionNode):
-            out.append(f'"action": {json.dumps(node.action.id)}\n{pad}}}')
+            out += (head, _quote(node.action.id), tail)
         else:
-            item_pad = " " * (indent + 4)
-            out.append(f'"children": [\n{item_pad}')
-            stack.append(f"\n{key_pad}]\n{pad}}}")
+            out.append(head)
+            stack.append(tail)
             children = node.children
             for i in range(len(children) - 1, 0, -1):
                 stack.append((children[i], indent + 4))
-                stack.append(f",\n{item_pad}")
+                stack.append(between)
             stack.append((children[0], indent + 4))
     out.append("\n}\n")
     return "".join(out)
+
+
+def _node_text(node: BTNode, indent: int) -> tuple[str, str, str]:
+    """The text of ``node``'s class at ``indent``: before its value, after it, between children."""
+    pad, key_pad = " " * indent, " " * (indent + 2)
+    head = f'{{\n{key_pad}"kind": {_quote(node.kind)},\n{key_pad}'
+    if isinstance(node, Condition):
+        return f'{head}"literal": ', f"\n{pad}}}", ""
+    if isinstance(node, ActionNode):
+        return f'{head}"action": ', f"\n{pad}}}", ""
+    item_pad = " " * (indent + 4)
+    return f'{head}"children": [\n{item_pad}', f"\n{key_pad}]\n{pad}}}", f",\n{item_pad}"
 
 
 def save_tree(tree: BTNode, path: str | os.PathLike[str]) -> None:

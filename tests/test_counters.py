@@ -28,6 +28,10 @@ only there are one state.
 The node-visit pins count ``engine._tick`` calls, the root scans included.
 A root tick passes a settled goal child at its gate without visiting it, so
 visits grow with the goal frontier, not with the number of settled goals.
+The gate-read pins count the ``get`` calls on the root's gate table, by
+the root scans and by the frozen prefix checks: a scan starts after the
+prefix of goal children settled for good, so reads grow with the rounds,
+not with the rounds times the settled goals.
 """
 
 import pytest
@@ -41,6 +45,7 @@ from bbt import (
     refine_tree,
     simulate,
 )
+from bbt.tree import TreeTables
 
 PINS = [
     ("soda_domain", None, (4, 26, 8, 11, 21)),
@@ -121,11 +126,11 @@ def count_entries_ticked(monkeypatch, run):
     ticked = 0
     root_tick = engine.belief_tick
 
-    def counted(node, mem, tables, reached=None):
+    def counted(node, mem, tables, reached=None, prefix=0):
         nonlocal ticked
         mem = list(mem)
         ticked += len(mem)
-        return root_tick(node, mem, tables, reached)
+        return root_tick(node, mem, tables, reached, prefix)
 
     with monkeypatch.context() as patch:
         # simulate runs each root tick through this module binding
@@ -211,9 +216,9 @@ def test_wide_96_latch_view_pinned(monkeypatch, wide_96):
     views = []
     root_tick = engine.belief_tick
 
-    def viewed(node, mem, tables, reached=None):
+    def viewed(node, mem, tables, reached=None, prefix=0):
         views.extend(len(s.latches) for _, s in mem)
-        return root_tick(node, mem, tables, reached)
+        return root_tick(node, mem, tables, reached, prefix)
 
     monkeypatch.setattr(engine, "belief_tick", viewed)
     result = simulate(plan.tree, wide_96.initial_belief())
@@ -221,10 +226,49 @@ def test_wide_96_latch_view_pinned(monkeypatch, wide_96):
     assert max(views) == 2
 
 
-def test_wide_plan_visits_grow_linearly(monkeypatch, widegen, wide_96):
+@pytest.fixture(scope="module")
+def wide_192(widegen):
+    return ground(parse_domain(widegen.generate(192, seed=0)))
+
+
+def test_wide_plan_visits_grow_linearly(monkeypatch, wide_96, wide_192):
     # doubling the goals about doubles the visits; a rescan of every settled
     # goal child at every root tick would near quadruple them
-    wide_192 = ground(parse_domain(widegen.generate(192, seed=0)))
     _, small = plan_visits(monkeypatch, wide_96, max_iterations=1000)
     _, large = plan_visits(monkeypatch, wide_192, max_iterations=1000)
+    assert large <= 2.2 * small
+
+
+class CountedGates(dict):
+    """A gate table that counts its ``get`` calls."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        CountedGates.reads += 1
+        return dict.get(self, key, default)
+
+
+def plan_gate_reads(monkeypatch, domain):
+    """The root gate reads of planning ``domain``: the root scans' and the prefix checks'."""
+    file_all = TreeTables._file_all
+
+    def counted(self):
+        file_all(self)
+        self.gates = CountedGates(self.gates)
+
+    monkeypatch.setattr(CountedGates, "reads", 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(TreeTables, "_file_all", counted)
+        refine_tree(plan_request_from_domain(domain, max_iterations=1000))
+    return CountedGates.reads
+
+
+def test_wide_plan_gate_reads_pinned_and_linear(monkeypatch, wide_96, wide_192):
+    # the root scan starts after the frozen prefix of settled goal children,
+    # so a round reads a few gates however many goals have settled: 32,346
+    # and 128,144 reads when every root tick read every settled child's gate
+    small = plan_gate_reads(monkeypatch, wide_96)
+    large = plan_gate_reads(monkeypatch, wide_192)
+    assert (small, large) == (1287, 2567)
     assert large <= 2.2 * small

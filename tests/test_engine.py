@@ -554,9 +554,9 @@ class TestRootPass:
         rng = random.Random(97)
         root_tick = engine.belief_tick
 
-        def checked(node, mem, tables, reached=None):
+        def checked(node, mem, tables, reached=None, prefix=0):
             want, want_reached = plain_tick(node, mem, tables)
-            got = root_tick(node, mem, tables, reached)
+            got = root_tick(node, mem, tables, reached, prefix)
             assert got == want
             assert reached is None or reached[0] is want_reached
             return got
@@ -574,6 +574,53 @@ class TestRootPass:
             expected = oracle.enumerate_terminals(root, assignment)
             result = simulate(root, BeliefState.point(PhysicalState(assignment)))
             oracle.assert_distributions_match(expected, oracle.simulation_to_terminals(result))
+
+    def test_frozen_prefix_ticks_equal_plain_ticks(self, monkeypatch):
+        # goal children Fb[g, Seq[retry]] whose retries set their goal and may
+        # clobber another, so some gate literals are frozen and some are not;
+        # every root tick, the prefix passed in included, against a plain tick
+        rng = random.Random(101)
+        root_tick = engine.belief_tick
+        prefixed = whole = 0
+
+        def checked(node, mem, tables, reached=None, prefix=0):
+            nonlocal prefixed, whole
+            prefixed += prefix > 0
+            whole += prefix == len(node.children)
+            want, want_reached = plain_tick(node, mem, tables)
+            got = root_tick(node, mem, tables, reached, prefix)
+            assert got == want
+            assert reached[0] is want_reached
+            return got
+
+        monkeypatch.setattr(engine, "belief_tick", checked)
+        for _ in range(1000):
+            goals = [f"g{i}" for i in range(rng.randint(2, 6))]
+            literals = [*goals, "x"]
+            children = []
+            for goal in goals:
+                post = [(goal, S)]
+                if rng.random() < 0.3:
+                    other = rng.choice([lit for lit in literals if lit != goal])
+                    post.append((other, rng.choice((F, R))))
+                outcomes = (Outcome(0.875, tuple(post), S), Outcome(0.125, (), F))
+                if rng.random() < 0.5:
+                    outcomes = (Outcome(1.0, tuple(post), S),)
+                retry = ActionInstance(f"try_{goal}", (), outcomes)
+                wrapper = rng.choice((Fallback, Skipper))
+                children.append(wrapper([Condition(goal), Sequence([ActionNode(retry)])]))
+            if rng.random() < 0.3:
+                actions = randgen.random_actions(rng, literals)
+                extra = randgen.random_tree(rng, literals, actions)
+                children.insert(rng.randint(0, len(children)), extra)
+            root = Sequence(children)
+            belief = BeliefState(
+                (p, PhysicalState({**{g: rng.choice((S, F, F)) for g in goals}, "x": F}))
+                for p in randgen.dyadic_parts(rng, rng.randint(1, 3))
+            )
+            result = simulate(root, belief)
+            assert sum(p for p, _ in result.terminal) == pytest.approx(1.0)
+        assert prefixed > 400 and whole > 10
 
 
 def by_assignment_and_status(terminals):

@@ -6,7 +6,8 @@ resumes at the first root tick that reaches the edit.  Its terminal entries
 those of a fresh :func:`~bbt.engine.simulate` of the edited tree exactly,
 and its limits must fire where the fresh run's do.  The trail's tables,
 which every edit updates in place, must equal a fresh walk of the edited
-tree.
+tree, and the threat search, which reads their index of clobbering action
+nodes, must find what a scan of the tree finds.
 """
 
 import random
@@ -17,7 +18,7 @@ from bbt import engine, ground, parse_domain, plan_request_from_domain, refine_t
 from bbt.belief import ActionInstance, BeliefState, Outcome, PhysicalState
 from bbt.engine import SimulationLimits, Trail, simulate
 from bbt.errors import TickLimitExceeded
-from bbt.planner import resolve_by_insert, resolve_threat
+from bbt.planner import find_threat, resolve_by_insert, resolve_threat
 from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Fallback, Sequence, TreeTables
 
@@ -35,8 +36,8 @@ def fingerprint(result):
 
 
 def trail_fingerprint(trail):
-    points = [(reach, ticks, keys(mem.entries), done, pruned)
-              for reach, ticks, mem, done, pruned in trail.points]
+    points = [(reach, ticks, keys(mem.entries), prefix, done, pruned)
+              for reach, ticks, mem, prefix, done, pruned in trail.points]
     return points, keys(trail.finished), trail.flow
 
 
@@ -53,6 +54,7 @@ def assert_tables_current(tables, tree):
     assert tables.top.keys() == fresh.top.keys()
     assert all(tables.top[k] is node for k, node in fresh.top.items())
     assert tables.gated == fresh.gated  # sets of nodes, which compare by identity
+    assert tables.clobberers == fresh.clobberers
     assert tables.clobbered == fresh.clobbered
     assert {literal: n for literal, n in tables.loose.items() if n} == fresh.loose
     assert tables.frozen == fresh.frozen
@@ -155,6 +157,35 @@ def edit_and_resume(rng, epsilon, make_tree):
     return resumed_ticks, pruned, emptied
 
 
+def linear_threat(tables, target, literal):
+    """The reference for ``find_threat``: a scan of every node before the target."""
+    for node in tables.order[: tables.rank[target.node_id]]:
+        if isinstance(node, ActionNode) and literal in node.action.clobbers:
+            return node
+    return None
+
+
+def test_find_threat_equals_a_linear_scan_under_random_edits():
+    # the threat index is filed as nodes are walked and read by rank at
+    # query time, so it must survive every splice's renumbering
+    rng = random.Random(7373)
+    found = 0
+    for _ in range(300):
+        literals = randgen.random_literals(rng)
+        actions = randgen.random_actions(rng, literals)
+        tables = TreeTables(randgen.random_tree(rng, literals, actions, max_nodes=12))
+        wrappers: dict[int, str] = {}
+        for edit in range(rng.randint(1, 6), -1, -1):
+            for target in [n for n in tables.order if isinstance(n, Condition)]:
+                for literal in literals:
+                    want = linear_threat(tables, target, literal)
+                    assert find_threat(tables, target, literal) is want
+                    found += want is not None
+            if not edit or random_edit(rng, tables, literals, actions, wrappers) is None:
+                break
+    assert found > 1000
+
+
 def plan_checked(monkeypatch, domain, prob=None):
     """Plan with every round's simulation checked against a fresh one.
 
@@ -233,12 +264,38 @@ def test_unfreezing_edit_empties_the_trail():
     assert (fresh.terminal.success_probability(), fresh.ticks_used) == (0.5, 4)
 
 
+def test_prefix_stays_within_the_furthest_reach():
+    # Seq[Fb[a, set_a], Fb[b, set_b], c]: after the first tick every entry
+    # reads S at a and at b, both frozen, but that tick reached only set_a,
+    # so the prefix stops at b.  A reorder moving c before b's child then
+    # keeps the point whose tick reached c; its prefix must not cover the
+    # child now in b's place.
+    set_a = ActionInstance("set_a", (), (Outcome(1.0, (("a", Status.S),), Status.S),))
+    set_b = ActionInstance("set_b", (), (Outcome(1.0, (("b", Status.S),), Status.S),))
+    c = Condition("c")
+    tree = Sequence([
+        Fallback([Condition("a"), ActionNode(set_a)]),
+        Fallback([Condition("b"), ActionNode(set_b)]),
+        c,
+    ])
+    belief = BeliefState.point(PhysicalState({"a": Status.F, "b": Status.S, "c": Status.F}))
+    trail = Trail(tree)
+    simulate(tree, belief, trail=trail)
+    assert [(point[0], point[3]) for point in trail.points] == [(3, 0), (7, 1)]
+    trail.cut(resolve_threat(c, tree.children[1].children[1], trail.tables))
+    assert len(trail.points) == 2
+    fresh_trail = Trail(tree)
+    fresh = simulate(tree, belief, trail=fresh_trail)
+    assert fingerprint(simulate(tree, belief, trail=trail)) == fingerprint(fresh)
+    assert trail_fingerprint(trail) == trail_fingerprint(fresh_trail)
+
+
 @pytest.mark.parametrize(
     "rank,kept", [(0, [3]), (3, [3]), (5, [3, 7]), (12, [3, 7, 12]), (13, [3, 7, 12])]
 )
 def test_cut_keeps_points_up_to_the_first_reaching_rank(rank, kept):
     trail = Trail(Condition("c0"))
-    trail.points = [(reach, 0, None, 0, 0.0) for reach in (3, 7, 12)]
+    trail.points = [(reach, 0, None, 0, 0, 0.0) for reach in (3, 7, 12)]
     trail.cut(rank)
     assert [point[0] for point in trail.points] == kept
 

@@ -119,6 +119,19 @@ def test_load_rate():
         assert " ground " in line and line.endswith(" ms")
 
 
+def test_plan_rate():
+    proc = run_script("plan_rate.py", "--sizes", "24", "48", "--repeats", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    heads = [line.split(" refine_tree ")[0] for line in lines]
+    assert heads == [
+        "wide-24 rounds 53 gate_reads 327",
+        "wide-48 rounds 101 gate_reads 647",
+    ]
+    for line in lines:
+        assert " simulate " in line and line.endswith(" s")
+
+
 def test_interp_matrix():
     # one interpreter, its own reference: the goal plan of the deterministic
     # domain and both depth-limit files; the deeper file exits 1
