@@ -139,17 +139,15 @@ class TreeTables:
     gate, and every child of any other root, has no entry.  ``gated`` maps
     a gate's literal to the root children gated on it.
 
-    A literal is ``frozen`` when some root child is gated on it and every
-    action node that clobbers it (:attr:`~bbt.belief.ActionInstance.clobbers`)
-    lies inside such a child.  A state that reads S there reads S for good:
-    every child gated on the literal returns S at its gate and runs
-    nothing, and no other action writes it.  So no node of those children
-    is ticked again, and :meth:`~bbt.belief.PhysicalState.resolved` drops
-    their latches.  ``clobbered`` maps a root child's id to the literals
-    its actions clobber, and ``loose`` a literal to the number of root
-    children that clobber it without being gated on it.  ``frozen`` is a
-    frozenset that each change replaces, so an earlier value can be kept
-    and compared (see :class:`~bbt.engine.Trail`).
+    A literal L is ``frozen`` when ``L in gated`` and every node of
+    ``clobberers.get(L, ())`` has its ``top`` in ``gated[L]``: some root
+    child is gated on L, and every action node that clobbers it lies inside
+    such a child.  A state that reads S there reads S for good: every child
+    gated on the literal returns S at its gate and runs nothing, and no
+    other action writes it.  So no node of those children is ticked again,
+    and :meth:`~bbt.belief.PhysicalState.resolved` drops their latches.
+    ``frozen`` is a frozenset that each change replaces, so an earlier
+    value can be kept and compared (see :class:`~bbt.engine.Trail`).
 
     Tables are never cached on the tree.  A plain :func:`~bbt.engine.simulate`
     builds them and hands them on with its result (to the leaf program of
@@ -160,10 +158,7 @@ class TreeTables:
     of the whole tree.
     """
 
-    __slots__ = (
-        "order", "rank", "parent", "depth", "top", "clobberers",
-        "gates", "gated", "clobbered", "loose", "frozen",
-    )
+    __slots__ = ("order", "rank", "parent", "depth", "top", "clobberers", "gates", "gated", "frozen")
 
     def __init__(self, tree: BTNode):
         self.parent: dict[int, BTNode] = {}
@@ -186,7 +181,9 @@ class TreeTables:
         ``depth`` and ``top`` for the walked nodes, and ``rank`` is
         renumbered from the block to the end.  The gate tables are refiled
         for the root child that holds ``new`` only, or for all of them when
-        ``new`` is the root.
+        ``new`` is the root.  Only the refiled gates' literals and those the
+        walked action nodes clobber are refrozen: no other node can have
+        changed its root child.
         """
         order, depth = self.order, self.depth
         start = self.rank[old.node_id]
@@ -197,15 +194,19 @@ class TreeTables:
         above = self.parent.get(old.node_id)
         filed = above is not None and isinstance(order[0], Sequence)
         if filed:
-            touched = self._file(self.top[old.node_id], -1)
-        order[start:end] = self._walk(new, above, level)
+            withdrawn = self._file(self.top[old.node_id], -1)
+        order[start:end] = block = self._walk(new, above, level)
         rank = self.rank
         for i in range(start, len(order)):
             rank[order[i].node_id] = i
         if above is None:
             self._file_all()
         elif filed:
-            self._refreeze(touched | self._file(self.top[new.node_id], 1))
+            touched = {withdrawn, self._file(self.top[new.node_id], 1)}
+            for node in block:
+                if isinstance(node, ActionNode):
+                    touched |= node.action.clobbers
+            self._refreeze(touched)
 
     def _walk(self, root: BTNode, parent: BTNode | None, level: int) -> list[BTNode]:
         """Pre-order walk of ``root``, placed under ``parent`` at depth ``level``.
@@ -235,50 +236,44 @@ class TreeTables:
                 top[child.node_id] = child if below == 1 else held
         return block
 
-    def _file(self, child: BTNode, step: int) -> set[str]:
-        """Enter (``step`` 1) or withdraw (-1) ``child``, a Sequence root's, in the gate tables.
+    def _file(self, child: BTNode, step: int) -> str | None:
+        """Enter (``step`` 1) or withdraw (-1) the gate of ``child``, a Sequence root's.
 
-        Returns the literals whose entries changed.
+        Returns the gate's literal, or None when ``child`` has no gate.
         """
         if step > 0:
             gate = _gate(child)
-            clobbers = {
-                literal
-                for node in child.iter_nodes()
-                if isinstance(node, ActionNode)
-                for literal in node.action.clobbers
-            }
-            self.clobbered[child.node_id] = clobbers
             if gate is not None:
                 self.gates[child.node_id] = gate
                 self.gated.setdefault(gate.literal, set()).add(child)
         else:
-            clobbers = self.clobbered.pop(child.node_id)
             gate = self.gates.pop(child.node_id, None)
             if gate is not None:
                 held = self.gated[gate.literal]
                 held.discard(child)
                 if not held:
                     del self.gated[gate.literal]
-        own = {gate.literal} if gate is not None else set()
-        for literal in clobbers - own:
-            self.loose[literal] = self.loose.get(literal, 0) + step
-        return clobbers | own
+        return None if gate is None else gate.literal
 
     def _file_all(self) -> None:
         self.gates: dict[int, Condition] = {}
         self.gated: dict[str, set[BTNode]] = {}
-        self.clobbered: dict[int, set[str]] = {}
-        self.loose: dict[str, int] = {}
         root = self.order[0]
         if isinstance(root, Sequence):
             for child in root.children:
                 self._file(child, 1)
         self._refreeze(self.frozen | self.gated.keys())
 
-    def _refreeze(self, literals: set[str]) -> None:
-        """Recompute which of ``literals`` are frozen; a change replaces ``frozen``."""
-        frozen = {lit for lit in literals if lit in self.gated and not self.loose.get(lit)}
+    def _refreeze(self, literals: set[str | None]) -> None:
+        """Recompute which of ``literals`` are frozen; a change replaces ``frozen``.
+
+        A literal that gates no root child, None among them, is never frozen.
+        """
+        gated, top, clobberers = self.gated, self.top, self.clobberers
+        frozen = {
+            lit for lit in literals
+            if lit in gated and all(top[node.node_id] in gated[lit] for node in clobberers.get(lit, ()))
+        }
         if frozen != self.frozen & literals:
             self.frozen = (self.frozen - literals) | frozen
 

@@ -185,7 +185,7 @@ def load_tree(path: str | os.PathLike[str], domain: GroundedDomain) -> BTNode:
         raise SemanticError(f"{path}: tree file nested too deeply")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past CPython's digit limit
         raise SemanticError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError:
         raise SemanticError(f"{path}: tree file nested too deeply") from None

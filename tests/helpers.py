@@ -11,7 +11,9 @@ builds a state that returns a given status and holds given latches, and
 runs the classic leaf walk on a state given as such a ``dict``.
 ``ended`` runs one belief tick that leaves no action pending and builds
 the states its entries end in, as ``simulate`` does.  ``template`` looks a
-grounded template up by its id.
+grounded template up by its id.  ``frozen_by_definition`` finds a tree's
+frozen literals by a walk of the tree itself, the reference for
+:attr:`bbt.tree.TreeTables.frozen`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from bbt.belief import BeliefState, PhysicalState
 from bbt.domain import Assignment, BodyExpr, BodyLeaf, DomainSpec, format_literal
 from bbt.engine import belief_tick
 from bbt.status import Status
-from bbt.tree import ActionNode, BTNode, Condition
+from bbt.tree import ActionNode, BTNode, Condition, Fallback, Sequence, Skipper
 from bbt.treefile import FORMAT_VERSION
 
 
@@ -166,3 +168,32 @@ def validate_tree(tree: BTNode) -> None:
                 raise ValueError(f"leaf {node!r} has children")
         elif not node.children:
             raise ValueError(f"control node {node!r} has no children")
+
+
+def frozen_by_definition(tree: BTNode) -> set[str]:
+    """The literals that gate a child of the Sequence root ``tree`` and that
+    no action outside the children gated on them clobbers.
+
+    A child's gate is the condition that ends its leftmost path when every
+    node on that path is a Fallback or a Skipper.  Each root child is walked
+    in full, with no :class:`~bbt.tree.TreeTables` involved.
+    """
+    if not isinstance(tree, Sequence):
+        return set()
+    children = []
+    for child in tree.children:
+        node = child
+        while isinstance(node, (Fallback, Skipper)):
+            node = node.children[0]
+        gate = node.literal if isinstance(node, Condition) else None
+        clobbers = set()
+        for node in child.iter_nodes():
+            if isinstance(node, ActionNode):
+                clobbers.update(node.action.clobbers)
+        children.append((gate, clobbers))
+    gates = {gate for gate, _ in children if gate is not None}
+    return {
+        literal
+        for literal in gates
+        if all(gate == literal or literal not in clobbers for gate, clobbers in children)
+    }

@@ -2,11 +2,14 @@ import json
 import logging
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbt import cli, treefile
 from bbt.cli import main
@@ -884,14 +887,17 @@ class TestTreeFile:
         [
             ('{"format": 1}', "tree file has no root node"),
             ('{"format": 1, "root": ', "{path}: not valid JSON (Expecting value: "),
+            # past CPython's int-string limit (4,300 digits) the decoder raises
+            # a plain ValueError, worded differently on 3.10
+            ('{"format": ' + "9" * 5000 + "}", "{path}: not valid JSON ("),
         ],
     )
     def test_rootless_or_broken_tree_file_exits_1(self, soda_path, tmp_path, capsys, text, message):
         path = tmp_path / "tree.json"
         path.write_text(text, encoding="utf-8")
         code = main(["simulate", "--domain", str(soda_path), "--tree", str(path)])
-        err = capsys.readouterr().err
-        assert code == 1
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
         assert err.startswith("error: " + message.format(path=path)) and err.count("\n") == 1
 
     def test_latches_not_serialized(self, soda_domain):
@@ -899,6 +905,55 @@ class TestTreeFile:
         tree = Sequence([action])
         doc = tree_to_doc(tree)
         assert "latch" not in json.dumps(doc)
+
+
+def load_or_reject(path, data, domain) -> bool:
+    """Whether the tree file ``data`` loads; any failure but a one-line :class:`SemanticError` raises."""
+    path.write_bytes(data)
+    try:
+        load_tree(path, domain)
+    except SemanticError as exc:
+        assert "\n" not in str(exc)
+        return False
+    return True
+
+
+class TestTreeFileBytes:
+    """Any bytes in a tree file load or end in :class:`SemanticError`, never another exception."""
+
+    # JSON syntax, values the decoder takes but the schema rejects, bytes
+    # that are not UTF-8 and an integer past CPython's int-string limit
+    POOL = (
+        b"[", b"]", b"{", b"}", b'"', b",", b":", b"null", b"1e999", b"\xff",
+        b"\\ud800", "\ud800".encode("utf-8", "surrogatepass"), b"9" * 5000,
+    )
+
+    @pytest.fixture(scope="class")
+    def planned_file(self, planned_stochastic, tmp_path_factory):
+        """The planned soda tree file's bytes, where its values start, and a path for mutants."""
+        data = dumps_tree(planned_stochastic.tree).encode()
+        starts = [match.end() for match in re.finditer(rb": |[\[,]\s*", data)]
+        return data, starts, tmp_path_factory.mktemp("bytes") / "tree.json"
+
+    def test_truncations(self, planned_file, soda_domain):
+        # every other cut, from the one that drops only the closing brace;
+        # writing the file is most of each case's cost
+        data, _, path = planned_file
+        closed = data.rindex(b"}") + 1
+        cuts = range(closed - 1, -1, -2)
+        assert not any(load_or_reject(path, data[:end], soda_domain) for end in cuts)
+        assert load_or_reject(path, data[:closed], soda_domain)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_span_replacements(self, planned_file, soda_domain, draws):
+        # about half the spans start where a value does, so that the decoder
+        # reaches what replaced them rather than stopping at an earlier error
+        data, starts, path = planned_file
+        start = draws.draw(st.integers(0, len(data)) | st.sampled_from(starts))
+        end = start + draws.draw(st.integers(0, 40))
+        parts = draws.draw(st.lists(st.sampled_from(self.POOL), max_size=3))
+        load_or_reject(path, data[:start] + b"".join(parts) + data[end:], soda_domain)
 
 
 class TestLogging:

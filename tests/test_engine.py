@@ -13,7 +13,7 @@ from bbt.tree import ActionNode, Condition, Fallback, Sequence, Skipper, TreeTab
 
 import oracle
 import randgen
-from helpers import assignment_of, ended, physical_state
+from helpers import assignment_of, ended, frozen_by_definition, physical_state
 
 S, F, R = Status.S, Status.F, Status.R
 MASS_TOL = 1e-12
@@ -650,8 +650,10 @@ class TestFrozenLiterals:
         undo = ActionNode(sure("undo", (("g", F),)))
         tree = Sequence([Fallback([Condition("g"), ActionNode(sure("b", (("g", S),)))]), undo])
         tables = TreeTables(tree)
-        assert tables.frozen == set()
-        assert tables.loose == {"g": 1}
+        assert tables.frozen == set() == frozen_by_definition(tree)
+        # g gates the first child, but undo, a root child of its own, clobbers g
+        assert tables.gated["g"] == {tree.children[0]}
+        assert tables.clobberers["g"] == {undo} and tables.top[undo.node_id] is undo
 
     def test_masses_match_oracle_on_goal_roots(self):
         # per (assignment, r) the terminal mass is the oracle's, and so is that

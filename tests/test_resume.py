@@ -6,7 +6,8 @@ resumes at the first root tick that reaches the edit.  Its terminal entries
 those of a fresh :func:`~bbt.engine.simulate` of the edited tree exactly,
 and its limits must fire where the fresh run's do.  The trail's tables,
 which every edit updates in place, must equal a fresh walk of the edited
-tree, and the threat search, which reads their index of clobbering action
+tree, their frozen literals those that a walk of the tree itself finds,
+and the threat search, which reads their index of clobbering action
 nodes, must find what a scan of the tree finds.
 """
 
@@ -23,6 +24,7 @@ from bbt.status import Status
 from bbt.tree import ActionNode, Condition, Fallback, Sequence, TreeTables
 
 import randgen
+from helpers import frozen_by_definition
 from test_engine import goal_root
 from test_planner import CONFLICT_DOMAIN
 
@@ -55,8 +57,6 @@ def assert_tables_current(tables, tree):
     assert all(tables.top[k] is node for k, node in fresh.top.items())
     assert tables.gated == fresh.gated  # sets of nodes, which compare by identity
     assert tables.clobberers == fresh.clobberers
-    assert tables.clobbered == fresh.clobbered
-    assert {literal: n for literal, n in tables.loose.items() if n} == fresh.loose
     assert tables.frozen == fresh.frozen
 
 
@@ -125,6 +125,7 @@ def edit_and_resume(rng, epsilon, make_tree):
         tree = make_tree(rng, literals, actions)
         belief = randgen.random_belief(rng, literals, max_entries=4)
         trail = Trail(tree)
+        assert trail.tables.frozen == frozen_by_definition(tree)
         result = simulate(tree, belief, limits, trail=trail)
         assert fingerprint(result) == fingerprint(simulate(tree, belief, limits))
         wrappers: dict[int, str] = {}
@@ -135,6 +136,8 @@ def edit_and_resume(rng, epsilon, make_tree):
             tree = trail.tables.order[0]
             assert trail.tables is result.tables
             assert_tables_current(trail.tables, tree)
+            # fresh tables refreeze as splices do, so check the rule itself too
+            assert trail.tables.frozen == frozen_by_definition(tree)
             held = bool(trail.points)
             trail.cut(rank)
             emptied += held and not trail.points
