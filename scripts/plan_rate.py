@@ -1,12 +1,17 @@
-"""Time planning and simulation of the ``perfbench/widegen.py`` domains
-(seed 0) in-process, with the planner's rounds and root gate reads.
+"""Time planning of ``domains/soda.bbt`` and of the ``perfbench/widegen.py``
+domains (seed 0) in-process, with the planner's rounds, root ticks and
+root gate reads.
 
-For each size, prints the rounds ``refine_tree`` takes, the ``get`` calls
-the plan makes on the root's gate table (the root scans' and the frozen
-prefix checks'), and the fastest of ``--repeats`` calls of ``refine_tree``
-and of ``simulate`` on the planned tree.  The reads are counted in a
-separate, untimed plan.  A plan whose cost follows its edits shows rounds,
-reads and times that each about double with the size.
+First, for soda planned to 0.99 and to 0.999, prints the rounds
+``refine_tree`` takes, the root ticks the plan executes (those that tick
+at least one unseen state: the ticks a resumed round reuses run none) and
+the fastest of ``--repeats`` calls of ``refine_tree``.  Then, for each
+wide size, prints the rounds, the ``get`` calls the plan makes on the
+root's gate table (the root scans' and the frozen prefix checks'), and the
+fastest of ``--repeats`` calls of ``refine_tree`` and of ``simulate`` on
+the planned tree.  Ticks and reads are counted in a separate, untimed
+plan.  A plan whose cost follows its edits shows wide rounds, reads and
+times that each about double with the size.
 
 Usage: python3 scripts/plan_rate.py [--sizes 24 96 192 384] [--repeats 3]
 """
@@ -18,7 +23,7 @@ import importlib.util
 import time
 from pathlib import Path
 
-from bbt import ground, parse_domain, plan_request_from_domain, refine_tree, simulate
+from bbt import engine, ground, parse_domain, plan_request_from_domain, refine_tree, simulate
 from bbt.tree import TreeTables
 
 REPO = Path(__file__).resolve().parent.parent
@@ -58,6 +63,25 @@ def gate_reads(request) -> int:
     return _CountedGates.reads
 
 
+def root_ticks(request) -> int:
+    """The root ticks planning ``request`` executes."""
+    belief_tick = engine.belief_tick
+    ticks = 0
+
+    def counted(*args):
+        nonlocal ticks
+        ticks += 1
+        return belief_tick(*args)
+
+    # simulate runs each root tick through this module binding
+    engine.belief_tick = counted
+    try:
+        refine_tree(request)
+    finally:
+        engine.belief_tick = belief_tick
+    return ticks
+
+
 def best_s(call, repeats: int) -> float:
     """The fastest of ``repeats`` calls, in seconds."""
     best = float("inf")
@@ -73,6 +97,13 @@ def main() -> None:
     parser.add_argument("--sizes", type=int, nargs="+", default=[24, 96, 192, 384])
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
+    soda = ground(parse_domain((REPO / "domains" / "soda.bbt").read_text(encoding="utf-8")))
+    for prob in (0.99, 0.999):
+        request = plan_request_from_domain(soda, target_probability=prob)
+        rounds = len(refine_tree(request).log)
+        ticks = root_ticks(request)
+        plan_s = best_s(lambda: refine_tree(request), args.repeats)
+        print(f"soda-{prob} rounds {rounds} root_ticks {ticks} refine_tree {plan_s:.4f} s")
     widegen = _widegen()
     for size in args.sizes:
         domain = ground(parse_domain(widegen.generate(size, 0)))

@@ -17,10 +17,10 @@ def to_dot(tree: BTNode) -> str:
     Conditions are ellipses, actions boxes, control nodes boxes labeled with
     their scan symbol; ordinal edge labels encode child order.
     """
-    names: dict[int, str] = {}
+    nodes = list(tree.iter_nodes())
+    names = {node.node_id: f"n{i}" for i, node in enumerate(nodes)}
     lines = ["digraph bt {"]
-    for i, node in enumerate(tree.iter_nodes()):
-        names[node.node_id] = f"n{i}"
+    for i, node in enumerate(nodes):
         if isinstance(node, Condition):
             label, shape = node.literal, "ellipse"
         elif isinstance(node, ActionNode):
@@ -28,10 +28,9 @@ def to_dot(tree: BTNode) -> str:
         else:
             label, shape = _CONTROL_LABELS[node.kind], "box"
         lines.append(f'  n{i} [label="{_escape(label)}", shape={shape}];')
-    for node in tree.iter_nodes():
+    for node in nodes:
+        name = names[node.node_id]
         for order, child in enumerate(node.children):
-            lines.append(
-                f'  {names[node.node_id]} -> {names[child.node_id]} [label="{order}"];'
-            )
+            lines.append(f'  {name} -> {names[child.node_id]} [label="{order}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

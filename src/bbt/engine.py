@@ -60,6 +60,16 @@ has ticked, and each state adds its reach once, in the tick that first
 ticks it; so the reach of the states a root tick sends through
 :func:`belief_tick` tells whether that tick reaches further than every
 earlier one.
+
+Many planner edits append a resolver to a wrapper that already holds
+some, and every root tick may read that wrapper's condition.
+An entry reaches the new child only when its scan passes the wrapper's
+last child with the wrapper's continue status, so a tick runs differently
+in the edited tree only if it *exhausts* the wrapper.  The tick notes each
+Fallback and Skipper it exhausts, and the trail resumes an append at the
+first tick that exhausted the wrapper; states ticked before already
+exhausted whatever they exhaust, so the states a tick sends through
+:func:`belief_tick` tell which nodes that tick exhausts first.
 """
 
 from __future__ import annotations
@@ -113,14 +123,18 @@ class Trail:
     """Resume points of one tree's simulations while the planner edits it.
 
     A :func:`simulate` given a trail records a point before each root tick
-    that reaches further in tick order than every earlier tick: that reach
-    (a rank in the tree's :class:`~bbt.tree.TreeTables`), the tick count,
-    the live belief, the frozen prefix its root scan starts from, how many
-    entries had finished and the mass pruned so far.  The first tick to
-    reach a given rank always sets such a record, so it always has a point.
-    The trail also keeps the run's finished entries and its flow, one record
-    per tick, so a point's tick count is also the length of the flow before
-    it.
+    that reaches further in tick order than every earlier tick, or that
+    exhausts a Fallback or Skipper no earlier tick exhausted (see the module
+    docstring): the furthest reach after the tick (a rank in the tree's
+    :class:`~bbt.tree.TreeTables`), the tick count, the live belief, the
+    frozen prefix its root scan starts from, how many entries had finished
+    and the mass pruned so far.  The first tick to reach a given rank always
+    sets such a record, so it always has a point, and reaches never decrease
+    along the trail.  ``exhausted`` maps the id of each node the run has
+    exhausted to the index of the point before the tick that first did, in
+    point order, so dropping points drops their entries from its end.  The
+    trail also keeps the run's finished entries and its flow, one record per
+    tick, so a point's tick count is also the length of the flow before it.
 
     An edit changes no node, parent or rank before its own rank, and a tick
     that does not reach that rank reads only nodes before it; a root child
@@ -132,9 +146,29 @@ class Trail:
     :func:`simulate` of the edited tree, given this trail, resumes with a
     result bit-identical to a fresh run's.  A point's prefix covers only
     gates that earlier ticks reached, before the edit's rank, so a fresh run
-    grows the same one.
+    grows the same one; the nodes earlier ticks exhausted are the fresh
+    run's too, so it records the same points.
     That run ignores its ``initial`` belief, so a trail serves the
     simulations of one initial belief and one set of limits.
+
+    An append adds a child c to the end of a Fallback or Skipper W whose
+    first child is a condition, as the planner's appends to its wrappers
+    do.  A tick that does not exhaust W runs the same in the edited tree,
+    wherever it reaches, so :meth:`cut` of c keeps the points up to that of
+    the first tick that exhausted W, or all of them if none did, and adds
+    c's subtree size to each kept reach at or past c's rank.  This is exact
+    because:
+
+    - a condition never latches, so :meth:`~bbt.tree.TreeTables.settle`
+      never folds W, before or after the append, and the kept latch views
+      stay canonical;
+    - the append changes no depth, so no blame, of an existing node, nor
+      any gate, and the kept reaches name the same nodes once shifted;
+    - a change to the frozen literals still empties the trail (below).
+
+    An append to any other parent is cut at the parent's rank.  A new
+    wrapper deepens its target, which can change blame, so it is cut at
+    the target's rank, as reorders are at theirs.
 
     The states a tick leaves also depend on which literals the tables hold
     frozen (:attr:`~bbt.tree.TreeTables.frozen`), wherever the edit sits: an
@@ -151,26 +185,52 @@ class Trail:
     ``frozen`` is the tables' set of frozen literals as of the last cut.
     """
 
-    __slots__ = ("points", "finished", "flow", "tables", "frozen")
+    __slots__ = ("points", "exhausted", "finished", "flow", "tables", "frozen")
 
     def __init__(self, tree: BTNode) -> None:
         self.points: list[tuple[int, int, BeliefState, int, int, float]] = []
+        self.exhausted: dict[int, int] = {}
         self.finished: list[Entry] = []
         self.flow: list[tuple[float, float]] = []
         self.tables = TreeTables(tree)
         self.frozen = self.tables.frozen
 
-    def cut(self, rank: int) -> None:
-        """Drop the points after that of the first tick reaching ``rank``.
+    def cut(self, edit: int | BTNode) -> None:
+        """Drop the points after that of the first tick the edit can change.
 
-        Drops them all when the tables' frozen literals changed since the
-        last cut.
+        ``edit`` is the edit's rank, whose tick is the first to reach it, or
+        the node an append added as the last child of its parent, whose tick
+        is the first to exhaust that parent.  Drops them all when the tables'
+        frozen literals changed since the last cut.
         """
         if self.tables.frozen != self.frozen:
             self.frozen = self.tables.frozen
-            self.points.clear()
-        # reaches strictly increase along the trail
-        del self.points[bisect_left(self.points, rank, key=itemgetter(0)) + 1 :]
+            self._keep(0)
+        points, tables = self.points, self.tables
+        if edit.__class__ is not int:
+            wrapper = tables.parent[edit.node_id]
+            if not isinstance(wrapper.children[0], Condition) or wrapper.continue_status is _S:
+                # a latch could fold the wrapper, or its exhaustion is not recorded
+                edit = tables.rank[wrapper.node_id]
+            else:
+                index = self.exhausted.get(wrapper.node_id)
+                if index is not None:
+                    self._keep(index + 1)
+                start = tables.rank[edit.node_id]
+                size = len(list(edit.iter_nodes()))
+                for i in range(bisect_left(points, start, key=itemgetter(0)), len(points)):
+                    reach, *rest = points[i]
+                    points[i] = (reach + size, *rest)
+                return
+        # reaches never decrease along the trail
+        self._keep(bisect_left(points, edit, key=itemgetter(0)) + 1)
+
+    def _keep(self, count: int) -> None:
+        """Keep the first ``count`` points, and the exhaustions first seen in their ticks."""
+        del self.points[count:]
+        exhausted = self.exhausted
+        while exhausted and next(reversed(exhausted.values())) >= count:
+            exhausted.popitem()
 
 
 def belief_tick(
@@ -197,10 +257,12 @@ def belief_tick(
     leftmost of the deepest such conditions keeps the charge.
 
     ``tables`` are those of ``node``'s tree.  ``reached``, when given, is a
-    one-item list that ends up holding the furthest node the tick reads in
-    tick order: the last node it visits, or the gate of a child it passed
-    after that.  When ``node`` is the root, its scan starts after its first
-    ``prefix`` children, which every entry must pass at their gates.
+    list whose first item ends up holding the furthest node the tick reads
+    in tick order: the last node it visits, or the gate of a child it passed
+    after that.  Each Fallback or Skipper that passes entries out past its
+    last child is appended to it.  When ``node`` is the root, its scan
+    starts after its first ``prefix`` children, which every entry must pass
+    at their gates.
 
     Between nodes the tick passes ``(p, state, status, pending, blame)``
     tuples and leaves every state untouched, and it returns them as they
@@ -295,6 +357,9 @@ def _tick(
                 entries.append(entry)
             else:
                 out.append(entry)
+    if go_on is not _S and entries:
+        # a Fallback or Skipper that passes entries out past its last child
+        reached.append(node)
     out.extend(entries)
     return out
 
@@ -368,8 +433,9 @@ def simulate(
     last point, if it has one, reusing the ticks, finished entries, pruned
     mass and frozen prefix before it, and records its own points; its dict starts
     empty.  A root tick records a point when the states it ticks reach
-    further than every state ticked before (see the module docstring), so
-    the points are those a run ticking every entry records.  It runs on the
+    further than every state ticked before, or exhaust a Fallback or
+    Skipper none of them exhausted (see the module docstring), so the
+    points are those a run ticking every entry records.  It runs on the
     trail's tables; a ``ValueError`` says they are not those of ``tree``.
     The result, ``ticks_used`` and ``flow`` included, is the same as
     without one, and every limit fires at the same tick.
@@ -382,7 +448,8 @@ def simulate(
     else:
         raise ValueError("the trail's tables are not those of this tree")
     if trail is not None and trail.points:
-        _, ticks, mem, prefix, done, pruned = trail.points.pop()
+        _, ticks, mem, prefix, done, pruned = trail.points[-1]
+        trail._keep(len(trail.points) - 1)
         finished, flow = trail.finished, trail.flow
         del finished[done:]
         del flow[ticks:]
@@ -390,7 +457,11 @@ def simulate(
         ticks, mem, prefix, finished, flow, pruned = 0, initial, 0, [], [], 0.0
         if trail is not None:
             trail.finished, trail.flow = finished, flow
-    furthest = trail.points[-1][0] if trail is not None and trail.points else -1
+    furthest = -1
+    if trail is not None:
+        points, exhausted = trail.points, trail.exhausted
+        if points:
+            furthest = points[-1][0]
     rank = tables.rank
     reached = [tree]
     # state -> the state it ends in, or its (outcome probability, successor) list
@@ -407,8 +478,13 @@ def simulate(
             reach = rank[reached[0].node_id]
             if reach > furthest:
                 furthest, further = reach, True
-                if trail is not None:
-                    trail.points.append((reach, ticks, mem, prefix, len(finished), pruned))
+            if trail is not None:
+                known = len(exhausted)
+                for node in reached[1:]:
+                    exhausted.setdefault(node.node_id, len(points))
+                if further or len(exhausted) > known:
+                    points.append((furthest, ticks, mem, prefix, len(finished), pruned))
+            del reached[1:]
             partial = []
             for p, s, r, pending, blame in entries:
                 if pending is None:

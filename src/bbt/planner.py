@@ -13,9 +13,12 @@ the resolver search scores candidates on.
 Every edit leaves the tree as it was before the edit's rank in tick order,
 and the edit sits at the goal frontier, so most of each round's run is the
 same as the last round's.  The rounds' simulations share one
-:class:`~bbt.engine.Trail`, cut at each edit's rank, and each resumes at the
-first root tick that reaches its edit instead of replaying the run from the
-initial belief.  The trail's tree tables are built once; each edit updates
+:class:`~bbt.engine.Trail`, cut at each edit, and each resumes at the first
+root tick that reaches its edit instead of replaying the run from the
+initial belief.  A resolver appended to an existing wrapper changes only
+the ticks that exhaust that wrapper, so that round resumes at the first
+tick that exhausted it, although every tick reads the wrapper's
+condition.  The trail's tree tables are built once; each edit updates
 them in place, and the threat and resolver searches read per-literal
 indexes, so a round's overhead follows its edit, not the whole tree or
 domain.
@@ -215,7 +218,7 @@ def resolve_by_insert(
     resolver: Resolver,
     tables: TreeTables,
     wrappers: dict[int, str],
-) -> int:
+) -> int | BTNode:
     """Attach a latched resolver at the target condition.
 
     Unknown conditions get a Skipper wrapper, false ones a Fallback.  When
@@ -227,12 +230,12 @@ def resolve_by_insert(
     (:meth:`TreeTables.splice` of the wrapper), so a wrapper that replaces
     the root is the new ``tables.order[0]``.
 
-    Returns the edit's rank: the target's rank in ``tables`` before the
+    Returns the edit for :meth:`Trail.cut`: the appended subtree, or for a
+    new wrapper the edit's rank, the target's rank in ``tables`` before the
     edit.  Every tick that reaches the new resolver first visits the target.
     """
     wrapper_kind = Skipper if observed is Status.R else Fallback
     subtree = _resolver_subtree(resolver)
-    rank = tables.rank[target.node_id]
     parent = tables.parent.get(target.node_id)
     if (
         parent is not None
@@ -241,7 +244,8 @@ def resolve_by_insert(
     ):
         parent.children.append(subtree)
         tables.splice(parent, parent)
-        return rank
+        return subtree
+    rank = tables.rank[target.node_id]
     wrapper = wrapper_kind([target, subtree])
     wrappers[wrapper.node_id] = target.literal
     if parent is not None:
@@ -310,9 +314,9 @@ def refine_tree(request: PlanRequest) -> PlanResult:
 
     Each round reports the target condition with its supporting entries
     (:func:`find_failed_condition`), edits the tree in place at it, which
-    keeps the trail's tables current and returns the edit's rank, and
-    resumes the simulation from the trail cut there.  The root is the
-    initial goal Sequence throughout.
+    keeps the trail's tables current and returns the edit (its rank, or the
+    subtree an append added), and resumes the simulation from the trail cut
+    there.  The root is the initial goal Sequence throughout.
 
     Raises :class:`NoResolver`, :class:`NothingFailed` or
     :class:`IterationLimit` when the goal is unreachable within budget;
@@ -348,14 +352,14 @@ def refine_tree(request: PlanRequest) -> PlanResult:
         target, tables = report.node, trail.tables
         conflict = find_threat(tables, target, target.literal)
         if conflict is not None:
-            edit_rank = resolve_threat(target, conflict, tables)
+            edit: int | BTNode = resolve_threat(target, conflict, tables)
             kind = "threat-reorder"
         else:
             resolver = select_resolver(report, domain, history)
-            edit_rank = resolve_by_insert(target, report.observed, resolver, tables, wrappers)
+            edit = resolve_by_insert(target, report.observed, resolver, tables, wrappers)
             history[resolver.id] = history.get(resolver.id, 0) + 1
             kind = "insert"
-        trail.cut(edit_rank)
+        trail.cut(edit)
         result = simulate(tree, initial, request.limits, trail=trail)
         probability = result.terminal.success_probability()
         log.append(IterationRecord(iteration, kind, target.literal, probability))

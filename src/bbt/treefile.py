@@ -36,6 +36,10 @@ FORMAT_VERSION = 1
 #: per level, simulates it.
 MAX_DEPTH = 400
 
+# Characters of a bad value's ``repr`` that an error message shows, the
+# cut marked with "...".
+_SHOWN_CHARS = 60
+
 
 def dumps_tree(tree: BTNode) -> str:
     """The tree file text, byte for byte ``json.dumps(doc, indent=2)`` plus a newline.
@@ -95,18 +99,26 @@ def save_tree(tree: BTNode, path: str | os.PathLike[str]) -> None:
         file.write(text)
 
 
+def _shown(value: object) -> str:
+    """The ``repr`` of a bad value for a message, cut to 60 characters."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
+
+
 def tree_from_doc(doc: dict, domain: GroundedDomain) -> BTNode:
     """Decode a tree document, raising :class:`SemanticError` on any schema violation.
 
     Nodes are checked in pre-order and built in post-order, children before
-    their parent, over an explicit stack.
+    their parent, over an explicit stack.  A message shows the offending
+    value's ``repr`` cut to 60 characters, so no message grows with the
+    file.
     """
     if not isinstance(doc, dict):
         raise SemanticError("tree file is not a JSON object")
     version = doc.get("format")
     # True == 1 and 1.0 == 1, so the type is checked too
     if type(version) is not int or version != FORMAT_VERSION:
-        raise SemanticError(f"unsupported tree file format {version!r}")
+        raise SemanticError(f"unsupported tree file format {_shown(version)}")
     root = doc.get("root")
     if not isinstance(root, dict):
         raise SemanticError("tree file has no root node")
@@ -122,30 +134,30 @@ def tree_from_doc(doc: dict, domain: GroundedDomain) -> BTNode:
             built.append(node(children))
             continue
         if not isinstance(node, dict):
-            raise SemanticError(f"tree node is not a JSON object: {node!r}")
+            raise SemanticError(f"tree node is not a JSON object: {_shown(node)}")
         kind = node.get("kind")
         if kind == "condition":
             literal = node.get("literal")
             if not isinstance(literal, str) or literal not in domain.allowed_values:
-                raise SemanticError(f"tree references unknown literal {literal!r}")
+                raise SemanticError(f"tree references unknown literal {_shown(literal)}")
             built.append(Condition(literal))
         elif kind == "action":
             action_id = node.get("action")
             action = domain.actions_by_id.get(action_id) if isinstance(action_id, str) else None
             if action is None:
-                raise SemanticError(f"tree references unknown action {action_id!r}")
+                raise SemanticError(f"tree references unknown action {_shown(action_id)}")
             built.append(ActionNode(action))
         elif isinstance(kind, str) and kind in CONTROL_KINDS:
             # only a missing key reads as no children; null, {} or 0 is a wrong type
             children = node.get("children", [])
             if not isinstance(children, list):
-                raise SemanticError(f"{kind} node children are not a JSON list: {children!r}")
+                raise SemanticError(f"{kind} node children are not a JSON list: {_shown(children)}")
             if not children:
                 raise SemanticError(f"{kind} node in tree file has no children")
             stack.append((len(children), CONTROL_KINDS[kind]))
             stack.extend((None, child) for child in reversed(children))
         else:
-            raise SemanticError(f"unknown tree node kind {kind!r}")
+            raise SemanticError(f"unknown tree node kind {_shown(kind)}")
     return built[0]
 
 

@@ -703,6 +703,42 @@ class TestTreeFile:
             tree_from_doc({"format": 1, "root": root}, soda_domain)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "doc, value",
+        [
+            ({"format": "1" * 5000}, "1" * 5000),
+            ({"format": 1, "root": {"kind": "sequence", "children": [[7] * 2000]}}, [7] * 2000),
+            ({"format": 1, "root": {"kind": "condition", "literal": "x" * 5000}}, "x" * 5000),
+            ({"format": 1, "root": {"kind": "action", "action": ["y"] * 5000}}, ["y"] * 5000),
+            ({"format": 1, "root": {"kind": "sequence", "children": {"z": 1e300}}}, {"z": 1e300}),
+            ({"format": 1, "root": {"kind": "k" * 5000}}, "k" * 5000),
+        ],
+    )
+    def test_messages_cut_a_long_value(self, soda_domain, doc, value):
+        # the value's repr is shown up to 60 characters, the cut marked with "..."
+        with pytest.raises(SemanticError) as err:
+            tree_from_doc(doc, soda_domain)
+        shown = repr(value)
+        shown = shown if len(shown) <= 60 else shown[:57] + "..."
+        assert str(err.value).endswith(" " + shown)
+        assert len(str(err.value)) < 120
+
+    def test_misplaced_children_list_message_does_not_grow_with_the_file(
+        self, soda_domain, soda_path, tmp_path, capsys
+    ):
+        # the soda 0.999 tree with its root's children wrapped in one more
+        # list: the whole list was echoed, 2,039 characters
+        tree = refine_tree(plan_request_from_domain(soda_domain, target_probability=0.999)).tree
+        doc = json.loads(dumps_tree(tree))
+        doc["root"]["children"] = [doc["root"]["children"]]
+        path = tmp_path / "misplaced.json"
+        path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        code = main(["simulate", "--domain", str(soda_path), "--tree", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: tree node is not a JSON object: [{'kind': ")
+        assert err.endswith("...\n") and len(err) == len("error: tree node is not a JSON object: ") + 61
+
     @staticmethod
     def write_chain(path, levels, literal="seen(soda)"):
         """A tree file of one-child Sequences over a condition, ``levels`` nodes deep."""

@@ -5,8 +5,12 @@ ticks used by the final simulation, root ticks the planner executes).  The
 last counts, over every round's simulation, the root ticks that tick at
 least one unseen state: a simulation ticks each distinct state once, so a
 root tick whose states were all ticked before runs no belief tick, and the
-ticks a resumed simulation reuses run none either.  These are
-deterministic, so they are gated exactly.  A change may only tighten them (for example a latch-view
+ticks a resumed simulation reuses run none either.  A round that appends
+a resolver to an existing wrapper resumes at the first root tick that
+exhausted the wrapper, not at the first that read its condition, which
+on soda is tick 0: at 0.999 the planner executes 32 root ticks (60 when
+appends resumed at the condition) and sends 137 entries through the
+belief tick (206).  These are deterministic, so they are gated exactly.  A change may only tighten them (for example a latch-view
 canonicalization that merges more belief entries lowers the terminal count);
 never loosen a pin to make a change pass.
 
@@ -31,7 +35,11 @@ visits grow with the goal frontier, not with the number of settled goals.
 The gate-read pins count the ``get`` calls on the root's gate table, by
 the root scans and by the frozen prefix checks: a scan starts after the
 prefix of goal children settled for good, so reads grow with the rounds,
-not with the rounds times the settled goals.
+not with the rounds times the settled goals.  Resuming appends at the
+wrapper's first exhausting tick takes a few ticks off the wide plans, so
+their visits and gate reads dropped a little with it (1,050 to 1,026
+visits on wide-24, 1,287 and 2,567 to 1,281 and 2,561 reads on wide-96
+and wide-192).
 """
 
 import pytest
@@ -48,14 +56,14 @@ from bbt import (
 from bbt.tree import TreeTables
 
 PINS = [
-    ("soda_domain", None, (4, 26, 8, 11, 21)),
-    ("soda_domain", 0.99, (6, 42, 8, 19, 45)),
-    ("soda_det_domain", None, (4, 26, 4, 11, 23)),
-    ("soda_det_domain", 0.99, (5, 34, 4, 15, 38)),
-    ("soda_domain", 0.999, (7, 50, 8, 23, 60)),
-    ("soda_det_domain", 0.999, (7, 50, 4, 23, 80)),
-    ("wide_domain", None, (53, 232, 3, 54, 153)),
-    ("deep_domain", None, (21, 74, 11, 17, 76)),
+    ("soda_domain", None, (4, 26, 8, 11, 17)),
+    ("soda_domain", 0.99, (6, 42, 8, 19, 27)),
+    ("soda_det_domain", None, (4, 26, 4, 11, 17)),
+    ("soda_det_domain", 0.99, (5, 34, 4, 15, 22)),
+    ("soda_domain", 0.999, (7, 50, 8, 23, 32)),
+    ("soda_det_domain", 0.999, (7, 50, 4, 23, 32)),
+    ("wide_domain", None, (53, 232, 3, 54, 151)),
+    ("deep_domain", None, (21, 74, 11, 17, 67)),
 ]
 
 
@@ -115,9 +123,9 @@ def test_states_built_pinned(request, monkeypatch, domain_fixture, prob, pinned)
 
 
 ENTRIES_TICKED = [
-    ("soda_domain", 0.999, (206, 64)),
-    ("wide_domain", None, (163, 58)),
-    ("deep_domain", None, (288, 34)),
+    ("soda_domain", 0.999, (137, 64)),
+    ("wide_domain", None, (161, 58)),
+    ("deep_domain", None, (274, 34)),
 ]
 
 
@@ -196,7 +204,7 @@ def test_wide_visits_pinned(monkeypatch, wide_domain):
     _, simulated = count_visits(
         monkeypatch, lambda: simulate(result.tree, wide_domain.initial_belief())
     )
-    assert (planned, simulated) == (1050, 457)
+    assert (planned, simulated) == (1026, 457)
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +214,7 @@ def wide_96(widegen):
 
 def test_wide_96_plan_visits_pinned(monkeypatch, wide_96):
     _, visits = plan_visits(monkeypatch, wide_96, max_iterations=1000)
-    assert visits == 3858
+    assert visits == 3834
 
 
 def test_wide_96_latch_view_pinned(monkeypatch, wide_96):
@@ -270,5 +278,5 @@ def test_wide_plan_gate_reads_pinned_and_linear(monkeypatch, wide_96, wide_192):
     # and 128,144 reads when every root tick read every settled child's gate
     small = plan_gate_reads(monkeypatch, wide_96)
     large = plan_gate_reads(monkeypatch, wide_192)
-    assert (small, large) == (1287, 2567)
+    assert (small, large) == (1281, 2561)
     assert large <= 2.2 * small

@@ -1,7 +1,9 @@
 """Resumed simulations equal fresh ones, bit for bit.
 
 A simulation given a :class:`~bbt.engine.Trail` cut at an edit's rank
-resumes at the first root tick that reaches the edit.  Its terminal entries
+resumes at the first root tick that reaches the edit, and one cut at a
+resolver appended to a wrapper at the first root tick that exhausted the
+wrapper.  Its terminal entries
 (probabilities, keys and blame), ``ticks_used``, ``pruned_mass`` and ``flow`` must equal
 those of a fresh :func:`~bbt.engine.simulate` of the edited tree exactly,
 and its limits must fire where the fresh run's do.  The trail's tables,
@@ -40,7 +42,7 @@ def fingerprint(result):
 def trail_fingerprint(trail):
     points = [(reach, ticks, keys(mem.entries), prefix, done, pruned)
               for reach, ticks, mem, prefix, done, pruned in trail.points]
-    return points, keys(trail.finished), trail.flow
+    return points, trail.exhausted, keys(trail.finished), trail.flow
 
 
 def assert_tables_current(tables, tree):
@@ -65,8 +67,9 @@ def random_edit(rng, tables, literals, actions, wrappers):
 
     One insert in five, when a literal is frozen, is of an action that
     clobbers it outside the root children gated on it, which unfreezes it.
-    Returns the edit's rank, or None when the tree has no place for the
-    edit drawn; the edited root is ``tables.order[0]``.
+    Returns the edit as :meth:`Trail.cut` takes it, the child appended to
+    an existing wrapper or else the edit's rank, or None when the tree has
+    no place for the edit drawn; the edited root is ``tables.order[0]``.
     """
     conditions = [n for n in tables.order if isinstance(n, Condition)]
     if not conditions:
@@ -98,27 +101,32 @@ def test_random_edits_resume_exactly(epsilon):
     def random_tree(rng, literals, actions):
         return randgen.random_tree(rng, literals, actions, max_nodes=12)
 
-    resumed_ticks, pruned, _ = edit_and_resume(random.Random(9090), epsilon, random_tree)
+    resumed_ticks, pruned, _, appends = edit_and_resume(
+        random.Random(9090), epsilon, random_tree
+    )
     assert resumed_ticks > 0  # some edits left a prefix to reuse
     assert (pruned > 0.0) == (epsilon > 0.0)
+    assert appends > 40  # cut at the wrapper's first exhausting tick
 
 
 def test_random_edits_of_goal_roots_resume_exactly():
     # Sequence roots of gated children, whose gates and frozen literals each
     # edit keeps current
-    resumed_ticks, _, emptied = edit_and_resume(random.Random(9191), 0.0, goal_root)
+    resumed_ticks, _, emptied, appends = edit_and_resume(random.Random(9191), 0.0, goal_root)
     assert resumed_ticks > 0
     assert emptied > 20  # edits that changed the frozen literals emptied the trail
+    assert appends > 25
 
 
 def edit_and_resume(rng, epsilon, make_tree):
     """Random edits of 300 trees from ``make_tree``, each resumed and checked.
 
     Returns the root ticks the resumed runs reused, the mass the fresh runs
-    pruned and the cuts that emptied a trail holding points.
+    pruned, the cuts that emptied a trail holding points and the cuts at an
+    appended child.
     """
     limits = SimulationLimits(prune_epsilon=epsilon)
-    resumed_ticks, pruned, emptied = 0, 0.0, 0
+    resumed_ticks, pruned, emptied, appends = 0, 0.0, 0, 0
     for _ in range(300):
         literals = randgen.random_literals(rng)
         actions = randgen.random_actions(rng, literals)
@@ -130,16 +138,17 @@ def edit_and_resume(rng, epsilon, make_tree):
         assert fingerprint(result) == fingerprint(simulate(tree, belief, limits))
         wrappers: dict[int, str] = {}
         for _ in range(rng.randint(1, 4)):
-            rank = random_edit(rng, result.tables, literals, actions, wrappers)
-            if rank is None:
+            edit = random_edit(rng, result.tables, literals, actions, wrappers)
+            if edit is None:
                 break
+            appends += not isinstance(edit, int)
             tree = trail.tables.order[0]
             assert trail.tables is result.tables
             assert_tables_current(trail.tables, tree)
             # fresh tables refreeze as splices do, so check the rule itself too
             assert trail.tables.frozen == frozen_by_definition(tree)
             held = bool(trail.points)
-            trail.cut(rank)
+            trail.cut(edit)
             emptied += held and not trail.points
             if trail.points:
                 resumed_ticks += trail.points[-1][1]
@@ -157,7 +166,7 @@ def edit_and_resume(rng, epsilon, make_tree):
             # every tick's belief, not only the terminal one, is the fresh run's
             assert trail_fingerprint(trail) == trail_fingerprint(fresh_trail)
             pruned += fresh.pruned_mass
-    return resumed_ticks, pruned, emptied
+    return resumed_ticks, pruned, emptied, appends
 
 
 def linear_threat(tables, target, literal):
@@ -301,6 +310,105 @@ def test_cut_keeps_points_up_to_the_first_reaching_rank(rank, kept):
     trail.points = [(reach, 0, None, 0, 0, 0.0) for reach in (3, 7, 12)]
     trail.cut(rank)
     assert [point[0] for point in trail.points] == kept
+
+
+@pytest.mark.parametrize(
+    "exhausted,kept", [(None, [2, 4, 7, 7]), (2, [2, 4, 7]), (0, [2])]
+)
+def test_append_cut_keeps_points_up_to_the_first_exhaustion(exhausted, kept):
+    # Seq[Fb[c0, Seq[c1]], c2] at ranks 0, 1, 2, 3, 4, 5; appending Seq[c3]
+    # to the Fallback moves c2 from rank 5 to 7, and so each kept reach of 5
+    wrapper = Fallback([Condition("c0"), Sequence([Condition("c1")])])
+    tree = Sequence([wrapper, Condition("c2")])
+    trail = Trail(tree)
+    trail.points = [(reach, 0, None, 0, 0, 0.0) for reach in (2, 4, 5, 5)]
+    # in point order, as a run fills it; -1 stands for another exhausted node
+    seen = sorted([(1, -1)] + ([] if exhausted is None else [(exhausted, wrapper.node_id)]))
+    trail.exhausted = {node_id: index for index, node_id in seen}
+    child = Sequence([Condition("c3")])
+    wrapper.children.append(child)
+    trail.tables.splice(wrapper, wrapper)
+    trail.cut(child)
+    assert [point[0] for point in trail.points] == kept
+    # the exhaustions first seen in the dropped points' ticks go with them
+    assert list(trail.exhausted.values()) == [i for i, _ in seen if i < len(kept)]
+
+
+def test_append_resumes_at_the_wrappers_first_exhaustion():
+    # Seq[Fb[b, Seq[try_b]], c]: every tick reads b, and tick 0 already
+    # reaches c, past the wrapper, but only the entries whose try failed run
+    # out past the Fallback's last child, first in tick 1.  Appending a
+    # second try keeps tick 0, which a cut at b's rank would replay.
+    S, F = Status.S, Status.F
+    try_b = ActionInstance("try_b", (), (Outcome(0.5, (("b", S),), S), Outcome(0.5, (), F)))
+    b = Condition("b")
+    tree = Sequence([b, Condition("c")])
+    belief = BeliefState([
+        (0.5, PhysicalState({"b": F, "c": S})),
+        (0.5, PhysicalState({"b": S, "c": S})),
+    ])
+    trail = Trail(tree)
+    wrappers: dict[int, str] = {}
+    assert isinstance(resolve_by_insert(b, F, try_b, trail.tables, wrappers), int)
+    before = simulate(tree, belief, trail=trail).flow
+    assert trail.exhausted == {tree.children[0].node_id: 1}
+    child = resolve_by_insert(b, F, try_b, trail.tables, wrappers)
+    assert child is tree.children[0].children[2]
+    trail.cut(child)
+    kept = trail.points[-1][1]
+    assert kept == 1
+    fresh_trail = Trail(tree)
+    fresh = simulate(tree, belief, trail=fresh_trail)
+    resumed = simulate(tree, belief, trail=trail)
+    assert fingerprint(resumed) == fingerprint(fresh)
+    assert trail_fingerprint(trail) == trail_fingerprint(fresh_trail)
+    assert resumed.flow[:kept] == before[:kept] and len(resumed.flow) == len(before) + 1
+    assert resumed.flow == fresh.flow == ((0.5, 0.5), (0.25, 0.25), (0.25, 0.0))
+
+
+def fallback_fold_case():
+    # Seq[Fb[Fb[Seq[a]], z]]: a reports F, so the inner Fallback folds to F
+    # after tick 0 and tick 1 replays it without a scan; after an append to
+    # it, tick 1 runs the new child
+    a = ActionInstance("a", (), (Outcome(1.0, (), Status.F),))
+    z = ActionInstance("z", (), (Outcome(1.0, (), Status.F),))
+    wrapper = Fallback([Sequence([ActionNode(a)])])
+    tree = Sequence([Fallback([wrapper, ActionNode(z)])])
+    return tree, wrapper, BeliefState.point(PhysicalState({"g": Status.F}))
+
+
+def sequence_root_case():
+    # Seq[c, Fb[d, set_d]]: the entry with d = S runs out past the root's last
+    # child in tick 0, and the Fallback is first exhausted in tick 1; after
+    # an append to the root, tick 0 runs the new child
+    set_d = ActionInstance("set_d", (), (Outcome(1.0, (), Status.F),))
+    tree = Sequence([Condition("c"), Fallback([Condition("d"), ActionNode(set_d)])])
+    belief = BeliefState([
+        (0.5, PhysicalState({"c": Status.S, "d": Status.S, "g": Status.F})),
+        (0.5, PhysicalState({"c": Status.S, "d": Status.F, "g": Status.F})),
+    ])
+    return tree, tree, belief
+
+
+@pytest.mark.parametrize("case", [fallback_fold_case, sequence_root_case])
+def test_append_whose_exhaustion_is_not_recorded_cuts_at_the_parents_rank(case):
+    # neither parent's exhaustion is in the trail, so an exhaustion cut would
+    # keep both points and resume at tick 1
+    tree, parent, belief = case()
+    trail = Trail(tree)
+    simulate(tree, belief, trail=trail)
+    assert [point[1] for point in trail.points] == [0, 1]
+    assert parent.node_id not in trail.exhausted
+    set_g = ActionInstance("set_g", (), (Outcome(1.0, (("g", Status.S),), Status.S),))
+    child = Sequence([ActionNode(set_g)])
+    parent.children.append(child)
+    trail.tables.splice(parent, parent)
+    trail.cut(child)
+    assert [point[1] for point in trail.points] == [0]
+    fresh_trail = Trail(tree)
+    fresh = simulate(tree, belief, trail=fresh_trail)
+    assert fingerprint(simulate(tree, belief, trail=trail)) == fingerprint(fresh)
+    assert trail_fingerprint(trail) == trail_fingerprint(fresh_trail)
 
 
 def test_resumed_flow_equals_a_fresh_runs():

@@ -124,12 +124,17 @@ def test_plan_rate():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     heads = [line.split(" refine_tree ")[0] for line in lines]
+    # soda's root ticks are test_counters.py's planned counts
     assert heads == [
-        "wide-24 rounds 53 gate_reads 327",
-        "wide-48 rounds 101 gate_reads 647",
+        "soda-0.99 rounds 6 root_ticks 27",
+        "soda-0.999 rounds 7 root_ticks 32",
+        "wide-24 rounds 53 gate_reads 321",
+        "wide-48 rounds 101 gate_reads 641",
     ]
     for line in lines:
-        assert " simulate " in line and line.endswith(" s")
+        assert line.endswith(" s")
+    for line in lines[2:]:
+        assert " simulate " in line
 
 
 def test_interp_matrix():
