@@ -971,13 +971,21 @@ class TestTreeFileBytes:
         starts = [match.end() for match in re.finditer(rb": |[\[,]\s*", data)]
         return data, starts, tmp_path_factory.mktemp("bytes") / "tree.json"
 
-    def test_truncations(self, planned_file, soda_domain):
+    def test_truncations(self, planned_file, soda_domain, soda_path, capsys):
         # every other cut, from the one that drops only the closing brace;
         # writing the file is most of each case's cost
         data, _, path = planned_file
         closed = data.rindex(b"}") + 1
         cuts = range(closed - 1, -1, -2)
         assert not any(load_or_reject(path, data[:end], soda_domain) for end in cuts)
+        # every 16th cut also through the CLI: exit 1, one error line, no output
+        argv = ["simulate", "--domain", str(soda_path), "--tree", str(path)]
+        for end in cuts[::16]:
+            path.write_bytes(data[:end])
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert load_or_reject(path, data[:closed], soda_domain)
 
     @settings(max_examples=150)

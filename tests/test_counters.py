@@ -272,11 +272,17 @@ def plan_gate_reads(monkeypatch, domain):
     return CountedGates.reads
 
 
-def test_wide_plan_gate_reads_pinned_and_linear(monkeypatch, wide_96, wide_192):
+# the root gate reads of planning the wide domains, by item count
+GATE_READS = {24: 321, 96: 1281, 192: 2561}
+
+
+def test_wide_plan_gate_reads_pinned_and_linear(monkeypatch, wide_domain, wide_96, wide_192):
     # the root scan starts after the frozen prefix of settled goal children,
-    # so a round reads a few gates however many goals have settled: 32,346
-    # and 128,144 reads when every root tick read every settled child's gate
+    # so a round reads a few gates however many goals have settled: 2,142,
+    # 32,346 and 128,144 reads when every root tick read every settled
+    # child's gate
     small = plan_gate_reads(monkeypatch, wide_96)
     large = plan_gate_reads(monkeypatch, wide_192)
-    assert (small, large) == (1281, 2561)
+    assert plan_gate_reads(monkeypatch, wide_domain) == GATE_READS[24]
+    assert (small, large) == (GATE_READS[96], GATE_READS[192])
     assert large <= 2.2 * small
