@@ -11,12 +11,16 @@ The workloads call the library directly, outside ``perfbench/run.py``:
   goal and to 0.999, 20,000 runs at seed 42, a fresh memo per repeat;
 - ``load-*``: ``parse_domain`` and ``ground`` on soda, wide-24 and wide-96.
 
-The counters are exact and come from one untimed, counted run.  A plan
-workload counts the planner's rounds and the root ticks it executes (those
-that tick at least one unseen state) and the ``get`` calls on the root's
-gate table while planning; then the final simulation's ``ticks_used``,
-terminal entries and physical states built.  An exec workload counts its
-successes, a load workload the grounded literals and resolvers.
+The counters are exact and come from one untimed, counted run
+(:func:`counted`, through which ``tests/test_counters.py`` reads its pins
+too).  A plan workload counts, while planning, the rounds, the root ticks
+executed (those that tick at least one unseen state), the belief entries
+they tick (``entries_ticked``), the node visits (``engine._tick`` calls)
+and the ``get`` calls on the root's gate table; then the final
+simulation's ``ticks_used``, terminal entries, physical states built,
+entries ticked and node visits (``simulate_entries_ticked``,
+``simulate_visits``).  An exec workload counts its successes, a load
+workload the grounded literals and resolvers.
 
 Each time is taken over ``--repeats`` repeats and printed as
 ``best/median ms`` per call; a load repeat makes 20 calls.  The record
@@ -74,9 +78,12 @@ def load_module(path: Path):
 
 
 def counted(call):
-    """``call()`` and the root ticks, root gate reads and physical states built while it runs."""
-    counts = {"root_ticks": 0, "gate_reads": 0, "states_built": 0}
-    belief_tick, file_all = engine.belief_tick, TreeTables._file_all
+    """``call()`` and its counts: the root ticks and the belief entries they tick,
+    the node visits, the root gate reads and the physical states built."""
+    counts = dict.fromkeys(
+        ("root_ticks", "entries_ticked", "visits", "gate_reads", "states_built"), 0
+    )
+    belief_tick, visit, file_all = engine.belief_tick, engine._tick, TreeTables._file_all
     init, derived = PhysicalState.__init__, PhysicalState._derived
 
     class Gates(dict):
@@ -84,29 +91,34 @@ def counted(call):
             counts["gate_reads"] += 1
             return dict.get(self, key, default)
 
-    def tick(*args):
+    def tick(node, mem, *args):
+        mem = list(mem)
         counts["root_ticks"] += 1
-        return belief_tick(*args)
+        counts["entries_ticked"] += len(mem)
+        return belief_tick(node, mem, *args)
 
     def filed(self):
         file_all(self)
         self.gates = Gates(self.gates)
 
-    def building(method):
-        def wrapper(*args):
-            counts["states_built"] += 1
-            return method(*args)
+    def counting(key, method):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return method(*args, **kwargs)
 
         return wrapper
 
-    # simulate runs each root tick through this module binding, and every
-    # state is built by the constructor or derived by _derived
-    engine.belief_tick, TreeTables._file_all = tick, filed
-    PhysicalState.__init__, PhysicalState._derived = building(init), building(derived)
+    # simulate runs each root tick through the module binding belief_tick,
+    # the tick recurses through _tick, and every state is built by the
+    # constructor or derived by _derived
+    engine.belief_tick, engine._tick = tick, counting("visits", visit)
+    TreeTables._file_all = filed
+    PhysicalState.__init__ = counting("states_built", init)
+    PhysicalState._derived = counting("states_built", derived)
     try:
         return call(), counts
     finally:
-        engine.belief_tick, TreeTables._file_all = belief_tick, file_all
+        engine.belief_tick, engine._tick, TreeTables._file_all = belief_tick, visit, file_all
         PhysicalState.__init__, PhysicalState._derived = init, derived
 
 
@@ -132,10 +144,14 @@ def plan(domain, prob, repeats: int):
     counters = {
         "rounds": len(result.log),
         "root_ticks": planned["root_ticks"],
+        "entries_ticked": planned["entries_ticked"],
+        "visits": planned["visits"],
         "gate_reads": planned["gate_reads"],
         "ticks_used": replay.ticks_used,
         "terminal_entries": len(replay.terminal),
         "states_built": simulated["states_built"],
+        "simulate_entries_ticked": simulated["entries_ticked"],
+        "simulate_visits": simulated["visits"],
     }
     times = {
         "refine_tree": timed(lambda: refine_tree(request), repeats),

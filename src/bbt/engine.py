@@ -77,7 +77,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable
 from math import fsum
-from operator import itemgetter
 
 from .belief import BeliefState, PhysicalState
 from .errors import EntryLimitExceeded, TickLimitExceeded
@@ -125,12 +124,11 @@ class Trail:
     A :func:`simulate` given a trail records a point before each root tick
     that reaches further in tick order than every earlier tick, or that
     exhausts a Fallback or Skipper no earlier tick exhausted (see the module
-    docstring): the furthest reach after the tick (a rank in the tree's
-    :class:`~bbt.tree.TreeTables`), the tick count, the live belief, the
-    frozen prefix its root scan starts from, how many entries had finished
-    and the mass pruned so far.  The first tick to reach a given rank always
-    sets such a record, so it always has a point, and reaches never decrease
-    along the trail.  ``exhausted`` maps the id of each node the run has
+    docstring): the furthest node reached after the tick, the tick count,
+    the live belief, the frozen prefix its root scan starts from, how many
+    entries had finished and the mass pruned so far.  The first tick to
+    reach a given rank always sets such a record, so it always has a point,
+    and reaches never decrease along the trail.  ``exhausted`` maps the id of each node the run has
     exhausted to the index of the point before the tick that first did, in
     point order, so dropping points drops their entries from its end.  The
     trail also keeps the run's finished entries and its flow, one record per
@@ -155,15 +153,14 @@ class Trail:
     first child is a condition, as the planner's appends to its wrappers
     do.  A tick that does not exhaust W runs the same in the edited tree,
     wherever it reaches, so :meth:`cut` of c keeps the points up to that of
-    the first tick that exhausted W, or all of them if none did, and adds
-    c's subtree size to each kept reach at or past c's rank.  This is exact
-    because:
+    the first tick that exhausted W, or all of them if none did.  This is
+    exact because:
 
     - a condition never latches, so :meth:`~bbt.tree.TreeTables.settle`
       never folds W, before or after the append, and the kept latch views
       stay canonical;
     - the append changes no depth, so no blame, of an existing node, nor
-      any gate, and the kept reaches name the same nodes once shifted;
+      any gate;
     - a change to the frozen literals still empties the trail (below).
 
     An append to any other parent is cut at the parent's rank.  A new
@@ -188,7 +185,7 @@ class Trail:
     __slots__ = ("points", "exhausted", "finished", "flow", "tables", "frozen")
 
     def __init__(self, tree: BTNode) -> None:
-        self.points: list[tuple[int, int, BeliefState, int, int, float]] = []
+        self.points: list[tuple[BTNode, int, BeliefState, int, int, float]] = []
         self.exhausted: dict[int, int] = {}
         self.finished: list[Entry] = []
         self.flow: list[tuple[float, float]] = []
@@ -216,14 +213,10 @@ class Trail:
                 index = self.exhausted.get(wrapper.node_id)
                 if index is not None:
                     self._keep(index + 1)
-                start = tables.rank[edit.node_id]
-                size = len(list(edit.iter_nodes()))
-                for i in range(bisect_left(points, start, key=itemgetter(0)), len(points)):
-                    reach, *rest = points[i]
-                    points[i] = (reach + size, *rest)
                 return
-        # reaches never decrease along the trail
-        self._keep(bisect_left(points, edit, key=itemgetter(0)) + 1)
+        # an edit moves no node before its rank, nor one at or past it to
+        # before it: along the trail, reaches still rank below it, then not
+        self._keep(bisect_left(points, edit, key=lambda point: tables.rank[point[0].node_id]) + 1)
 
     def _keep(self, count: int) -> None:
         """Keep the first ``count`` points, and the exhaustions first seen in their ticks."""
@@ -461,7 +454,7 @@ def simulate(
     if trail is not None:
         points, exhausted = trail.points, trail.exhausted
         if points:
-            furthest = points[-1][0]
+            furthest = tables.rank[points[-1][0].node_id]
     rank = tables.rank
     reached = [tree]
     # state -> the state it ends in, or its (outcome probability, successor) list
@@ -483,7 +476,8 @@ def simulate(
                 for node in reached[1:]:
                     exhausted.setdefault(node.node_id, len(points))
                 if further or len(exhausted) > known:
-                    points.append((furthest, ticks, mem, prefix, len(finished), pruned))
+                    point = (tables.order[furthest], ticks, mem, prefix, len(finished), pruned)
+                    points.append(point)
             del reached[1:]
             partial = []
             for p, s, r, pending, blame in entries:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import logging
 import os
@@ -990,14 +992,23 @@ class TestTreeFileBytes:
 
     @settings(max_examples=150)
     @given(st.data())
-    def test_span_replacements(self, planned_file, soda_domain, draws):
+    def test_span_replacements(self, planned_file, soda_domain, soda_path, draws):
         # about half the spans start where a value does, so that the decoder
         # reaches what replaced them rather than stopping at an earlier error
         data, starts, path = planned_file
         start = draws.draw(st.integers(0, len(data)) | st.sampled_from(starts))
         end = start + draws.draw(st.integers(0, 40))
         parts = draws.draw(st.lists(st.sampled_from(self.POOL), max_size=3))
-        load_or_reject(path, data[:start] + b"".join(parts) + data[end:], soda_domain)
+        if load_or_reject(path, data[:start] + b"".join(parts) + data[end:], soda_domain):
+            return
+        # a rejected file also fails through the CLI: exit 1, one error line,
+        # no output (hypothesis takes no function-scoped capsys)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--domain", str(soda_path), "--tree", str(path)])
+        assert (code, out.getvalue()) == (1, "")
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestLogging:

@@ -29,6 +29,12 @@ state a simulation meets, however many root ticks hold it.  A state still
 running returns R whatever its last tick returned, so states that differ
 only there are one state.
 
+Every count comes from one harness, ``counted`` of ``scripts/bench.py``,
+which also writes the counters of the committed ``BENCH_*.json`` records:
+it wraps the module bindings the engine runs through and restores them.
+Only the latch-view pin patches a binding of its own, as that harness
+does not count latch views.
+
 The node-visit pins count ``engine._tick`` calls, the root scans included.
 A root tick passes a settled goal child at its gate without visiting it, so
 visits grow with the goal frontier, not with the number of settled goals.
@@ -42,18 +48,34 @@ visits on wide-24, 1,287 and 2,567 to 1,281 and 2,561 reads on wide-96
 and wide-192).
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from bbt import (
-    PhysicalState,
-    engine,
-    ground,
-    parse_domain,
-    plan_request_from_domain,
-    refine_tree,
-    simulate,
+from bbt import engine, ground, parse_domain, plan_request_from_domain, refine_tree, simulate
+
+# scripts/bench.py, which is not on the import path: its counted() takes every count here
+spec = importlib.util.spec_from_file_location(
+    "bench", Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
 )
-from bbt.tree import TreeTables
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+
+
+def counted_plan(domain, prob=None, max_iterations=64):
+    """The plan of ``domain`` to ``prob`` and the counts of planning it."""
+    request = plan_request_from_domain(
+        domain, target_probability=prob, max_iterations=max_iterations
+    )
+    return bench.counted(lambda: refine_tree(request))
+
+
+def counted_simulation(domain, tree):
+    """The simulation of ``tree`` from ``domain``'s initial belief and its counts."""
+    initial = domain.initial_belief()
+    return bench.counted(lambda: simulate(tree, initial))
+
 
 PINS = [
     ("soda_domain", None, (4, 26, 8, 11, 17)),
@@ -68,27 +90,16 @@ PINS = [
 
 
 @pytest.mark.parametrize("domain_fixture,prob,pinned", PINS)
-def test_counters_pinned(request, monkeypatch, domain_fixture, prob, pinned):
+def test_counters_pinned(request, domain_fixture, prob, pinned):
     domain = request.getfixturevalue(domain_fixture)
-    executed = 0
-    root_tick = engine.belief_tick
-
-    def counted(*args, **kwargs):
-        nonlocal executed
-        executed += 1
-        return root_tick(*args, **kwargs)
-
-    # simulate runs each root tick through this module binding
-    monkeypatch.setattr(engine, "belief_tick", counted)
-    result = refine_tree(plan_request_from_domain(domain, target_probability=prob))
-    monkeypatch.undo()
+    result, planned = counted_plan(domain, prob)
     replay = simulate(result.tree, domain.initial_belief())
     counters = (
         len(result.log),
         sum(1 for _ in result.tree.iter_nodes()),
         len(replay.terminal),
         replay.ticks_used,
-        executed,
+        planned["root_ticks"],
     )
     assert counters == pinned
 
@@ -100,26 +111,11 @@ STATES_BUILT = [
 
 
 @pytest.mark.parametrize("domain_fixture,prob,pinned", STATES_BUILT)
-def test_states_built_pinned(request, monkeypatch, domain_fixture, prob, pinned):
+def test_states_built_pinned(request, domain_fixture, prob, pinned):
     domain = request.getfixturevalue(domain_fixture)
-    result = refine_tree(plan_request_from_domain(domain, target_probability=prob))
-    initial = domain.initial_belief()
-    built = 0
-
-    def counted(method):
-        def wrapper(*args, **kwargs):
-            nonlocal built
-            built += 1
-            return method(*args, **kwargs)
-
-        return wrapper
-
-    # every state is built by the constructor or derived by _derived
-    for name in ("__init__", "_derived"):
-        monkeypatch.setattr(PhysicalState, name, counted(getattr(PhysicalState, name)))
-    simulate(result.tree, initial)
-    monkeypatch.undo()
-    assert built == pinned
+    result, _ = counted_plan(domain, prob)
+    _, simulated = counted_simulation(domain, result.tree)
+    assert simulated["states_built"] == pinned
 
 
 ENTRIES_TICKED = [
@@ -129,42 +125,22 @@ ENTRIES_TICKED = [
 ]
 
 
-def count_entries_ticked(monkeypatch, run):
-    """``run()`` and the belief entries its root ticks send through ``belief_tick``."""
-    ticked = 0
-    root_tick = engine.belief_tick
-
-    def counted(node, mem, tables, reached=None, prefix=0):
-        nonlocal ticked
-        mem = list(mem)
-        ticked += len(mem)
-        return root_tick(node, mem, tables, reached, prefix)
-
-    with monkeypatch.context() as patch:
-        # simulate runs each root tick through this module binding
-        patch.setattr(engine, "belief_tick", counted)
-        return run(), ticked
-
-
 @pytest.mark.parametrize("domain_fixture,prob,pinned", ENTRIES_TICKED)
-def test_entries_ticked_pinned(request, monkeypatch, domain_fixture, prob, pinned):
+def test_entries_ticked_pinned(request, domain_fixture, prob, pinned):
     domain = request.getfixturevalue(domain_fixture)
-    request_ = plan_request_from_domain(domain, target_probability=prob)
-    result, planned = count_entries_ticked(monkeypatch, lambda: refine_tree(request_))
-    initial = domain.initial_belief()
-    _, simulated = count_entries_ticked(monkeypatch, lambda: simulate(result.tree, initial))
-    assert (planned, simulated) == pinned
+    result, planned = counted_plan(domain, prob)
+    _, simulated = counted_simulation(domain, result.tree)
+    assert (planned["entries_ticked"], simulated["entries_ticked"]) == pinned
 
 
 def test_memo_without_room_ticks_every_entry(monkeypatch, soda_domain):
     # a dict that keeps no state leaves every root tick to tick every entry:
     # 230 on the soda 0.999 tree, against its 64 distinct states
-    tree = refine_tree(plan_request_from_domain(soda_domain, target_probability=0.999)).tree
-    initial = soda_domain.initial_belief()
-    _, stored = count_entries_ticked(monkeypatch, lambda: simulate(tree, initial))
+    tree = counted_plan(soda_domain, 0.999)[0].tree
+    _, stored = counted_simulation(soda_domain, tree)
     monkeypatch.setattr(engine, "MEMO_STATES", 0)
-    _, unstored = count_entries_ticked(monkeypatch, lambda: simulate(tree, initial))
-    assert (stored, unstored) == (64, 230)
+    _, unstored = counted_simulation(soda_domain, tree)
+    assert (stored["entries_ticked"], unstored["entries_ticked"]) == (64, 230)
 
 
 def test_deep_perception_pinned(deep_domain):
@@ -176,35 +152,15 @@ def test_deep_perception_pinned(deep_domain):
     assert len(replay.terminal) == len({(s.values, s.r) for _, s in replay.terminal}) == 11
 
 
-def count_visits(monkeypatch, run):
-    """``run()`` and the node visits of its belief ticks."""
-    visits = 0
-    visit = engine._tick
-
-    def counted(*args):
-        nonlocal visits
-        visits += 1
-        return visit(*args)
-
-    # the tick recurses through this module binding
-    monkeypatch.setattr(engine, "_tick", counted)
-    try:
-        return run(), visits
-    finally:
-        monkeypatch.undo()
+# the node visits of planning and of simulating the wide-24 plan, and of planning wide-96
+WIDE_VISITS = (1026, 457)
+WIDE_96_PLAN_VISITS = 3834
 
 
-def plan_visits(monkeypatch, domain, max_iterations=64):
-    request = plan_request_from_domain(domain, max_iterations=max_iterations)
-    return count_visits(monkeypatch, lambda: refine_tree(request))
-
-
-def test_wide_visits_pinned(monkeypatch, wide_domain):
-    result, planned = plan_visits(monkeypatch, wide_domain)
-    _, simulated = count_visits(
-        monkeypatch, lambda: simulate(result.tree, wide_domain.initial_belief())
-    )
-    assert (planned, simulated) == (1026, 457)
+def test_wide_visits_pinned(wide_domain):
+    result, planned = counted_plan(wide_domain)
+    _, simulated = counted_simulation(wide_domain, result.tree)
+    assert (planned["visits"], simulated["visits"]) == WIDE_VISITS
 
 
 @pytest.fixture(scope="module")
@@ -212,15 +168,28 @@ def wide_96(widegen):
     return ground(parse_domain(widegen.generate(96, seed=0)))
 
 
-def test_wide_96_plan_visits_pinned(monkeypatch, wide_96):
-    _, visits = plan_visits(monkeypatch, wide_96, max_iterations=1000)
-    assert visits == 3834
+@pytest.fixture(scope="module")
+def wide_192(widegen):
+    return ground(parse_domain(widegen.generate(192, seed=0)))
 
 
-def test_wide_96_latch_view_pinned(monkeypatch, wide_96):
+@pytest.fixture(scope="module")
+def wide_planned(wide_96, wide_192):
+    """The plan and the counts of planning the wide domains of 96 and 192 items."""
+    return {
+        96: counted_plan(wide_96, max_iterations=1000),
+        192: counted_plan(wide_192, max_iterations=1000),
+    }
+
+
+def test_wide_96_plan_visits_pinned(wide_planned):
+    assert wide_planned[96][1]["visits"] == WIDE_96_PLAN_VISITS
+
+
+def test_wide_96_latch_view_pinned(monkeypatch, wide_96, wide_planned):
     # the largest latch view of any entry of the final simulation: the
     # latches of settled goal children are dropped (197 pairs before)
-    plan = refine_tree(plan_request_from_domain(wide_96, max_iterations=1000))
+    plan = wide_planned[96][0]
     views = []
     root_tick = engine.belief_tick
 
@@ -234,55 +203,22 @@ def test_wide_96_latch_view_pinned(monkeypatch, wide_96):
     assert max(views) == 2
 
 
-@pytest.fixture(scope="module")
-def wide_192(widegen):
-    return ground(parse_domain(widegen.generate(192, seed=0)))
-
-
-def test_wide_plan_visits_grow_linearly(monkeypatch, wide_96, wide_192):
+def test_wide_plan_visits_grow_linearly(wide_planned):
     # doubling the goals about doubles the visits; a rescan of every settled
     # goal child at every root tick would near quadruple them
-    _, small = plan_visits(monkeypatch, wide_96, max_iterations=1000)
-    _, large = plan_visits(monkeypatch, wide_192, max_iterations=1000)
-    assert large <= 2.2 * small
-
-
-class CountedGates(dict):
-    """A gate table that counts its ``get`` calls."""
-
-    reads = 0
-
-    def get(self, key, default=None):
-        CountedGates.reads += 1
-        return dict.get(self, key, default)
-
-
-def plan_gate_reads(monkeypatch, domain):
-    """The root gate reads of planning ``domain``: the root scans' and the prefix checks'."""
-    file_all = TreeTables._file_all
-
-    def counted(self):
-        file_all(self)
-        self.gates = CountedGates(self.gates)
-
-    monkeypatch.setattr(CountedGates, "reads", 0)
-    with monkeypatch.context() as patch:
-        patch.setattr(TreeTables, "_file_all", counted)
-        refine_tree(plan_request_from_domain(domain, max_iterations=1000))
-    return CountedGates.reads
+    assert wide_planned[192][1]["visits"] <= 2.2 * wide_planned[96][1]["visits"]
 
 
 # the root gate reads of planning the wide domains, by item count
 GATE_READS = {24: 321, 96: 1281, 192: 2561}
 
 
-def test_wide_plan_gate_reads_pinned_and_linear(monkeypatch, wide_domain, wide_96, wide_192):
+def test_wide_plan_gate_reads_pinned_and_linear(wide_domain, wide_planned):
     # the root scan starts after the frozen prefix of settled goal children,
     # so a round reads a few gates however many goals have settled: 2,142,
     # 32,346 and 128,144 reads when every root tick read every settled
     # child's gate
-    small = plan_gate_reads(monkeypatch, wide_96)
-    large = plan_gate_reads(monkeypatch, wide_192)
-    assert plan_gate_reads(monkeypatch, wide_domain) == GATE_READS[24]
+    small, large = (wide_planned[size][1]["gate_reads"] for size in (96, 192))
+    assert counted_plan(wide_domain)[1]["gate_reads"] == GATE_READS[24]
     assert (small, large) == (GATE_READS[96], GATE_READS[192])
     assert large <= 2.2 * small

@@ -293,7 +293,8 @@ def test_prefix_stays_within_the_furthest_reach():
     belief = BeliefState.point(PhysicalState({"a": Status.F, "b": Status.S, "c": Status.F}))
     trail = Trail(tree)
     simulate(tree, belief, trail=trail)
-    assert [(point[0], point[3]) for point in trail.points] == [(3, 0), (7, 1)]
+    rank = trail.tables.rank
+    assert [(rank[point[0].node_id], point[3]) for point in trail.points] == [(3, 0), (7, 1)]
     trail.cut(resolve_threat(c, tree.children[1].children[1], trail.tables))
     assert len(trail.points) == 2
     fresh_trail = Trail(tree)
@@ -306,10 +307,12 @@ def test_prefix_stays_within_the_furthest_reach():
     "rank,kept", [(0, [3]), (3, [3]), (5, [3, 7]), (12, [3, 7, 12]), (13, [3, 7, 12])]
 )
 def test_cut_keeps_points_up_to_the_first_reaching_rank(rank, kept):
-    trail = Trail(Condition("c0"))
-    trail.points = [(reach, 0, None, 0, 0, 0.0) for reach in (3, 7, 12)]
+    # a Sequence of 13 conditions: the condition at rank k is order[k]
+    trail = Trail(Sequence([Condition(f"c{i}") for i in range(13)]))
+    order = trail.tables.order
+    trail.points = [(order[reach], 0, None, 0, 0, 0.0) for reach in (3, 7, 12)]
     trail.cut(rank)
-    assert [point[0] for point in trail.points] == kept
+    assert [trail.tables.rank[point[0].node_id] for point in trail.points] == kept
 
 
 @pytest.mark.parametrize(
@@ -321,7 +324,8 @@ def test_append_cut_keeps_points_up_to_the_first_exhaustion(exhausted, kept):
     wrapper = Fallback([Condition("c0"), Sequence([Condition("c1")])])
     tree = Sequence([wrapper, Condition("c2")])
     trail = Trail(tree)
-    trail.points = [(reach, 0, None, 0, 0, 0.0) for reach in (2, 4, 5, 5)]
+    order = trail.tables.order
+    trail.points = [(order[reach], 0, None, 0, 0, 0.0) for reach in (2, 4, 5, 5)]
     # in point order, as a run fills it; -1 stands for another exhausted node
     seen = sorted([(1, -1)] + ([] if exhausted is None else [(exhausted, wrapper.node_id)]))
     trail.exhausted = {node_id: index for index, node_id in seen}
@@ -329,7 +333,7 @@ def test_append_cut_keeps_points_up_to_the_first_exhaustion(exhausted, kept):
     wrapper.children.append(child)
     trail.tables.splice(wrapper, wrapper)
     trail.cut(child)
-    assert [point[0] for point in trail.points] == kept
+    assert [trail.tables.rank[point[0].node_id] for point in trail.points] == kept
     # the exhaustions first seen in the dropped points' ticks go with them
     assert list(trail.exhausted.values()) == [i for i, _ in seen if i < len(kept)]
 

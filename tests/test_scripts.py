@@ -1,6 +1,5 @@
 """Smoke tests: the scripts under ``scripts/`` run end to end as subprocesses."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -12,7 +11,15 @@ import pytest
 from bbt import PhysicalState, engine, plan_request_from_domain, refine_tree
 from bbt.tree import TreeTables
 
-from test_counters import GATE_READS, PINS, STATES_BUILT
+import test_counters
+from test_counters import (
+    ENTRIES_TICKED,
+    GATE_READS,
+    PINS,
+    STATES_BUILT,
+    WIDE_96_PLAN_VISITS,
+    WIDE_VISITS,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -173,8 +180,15 @@ def test_plan_rate(bench):
             assert tuple(got[k] for k in shared) == (rounds, terminal, ticks_used, root_ticks)
     for fixture, prob, pinned in STATES_BUILT:
         assert counters[names[fixture, prob]]["states_built"] == pinned
+    for fixture, prob, pinned in ENTRIES_TICKED:
+        if (fixture, prob) in names:
+            got = counters[names[fixture, prob]]
+            assert (got["entries_ticked"], got["simulate_entries_ticked"]) == pinned
     for size, reads in GATE_READS.items():
         assert counters[f"plan-wide-{size}"]["gate_reads"] == reads
+    wide = counters["plan-wide-24"]
+    assert (wide["visits"], wide["simulate_visits"]) == WIDE_VISITS
+    assert counters["plan-wide-96"]["visits"] == WIDE_96_PLAN_VISITS
     assert counters["plan-deep-6-0.99"]["rounds"] == 84
 
 
@@ -210,11 +224,10 @@ def test_load_rate(bench):
 def test_bench_counted_run_restores_the_bindings(soda_domain):
     # the timed runs that follow a counted one must run the unpatched code,
     # also when the counted call raises
-    spec = importlib.util.spec_from_file_location("bench", REPO / "scripts" / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = test_counters.bench
     patched = (
         (engine, "belief_tick"),
+        (engine, "_tick"),
         (TreeTables, "_file_all"),
         (PhysicalState, "__init__"),
         (PhysicalState, "_derived"),
@@ -238,6 +251,16 @@ def test_bench_records():
         for workload in record["workloads"].values():
             for value in workload["counters"].values():
                 assert type(value) is int, path.name
+
+
+def test_newest_record_holds_this_trees_counters(bench):
+    # the newest record by number, so BENCH_100 comes after BENCH_99
+    _, record = bench
+    newest = max(REPO.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+    committed = json.loads(newest.read_text(encoding="utf-8"))["workloads"]
+    for name, workload in record["workloads"].items():
+        if name in committed:
+            assert committed[name]["counters"] == workload["counters"], (newest.name, name)
 
 
 def test_interp_matrix():
